@@ -3,9 +3,8 @@
 //! Runs the performance-critical scenarios — single-router cycle
 //! throughput, scheduler selection cost across occupancies, full-mesh
 //! stepping (serial and pool-parallel), the sparse leaping suite (8×8,
-//! 32×32, 128×128, and the 256×256 mega-mesh; event-queue vs
-//! quiescence-scan), mesh construction cost (with a per-node memory
-//! footprint column), the chaos fault-tolerance scenarios (link-kill
+//! 32×32, 128×128, and the 256×256 mega-mesh), mesh construction cost
+//! (with a per-node memory footprint column), the chaos fault-tolerance scenarios (link-kill
 //! recovery, flaky link, node crash — rows carrying measured
 //! violation-window, re-route-latency, and loss columns rather than just
 //! wall-clock), and the connection-churn scenario (live establish/teardown
@@ -41,7 +40,7 @@ use rtr_core::memory::SlotAddr;
 use rtr_core::sched::leaf::Leaf;
 use rtr_core::sched::tree::ComparatorTree;
 use rtr_core::RealTimeRouter;
-use rtr_mesh::{Quiescence, Simulator, Topology};
+use rtr_mesh::{Simulator, Topology};
 use rtr_metrics::MetricsRegistry;
 use rtr_types::chip::{Chip, ChipIo};
 use rtr_types::clock::SlotClock;
@@ -406,17 +405,14 @@ fn run_mesh(name: &str, workers: usize, cycles: u64, iters: usize) -> BenchResul
 enum Drive {
     /// Plain cycle stepping.
     Stepped,
-    /// Leaping with the calendar-queue event core (the default).
-    LeapQueue,
-    /// Leaping with the original O(components) quiescence scan — kept so
-    /// the pop-vs-scan cost difference stays measured.
-    LeapScan,
+    /// Leaping over the calendar-queue event core.
+    Leaping,
 }
 
 /// A sparse mesh (four long-period one-hop TC channels — see
 /// [`rtr_bench::leaping::periodic_mesh_sized`]) driven by one of the
 /// [`Drive`] modes; the stepped/leaping pairs are the headline speedup
-/// comparisons, and the queue/scan pair is the event-core cost comparison.
+/// comparisons.
 fn run_sparse_mesh(
     name: &str,
     width: u16,
@@ -429,25 +425,19 @@ fn run_sparse_mesh(
     let nodes = u64::from(width) * u64::from(height);
     let (min_s, mean_s) = time_runs(
         iters,
-        || {
-            let mut sim = rtr_bench::leaping::periodic_mesh_sized(width, height, period_slots);
-            if let Drive::LeapScan = drive {
-                sim.set_quiescence(Quiescence::Scan);
-            }
-            sim
-        },
+        || rtr_bench::leaping::periodic_mesh_sized(width, height, period_slots),
         |sim| {
             match drive {
                 Drive::Stepped => sim.run(cycles),
-                Drive::LeapQueue | Drive::LeapScan => sim.run_leaping(cycles),
+                Drive::Leaping => sim.run_leaping(cycles),
             }
             sim.ticks_executed()
         },
     );
-    // One extra untimed run on the event-queue drive to read the registry
+    // One extra untimed run on the leaping drive to read the registry
     // counter columns (the timed runs stay measurement-only).
     let extra = match drive {
-        Drive::LeapQueue => {
+        Drive::Leaping => {
             let mut sim = rtr_bench::leaping::periodic_mesh_sized(width, height, period_slots);
             sim.run_leaping(cycles);
             let snapshot = sim.metrics_snapshot();
@@ -467,7 +457,7 @@ fn run_sparse_mesh(
             }
             registry_columns(&sim)
         }
-        Drive::Stepped | Drive::LeapScan => None,
+        Drive::Stepped => None,
     };
     BenchResult {
         name: name.to_string(),
@@ -626,23 +616,13 @@ fn main() {
         leap_cycles,
         mesh_iters,
     ));
-    eprintln!("8x8 sparse mesh ({leap_cycles} cycles), leaping (event queue)...");
+    eprintln!("8x8 sparse mesh ({leap_cycles} cycles), leaping...");
     results.push(run_sparse_mesh(
         "mesh_8x8_sparse_leaping",
         8,
         8,
         64,
-        Drive::LeapQueue,
-        leap_cycles,
-        mesh_iters,
-    ));
-    eprintln!("8x8 sparse mesh ({leap_cycles} cycles), leaping (quiescence scan)...");
-    results.push(run_sparse_mesh(
-        "mesh_8x8_sparse_leaping_scan",
-        8,
-        8,
-        64,
-        Drive::LeapScan,
+        Drive::Leaping,
         leap_cycles,
         mesh_iters,
     ));
@@ -665,23 +645,13 @@ fn main() {
         sparse32_stepped_cycles,
         sparse32_iters,
     ));
-    eprintln!("32x32 sparse mesh ({sparse32_cycles} cycles), leaping (event queue)...");
+    eprintln!("32x32 sparse mesh ({sparse32_cycles} cycles), leaping...");
     results.push(run_sparse_mesh(
         "mesh_32x32_sparse_leaping",
         32,
         32,
         1024,
-        Drive::LeapQueue,
-        sparse32_cycles,
-        sparse32_iters,
-    ));
-    eprintln!("32x32 sparse mesh ({sparse32_cycles} cycles), leaping (quiescence scan)...");
-    results.push(run_sparse_mesh(
-        "mesh_32x32_sparse_leaping_scan",
-        32,
-        32,
-        1024,
-        Drive::LeapScan,
+        Drive::Leaping,
         sparse32_cycles,
         sparse32_iters,
     ));
@@ -691,13 +661,13 @@ fn main() {
     let (sparse128_cycles, sparse128_iters) = if smoke { (2_000, 1) } else { (100_000, 3) };
     eprintln!("128x128 sparse mesh construction...");
     results.push(run_mesh_build(128, 128, 4096, sparse128_iters));
-    eprintln!("128x128 sparse mesh ({sparse128_cycles} cycles), leaping (event queue)...");
+    eprintln!("128x128 sparse mesh ({sparse128_cycles} cycles), leaping...");
     results.push(run_sparse_mesh(
         "mesh_128x128_sparse_leaping",
         128,
         128,
         4096,
-        Drive::LeapQueue,
+        Drive::Leaping,
         sparse128_cycles,
         sparse128_iters,
     ));
@@ -707,13 +677,13 @@ fn main() {
     let (sparse256_cycles, sparse256_iters) = if smoke { (2_000, 1) } else { (100_000, 2) };
     eprintln!("256x256 mega-mesh construction...");
     results.push(run_mesh_build(256, 256, 4096, sparse256_iters));
-    eprintln!("256x256 mega-mesh ({sparse256_cycles} cycles), leaping (event queue)...");
+    eprintln!("256x256 mega-mesh ({sparse256_cycles} cycles), leaping...");
     results.push(run_sparse_mesh(
         "mesh_256x256_sparse_leaping",
         256,
         256,
         4096,
-        Drive::LeapQueue,
+        Drive::Leaping,
         sparse256_cycles,
         sparse256_iters,
     ));

@@ -24,24 +24,53 @@ use rtr_channels::control_plane::{SignalingEngine, TeardownStyle};
 use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::RealTimeRouter;
-use rtr_mesh::{Quiescence, Simulator, Topology};
+use rtr_mesh::{Simulator, Topology};
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::NodeId;
 use rtr_types::time::{cycle_to_slot, slot_to_cycle, Cycle};
 use rtr_workloads::churn::{churn_schedule, ChurnConfig, WindowedSource};
 use rtr_workloads::tc::PeriodicTcSource;
 
-/// How the churn driver advances the simulator between control events.
+/// How the churn driver advances the simulator between control events:
+/// the simulator's two drive axes, {dense, event} × {serial, pool}.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriveMode {
-    /// Cycle-by-cycle stepping.
-    Stepped,
-    /// Serial event-driven leaping.
-    SerialLeaping,
-    /// Leaping with a 4-way parallel tick.
-    ParallelLeaping,
-    /// Leaping with scan-based quiescence detection.
-    ScanQuiescence,
+    /// Dense cycle-by-cycle stepping on the calling thread — the reference.
+    DenseSerial,
+    /// Dense stepping with a 4-way parallel tick.
+    DensePool,
+    /// Event-driven leaping on the calling thread.
+    EventSerial,
+    /// Event-driven leaping with a 4-way parallel tick.
+    EventPool,
+}
+
+impl DriveMode {
+    /// Every drive mode, the reference first.
+    pub const ALL: [DriveMode; 4] = [
+        DriveMode::DenseSerial,
+        DriveMode::DensePool,
+        DriveMode::EventSerial,
+        DriveMode::EventPool,
+    ];
+
+    /// Configures a freshly built simulator for this mode.
+    pub fn configure(self, sim: &mut Simulator<RealTimeRouter>) {
+        if matches!(self, DriveMode::DensePool | DriveMode::EventPool) {
+            sim.set_parallelism(4);
+        }
+    }
+
+    /// Advances the simulator `cycles` cycles the way this mode does.
+    pub fn advance(self, sim: &mut Simulator<RealTimeRouter>, cycles: Cycle) {
+        if cycles == 0 {
+            return;
+        }
+        match self {
+            DriveMode::DenseSerial | DriveMode::DensePool => sim.run(cycles),
+            DriveMode::EventSerial | DriveMode::EventPool => sim.run_leaping(cycles),
+        }
+    }
 }
 
 /// Measured outcome of the churn scenario.
@@ -71,6 +100,8 @@ pub struct ChurnOutcome {
     pub control_ops_applied: u64,
     /// Control ops that failed at the router (must be 0).
     pub control_ops_rejected: u64,
+    /// The most recent of those failures, as `(cycle, node, message)`.
+    pub control_rejections: Vec<(Cycle, NodeId, String)>,
     /// Packets aborted into the teardown ledger by `Abort` teardowns.
     pub aborted_packets: u64,
     /// Deliveries on the two long-lived bystander channels.
@@ -86,24 +117,6 @@ enum Action {
     Teardown(u64, TeardownStyle),
 }
 
-fn apply_mode(sim: &mut Simulator<RealTimeRouter>, mode: DriveMode) {
-    match mode {
-        DriveMode::Stepped | DriveMode::SerialLeaping => {}
-        DriveMode::ParallelLeaping => sim.set_parallelism(4),
-        DriveMode::ScanQuiescence => sim.set_quiescence(Quiescence::Scan),
-    }
-}
-
-fn advance(sim: &mut Simulator<RealTimeRouter>, mode: DriveMode, cycles: Cycle) {
-    if cycles == 0 {
-        return;
-    }
-    match mode {
-        DriveMode::Stepped => sim.run(cycles),
-        _ => sim.run_leaping(cycles),
-    }
-}
-
 /// Runs the churn scenario under one drive mode.
 ///
 /// All four modes produce byte-identical network state (asserted by
@@ -113,7 +126,7 @@ pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
     let config = RouterConfig::default();
     let topo = Topology::mesh(8, 8);
     let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-    apply_mode(&mut sim, mode);
+    mode.configure(&mut sim);
     let mut engine = SignalingEngine::new(&config);
 
     // Two long-lived bystanders on the mesh's top and bottom rows; their
@@ -174,7 +187,7 @@ pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
     let mut last_clear = 0;
     while let Some(Reverse((at, seq))) = due.pop() {
         let gap = at.saturating_sub(sim.now());
-        advance(&mut sim, mode, gap);
+        mode.advance(&mut sim, gap);
         match actions[seq] {
             Action::Establish(i) => {
                 let event = events[i];
@@ -229,7 +242,7 @@ pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
     }
     // Let the last drains land and the bystanders run a comfortable tail.
     let tail = last_clear.saturating_sub(sim.now()) + 20_000;
-    advance(&mut sim, mode, tail);
+    mode.advance(&mut sim, tail);
 
     sim.check_conservation().expect("churn losses must be ledgered, not leaked");
     let control = sim.control_stats();
@@ -263,6 +276,7 @@ pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
         span_cycles,
         control_ops_applied: control.ops_applied,
         control_ops_rejected: control.ops_rejected,
+        control_rejections: sim.control_rejections().to_vec(),
         aborted_packets,
         bystander_delivered,
         bystander_misses,
@@ -270,10 +284,10 @@ pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
     }
 }
 
-/// Runs the scenario in the default (stepped) drive mode.
+/// Runs the scenario in the reference (dense serial) drive mode.
 #[must_use]
 pub fn run() -> ChurnOutcome {
-    run_churn(DriveMode::Stepped)
+    run_churn(DriveMode::DenseSerial)
 }
 
 #[cfg(test)]

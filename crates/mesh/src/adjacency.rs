@@ -21,8 +21,27 @@ use rtr_types::ids::{Direction, NodeId};
 use rtr_types::time::Cycle;
 
 use crate::link::Link;
-use crate::sim::LinkUsage;
 use crate::topology::{LinkEnd, Topology};
+
+/// Per-link traffic counters (symbols carried per virtual channel).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkUsage {
+    /// Time-constrained symbols carried.
+    pub tc_symbols: u64,
+    /// Best-effort symbols carried.
+    pub be_symbols: u64,
+}
+
+impl LinkUsage {
+    /// Link utilisation over `cycles` (symbols per cycle, both channels).
+    #[must_use]
+    pub fn utilization(&self, cycles: Cycle) -> f64 {
+        if cycles == 0 {
+            return 0.0;
+        }
+        (self.tc_symbols + self.be_symbols) as f64 / cycles as f64
+    }
+}
 
 /// CSR adjacency over a [`Topology`]: the wired links (with their pipe
 /// state and usage counters) plus the reverse feeder map, both grouped by

@@ -4,10 +4,10 @@
 //! link and node failures"; this module is the half of that story the chip
 //! cannot provide: a seeded, *scripted* schedule of faults the simulator
 //! applies mid-run. Every fault fires at an exact cycle, before that
-//! cycle's link phase, so all four drive modes (stepped, serial-leaping,
-//! parallel-leaping, scan-quiescence) observe it identically — the leaping
-//! paths clamp their quiet-span targets to the next fault epoch and can
-//! therefore never jump across one.
+//! cycle's link phase, so every drive mode (dense or event-driven, serial
+//! or pool) observes it identically — the leap planner clamps its
+//! quiet-span targets to the next agenda op and can therefore never jump
+//! across one.
 //!
 //! Faults come in three families:
 //!

@@ -14,7 +14,7 @@
 //! * [`fault`] — the scripted, seeded mid-run fault-injection plane,
 //! * [`source`] — the traffic-source trait workloads implement,
 //! * [`sim`] — the simulator main loop,
-//! * [`stats`] — delivery logs and derived metrics.
+//! * [`stats`] — delivery logs, occupancy samples, and derived metrics.
 //!
 //! # Example
 //!
@@ -50,11 +50,11 @@ pub mod source;
 pub mod stats;
 pub mod topology;
 
-pub use adjacency::LinkTable;
+pub use adjacency::{LinkTable, LinkUsage};
 pub use fault::{FaultEvent, FaultKind, FaultSchedule, FaultStats};
 pub use link::LinkLedger;
 pub use netstats::{ConnSlackReport, Histogram, NetworkReport, OccupancySummary};
-pub use sim::{ControlStats, LinkUsage, OccupancyHistory, OccupancySample, Quiescence, Simulator};
+pub use sim::{ControlStats, Simulator};
 pub use source::TrafficSource;
-pub use stats::DeliveryLog;
+pub use stats::{DeliveryLog, OccupancyHistory, OccupancySample};
 pub use topology::Topology;

@@ -8,7 +8,7 @@ use rtr_types::chip::Chip;
 use rtr_types::ids::{ConnectionId, Direction, NodeId};
 use rtr_types::time::{cycle_to_slot, Cycle};
 
-use crate::sim::{LinkUsage, Simulator};
+use crate::{LinkUsage, Simulator};
 
 /// A fixed-width latency histogram with overflow bucket.
 ///

@@ -1,10 +1,8 @@
 //! Persistent worker pool for parallel chip ticking.
 //!
-//! [`Simulator::step_parallel`] used to spawn scoped threads every stepped
-//! cycle; BENCH_4's phase profile attributed 84% of the parallel step to
-//! that spawn + scope-barrier overhead. This module replaces the re-spawn
-//! with threads created once (lazily, on the first parallel step) and fed
-//! per-cycle work through a seqlock-style epoch counter:
+//! Spawning scoped threads per cycle costs more than the ticks they run,
+//! so the workers are created once (by `Simulator::set_parallelism`) and
+//! fed per-cycle work through a seqlock-style epoch counter:
 //!
 //! 1. The coordinator writes the cycle's job (a `Fn(usize)` ticking one
 //!    chunk of chips per worker index) into a shared cell, then bumps the
@@ -27,8 +25,6 @@
 //! blocking (in `wait` or on drop, including unwinds) until every worker
 //! is done. This is the same discipline as `std::thread::scope`, kept
 //! sound by the guard rather than a closure scope.
-//!
-//! [`Simulator::step_parallel`]: crate::sim::Simulator::step_parallel
 
 #![allow(unsafe_code)]
 
@@ -81,7 +77,7 @@ struct Shared {
 
 /// Long-lived worker threads fed per-cycle work by epoch handoff.
 ///
-/// Crate-internal: the simulator owns one (lazily created) and rebuilds it
+/// Crate-internal: the simulator owns one and rebuilds it
 /// when [`set_parallelism`] changes the worker count.
 ///
 /// [`set_parallelism`]: crate::sim::Simulator::set_parallelism

@@ -1,158 +1,41 @@
 //! The cycle-stepped network simulator.
 //!
-//! Each cycle the simulator: delivers link arrivals (data symbols and
-//! reverse-flowing credits) into per-node [`ChipIo`] bundles, runs the
-//! registered traffic sources, ticks every chip, moves driven symbols onto
-//! the links, routes returned credits back to the upstream transmitter, and
-//! drains deliveries into per-node [`DeliveryLog`]s.
+//! Every simulated cycle runs through one kernel (`Simulator::cycle`):
+//! apply the timed operations due now (faults, then control-plane table
+//! writes — one agenda), deliver link arrivals (data symbols and
+//! reverse-flowing credits) into per-node [`ChipIo`] bundles, run the
+//! registered traffic sources, tick the chips, move driven symbols onto
+//! the links, route returned credits back to the upstream transmitter, and
+//! drain deliveries into per-node [`DeliveryLog`]s. The drive calls differ
+//! only in *which* chips the kernel ticks — all of them (dense), or the
+//! ones the calendar-queue event core proves can change state (event) —
+//! and in *who* executes the ticks (the calling thread, or the worker pool
+//! behind [`Simulator::set_parallelism`]); the results are bit-identical.
 //!
 //! The simulation is fully deterministic: node order is fixed, all queues
 //! are FIFO, and sources that need randomness own their seeded generators.
 
+use std::collections::BTreeMap;
+
 use rtr_events::{QueueStats, WakeHandle, WakeQueue};
 use rtr_metrics::{
     FlightEvent, FlightGuard, FlightRecorder, MetricsRegistry, MetricsSnapshot, Phase,
-    PhaseProfiler,
+    PhaseProfiler, PhaseToken,
 };
-use rtr_types::chip::{Chip, ChipGauges, ChipIo, WakeStats};
+use rtr_types::chip::{Chip, ChipIo, WakeStats};
 use rtr_types::flit::LinkSymbol;
 use rtr_types::ids::{Direction, NodeId, Port};
 use rtr_types::packet::{BePacket, TcPacket};
 use rtr_types::time::{cycle_to_slot, Cycle};
 
-use crate::adjacency::LinkTable;
-use crate::fault::{FaultEvent, FaultKind, FaultSchedule, FaultStats};
+use crate::adjacency::{LinkTable, LinkUsage};
+use crate::fault::{FaultKind, FaultSchedule, FaultStats};
 use crate::link::LinkLedger;
 use crate::metrics::SimMetrics;
 use crate::pool::{ClaimSlice, WorkerPool};
 use crate::source::TrafficSource;
-use crate::stats::DeliveryLog;
+use crate::stats::{DeliveryLog, OccupancyHistory};
 use crate::topology::Topology;
-
-/// Per-link traffic counters (symbols carried per virtual channel).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkUsage {
-    /// Time-constrained symbols carried.
-    pub tc_symbols: u64,
-    /// Best-effort symbols carried.
-    pub be_symbols: u64,
-}
-
-impl LinkUsage {
-    /// Link utilisation over `cycles` (symbols per cycle, both channels).
-    #[must_use]
-    pub fn utilization(&self, cycles: Cycle) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        (self.tc_symbols + self.be_symbols) as f64 / cycles as f64
-    }
-}
-
-/// One occupancy snapshot of every chip in the network, borrowed from the
-/// flat storage of an [`OccupancyHistory`].
-#[derive(Debug, Clone, Copy)]
-pub struct OccupancySample<'a> {
-    /// Cycle the sample was taken (after that cycle's tick).
-    pub cycle: Cycle,
-    /// Per-node gauges, indexed by [`NodeId::index`].
-    pub nodes: &'a [ChipGauges],
-}
-
-/// The collected occupancy samples, stored flat: one `cycle` entry and one
-/// contiguous run of per-node gauges per sample. Recording a sample appends
-/// to the same two vectors, so steady-state sampling never allocates once
-/// the vectors have grown to capacity.
-#[derive(Debug, Clone, Default)]
-pub struct OccupancyHistory {
-    cycles: Vec<Cycle>,
-    gauges: Vec<ChipGauges>,
-    nodes_per_sample: usize,
-}
-
-impl OccupancyHistory {
-    /// Number of samples recorded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cycles.len()
-    }
-
-    /// Whether any samples have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cycles.is_empty()
-    }
-
-    /// The cycle of every sample, in recording order.
-    #[must_use]
-    pub fn cycles(&self) -> &[Cycle] {
-        &self.cycles
-    }
-
-    /// The `index`-th sample, if recorded.
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<OccupancySample<'_>> {
-        let cycle = *self.cycles.get(index)?;
-        let start = index * self.nodes_per_sample;
-        Some(OccupancySample { cycle, nodes: &self.gauges[start..start + self.nodes_per_sample] })
-    }
-
-    /// Iterates over the samples in recording order.
-    pub fn iter(&self) -> OccupancyIter<'_> {
-        OccupancyIter { history: self, next: 0 }
-    }
-
-    fn record<C: Chip>(&mut self, cycle: Cycle, chips: &[C]) {
-        self.nodes_per_sample = chips.len();
-        self.cycles.push(cycle);
-        self.gauges.extend(chips.iter().map(|c| c.gauges().unwrap_or_default()));
-    }
-}
-
-impl<'a> IntoIterator for &'a OccupancyHistory {
-    type Item = OccupancySample<'a>;
-    type IntoIter = OccupancyIter<'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Iterator over the samples of an [`OccupancyHistory`].
-#[derive(Debug)]
-pub struct OccupancyIter<'a> {
-    history: &'a OccupancyHistory,
-    next: usize,
-}
-
-impl<'a> Iterator for OccupancyIter<'a> {
-    type Item = OccupancySample<'a>;
-    fn next(&mut self) -> Option<Self::Item> {
-        let sample = self.history.get(self.next)?;
-        self.next += 1;
-        Some(sample)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.history.len().saturating_sub(self.next);
-        (left, Some(left))
-    }
-}
-
-/// How [`Simulator::run_leaping`] proves that a cycle boundary is
-/// quiescent (see [`Simulator::set_quiescence`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Quiescence {
-    /// Consult the calendar-queue event core: components register their
-    /// next-event cycle once and the simulator pops the minimum, so a
-    /// stepped cycle costs O(dirty components) wake bookkeeping and a leap
-    /// decision costs O(1).
-    #[default]
-    EventQueue,
-    /// Re-poll every chip, link, and traffic source after each stepped
-    /// cycle (the original scan). Kept for pop-vs-scan benchmarking and
-    /// for agreement tests against the event core.
-    Scan,
-}
 
 /// The simulator's half of the calendar-queue event core: the wake queue
 /// itself plus the per-step dirty set of components whose registered wake
@@ -173,9 +56,6 @@ struct EventCore {
     stamp: Vec<Cycle>,
     /// Scratch buffer for the handles popped due at the start of a step.
     due: Vec<WakeHandle>,
-    /// Scratch buffer for the chip handles a sparse step must tick (the
-    /// dirty chips, sorted into node order).
-    tick_list: Vec<u32>,
     /// Poll every component at the end of the next step (the core was just
     /// built and knows no wakes yet).
     prime: bool,
@@ -194,7 +74,6 @@ impl EventCore {
             dirty: Vec::with_capacity(handles),
             stamp: vec![Cycle::MAX; handles],
             due: Vec::with_capacity(handles),
-            tick_list: Vec::new(),
             prime: true,
         }
     }
@@ -207,6 +86,56 @@ impl EventCore {
             self.stamp[handle] = now;
             self.dirty.push(handle as u32);
         }
+    }
+
+    /// Files (or, for `None`, clears) a handle's wake as polled at the end
+    /// of cycle `now`; a wake never lands at or before the cycle just run.
+    fn file_wake(&mut self, handle: u32, at: Option<Cycle>, now: Cycle) {
+        match at {
+            Some(at) => self.queue.set_wake(WakeHandle(handle), at.max(now + 1)),
+            None => self.queue.clear_wake(WakeHandle(handle)),
+        }
+    }
+}
+
+/// What a timed operation does when its cycle comes.
+enum Op<C> {
+    /// A scripted fault (or repair).
+    Fault(FaultKind),
+    /// A control-plane write against the chip at the node.
+    Control(NodeId, ControlFn<C>),
+}
+
+/// The agenda of timed operations — scripted faults and scheduled
+/// control-plane writes alike. The kernel applies the due prefix at the
+/// start of the step simulating each op's cycle, *before* link arrivals,
+/// and the leap planner clamps its quiet targets to [`Agenda::next_at`],
+/// so every drive mode observes each op at exactly the same cycle boundary
+/// and no leap ever crosses one.
+struct Agenda<C> {
+    /// Pending ops keyed `(cycle, is a control op, filing order)`: at a
+    /// shared cycle faults apply before control writes, and within a plane
+    /// ops apply in the order they were filed.
+    ops: BTreeMap<(Cycle, bool, u64), Op<C>>,
+    /// Ops filed so far (the key's tie-breaker).
+    filed: u64,
+}
+
+impl<C> Agenda<C> {
+    fn file(&mut self, at: Cycle, op: Op<C>) {
+        self.ops.insert((at, matches!(op, Op::Control(..)), self.filed), op);
+        self.filed += 1;
+    }
+
+    /// The cycle of the earliest pending op.
+    fn next_at(&self) -> Option<Cycle> {
+        self.ops.first_key_value().map(|(key, _)| key.0)
+    }
+
+    /// Removes and returns the earliest pending op if it is due by `now`.
+    fn pop_due(&mut self, now: Cycle) -> Option<Op<C>> {
+        let entry = self.ops.first_entry()?;
+        (entry.key().0 <= now).then(|| entry.remove())
     }
 }
 
@@ -228,17 +157,20 @@ pub struct Simulator<C: Chip> {
     /// Sample chip gauges every N cycles (None = sampling off).
     gauge_every: Option<Cycle>,
     gauge_samples: OccupancyHistory,
-    /// Worker threads for [`Simulator::step_parallel`] (1 = serial).
+    /// Worker threads chip ticks may run on (1 = serial); see
+    /// [`Simulator::set_parallelism`].
     workers: usize,
     /// Threads the host can actually run concurrently (cached
-    /// `std::thread::available_parallelism`); the parallel steps clamp
-    /// their dispatch decisions to it.
+    /// `std::thread::available_parallelism`); the tick executor clamps
+    /// its dispatch decisions to it.
     cpu_limit: usize,
-    /// The persistent worker pool behind the parallel steps, created
-    /// lazily on the first parallel step and rebuilt when
-    /// [`Simulator::set_parallelism`] changes the count. Dropping the
+    /// The persistent worker pool behind pool-dispatched ticks, rebuilt
+    /// when [`Simulator::set_parallelism`] changes the count. Dropping the
     /// simulator shuts the workers down (joined, not leaked).
     pool: Option<WorkerPool>,
+    /// Scratch buffer for the chips a cycle ticks (live node indices,
+    /// ascending).
+    tick_list: Vec<u32>,
     /// Chip ticks actually executed (sparse event-core steps tick only the
     /// due chips; leaped cycles execute none).
     ticks_executed: u64,
@@ -258,24 +190,16 @@ pub struct Simulator<C: Chip> {
     dbg_accounted: Vec<Cycle>,
     /// The calendar-queue event core behind the leaping paths.
     events: EventCore,
-    /// The event core no longer reflects the world: the plain stepped
-    /// paths mutate chips without wake bookkeeping (keeping them at zero
-    /// event-core overhead), as do external mutators like
-    /// [`Simulator::chip_mut`]. The next leaping call re-primes.
+    /// The event core no longer reflects the world: dense cycles mutate
+    /// chips without wake bookkeeping (keeping them at zero event-core
+    /// overhead), as do external mutators like [`Simulator::chip_mut`].
+    /// The next leaping call re-primes.
     events_stale: bool,
-    /// Quiescence-proof strategy for the leaping paths.
-    quiescence: Quiescence,
     /// Metrics registry, phase profiler, and flight recorder (all
     /// zero-sized no-ops without the `metrics` feature).
     metrics: SimMetrics,
-    /// Scripted fault events, sorted by cycle (stable, so same-cycle
-    /// events apply in schedule order); `fault_cursor` is the first entry
-    /// not yet applied. Every step path applies the due prefix *before*
-    /// link arrivals, and the leaping paths clamp their quiet targets to
-    /// the next entry's cycle, so all drive modes observe each fault at
-    /// exactly the same cycle boundary.
-    faults: Vec<FaultEvent>,
-    fault_cursor: usize,
+    /// Pending faults and control-plane writes.
+    agenda: Agenda<C>,
     /// Base seed for the per-link flaky generators (each link derives its
     /// own stream, so one flaky link's traffic cannot perturb another's).
     fault_seed: u64,
@@ -285,15 +209,10 @@ pub struct Simulator<C: Chip> {
     /// Per-node crash flags: a crashed chip is not ticked, receives no
     /// arrivals or credits, and its sources stay silent until restore.
     crashed: Vec<bool>,
-    crashed_count: usize,
-    /// Scheduled control-plane operations (mid-run routing-table deltas),
-    /// sorted by cycle with the same stable ordering and cursor discipline
-    /// as `faults`: every step path applies the due prefix before link
-    /// arrivals, and the leaping paths clamp their quiet targets to the
-    /// next entry's cycle, so no leap ever crosses a table update.
-    controls: Vec<ControlOp<C>>,
-    control_cursor: usize,
     control_events: ControlStats,
+    /// The most recent rejected control ops, oldest first (at most
+    /// [`REJECTION_LOG_CAP`]).
+    control_rejections: Vec<(Cycle, NodeId, String)>,
     now: Cycle,
 }
 
@@ -305,17 +224,8 @@ pub type LinkTap = Box<dyn FnMut(Cycle, NodeId, Direction, &LinkSymbol)>;
 /// [`Simulator::schedule_control`].
 pub type ControlFn<C> = Box<dyn FnOnce(&mut C) -> Result<(), String>>;
 
-/// One scheduled control-plane operation: a closure applied to the chip at
-/// `node` at the start of the step simulating cycle `at` — the same epoch
-/// discipline as the fault plane, so every drive mode observes the table
-/// delta at the identical cycle boundary.
-struct ControlOp<C> {
-    at: Cycle,
-    node: NodeId,
-    /// Taken (not removed) on application so the cursor arithmetic stays
-    /// index-stable; an applied entry is a tombstoned `None`.
-    op: Option<ControlFn<C>>,
-}
+/// How many rejected control ops [`Simulator::control_rejections`] keeps.
+const REJECTION_LOG_CAP: usize = 16;
 
 /// Counters for the scheduled control-operation plane (see
 /// [`Simulator::schedule_control`]).
@@ -324,8 +234,9 @@ pub struct ControlStats {
     /// Operations applied whose closure returned `Ok`.
     pub ops_applied: u64,
     /// Operations applied whose closure returned `Err` (e.g. a control
-    /// write the router rejected); the error is counted, not propagated —
-    /// the schedule keeps running like hardware would.
+    /// write the router rejected); the error is not propagated — the
+    /// schedule keeps running like hardware would — but the most recent
+    /// ones are kept in [`Simulator::control_rejections`].
     pub ops_rejected: u64,
 }
 
@@ -398,23 +309,20 @@ impl<C: Chip> Simulator<C> {
             workers: 1,
             cpu_limit: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             pool: None,
+            tick_list: Vec::with_capacity(n),
             ticks_executed: 0,
             unticked: vec![0; n],
             #[cfg(debug_assertions)]
             dbg_accounted: vec![0; n],
             events: EventCore::new(0),
             events_stale: true,
-            quiescence: Quiescence::default(),
             metrics: SimMetrics::new(),
-            faults: Vec::new(),
-            fault_cursor: 0,
+            agenda: Agenda { ops: BTreeMap::new(), filed: 0 },
             fault_seed: 1,
             fault_events: FaultStats::default(),
             crashed: vec![false; n],
-            crashed_count: 0,
-            controls: Vec::new(),
-            control_cursor: 0,
             control_events: ControlStats::default(),
+            control_rejections: Vec::new(),
             now: 0,
             topo,
         })
@@ -516,66 +424,40 @@ impl<C: Chip> Simulator<C> {
         &self.gauge_samples
     }
 
-    /// Sets how many worker threads [`Simulator::step_parallel`] uses to
-    /// tick chips (clamped to at least 1; 1 means a plain serial step).
-    /// Chip ticks are data-independent within a cycle, so the worker count
-    /// never changes simulation results — see `parallel_matches_serial`.
+    /// Sets how many worker threads every drive call may tick chips on
+    /// (clamped to at least 1; 1 means the calling thread only).
+    ///
+    /// Within a cycle every chip reads and writes only its own state and
+    /// its own [`ChipIo`] bundle — cross-node effects travel exclusively
+    /// through the link phases, which stay on the calling thread — so the
+    /// worker count never changes simulation results (see the
+    /// `parallel_determinism` integration tests).
     ///
     /// The pool is (re)built here, not mid-step, so thread spawns never
     /// land inside a measured stepping loop: `workers > 1` spawns
     /// `workers - 1` pool threads immediately, `workers = 1` joins and
-    /// drops any existing pool. Each parallel step additionally clamps its
+    /// drops any existing pool. Each cycle additionally clamps its
     /// *dispatch* to the host's available CPUs — handing chunks to more
     /// threads than cores only serialises them through the OS scheduler —
-    /// so surplus workers stay parked, and on a single-core host the
-    /// parallel steps simply run the serial path.
+    /// and to the work at hand, so surplus workers stay parked, and a
+    /// single-core host or a cycle with few chips to tick simply ticks on
+    /// the calling thread.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.workers = workers.max(1);
-        if self.workers > 1 {
-            self.ensure_pool();
-        } else {
-            self.pool = None;
-        }
-    }
-
-    /// Makes sure the persistent pool exists and matches the configured
-    /// worker count (`workers - 1` pool threads; the calling thread acts
-    /// as worker zero). Rebuilding on a count change drops the old pool,
-    /// which parks nothing and joins its threads.
-    fn ensure_pool(&mut self) {
+        // `workers - 1` pool threads: the calling thread is worker zero.
+        // Replacing the pool drops the old one, which joins its threads.
         let needed = self.workers - 1;
-        if self.pool.as_ref().map(WorkerPool::worker_threads) != Some(needed) {
+        if needed == 0 {
+            self.pool = None;
+        } else if self.pool.as_ref().map(WorkerPool::worker_threads) != Some(needed) {
             self.pool = Some(WorkerPool::new(needed));
         }
-    }
-
-    /// The worker count the parallel steps actually dispatch with: the
-    /// configured parallelism clamped to the host's CPUs. Purely a
-    /// wall-clock decision — both sides of every clamped branch produce
-    /// bit-identical results (see `parallel_determinism`).
-    fn effective_workers(&self) -> usize {
-        self.workers.min(self.cpu_limit)
     }
 
     /// The configured worker-thread count.
     #[must_use]
     pub fn parallelism(&self) -> usize {
         self.workers
-    }
-
-    /// Chooses how the leaping paths prove quiescence (default:
-    /// [`Quiescence::EventQueue`]). Both strategies are bit-identical in
-    /// simulation results; [`Quiescence::Scan`] exists so the calendar
-    /// queue's pop cost can be benchmarked against the full re-poll it
-    /// replaced, and for agreement tests.
-    pub fn set_quiescence(&mut self, mode: Quiescence) {
-        self.quiescence = mode;
-    }
-
-    /// The configured quiescence-proof strategy.
-    #[must_use]
-    pub fn quiescence(&self) -> Quiescence {
-        self.quiescence
     }
 
     /// Operation counters of the calendar-queue event core, or `None` when
@@ -667,15 +549,13 @@ impl<C: Chip> Simulator<C> {
         }
         registry.absorb_counter("sim.ticks_executed", self.ticks_executed);
         registry.absorb_counter("sim.cycles", self.now);
-        if !self.faults.is_empty() {
-            self.fault_stats().emit_counters(&mut |name, value| {
-                registry.absorb_counter(name, value);
-            });
+        let faults = self.fault_stats();
+        if faults != FaultStats::default() {
+            faults.emit_counters(&mut |name, value| registry.absorb_counter(name, value));
         }
         if self.control_events != ControlStats::default() {
-            self.control_events.emit_counters(&mut |name, value| {
-                registry.absorb_counter(name, value);
-            });
+            self.control_events
+                .emit_counters(&mut |name, value| registry.absorb_counter(name, value));
         }
         for line in self.metrics.profiler.report() {
             if line.calls > 0 {
@@ -747,25 +627,26 @@ impl<C: Chip> Simulator<C> {
         Ok(())
     }
 
-    /// Installs a scripted fault schedule (replacing any previous one).
+    /// Installs a scripted fault schedule (replacing any pending faults).
     /// Events are applied at the start of the step simulating their cycle,
-    /// before link arrivals, identically in every drive mode; events
-    /// scheduled before the current cycle are skipped.
+    /// before link arrivals, identically in every drive mode; same-cycle
+    /// events apply in schedule order, and events scheduled before the
+    /// current cycle are skipped.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        let (mut events, seed) = schedule.into_parts();
-        events.sort_by_key(|e| e.at);
-        self.fault_cursor = events.partition_point(|e| e.at < self.now);
-        self.faults = events;
+        let (events, seed) = schedule.into_parts();
+        self.agenda.ops.retain(|_, op| !matches!(op, Op::Fault(_)));
+        for event in events {
+            if event.at >= self.now {
+                self.agenda.file(event.at, Op::Fault(event.kind));
+            }
+        }
         self.fault_seed = seed.max(1);
     }
 
     /// Schedules one fault event at cycle `at` (clamped to the current
-    /// cycle), merging it into any installed schedule.
+    /// cycle), after any fault already pending at that cycle.
     pub fn schedule_fault(&mut self, at: Cycle, kind: FaultKind) {
-        let at = at.max(self.now);
-        let pos = self.faults.partition_point(|e| e.at <= at);
-        debug_assert!(pos >= self.fault_cursor, "insertion behind the fault cursor");
-        self.faults.insert(pos, FaultEvent { at, kind });
+        self.agenda.file(at.max(self.now), Op::Fault(kind));
     }
 
     /// Applies a fault at the current cycle: the next stepped cycle
@@ -799,18 +680,16 @@ impl<C: Chip> Simulator<C> {
     /// each table delta a few cycles out instead of mutating through
     /// [`Simulator::chip_mut`] (which would also cold-stale a warm event
     /// core; scheduled ops keep it warm and just mark the written chip
-    /// dirty). The closure's `Err` is counted in [`ControlStats`], not
-    /// propagated — the schedule keeps running like hardware would.
+    /// dirty). The closure's `Err` is counted in [`ControlStats`] and
+    /// logged in [`Simulator::control_rejections`], not propagated — the
+    /// schedule keeps running like hardware would.
     pub fn schedule_control(
         &mut self,
         at: Cycle,
         node: NodeId,
         op: impl FnOnce(&mut C) -> Result<(), String> + 'static,
     ) {
-        let at = at.max(self.now);
-        let pos = self.controls.partition_point(|e| e.at <= at);
-        debug_assert!(pos >= self.control_cursor, "insertion behind the control cursor");
-        self.controls.insert(pos, ControlOp { at, node, op: Some(Box::new(op)) });
+        self.agenda.file(at.max(self.now), Op::Control(node, Box::new(op)));
     }
 
     /// Counters for the scheduled control-operation plane.
@@ -819,47 +698,47 @@ impl<C: Chip> Simulator<C> {
         self.control_events
     }
 
-    /// The cycle of the next scheduled, not-yet-applied control operation.
-    /// The leaping paths clamp their quiet targets here so no leap ever
-    /// crosses a table update.
-    fn next_control_at(&self) -> Option<Cycle> {
-        self.controls.get(self.control_cursor).map(|e| e.at)
+    /// The most recent control ops whose closure returned `Err`, oldest
+    /// first, as `(cycle applied, node, the closure's message)`. Only the
+    /// last few are kept; [`ControlStats::ops_rejected`] counts them all.
+    #[must_use]
+    pub fn control_rejections(&self) -> &[(Cycle, NodeId, String)] {
+        &self.control_rejections
     }
 
-    /// Applies every scheduled control operation due at or before the
-    /// current cycle. Runs at the top of all four step paths, right after
-    /// [`Simulator::apply_due_faults`] and before link arrivals, so every
-    /// drive mode observes each table delta at the identical boundary.
-    fn apply_due_controls(&mut self) {
-        while let Some(event) = self.controls.get_mut(self.control_cursor) {
-            if event.at > self.now {
-                break;
+    /// Applies every agenda op due at or before the current cycle. Called
+    /// once per cycle by the kernel, before link arrivals.
+    fn apply_due(&mut self) {
+        while let Some(op) = self.agenda.pop_due(self.now) {
+            match op {
+                Op::Fault(kind) => self.apply_fault(kind),
+                Op::Control(node, op) => self.apply_control(node, op),
             }
-            let node = event.node;
-            let op = event.op.take();
-            self.control_cursor += 1;
-            let now = self.now;
-            let i = node.index();
-            match op.map_or(Ok(()), |op| op(&mut self.chips[i])) {
-                Ok(()) => self.control_events.ops_applied += 1,
-                Err(_) => self.control_events.ops_rejected += 1,
-            }
-            // A table delta can change what the chip will do next (e.g. a
-            // buffered packet becomes routable); mark it dirty so a warm
-            // event core ticks and re-polls it this cycle, exactly like a
-            // chip the fault plane touched. Dense stepping ticks every
-            // chip anyway, so the outcomes stay byte-identical.
-            if !self.events_stale {
-                self.events.mark(i, now);
-            }
-            self.record_fault(now, "control_op", node, 0);
         }
-        // The applied prefix is all tombstones; reclaim it once it grows,
-        // keeping long churn runs O(live entries), not O(history).
-        if self.control_cursor > 1024 && self.control_cursor * 2 > self.controls.len() {
-            self.controls.drain(..self.control_cursor);
-            self.control_cursor = 0;
+    }
+
+    fn apply_control(&mut self, node: NodeId, op: ControlFn<C>) {
+        let now = self.now;
+        let i = node.index();
+        match op(&mut self.chips[i]) {
+            Ok(()) => self.control_events.ops_applied += 1,
+            Err(message) => {
+                self.control_events.ops_rejected += 1;
+                if self.control_rejections.len() == REJECTION_LOG_CAP {
+                    self.control_rejections.remove(0);
+                }
+                self.control_rejections.push((now, node, message));
+            }
         }
+        // A table delta can change what the chip will do next (e.g. a
+        // buffered packet becomes routable); mark it dirty so a warm
+        // event core ticks and re-polls it this cycle, exactly like a
+        // chip the fault plane touched. Dense stepping ticks every
+        // chip anyway, so the outcomes stay byte-identical.
+        if !self.events_stale {
+            self.events.mark(i, now);
+        }
+        self.record_fault(now, "control_op", node, 0);
     }
 
     /// Whether the node is currently crashed.
@@ -893,97 +772,27 @@ impl<C: Chip> Simulator<C> {
             .map_or_else(LinkLedger::default, |li| self.adj.link(li).ledger())
     }
 
-    /// The cycle of the next scheduled, not-yet-applied fault event. The
-    /// leaping paths clamp their quiet targets here so no leap ever
-    /// crosses a fault epoch.
-    fn next_fault_at(&self) -> Option<Cycle> {
-        self.faults.get(self.fault_cursor).map(|e| e.at)
-    }
-
-    /// Applies every scheduled fault due at or before the current cycle.
-    /// Runs at the top of all four step paths — before link arrivals are
-    /// delivered — so stepped, leaping, and parallel drives observe each
-    /// fault at the identical cycle boundary.
-    fn apply_due_faults(&mut self) {
-        while let Some(event) = self.faults.get(self.fault_cursor) {
-            if event.at > self.now {
-                break;
-            }
-            let kind = event.kind;
-            self.fault_cursor += 1;
-            self.apply_fault(kind);
-        }
-    }
-
     fn apply_fault(&mut self, kind: FaultKind) {
         let now = self.now;
         let n = self.chips.len();
         let warm = !self.events_stale;
         match kind {
-            FaultKind::LinkDown { node, dir } => {
-                // Unwired directions are ignored: a schedule written for a
-                // larger mesh degrades to a no-op, not a panic.
-                if let Some(li) = self.adj.out_index(node.index(), dir) {
-                    self.adj.link_mut(li).set_down();
-                    self.fault_events.link_down_events += 1;
-                    if warm {
-                        self.events.mark(n + li, now);
-                    }
-                    self.record_fault(now, "fault_link_down", node, dir as u64);
-                }
-            }
-            FaultKind::LinkUp { node, dir } => {
-                if let Some(li) = self.adj.out_index(node.index(), dir) {
-                    self.adj.link_mut(li).set_up();
-                    self.fault_events.link_up_events += 1;
-                    if warm {
-                        self.events.mark(n + li, now);
-                    }
-                    self.record_fault(now, "fault_link_up", node, dir as u64);
-                }
-            }
-            FaultKind::NodeCrash { node } => {
+            FaultKind::NodeCrash { node } | FaultKind::NodeRestore { node } => {
                 let i = node.index();
-                if !self.crashed[i] {
-                    // Settle the chip's outstanding *alive* idle span now,
-                    // so every pending lag span stays homogeneous: the
-                    // span reconciled at restore is purely crashed cycles
-                    // (accounted without `skip_quiet` — a dead chip does
-                    // not idle, it does nothing at all).
-                    let u = self.unticked[i];
-                    if u < now {
-                        self.chips[i].skip_quiet(u, now);
-                        self.unticked[i] = now;
-                        #[cfg(debug_assertions)]
-                        {
-                            self.dbg_accounted[i] += now - u;
-                        }
-                    }
-                    self.crashed[i] = true;
-                    self.crashed_count += 1;
+                let crash = matches!(kind, FaultKind::NodeCrash { .. });
+                if self.crashed[i] == crash {
+                    return;
+                }
+                // Settle the chip's pending span under its old state, so
+                // every span stays homogeneous: alive lag is reconciled as
+                // idle before a crash, and the span settled at restore is
+                // purely crashed cycles.
+                self.settle_chip(i);
+                self.crashed[i] = crash;
+                let label = if crash {
                     self.fault_events.node_crash_events += 1;
-                    if warm {
-                        self.events.mark(i, now);
-                        self.mark_sources_at(i, now);
-                    }
-                    self.record_fault(now, "fault_node_crash", node, 0);
-                }
-            }
-            FaultKind::NodeRestore { node } => {
-                let i = node.index();
-                if self.crashed[i] {
-                    // The crashed span was never ticked; account it
-                    // without `skip_quiet` (see `NodeCrash`).
-                    let u = self.unticked[i];
-                    if u < now {
-                        self.unticked[i] = now;
-                        #[cfg(debug_assertions)]
-                        {
-                            self.dbg_accounted[i] += now - u;
-                        }
-                    }
-                    self.crashed[i] = false;
-                    self.crashed_count -= 1;
+                    "fault_node_crash"
+                } else {
                     self.fault_events.node_restore_events += 1;
                     // A restored chip's reassembly registers are undefined:
                     // abort partial arrivals and refund the flow-control
@@ -1001,51 +810,60 @@ impl<C: Chip> Simulator<C> {
                             }
                         }
                     }
-                    if warm {
-                        self.events.mark(i, now);
-                        self.mark_sources_at(i, now);
+                    "fault_node_restore"
+                };
+                if warm {
+                    // Crash clears the chip's and its sources' wakes;
+                    // restore re-registers them.
+                    self.events.mark(i, now);
+                    let base = n + self.adj.len();
+                    for (s, (home, _)) in self.sources.iter().enumerate() {
+                        if home.index() == i {
+                            self.events.mark(base + s, now);
+                        }
                     }
-                    self.record_fault(now, "fault_node_restore", node, 0);
                 }
+                self.record_fault(now, label, node, 0);
             }
-            FaultKind::LinkFlaky { node, dir, drop_per_1024, corrupt_per_1024 } => {
-                if let Some(li) = self.adj.out_index(node.index(), dir) {
-                    let seed = self.link_fault_seed(li);
-                    self.adj.link_mut(li).set_flaky(drop_per_1024, corrupt_per_1024, seed);
-                    self.fault_events.link_flaky_events += 1;
-                    if warm {
-                        self.events.mark(n + li, now);
+            FaultKind::LinkDown { node, dir }
+            | FaultKind::LinkUp { node, dir }
+            | FaultKind::LinkFlaky { node, dir, .. }
+            | FaultKind::LinkStable { node, dir } => {
+                // Unwired directions are ignored: a schedule written for a
+                // larger mesh degrades to a no-op, not a panic.
+                let Some(li) = self.adj.out_index(node.index(), dir) else { return };
+                // The flaky-generator seed: the schedule seed splayed by
+                // the link index, so each link rolls an independent stream.
+                let seed =
+                    (self.fault_seed ^ (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).max(1);
+                let (link, events) = (self.adj.link_mut(li), &mut self.fault_events);
+                let label = match kind {
+                    FaultKind::LinkDown { .. } => {
+                        link.set_down();
+                        events.link_down_events += 1;
+                        "fault_link_down"
                     }
-                    self.record_fault(now, "fault_link_flaky", node, dir as u64);
-                }
-            }
-            FaultKind::LinkStable { node, dir } => {
-                if let Some(li) = self.adj.out_index(node.index(), dir) {
-                    let seed = self.link_fault_seed(li);
-                    self.adj.link_mut(li).set_flaky(0, 0, seed);
-                    self.fault_events.link_stable_events += 1;
-                    if warm {
-                        self.events.mark(n + li, now);
+                    FaultKind::LinkUp { .. } => {
+                        link.set_up();
+                        events.link_up_events += 1;
+                        "fault_link_up"
                     }
-                    self.record_fault(now, "fault_link_stable", node, dir as u64);
+                    FaultKind::LinkFlaky { drop_per_1024, corrupt_per_1024, .. } => {
+                        link.set_flaky(drop_per_1024, corrupt_per_1024, seed);
+                        events.link_flaky_events += 1;
+                        "fault_link_flaky"
+                    }
+                    // `LinkStable`: the outer arm admits nothing else.
+                    _ => {
+                        link.set_flaky(0, 0, seed);
+                        events.link_stable_events += 1;
+                        "fault_link_stable"
+                    }
+                };
+                if warm {
+                    self.events.mark(n + li, now);
                 }
-            }
-        }
-    }
-
-    /// The flaky-generator seed of link `li`: the schedule seed splayed by
-    /// the link index, so each link rolls an independent stream.
-    fn link_fault_seed(&self, li: usize) -> u64 {
-        (self.fault_seed ^ (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).max(1)
-    }
-
-    /// Marks every traffic source registered at node `i` for re-polling
-    /// (crash clears their wakes; restore re-registers them).
-    fn mark_sources_at(&mut self, i: usize, now: Cycle) {
-        let base = self.chips.len() + self.adj.len();
-        for (s, (node, _)) in self.sources.iter().enumerate() {
-            if node.index() == i {
-                self.events.mark(base + s, now);
+                self.record_fault(now, label, node, dir as u64);
             }
         }
     }
@@ -1123,7 +941,7 @@ impl<C: Chip> Simulator<C> {
             + self.events.dirty.capacity() * std::mem::size_of::<u32>()
             + self.events.stamp.capacity() * std::mem::size_of::<Cycle>()
             + self.events.due.capacity() * std::mem::size_of::<WakeHandle>()
-            + self.events.tick_list.capacity() * std::mem::size_of::<u32>();
+            + self.tick_list.capacity() * std::mem::size_of::<u32>();
         let total = chips
             + ios
             + logs
@@ -1137,61 +955,226 @@ impl<C: Chip> Simulator<C> {
     /// Advances the network by one cycle.
     ///
     /// While the event core is warm (a leaping call primed it and nothing
-    /// invalidated it since), this runs the bookkeeping step instead — the
-    /// results are bit-identical, and keeping the queue warm means a later
-    /// leaping call starts from live wakes instead of an O(components)
-    /// re-prime (counted by the `sim.stale_repolls` metric).
+    /// invalidated it since), the cycle runs with wake bookkeeping and
+    /// ticks only the chips that can change state — the results are
+    /// bit-identical, and keeping the queue warm means a later leaping
+    /// call starts from live wakes instead of an O(components) re-prime
+    /// (counted by the `sim.stale_repolls` metric).
     pub fn step(&mut self) {
         self.step_inner();
         self.settle_idle();
     }
 
-    /// One cycle without the end-of-call idle settle — the shared core of
-    /// every public drive call, which settle once at their boundary
-    /// instead of after every cycle.
+    /// Same as [`Simulator::step`]: every drive call ticks chips on the
+    /// worker threads [`Simulator::set_parallelism`] configured.
+    pub fn step_parallel(&mut self) {
+        self.step();
+    }
+
+    /// One cycle without the idle settle (public drive calls settle once, at
+    /// their end). A stale event core stays stale: dense cycles skip wakes.
     fn step_inner(&mut self) {
-        if !self.events_stale {
-            self.step_ev();
-            return;
+        if self.events_stale {
+            self.cycle::<false>();
+        } else {
+            self.cycle::<true>();
         }
-        // The plain stepped path does no wake bookkeeping (keeping it at
-        // zero event-core overhead); `events_stale` is already set.
-        self.apply_due_faults();
-        self.apply_due_controls();
+    }
+
+    /// The step kernel — the one definition of what happens in a cycle:
+    ///
+    /// 1. (`EV`) due wakes are popped into the dirty set;
+    /// 2. agenda ops due now apply — faults, then control writes;
+    /// 3. links deliver arrivals and traffic sources run (`phase_pre`);
+    /// 4. chips tick: every live chip when dense (`EV` unset) or priming a
+    ///    freshly built event core, otherwise exactly the dirty chips (due
+    ///    wakes, arrivals, credits, pending injections, agenda touches).
+    ///    Every other chip is provably quiet — its registered wake lies
+    ///    beyond `now` and nothing external reached it — and its per-cycle
+    ///    idle accounting is reconciled lazily from `unticked`;
+    /// 5. driven symbols and credits move onto the links, deliveries
+    ///    drain, the clock advances (`phase_post`);
+    /// 6. (`EV`) the dirty links and sources re-register their wakes, or
+    ///    the prime sweep registers everything once.
+    ///
+    /// `EV = false` compiles all wake bookkeeping out.
+    fn cycle<const EV: bool>(&mut self) {
+        let now = self.now;
+        let n = self.chips.len();
         let t = self.metrics.profiler.start();
-        let now = self.phase_pre::<false>();
-        let t = self.metrics.profiler.lap(Phase::LinkPre, t);
-        // 3. Chips tick — reconciling first any idle span a sparse or
-        // leaping cycle left pending, since a dense tick covers every chip.
-        // Crashed chips are passed over: the cycle is accounted (debug
-        // checksum) but neither ticked nor idle-reconciled.
-        #[cfg(debug_assertions)]
-        for i in 0..self.chips.len() {
-            self.dbg_accounted[i] += now + 1 - self.unticked[i];
-        }
-        let crashed = &self.crashed;
-        for (((chip, io), u), dead) in self
-            .chips
-            .iter_mut()
-            .zip(self.ios.iter_mut())
-            .zip(self.unticked.iter_mut())
-            .zip(crashed.iter())
-        {
-            if *dead {
-                *u = now + 1;
-                continue;
+        if EV {
+            debug_assert!(!self.events_stale, "event cycle on a stale core");
+            self.events.dirty.clear();
+            self.events.due.clear();
+            self.events.queue.pop_due(now, &mut self.events.due);
+            for k in 0..self.events.due.len() {
+                self.events.mark(self.events.due[k].index(), now);
             }
-            if *u < now {
-                chip.skip_quiet(*u, now);
+        }
+        self.apply_due();
+        let t = if EV { self.metrics.profiler.lap(Phase::WheelPop, t) } else { t };
+        self.phase_pre::<EV>();
+        let t = self.metrics.profiler.lap(Phase::LinkPre, t);
+
+        // A crashed chip is passed over either way: its cycles are
+        // accounted (without `skip_quiet`) when it restores or at settle.
+        let prime = EV && std::mem::take(&mut self.events.prime);
+        let mut list = std::mem::take(&mut self.tick_list);
+        list.clear();
+        let crashed = &self.crashed;
+        if !EV || prime {
+            list.extend((0..n as u32).filter(|&h| !crashed[h as usize]));
+        } else {
+            let dirty = self.events.dirty.iter().copied();
+            list.extend(dirty.filter(|&h| (h as usize) < n && !crashed[h as usize]));
+            list.sort_unstable();
+        }
+        let t = self.tick_chips::<EV>(now, &list, t);
+        self.tick_list = list;
+
+        self.phase_post::<EV>(now);
+        let t = self.metrics.profiler.lap(Phase::LinkPost, t);
+        if EV {
+            if prime {
+                // Priming a fresh queue: chips were polled as they ticked
+                // and sources are polled unconditionally, but only the
+                // non-empty links file a wake — the queue is empty, so
+                // idle links have nothing to clear, and at mega-mesh scale
+                // they vastly outnumber the ones carrying traffic. Only
+                // the wakes actually filed count as (stale) repolls.
+                let mut repolled = (n + self.sources.len()) as u64;
+                for li in 0..self.adj.len() {
+                    if let Some(at) = self.adj.link(li).next_event() {
+                        self.events.file_wake((n + li) as u32, Some(at), now);
+                        repolled += 1;
+                    }
+                }
+                for s in 0..self.sources.len() {
+                    self.repoll(n + self.adj.len() + s, now);
+                }
+                self.metrics.registry.inc(self.metrics.ids.stale_repolls, repolled);
+            } else {
+                for k in 0..self.events.dirty.len() {
+                    // Live chips were polled as they ticked.
+                    let h = self.events.dirty[k] as usize;
+                    if h >= n || self.crashed[h] {
+                        self.repoll(h, now);
+                    }
+                }
+            }
+            self.metrics.profiler.stop(Phase::Repoll, t);
+        }
+        self.flush_flight_trigger();
+    }
+
+    /// Ticks the chips in `list` (live node indices, ascending) for cycle
+    /// `now` and, with `EV`, registers each one's next wake.
+    ///
+    /// The ticks run on the worker pool when the host has spare cores and
+    /// the list is long enough to amortise a handoff, otherwise on the
+    /// calling thread. Pool workers tick one contiguous chunk of nodes
+    /// each (the first chunk runs on the calling thread) and poll
+    /// `next_event` into per-chunk buffers, merged into the wake queue at
+    /// the barrier in chunk order. Both branches therefore register wakes
+    /// in ascending node order, so the choice cannot affect results — or
+    /// the queue's internal state — only wall-clock.
+    fn tick_chips<const EV: bool>(
+        &mut self,
+        now: Cycle,
+        list: &[u32],
+        t: PhaseToken,
+    ) -> PhaseToken {
+        #[cfg(debug_assertions)]
+        for &h in list {
+            self.dbg_accounted[h as usize] += now + 1 - self.unticked[h as usize];
+        }
+        self.ticks_executed += list.len() as u64;
+        // Ticks one chip, first reconciling any idle span a sparse cycle or a
+        // leap left pending. With `EV`, returns its next wake: a chip's state
+        // is final for the cycle once it has ticked — the link phases never
+        // touch it — so polling here sees what an end-of-cycle poll would.
+        let tick = |chip: &mut C, io: &mut ChipIo, unticked: &mut Cycle| {
+            if *unticked < now {
+                chip.skip_quiet(*unticked, now);
             }
             chip.tick(now, io);
-            *u = now + 1;
+            *unticked = now + 1;
+            if EV {
+                chip.next_event(now)
+            } else {
+                None
+            }
+        };
+        // The configured parallelism clamped to the host's CPUs: a wall-clock
+        // decision only, both branches produce bit-identical results.
+        let effective = self.workers.min(self.cpu_limit);
+        if effective <= 1 || list.len() <= effective * 8 {
+            for &h in list {
+                let i = h as usize;
+                let wake = tick(&mut self.chips[i], &mut self.ios[i], &mut self.unticked[i]);
+                if EV {
+                    self.events.file_wake(h, wake, now);
+                }
+            }
+            return self.metrics.profiler.lap(Phase::SerialTick, t);
         }
-        self.ticks_executed += (self.chips.len() - self.crashed_count) as u64;
-        let t = self.metrics.profiler.lap(Phase::SerialTick, t);
-        self.phase_post::<false>(now);
-        self.metrics.profiler.stop(Phase::LinkPost, t);
-        self.flush_flight_trigger();
+
+        // One pool work item: chunk base node, the chunk's chip / io /
+        // unticked slices, its slice of the tick list, and the wake buffer
+        // the worker fills for the in-order merge at the barrier.
+        type Chunk<'s, C> =
+            (usize, &'s mut [C], &'s mut [ChipIo], &'s mut [Cycle], &'s [u32], Vec<Option<Cycle>>);
+        let n = self.chips.len();
+        let chunk = n.div_ceil(self.workers);
+        let pool = self.pool.as_ref().expect("set_parallelism builds the pool");
+        let mut rest = list;
+        let mut items: Vec<Chunk<'_, C>> = self
+            .chips
+            .chunks_mut(chunk)
+            .zip(self.ios.chunks_mut(chunk))
+            .zip(self.unticked.chunks_mut(chunk))
+            .enumerate()
+            .map(|(ci, ((chips, ios), unticked))| {
+                let (sub, tail) =
+                    rest.split_at(rest.partition_point(|&h| (h as usize) < (ci + 1) * chunk));
+                rest = tail;
+                let wakes = Vec::with_capacity(if EV { sub.len() } else { 0 });
+                (ci * chunk, chips, ios, unticked, sub, wakes)
+            })
+            .collect();
+        let claims = ClaimSlice::new(&mut items);
+        let run_chunk = |(base, chips, ios, unticked, sub, wakes): &mut Chunk<'_, C>| {
+            for &h in sub.iter() {
+                let i = h as usize - *base;
+                let wake = tick(&mut chips[i], &mut ios[i], &mut unticked[i]);
+                if EV {
+                    wakes.push(wake);
+                }
+            }
+        };
+        let job = |w: usize| {
+            if let Some(item) = claims.claim(w + 1) {
+                run_chunk(item);
+            }
+        };
+        let active = pool.dispatch(&job);
+        let t = self.metrics.profiler.lap(Phase::PoolHandoff, t);
+        if let Some(item) = claims.claim(0) {
+            run_chunk(item);
+        }
+        let t = self.metrics.profiler.lap(Phase::PoolLocalTick, t);
+        active.wait();
+        let t = self.metrics.profiler.lap(Phase::PoolWait, t);
+        drop(claims);
+        if !EV {
+            return t;
+        }
+        for (_, _, _, _, sub, wakes) in items {
+            for (&h, wake) in sub.iter().zip(wakes) {
+                self.events.file_wake(h, wake, now);
+            }
+        }
+        self.metrics.profiler.lap(Phase::Repoll, t)
     }
 
     /// Flushes every chip's outstanding lazy idle span. Sparse event-core
@@ -1201,38 +1184,46 @@ impl<C: Chip> Simulator<C> {
     /// ([`Simulator::chip`], stats, reports) always see fully reconciled
     /// per-chip counters.
     fn settle_idle(&mut self) {
-        let now = self.now;
         for i in 0..self.chips.len() {
-            let u = self.unticked[i];
-            if u < now {
-                // A crashed chip's pending span is homogeneously crashed
-                // (alive lag was settled when the crash applied): account
-                // it without `skip_quiet` — dead cycles are not idle ones.
-                if !self.crashed[i] {
-                    self.chips[i].skip_quiet(u, now);
-                }
-                self.unticked[i] = now;
-                #[cfg(debug_assertions)]
-                {
-                    self.dbg_accounted[i] += now - u;
-                }
-            }
+            self.settle_chip(i);
             #[cfg(debug_assertions)]
             debug_assert_eq!(
-                self.dbg_accounted[i], now,
+                self.dbg_accounted[i], self.now,
                 "chip {i}: sparse idle accounting diverged from dense per-chip cycle counts"
             );
         }
     }
 
+    /// Accounts chip `i`'s pending span `unticked[i]..now`: idle cycles
+    /// (via [`Chip::skip_quiet`]) while the chip is alive. A crashed chip's
+    /// span is homogeneously crashed — its alive lag was settled when the
+    /// crash applied — and is accounted without `skip_quiet`: a dead chip
+    /// does not idle, it does nothing at all.
+    fn settle_chip(&mut self, i: usize) {
+        let (u, now) = (self.unticked[i], self.now);
+        if u < now {
+            if !self.crashed[i] {
+                self.chips[i].skip_quiet(u, now);
+            }
+            self.unticked[i] = now;
+            #[cfg(debug_assertions)]
+            {
+                self.dbg_accounted[i] += now - u;
+            }
+        }
+    }
+
     /// Pre-tick phases of one cycle: link arrivals and traffic sources.
-    /// Returns the cycle being simulated.
     ///
     /// With `EV` set, additionally feeds the event core's dirty set:
     /// chips receiving symbols, credits, or holding pending injections —
     /// and links whose queues were popped — get their wakes recomputed at
     /// the end of the step. `EV = false` compiles the bookkeeping out.
-    fn phase_pre<const EV: bool>(&mut self) -> Cycle {
+    ///
+    /// Kept out of line, like `phase_post`: inlined into the kernel, these
+    /// link sweeps' hot loops ran ~10 % slower on the `sparse_leap` workload.
+    #[inline(never)]
+    fn phase_pre<const EV: bool>(&mut self) {
         let now = self.now;
         let n = self.chips.len();
         for io in &mut self.ios {
@@ -1304,12 +1295,12 @@ impl<C: Chip> Simulator<C> {
                 }
             }
         }
-        now
     }
 
     /// Post-tick phases of one cycle: symbol/credit collection, delivery
     /// draining, gauge sampling, and the clock advance. With `EV` set,
     /// links that carried a new symbol or credit batch are marked dirty.
+    #[inline(never)]
     fn phase_post<const EV: bool>(&mut self, now: Cycle) {
         let n = self.chips.len();
         // 4. Collect driven symbols and returned credits — walking only
@@ -1408,10 +1399,8 @@ impl<C: Chip> Simulator<C> {
         }
 
         // 6. Periodic occupancy sampling.
-        if let Some(every) = self.gauge_every {
-            if now.is_multiple_of(every) {
-                self.gauge_samples.record(now, &self.chips);
-            }
+        if self.gauge_every.is_some_and(|every| now.is_multiple_of(every)) {
+            self.gauge_samples.record(now, &self.chips);
         }
 
         self.now += 1;
@@ -1419,166 +1408,26 @@ impl<C: Chip> Simulator<C> {
 
     /// Runs for `cycles` cycles.
     pub fn run(&mut self, cycles: Cycle) {
-        for _ in 0..cycles {
-            self.step_inner();
-        }
-        self.settle_idle();
+        self.run_until(cycles, |_| false);
     }
 
-    /// Rebuilds the event core from scratch if any plain-stepped cycle or
-    /// external mutation ran since the last event-driven step. The rebuilt
-    /// queue is primed: the next [`Simulator::step_ev`] re-polls every
-    /// component once, after which only dirty components are re-polled.
-    fn ensure_events(&mut self) {
-        if self.events_stale {
-            self.events = EventCore::new(self.chips.len() + self.adj.len() + self.sources.len());
-            self.events_stale = false;
-        }
+    /// Same as [`Simulator::run`]: every drive call ticks chips on the
+    /// worker threads [`Simulator::set_parallelism`] configured.
+    pub fn run_parallel(&mut self, cycles: Cycle) {
+        self.run(cycles);
     }
 
-    /// Advances the network by one cycle on the event-core path: pops due
-    /// wakes, runs the cycle with dirty-set bookkeeping enabled, then
-    /// re-polls exactly the components whose state could have changed.
-    fn step_ev(&mut self) {
-        self.ensure_events();
-        let now = self.now;
-        let t = self.metrics.profiler.start();
-        self.events.dirty.clear();
-        let mut due = std::mem::take(&mut self.events.due);
-        due.clear();
-        self.events.queue.pop_due(now, &mut due);
-        for &h in &due {
-            self.events.mark(h.index(), now);
-        }
-        self.events.due = due;
-        self.apply_due_faults();
-        self.apply_due_controls();
-        let t = self.metrics.profiler.lap(Phase::WheelPop, t);
-        self.phase_pre::<true>();
-        let t = self.metrics.profiler.lap(Phase::LinkPre, t);
-        let n = self.chips.len();
-        if self.events.prime {
-            // A freshly rebuilt core has no wakes to trust yet: tick every
-            // chip once (`repoll_dirty` below re-polls everything too).
-            // Crashed chips are passed over exactly as in dense stepping.
-            #[cfg(debug_assertions)]
-            for i in 0..n {
-                self.dbg_accounted[i] += now + 1 - self.unticked[i];
-            }
-            let crashed = &self.crashed;
-            for (((chip, io), u), dead) in self
-                .chips
-                .iter_mut()
-                .zip(self.ios.iter_mut())
-                .zip(self.unticked.iter_mut())
-                .zip(crashed.iter())
-            {
-                if *dead {
-                    *u = now + 1;
-                    continue;
-                }
-                if *u < now {
-                    chip.skip_quiet(*u, now);
-                }
-                chip.tick(now, io);
-                *u = now + 1;
-            }
-            self.ticks_executed += (n - self.crashed_count) as u64;
-        } else {
-            // Sparse ticking: only the dirty chips (due wakes, arrivals,
-            // credits, pending injections) run this cycle. Every other
-            // chip is provably quiet — its registered wake lies beyond
-            // `now` and nothing external reached it — and its per-cycle
-            // idle accounting is reconciled lazily from `unticked` the
-            // next time it ticks (or at the end-of-call settle).
-            let mut list = std::mem::take(&mut self.events.tick_list);
-            list.clear();
-            let crashed = &self.crashed;
-            list.extend(
-                self.events
-                    .dirty
-                    .iter()
-                    .copied()
-                    .filter(|&h| (h as usize) < n && !crashed[h as usize]),
-            );
-            list.sort_unstable();
-            for &h in &list {
-                let i = h as usize;
-                let u = self.unticked[i];
-                #[cfg(debug_assertions)]
-                {
-                    self.dbg_accounted[i] += now + 1 - u;
-                }
-                if u < now {
-                    self.chips[i].skip_quiet(u, now);
-                }
-                self.chips[i].tick(now, &mut self.ios[i]);
-                self.unticked[i] = now + 1;
-            }
-            self.ticks_executed += list.len() as u64;
-            list.clear();
-            self.events.tick_list = list;
-        }
-        let t = self.metrics.profiler.lap(Phase::SerialTick, t);
-        self.phase_post::<true>(now);
-        let t = self.metrics.profiler.lap(Phase::LinkPost, t);
-        self.repoll_dirty(now);
-        self.metrics.profiler.stop(Phase::Repoll, t);
-        self.flush_flight_trigger();
-    }
-
-    /// Re-registers the wakes of every dirty component (or of everything,
-    /// right after a rebuild) at the end of the cycle `now`.
-    fn repoll_dirty(&mut self, now: Cycle) {
-        if std::mem::take(&mut self.events.prime) {
-            // Priming a fresh queue: chips and sources are polled
-            // unconditionally, but links are swept directly and only the
-            // non-empty ones file a wake — the queue is empty, so there is
-            // nothing to clear for idle links, and at mega-mesh scale the
-            // links vastly outnumber the ones carrying traffic. Only the
-            // wakes actually filed count as (stale) repolls.
-            let n = self.chips.len();
-            let mut repolled = (n + self.sources.len()) as u64;
-            for h in 0..n {
-                if !self.crashed[h] {
-                    self.repoll(h, now);
-                }
-            }
-            for li in 0..self.adj.len() {
-                if let Some(at) = self.adj.link(li).next_event() {
-                    self.events.queue.set_wake(WakeHandle((n + li) as u32), at.max(now + 1));
-                    repolled += 1;
-                }
-            }
-            let base = n + self.adj.len();
-            for s in 0..self.sources.len() {
-                self.repoll(base + s, now);
-            }
-            self.metrics.registry.inc(self.metrics.ids.stale_repolls, repolled);
-        } else {
-            let dirty = std::mem::take(&mut self.events.dirty);
-            for &h in &dirty {
-                self.repoll(h as usize, now);
-            }
-            self.events.dirty = dirty;
-        }
-    }
-
-    /// Polls one component's `next_event` and files (or clears) its wake.
-    /// Handle layout for `n` chips and `L` wired links: `0..n` are chips
-    /// by node index, `n..n + L` are links by global CSR index, `n + L..`
-    /// are traffic sources in registration order.
+    /// Polls a link's, a source's, or a crashed chip's `next_event` and
+    /// files (or clears) its wake; live chips are polled as they tick.
+    /// See [`EventCore`] for the handle layout.
     fn repoll(&mut self, handle: usize, now: Cycle) {
         let n = self.chips.len();
         let nl = n + self.adj.len();
         let at = if handle < n {
             // A crashed chip has no wake: it is not ticked until restore,
             // which marks it dirty again.
-            if self.crashed[handle] {
-                None
-            } else {
-                self.chips[handle].next_event(now)
-            }
+            debug_assert!(self.crashed[handle], "live chips are polled as they tick");
+            None
         } else if handle < nl {
             self.adj.link(handle - n).next_event()
         } else {
@@ -1589,21 +1438,22 @@ impl<C: Chip> Simulator<C> {
                 source.next_event(now)
             }
         };
-        match at {
-            Some(at) => self.events.queue.set_wake(WakeHandle(handle as u32), at.max(now + 1)),
-            None => self.events.queue.clear_wake(WakeHandle(handle as u32)),
-        }
+        self.events.file_wake(handle as u32, at, now);
     }
 
-    /// Event-queue counterpart of [`Simulator::quiet_until`]: reads the
-    /// minimum registered wake in O(1) instead of re-polling every
-    /// component. The injection-backlog check stays a scan — those queues
-    /// live outside the chips, so no wake describes them.
-    fn events_quiet_target(&mut self, end: Cycle) -> Option<Cycle> {
-        // Never leap across a fault or control epoch: both must apply at
-        // the start of exactly their own cycle in every drive mode.
-        let end = self.next_fault_at().map_or(end, |at| end.min(at));
-        let end = self.next_control_at().map_or(end, |at| end.min(at));
+    /// If the network is provably quiescent at `self.now` (an event cycle
+    /// just ran), returns the earliest cycle at which anything can happen,
+    /// clamped to `end`: the minimum registered wake, read in O(1) instead
+    /// of re-polling every component. Returns `None` when some component
+    /// needs the very next cycle, i.e. no leap is possible.
+    fn quiet_target(&mut self, end: Cycle) -> Option<Cycle> {
+        // Never leap across an agenda op: each must apply at the start of
+        // exactly its own cycle in every drive mode.
+        let end = self.agenda.next_at().map_or(end, |at| end.min(at));
+        // Packets queued for injection live in simulator-owned ChipIo
+        // queues the chips drain over time, so no wake describes them; any
+        // backlog keeps stepping. (A crashed chip drains nothing, so its
+        // backlog cannot block a leap — the agenda clamp stops at restore.)
         if self.ios.iter().enumerate().any(|(i, io)| {
             !self.crashed[i] && (!io.inject_tc.is_empty() || !io.inject_be.is_empty())
         }) {
@@ -1613,96 +1463,56 @@ impl<C: Chip> Simulator<C> {
         (target > self.now).then_some(target)
     }
 
-    /// If the network is provably quiescent at `self.now` (the cycle just
-    /// stepped was `self.now - 1`), returns the earliest cycle at which
-    /// anything can happen, clamped to `end`. Returns `None` when some
-    /// component needs the very next cycle (or an event is already due),
-    /// i.e. no leap is possible.
-    fn quiet_until(&self, end: Cycle) -> Option<Cycle> {
-        // Packets queued for injection live in simulator-owned ChipIo
-        // queues the chips drain over time; any backlog keeps stepping.
-        // (A crashed chip drains nothing, so its backlog cannot block a
-        // leap — the fault clamp below caps the leap at its restore.)
-        if self.ios.iter().enumerate().any(|(i, io)| {
-            !self.crashed[i] && (!io.inject_tc.is_empty() || !io.inject_be.is_empty())
-        }) {
-            return None;
-        }
-        let last = self.now - 1;
-        // Never leap across a fault or control epoch (see
-        // `events_quiet_target`).
-        let mut target = self.next_fault_at().map_or(end, |at| end.min(at));
-        target = self.next_control_at().map_or(target, |at| target.min(at));
-        let mut merge = |at: Cycle| {
-            if at <= last + 1 {
-                return false;
-            }
-            target = target.min(at);
-            true
-        };
-        for (node, source) in &self.sources {
-            if self.crashed[node.index()] {
-                continue;
-            }
-            if let Some(at) = source.next_event(last) {
-                if !merge(at) {
-                    return None;
-                }
-            }
-        }
-        for (i, chip) in self.chips.iter().enumerate() {
-            if self.crashed[i] {
-                continue;
-            }
-            if let Some(at) = chip.next_event(last) {
-                if !merge(at) {
-                    return None;
-                }
-            }
-        }
-        for link in self.adj.links() {
-            if let Some(at) = link.next_event() {
-                if !merge(at) {
-                    return None;
-                }
-            }
-        }
-        (target > self.now).then_some(target)
-    }
-
-    /// Jumps simulated time from `self.now` to `target`, performing the
-    /// bookkeeping the skipped cycles would have: synthesized gauge samples
-    /// (every gauge is constant while the network is quiescent). Chips are
-    /// *not* touched — their skipped-span accounting is reconciled lazily
-    /// from the per-chip `unticked` stamp at their next tick or at the
-    /// end-of-call settle, so a leap costs O(1) chip work.
-    fn leap_to(&mut self, target: Cycle) {
+    /// Moves simulated time from `self.now` towards `target` across a
+    /// quiet span, performing the bookkeeping the skipped cycles would
+    /// have: gauge samples (every gauge is constant while the network is
+    /// quiescent). Without a predicate the span is jumped in one block;
+    /// with one it is walked boundary by boundary — every cycle boundary
+    /// gets its predicate evaluation, exactly as stepped execution would —
+    /// stopping early (and returning true) where the predicate fires.
+    /// Chips are *not* touched either way: their skipped-span accounting
+    /// is reconciled lazily from the per-chip `unticked` stamp at their
+    /// next tick or at the end-of-call settle, so a leap costs O(1).
+    fn leap_to(
+        &mut self,
+        target: Cycle,
+        predicate: Option<&mut impl FnMut(&Self) -> bool>,
+    ) -> bool {
         let from = self.now;
         debug_assert!(target > from, "leap must move forward");
         debug_assert!(
-            self.next_fault_at().is_none_or(|at| target <= at),
-            "leap across a fault epoch"
-        );
-        debug_assert!(
-            self.next_control_at().is_none_or(|at| target <= at),
-            "leap across a control epoch"
+            self.agenda.next_at().is_none_or(|at| target <= at),
+            "leap across an agenda op"
         );
         let t = self.metrics.profiler.start();
-        self.metrics.registry.inc(self.metrics.ids.leaps, 1);
-        self.metrics.registry.inc(self.metrics.ids.leaped_cycles, target - from);
-        self.metrics.registry.observe(self.metrics.ids.leap_len, target - from);
-        if let Some(rec) = self.metrics.recorder() {
-            rec.record(FlightEvent { cycle: from, kind: "leap", node: 0, a: from, b: target });
-        }
-        if let Some(every) = self.gauge_every {
-            let mut at = from.next_multiple_of(every);
-            while at < target {
-                self.gauge_samples.record(at, &self.chips);
-                at += every;
+        let mut fired = false;
+        if let Some(predicate) = predicate {
+            while !fired && self.now < target {
+                if self.gauge_every.is_some_and(|every| self.now.is_multiple_of(every)) {
+                    self.gauge_samples.record(self.now, &self.chips);
+                }
+                self.now += 1;
+                fired = predicate(self);
             }
+        } else {
+            if let Some(every) = self.gauge_every {
+                let mut at = from.next_multiple_of(every);
+                while at < target {
+                    self.gauge_samples.record(at, &self.chips);
+                    at += every;
+                }
+            }
+            self.now = target;
         }
-        self.now = target;
+        let to = self.now;
+        self.metrics.registry.inc(self.metrics.ids.leaps, 1);
+        self.metrics.registry.inc(self.metrics.ids.leaped_cycles, to - from);
+        self.metrics.registry.observe(self.metrics.ids.leap_len, to - from);
+        if let Some(rec) = self.metrics.recorder() {
+            rec.record(FlightEvent { cycle: from, kind: "leap", node: 0, a: from, b: to });
+        }
         self.metrics.profiler.stop(Phase::LeapApply, t);
+        fired
     }
 
     /// Runs until `predicate` returns true (checked after each cycle) or
@@ -1718,316 +1528,12 @@ impl<C: Chip> Simulator<C> {
         max_cycles: Cycle,
         mut predicate: impl FnMut(&Self) -> bool,
     ) -> bool {
-        let mut fired = false;
-        for _ in 0..max_cycles {
+        let fired = (0..max_cycles).any(|_| {
             self.step_inner();
-            if predicate(self) {
-                fired = true;
-                break;
-            }
-        }
+            predicate(self)
+        });
         self.settle_idle();
         fired
-    }
-}
-
-impl<C: Chip + Send> Simulator<C> {
-    /// Advances the network by one cycle, ticking chips on the configured
-    /// worker threads (see [`Simulator::set_parallelism`]).
-    ///
-    /// Within a cycle every chip reads and writes only its own state and
-    /// its own [`ChipIo`] bundle — cross-node effects travel exclusively
-    /// through the link phases, which stay on the calling thread — so the
-    /// result is identical to [`Simulator::step`] regardless of the worker
-    /// count or thread scheduling.
-    pub fn step_parallel(&mut self) {
-        self.step_parallel_inner();
-        self.settle_idle();
-    }
-
-    /// One parallel cycle without the end-of-call settle (see
-    /// [`Simulator::step_inner`]).
-    fn step_parallel_inner(&mut self) {
-        if self.workers <= 1 || self.chips.len() <= 1 {
-            self.step_inner();
-            return;
-        }
-        if !self.events_stale {
-            // Keep a warm event core warm, exactly as [`Simulator::step`].
-            self.step_parallel_ev();
-            return;
-        }
-        if self.effective_workers() <= 1 {
-            // One usable core: chunk handoff can only lose wall-clock to
-            // scheduling (each dispatch costs a park/unpark round trip per
-            // worker, serialised by the lone core). Dense serial stepping
-            // is the fastest faithful execution, so run exactly that.
-            self.step_inner();
-            return;
-        }
-        // The pool mirrors the *configured* parallelism (it normally
-        // already exists — `set_parallelism` builds it eagerly).
-        self.ensure_pool();
-        self.apply_due_faults();
-        self.apply_due_controls();
-        let t = self.metrics.profiler.start();
-        let now = self.phase_pre::<false>();
-        let t = self.metrics.profiler.lap(Phase::LinkPre, t);
-        // 3. Chips tick, one contiguous chunk of nodes per worker; the
-        // first chunk runs on the calling thread, the rest are handed to
-        // the persistent pool (no per-cycle thread spawns). Crashed chips
-        // are passed over exactly as in serial dense stepping.
-        let n = self.chips.len();
-        #[cfg(debug_assertions)]
-        for i in 0..n {
-            self.dbg_accounted[i] += now + 1 - self.unticked[i];
-        }
-        let chunk = n.div_ceil(self.workers);
-        let pool = self.pool.as_ref().expect("pool sized by ensure_pool");
-        let mut items: Vec<_> = self
-            .chips
-            .chunks_mut(chunk)
-            .zip(self.ios.chunks_mut(chunk))
-            .zip(self.unticked.chunks_mut(chunk))
-            .zip(self.crashed.chunks(chunk))
-            .map(|(((chips, ios), unticked), crashed)| (chips, ios, unticked, crashed))
-            .collect();
-        let claims = ClaimSlice::new(&mut items);
-        type DenseChunk<'s, C> = (&'s mut [C], &'s mut [ChipIo], &'s mut [Cycle], &'s [bool]);
-        let run_chunk = |(chips, ios, unticked, crashed): &mut DenseChunk<'_, C>| {
-            for (((chip, io), u), dead) in
-                chips.iter_mut().zip(ios.iter_mut()).zip(unticked.iter_mut()).zip(crashed.iter())
-            {
-                if *dead {
-                    *u = now + 1;
-                    continue;
-                }
-                if *u < now {
-                    chip.skip_quiet(*u, now);
-                }
-                chip.tick(now, io);
-                *u = now + 1;
-            }
-        };
-        let job = |w: usize| {
-            if let Some(item) = claims.claim(w + 1) {
-                run_chunk(item);
-            }
-        };
-        let active = pool.dispatch(&job);
-        let t = self.metrics.profiler.lap(Phase::PoolHandoff, t);
-        if let Some(item) = claims.claim(0) {
-            run_chunk(item);
-        }
-        let t = self.metrics.profiler.lap(Phase::PoolLocalTick, t);
-        active.wait();
-        let t = self.metrics.profiler.lap(Phase::PoolWait, t);
-        drop(claims);
-        drop(items);
-        self.ticks_executed += (n - self.crashed_count) as u64;
-        self.phase_post::<false>(now);
-        self.metrics.profiler.stop(Phase::LinkPost, t);
-        self.flush_flight_trigger();
-    }
-
-    /// Event-core counterpart of [`Simulator::step_parallel`]: the cycle's
-    /// due chips (sparse, exactly as [`Simulator::step_ev`]) tick on the
-    /// pool, and each worker also re-polls `next_event` for the due chips
-    /// in its chunk into a per-worker buffer. The buffers are merged into
-    /// the wake queue at the barrier in chunk order, so registration order
-    /// — and therefore the queue's internal state — is deterministic
-    /// regardless of thread scheduling. Cycles with few due chips (or a
-    /// host without spare cores) skip the pool and tick serially — both
-    /// branches register wakes in ascending node order, so the choice
-    /// cannot affect results, only wall-clock. Links and sources are
-    /// re-polled serially afterwards (their state lives on the
-    /// coordinating thread).
-    fn step_parallel_ev(&mut self) {
-        self.ensure_events();
-        let now = self.now;
-        let t = self.metrics.profiler.start();
-        self.events.dirty.clear();
-        let mut due = std::mem::take(&mut self.events.due);
-        due.clear();
-        self.events.queue.pop_due(now, &mut due);
-        for &h in &due {
-            self.events.mark(h.index(), now);
-        }
-        self.events.due = due;
-        self.apply_due_faults();
-        self.apply_due_controls();
-        let t = self.metrics.profiler.lap(Phase::WheelPop, t);
-        self.phase_pre::<true>();
-        let t = self.metrics.profiler.lap(Phase::LinkPre, t);
-
-        let n = self.chips.len();
-        let prime = std::mem::take(&mut self.events.prime);
-        // The chips this cycle must tick and re-poll, in node order: all
-        // of them on a prime step, otherwise exactly the dirty ones —
-        // crashed chips excluded either way.
-        let mut list = std::mem::take(&mut self.events.tick_list);
-        list.clear();
-        let crashed = &self.crashed;
-        if prime {
-            list.extend((0..n as u32).filter(|&h| !crashed[h as usize]));
-        } else {
-            list.extend(
-                self.events
-                    .dirty
-                    .iter()
-                    .copied()
-                    .filter(|&h| (h as usize) < n && !crashed[h as usize]),
-            );
-            list.sort_unstable();
-        }
-        #[cfg(debug_assertions)]
-        for &h in &list {
-            self.dbg_accounted[h as usize] += now + 1 - self.unticked[h as usize];
-        }
-        self.ticks_executed += list.len() as u64;
-
-        type WakeBuffer = Vec<(u32, Option<Cycle>)>;
-        // One pool work item: chunk base node, the chunk's chip/io/unticked
-        // slices, its slice of the sorted due list, and the wake buffer the
-        // worker fills for the in-order merge at the barrier.
-        type SparseChunk<'s, C> =
-            (usize, &'s mut [C], &'s mut [ChipIo], &'s mut [Cycle], &'s [u32], WakeBuffer);
-        let effective = self.effective_workers();
-        let t = if effective <= 1 || list.len() <= effective * 8 {
-            // Too little due work to amortise a pool handoff: tick on the
-            // calling thread, registering wakes directly (node order).
-            for &h in &list {
-                let i = h as usize;
-                let u = self.unticked[i];
-                if u < now {
-                    self.chips[i].skip_quiet(u, now);
-                }
-                self.chips[i].tick(now, &mut self.ios[i]);
-                self.unticked[i] = now + 1;
-                match self.chips[i].next_event(now) {
-                    Some(at) => self.events.queue.set_wake(WakeHandle(h), at.max(now + 1)),
-                    None => self.events.queue.clear_wake(WakeHandle(h)),
-                }
-            }
-            let t = self.metrics.profiler.lap(Phase::SerialTick, t);
-            self.metrics.profiler.lap(Phase::Repoll, t)
-        } else {
-            // Chunk the node range as in the dense path; chunk `ci` owns
-            // nodes `ci*chunk ..` and the matching slice of the sorted
-            // due list.
-            let chunk = n.div_ceil(self.workers);
-            let n_chunks = n.div_ceil(chunk);
-            let mut bounds = Vec::with_capacity(n_chunks + 1);
-            bounds.push(0);
-            for ci in 1..=n_chunks {
-                let limit = (ci * chunk) as u32;
-                bounds.push(list.partition_point(|&h| h < limit));
-            }
-            self.ensure_pool();
-            let pool = self.pool.as_ref().expect("pool sized by ensure_pool");
-            let mut items: Vec<_> = self
-                .chips
-                .chunks_mut(chunk)
-                .zip(self.ios.chunks_mut(chunk))
-                .zip(self.unticked.chunks_mut(chunk))
-                .enumerate()
-                .map(|(ci, ((chips, ios), unticked))| {
-                    let sub = &list[bounds[ci]..bounds[ci + 1]];
-                    (ci * chunk, chips, ios, unticked, sub, WakeBuffer::with_capacity(sub.len()))
-                })
-                .collect();
-            let claims = ClaimSlice::new(&mut items);
-            let run_chunk = |(base, chips, ios, unticked, sub, out): &mut SparseChunk<'_, C>| {
-                for &h in sub.iter() {
-                    let i = h as usize - *base;
-                    if unticked[i] < now {
-                        chips[i].skip_quiet(unticked[i], now);
-                    }
-                    chips[i].tick(now, &mut ios[i]);
-                    unticked[i] = now + 1;
-                    out.push((h, chips[i].next_event(now)));
-                }
-            };
-            let job = |w: usize| {
-                if let Some(item) = claims.claim(w + 1) {
-                    run_chunk(item);
-                }
-            };
-            let active = pool.dispatch(&job);
-            let t = self.metrics.profiler.lap(Phase::PoolHandoff, t);
-            if let Some(item) = claims.claim(0) {
-                run_chunk(item);
-            }
-            let t = self.metrics.profiler.lap(Phase::PoolLocalTick, t);
-            active.wait();
-            let t = self.metrics.profiler.lap(Phase::PoolWait, t);
-            drop(claims);
-            // Merge per-chunk wake buffers in chunk order (ascending node
-            // order overall, matching the serial branch).
-            let buffers: Vec<WakeBuffer> = items.into_iter().map(|item| item.5).collect();
-            for buffer in buffers {
-                for (h, at) in buffer {
-                    match at {
-                        Some(at) => self.events.queue.set_wake(WakeHandle(h), at.max(now + 1)),
-                        None => self.events.queue.clear_wake(WakeHandle(h)),
-                    }
-                }
-            }
-            self.metrics.profiler.lap(Phase::Repoll, t)
-        };
-        list.clear();
-        self.events.tick_list = list;
-        self.phase_post::<true>(now);
-        let t = self.metrics.profiler.lap(Phase::LinkPost, t);
-        // Links and sources: serial re-poll of the non-chip handles. On a
-        // prime step links are swept directly (see `repoll_dirty`): only
-        // the non-empty ones file a wake, and the stale-repoll counter
-        // charges chips, sources, and the links that actually held
-        // traffic — identical to the serial prime, so the two drive modes
-        // emit byte-identical counters.
-        if prime {
-            let mut repolled = (n + self.sources.len()) as u64;
-            for li in 0..self.adj.len() {
-                if let Some(at) = self.adj.link(li).next_event() {
-                    self.events.queue.set_wake(WakeHandle((n + li) as u32), at.max(now + 1));
-                    repolled += 1;
-                }
-            }
-            let base = n + self.adj.len();
-            for s in 0..self.sources.len() {
-                self.repoll(base + s, now);
-            }
-            self.metrics.registry.inc(self.metrics.ids.stale_repolls, repolled);
-        } else {
-            let dirty = std::mem::take(&mut self.events.dirty);
-            for &h in &dirty {
-                // Links and sources — plus crashed chips, which the tick
-                // lists exclude but whose wakes must still be cleared
-                // (the serial path clears them through the same call).
-                if h as usize >= n || self.crashed[h as usize] {
-                    self.repoll(h as usize, now);
-                }
-            }
-            self.events.dirty = dirty;
-        }
-        self.metrics.profiler.stop(Phase::Repoll, t);
-        self.flush_flight_trigger();
-    }
-
-    /// Runs for `cycles` cycles using [`Simulator::step_parallel`]. The
-    /// serial-dispatch decision is hoisted out of the loop: with one
-    /// usable worker (configured, or after the available-CPU clamp) or one
-    /// chip this is exactly [`Simulator::run`], with no per-cycle branch
-    /// or handoff overhead.
-    pub fn run_parallel(&mut self, cycles: Cycle) {
-        if self.effective_workers() <= 1 || self.chips.len() <= 1 {
-            self.run(cycles);
-            return;
-        }
-        for _ in 0..cycles {
-            self.step_parallel_inner();
-        }
-        self.settle_idle();
     }
 
     /// Runs for `cycles` cycles on the event-driven fast path: whenever a
@@ -2044,60 +1550,19 @@ impl<C: Chip + Send> Simulator<C> {
     /// target cycle. See the `leaping_equivalence` and `event_core`
     /// integration tests.
     ///
-    /// In the default [`Quiescence::EventQueue`] mode the quiescence check
-    /// pops the minimum of a calendar queue of registered wakes — O(1) per
-    /// cycle plus O(dirty) re-registrations — instead of re-polling every
-    /// component. With [`Quiescence::Scan`] the original O(components)
-    /// full scan runs instead (kept for benchmarking the difference and
-    /// cross-checking agreement). When worker threads are configured (see
-    /// [`Simulator::set_parallelism`]), event-queue stepping composes with
-    /// parallel chip ticking: workers drain their chunk's wake re-polls
-    /// into per-worker buffers merged deterministically at the barrier.
+    /// Components register their next-event cycle in a calendar queue once
+    /// and re-register only when their state could have changed, so a
+    /// stepped cycle costs O(dirty components) wake bookkeeping and a leap
+    /// decision pops the queue's minimum in O(1).
     ///
     /// The payoff is on sparse loads: an idle span of any length costs
-    /// O(nodes) bookkeeping instead of O(nodes × cycles) chip ticks (see
+    /// O(1) bookkeeping instead of O(nodes × cycles) chip ticks (see
     /// [`Simulator::ticks_executed`]).
     ///
     /// [`TrafficSource::next_event`]: crate::source::TrafficSource::next_event
     /// [`Link::next_event`]: crate::link::Link::next_event
     pub fn run_leaping(&mut self, cycles: Cycle) {
-        let end = self.now + cycles;
-        match self.quiescence {
-            Quiescence::Scan => {
-                while self.now < end {
-                    self.step_inner();
-                    if self.now >= end {
-                        break;
-                    }
-                    let t = self.metrics.profiler.start();
-                    let target = self.quiet_until(end);
-                    self.metrics.profiler.stop(Phase::LeapPlan, t);
-                    if let Some(target) = target {
-                        self.leap_to(target);
-                    }
-                }
-            }
-            Quiescence::EventQueue => {
-                let parallel = self.workers > 1 && self.chips.len() > 1;
-                while self.now < end {
-                    if parallel {
-                        self.step_parallel_ev();
-                    } else {
-                        self.step_ev();
-                    }
-                    if self.now >= end {
-                        break;
-                    }
-                    let t = self.metrics.profiler.start();
-                    let target = self.events_quiet_target(end);
-                    self.metrics.profiler.stop(Phase::LeapPlan, t);
-                    if let Some(target) = target {
-                        self.leap_to(target);
-                    }
-                }
-            }
-        }
-        self.settle_idle();
+        self.drive_leaping(cycles, None::<fn(&Self) -> bool>);
     }
 
     /// Runs until `predicate` returns true or `max_cycles` elapse, on the
@@ -2121,72 +1586,43 @@ impl<C: Chip + Send> Simulator<C> {
     pub fn run_until_leaping(
         &mut self,
         max_cycles: Cycle,
-        mut predicate: impl FnMut(&Self) -> bool,
+        predicate: impl FnMut(&Self) -> bool,
     ) -> bool {
-        let fired = self.run_until_leaping_inner(max_cycles, &mut predicate);
-        self.settle_idle();
-        fired
+        self.drive_leaping(max_cycles, Some(predicate))
     }
 
-    fn run_until_leaping_inner(
+    /// The leaping drive loop: event cycles while anything is active, a
+    /// leap across every provably quiet span, the idle settle at the end.
+    /// Returns whether `predicate` (checked at every cycle boundary) fired.
+    fn drive_leaping(
         &mut self,
-        max_cycles: Cycle,
-        predicate: &mut dyn FnMut(&Self) -> bool,
+        cycles: Cycle,
+        mut predicate: Option<impl FnMut(&Self) -> bool>,
     ) -> bool {
-        let end = self.now + max_cycles;
-        let parallel =
-            self.quiescence == Quiescence::EventQueue && self.workers > 1 && self.chips.len() > 1;
-        while self.now < end {
-            match self.quiescence {
-                Quiescence::Scan => self.step_inner(),
-                Quiescence::EventQueue if parallel => self.step_parallel_ev(),
-                Quiescence::EventQueue => self.step_ev(),
-            }
-            if predicate(self) {
-                return true;
-            }
-            if self.now >= end {
+        if self.events_stale {
+            // Dense cycles or external mutation ran since the last event
+            // cycle: rebuild the core. The fresh queue is primed — the first
+            // event cycle ticks and polls everything, later ones the dirty.
+            self.events = EventCore::new(self.chips.len() + self.adj.len() + self.sources.len());
+            self.events_stale = false;
+        }
+        let end = self.now + cycles;
+        let mut fired = false;
+        while !fired && self.now < end {
+            self.cycle::<true>();
+            fired = predicate.as_mut().is_some_and(|p| p(self));
+            if fired || self.now >= end {
                 break;
             }
             let t = self.metrics.profiler.start();
-            let target = match self.quiescence {
-                Quiescence::Scan => self.quiet_until(end),
-                Quiescence::EventQueue => self.events_quiet_target(end),
-            };
+            let target = self.quiet_target(end);
             self.metrics.profiler.stop(Phase::LeapPlan, t);
-            let Some(target) = target else { continue };
-            // Walk the quiet span boundary-by-boundary without ticking:
-            // every gauge boundary records, every cycle boundary gets its
-            // predicate evaluation, exactly as stepped execution would.
-            // Chips are left untouched — the skipped span reconciles
-            // lazily from `unticked`, as in a block leap.
-            let from = self.now;
-            let t = self.metrics.profiler.start();
-            let mut fired = false;
-            while self.now < target {
-                if let Some(every) = self.gauge_every {
-                    if self.now.is_multiple_of(every) {
-                        self.gauge_samples.record(self.now, &self.chips);
-                    }
-                }
-                self.now += 1;
-                if predicate(self) {
-                    fired = true;
-                    break;
-                }
-            }
-            let to = self.now;
-            if to > from {
-                self.metrics.registry.inc(self.metrics.ids.leaps, 1);
-                self.metrics.registry.inc(self.metrics.ids.leaped_cycles, to - from);
-                self.metrics.registry.observe(self.metrics.ids.leap_len, to - from);
-            }
-            self.metrics.profiler.stop(Phase::LeapApply, t);
-            if fired {
-                return true;
+            if let Some(target) = target {
+                fired = self.leap_to(target, predicate.as_mut());
             }
         }
-        false
+        self.settle_idle();
+        fired
     }
 }
 
@@ -2543,7 +1979,7 @@ mod tests {
         assert!(sim.peak_link_utilization() > 0.0);
         assert_eq!(
             sim.link_usage(dst, Direction::XMinus),
-            super::LinkUsage::default(),
+            LinkUsage::default(),
             "the return link never carried anything"
         );
     }

@@ -32,10 +32,15 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, or if the mesh has more than
+    /// 65 536 nodes (node indices would no longer fit a [`NodeId`]).
     #[must_use]
     pub fn mesh(width: u16, height: u16) -> Self {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
+        assert!(
+            usize::from(width) * usize::from(height) <= usize::from(u16::MAX) + 1,
+            "a {width}×{height} mesh has more nodes than the 65 536 a NodeId can name"
+        );
         let mut wiring = vec![[None; 4]; usize::from(width) * usize::from(height)];
         for y in 0..height {
             for x in 0..width {

@@ -33,7 +33,7 @@ pub enum Phase {
     WheelPop,
     /// Re-polling dirty components' `next_event` after a tick.
     Repoll,
-    /// Leap planning: quiescence scans / `next_wake` horizon checks.
+    /// Leap planning: the agenda clamp and `next_wake` horizon checks.
     LeapPlan,
     /// Applying a leap: synthesising gauge samples, `skip_quiet` patching.
     LeapApply,

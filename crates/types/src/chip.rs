@@ -139,7 +139,11 @@ impl WakeStats {
 /// cycle order, after filling `io.rx`/`io.credit_in` with this cycle's link
 /// arrivals. The chip reads those, updates internal state, fills
 /// `io.tx`/`io.credit_out`, drains injection queues, and appends deliveries.
-pub trait Chip {
+///
+/// Chips are `Send`: within a cycle each chip touches only its own state
+/// and its own [`ChipIo`], so the simulator may tick disjoint chips on
+/// worker threads.
+pub trait Chip: Send {
     /// Advances the chip by one cycle.
     fn tick(&mut self, now: Cycle, io: &mut ChipIo);
 

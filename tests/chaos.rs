@@ -3,20 +3,20 @@
 //!
 //! A seeded [`FaultSchedule`] is part of the simulation's initial state,
 //! so a mid-run link kill, a flaky regime, or a node crash must produce
-//! byte-identical outcomes whether the mesh is stepped cycle-by-cycle,
-//! leapt serially or in parallel over the event queue, or leapt under
-//! scan quiescence — and the leaper must never leap *across* a fault
-//! epoch (the clamp is load-bearing: a fault applied late would tick
+//! byte-identical outcomes whether the mesh is stepped densely or leapt
+//! over the event queue, on the calling thread or on the worker pool —
+//! and the leaper must never leap *across* a fault epoch (the clamp is load-bearing: a fault applied late would tick
 //! routers against a stale topology).
 
 use realtime_router::channels::establish::{EstablishedChannel, Hop};
 use realtime_router::channels::sender::ChannelSender;
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::core::{ControlCommand, RealTimeRouter};
-use realtime_router::mesh::{FaultSchedule, NetworkReport, Quiescence, Simulator, Topology};
+use realtime_router::mesh::{FaultSchedule, NetworkReport, Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::churn::DriveMode;
 
 const DELAY: u32 = 6;
 
@@ -165,15 +165,15 @@ fn all_four_drive_modes_agree_under_chaos() {
     parallel.check_conservation().unwrap();
     assert_eq!(reference, fingerprint(&parallel), "parallel leaping diverged");
 
-    let mut scanned = build_chaos_mesh();
-    scanned.set_quiescence(Quiescence::Scan);
-    scanned.run_leaping(SPAN);
-    scanned.check_conservation().unwrap();
-    assert_eq!(reference, fingerprint(&scanned), "scan quiescence diverged");
+    let mut dense_pool = build_chaos_mesh();
+    dense_pool.set_parallelism(4);
+    dense_pool.run(SPAN);
+    dense_pool.check_conservation().unwrap();
+    assert_eq!(reference, fingerprint(&dense_pool), "dense pool stepping diverged");
 
     // Full network reports agree too (the report holds per-router stats
     // and link usage, not drive-mode internals like tick counts).
-    for sim in [&serial, &parallel, &scanned] {
+    for sim in [&serial, &parallel, &dense_pool] {
         let report =
             format!("{:?}", NetworkReport::capture(sim, RouterConfig::default().slot_bytes));
         assert_eq!(reference_report, report, "network reports diverged");
@@ -265,18 +265,13 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
     stepped.check_conservation().unwrap();
     let reference = fingerprint(&stepped);
 
-    type Configure = fn(&mut Simulator<RealTimeRouter>);
-    let modes: [(&str, Configure); 3] = [
-        ("serial", |_s| {}),
-        ("parallel", |s| s.set_parallelism(3)),
-        ("scan", |s| s.set_quiescence(Quiescence::Scan)),
-    ];
-    for (label, configure) in modes {
+    // {dense, event} × {serial, pool}, minus the dense serial reference.
+    for mode in &DriveMode::ALL[1..] {
         let mut sim = build();
-        configure(&mut sim);
-        sim.run_leaping(span);
+        mode.configure(&mut sim);
+        mode.advance(&mut sim, span);
         sim.check_conservation().unwrap();
-        assert_eq!(reference, fingerprint(&sim), "{label} diverged under crash/restore");
+        assert_eq!(reference, fingerprint(&sim), "{mode:?} diverged under crash/restore");
     }
 
     let stats = stepped.fault_stats();
@@ -291,4 +286,95 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
     let dst = stepped.topology().node_at(1, 0);
     let after = stepped.log(dst).tc.iter().filter(|(cycle, _)| *cycle > 4_007).count();
     assert!(after > 20, "deliveries resumed after restore: {after}");
+}
+
+/// Faults and control-plane table writes are entries of one agenda: a
+/// crash/restore pair and two scheduled table writes — the second write
+/// on the restore's own cycle, deep inside a quiet span — must land at
+/// their exact cycles in every drive mode, faults before writes.
+#[test]
+fn faults_and_table_writes_share_one_agenda() {
+    const RESTORE: u64 = 7_000;
+    let build = || {
+        let config = RouterConfig::default();
+        let mut sim =
+            Simulator::build(Topology::mesh(8, 4), |_| RealTimeRouter::new(config.clone()))
+                .unwrap();
+        add_channel(&mut sim, 0, 0, 64);
+        add_channel(&mut sim, 1, 1, 64);
+        let topo = sim.topology().clone();
+        // Row 1's channel starts unrouted (its packets drop cleanly) and
+        // goes live mid-run: the source hop's entry at 5 000, the
+        // destination's on the very cycle row 0's destination restores.
+        let conn = ConnectionId(11);
+        let hops = [
+            (5_000, topo.node_at(0, 1), Port::Dir(Direction::XPlus).mask()),
+            (RESTORE, topo.node_at(1, 1), Port::Local.mask()),
+        ];
+        for (at, node, out_mask) in hops {
+            sim.chip_mut(node)
+                .apply_control(ControlCommand::ClearConnection { incoming: conn })
+                .unwrap();
+            sim.schedule_control(at, node, move |chip| {
+                chip.apply_control(ControlCommand::SetConnection {
+                    incoming: conn,
+                    outgoing: conn,
+                    delay: DELAY,
+                    out_mask,
+                })
+                .map_err(|e| e.to_string())
+            });
+        }
+        sim.set_fault_schedule(
+            FaultSchedule::new()
+                .node_crash(3_003, topo.node_at(1, 0))
+                .node_restore(RESTORE, topo.node_at(1, 0)),
+        );
+        sim
+    };
+    // Dense stepping first (the reference), then serial and pool leaping.
+    let mut reference: Option<(String, u64)> = None;
+    for mode in [DriveMode::DenseSerial, DriveMode::EventSerial, DriveMode::EventPool] {
+        let mut sim = build();
+        mode.configure(&mut sim);
+        #[cfg(feature = "metrics")]
+        let dump = std::env::temp_dir()
+            .join(format!("rtr_chaos_agenda_{mode:?}_{}.jsonl", std::process::id()));
+        #[cfg(feature = "metrics")]
+        sim.arm_flight_recorder(4_096, dump.clone());
+        mode.advance(&mut sim, 12_000);
+        sim.check_conservation().unwrap();
+        assert_eq!(sim.control_stats().ops_applied, 2, "{mode:?}: {:?}", sim.control_rejections());
+        assert_eq!(sim.fault_stats().node_restore_events, 1, "{mode:?}");
+        let late = sim.topology().node_at(1, 1);
+        let first = sim.log(late).tc.first().expect("row 1 went live").0;
+        assert!(first > RESTORE, "{mode:?}: delivered before the last write landed ({first})");
+
+        let outcome = format!("{}controls {:?}\n", fingerprint(&sim), sim.control_stats());
+        match &reference {
+            None => reference = Some((outcome, sim.ticks_executed())),
+            Some((expected, dense_ticks)) => {
+                assert_eq!(expected, &outcome, "{mode:?} diverged");
+                assert!(
+                    sim.ticks_executed() * 2 < *dense_ticks,
+                    "{mode:?} must still leap the spans around the shared cycle: {} vs {} ticks",
+                    sim.ticks_executed(),
+                    dense_ticks
+                );
+            }
+        }
+        // The flight recorder saw the shared cycle's ops in agenda order.
+        #[cfg(feature = "metrics")]
+        {
+            sim.flight_recorder().unwrap().dump("agenda", &sim.metrics_snapshot());
+            let text = std::fs::read_to_string(&dump).expect("dump written");
+            std::fs::remove_file(&dump).ok();
+            let at_restore: Vec<&str> = text
+                .lines()
+                .filter(|l| l.starts_with(&format!("{{\"cycle\": {RESTORE},")))
+                .filter_map(|l| l.split("\"ev\": \"").nth(1)?.split('"').next())
+                .collect();
+            assert_eq!(at_restore, ["fault_node_restore", "control_op"], "{mode:?}");
+        }
+    }
 }

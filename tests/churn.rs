@@ -7,8 +7,8 @@
 //! while the mesh runs: admission consults the live reservation books and
 //! accepted channels' table writes are timed control ops, so a mid-run
 //! establishment must produce byte-identical outcomes whether the mesh is
-//! stepped cycle-by-cycle, leapt serially or in parallel, or leapt under
-//! scan quiescence — and the leaper must never leap *across* a pending
+//! stepped densely or leapt over the event queue, on the calling thread or
+//! on the worker pool — and the leaper must never leap *across* a pending
 //! table write (a late write would tick routers against stale tables).
 
 use std::cmp::Reverse;
@@ -19,38 +19,16 @@ use realtime_router::channels::control_plane::{SignalingEngine, TeardownStyle};
 use realtime_router::channels::sender::ChannelSender;
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
-use realtime_router::mesh::{Quiescence, Simulator, Topology};
+use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::Direction;
 use realtime_router::types::time::{cycle_to_slot, slot_to_cycle, Cycle};
 use realtime_router::workloads::churn::{churn_schedule, ChurnConfig, WindowedSource};
 use realtime_router::workloads::tc::PeriodicTcSource;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Stepped,
-    Serial,
-    Parallel,
-    Scan,
-}
-
-fn configure(sim: &mut Simulator<RealTimeRouter>, mode: Mode) {
-    match mode {
-        Mode::Stepped | Mode::Serial => {}
-        Mode::Parallel => sim.set_parallelism(4),
-        Mode::Scan => sim.set_quiescence(Quiescence::Scan),
-    }
-}
-
-fn advance(sim: &mut Simulator<RealTimeRouter>, mode: Mode, cycles: Cycle) {
-    if cycles == 0 {
-        return;
-    }
-    match mode {
-        Mode::Stepped => sim.run(cycles),
-        _ => sim.run_leaping(cycles),
-    }
-}
+/// The drive modes, {dense, event} × {serial, pool}; dense serial stepping
+/// is the reference the other three are held to.
+use rtr_bench::churn::DriveMode as Mode;
 
 /// Everything observable about a finished run: per-node delivery logs,
 /// control-op and signaling counters, and per-link conservation ledgers.
@@ -84,7 +62,7 @@ fn run_interleaving(seed: u64, arrivals: usize, mode: Mode) -> (String, u64) {
     let config = RouterConfig::default();
     let topo = Topology::mesh(8, 8);
     let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-    configure(&mut sim, mode);
+    mode.configure(&mut sim);
     let mut engine = SignalingEngine::new(&config);
 
     // A long-lived bystander keeps the mesh loaded: its reservations sit
@@ -135,7 +113,7 @@ fn run_interleaving(seed: u64, arrivals: usize, mode: Mode) -> (String, u64) {
     let mut last_clear = 0;
     while let Some(Reverse((at, seq))) = due.pop() {
         let gap = at.saturating_sub(sim.now());
-        advance(&mut sim, mode, gap);
+        mode.advance(&mut sim, gap);
         match actions[seq] {
             Action::Establish(i) => {
                 let event = events[i];
@@ -182,7 +160,7 @@ fn run_interleaving(seed: u64, arrivals: usize, mode: Mode) -> (String, u64) {
         }
     }
     let tail = last_clear.saturating_sub(sim.now()) + 6_000;
-    advance(&mut sim, mode, tail);
+    mode.advance(&mut sim, tail);
 
     sim.check_conservation().expect("churn losses must be ledgered, not leaked");
     assert_eq!(
@@ -207,8 +185,8 @@ proptest! {
         seed in any::<u64>(),
         arrivals in 6usize..12,
     ) {
-        let (reference, _) = run_interleaving(seed, arrivals, Mode::Stepped);
-        for mode in [Mode::Serial, Mode::Parallel, Mode::Scan] {
+        let (reference, _) = run_interleaving(seed, arrivals, Mode::DenseSerial);
+        for &mode in &Mode::ALL[1..] {
             let (fp, _) = run_interleaving(seed, arrivals, mode);
             prop_assert_eq!(&reference, &fp, "{:?} diverged for seed {:#x}", mode, seed);
         }
@@ -217,9 +195,9 @@ proptest! {
 
 #[test]
 fn the_bench_churn_scenario_agrees_in_every_drive_mode() {
-    use rtr_bench::churn::{run_churn, DriveMode};
-    let reference = format!("{:?}", run_churn(DriveMode::Stepped));
-    for mode in [DriveMode::SerialLeaping, DriveMode::ParallelLeaping, DriveMode::ScanQuiescence] {
+    use rtr_bench::churn::run_churn;
+    let reference = format!("{:?}", run_churn(Mode::DenseSerial));
+    for &mode in &Mode::ALL[1..] {
         assert_eq!(reference, format!("{:?}", run_churn(mode)), "{mode:?} diverged");
     }
 }
@@ -237,7 +215,7 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
         let topo = Topology::mesh(4, 1);
         let mut sim =
             Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-        configure(&mut sim, mode);
+        mode.configure(&mut sim);
         let mut engine = SignalingEngine::with_write_cost(&config, 1_500);
         let request = ChannelRequest::unicast(
             topo.node_at(0, 0),
@@ -266,15 +244,20 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
     };
     let span = 40_000;
 
-    let (mut stepped, engine, _) = build(Mode::Stepped);
+    let (mut stepped, engine, _) = build(Mode::DenseSerial);
     stepped.run(span);
     stepped.check_conservation().unwrap();
     let reference = fingerprint(&stepped, &engine);
     // Both writes landed even though the run started with empty tables.
     assert_eq!(stepped.control_stats().ops_applied, 2);
-    assert_eq!(stepped.control_stats().ops_rejected, 0);
+    assert_eq!(
+        stepped.control_stats().ops_rejected,
+        0,
+        "rejected control ops: {:?}",
+        stepped.control_rejections()
+    );
 
-    for mode in [Mode::Serial, Mode::Parallel, Mode::Scan] {
+    for mode in [Mode::EventSerial, Mode::EventPool] {
         let (mut sim, engine, topo) = build(mode);
         sim.run_leaping(span);
         sim.check_conservation().unwrap();

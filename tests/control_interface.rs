@@ -181,3 +181,38 @@ fn unprogrammed_connections_drop_cleanly_everywhere() {
         assert_eq!(sim.chip(node).memory_occupied(), 0, "drops must not leak slots");
     }
 }
+
+/// A scheduled control op the router refuses is not silently dropped: the
+/// simulator keeps the most recent rejections — cycle, node, and the
+/// router's own message — behind the `ops_rejected` count.
+#[test]
+fn rejected_control_ops_are_kept_with_their_reason() {
+    use realtime_router::core::ControlCommand;
+    let config = RouterConfig::default();
+    let mut sim =
+        Simulator::build(Topology::mesh(2, 1), |_| RealTimeRouter::new(config.clone())).unwrap();
+    // Twenty synthetic failures, then a write the router itself rejects: a
+    // connection id past the end of its table.
+    for i in 0..20u64 {
+        sim.schedule_control(100 + i, NodeId(0), move |_| Err(format!("synthetic {i}")));
+    }
+    let bad = ConnectionId(config.connections as u16);
+    sim.schedule_control(5_000, NodeId(1), move |chip| {
+        chip.apply_control(ControlCommand::SetConnection {
+            incoming: bad,
+            outgoing: bad,
+            delay: 4,
+            out_mask: Port::Local.mask(),
+        })
+        .map_err(|e| e.to_string())
+    });
+    sim.run_leaping(10_000);
+    assert_eq!(sim.control_stats().ops_rejected, 21);
+    assert_eq!(sim.control_stats().ops_applied, 0);
+    let kept = sim.control_rejections();
+    assert_eq!(kept.len(), 16, "only the most recent rejections are kept");
+    assert_eq!(kept[0], (105, NodeId(0), "synthetic 5".to_string()), "oldest first");
+    let (cycle, node, message) = kept.last().unwrap();
+    assert_eq!((*cycle, *node), (5_000, NodeId(1)), "each op is logged at its own cycle");
+    assert!(!message.is_empty() && !message.starts_with("synthetic"), "router said: {message}");
+}

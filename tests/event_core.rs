@@ -1,19 +1,18 @@
 //! Integration: the calendar-queue event core is bit-identical to stepping.
 //!
-//! PR 4 proved scan-based leaping equivalent to plain stepping; this suite
-//! proves the same for the registered-wake event core that replaced the
-//! O(components) quiescence scan — across **three** execution modes now:
-//! plain stepping, serial event-queue leaping, and 4-worker parallel
-//! event-queue leaping (workers drain wake re-polls into per-worker buffers
-//! merged at the barrier). Every scenario diffs delivery logs byte-for-byte
-//! and the full `Debug` rendering of [`NetworkReport`]. A separate test
-//! pins the queue and the scan to identical observables, and the mid-leap
-//! predicate test locks [`Simulator::run_until_leaping`] to stepped
-//! `run_until` semantics. The conservation test closes the per-node packet
-//! ledger under all four drive modes (stepped, serial leaping, parallel
-//! leaping, scan quiescence), and the warm-queue test pins the newer
-//! contract that plain `step` drives a primed event queue instead of
-//! staling it. The wake-queue unit tests (stale-wake invalidation,
+//! The simulator has one step kernel with two real axes: *which* chips a
+//! cycle ticks (dense: all of them; event: the ones the registered-wake
+//! calendar queue proves can change, leaping across quiet spans) and *who*
+//! executes the ticks (the calling thread, or the worker pool — workers
+//! drain wake re-polls into per-chunk buffers merged at the barrier). This
+//! suite proves all four combinations bit-identical, with dense serial
+//! stepping as the reference. Every scenario diffs delivery logs
+//! byte-for-byte and the full `Debug` rendering of [`NetworkReport`]. The
+//! mid-leap predicate test locks [`Simulator::run_until_leaping`] to
+//! stepped `run_until` semantics. The conservation test closes the
+//! per-node packet ledger under all four drive modes, and the warm-queue
+//! test pins the contract that plain `step` drives a primed event queue
+//! instead of staling it. The wake-queue unit tests (stale-wake invalidation,
 //! same-cycle re-registration, wheel rollover) exercise the public
 //! `events` API directly.
 
@@ -22,12 +21,13 @@ use realtime_router::channels::sender::ChannelSender;
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::events::{WakeHandle, WakeQueue};
-use realtime_router::mesh::{NetworkReport, Quiescence, Simulator, Topology};
+use realtime_router::mesh::{NetworkReport, Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, Port};
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
 use realtime_router::workloads::patterns::TrafficPattern;
 use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::churn::DriveMode;
 
 const DELAY: u32 = 6;
 
@@ -154,34 +154,41 @@ fn fingerprint(sim: &Simulator<RealTimeRouter>) -> String {
     out
 }
 
-/// Runs one scenario stepped, serial event-queue leaping, and 4-worker
-/// parallel event-queue leaping, and asserts byte-identical observables.
-/// Returns `(stepped, serial_leaping)` for follow-up assertions.
-fn assert_three_way(
+/// Builds the scenario and drives it `cycles` cycles in one of the drive
+/// modes, {dense, event} × {serial, 4-worker pool}.
+fn drive(
+    build: &mut impl FnMut() -> Simulator<RealTimeRouter>,
+    mode: DriveMode,
+    cycles: u64,
+) -> Simulator<RealTimeRouter> {
+    let mut sim = build();
+    mode.configure(&mut sim);
+    mode.advance(&mut sim, cycles);
+    sim
+}
+
+/// Runs one scenario in every drive mode and asserts byte-identical
+/// observables against dense serial stepping. Returns `(dense serial,
+/// event serial)` for follow-up assertions.
+fn assert_all_modes_agree(
     mut build: impl FnMut() -> Simulator<RealTimeRouter>,
     cycles: u64,
 ) -> (Simulator<RealTimeRouter>, Simulator<RealTimeRouter>) {
-    let mut stepped = build();
-    stepped.run(cycles);
-    let mut serial = build();
-    serial.run_leaping(cycles);
-    let mut parallel = build();
-    parallel.set_parallelism(4);
-    parallel.run_leaping(cycles);
-
-    assert_eq!(stepped.now(), serial.now(), "serial leaping covered a different span");
-    assert_eq!(stepped.now(), parallel.now(), "parallel leaping covered a different span");
+    let [stepped, dense_pool, serial, event_pool] =
+        DriveMode::ALL.map(|mode| drive(&mut build, mode, cycles));
     let f_stepped = fingerprint(&stepped);
-    assert_eq!(f_stepped, fingerprint(&serial), "stepped vs serial event-queue leaping");
-    assert_eq!(f_stepped, fingerprint(&parallel), "stepped vs 4-worker event-queue leaping");
+    for (sim, mode) in [&dense_pool, &serial, &event_pool].into_iter().zip(&DriveMode::ALL[1..]) {
+        assert_eq!(stepped.now(), sim.now(), "{mode:?} covered a different span");
+        assert_eq!(f_stepped, fingerprint(sim), "dense serial vs {mode:?}");
+    }
     (stepped, serial)
 }
 
 /// Sparse load: long-period channels, no best-effort traffic. The event
-/// queue must leap most cycles and stay byte-identical in all three modes.
+/// queue must leap most cycles and stay byte-identical in every mode.
 #[test]
 fn event_core_equivalence_sparse_load() {
-    let (stepped, leaping) = assert_three_way(|| build_mesh(64, 0.0), 20_000);
+    let (stepped, leaping) = assert_all_modes_agree(|| build_mesh(64, 0.0), 20_000);
     let tc_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).tc.len()).sum();
     assert!(tc_total >= 40, "sparse TC load too light to trust: {tc_total}");
     assert!(
@@ -190,6 +197,8 @@ fn event_core_equivalence_sparse_load() {
         leaping.ticks_executed(),
         stepped.ticks_executed()
     );
+    let stats = leaping.event_core_stats().expect("event core must be live after leaping");
+    assert!(stats.fired > 0, "wakes must actually fire: {stats:?}");
 }
 
 /// Mixed load: period-8 channels plus 5% Bernoulli BE background. Random
@@ -199,7 +208,7 @@ fn event_core_equivalence_sparse_load() {
 /// byte-identical.
 #[test]
 fn event_core_equivalence_mixed_load() {
-    let (stepped, leaping) = assert_three_way(|| build_mesh(8, 0.05), 4_000);
+    let (stepped, leaping) = assert_all_modes_agree(|| build_mesh(8, 0.05), 4_000);
     let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
     assert!(be_total > 500, "mixed BE load too light to trust: {be_total}");
     assert!(
@@ -215,34 +224,9 @@ fn event_core_equivalence_mixed_load() {
 /// heavy contention and credit stalls with the event core armed throughout.
 #[test]
 fn event_core_equivalence_saturating_load() {
-    let (stepped, _) = assert_three_way(|| build_mesh(8, 0.35), 3_000);
+    let (stepped, _) = assert_all_modes_agree(|| build_mesh(8, 0.35), 3_000);
     let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
     assert!(be_total > 1_000, "saturating BE load too light to trust: {be_total}");
-}
-
-/// The event queue and the original O(components) scan must agree exactly
-/// on observables: same deliveries, same report. Tick counts differ by
-/// design — scan mode ticks every chip on every stepped cycle, while the
-/// event queue ticks only the due chips — so the queue must do no more
-/// ticks than the scan (and strictly fewer on this sparse load).
-#[test]
-fn event_queue_agrees_with_scan_mode() {
-    let cycles = 20_000;
-    let mut queued = build_mesh(64, 0.0);
-    assert_eq!(queued.quiescence(), Quiescence::EventQueue, "event queue must be the default");
-    queued.run_leaping(cycles);
-    let mut scanned = build_mesh(64, 0.0);
-    scanned.set_quiescence(Quiescence::Scan);
-    scanned.run_leaping(cycles);
-    assert_eq!(fingerprint(&queued), fingerprint(&scanned));
-    assert!(
-        queued.ticks_executed() < scanned.ticks_executed(),
-        "sparse event-queue ticking must beat the dense scan: {} vs {} ticks",
-        queued.ticks_executed(),
-        scanned.ticks_executed()
-    );
-    let stats = queued.event_core_stats().expect("event core must be live after leaping");
-    assert!(stats.fired > 0, "wakes must actually fire: {stats:?}");
 }
 
 /// A predicate that becomes true in the middle of a leapable quiet span
@@ -284,29 +268,15 @@ fn run_until_budget_exhaustion_matches_stepped() {
 
 /// The per-node conservation ledger (arrived = buffered + delivered +
 /// dropped + forwarded, memory occupancy consistent) must close under every
-/// drive mode: plain stepping, serial event-queue leaping, 4-worker
-/// parallel leaping, and the legacy O(components) quiescence scan.
+/// drive mode: dense or event-driven, on the calling thread or the pool.
 #[test]
 fn conservation_holds_across_all_drive_modes() {
-    let cycles = 4_000;
-
-    let mut stepped = build_mesh(8, 0.05);
-    stepped.run(cycles);
-    stepped.check_conservation().expect("stepped run must conserve packets");
-
-    let mut serial = build_mesh(8, 0.05);
-    serial.run_leaping(cycles);
-    serial.check_conservation().expect("serial leaping run must conserve packets");
-
-    let mut parallel = build_mesh(8, 0.05);
-    parallel.set_parallelism(4);
-    parallel.run_leaping(cycles);
-    parallel.check_conservation().expect("parallel leaping run must conserve packets");
-
-    let mut scanned = build_mesh(8, 0.05);
-    scanned.set_quiescence(Quiescence::Scan);
-    scanned.run_leaping(cycles);
-    scanned.check_conservation().expect("scan-quiescence run must conserve packets");
+    for mode in DriveMode::ALL {
+        let sim = drive(&mut || build_mesh(8, 0.05), mode, 4_000);
+        if let Err(violation) = sim.check_conservation() {
+            panic!("{mode:?} run must conserve packets: {violation}");
+        }
+    }
 }
 
 /// Interleaving plain `run` between leaping runs must keep the event queue

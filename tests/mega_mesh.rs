@@ -56,6 +56,14 @@ fn node_ids_reach_the_u16_extremes() {
     }
 }
 
+/// One column past the full `u16` id space must fail loudly, naming both
+/// dimensions, rather than wrap node indices silently.
+#[test]
+#[should_panic(expected = "a 257×256 mesh has more nodes than the 65 536 a NodeId can name")]
+fn a_mesh_past_the_node_id_space_is_refused() {
+    let _ = Topology::mesh(257, 256);
+}
+
 #[test]
 fn be_offsets_span_the_i8_header_field() {
     let topo = Topology::mesh(256, 256);
