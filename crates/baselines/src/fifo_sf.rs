@@ -9,15 +9,14 @@
 use std::collections::VecDeque;
 
 use rtr_core::conn_table::{ConnEntry, ConnectionTable, TableError};
-use std::cell::Cell;
-
-use rtr_types::chip::{Chip, ChipIo, WakeStats};
+use rtr_core::ports::{BeReassembler, Serialiser};
+use rtr_types::chip::{Chip, ChipIo};
 use rtr_types::clock::SlotClock;
 use rtr_types::config::RouterConfig;
 use rtr_types::error::ConfigError;
 use rtr_types::flit::{BeByte, LinkSymbol};
 use rtr_types::ids::{ConnectionId, Port, PORT_COUNT};
-use rtr_types::packet::{BeHeader, BePacket, PacketTrace, TcPacket};
+use rtr_types::packet::{BeHeader, BePacket, TcPacket};
 use rtr_types::time::Cycle;
 
 /// A packet queued at an output port.
@@ -33,13 +32,6 @@ struct InFlight {
     packet: Queued,
     wire: Vec<u8>,
     sent: usize,
-}
-
-/// Per-input best-effort reassembly.
-#[derive(Debug, Default)]
-struct BeAssembly {
-    buf: Vec<u8>,
-    trace: Option<PacketTrace>,
 }
 
 /// Counters for the store-and-forward baseline.
@@ -64,19 +56,18 @@ pub struct FifoSfRouter {
     hop_latency: Cycle,
     /// Time-constrained reassembly per input: packet and remaining symbols.
     tc_rx: [Option<(TcPacket, usize)>; PORT_COUNT],
-    be_rx: [BeAssembly; PORT_COUNT],
+    be_rx: [BeReassembler; PORT_COUNT],
     /// Packets waiting out the hop latency before queueing: (ready, port
     /// mask or DOR target, packet).
     pending: VecDeque<(Cycle, Queued)>,
     queues: [VecDeque<Queued>; PORT_COUNT],
     tx: [Option<InFlight>; PORT_COUNT],
     credits: [u32; PORT_COUNT],
-    tc_inject_remaining: Option<usize>,
-    be_inject: Option<(Vec<u8>, usize, PacketTrace)>,
+    /// Pacing of the two injection ports (one byte per cycle per class,
+    /// like the other routers).
+    tc_inject: Serialiser,
+    be_inject: Serialiser,
     stats: FifoSfStats,
-    /// `next_event` poll counters (`Cell`: polling takes `&self`).
-    wake_polls: Cell<u64>,
-    wake_short: Cell<u64>,
 }
 
 impl FifoSfRouter {
@@ -101,11 +92,9 @@ impl FifoSfRouter {
             queues: std::array::from_fn(|_| VecDeque::new()),
             tx: Default::default(),
             credits: [4096; PORT_COUNT],
-            tc_inject_remaining: None,
-            be_inject: None,
+            tc_inject: Serialiser::default(),
+            be_inject: Serialiser::default(),
             stats: FifoSfStats::default(),
-            wake_polls: Cell::new(0),
-            wake_short: Cell::new(0),
             config,
         })
     }
@@ -141,21 +130,12 @@ impl FifoSfRouter {
     }
 
     fn ingest_be_byte(&mut self, now: Cycle, idx: usize, byte: BeByte) {
-        let asm = &mut self.be_rx[idx];
-        if byte.head {
-            asm.buf.clear();
-            asm.trace = byte.trace;
-        }
-        asm.buf.push(byte.byte);
-        if byte.tail {
-            match BePacket::from_wire(&asm.buf) {
-                Ok(mut packet) => {
-                    packet.trace = asm.trace.take().unwrap_or_default();
-                    self.pending.push_back((now + self.hop_latency, Queued::Be(packet)));
-                }
-                Err(_) => self.stats.dropped += 1,
+        match self.be_rx[idx].push(byte) {
+            Some(Ok(packet)) => {
+                self.pending.push_back((now + self.hop_latency, Queued::Be(packet)));
             }
-            asm.buf.clear();
+            Some(Err(_)) => self.stats.dropped += 1,
+            None => {}
         }
     }
 
@@ -192,11 +172,8 @@ impl FifoSfRouter {
         if self.tx[out_idx].is_none() {
             if let Some(next) = self.queues[out_idx].pop_front() {
                 // Best-effort transmissions respect downstream buffering.
-                if matches!(next, Queued::Be(_)) && out_idx != 0 {
-                    let len = match &next {
-                        Queued::Be(p) => p.wire_len() as u32,
-                        Queued::Tc(_) => unreachable!(),
-                    };
+                if let (Queued::Be(p), true) = (&next, out_idx != 0) {
+                    let len = p.wire_len() as u32;
                     if self.credits[out_idx] < len {
                         self.queues[out_idx].push_front(next);
                         return;
@@ -277,7 +254,7 @@ impl Chip for FifoSfRouter {
                     }
                     LinkSymbol::Be(byte) => {
                         let was_tail = byte.tail;
-                        let len_hint = self.be_rx[idx].buf.len() as u16 + 1;
+                        let len_hint = self.be_rx[idx].buffered() as u16 + 1;
                         self.ingest_be_byte(now, idx, byte);
                         if was_tail {
                             // Free the whole packet's worth of buffer.
@@ -287,30 +264,22 @@ impl Chip for FifoSfRouter {
                 }
             }
         }
-        // Injection (one byte per cycle per class, like the other routers).
-        if let Some(remaining) = self.tc_inject_remaining {
-            self.tc_inject_remaining = if remaining == 1 { None } else { Some(remaining - 1) };
-        } else if let Some(packet) = io.inject_tc.pop_front() {
-            let remaining = packet.wire_len() - 1;
-            // Model the serial transfer then hand the whole packet over.
-            self.pending
-                .push_back((now + remaining as Cycle + self.hop_latency, Queued::Tc(packet)));
-            self.tc_inject_remaining = (remaining > 0).then_some(remaining);
-        }
-        if self.be_inject.is_none() {
-            if let Some(packet) = io.inject_be.pop_front() {
-                let wire_len = packet.wire_len();
-                self.pending.push_back((
-                    now + wire_len as Cycle - 1 + self.hop_latency,
-                    Queued::Be(packet),
-                ));
-                self.be_inject = Some((vec![0; wire_len], 1, PacketTrace::default()));
+        // Injection: model the serial transfer, then hand the whole packet over
+        // (the best-effort port frees up a cycle early; the recorded rows pin it).
+        if !self.tc_inject.step() {
+            if let Some(packet) = io.inject_tc.pop_front() {
+                let remaining = packet.wire_len() - 1;
+                self.tc_inject.begin(packet.wire_len());
+                self.pending
+                    .push_back((now + remaining as Cycle + self.hop_latency, Queued::Tc(packet)));
             }
         }
-        if let Some((wire, pos, _)) = &mut self.be_inject {
-            *pos += 1;
-            if *pos >= wire.len() {
-                self.be_inject = None;
+        if !self.be_inject.step() {
+            if let Some(packet) = io.inject_be.pop_front() {
+                let remaining = packet.wire_len() - 1;
+                self.be_inject.begin(remaining);
+                self.pending
+                    .push_back((now + remaining as Cycle + self.hop_latency, Queued::Be(packet)));
             }
         }
         self.route_pending(now);
@@ -329,43 +298,6 @@ impl Chip for FifoSfRouter {
         }
     }
 
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.wake_polls.set(self.wake_polls.get() + 1);
-        // In-progress injections, receptions, transmissions, and queued
-        // packets all make (or may make) progress every cycle. Partial
-        // best-effort reassembly waits on the next link byte, so it is not
-        // an event source.
-        let active = self.tc_inject_remaining.is_some()
-            || self.be_inject.is_some()
-            || self.tc_rx.iter().any(Option::is_some)
-            || self.tx.iter().any(Option::is_some)
-            || self.queues.iter().any(|q| !q.is_empty());
-        if active {
-            self.wake_short.set(self.wake_short.get() + 1);
-            return Some(now + 1);
-        }
-        // Only the hop-latency pipeline remains: its FIFO head gates.
-        let wake = self.pending.front().map(|(ready, _)| (*ready).max(now + 1));
-        if wake == Some(now + 1) {
-            self.wake_short.set(self.wake_short.get() + 1);
-        }
-        wake
-    }
-
-    fn skip_quiet(&mut self, _from: Cycle, _to: Cycle) {
-        // Sparse ticking and leaps skip this chip's quiet cycles entirely;
-        // every counter here is event-based (transmitted/delivered/
-        // dropped), so a skipped span needs no reconciliation.
-    }
-
-    fn wake_stats(&self) -> Option<WakeStats> {
-        Some(WakeStats {
-            polls: self.wake_polls.get(),
-            short_polls: self.wake_short.get(),
-            ..Default::default()
-        })
-    }
-
     fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
         emit("fifo_sf.transmitted", self.stats.transmitted.iter().sum());
         emit("fifo_sf.delivered", self.stats.delivered);
@@ -378,6 +310,7 @@ mod tests {
     use super::*;
     use rtr_mesh::{Simulator, Topology};
     use rtr_types::ids::{Direction, NodeId};
+    use rtr_types::packet::PacketTrace;
 
     #[test]
     fn be_store_and_forward_latency_grows_per_hop() {

@@ -13,16 +13,14 @@ use std::collections::VecDeque;
 
 use rtr_core::conn_table::{ConnEntry, ConnectionTable, TableError};
 use rtr_core::memory::{PacketMemory, SlotAddr};
-use rtr_core::ports::input::InputPort;
-use std::cell::Cell;
-
-use rtr_types::chip::{Chip, ChipIo, WakeStats};
+use rtr_core::ports::{InputPort, Serialiser, WormholeChannel};
+use rtr_types::chip::{Chip, ChipIo};
 use rtr_types::clock::SlotClock;
 use rtr_types::config::RouterConfig;
 use rtr_types::error::ConfigError;
-use rtr_types::flit::{BeByte, LinkSymbol};
+use rtr_types::flit::LinkSymbol;
 use rtr_types::ids::{ConnectionId, Port, PORT_COUNT};
-use rtr_types::packet::{BePacket, PacketTrace, TcPacket};
+use rtr_types::packet::TcPacket;
 use rtr_types::time::Cycle;
 
 /// Counters for the priority-VC baseline.
@@ -34,22 +32,20 @@ pub struct PriorityVcStats {
     pub tc_delivered: u64,
     /// High-class packets dropped (no table entry or no buffer).
     pub tc_dropped: u64,
+    /// High-class packets abandoned mid-arrival (a fault tore their tail).
+    pub tc_truncated: u64,
     /// Best-effort bytes transmitted per output port.
     pub be_bytes: [u64; PORT_COUNT],
     /// Best-effort packets delivered locally.
     pub be_delivered: u64,
+    /// Best-effort bytes a full or fault-torn flit buffer shed (each
+    /// refunded upstream).
+    pub be_dropped: u64,
 }
 
-#[derive(Debug)]
-struct Out {
-    tc_tx: Option<(TcPacket, usize, usize)>, // packet, sent, total
-    be_bound: Option<usize>,
-    rr_next: usize,
-    credits: u32,
-    infinite_credit: bool,
-}
-
-/// The fixed-priority two-class baseline router.
+/// The fixed-priority two-class baseline router: the kit's input ports,
+/// wormhole channel and link serialisers around a table, a packet memory
+/// and one FIFO per output.
 #[derive(Debug)]
 pub struct PriorityVcRouter {
     config: RouterConfig,
@@ -61,15 +57,12 @@ pub struct PriorityVcRouter {
     /// Remaining output-port mask per memory slot (multicast refcount).
     remaining: Vec<u8>,
     inputs: [InputPort; PORT_COUNT],
-    outputs: [Out; PORT_COUNT],
-    tc_inject_remaining: Option<usize>,
-    be_inject: Option<(Vec<u8>, usize, PacketTrace)>,
-    rx_buf: Vec<u8>,
-    rx_trace: Option<PacketTrace>,
+    channel: WormholeChannel,
+    /// High-class transmission in flight per output port.
+    tc_tx: [Serialiser; PORT_COUNT],
+    /// Pacing of the high-class injection port.
+    tc_inject: Serialiser,
     stats: PriorityVcStats,
-    /// `next_event` poll counters (`Cell`: polling takes `&self`).
-    wake_polls: Cell<u64>,
-    wake_short: Cell<u64>,
 }
 
 impl PriorityVcRouter {
@@ -81,33 +74,17 @@ impl PriorityVcRouter {
     /// Returns the configuration's validation error, if any.
     pub fn new(config: RouterConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let t = &config.timing;
-        let be_latency =
-            t.sync_cycles + t.header_cycles + config.chunk_bytes as u64 + t.bus_grant_cycles;
-        let store_chunks = config.slot_bytes.div_ceil(config.memory_chunk_bytes) as u64;
-        let tc_latency = t.sync_cycles + t.header_cycles + store_chunks * t.bus_grant_cycles;
-        let flit = config.be_path_bytes();
         Ok(PriorityVcRouter {
             clock: SlotClock::new(config.clock_bits),
             table: ConnectionTable::new(config.connections),
             memory: PacketMemory::new(config.packet_slots),
-            queues: std::array::from_fn(|_| VecDeque::new()),
+            queues: Default::default(),
             remaining: vec![0; config.packet_slots],
-            inputs: std::array::from_fn(|_| InputPort::new(be_latency, tc_latency, flit)),
-            outputs: std::array::from_fn(|i| Out {
-                tc_tx: None,
-                be_bound: None,
-                rr_next: 0,
-                credits: flit as u32,
-                infinite_credit: i == 0,
-            }),
-            tc_inject_remaining: None,
-            be_inject: None,
-            rx_buf: Vec::new(),
-            rx_trace: None,
+            inputs: std::array::from_fn(|_| InputPort::from_config(&config)),
+            channel: WormholeChannel::new(config.be_path_bytes() as u32),
+            tc_tx: Default::default(),
+            tc_inject: Serialiser::default(),
             stats: PriorityVcStats::default(),
-            wake_polls: Cell::new(0),
-            wake_short: Cell::new(0),
             config,
         })
     }
@@ -143,12 +120,9 @@ impl PriorityVcRouter {
                 continue;
             };
             let rewritten = TcPacket { conn: entry.outgoing, ..packet };
-            let addr = match self.memory.store(rewritten) {
-                Ok(addr) => addr,
-                Err(_) => {
-                    self.stats.tc_dropped += 1;
-                    continue;
-                }
+            let Ok(addr) = self.memory.store(rewritten) else {
+                self.stats.tc_dropped += 1;
+                continue;
             };
             self.remaining[addr.index()] = entry.out_mask;
             for port in rtr_types::ids::ports_in_mask(entry.out_mask) {
@@ -157,56 +131,14 @@ impl PriorityVcRouter {
         }
     }
 
-    fn be_pick(&mut self, out_idx: usize, now: Cycle) -> Option<usize> {
-        let port = Port::from_index(out_idx);
-        if let Some(bound) = self.outputs[out_idx].be_bound {
-            return self.inputs[bound].be_front_for(port, now).map(|_| bound);
-        }
-        let start = self.outputs[out_idx].rr_next;
-        for k in 0..PORT_COUNT {
-            let i = (start + k) % PORT_COUNT;
-            if self.inputs[i].be_front_for(port, now).is_some() {
-                self.outputs[out_idx].rr_next = (i + 1) % PORT_COUNT;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn deliver_be_byte(&mut self, now: Cycle, byte: BeByte, io: &mut ChipIo) {
-        if byte.head {
-            self.rx_buf.clear();
-            self.rx_trace = byte.trace;
-        }
-        self.rx_buf.push(byte.byte);
-        if byte.tail {
-            if let Ok(mut packet) = BePacket::from_wire(&self.rx_buf) {
-                packet.trace = self.rx_trace.take().unwrap_or_default();
-                self.stats.be_delivered += 1;
-                io.delivered_be.push((now, packet));
-            }
-            self.rx_buf.clear();
-        }
-    }
-
+    /// Fixed class priority: a high-class packet in flight finishes, then
+    /// the FIFO head starts (preempting best-effort traffic at a byte
+    /// boundary), and only then does the wormhole channel get the cycle.
     fn drive_output(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) {
-        // Continue a high-class transmission.
-        if let Some((packet, sent, total)) = self.outputs[out_idx].tc_tx.take() {
-            if out_idx != 0 {
-                io.tx[out_idx] = Some(LinkSymbol::TcCont { index: sent as u8 });
-            }
-            if sent + 1 == total {
-                if out_idx == 0 {
-                    self.stats.tc_delivered += 1;
-                    io.delivered_tc.push((now, packet));
-                }
-            } else {
-                self.outputs[out_idx].tc_tx = Some((packet, sent + 1, total));
-            }
-            return;
-        }
-        // Start the FIFO head, preempting best-effort traffic.
-        if let Some(addr) = self.queues[out_idx].pop_front() {
+        if self.tc_tx[out_idx].busy() {
+            let delivered = self.tc_tx[out_idx].advance(now, out_idx, io);
+            self.stats.tc_delivered += u64::from(delivered);
+        } else if let Some(addr) = self.queues[out_idx].pop_front() {
             let packet =
                 self.memory.peek(addr).expect("queued address points at an idle slot").clone();
             self.remaining[addr.index()] &= !Port::from_index(out_idx).mask();
@@ -214,95 +146,43 @@ impl PriorityVcRouter {
                 self.memory.free(addr);
             }
             self.stats.tc_transmitted[out_idx] += 1;
-            let total = packet.wire_len();
-            if out_idx != 0 {
-                io.tx[out_idx] = Some(LinkSymbol::TcStart(Box::new(packet.clone())));
-            }
-            if total == 1 {
-                if out_idx == 0 {
-                    self.stats.tc_delivered += 1;
-                    io.delivered_tc.push((now, packet));
-                }
-            } else {
-                self.outputs[out_idx].tc_tx = Some((packet, 1, total));
-            }
-            return;
-        }
-        // Best-effort service.
-        let has_credit = self.outputs[out_idx].infinite_credit || self.outputs[out_idx].credits > 0;
-        if has_credit {
-            if let Some(in_idx) = self.be_pick(out_idx, now) {
-                let routed = self.inputs[in_idx].pop_be();
-                self.outputs[out_idx].be_bound = (!routed.byte.tail).then_some(in_idx);
-                if !self.outputs[out_idx].infinite_credit {
-                    self.outputs[out_idx].credits -= 1;
-                }
-                if in_idx != 0 {
-                    io.credit_out[in_idx] += 1;
-                }
-                self.stats.be_bytes[out_idx] += 1;
-                if out_idx == 0 {
-                    self.deliver_be_byte(now, routed.byte, io);
-                } else {
-                    io.tx[out_idx] = Some(LinkSymbol::Be(routed.byte));
-                }
-            }
+            let delivered = self.tc_tx[out_idx].start(now, out_idx, packet, io);
+            self.stats.tc_delivered += u64::from(delivered);
+        } else if let Some(sent) = self.channel.send(now, &mut self.inputs, out_idx, io) {
+            self.stats.be_bytes[out_idx] += 1;
+            self.stats.be_delivered += u64::from(matches!(sent.delivered, Some(Ok(_))));
         }
     }
 }
 
 impl Chip for PriorityVcRouter {
     fn tick(&mut self, now: Cycle, io: &mut ChipIo) {
-        for idx in 0..PORT_COUNT {
-            let bytes = io.credit_in[idx];
-            if bytes > 0 && !self.outputs[idx].infinite_credit {
-                self.outputs[idx].credits += u32::from(bytes);
-            }
-        }
+        self.channel.ingest_credits(&io.credit_in);
         for idx in 1..PORT_COUNT {
-            if let Some(symbol) = io.rx[idx].take() {
-                // The baselines run only fault-free scenarios, so the
-                // torn-frame outcomes the shared port reports are unused.
-                match symbol {
-                    LinkSymbol::TcStart(packet) => {
-                        self.inputs[idx].push_tc_start(now, *packet);
-                    }
-                    LinkSymbol::TcCont { .. } => {
-                        self.inputs[idx].push_tc_cont(now);
-                    }
-                    LinkSymbol::Be(byte) => {
-                        self.inputs[idx].push_be(now, byte);
-                    }
+            match io.rx[idx].take() {
+                Some(LinkSymbol::TcStart(packet)) => {
+                    let torn = self.inputs[idx].push_tc_start(now, *packet);
+                    self.stats.tc_truncated += u64::from(torn);
                 }
+                Some(LinkSymbol::TcCont { .. }) => {
+                    // An orphan (head destroyed upstream) is shed: no credit.
+                    self.inputs[idx].push_tc_cont(now);
+                }
+                Some(LinkSymbol::Be(byte)) => {
+                    let outcome = self.inputs[idx].accept_be(now, byte, &mut io.credit_out[idx]);
+                    self.stats.be_dropped += u64::from(outcome.dropped);
+                }
+                None => {}
             }
         }
         // High-class injection: one byte per cycle.
-        if let Some(remaining) = self.tc_inject_remaining {
+        if self.tc_inject.step() {
             self.inputs[0].push_tc_cont(now);
-            self.tc_inject_remaining = if remaining == 1 { None } else { Some(remaining - 1) };
         } else if let Some(packet) = io.inject_tc.pop_front() {
-            let remaining = packet.wire_len() - 1;
+            self.tc_inject.begin(packet.wire_len());
             self.inputs[0].push_tc_start(now, packet);
-            self.tc_inject_remaining = (remaining > 0).then_some(remaining);
         }
-        // Best-effort injection.
-        if self.be_inject.is_none() {
-            if let Some(packet) = io.inject_be.pop_front() {
-                self.be_inject = Some((packet.to_wire(), 0, packet.trace));
-            }
-        }
-        if let Some((wire, pos, trace)) = &mut self.be_inject {
-            if self.inputs[0].be_free_space() > 0 {
-                let head = *pos == 0;
-                let tail = *pos == wire.len() - 1;
-                let byte = BeByte { byte: wire[*pos], head, tail, trace: head.then_some(*trace) };
-                self.inputs[0].push_be(now, byte);
-                *pos += 1;
-                if *pos == wire.len() {
-                    self.be_inject = None;
-                }
-            }
-        }
+        self.channel.inject(now, &mut self.inputs[0], &mut io.inject_be);
         self.process_arrivals(now);
         for out_idx in 0..PORT_COUNT {
             self.drive_output(now, out_idx, io);
@@ -314,70 +194,17 @@ impl Chip for PriorityVcRouter {
     }
 
     fn set_output_credits(&mut self, port: Port, bytes: u32) {
-        let out = &mut self.outputs[port.index()];
-        if !out.infinite_credit {
-            out.credits = bytes;
-        }
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.wake_polls.set(self.wake_polls.get() + 1);
-        let active = self.tc_inject_remaining.is_some()
-            || self.be_inject.is_some()
-            || self.inputs.iter().any(InputPort::tc_rx_active)
-            || self.outputs.iter().any(|out| out.tc_tx.is_some())
-            || self.queues.iter().any(|q| !q.is_empty());
-        if active {
-            self.wake_short.set(self.wake_short.get() + 1);
-            return Some(now + 1);
-        }
-        let mut earliest: Option<Cycle> = None;
-        let mut merge = |at: Cycle| {
-            let at = at.max(now + 1);
-            earliest = Some(earliest.map_or(at, |e: Cycle| e.min(at)));
-        };
-        for input in &self.inputs {
-            if let Some(ready) = input.next_tc_ready() {
-                merge(ready);
-            }
-            if let Some(head) = input.be_head() {
-                let out = &self.outputs[head.out.index()];
-                if head.ready_at > now {
-                    merge(head.ready_at);
-                } else if out.infinite_credit || out.credits > 0 {
-                    // Ready and sendable next cycle; a credit-starved byte
-                    // stays frozen until an external credit arrives.
-                    self.wake_short.set(self.wake_short.get() + 1);
-                    return Some(now + 1);
-                }
-            }
-        }
-        if earliest == Some(now + 1) {
-            self.wake_short.set(self.wake_short.get() + 1);
-        }
-        earliest
-    }
-
-    fn skip_quiet(&mut self, _from: Cycle, _to: Cycle) {
-        // Sparse ticking and leaps skip this chip's quiet cycles entirely;
-        // every counter here is event-based (delivered/dropped/bytes), so a
-        // skipped span needs no reconciliation.
-    }
-
-    fn wake_stats(&self) -> Option<WakeStats> {
-        Some(WakeStats {
-            polls: self.wake_polls.get(),
-            short_polls: self.wake_short.get(),
-            ..Default::default()
-        })
+        self.channel.set_credits(port, bytes);
     }
 
     fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
         emit("priority_vc.tc_transmitted", self.stats.tc_transmitted.iter().sum());
         emit("priority_vc.tc_delivered", self.stats.tc_delivered);
         emit("priority_vc.tc_dropped", self.stats.tc_dropped);
+        emit("priority_vc.tc_truncated", self.stats.tc_truncated);
         emit("priority_vc.be_bytes", self.stats.be_bytes.iter().sum());
         emit("priority_vc.be_delivered", self.stats.be_delivered);
+        emit("priority_vc.be_dropped", self.stats.be_dropped);
     }
 }
 
@@ -386,6 +213,7 @@ mod tests {
     use super::*;
     use rtr_mesh::{Simulator, Topology};
     use rtr_types::ids::Direction;
+    use rtr_types::packet::{BePacket, PacketTrace};
 
     fn packet(conn: u16, payload: u8) -> TcPacket {
         TcPacket {

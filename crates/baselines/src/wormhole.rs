@@ -6,25 +6,13 @@
 //! channel; packets with deadlines get no preferential treatment, which is
 //! exactly what the baseline-comparison experiments measure.
 
-use rtr_core::ports::input::InputPort;
-use std::cell::Cell;
-
+use rtr_core::ports::{InputPort, WakePolls, WormholeChannel};
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
 use rtr_types::config::RouterConfig;
 use rtr_types::error::ConfigError;
-use rtr_types::flit::{BeByte, LinkSymbol};
+use rtr_types::flit::LinkSymbol;
 use rtr_types::ids::{Port, PORT_COUNT};
-use rtr_types::packet::{BePacket, PacketTrace};
 use rtr_types::time::Cycle;
-
-/// Per-output-port state of the wormhole router.
-#[derive(Debug)]
-struct Out {
-    be_bound: Option<usize>,
-    rr_next: usize,
-    credits: u32,
-    infinite_credit: bool,
-}
 
 /// Counters for the wormhole baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,25 +21,23 @@ pub struct WormholeStats {
     pub bytes: [u64; PORT_COUNT],
     /// Packets delivered locally.
     pub delivered: u64,
+    /// Bytes a full or fault-torn flit buffer shed (each refunded upstream).
+    pub be_dropped: u64,
     /// Time-constrained injections rejected (this router has no
     /// time-constrained channel; the harness must encode such traffic as
     /// best-effort packets).
     pub tc_rejected: u64,
 }
 
-/// The single-class wormhole baseline router.
+/// The single-class wormhole baseline router: input ports plus the kit's
+/// wormhole channel, which owns every link cycle.
 #[derive(Debug)]
 pub struct WormholeRouter {
     config: RouterConfig,
     inputs: [InputPort; PORT_COUNT],
-    outputs: [Out; PORT_COUNT],
-    be_inject: Option<(Vec<u8>, usize, PacketTrace)>,
-    rx_buf: Vec<u8>,
-    rx_trace: Option<PacketTrace>,
+    channel: WormholeChannel,
     stats: WormholeStats,
-    /// `next_event` poll counters (`Cell`: polling takes `&self`).
-    wake_polls: Cell<u64>,
-    wake_short: Cell<u64>,
+    wake: WakePolls,
 }
 
 impl WormholeRouter {
@@ -63,24 +49,11 @@ impl WormholeRouter {
     /// Returns the configuration's validation error, if any.
     pub fn new(config: RouterConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let t = &config.timing;
-        let latency =
-            t.sync_cycles + t.header_cycles + config.chunk_bytes as u64 + t.bus_grant_cycles;
-        let flit = config.be_path_bytes();
         Ok(WormholeRouter {
-            inputs: std::array::from_fn(|_| InputPort::new(latency, latency, flit)),
-            outputs: std::array::from_fn(|i| Out {
-                be_bound: None,
-                rr_next: 0,
-                credits: flit as u32,
-                infinite_credit: i == 0,
-            }),
-            be_inject: None,
-            rx_buf: Vec::new(),
-            rx_trace: None,
+            inputs: std::array::from_fn(|_| InputPort::from_config(&config)),
+            channel: WormholeChannel::new(config.be_path_bytes() as u32),
             stats: WormholeStats::default(),
-            wake_polls: Cell::new(0),
-            wake_short: Cell::new(0),
+            wake: WakePolls::default(),
             config,
         })
     }
@@ -90,103 +63,30 @@ impl WormholeRouter {
     pub fn stats(&self) -> &WormholeStats {
         &self.stats
     }
-
-    fn be_pick(&mut self, out_idx: usize, now: Cycle) -> Option<usize> {
-        let port = Port::from_index(out_idx);
-        if let Some(bound) = self.outputs[out_idx].be_bound {
-            return self.inputs[bound].be_front_for(port, now).map(|_| bound);
-        }
-        let start = self.outputs[out_idx].rr_next;
-        for k in 0..PORT_COUNT {
-            let i = (start + k) % PORT_COUNT;
-            if self.inputs[i].be_front_for(port, now).is_some() {
-                self.outputs[out_idx].rr_next = (i + 1) % PORT_COUNT;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn deliver_byte(&mut self, now: Cycle, byte: BeByte, io: &mut ChipIo) {
-        if byte.head {
-            self.rx_buf.clear();
-            self.rx_trace = byte.trace;
-        }
-        self.rx_buf.push(byte.byte);
-        if byte.tail {
-            if let Ok(mut packet) = BePacket::from_wire(&self.rx_buf) {
-                packet.trace = self.rx_trace.take().unwrap_or_default();
-                self.stats.delivered += 1;
-                io.delivered_be.push((now, packet));
-            }
-            self.rx_buf.clear();
-        }
-    }
 }
 
 impl Chip for WormholeRouter {
     fn tick(&mut self, now: Cycle, io: &mut ChipIo) {
-        for idx in 0..PORT_COUNT {
-            let bytes = io.credit_in[idx];
-            if bytes > 0 && !self.outputs[idx].infinite_credit {
-                self.outputs[idx].credits += u32::from(bytes);
-            }
-        }
+        self.channel.ingest_credits(&io.credit_in);
         for idx in 1..PORT_COUNT {
-            if let Some(symbol) = io.rx[idx].take() {
-                match symbol {
-                    LinkSymbol::Be(byte) => {
-                        self.inputs[idx].push_be(now, byte);
-                    }
-                    _ => panic!("wormhole baseline received a time-constrained symbol"),
+            match io.rx[idx].take() {
+                Some(LinkSymbol::Be(byte)) => {
+                    let outcome = self.inputs[idx].accept_be(now, byte, &mut io.credit_out[idx]);
+                    self.stats.be_dropped += u64::from(outcome.dropped);
                 }
+                Some(_) => panic!("wormhole baseline received a time-constrained symbol"),
+                None => {}
             }
         }
         // This router has no time-constrained channel.
         while io.inject_tc.pop_front().is_some() {
             self.stats.tc_rejected += 1;
         }
-        // Injection: one byte per cycle through the local input port.
-        if self.be_inject.is_none() {
-            if let Some(packet) = io.inject_be.pop_front() {
-                self.be_inject = Some((packet.to_wire(), 0, packet.trace));
-            }
-        }
-        if let Some((wire, pos, trace)) = &mut self.be_inject {
-            if self.inputs[0].be_free_space() > 0 {
-                let head = *pos == 0;
-                let tail = *pos == wire.len() - 1;
-                let byte = BeByte { byte: wire[*pos], head, tail, trace: head.then_some(*trace) };
-                self.inputs[0].push_be(now, byte);
-                *pos += 1;
-                if *pos == wire.len() {
-                    self.be_inject = None;
-                }
-            }
-        }
-        // Outputs: round-robin wormhole service.
+        self.channel.inject(now, &mut self.inputs[0], &mut io.inject_be);
         for out_idx in 0..PORT_COUNT {
-            let has_credit =
-                self.outputs[out_idx].infinite_credit || self.outputs[out_idx].credits > 0;
-            if !has_credit {
-                continue;
-            }
-            let Some(in_idx) = self.be_pick(out_idx, now) else {
-                continue;
-            };
-            let routed = self.inputs[in_idx].pop_be();
-            self.outputs[out_idx].be_bound = (!routed.byte.tail).then_some(in_idx);
-            if !self.outputs[out_idx].infinite_credit {
-                self.outputs[out_idx].credits -= 1;
-            }
-            if in_idx != 0 {
-                io.credit_out[in_idx] += 1;
-            }
-            self.stats.bytes[out_idx] += 1;
-            if out_idx == 0 {
-                self.deliver_byte(now, routed.byte, io);
-            } else {
-                io.tx[out_idx] = Some(LinkSymbol::Be(routed.byte));
+            if let Some(sent) = self.channel.send(now, &mut self.inputs, out_idx, io) {
+                self.stats.bytes[out_idx] += 1;
+                self.stats.delivered += u64::from(matches!(sent.delivered, Some(Ok(_))));
             }
         }
     }
@@ -196,56 +96,22 @@ impl Chip for WormholeRouter {
     }
 
     fn set_output_credits(&mut self, port: Port, bytes: u32) {
-        let out = &mut self.outputs[port.index()];
-        if !out.infinite_credit {
-            out.credits = bytes;
-        }
+        self.channel.set_credits(port, bytes);
     }
 
+    // Counters are event-based: a skipped quiet span needs no `skip_quiet`.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.wake_polls.set(self.wake_polls.get() + 1);
-        if self.be_inject.is_some() {
-            self.wake_short.set(self.wake_short.get() + 1);
-            return Some(now + 1);
-        }
-        let mut earliest: Option<Cycle> = None;
-        for input in &self.inputs {
-            if let Some(head) = input.be_head() {
-                let out = &self.outputs[head.out.index()];
-                if head.ready_at > now {
-                    let at = head.ready_at;
-                    earliest = Some(earliest.map_or(at, |e: Cycle| e.min(at)));
-                } else if out.infinite_credit || out.credits > 0 {
-                    // Ready and sendable next cycle; a credit-starved byte
-                    // stays frozen until an external credit arrives.
-                    self.wake_short.set(self.wake_short.get() + 1);
-                    return Some(now + 1);
-                }
-            }
-        }
-        if earliest == Some(now + 1) {
-            self.wake_short.set(self.wake_short.get() + 1);
-        }
-        earliest
-    }
-
-    fn skip_quiet(&mut self, _from: Cycle, _to: Cycle) {
-        // Sparse ticking and leaps skip this chip's quiet cycles entirely;
-        // every counter here is event-based (delivered/bytes), so a skipped
-        // span needs no reconciliation.
+        self.wake.answer(now, self.channel.next_event(&self.inputs, now))
     }
 
     fn wake_stats(&self) -> Option<WakeStats> {
-        Some(WakeStats {
-            polls: self.wake_polls.get(),
-            short_polls: self.wake_short.get(),
-            ..Default::default()
-        })
+        Some(self.wake.snapshot())
     }
 
     fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
         emit("wormhole.bytes", self.stats.bytes.iter().sum());
         emit("wormhole.delivered", self.stats.delivered);
+        emit("wormhole.be_dropped", self.stats.be_dropped);
         emit("wormhole.tc_rejected", self.stats.tc_rejected);
     }
 }
@@ -254,7 +120,9 @@ impl Chip for WormholeRouter {
 mod tests {
     use super::*;
     use rtr_mesh::{Simulator, Topology};
-    use rtr_types::ids::NodeId;
+    use rtr_types::flit::BeByte;
+    use rtr_types::ids::{Direction, NodeId};
+    use rtr_types::packet::{BePacket, PacketTrace};
 
     #[test]
     fn forwards_across_a_mesh() {
@@ -316,5 +184,28 @@ mod tests {
         r.tick(0, &mut io);
         assert_eq!(r.stats().tc_rejected, 1);
         assert!(io.inject_tc.is_empty());
+    }
+
+    #[test]
+    fn a_byte_shed_by_a_full_flit_buffer_is_counted_and_refunded() {
+        let mut r = WormholeRouter::new(RouterConfig::default()).unwrap();
+        // Nothing drains: the packet heads for +x and that output has no
+        // credit, so the -x input's flit buffer only fills.
+        r.set_output_credits(Port::Dir(Direction::XPlus), 0);
+        let mut io = ChipIo::new();
+        let mut refunded = 0;
+        // One byte more than the buffer holds — what a sender with a forged
+        // credit would push: the x = 1 head byte, then zeros.
+        for now in 0..=r.flit_buffer_bytes() as u64 {
+            io.begin_cycle();
+            let byte =
+                BeByte { byte: u8::from(now == 0), head: now == 0, tail: false, trace: None };
+            io.rx[2] = Some(LinkSymbol::Be(byte));
+            r.tick(now, &mut io);
+            refunded += u64::from(std::mem::take(&mut io.credit_out[2]));
+        }
+        assert_eq!(r.stats().be_dropped, 1, "exactly the overflowing byte is shed");
+        assert_eq!(refunded, 1, "and its credit goes back upstream");
+        assert_eq!(r.stats().bytes.iter().sum::<u64>(), 0, "nothing left the router");
     }
 }

@@ -331,42 +331,47 @@ pub fn run_one(design: Design, be_rate: f64, total_cycles: Cycle) -> CompareRow 
             CompareRow { design, be_rate, delivered, misses, mean_latency: mean, max_latency: max }
         }
         Design::Wormhole => {
-            let mut sim =
-                Simulator::build(topo.clone(), |_| WormholeRouter::new(config.clone())).unwrap();
-            // No channels: deadline traffic goes out as best-effort
-            // packets with the same periods and deadlines.
-            sim.add_source(
-                tight_src,
-                Box::new(PeriodicDeadlineBeSource::new(
-                    &topo,
-                    tight_src,
-                    dst,
-                    u64::from(TIGHT_PERIOD),
-                    u64::from(TIGHT_DEADLINE),
-                    data,
-                    slot,
-                )),
-            );
-            for a in &s.aggressors {
-                sim.add_source(
-                    a.source,
-                    Box::new(PeriodicDeadlineBeSource::new(
-                        &topo,
-                        a.source,
-                        dst,
-                        u64::from(AGGR_PERIOD),
-                        u64::from(AGGR_DEADLINE),
-                        data,
-                        slot,
-                    )),
-                );
-            }
-            add_background(&mut sim, &topo, be_rate, 0xBEEF);
+            let mut sim = wormhole_sim(be_rate);
             sim.run(total_cycles);
             let (delivered, misses, mean, max) = measure_tight(sim.log(dst), tight_src, slot, true);
             CompareRow { design, be_rate, delivered, misses, mean_latency: mean, max_latency: max }
         }
     }
+}
+
+/// The scenario on the pure-wormhole baseline, traffic attached and not yet
+/// run. There are no channels: deadline traffic goes out as best-effort
+/// packets with the same periods and deadlines.
+///
+/// # Panics
+///
+/// Panics only on internal simulation errors.
+#[must_use]
+pub fn wormhole_sim(be_rate: f64) -> Simulator<WormholeRouter> {
+    let config = RouterConfig::default();
+    let s = scenario();
+    let dst = s.tight.destinations[0];
+    let mut sim = Simulator::build(s.topo.clone(), |_| WormholeRouter::new(config.clone()))
+        .expect("default config is valid");
+    let flows = [(s.tight.source, TIGHT_PERIOD, TIGHT_DEADLINE)]
+        .into_iter()
+        .chain(s.aggressors.iter().map(|a| (a.source, AGGR_PERIOD, AGGR_DEADLINE)));
+    for (source, period, deadline) in flows {
+        sim.add_source(
+            source,
+            Box::new(PeriodicDeadlineBeSource::new(
+                &s.topo,
+                source,
+                dst,
+                u64::from(period),
+                u64::from(deadline),
+                config.tc_data_bytes(),
+                config.slot_bytes,
+            )),
+        );
+    }
+    add_background(&mut sim, &s.topo, be_rate, 0xBEEF);
+    sim
 }
 
 /// Runs the full comparison grid.

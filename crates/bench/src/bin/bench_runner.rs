@@ -527,7 +527,7 @@ fn run_idle_leap(cycles: u64, iters: usize) -> BenchResult {
 }
 
 fn render_json(results: &[BenchResult], smoke: bool) -> String {
-    // The vendored serde stub has no real serialisation, so the JSON is
+    // No serialisation crate is available offline, so the JSON is
     // written by hand; the format is flat on purpose.
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": 1,");

@@ -17,7 +17,8 @@
 //! * [`memory`] — shared packet memory with the idle-address FIFO,
 //! * [`sched`] — the shared comparator tree (Figure 5) and the Table 1
 //!   reference discipline it is verified against,
-//! * [`ports`] — input/output port state machines,
+//! * [`ports`] — the router kit: input ports, the wormhole channel, the
+//!   link serialiser (shared with the baseline routers),
 //! * [`router`] — the orchestrating chip,
 //! * [`stats`] — counters the experiments sample.
 //!

@@ -1,0 +1,330 @@
+//! The best-effort wormhole channel (paper §3.2, §3.4).
+//!
+//! One channel spans a router's five ports: bytes routed by the input ports
+//! leave on the output their header chose, one per output per cycle, under
+//! round-robin arbitration that binds an output to the winning input until
+//! the packet's tail, and credit-based flow control that never overruns the
+//! downstream flit buffer. It also owns the two ends that are not links:
+//! the injection port and the reception port's packet reassembly.
+//!
+//! It does *not* decide when an output may carry a best-effort byte: the
+//! arbitration order between classes belongs to the owning router, which
+//! calls [`WormholeChannel::send`] on the cycles it grants and reads back
+//! what happened.
+
+use std::collections::VecDeque;
+
+use rtr_types::flit::{BeByte, LinkSymbol};
+use rtr_types::ids::{Port, PORT_COUNT};
+use rtr_types::packet::{BePacket, PacketTrace};
+use rtr_types::time::Cycle;
+use rtr_types::{chip::ChipIo, error::PacketDecodeError};
+
+use super::input::InputPort;
+
+/// Reassembles a best-effort byte stream into packets.
+#[derive(Debug, Default)]
+pub struct BeReassembler {
+    buf: Vec<u8>,
+    trace: Option<PacketTrace>,
+}
+
+impl BeReassembler {
+    /// Takes the stream's next byte. A tail byte completes the packet:
+    /// decoded with the head byte's trace restored, or the decode error of
+    /// a malformed one (a fault destroyed part of it upstream).
+    pub fn push(&mut self, byte: BeByte) -> Option<Result<BePacket, PacketDecodeError>> {
+        if byte.head {
+            self.buf.clear();
+            self.trace = byte.trace;
+        }
+        self.buf.push(byte.byte);
+        if !byte.tail {
+            return None;
+        }
+        let packet = BePacket::from_wire(&self.buf).map(|mut packet| {
+            packet.trace = self.trace.take().unwrap_or_default();
+            packet
+        });
+        self.buf.clear();
+        Some(packet)
+    }
+
+    /// Bytes of the unfinished packet held so far.
+    #[must_use]
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+}
+
+/// What [`WormholeChannel::send`] did on an output this cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BeSent {
+    /// The input port served.
+    pub input: usize,
+    /// The byte was a packet's head: the output just picked this input.
+    pub head: bool,
+    /// A tail reached the reception port: the trace of the packet now at
+    /// the back of `io.delivered_be`, or why the bytes were not a packet.
+    pub delivered: Option<Result<PacketTrace, PacketDecodeError>>,
+}
+
+/// Wormhole state of one output port.
+#[derive(Debug)]
+struct BeOut {
+    /// Input bound to the packet in flight, until its tail byte.
+    bound: Option<usize>,
+    /// Next input to consider in round-robin order.
+    rr_next: usize,
+    /// Free flit-buffer bytes downstream.
+    credits: u32,
+    /// Reception port: local delivery needs no credits.
+    infinite_credit: bool,
+}
+
+impl BeOut {
+    fn has_credit(&self) -> bool {
+        self.infinite_credit || self.credits > 0
+    }
+}
+
+/// The best-effort virtual channel of one router.
+#[derive(Debug)]
+pub struct WormholeChannel {
+    outs: [BeOut; PORT_COUNT],
+    /// Injection in progress: position in `inject_buf` and the packet's
+    /// trace.
+    inject: Option<(usize, PacketTrace)>,
+    /// Wire bytes of the injection in progress, reused across packets so
+    /// injection never allocates.
+    inject_buf: Vec<u8>,
+    rx: BeReassembler,
+}
+
+impl WormholeChannel {
+    /// A channel whose network outputs start with `flit_bytes` credits (the
+    /// simulator overrides them from the real neighbour).
+    #[must_use]
+    pub fn new(flit_bytes: u32) -> Self {
+        WormholeChannel {
+            outs: std::array::from_fn(|i| BeOut {
+                bound: None,
+                rr_next: 0,
+                credits: flit_bytes,
+                infinite_credit: i == 0,
+            }),
+            inject: None,
+            inject_buf: Vec::new(),
+            rx: BeReassembler::default(),
+        }
+    }
+
+    /// Overrides the credit pool of a network output.
+    pub fn set_credits(&mut self, port: Port, bytes: u32) {
+        let out = &mut self.outs[port.index()];
+        if !out.infinite_credit {
+            out.credits = bytes;
+        }
+    }
+
+    /// Takes the credits freed downstream — first, so this cycle can spend them.
+    pub fn ingest_credits(&mut self, credit_in: &[u16; PORT_COUNT]) {
+        for (out, &bytes) in self.outs.iter_mut().zip(credit_in) {
+            if !out.infinite_credit {
+                out.credits += u32::from(bytes);
+            }
+        }
+    }
+
+    /// The injection port: feeds the packet at the head of `queue` into the
+    /// local input port, one byte per cycle, gated by its flit buffer.
+    #[inline]
+    pub fn inject(&mut self, now: Cycle, local: &mut InputPort, queue: &mut VecDeque<BePacket>) {
+        if self.inject.is_none() {
+            if let Some(packet) = queue.pop_front() {
+                packet.to_wire_into(&mut self.inject_buf);
+                self.inject = Some((0, packet.trace));
+            }
+        }
+        if let Some((pos, trace)) = &mut self.inject {
+            if local.be_free_space() > 0 {
+                let wire = &self.inject_buf;
+                let head = *pos == 0;
+                let tail = *pos == wire.len() - 1;
+                let byte = BeByte { byte: wire[*pos], head, tail, trace: head.then_some(*trace) };
+                let outcome = local.push_be(now, byte);
+                debug_assert_eq!(outcome, Default::default(), "injection is free-space gated");
+                *pos += 1;
+                if *pos == wire.len() {
+                    self.inject = None;
+                }
+            }
+        }
+    }
+
+    /// Drops the injection in progress (crash: no upstream link to refund).
+    pub fn abort_injection(&mut self) {
+        self.inject = None;
+    }
+
+    /// Whether a byte could leave on `out_idx` this cycle (read-only).
+    #[must_use]
+    pub fn waiting(&self, inputs: &[InputPort; PORT_COUNT], out_idx: usize, now: Cycle) -> bool {
+        let port = Port::from_index(out_idx);
+        self.outs[out_idx].has_credit()
+            && inputs.iter().any(|input| input.be_front_for(port, now).is_some())
+    }
+
+    /// Picks the input whose head-of-line byte this output should carry,
+    /// honouring an existing wormhole binding and otherwise rotating
+    /// round-robin over the input links (§3.2).
+    #[inline]
+    fn be_pick(
+        &mut self,
+        inputs: &[InputPort; PORT_COUNT],
+        out_idx: usize,
+        now: Cycle,
+    ) -> Option<usize> {
+        let port = Port::from_index(out_idx);
+        let out = &mut self.outs[out_idx];
+        if let Some(bound) = out.bound {
+            // A packet is mid-flight on this output: only its bytes may go.
+            return inputs[bound].be_front_for(port, now).map(|_| bound);
+        }
+        for k in 0..PORT_COUNT {
+            let i = (out.rr_next + k) % PORT_COUNT;
+            if let Some(front) = inputs[i].be_front_for(port, now) {
+                debug_assert!(front.byte.head, "unbound output must start at a head byte");
+                out.rr_next = (i + 1) % PORT_COUNT;
+                return Some(i);
+            }
+        }
+        None
+    }
+
+    /// Sends one byte on `out_idx` if a credit and a ready byte exist: pick,
+    /// bind, spend the credit, return the input's credit upstream, and drive
+    /// the link — or, on the reception port, reassemble and deliver.
+    #[inline]
+    pub fn send(
+        &mut self,
+        now: Cycle,
+        inputs: &mut [InputPort; PORT_COUNT],
+        out_idx: usize,
+        io: &mut ChipIo,
+    ) -> Option<BeSent> {
+        if !self.outs[out_idx].has_credit() {
+            return None;
+        }
+        let in_idx = self.be_pick(inputs, out_idx, now)?;
+        let byte = inputs[in_idx].pop_be().byte;
+        let out = &mut self.outs[out_idx];
+        out.bound = (!byte.tail).then_some(in_idx);
+        if !out.infinite_credit {
+            out.credits -= 1;
+        }
+        if in_idx != 0 {
+            io.credit_out[in_idx] += 1;
+        }
+        let delivered = if out_idx == 0 {
+            self.rx.push(byte).map(|packet| {
+                packet.map(|packet| {
+                    let trace = packet.trace;
+                    io.delivered_be.push((now, packet));
+                    trace
+                })
+            })
+        } else {
+            io.tx[out_idx] = Some(LinkSymbol::Be(byte));
+            None
+        };
+        Some(BeSent { input: in_idx, head: byte.head, delivered })
+    }
+
+    /// The channel's share of `Chip::next_event`: the earliest cycle it has
+    /// work for, given no further arrivals or credits. At or before `now`
+    /// means it already has (an injection in progress, a ready byte with a
+    /// credit); `None` that nothing buffered can move — a byte without
+    /// credit and a held header byte wait on the link, not on time.
+    #[must_use]
+    pub fn next_event(&self, inputs: &[InputPort; PORT_COUNT], now: Cycle) -> Option<Cycle> {
+        if self.inject.is_some() {
+            return Some(now);
+        }
+        let mut earliest: Option<Cycle> = None;
+        for input in inputs {
+            if let Some(head) = input.be_head() {
+                if head.ready_at > now {
+                    earliest = Some(earliest.map_or(head.ready_at, |e| e.min(head.ready_at)));
+                } else if self.outs[head.out.index()].has_credit() {
+                    return Some(now);
+                }
+            }
+        }
+        earliest
+    }
+
+    /// Heap bytes behind the channel's staging buffers.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.inject_buf.capacity() + self.rx.buf.capacity()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn inputs() -> [InputPort; PORT_COUNT] {
+        std::array::from_fn(|_| InputPort::new(10, 6, 10))
+    }
+
+    #[test]
+    fn credits_gate_network_outputs_but_never_the_reception_port() {
+        let mut channel = WormholeChannel::new(2);
+        channel.set_credits(Port::Local, 0);
+        channel.set_credits(Port::from_index(1), 0);
+        assert!(channel.outs[0].has_credit(), "local delivery needs no credits");
+        assert!(!channel.outs[1].has_credit() && channel.outs[2].has_credit());
+        assert!(!channel.waiting(&inputs(), 2, 0), "credit alone is not a waiting byte");
+        channel.ingest_credits(&[0, 1, 0, 0, 0]);
+        assert!(channel.outs[1].has_credit());
+    }
+
+    #[test]
+    fn send_reports_head_binding_and_delivery() {
+        let mut channel = WormholeChannel::new(8);
+        let mut inputs = inputs();
+        let mut io = ChipIo::new();
+        let trace = PacketTrace { sequence: 9, ..PacketTrace::default() };
+        io.inject_be.push_back(BePacket::new(0, 0, vec![1, 2], trace));
+        let mut reports = Vec::new();
+        for now in 0..40 {
+            channel.inject(now, &mut inputs[0], &mut io.inject_be);
+            if now == 0 {
+                assert_eq!(channel.next_event(&inputs, now), Some(now), "injecting: busy now");
+            }
+            if let Some(sent) = channel.send(now, &mut inputs, 0, &mut io) {
+                reports.push(sent);
+            }
+        }
+        assert_eq!(reports.len(), 6, "4 header + 2 payload bytes");
+        assert!(reports[0].head && reports[1..].iter().all(|r| !r.head));
+        assert!(reports.iter().all(|r| r.input == 0));
+        assert!(reports[..5].iter().all(|r| r.delivered.is_none()));
+        assert_eq!(reports[5].delivered, Some(Ok(trace)));
+        assert_eq!(io.delivered_be[0].1.payload, vec![1, 2]);
+        assert_eq!(channel.next_event(&inputs, 40), None, "drained");
+    }
+
+    #[test]
+    fn reassembler_reports_a_torn_packet_as_malformed() {
+        let mut rx = BeReassembler::default();
+        assert!(rx.push(BeByte { byte: 0, head: true, tail: false, trace: None }).is_none());
+        assert_eq!(rx.buffered(), 1);
+        // The length bytes never arrive; the tail closes a 2-byte "packet".
+        let torn = rx.push(BeByte { byte: 0, head: false, tail: true, trace: None });
+        assert!(matches!(torn, Some(Err(PacketDecodeError::Truncated { .. }))));
+        assert_eq!(rx.buffered(), 0, "the next packet starts clean");
+    }
+}

@@ -17,6 +17,7 @@
 
 use std::collections::VecDeque;
 
+use rtr_types::config::RouterConfig;
 use rtr_types::flit::BeByte;
 use rtr_types::ids::Port;
 use rtr_types::packet::{BeHeader, PacketTrace, TcPacket};
@@ -25,7 +26,7 @@ use rtr_types::time::Cycle;
 /// A best-effort byte that has been routed and is waiting in the flit
 /// buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoutedByte {
+pub(super) struct RoutedByte {
     /// Earliest cycle the byte may leave on an output link.
     pub ready_at: Cycle,
     /// The (possibly header-rewritten) byte.
@@ -34,7 +35,7 @@ pub struct RoutedByte {
     pub out: Port,
 }
 
-/// What [`InputPort::push_be`] did with a byte — all-zero in fault-free
+/// What [`InputPort::accept_be`] did with a byte — all-zero in fault-free
 /// runs. Fault-torn streams (a crashed receiver dropped symbols upstream,
 /// a byzantine neighbour forged credits) are shed deliberately: every
 /// dropped byte is reported so the caller can count it and refund its
@@ -110,6 +111,19 @@ impl InputPort {
         }
     }
 
+    /// The input port of `config`'s datapath: the `30 + b` best-effort
+    /// pipeline of §5.2, the header-lookup plus memory-store latency of the
+    /// time-constrained path, and the flit buffer advertised upstream.
+    #[must_use]
+    pub fn from_config(config: &RouterConfig) -> Self {
+        let t = &config.timing;
+        let be_latency =
+            t.sync_cycles + t.header_cycles + config.chunk_bytes as u64 + t.bus_grant_cycles;
+        let store_chunks = config.slot_bytes.div_ceil(config.memory_chunk_bytes) as u64;
+        let tc_store_latency = t.sync_cycles + t.header_cycles + store_chunks * t.bus_grant_cycles;
+        InputPort::new(be_latency, tc_store_latency, config.be_path_bytes())
+    }
+
     /// Bytes currently held on the best-effort channel (routed bytes plus a
     /// held header byte); bounded by the flit capacity via flow control.
     #[must_use]
@@ -119,7 +133,7 @@ impl InputPort {
 
     /// Free best-effort buffer space in bytes.
     #[must_use]
-    pub fn be_free_space(&self) -> usize {
+    pub(super) fn be_free_space(&self) -> usize {
         self.flit_capacity - self.be_occupancy()
     }
 
@@ -199,13 +213,17 @@ impl InputPort {
         }
     }
 
-    /// Number of packets sitting in the arrival pipeline.
-    #[must_use]
-    pub fn tc_pending_len(&self) -> usize {
-        self.tc_pending.len()
+    /// Accepts one best-effort byte from the link feeding this port. Bytes
+    /// it had to shed (see [`BePush`]) consumed upstream credits, which are
+    /// refunded into `credit_out`; the caller counts them.
+    pub fn accept_be(&mut self, now: Cycle, byte: BeByte, credit_out: &mut u16) -> BePush {
+        let outcome = self.push_be(now, byte);
+        *credit_out += u16::from(outcome.dropped);
+        outcome
     }
 
-    /// Accepts one best-effort byte from the link (or the local injector).
+    /// Frames and routes one best-effort byte (from the link via
+    /// [`Self::accept_be`], or from the local injector).
     ///
     /// With honest flow control and coherent links the returned [`BePush`]
     /// is all-zero. Faults break both assumptions — a byzantine neighbour
@@ -213,7 +231,7 @@ impl InputPort {
     /// tear frames (orphan fragments, missing tails, a head mid-stream) —
     /// so instead of asserting, the port sheds exactly the bytes it cannot
     /// frame and reports them for counting and credit refund.
-    pub fn push_be(&mut self, now: Cycle, byte: BeByte) -> BePush {
+    pub(super) fn push_be(&mut self, now: Cycle, byte: BeByte) -> BePush {
         let mut outcome = BePush::default();
         if self.be_occupancy() >= self.flit_capacity {
             // Only reachable via forged credits: honest flow control never
@@ -287,7 +305,7 @@ impl InputPort {
     /// Whether the byte at the head of the flit buffer is routed to `out`
     /// and ready to leave at `now`.
     #[must_use]
-    pub fn be_front_for(&self, out: Port, now: Cycle) -> Option<&RoutedByte> {
+    pub(super) fn be_front_for(&self, out: Port, now: Cycle) -> Option<&RoutedByte> {
         self.be_fifo.front().filter(|b| b.out == out && b.ready_at <= now)
     }
 
@@ -297,7 +315,7 @@ impl InputPort {
     /// # Panics
     ///
     /// Panics if the buffer is empty.
-    pub fn pop_be(&mut self) -> RoutedByte {
+    pub(super) fn pop_be(&mut self) -> RoutedByte {
         self.be_fifo.pop_front().expect("popping an empty flit buffer")
     }
 
@@ -316,17 +334,11 @@ impl InputPort {
         self.tc_pending.front().map(|(ready_at, _)| *ready_at)
     }
 
-    /// The cycle at which the head flit-buffer byte becomes forwardable, if
-    /// any. A held header byte (an x-offset waiting for its y-offset) is
-    /// frozen until the next link byte arrives, so it is not an event source.
+    /// The head byte of the flit buffer, regardless of readiness. A held
+    /// header byte (an x-offset waiting for its y-offset) is frozen until
+    /// the next link byte arrives, so it is not an event source.
     #[must_use]
-    pub fn next_be_ready(&self) -> Option<Cycle> {
-        self.be_fifo.front().map(|b| b.ready_at)
-    }
-
-    /// The head byte of the flit buffer, regardless of readiness.
-    #[must_use]
-    pub fn be_head(&self) -> Option<&RoutedByte> {
+    pub(super) fn be_head(&self) -> Option<&RoutedByte> {
         self.be_fifo.front()
     }
 

@@ -1,17 +1,14 @@
-//! Output-port state (paper §3.2, §4.2).
-//!
-//! Each output port multiplexes its link between the two virtual channels
-//! with the fine-grain priority of §3.2: an on-time time-constrained packet
-//! preempts best-effort traffic at a byte boundary; best-effort flits consume
-//! any excess bandwidth; early time-constrained packets within the horizon
-//! fill otherwise-idle cycles.
-//!
-//! The port also models the shared comparator tree's pipeline: a selection
-//! becomes usable `sched_latency` cycles after packets first become
-//! available; during a backlog the pipeline stays full and transmissions are
-//! back-to-back (the overlap of scheduling and transmission of §4.2).
+//! Output-port state (paper §3.1, §4.2): the time-constrained link
+//! serialiser, and the real-time router's view of the shared comparator
+//! tree's pipeline — a selection becomes usable `sched_latency` cycles after
+//! packets first become available; during a backlog the pipeline stays full
+//! and transmissions are back-to-back (the overlap of scheduling and
+//! transmission of §4.2). Which class gets a link cycle is the router's
+//! decision, not the port's.
 
 use crate::sched::tree::Selection;
+use rtr_types::chip::ChipIo;
+use rtr_types::flit::LinkSymbol;
 use rtr_types::packet::TcPacket;
 use rtr_types::time::Cycle;
 
@@ -27,19 +24,70 @@ pub struct PendingCut {
     pub early: bool,
 }
 
-/// A time-constrained packet currently being clocked out on a link.
-#[derive(Debug)]
-pub struct TcTransmit {
-    /// The packet (header already rewritten for the next hop).
-    pub packet: TcPacket,
-    /// Leaf index it was selected from (for diagnostics).
-    pub leaf: usize,
-    /// Whether the packet was transmitted early (within the horizon).
-    pub early: bool,
-    /// Symbols already emitted.
-    pub sent: usize,
-    /// Total symbols (the packet's wire length).
-    pub total: usize,
+/// One time-constrained packet crossing a port at one symbol per cycle
+/// (§3.1): a start symbol, then `wire_len − 1` continuations. An output
+/// port drives its link with [`Serialiser::start`] / [`Serialiser::advance`]
+/// and delivers locally on the last symbol; an injection port, whose
+/// symbols the caller feeds to the local input, uses the same pacing
+/// through [`Serialiser::begin`] / [`Serialiser::step`].
+#[derive(Debug, Default)]
+pub struct Serialiser {
+    /// Continuation symbols still to go.
+    remaining: usize,
+    /// Symbols of the packet in flight (continuation `total − remaining`).
+    total: usize,
+    /// The packet itself, kept only on its way to the reception port — a
+    /// network link carries it inside the start symbol.
+    held: Option<TcPacket>,
+}
+
+impl Serialiser {
+    /// Whether a packet is mid-flight: the port owes a symbol every cycle.
+    #[must_use]
+    pub fn busy(&self) -> bool {
+        self.remaining > 0
+    }
+
+    /// Starts pacing `wire_len` symbols, the first crossing this cycle.
+    pub fn begin(&mut self, wire_len: usize) {
+        self.total = wire_len;
+        self.remaining = wire_len - 1;
+    }
+
+    /// Spends this cycle on the next continuation symbol, if one is owed.
+    pub fn step(&mut self) -> bool {
+        let owed = self.busy();
+        self.remaining -= usize::from(owed);
+        owed
+    }
+
+    /// Emits `packet`'s start symbol on output `out_idx`. Returns whether
+    /// this cycle delivered the packet (pushed it onto `io.delivered_tc`).
+    pub fn start(&mut self, now: Cycle, out_idx: usize, packet: TcPacket, io: &mut ChipIo) -> bool {
+        self.begin(packet.wire_len());
+        if out_idx == 0 {
+            self.held = Some(packet);
+        } else {
+            io.tx[out_idx] = Some(LinkSymbol::TcStart(Box::new(packet)));
+        }
+        self.deliver_if_done(now, io)
+    }
+
+    /// Emits the packet's next continuation; returns as [`Self::start`].
+    pub fn advance(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) -> bool {
+        debug_assert!(self.busy(), "no time-constrained transmission in flight");
+        if out_idx != 0 {
+            let index = (self.total - self.remaining) as u8;
+            io.tx[out_idx] = Some(LinkSymbol::TcCont { index });
+        }
+        self.step();
+        self.deliver_if_done(now, io)
+    }
+
+    fn deliver_if_done(&mut self, now: Cycle, io: &mut ChipIo) -> bool {
+        let done = if self.busy() { None } else { self.held.take() };
+        done.map(|packet| io.delivered_tc.push((now, packet))).is_some()
+    }
 }
 
 /// Cached comparator-tree selection (valid for one tree version and one
@@ -51,22 +99,14 @@ struct CachedSelection {
     selection: Option<Selection>,
 }
 
-/// State of one output port.
-#[derive(Debug)]
+/// State of one output port; `Default` is the idle port with a zero
+/// horizon.
+#[derive(Debug, Default)]
 pub struct OutputPort {
     /// In-flight time-constrained transmission.
-    pub tc_tx: Option<TcTransmit>,
+    pub tc_tx: Serialiser,
     /// A virtual cut-through transmission awaiting its start cycle.
     pub pending_cut: Option<PendingCut>,
-    /// Input port currently bound for a wormhole packet (round-robin winner,
-    /// held until the packet's tail byte).
-    pub be_bound: Option<usize>,
-    /// Next input port index to consider in round-robin order.
-    pub rr_next: usize,
-    /// Best-effort credits: free flit-buffer bytes downstream.
-    pub credits: u32,
-    /// Reception port: local delivery needs no credits.
-    pub infinite_credit: bool,
     /// Horizon register `h` for this port, in slots (Table 3).
     pub horizon: u32,
     cached: Option<CachedSelection>,
@@ -75,50 +115,6 @@ pub struct OutputPort {
 }
 
 impl OutputPort {
-    /// Creates an output port with the given initial credit pool.
-    #[must_use]
-    pub fn new(credits: u32, infinite_credit: bool) -> Self {
-        OutputPort {
-            tc_tx: None,
-            pending_cut: None,
-            be_bound: None,
-            rr_next: 0,
-            credits,
-            infinite_credit,
-            horizon: 0,
-            cached: None,
-            grant_ready_at: 0,
-            had_candidate: false,
-        }
-    }
-
-    /// Whether the link is free for a new packet this cycle.
-    #[must_use]
-    pub fn link_free(&self) -> bool {
-        self.tc_tx.is_none()
-    }
-
-    /// Whether a best-effort byte may be sent (credit available).
-    #[must_use]
-    pub fn has_credit(&self) -> bool {
-        self.infinite_credit || self.credits > 0
-    }
-
-    /// Spends one best-effort credit.
-    pub fn spend_credit(&mut self) {
-        if !self.infinite_credit {
-            debug_assert!(self.credits > 0, "spending a credit the port does not have");
-            self.credits -= 1;
-        }
-    }
-
-    /// Returns credits freed by the downstream flit buffer.
-    pub fn add_credits(&mut self, bytes: u32) {
-        if !self.infinite_credit {
-            self.credits += bytes;
-        }
-    }
-
     /// Looks up (or refreshes) the cached selection for this port, modelling
     /// the pipelined tree: `recompute` is called only when the tree version
     /// or the scheduler slot changed. Returns the selection and whether the
@@ -148,12 +144,6 @@ impl OutputPort {
         }
         let selection = self.cached.and_then(|c| c.selection);
         (selection, now >= self.grant_ready_at)
-    }
-
-    /// Invalidate the cached selection (used after this port commits a
-    /// transmission, which mutates the tree).
-    pub fn invalidate_selection(&mut self) {
-        self.cached = None;
     }
 
     /// Whether the pipeline last observed a candidate for this port. When
@@ -200,28 +190,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn credits_gate_best_effort() {
-        let mut p = OutputPort::new(2, false);
-        assert!(p.has_credit());
-        p.spend_credit();
-        p.spend_credit();
-        assert!(!p.has_credit());
-        p.add_credits(1);
-        assert!(p.has_credit());
+    fn packet() -> TcPacket {
+        TcPacket {
+            conn: rtr_types::ids::ConnectionId(1),
+            arrival: SlotClock::new(8).wrap(0),
+            payload: vec![0x5A; 18].into(),
+            trace: rtr_types::packet::PacketTrace::default(),
+        }
     }
 
     #[test]
-    fn reception_port_never_runs_out_of_credit() {
-        let mut p = OutputPort::new(0, true);
-        assert!(p.has_credit());
-        p.spend_credit();
-        assert!(p.has_credit());
+    fn serialiser_paces_start_then_indexed_continuations_and_delivers_locally() {
+        let mut io = ChipIo::new();
+        let (mut link, mut local) = (Serialiser::default(), Serialiser::default());
+        assert!(!link.start(0, 2, packet(), &mut io) && !local.start(0, 0, packet(), &mut io));
+        assert!(matches!(io.tx[2].take(), Some(LinkSymbol::TcStart(_))));
+        for k in 1..20 {
+            assert!(link.busy() && local.busy(), "symbol {k} still owed");
+            assert!(!link.advance(k, 2, &mut io), "network outputs never deliver");
+            assert!(
+                matches!(io.tx[2].take(), Some(LinkSymbol::TcCont { index }) if u64::from(index) == k)
+            );
+            assert_eq!(local.advance(k, 0, &mut io), k == 19, "the 20th symbol completes it");
+        }
+        assert!(!link.busy() && !local.busy());
+        assert_eq!(io.delivered_tc.len(), 1);
+        assert_eq!(io.delivered_tc[0].0, 19);
+        assert!(io.tx.iter().all(Option::is_none), "the reception port drives no link");
+        // An injection port uses the pacing alone.
+        link.begin(3);
+        assert!(link.step() && link.step() && !link.step(), "two continuations owed");
     }
 
     #[test]
     fn first_grant_waits_for_pipeline_latency() {
-        let mut p = OutputPort::new(0, false);
+        let mut p = OutputPort::default();
         // Tree becomes non-empty at cycle 100.
         let (s, usable) = p.selection_with_grant(100, 1, 0, 4, || Some(sel(0)));
         assert!(s.is_some());
@@ -234,7 +237,7 @@ mod tests {
 
     #[test]
     fn backlog_keeps_pipeline_full() {
-        let mut p = OutputPort::new(0, false);
+        let mut p = OutputPort::default();
         let (_, _) = p.selection_with_grant(100, 1, 0, 4, || Some(sel(0)));
         // Tree mutates (another packet arrives) while a candidate existed:
         // no new latency is charged.
@@ -245,7 +248,7 @@ mod tests {
 
     #[test]
     fn cache_invalidates_on_slot_tick() {
-        let mut p = OutputPort::new(0, false);
+        let mut p = OutputPort::default();
         let (_, _) = p.selection_with_grant(0, 1, 0, 0, || Some(sel(0)));
         let mut called = false;
         let (_, _) = p.selection_with_grant(20, 1, 1, 0, || {
@@ -259,12 +262,12 @@ mod tests {
     fn settle_pipeline_matches_dense_recompute() {
         // Dense reference: tree becomes non-empty at cycle 100, first
         // grant usable at 104.
-        let mut dense = OutputPort::new(0, false);
+        let mut dense = OutputPort::default();
         let (_, _) = dense.selection_with_grant(100, 1, 0, 4, || Some(sel(0)));
         // Settled port: the same transition recorded by `settle_pipeline`
         // at the skipped span's first cycle must yield the same grant
         // schedule once ticking resumes.
-        let mut settled = OutputPort::new(0, false);
+        let mut settled = OutputPort::default();
         settled.settle_pipeline(100, true, 4);
         for now in [103, 104] {
             let (_, dense_usable) = dense.selection_with_grant(now, 1, 0, 4, || Some(sel(0)));
@@ -280,7 +283,7 @@ mod tests {
 
     #[test]
     fn empty_tree_resets_pipeline() {
-        let mut p = OutputPort::new(0, false);
+        let mut p = OutputPort::default();
         let (_, _) = p.selection_with_grant(0, 1, 0, 4, || Some(sel(0)));
         let (_, _) = p.selection_with_grant(10, 2, 0, 4, || None);
         // Next candidate charges the latency again.

@@ -17,23 +17,22 @@
 //! best-effort byte goes; otherwise an early selection within the horizon
 //! goes; otherwise the link idles.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
 use rtr_types::clock::{LogicalTime, SlotClock};
 use rtr_types::config::RouterConfig;
 use rtr_types::error::ConfigError;
-use rtr_types::flit::{BeByte, LinkSymbol};
+use rtr_types::flit::LinkSymbol;
 use rtr_types::ids::{Port, PORT_COUNT};
-use rtr_types::packet::{BePacket, PacketTrace, TcPacket};
+use rtr_types::packet::TcPacket;
 use rtr_types::time::Cycle;
 
 use crate::conn_table::ConnectionTable;
 use crate::control::{ControlCommand, ControlError, ControlPort, ControlReg};
 use crate::memory::PacketMemory;
-use crate::ports::input::InputPort;
-use crate::ports::output::{OutputPort, TcTransmit};
+use crate::ports::output::PendingCut;
+use crate::ports::{BeSent, InputPort, OutputPort, Serialiser, WakePolls, WormholeChannel};
 use crate::sched::dispatch::Scheduler;
 use crate::sched::leaf::Leaf;
 use crate::stats::RouterStats;
@@ -61,27 +60,6 @@ macro_rules! trace_event {
     ($self:ident, $now:expr, $event:expr) => {};
 }
 
-/// Interior-mutable wake-precision counters (see [`WakeStats`]): the
-/// accounting happens inside [`Chip::next_event`], which takes `&self`.
-#[derive(Debug, Default)]
-struct WakeTelemetry {
-    polls: Cell<u64>,
-    short_polls: Cell<u64>,
-    sync_guard_only: Cell<u64>,
-    sync_guard_foregone: Cell<u64>,
-}
-
-impl WakeTelemetry {
-    fn snapshot(&self) -> WakeStats {
-        WakeStats {
-            polls: self.polls.get(),
-            short_polls: self.short_polls.get(),
-            sync_guard_only: self.sync_guard_only.get(),
-            sync_guard_foregone: self.sync_guard_foregone.get(),
-        }
-    }
-}
-
 /// The single-chip real-time router.
 #[derive(Debug)]
 pub struct RealTimeRouter {
@@ -105,24 +83,12 @@ pub struct RealTimeRouter {
     sched: Scheduler,
     inputs: [InputPort; PORT_COUNT],
     outputs: [OutputPort; PORT_COUNT],
-    /// Remaining continuation symbols of the time-constrained injection in
-    /// progress.
-    tc_inject_remaining: Option<usize>,
-    /// Best-effort injection in progress: position and trace;
-    /// the staged wire bytes live in [`Self::be_inject_buf`].
-    be_inject: Option<(usize, PacketTrace)>,
-    /// Staging buffer for the best-effort injection port, reused across
-    /// packets so injection never allocates.
-    be_inject_buf: Vec<u8>,
-    /// Reception-port best-effort reassembly buffer.
-    rx_be_buf: Vec<u8>,
-    rx_be_trace: Option<PacketTrace>,
+    /// The best-effort virtual channel across all five ports.
+    be: WormholeChannel,
+    /// Pacing of the time-constrained injection port.
+    tc_inject: Serialiser,
     stats: RouterStats,
-    /// Wake-precision telemetry for [`Chip::next_event`] answers. `Cell`s
-    /// because polling takes `&self`; kept out of [`RouterStats`] so the
-    /// stepped-vs-leaping statistics comparisons (which poll at different
-    /// rates) stay byte-identical.
-    wake: WakeTelemetry,
+    wake: WakePolls,
     /// Event sink for cycle-accurate tracing (None = tracing off).
     #[cfg(feature = "trace")]
     trace_sink: Option<SharedTraceSink>,
@@ -173,17 +139,6 @@ impl RouterTemplate {
     pub fn build(&self) -> RealTimeRouter {
         let config = Arc::clone(&self.config);
         let clock = self.clock;
-        let t = &config.timing;
-        let be_latency =
-            t.sync_cycles + t.header_cycles + config.chunk_bytes as u64 + t.bus_grant_cycles;
-        let store_chunks = config.slot_bytes.div_ceil(config.memory_chunk_bytes) as u64;
-        let tc_store_latency = t.sync_cycles + t.header_cycles + store_chunks * t.bus_grant_cycles;
-        let flit = config.be_path_bytes();
-        let inputs = std::array::from_fn(|_| InputPort::new(be_latency, tc_store_latency, flit));
-        // Network outputs start with a symmetric credit assumption (the
-        // simulator overrides from the real neighbour); the reception port
-        // consumes locally and needs no credits.
-        let outputs = std::array::from_fn(|i| OutputPort::new(flit as u32, i == 0));
         RealTimeRouter {
             clock,
             skew_slots: 0,
@@ -192,15 +147,12 @@ impl RouterTemplate {
             torn_down: std::collections::HashSet::new(),
             memory: PacketMemory::new(config.packet_slots),
             sched: Scheduler::new(config.scheduler, config.packet_slots, clock, config.late_policy),
-            inputs,
-            outputs,
-            tc_inject_remaining: None,
-            be_inject: None,
-            be_inject_buf: Vec::new(),
-            rx_be_buf: Vec::new(),
-            rx_be_trace: None,
+            inputs: std::array::from_fn(|_| InputPort::from_config(&config)),
+            outputs: Default::default(),
+            be: WormholeChannel::new(config.be_path_bytes() as u32),
+            tc_inject: Serialiser::default(),
             stats: RouterStats::default(),
-            wake: WakeTelemetry::default(),
+            wake: WakePolls::default(),
             #[cfg(feature = "trace")]
             trace_sink: None,
             #[cfg(feature = "trace")]
@@ -291,16 +243,6 @@ impl RealTimeRouter {
     /// half the clock range for the §4.3 windows to hold).
     pub fn set_clock_skew(&mut self, slots: u64) {
         self.skew_slots = slots;
-    }
-
-    /// Overrides the initial best-effort credit pool of an output port (the
-    /// simulator calls this with the downstream neighbour's flit-buffer
-    /// size).
-    pub fn set_output_credits(&mut self, port: Port, bytes: u32) {
-        let out = &mut self.outputs[port.index()];
-        if !out.infinite_credit {
-            out.credits = bytes;
-        }
     }
 
     /// The horizon register of an output port.
@@ -395,13 +337,9 @@ impl RealTimeRouter {
                         }
                     }
                     LinkSymbol::Be(byte) => {
-                        let outcome = self.inputs[idx].push_be(now, byte);
-                        if outcome.dropped > 0 {
-                            self.stats.be_dropped_faulty += u64::from(outcome.dropped);
-                            // Shed bytes consumed upstream credits; refund
-                            // them so the sender's pool stays balanced.
-                            io.credit_out[idx] += u16::from(outcome.dropped);
-                        }
+                        let outcome =
+                            self.inputs[idx].accept_be(now, byte, &mut io.credit_out[idx]);
+                        self.stats.be_dropped_faulty += u64::from(outcome.dropped);
                         if outcome.truncated {
                             self.stats.be_truncated += 1;
                         }
@@ -433,9 +371,9 @@ impl RealTimeRouter {
                     let on_time = !self.clock.is_early(l, t);
                     let transmittable = on_time
                         || (self.clock.until(l, t) <= self.outputs[out_idx].horizon
-                            && !self.be_waiting(out_idx, now));
+                            && !self.be.waiting(&self.inputs, out_idx, now));
                     if transmittable
-                        && self.outputs[out_idx].tc_tx.is_none()
+                        && !self.outputs[out_idx].tc_tx.busy()
                         && self.outputs[out_idx].pending_cut.is_none()
                     {
                         let key = rtr_types::key::SortKey::compute(
@@ -480,12 +418,11 @@ impl RealTimeRouter {
                                 arrival: self.clock.add(l, entry.delay),
                                 ..packet
                             };
-                            self.outputs[out_idx].pending_cut =
-                                Some(crate::ports::output::PendingCut {
-                                    packet: rewritten,
-                                    start_at: now + cut_latency,
-                                    early: !on_time,
-                                });
+                            self.outputs[out_idx].pending_cut = Some(PendingCut {
+                                packet: rewritten,
+                                start_at: now + cut_latency,
+                                early: !on_time,
+                            });
                             if self.inputs[in_idx].push_tc_start_cut(wire_len) {
                                 self.stats.tc_truncated += 1;
                             }
@@ -507,10 +444,9 @@ impl RealTimeRouter {
 
     fn run_injectors(&mut self, now: Cycle, io: &mut ChipIo) {
         // Time-constrained injection port: one byte per cycle.
-        if let Some(remaining) = self.tc_inject_remaining {
+        if self.tc_inject.step() {
             let fed = self.inputs[0].push_tc_cont(now);
             debug_assert!(fed, "injection continuations always follow their start");
-            self.tc_inject_remaining = if remaining == 1 { None } else { Some(remaining - 1) };
         } else if let Some(packet) = io.inject_tc.pop_front() {
             if packet.payload.len() != self.config.tc_data_bytes() {
                 self.stats.tc_malformed += 1;
@@ -535,34 +471,12 @@ impl RealTimeRouter {
                         seq: packet.trace.sequence,
                     }
                 );
-                let remaining = packet.wire_len() - 1;
+                self.tc_inject.begin(packet.wire_len());
                 self.ingest_tc_start(now, 0, packet);
-                self.tc_inject_remaining = (remaining > 0).then_some(remaining);
             }
         }
 
-        // Best-effort injection port: one byte per cycle, gated by the local
-        // flit buffer.
-        if self.be_inject.is_none() {
-            if let Some(packet) = io.inject_be.pop_front() {
-                packet.to_wire_into(&mut self.be_inject_buf);
-                self.be_inject = Some((0, packet.trace));
-            }
-        }
-        if let Some((pos, trace)) = &mut self.be_inject {
-            if self.inputs[0].be_free_space() > 0 {
-                let wire = &self.be_inject_buf;
-                let head = *pos == 0;
-                let tail = *pos == wire.len() - 1;
-                let byte = BeByte { byte: wire[*pos], head, tail, trace: head.then_some(*trace) };
-                let outcome = self.inputs[0].push_be(now, byte);
-                debug_assert_eq!(outcome, Default::default(), "injection is free-space gated");
-                *pos += 1;
-                if *pos == wire.len() {
-                    self.be_inject = None;
-                }
-            }
-        }
+        self.be.inject(now, &mut self.inputs[0], &mut io.inject_be);
     }
 
     fn process_tc_arrivals(&mut self, now: Cycle) {
@@ -666,70 +580,16 @@ impl RealTimeRouter {
         }
     }
 
-    /// Whether any input holds a best-effort byte that could go out on
-    /// `out_idx` this cycle (read-only; used by the cut-through and early
-    /// checks).
-    fn be_waiting(&self, out_idx: usize, now: Cycle) -> bool {
-        let port = Port::from_index(out_idx);
-        self.outputs[out_idx].has_credit()
-            && self.inputs.iter().any(|input| input.be_front_for(port, now).is_some())
-    }
-
-    /// Picks the input port whose head-of-line best-effort byte this output
-    /// should carry, honouring an existing wormhole binding and otherwise
-    /// rotating round-robin over the input links (§3.2).
-    fn be_pick(&mut self, out_idx: usize, now: Cycle) -> Option<usize> {
-        let port = Port::from_index(out_idx);
-        if let Some(bound) = self.outputs[out_idx].be_bound {
-            // A packet is mid-flight on this output: only its bytes may go.
-            return self.inputs[bound].be_front_for(port, now).map(|_| bound);
-        }
-        let start = self.outputs[out_idx].rr_next;
-        for k in 0..PORT_COUNT {
-            let i = (start + k) % PORT_COUNT;
-            if let Some(front) = self.inputs[i].be_front_for(port, now) {
-                debug_assert!(front.byte.head, "unbound output must start at a head byte");
-                self.outputs[out_idx].rr_next = (i + 1) % PORT_COUNT;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn deliver_be_byte(&mut self, now: Cycle, byte: BeByte, io: &mut ChipIo) {
-        if byte.head {
-            self.rx_be_buf.clear();
-            self.rx_be_trace = byte.trace;
-        }
-        self.rx_be_buf.push(byte.byte);
-        if byte.tail {
-            match BePacket::from_wire(&self.rx_be_buf) {
-                Ok(mut packet) => {
-                    packet.trace = self.rx_be_trace.take().unwrap_or_default();
-                    self.stats.be_delivered += 1;
-                    trace_event!(
-                        self,
-                        now,
-                        TraceEvent::BeDeliver {
-                            src: packet.trace.source,
-                            seq: packet.trace.sequence,
-                        }
-                    );
-                    io.delivered_be.push((now, packet));
-                }
-                Err(_) => self.stats.be_malformed += 1,
-            }
-            self.rx_be_buf.clear();
-        }
-    }
-
     fn drive_output(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) {
         let port = Port::from_index(out_idx);
         let t = self.scheduler_time(now);
 
         // 1. An in-flight time-constrained packet finishes its bytes.
-        if self.outputs[out_idx].tc_tx.is_some() {
-            self.continue_tc(now, out_idx, io);
+        if self.outputs[out_idx].tc_tx.busy() {
+            self.stats.tc_bytes[out_idx] += 1;
+            if self.outputs[out_idx].tc_tx.advance(now, out_idx, io) {
+                self.note_tc_delivered(now, io);
+            }
             return;
         }
 
@@ -739,16 +599,10 @@ impl RealTimeRouter {
         if let Some(pending) = &self.outputs[out_idx].pending_cut {
             if pending.start_at <= now {
                 let pending = self.outputs[out_idx].pending_cut.take().expect("checked");
-                self.start_cut_tc(now, out_idx, pending.packet, pending.early, io);
-                return;
+                self.transmit_tc(now, out_idx, pending.packet, pending.early, io);
+            } else if !self.send_be(now, out_idx, io) {
+                self.stats.idle_cycles[out_idx] += 1;
             }
-            if self.outputs[out_idx].has_credit() {
-                if let Some(in_idx) = self.be_pick(out_idx, now) {
-                    self.send_be_byte(now, out_idx, in_idx, io);
-                    return;
-                }
-            }
-            self.stats.idle_cycles[out_idx] += 1;
             return;
         }
 
@@ -774,11 +628,8 @@ impl RealTimeRouter {
 
         // 3. Best-effort flits consume excess bandwidth, ahead of early
         //    time-constrained packets.
-        if self.outputs[out_idx].has_credit() {
-            if let Some(in_idx) = self.be_pick(out_idx, now) {
-                self.send_be_byte(now, out_idx, in_idx, io);
-                return;
-            }
+        if self.send_be(now, out_idx, io) {
+            return;
         }
 
         // 4. Early time-constrained packets within the horizon fill
@@ -793,67 +644,40 @@ impl RealTimeRouter {
         self.stats.idle_cycles[out_idx] += 1;
     }
 
-    /// Emits one best-effort byte from `in_idx` on output `out_idx`,
-    /// maintaining wormhole binding, credits, and reassembly.
-    fn send_be_byte(&mut self, now: Cycle, out_idx: usize, in_idx: usize, io: &mut ChipIo) {
-        let routed = self.inputs[in_idx].pop_be();
-        if routed.byte.head {
+    /// Gives this cycle on `out_idx` to the best-effort channel and accounts
+    /// what it did; returns whether a byte went.
+    #[inline]
+    fn send_be(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) -> bool {
+        let Some(BeSent { input: _input, head, delivered }) =
+            self.be.send(now, &mut self.inputs, out_idx, io)
+        else {
+            return false;
+        };
+        if head {
             trace_event!(
                 self,
                 now,
-                TraceEvent::BeSelect { port: out_idx as u8, input: in_idx as u8 }
+                TraceEvent::BeSelect { port: out_idx as u8, input: _input as u8 }
             );
         }
-        self.outputs[out_idx].be_bound = (!routed.byte.tail).then_some(in_idx);
-        self.outputs[out_idx].spend_credit();
-        if in_idx != 0 {
-            io.credit_out[in_idx] += 1;
-        }
         self.stats.be_bytes[out_idx] += 1;
-        if out_idx == 0 {
-            self.deliver_be_byte(now, routed.byte, io);
-        } else {
-            io.tx[out_idx] = Some(LinkSymbol::Be(routed.byte));
-        }
-    }
-
-    /// Starts streaming a virtual cut-through packet on an output port.
-    fn start_cut_tc(
-        &mut self,
-        now: Cycle,
-        out_idx: usize,
-        packet: TcPacket,
-        early: bool,
-        io: &mut ChipIo,
-    ) {
-        self.stats.tc_transmitted[out_idx] += 1;
-        self.stats.tc_bytes[out_idx] += 1;
-        *self.stats.tc_bytes_by_conn.entry((out_idx, packet.conn)).or_insert(0) +=
-            packet.wire_len() as u64;
-        trace_event!(
-            self,
-            now,
-            TraceEvent::TcTransmit {
-                conn: packet.conn,
-                port: out_idx as u8,
-                early,
-                slack: i64::from(self.clock.signed_diff(packet.arrival, self.scheduler_time(now))),
-                src: packet.trace.source,
-                seq: packet.trace.sequence,
+        match delivered {
+            Some(Ok(_trace)) => {
+                self.stats.be_delivered += 1;
+                trace_event!(
+                    self,
+                    now,
+                    TraceEvent::BeDeliver { src: _trace.source, seq: _trace.sequence }
+                );
             }
-        );
-        let total = packet.wire_len();
-        if out_idx != 0 {
-            io.tx[out_idx] = Some(LinkSymbol::TcStart(Box::new(packet.clone())));
+            Some(Err(_)) => self.stats.be_malformed += 1,
+            None => {}
         }
-        let tx = TcTransmit { packet, leaf: usize::MAX, early, sent: 1, total };
-        if tx.sent == tx.total {
-            self.finish_tc(now, out_idx, tx, io);
-        } else {
-            self.outputs[out_idx].tc_tx = Some(tx);
-        }
+        true
     }
 
+    /// Commits the scheduler's selection for `out_idx` and starts clocking
+    /// the packet out.
     fn start_tc(
         &mut self,
         now: Cycle,
@@ -884,13 +708,26 @@ impl RealTimeRouter {
             self.stats.tc_retired += 1;
             trace_event!(self, now, TraceEvent::SlotFree { slot: freed.0 });
         }
-        self.stats.tc_transmitted[out_idx] += 1;
         if early {
             self.stats.tc_early_transmitted[out_idx] += 1;
         }
         if sel.key.is_aliased() {
             self.stats.aliased_keys += 1;
         }
+        self.transmit_tc(now, out_idx, packet, early, io);
+    }
+
+    /// Puts a packet's start symbol on `out_idx` — a committed selection or
+    /// a virtual cut-through whose header latency has elapsed.
+    fn transmit_tc(
+        &mut self,
+        now: Cycle,
+        out_idx: usize,
+        packet: TcPacket,
+        _early: bool,
+        io: &mut ChipIo,
+    ) {
+        self.stats.tc_transmitted[out_idx] += 1;
         self.stats.tc_bytes[out_idx] += 1;
         *self.stats.tc_bytes_by_conn.entry((out_idx, packet.conn)).or_insert(0) +=
             packet.wire_len() as u64;
@@ -900,68 +737,36 @@ impl RealTimeRouter {
             TraceEvent::TcTransmit {
                 conn: packet.conn,
                 port: out_idx as u8,
-                early,
+                early: _early,
                 slack: i64::from(self.clock.signed_diff(packet.arrival, self.scheduler_time(now))),
                 src: packet.trace.source,
                 seq: packet.trace.sequence,
             }
         );
-
-        let total = packet.wire_len();
-        if out_idx != 0 {
-            io.tx[out_idx] = Some(LinkSymbol::TcStart(Box::new(packet.clone())));
-        }
-        let tx = TcTransmit { packet, leaf: sel.leaf, early, sent: 1, total };
-        if tx.sent == tx.total {
-            self.finish_tc(now, out_idx, tx, io);
-        } else {
-            self.outputs[out_idx].tc_tx = Some(tx);
+        if self.outputs[out_idx].tc_tx.start(now, out_idx, packet, io) {
+            self.note_tc_delivered(now, io);
         }
     }
 
-    fn continue_tc(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) {
-        let mut tx = self.outputs[out_idx].tc_tx.take().expect("no TC transmission in flight");
-        if out_idx != 0 {
-            io.tx[out_idx] = Some(LinkSymbol::TcCont { index: tx.sent as u8 });
-        }
-        tx.sent += 1;
-        self.stats.tc_bytes[out_idx] += 1;
-        if tx.sent == tx.total {
-            self.finish_tc(now, out_idx, tx, io);
-        } else {
-            self.outputs[out_idx].tc_tx = Some(tx);
-        }
-    }
-
-    fn finish_tc(&mut self, now: Cycle, out_idx: usize, tx: TcTransmit, io: &mut ChipIo) {
-        if out_idx == 0 {
-            self.stats.tc_delivered += 1;
-            trace_event!(
-                self,
-                now,
-                TraceEvent::TcDeliver {
-                    conn: tx.packet.conn,
-                    slack: i64::from(
-                        self.clock.signed_diff(tx.packet.arrival, self.scheduler_time(now))
-                    ),
-                    src: tx.packet.trace.source,
-                    seq: tx.packet.trace.sequence,
-                }
-            );
-            io.delivered_tc.push((now, tx.packet));
-        }
+    /// Accounts the packet the serialiser just pushed onto `io.delivered_tc`.
+    fn note_tc_delivered(&mut self, _now: Cycle, _io: &ChipIo) {
+        self.stats.tc_delivered += 1;
+        trace_event!(self, _now, {
+            let (_, packet) = _io.delivered_tc.last().expect("just delivered");
+            TraceEvent::TcDeliver {
+                conn: packet.conn,
+                slack: i64::from(self.clock.signed_diff(packet.arrival, self.scheduler_time(_now))),
+                src: packet.trace.source,
+                seq: packet.trace.sequence,
+            }
+        });
     }
 }
 
 impl Chip for RealTimeRouter {
     fn tick(&mut self, now: Cycle, io: &mut ChipIo) {
         // Credits freed downstream arrive first so this cycle can use them.
-        for idx in 0..PORT_COUNT {
-            let bytes = io.credit_in[idx];
-            if bytes > 0 {
-                self.outputs[idx].add_credits(u32::from(bytes));
-            }
-        }
+        self.be.ingest_credits(&io.credit_in);
         self.ingest_network_symbols(now, io);
         self.run_injectors(now, io);
         self.process_tc_arrivals(now);
@@ -975,7 +780,7 @@ impl Chip for RealTimeRouter {
     }
 
     fn set_output_credits(&mut self, port: Port, bytes: u32) {
-        RealTimeRouter::set_output_credits(self, port, bytes);
+        self.be.set_credits(port, bytes);
     }
 
     fn gauges(&self) -> Option<rtr_types::chip::ChipGauges> {
@@ -994,24 +799,17 @@ impl Chip for RealTimeRouter {
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.wake.polls.set(self.wake.polls.get() + 1);
-        let short = || {
-            self.wake.short_polls.set(self.wake.short_polls.get() + 1);
-            Some(now + 1)
-        };
-
         // Anything that makes progress every cycle forces a tick next cycle.
-        if self.tc_inject_remaining.is_some() || self.be_inject.is_some() {
-            return short();
+        if self.tc_inject.busy()
+            || self.inputs.iter().any(InputPort::tc_rx_active)
+            || self.outputs.iter().any(|out| out.tc_tx.busy())
+        {
+            return self.wake.short(now);
         }
-        if self.inputs.iter().any(InputPort::tc_rx_active) {
-            return short();
+        let mut earliest = self.be.next_event(&self.inputs, now);
+        if earliest.is_some_and(|at| at <= now) {
+            return self.wake.short(now);
         }
-        if self.outputs.iter().any(|out| out.tc_tx.is_some()) {
-            return short();
-        }
-
-        let mut earliest: Option<Cycle> = None;
         let mut merge = |at: Cycle| {
             let at = at.max(now + 1);
             earliest = Some(earliest.map_or(at, |e: Cycle| e.min(at)));
@@ -1039,16 +837,6 @@ impl Chip for RealTimeRouter {
             if let Some(ready) = input.next_tc_ready() {
                 merge(ready);
             }
-            if let Some(head) = input.be_head() {
-                if head.ready_at > now {
-                    merge(head.ready_at);
-                } else if self.outputs[head.out.index()].has_credit() {
-                    // Ready and sendable: it goes out next cycle. A ready
-                    // byte with no downstream credit is frozen until an
-                    // external credit arrives, so it is not an event source.
-                    return short();
-                }
-            }
         }
 
         // Buffered time-constrained packets wake the chip when they become
@@ -1059,14 +847,14 @@ impl Chip for RealTimeRouter {
         let slot_bytes = self.config.slot_bytes as u64;
         for (_, leaf) in self.sched.iter() {
             if !self.clock.is_early(leaf.l, t) {
-                return short();
+                return self.wake.short(now);
             }
             for port in rtr_types::ids::ports_in_mask(leaf.port_mask) {
                 let horizon = self.outputs[port.index()].horizon;
                 let delta =
                     u64::from(self.clock.until(leaf.l, t)).saturating_sub(u64::from(horizon));
                 if delta == 0 {
-                    return short();
+                    return self.wake.short(now);
                 }
                 // The scheduler slot advances exactly when `now` crosses a
                 // multiple of `slot_bytes`, so the packet enters the horizon
@@ -1079,15 +867,9 @@ impl Chip for RealTimeRouter {
             // The guard would have been the only blocker under the old
             // rule: every other wake source allowed `earliest` (or
             // silence). Count the leap the settle path reclaims.
-            self.wake.sync_guard_only.set(self.wake.sync_guard_only.get() + 1);
-            let reclaimed = earliest.map_or(0, |e| e - (now + 1));
-            self.wake.sync_guard_foregone.set(self.wake.sync_guard_foregone.get() + reclaimed);
+            self.wake.sync_guard(earliest.map_or(0, |e| e - (now + 1)));
         }
-
-        if earliest == Some(now + 1) {
-            return short();
-        }
-        earliest
+        self.wake.answer(now, earliest)
     }
 
     fn skip_quiet(&mut self, from: Cycle, to: Cycle) {
@@ -1132,8 +914,7 @@ impl Chip for RealTimeRouter {
             + self.sched.heap_bytes()
             + self.table.heap_bytes()
             + self.inputs.iter().map(InputPort::heap_bytes).sum::<usize>()
-            + self.be_inject_buf.capacity()
-            + self.rx_be_buf.capacity()
+            + self.be.heap_bytes()
             + self.torn_down.capacity() * std::mem::size_of::<u16>()
     }
 
@@ -1157,8 +938,8 @@ impl Chip for RealTimeRouter {
         // The injection machinery feeds port 0 from inside the node; its
         // mid-flight packet died with the port's reassembly registers, and
         // there is no upstream link to refund.
-        self.tc_inject_remaining = None;
-        self.be_inject = None;
+        self.tc_inject = Serialiser::default();
+        self.be.abort_injection();
         dropped[0] = 0;
         dropped
     }
@@ -1167,7 +948,9 @@ impl Chip for RealTimeRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtr_types::flit::BeByte;
     use rtr_types::ids::{ConnectionId, Direction};
+    use rtr_types::packet::{BePacket, PacketTrace};
 
     fn router() -> RealTimeRouter {
         RealTimeRouter::new(RouterConfig::default()).unwrap()

@@ -1,11 +1,6 @@
-//! Scheduler dispatch: the router is built with the exact comparator tree
-//! (the fabricated chip), the §7 banded approximation, or the Table 1
-//! oracle, behind one interface.
-//!
-//! Every variant implements [`LinkScheduler`]; the [`Scheduler`] enum only
-//! chooses which implementation backs the trait object, so the router — and
-//! the ablation experiments — exercise all variants through a single code
-//! path.
+//! Scheduler dispatch: the router runs the exact comparator tree (the
+//! fabricated chip), the §7 banded approximation, or the Table 1 oracle.
+//! [`Scheduler`] is that closed set, statically dispatched by `match`.
 
 use crate::memory::SlotAddr;
 use crate::sched::banded::BandedScheduler;
@@ -17,126 +12,6 @@ use rtr_types::config::SchedulerKind;
 use rtr_types::ids::Port;
 use rtr_types::key::LatePolicy;
 
-/// The common contract of every link-scheduler implementation: the leaf
-/// lifecycle (`insert` → `select`* → `commit`) plus the version counter the
-/// output ports key their selection caches on.
-pub trait LinkScheduler: std::fmt::Debug {
-    /// Number of buffered packets.
-    fn len(&self) -> usize;
-
-    /// Whether no packets are buffered.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Monotone counter bumped on every mutation (never by selection).
-    fn version(&self) -> u64;
-
-    /// Inserts a packet's scheduler state, returning its leaf index.
-    ///
-    /// # Errors
-    ///
-    /// Gives the leaf back if every slot is occupied.
-    fn insert(&mut self, leaf: Leaf) -> Result<usize, Leaf>;
-
-    /// Selects the winning packet for `port` at scheduler time `t`. Both
-    /// on-time and early packets compete; the caller applies the horizon
-    /// check before transmitting an early winner.
-    fn select(&self, port: Port, t: LogicalTime) -> Option<Selection>;
-
-    /// Records that `port` transmitted leaf `idx`; returns the freed memory
-    /// address when the last port commits.
-    fn commit(&mut self, idx: usize, port: Port) -> Option<SlotAddr>;
-
-    /// The occupied leaves, as `(index, leaf)` pairs.
-    fn live_leaves(&self) -> Box<dyn Iterator<Item = (usize, &Leaf)> + '_>;
-
-    /// Buffered packets still awaiting transmission on `port` (a per-link
-    /// queue-depth gauge).
-    fn backlog_for(&self, port: Port) -> usize {
-        let mask = port.mask();
-        self.live_leaves().filter(|(_, leaf)| leaf.port_mask & mask != 0).count()
-    }
-}
-
-impl LinkScheduler for ComparatorTree {
-    fn len(&self) -> usize {
-        ComparatorTree::len(self)
-    }
-
-    fn version(&self) -> u64 {
-        ComparatorTree::version(self)
-    }
-
-    fn insert(&mut self, leaf: Leaf) -> Result<usize, Leaf> {
-        ComparatorTree::insert(self, leaf)
-    }
-
-    fn select(&self, port: Port, t: LogicalTime) -> Option<Selection> {
-        ComparatorTree::select(self, port, t)
-    }
-
-    fn commit(&mut self, idx: usize, port: Port) -> Option<SlotAddr> {
-        ComparatorTree::commit(self, idx, port)
-    }
-
-    fn live_leaves(&self) -> Box<dyn Iterator<Item = (usize, &Leaf)> + '_> {
-        Box::new(self.iter())
-    }
-}
-
-impl LinkScheduler for BandedScheduler {
-    fn len(&self) -> usize {
-        BandedScheduler::len(self)
-    }
-
-    fn version(&self) -> u64 {
-        BandedScheduler::version(self)
-    }
-
-    fn insert(&mut self, leaf: Leaf) -> Result<usize, Leaf> {
-        BandedScheduler::insert(self, leaf)
-    }
-
-    fn select(&self, port: Port, t: LogicalTime) -> Option<Selection> {
-        BandedScheduler::select(self, port, t)
-    }
-
-    fn commit(&mut self, idx: usize, port: Port) -> Option<SlotAddr> {
-        BandedScheduler::commit(self, idx, port)
-    }
-
-    fn live_leaves(&self) -> Box<dyn Iterator<Item = (usize, &Leaf)> + '_> {
-        Box::new(self.iter())
-    }
-}
-
-impl LinkScheduler for OracleScheduler {
-    fn len(&self) -> usize {
-        OracleScheduler::len(self)
-    }
-
-    fn version(&self) -> u64 {
-        OracleScheduler::version(self)
-    }
-
-    fn insert(&mut self, leaf: Leaf) -> Result<usize, Leaf> {
-        OracleScheduler::insert(self, leaf)
-    }
-
-    fn select(&self, port: Port, t: LogicalTime) -> Option<Selection> {
-        OracleScheduler::select(self, port, t)
-    }
-
-    fn commit(&mut self, idx: usize, port: Port) -> Option<SlotAddr> {
-        OracleScheduler::commit(self, idx, port)
-    }
-
-    fn live_leaves(&self) -> Box<dyn Iterator<Item = (usize, &Leaf)> + '_> {
-        Box::new(self.iter())
-    }
-}
-
 /// The link scheduler variant instantiated by the router.
 #[derive(Debug)]
 pub enum Scheduler {
@@ -146,6 +21,17 @@ pub enum Scheduler {
     Banded(BandedScheduler),
     /// The Table 1 reference discipline, run as a live scheduler.
     Oracle(OracleScheduler),
+}
+
+/// Evaluates `$call` on the active implementation (one signature on all).
+macro_rules! each {
+    ($self:expr, $s:ident => $call:expr) => {
+        match $self {
+            Scheduler::Tree($s) => $call,
+            Scheduler::Banded($s) => $call,
+            Scheduler::Oracle($s) => $call,
+        }
+    };
 }
 
 impl Scheduler {
@@ -170,80 +56,59 @@ impl Scheduler {
         }
     }
 
-    /// The active implementation as a trait object — the single code path
-    /// every caller goes through.
-    #[must_use]
-    pub fn as_dyn(&self) -> &dyn LinkScheduler {
-        match self {
-            Scheduler::Tree(t) => t,
-            Scheduler::Banded(b) => b,
-            Scheduler::Oracle(o) => o,
-        }
-    }
-
-    /// Mutable access to the active implementation.
-    pub fn as_dyn_mut(&mut self) -> &mut dyn LinkScheduler {
-        match self {
-            Scheduler::Tree(t) => t,
-            Scheduler::Banded(b) => b,
-            Scheduler::Oracle(o) => o,
-        }
-    }
-
     /// Number of buffered packets.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.as_dyn().len()
+        each!(self, s => s.len())
     }
 
     /// Whether no packets are buffered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.as_dyn().is_empty()
+        self.len() == 0
     }
 
-    /// Mutation counter (for selection caching).
+    /// Monotone counter bumped on every mutation (never by selection).
     #[must_use]
     pub fn version(&self) -> u64 {
-        self.as_dyn().version()
+        each!(self, s => s.version())
     }
 
-    /// Inserts a leaf.
-    ///
-    /// # Errors
-    ///
-    /// Gives the leaf back if every slot is occupied.
+    /// Inserts a packet's scheduler state, returning its leaf index — or
+    /// the leaf back (`Err`) if every slot is occupied.
     pub fn insert(&mut self, leaf: Leaf) -> Result<usize, Leaf> {
-        self.as_dyn_mut().insert(leaf)
+        each!(self, s => s.insert(leaf))
     }
 
-    /// Selects the winning packet for a port.
+    /// The winning packet for `port` at scheduler time `t` (early or not).
     #[must_use]
     pub fn select(&self, port: Port, t: LogicalTime) -> Option<Selection> {
-        self.as_dyn().select(port, t)
+        each!(self, s => s.select(port, t))
     }
 
-    /// Records a transmission; returns the freed memory address when the
-    /// leaf empties.
+    /// Records that `port` sent leaf `idx`; the last port frees its slot.
     pub fn commit(&mut self, idx: usize, port: Port) -> Option<SlotAddr> {
-        self.as_dyn_mut().commit(idx, port)
+        each!(self, s => s.commit(idx, port))
     }
 
-    /// The occupied leaves, as `(index, leaf)` pairs.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (usize, &Leaf)> + '_> {
-        self.as_dyn().live_leaves()
+    /// The occupied `(index, leaf)` pairs; one chained option is populated.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Leaf)> {
+        let (tree, banded, oracle) = match self {
+            Scheduler::Tree(t) => (Some(t.iter()), None, None),
+            Scheduler::Banded(b) => (None, Some(b.iter()), None),
+            Scheduler::Oracle(o) => (None, None, Some(o.iter())),
+        };
+        let rest = banded.into_iter().flatten().chain(oracle.into_iter().flatten());
+        tree.into_iter().flatten().chain(rest)
     }
 
-    /// Buffered packets still awaiting transmission on `port` (a per-link
-    /// queue-depth gauge).
+    /// Buffered packets still awaiting transmission on `port`.
     #[must_use]
     pub fn backlog_for(&self, port: Port) -> usize {
-        self.as_dyn().backlog_for(port)
+        self.iter().filter(|(_, leaf)| leaf.port_mask & port.mask() != 0).count()
     }
 
-    /// Sorting-key computations performed so far — the comparator tree's
-    /// work counter. Implementations without selection caching (banded,
-    /// oracle) don't count key work and report zero.
+    /// Sorting-key computations so far (banded and oracle count none).
     #[must_use]
     pub fn key_computations(&self) -> u64 {
         match self {
@@ -252,15 +117,10 @@ impl Scheduler {
         }
     }
 
-    /// Heap bytes currently allocated behind the active implementation —
-    /// zero until its first insert (leaf storage is lazy in every variant).
+    /// Heap bytes allocated so far (leaf storage is lazy in every variant).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        match self {
-            Scheduler::Tree(t) => t.heap_bytes(),
-            Scheduler::Banded(b) => b.heap_bytes(),
-            Scheduler::Oracle(o) => o.heap_bytes(),
-        }
+        each!(self, s => s.heap_bytes())
     }
 }
 

@@ -15,7 +15,7 @@ pub mod reference;
 pub mod tree;
 
 pub use banded::BandedScheduler;
-pub use dispatch::{LinkScheduler, Scheduler};
+pub use dispatch::Scheduler;
 pub use leaf::Leaf;
 pub use oracle::OracleScheduler;
 pub use reference::ReferenceScheduler;

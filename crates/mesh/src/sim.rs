@@ -347,11 +347,14 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Mutable access to the chip at a node (e.g. for control-interface
-    /// writes during channel establishment). Settles any outstanding lazy
-    /// idle accounting first, so the chip's counters are current before
-    /// external code reads or mutates it.
+    /// writes during channel establishment). Settles that chip's
+    /// outstanding lazy idle accounting first, so its counters are current
+    /// before external code reads or mutates it — that chip's only: every
+    /// drive call settles all chips before it returns, and a scan of the
+    /// whole mesh per table write is what channel establishment on a
+    /// 128×128 mesh used to spend its time on.
     pub fn chip_mut(&mut self, node: NodeId) -> &mut C {
-        self.settle_idle();
+        self.settle_chip(node.index());
         self.events_stale = true;
         &mut self.chips[node.index()]
     }

@@ -5,8 +5,8 @@
 //! `trace_dump` summaries) and their parsers never carry feature gates. A
 //! disabled registry just produces an empty snapshot.
 //!
-//! Like the rest of the repository (vendored `serde` is a stub), the wire
-//! form is hand-rolled flat JSON: one object per line, string values free of
+//! Like the rest of the repository (no serialisation crate is available
+//! offline), the wire form is hand-rolled flat JSON: one object per line, string values free of
 //! escapes, histogram buckets packed into a `"b:count"` list string so every
 //! line stays flat.
 

@@ -19,7 +19,6 @@ use crate::time::Slot;
 /// `LogicalTime` is only meaningful relative to a [`SlotClock`] that defines
 /// the clock width; construct one via [`SlotClock::wrap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogicalTime(u32);
 
 impl LogicalTime {
@@ -57,7 +56,6 @@ impl std::fmt::Display for LogicalTime {
 /// assert!(!clock.is_early(clock.wrap(210), t));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlotClock {
     bits: u32,
 }

@@ -20,7 +20,6 @@ use crate::key::LatePolicy;
 /// `sync + header + chunk_bytes + bus_grant = 10` cycles of head latency, so
 /// the paper's three-traversal loop-back sees `30 + b` cycles end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingConfig {
     /// Cycles to synchronise arriving bytes at an input port.
     pub sync_cycles: u64,
@@ -58,7 +57,6 @@ impl Default for TimingConfig {
 /// bounded priority inversion for hardware that scales with the band count
 /// instead of the packet count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerKind {
     /// The exact comparator tree (Figure 5). Default.
     #[default]
@@ -77,7 +75,6 @@ pub enum SchedulerKind {
 
 /// Architectural parameters of the real-time router (Table 4a).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RouterConfig {
     /// Connection-table entries per router (paper: 256).
     pub connections: usize,
@@ -273,7 +270,6 @@ impl RouterConfig {
 /// One row of the paper's Table 2: how a traffic class is treated by each
 /// architectural mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassPolicy {
     /// Switching scheme.
     pub switching: Switching,
@@ -291,7 +287,6 @@ pub struct ClassPolicy {
 
 /// Switching policies (Table 2 row "Switching").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Switching {
     /// Store-and-forward packet switching.
     PacketSwitching,
@@ -303,7 +298,6 @@ pub enum Switching {
 
 /// Link arbitration policies (Table 2 row "Link arbitration").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Arbitration {
     /// Deadline-driven (multiclass earliest-due-date).
     DeadlineDriven,
@@ -315,7 +309,6 @@ pub enum Arbitration {
 
 /// Routing policies (Table 2 row "Routing").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Routing {
     /// Table-driven, supporting multicast (connection table indexed by
     /// connection identifier).
@@ -326,7 +319,6 @@ pub enum Routing {
 
 /// Buffer organisations (Table 2 row "Buffers").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Buffering {
     /// A single packet memory shared by the output ports.
     SharedOutputQueues,
@@ -336,7 +328,6 @@ pub enum Buffering {
 
 /// Flow-control schemes (Table 2 row "Flow control").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FlowControl {
     /// Rate-based: buffer space is reserved by admission control, no
     /// per-packet acknowledgements.

@@ -19,7 +19,6 @@ use crate::packet::{PacketTrace, TcPacket};
 
 /// A single best-effort byte (flit) on the wormhole virtual channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeByte {
     /// The data byte.
     pub byte: u8,
@@ -42,7 +41,6 @@ impl BeByte {
 
 /// One cycle's worth of payload on a unidirectional link.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LinkSymbol {
     /// First byte of a time-constrained packet; carries the structured
     /// packet for the simulator's benefit.
@@ -67,7 +65,6 @@ impl LinkSymbol {
 /// A best-effort flow-control acknowledgement travelling against the data
 /// direction: the downstream router freed `bytes` of flit-buffer space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Credit {
     /// Number of flit-buffer bytes freed (usually 1).
     pub bytes: u16,

@@ -5,7 +5,6 @@
 /// The mapping to mesh coordinates is owned by the topology
 /// (`rtr_mesh::topology`); `NodeId` itself is a flat index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -29,7 +28,6 @@ impl std::fmt::Display for NodeId {
 /// (Figure 3a). Connection identifiers are *hop-local*: each router rewrites
 /// the identifier to the value the next hop's table expects (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConnectionId(pub u16);
 
 impl ConnectionId {
@@ -48,7 +46,6 @@ impl std::fmt::Display for ConnectionId {
 
 /// A mesh link direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Direction {
     /// Towards increasing x.
     XPlus,
@@ -95,7 +92,6 @@ impl std::fmt::Display for Direction {
 /// time-constrained and best-effort injection queues, on the output side the
 /// shared reception port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Port {
     /// The processor interface (injection / reception).
     Local,
@@ -171,7 +167,6 @@ pub fn ports_in_mask(mask: u8) -> impl Iterator<Item = Port> {
 
 /// The two traffic classes the router mixes (§3, Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TrafficClass {
     /// Time-constrained traffic: fixed-size packets, packet switching,
     /// deadline-driven link scheduling.

@@ -25,7 +25,6 @@ use crate::clock::{LogicalTime, SlotClock};
 /// simulator supports both behaviours so baseline/overload experiments remain
 /// meaningful.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LatePolicy {
     /// Late packets saturate to laxity zero (most urgent). Default.
     #[default]
@@ -41,7 +40,6 @@ pub enum LatePolicy {
 /// time-to-eligibility, then ineligible leaves. Comparison looks only at the
 /// normalised value, exactly like the unsigned comparators of Figure 5.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SortKey {
     value: u32,
     /// Half the owning clock's range; the "early" bit position.

@@ -29,7 +29,6 @@ use crate::time::{Cycle, Slot};
 /// Dereferences to `[u8]`, so slicing, indexing and iteration work as they
 /// do on a `Vec<u8>`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Payload(Arc<[u8]>);
 
 impl Payload {
@@ -89,7 +88,6 @@ impl PartialEq<[u8]> for Payload {
 /// Routers must never consult this; it exists so experiments can compute
 /// end-to-end latency, deadline misses and per-connection statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketTrace {
     /// Node that injected the packet.
     pub source: NodeId,
@@ -114,7 +112,6 @@ pub struct PacketTrace {
 /// its local deadline `ℓ(m) + d` there, which the downstream router reads as
 /// the packet's logical arrival time `ℓ(m)` (§4.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TcPacket {
     /// Connection identifier valid at the *receiving* router's table.
     pub conn: ConnectionId,
@@ -186,7 +183,6 @@ impl TcPacket {
 /// Offsets are signed hop counts; dimension-ordered routing exhausts the x
 /// offset before the y offset, and both reach zero at the destination (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeHeader {
     /// Remaining hops in x (positive = towards +x).
     pub x_off: i8,
@@ -257,7 +253,6 @@ impl BeHeader {
 
 /// A variable-length best-effort packet (Figure 3b).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BePacket {
     /// Routing header.
     pub header: BeHeader,

@@ -51,6 +51,43 @@ fn x2_design_hierarchy() {
     assert!(wh.misses > pv.misses, "wormhole fares worst under load");
 }
 
+/// Behaviour preservation, pinned: the exact rows the four designs produced
+/// before their port plumbing moved onto the shared router kit. A refactor
+/// that shifts one delivery by one cycle changes a mean or a max here.
+#[test]
+fn x2_rows_match_the_recorded_run() {
+    let recorded = [
+        (Design::RealTime, 249, 0, 179.0, 179),
+        (Design::PriorityVc, 250, 42, 129.264, 270),
+        (Design::StoreForward, 166, 165, 6707.921686746988, 13514),
+        (Design::Wormhole, 246, 245, 872.2073170731708, 1462),
+    ];
+    for (design, delivered, misses, mean_latency, max_latency) in recorded {
+        let row = run_one(design, 0.2, 40_000);
+        let got = (row.delivered, row.misses, row.mean_latency, row.max_latency);
+        assert_eq!(got, (delivered, misses, mean_latency, max_latency), "{design}");
+    }
+}
+
+/// The same for Experiment 1: both latency columns of `exp1_wormhole`.
+#[test]
+fn e1_latencies_match_the_recorded_run() {
+    let recorded = [
+        (8, 39, 45),
+        (16, 47, 77),
+        (20, 51, 93),
+        (32, 63, 141),
+        (64, 95, 269),
+        (96, 127, 397),
+        (128, 159, 525),
+        (192, 223, 781),
+        (256, 287, 1037),
+    ];
+    let rows = exp1::run(&recorded.map(|(bytes, _, _)| bytes));
+    let got = rows.iter().map(|r| (r.bytes, r.wormhole_latency, r.store_forward_latency));
+    assert!(got.eq(recorded), "exp1 rows moved: {rows:?}");
+}
+
 #[test]
 fn x3_mesh_guarantees_hold() {
     let r = mesh_guarantees::run(4, 10, 0.1, 99, 50_000);

@@ -11,11 +11,13 @@
 //! idle scenarios additionally pin the point of the fast path: far fewer
 //! chip ticks executed for the same simulated span.
 
+use realtime_router::baselines::WormholeRouter;
 use realtime_router::channels::establish::{EstablishedChannel, Hop};
 use realtime_router::channels::sender::ChannelSender;
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::mesh::{NetworkReport, Simulator, Topology};
+use realtime_router::types::chip::Chip;
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{PacketTrace, TcPacket};
@@ -138,10 +140,10 @@ fn build_mesh(tc_period_slots: u64, be_rate: f64) -> Simulator<RealTimeRouter> {
 /// Runs one simulator stepped and an identically-built one leaping, then
 /// asserts byte-identical observables. Returns `(stepped, leaping)` for
 /// scenario-specific follow-up assertions.
-fn assert_equivalent(
-    mut build: impl FnMut() -> Simulator<RealTimeRouter>,
+fn assert_equivalent<C: Chip>(
+    mut build: impl FnMut() -> Simulator<C>,
     cycles: u64,
-) -> (Simulator<RealTimeRouter>, Simulator<RealTimeRouter>) {
+) -> (Simulator<C>, Simulator<C>) {
     let config = RouterConfig::default();
     let mut stepped = build();
     stepped.run(cycles);
@@ -269,6 +271,35 @@ fn leaping_equivalence_horizon_limited_early_tc() {
     assert!(
         leaping.ticks_executed() * 2 < stepped.ticks_executed(),
         "the early-parked span must be leaped: {} vs {} ticks",
+        leaping.ticks_executed(),
+        stepped.ticks_executed()
+    );
+}
+
+/// The baselines' share of the contract: a baseline that answers
+/// `next_event` at all (the pure-wormhole router, whose answer is the
+/// kit channel's) must leap like it steps. The `baseline_compare` scenario
+/// under 20% best-effort background; the store-and-forward and priority-VC
+/// baselines keep the trait's never-leap default and need no proof.
+#[test]
+fn baselines_leap_like_they_step() {
+    let (stepped, leaping) =
+        assert_equivalent(|| rtr_bench::baseline_compare::wormhole_sim(0.2), 10_000);
+    // Every baseline counter is event-based, so — unlike the real-time
+    // router's `sched.key_computations` work counter — all of them match.
+    let counters = |sim: &Simulator<WormholeRouter>, node| {
+        let mut seen = Vec::new();
+        sim.chip(node).counters(&mut |name, value| seen.push((name, value)));
+        seen
+    };
+    for node in stepped.topology().nodes() {
+        assert_eq!(counters(&stepped, node), counters(&leaping, node), "counters at {node}");
+    }
+    let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+    assert!(be_total > 500, "the scenario must carry traffic: {be_total} packets");
+    assert!(
+        leaping.ticks_executed() < stepped.ticks_executed(),
+        "idle wormhole chips must be skipped: {} vs {} ticks",
         leaping.ticks_executed(),
         stepped.ticks_executed()
     );

@@ -119,6 +119,17 @@ fn bytes_per_node_stays_under_the_ceiling() {
     assert!(driven < 8 * 1024, "driven mesh costs {driven} bytes/node, ceiling 8 KiB");
 }
 
+/// The fixed part of the same budget: a mesh is a `Vec` of router structs,
+/// and the 128×128 admission path is sensitive to its stride. 3 384 bytes
+/// (3 408 with the `trace` feature's sink fields) is what the struct
+/// measured before the ports became the shared kit.
+#[test]
+fn router_struct_does_not_grow() {
+    let ceiling = if cfg!(feature = "trace") { 3408 } else { 3384 };
+    let size = std::mem::size_of::<RealTimeRouter>();
+    assert!(size <= ceiling, "RealTimeRouter grew to {size} bytes (ceiling {ceiling})");
+}
+
 proptest! {
     /// On arbitrary irregular topologies (random meshes with random links
     /// torn out) the CSR adjacency agrees link-for-link with the dense
