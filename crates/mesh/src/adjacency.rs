@@ -51,6 +51,10 @@ pub struct LinkTable {
     /// CSR offsets: node `i`'s outgoing links are `out_start[i] as usize
     /// .. out_start[i + 1] as usize` (length `nodes + 1`).
     out_start: Vec<u32>,
+    /// The node driving each link, indexed by global link index (the CSR
+    /// offsets inverted, so the event cycle's arrival pass can start from
+    /// a link handle instead of from its node).
+    out_src: Vec<NodeId>,
     /// Output direction of each link, indexed by global link index.
     out_dir: Vec<Direction>,
     /// Where each link lands (destination node + arrival direction),
@@ -76,12 +80,14 @@ impl LinkTable {
     pub fn build(topo: &Topology, link_latency: Cycle) -> Self {
         let n = topo.len();
         let mut out_start = Vec::with_capacity(n + 1);
+        let mut out_src = Vec::new();
         let mut out_dir = Vec::new();
         let mut out_dst = Vec::new();
         out_start.push(0);
         for node in topo.nodes() {
             for dir in Direction::ALL {
                 if let Some(end) = topo.link_end(node, dir) {
+                    out_src.push(node);
                     out_dir.push(dir);
                     out_dst.push(end);
                 }
@@ -112,6 +118,7 @@ impl LinkTable {
         }
         LinkTable {
             out_start,
+            out_src,
             out_dir,
             out_dst,
             links: (0..total).map(|_| Link::new(link_latency)).collect(),
@@ -215,12 +222,10 @@ impl LinkTable {
         })
     }
 
-    /// The node that owns (drives) link `li` — a binary search over the
-    /// CSR offsets.
+    /// The node that owns (drives) link `li`.
     #[must_use]
     pub fn owner_of(&self, li: usize) -> NodeId {
-        let li = li as u32;
-        NodeId((self.out_start.partition_point(|&s| s <= li) - 1) as u16)
+        self.out_src[li]
     }
 
     /// Iterates every link pipe in global-index order.
@@ -233,6 +238,7 @@ impl LinkTable {
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.out_start.capacity() * std::mem::size_of::<u32>()
+            + self.out_src.capacity() * std::mem::size_of::<NodeId>()
             + self.out_dir.capacity() * std::mem::size_of::<Direction>()
             + self.out_dst.capacity() * std::mem::size_of::<LinkEnd>()
             + self.links.capacity() * std::mem::size_of::<Link>()

@@ -24,6 +24,10 @@ pub(crate) struct SimIds {
     pub leaped_cycles: CounterId,
     /// `sim.leap_cycles`: log2 histogram of individual leap lengths.
     pub leap_len: HistogramId,
+    /// `sim.link_visits`: links polled for arrivals by the pre phase.
+    pub link_visits: CounterId,
+    /// `sim.io_visits`: `ChipIo`s walked by the post phase.
+    pub io_visits: CounterId,
 }
 
 /// Everything the simulator carries for observability.
@@ -49,6 +53,8 @@ impl SimMetrics {
             leaps: registry.counter("sim.leaps"),
             leaped_cycles: registry.counter("sim.leaped_cycles"),
             leap_len: registry.histogram("sim.leap_cycles"),
+            link_visits: registry.counter("sim.link_visits"),
+            io_visits: registry.counter("sim.io_visits"),
         };
         SimMetrics {
             registry,

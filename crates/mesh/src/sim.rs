@@ -69,11 +69,11 @@ impl EventCore {
         }
         EventCore {
             queue,
-            // Worst case every handle goes dirty in one step; reserving up
-            // front keeps big-mesh steps free of mid-cycle growth.
-            dirty: Vec::with_capacity(handles),
+            // A cycle marks and pops only what is active, so both lists
+            // grow to the busiest cycle's activity, not to `handles`.
+            dirty: Vec::new(),
             stamp: vec![Cycle::MAX; handles],
-            due: Vec::with_capacity(handles),
+            due: Vec::new(),
             prime: true,
         }
     }
@@ -95,6 +95,28 @@ impl EventCore {
             Some(at) => self.queue.set_wake(WakeHandle(handle), at.max(now + 1)),
             None => self.queue.clear_wake(WakeHandle(handle)),
         }
+    }
+}
+
+/// The nodes whose injection queues may hold packets — queues no wake
+/// describes. Every non-empty queue's node is listed (never the converse);
+/// the event cycle marks the listed chips and prunes the drained.
+struct Backlog {
+    nodes: Vec<u32>,
+    /// Per-node membership of `nodes`.
+    listed: Vec<bool>,
+}
+
+impl Backlog {
+    fn note(&mut self, node: usize) {
+        if !std::mem::replace(&mut self.listed[node], true) {
+            self.nodes.push(node as u32);
+        }
+    }
+
+    /// Whether a node's injection queues hold anything.
+    fn pending(io: &ChipIo) -> bool {
+        !(io.inject_tc.is_empty() && io.inject_be.is_empty())
     }
 }
 
@@ -153,6 +175,10 @@ pub struct Simulator<C: Chip> {
     /// without rescanning `usage`.
     max_link_total: u64,
     sources: Vec<(NodeId, Box<dyn TrafficSource>)>,
+    /// Fed by [`Simulator::inject_tc`]/[`Simulator::inject_be`] and the
+    /// event cycle's source pass; the prime cycle scans in what dense
+    /// cycles queued.
+    backlog: Backlog,
     tap: Option<LinkTap>,
     /// Sample chip gauges every N cycles (None = sampling off).
     gauge_every: Option<Cycle>,
@@ -168,8 +194,8 @@ pub struct Simulator<C: Chip> {
     /// when [`Simulator::set_parallelism`] changes the count. Dropping the
     /// simulator shuts the workers down (joined, not leaked).
     pool: Option<WorkerPool>,
-    /// Scratch buffer for the chips a cycle ticks (live node indices,
-    /// ascending).
+    /// The chips the last cycle ticked (live node indices, ascending): the
+    /// only [`ChipIo`]s left to clear, and the next cycle's list buffer.
     tick_list: Vec<u32>,
     /// Chip ticks actually executed (sparse event-core steps tick only the
     /// due chips; leaped cycles execute none).
@@ -287,14 +313,11 @@ impl<C: Chip> Simulator<C> {
             chips.push(make_chip(node)?);
         }
         let adj = LinkTable::build(&topo, link_latency);
-        for node in 0..n {
-            let (start, end) = adj.out_bounds(node);
-            for li in start..end {
-                // Initialise the transmitter's credit pool from the
-                // receiver's flit buffer.
-                let bytes = chips[adj.dst(li).node.index()].flit_buffer_bytes() as u32;
-                chips[node].set_output_credits(Port::Dir(adj.dir(li)), bytes);
-            }
+        for li in 0..adj.len() {
+            // Initialise the transmitter's credit pool from the receiver's
+            // flit buffer.
+            let bytes = chips[adj.dst(li).node.index()].flit_buffer_bytes() as u32;
+            chips[adj.owner_of(li).index()].set_output_credits(Port::Dir(adj.dir(li)), bytes);
         }
         Ok(Simulator {
             chips,
@@ -303,6 +326,7 @@ impl<C: Chip> Simulator<C> {
             adj,
             max_link_total: 0,
             sources: Vec::new(),
+            backlog: Backlog { nodes: Vec::new(), listed: vec![false; n] },
             tap: None,
             gauge_every: None,
             gauge_samples: OccupancyHistory::default(),
@@ -374,18 +398,20 @@ impl<C: Chip> Simulator<C> {
 
     /// Queues a time-constrained packet for injection at a node.
     ///
-    /// Injection does not invalidate a warm event core: the leaping paths
-    /// scan injection backlogs directly when proving quiescence, and the
-    /// event-driven step marks chips with pending injections dirty every
-    /// cycle, so no wake can go stale.
+    /// Injection does not invalidate a warm event core: the node joins
+    /// the injection-backlog list, the event cycle marks every listed chip
+    /// dirty until its queues drain, and the leap planner never leaps past
+    /// a listed backlog, so no wake can go stale.
     pub fn inject_tc(&mut self, node: NodeId, packet: TcPacket) {
         self.ios[node.index()].inject_tc.push_back(packet);
+        self.backlog.note(node.index());
     }
 
     /// Queues a best-effort packet for injection at a node (see
     /// [`Simulator::inject_tc`] on why this keeps the event core warm).
     pub fn inject_be(&mut self, node: NodeId, packet: BePacket) {
         self.ios[node.index()].inject_be.push_back(packet);
+        self.backlog.note(node.index());
     }
 
     /// Pending injections (both classes) at a node — sources use this for
@@ -754,16 +780,8 @@ impl<C: Chip> Simulator<C> {
     /// node-major order.
     #[must_use]
     pub fn downed_links(&self) -> Vec<(NodeId, Direction)> {
-        let mut down = Vec::new();
-        for node in 0..self.chips.len() {
-            let (start, end) = self.adj.out_bounds(node);
-            for li in start..end {
-                if self.adj.link(li).is_down() {
-                    down.push((NodeId(node as u16), self.adj.dir(li)));
-                }
-            }
-        }
-        down
+        let down = (0..self.adj.len()).filter(|&li| self.adj.link(li).is_down());
+        down.map(|li| (self.adj.owner_of(li), self.adj.dir(li))).collect()
     }
 
     /// The symbol-accounting ledger of the link leaving `node` in `dir`
@@ -944,7 +962,9 @@ impl<C: Chip> Simulator<C> {
             + self.events.dirty.capacity() * std::mem::size_of::<u32>()
             + self.events.stamp.capacity() * std::mem::size_of::<Cycle>()
             + self.events.due.capacity() * std::mem::size_of::<WakeHandle>()
-            + self.tick_list.capacity() * std::mem::size_of::<u32>();
+            + (self.tick_list.capacity() + self.backlog.nodes.capacity())
+                * std::mem::size_of::<u32>()
+            + self.backlog.listed.capacity();
         let total = chips
             + ios
             + logs
@@ -988,15 +1008,16 @@ impl<C: Chip> Simulator<C> {
     ///
     /// 1. (`EV`) due wakes are popped into the dirty set;
     /// 2. agenda ops due now apply — faults, then control writes;
-    /// 3. links deliver arrivals and traffic sources run (`phase_pre`);
+    /// 3. links — all when dense or priming, else those whose wake fired —
+    ///    deliver arrivals, and traffic sources run (`phase_pre`);
     /// 4. chips tick: every live chip when dense (`EV` unset) or priming a
     ///    freshly built event core, otherwise exactly the dirty chips (due
     ///    wakes, arrivals, credits, pending injections, agenda touches).
     ///    Every other chip is provably quiet — its registered wake lies
     ///    beyond `now` and nothing external reached it — and its per-cycle
     ///    idle accounting is reconciled lazily from `unticked`;
-    /// 5. driven symbols and credits move onto the links, deliveries
-    ///    drain, the clock advances (`phase_post`);
+    /// 5. the ticked chips' driven symbols and credits move onto the
+    ///    links, their deliveries drain, the clock advances (`phase_post`);
     /// 6. (`EV`) the dirty links and sources re-register their wakes, or
     ///    the prime sweep registers everything once.
     ///
@@ -1016,13 +1037,13 @@ impl<C: Chip> Simulator<C> {
         }
         self.apply_due();
         let t = if EV { self.metrics.profiler.lap(Phase::WheelPop, t) } else { t };
-        self.phase_pre::<EV>();
+        let prime = EV && std::mem::take(&mut self.events.prime);
+        let mut list = std::mem::take(&mut self.tick_list);
+        self.phase_pre::<EV>(&list, prime);
         let t = self.metrics.profiler.lap(Phase::LinkPre, t);
 
         // A crashed chip is passed over either way: its cycles are
         // accounted (without `skip_quiet`) when it restores or at settle.
-        let prime = EV && std::mem::take(&mut self.events.prime);
-        let mut list = std::mem::take(&mut self.tick_list);
         list.clear();
         let crashed = &self.crashed;
         if !EV || prime {
@@ -1033,9 +1054,8 @@ impl<C: Chip> Simulator<C> {
             list.sort_unstable();
         }
         let t = self.tick_chips::<EV>(now, &list, t);
+        self.phase_post::<EV>(now, &list);
         self.tick_list = list;
-
-        self.phase_post::<EV>(now);
         let t = self.metrics.profiler.lap(Phase::LinkPost, t);
         if EV {
             if prime {
@@ -1216,71 +1236,124 @@ impl<C: Chip> Simulator<C> {
         }
     }
 
+    /// Debug-build proof of the activity sets (DESIGN.md §3.11) where an
+    /// event cycle's full sweeps used to start: every `ChipIo` is clear and
+    /// its backlog listed, and no link outside `fired` (the link handles of
+    /// `events.due`; `None` when all links are swept) owes anything yet.
+    #[cfg(debug_assertions)]
+    fn dbg_check_activity(&self, fired: Option<&[WakeHandle]>) {
+        let (now, n) = (self.now, self.chips.len());
+        for (node, io) in self.ios.iter().enumerate() {
+            let clear = io.rx.iter().chain(&io.tx).all(Option::is_none)
+                && io.credit_in.iter().chain(&io.credit_out).all(|&c| c == 0)
+                && io.delivered_tc.is_empty()
+                && io.delivered_be.is_empty();
+            assert!(clear, "chip {node} carried traffic into cycle {now} without having ticked");
+            let listed = self.backlog.listed[node] || !Backlog::pending(io);
+            assert!(listed, "chip {node} has queued injections but is not on the backlog list");
+        }
+        let Some(fired) = fired else { return };
+        for li in 0..self.adj.len() {
+            let owes = self.adj.link(li).next_event().is_some_and(|at| at <= now);
+            let fired = fired.binary_search(&WakeHandle((n + li) as u32)).is_ok();
+            assert!(fired || !owes, "link {li} owes an arrival at {now} but its wake did not fire");
+        }
+    }
+
+    /// The nodes a per-chip pass of the link phases visits: a cycle's tick
+    /// `list` on an event cycle. A dense cycle ticks every live chip, so its
+    /// domain is plain `0..n` and its loops compile without the indirection.
+    fn ticked<const EV: bool>(list: &[u32], n: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..if EV { list.len() } else { n }).map(move |k| if EV { list[k] as usize } else { k })
+    }
+
     /// Pre-tick phases of one cycle: link arrivals and traffic sources.
+    /// `ticked_last` is the previous cycle's tick list.
     ///
     /// With `EV` set, additionally feeds the event core's dirty set:
     /// chips receiving symbols, credits, or holding pending injections —
     /// and links whose queues were popped — get their wakes recomputed at
     /// the end of the step. `EV = false` compiles the bookkeeping out.
-    ///
-    /// Kept out of line, like `phase_post`: inlined into the kernel, these
-    /// link sweeps' hot loops ran ~10 % slower on the `sparse_leap` workload.
-    #[inline(never)]
-    fn phase_pre<const EV: bool>(&mut self) {
+    fn phase_pre<const EV: bool>(&mut self, ticked_last: &[u32], prime: bool) {
         let now = self.now;
         let n = self.chips.len();
-        for io in &mut self.ios {
-            io.begin_cycle();
+        // Being handed an arrival (`rx`/`credit_in`) makes a chip tick.
+        for node in Self::ticked::<EV>(ticked_last, n) {
+            self.ios[node].begin_cycle();
+        }
+        if prime {
+            // Dense cycles skipped the backlog bookkeeping with the wakes.
+            for i in (0..n).filter(|&i| Backlog::pending(&self.ios[i])) {
+                self.backlog.note(i);
+            }
         }
 
-        // 1. Link arrivals (data forward, credits backward). Links are
-        // walked in global CSR order — grouped by driving node, which
-        // matches the old node-major iteration exactly.
-        for node in 0..n {
-            let (start, end) = self.adj.out_bounds(node);
-            for li in start..end {
-                // A crashed receiver drains nothing: its arrivals age on
-                // the wire and are dropped (and counted) once stale. A
-                // crashed *transmitter* takes no credits either — credits
-                // are pure counters, so its batches simply deliver late
-                // after restore.
-                let recv_data = !self.crashed[self.adj.dst(li).node.index()];
-                let recv_credits = !self.crashed[node];
-                if !recv_data && !recv_credits {
-                    continue;
+        // 1. Link arrivals (data forward, credits backward), in global CSR
+        // order. A link's wake is its earliest owed arrival (re-filed for
+        // the next cycle while a crashed end leaves one parked), so on a
+        // primed core `recv`/`recv_credit` are no-ops on every link not in
+        // `due` — which is sorted by handle, and link handles are `n +`
+        // the CSR index.
+        let sweep = !EV || prime;
+        let (lo, hi) = if sweep {
+            (0, self.adj.len())
+        } else {
+            let due = &self.events.due;
+            let links = n + self.adj.len();
+            (due.partition_point(|h| h.index() < n), due.partition_point(|h| h.index() < links))
+        };
+        #[cfg(debug_assertions)]
+        if EV {
+            self.dbg_check_activity((!sweep).then(|| &self.events.due[lo..hi]));
+        }
+        self.metrics.registry.inc(self.metrics.ids.link_visits, (hi - lo) as u64);
+        for k in lo..hi {
+            let li = if sweep { k } else { self.events.due[k].index() - n };
+            let node = self.adj.owner_of(li).index();
+            // A crashed receiver drains nothing: its arrivals age on the
+            // wire and are dropped (and counted) once stale. A crashed
+            // *transmitter* takes no credits either — credits are pure
+            // counters, so its batches simply deliver late after restore.
+            let recv_data = !self.crashed[self.adj.dst(li).node.index()];
+            let recv_credits = !self.crashed[node];
+            if !recv_data && !recv_credits {
+                continue;
+            }
+            let (symbol, credits) = {
+                let link = self.adj.link_mut(li);
+                (
+                    if recv_data { link.recv(now) } else { None },
+                    if recv_credits { link.recv_credit(now) } else { 0 },
+                )
+            };
+            if EV && (symbol.is_some() || credits > 0) {
+                self.events.mark(n + li, now);
+            }
+            if let Some(symbol) = symbol {
+                let dst = self.adj.dst(li);
+                self.ios[dst.node.index()].rx[Port::Dir(dst.dir).index()] = Some(symbol);
+                if EV {
+                    self.events.mark(dst.node.index(), now);
                 }
-                let (symbol, credits) = {
-                    let link = self.adj.link_mut(li);
-                    (
-                        if recv_data { link.recv(now) } else { None },
-                        if recv_credits { link.recv_credit(now) } else { 0 },
-                    )
-                };
-                if EV && (symbol.is_some() || credits > 0) {
-                    self.events.mark(n + li, now);
-                }
-                if let Some(symbol) = symbol {
-                    let dst = self.adj.dst(li);
-                    self.ios[dst.node.index()].rx[Port::Dir(dst.dir).index()] = Some(symbol);
-                    if EV {
-                        self.events.mark(dst.node.index(), now);
-                    }
-                }
-                if credits > 0 {
-                    self.ios[node].credit_in[Port::Dir(self.adj.dir(li)).index()] += credits;
-                    if EV {
-                        self.events.mark(node, now);
-                    }
+            }
+            if credits > 0 {
+                self.ios[node].credit_in[Port::Dir(self.adj.dir(li)).index()] += credits;
+                if EV {
+                    self.events.mark(node, now);
                 }
             }
         }
 
         // 2. Traffic sources (silent while their node is crashed).
         for (node, source) in &mut self.sources {
-            if self.crashed[node.index()] {
+            let i = node.index();
+            if self.crashed[i] {
                 continue;
             }
-            source.pre_cycle(now, *node, &mut self.ios[node.index()]);
+            source.pre_cycle(now, *node, &mut self.ios[i]);
+            if EV && Backlog::pending(&self.ios[i]) {
+                self.backlog.note(i);
+            }
         }
 
         // 3. Chips with pending injections may start draining them this
@@ -1288,30 +1361,34 @@ impl<C: Chip> Simulator<C> {
         // `next_event` cannot account for them). A crashed chip drains
         // nothing; its restore event re-marks it.
         if EV {
-            for node in 0..n {
-                if self.crashed[node] {
-                    continue;
+            let Backlog { nodes, listed } = &mut self.backlog;
+            let (ios, crashed, events) = (&self.ios, &self.crashed, &mut self.events);
+            nodes.retain(|&node| {
+                let i = node as usize;
+                listed[i] = Backlog::pending(&ios[i]);
+                if listed[i] && !crashed[i] {
+                    events.mark(i, now);
                 }
-                let io = &self.ios[node];
-                if !io.inject_tc.is_empty() || !io.inject_be.is_empty() {
-                    self.events.mark(node, now);
-                }
-            }
+                listed[i]
+            });
         }
     }
 
-    /// Post-tick phases of one cycle: symbol/credit collection, delivery
-    /// draining, gauge sampling, and the clock advance. With `EV` set,
-    /// links that carried a new symbol or credit batch are marked dirty.
-    #[inline(never)]
-    fn phase_post<const EV: bool>(&mut self, now: Cycle) {
+    /// Post-tick phases of one cycle: symbol/credit collection and delivery
+    /// draining over the chips in `list` that just ticked (only a tick
+    /// drives, returns credits, or delivers), gauge sampling, and the clock
+    /// advance. With `EV` set, links that carried a new symbol or credit
+    /// batch are marked dirty.
+    fn phase_post<const EV: bool>(&mut self, now: Cycle, list: &[u32]) {
         let n = self.chips.len();
+        let walked = if EV { list.len() } else { n };
+        self.metrics.registry.inc(self.metrics.ids.io_visits, walked as u64);
         // 4. Collect driven symbols and returned credits — walking only
         // the wired outputs and fed inputs via the CSR tables. A chip can
         // only drive ports its wiring feeds credits through, so scanning
         // the sparse tables covers every live port; the debug asserts
         // below catch a chip writing to an unwired one.
-        for node in 0..n {
+        for node in Self::ticked::<EV>(list, n) {
             debug_assert!(
                 self.ios[node].tx[Port::Local.index()].is_none(),
                 "chips must deliver locally, not drive the local port"
@@ -1370,7 +1447,8 @@ impl<C: Chip> Simulator<C> {
         // when a deadline watch is configured.
         if let Some(rec) = self.metrics.recorder() {
             let slot_bytes = self.metrics.deadline_slot_bytes();
-            for (node, io) in self.ios.iter().enumerate() {
+            for node in Self::ticked::<EV>(list, n) {
+                let io = &self.ios[node];
                 for (cycle, p) in &io.delivered_tc {
                     rec.record(FlightEvent {
                         cycle: *cycle,
@@ -1396,7 +1474,8 @@ impl<C: Chip> Simulator<C> {
                 }
             }
         }
-        for (io, log) in self.ios.iter_mut().zip(self.logs.iter_mut()) {
+        for node in Self::ticked::<EV>(list, n) {
+            let (io, log) = (&mut self.ios[node], &mut self.logs[node]);
             log.tc.append(&mut io.delivered_tc);
             log.be.append(&mut io.delivered_be);
         }
@@ -1457,9 +1536,10 @@ impl<C: Chip> Simulator<C> {
         // queues the chips drain over time, so no wake describes them; any
         // backlog keeps stepping. (A crashed chip drains nothing, so its
         // backlog cannot block a leap — the agenda clamp stops at restore.)
-        if self.ios.iter().enumerate().any(|(i, io)| {
-            !self.crashed[i] && (!io.inject_tc.is_empty() || !io.inject_be.is_empty())
-        }) {
+        let blocks = |&node: &u32| {
+            !self.crashed[node as usize] && Backlog::pending(&self.ios[node as usize])
+        };
+        if self.backlog.nodes.iter().any(blocks) {
             return None;
         }
         let target = self.events.queue.next_wake().map_or(end, |w| w.min(end));

@@ -15,6 +15,7 @@ use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::mesh::{FaultSchedule, NetworkReport, Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
+use realtime_router::types::packet::{BePacket, PacketTrace};
 use realtime_router::workloads::tc::PeriodicTcSource;
 use rtr_bench::churn::DriveMode;
 
@@ -286,6 +287,56 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
     let dst = stepped.topology().node_at(1, 0);
     let after = stepped.log(dst).tc.iter().filter(|(cycle, _)| *cycle > 4_007).count();
     assert!(after > 20, "deliveries resumed after restore: {after}");
+}
+
+/// Symbols already on the wire when their receiver crashes park there: the
+/// link's wake keeps firing for them, nothing drains them while the node is
+/// dark, and the restore's first arrival pass drops every one as a counted
+/// late arrival — on an event cycle that visits only the links whose wake
+/// fired, exactly as on a dense one that sweeps them all. The link is also
+/// cut while the node is dark, so the restore's flit-buffer refunds for the
+/// half-received best-effort packet land in `credits_lost`.
+#[test]
+fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
+    const CRASH: u64 = 60;
+    const RESTORE: u64 = 900;
+    let run = |mode: DriveMode| {
+        let config = RouterConfig::default();
+        // Eight cycles of wire: several symbols are in flight at once.
+        let mut sim = Simulator::build_with_latency(Topology::mesh(4, 1), 8, |_| {
+            RealTimeRouter::new(config.clone())
+        })
+        .unwrap();
+        mode.configure(&mut sim);
+        // One packet every 1 280 cycles: the restore lands mid-slumber.
+        add_channel(&mut sim, 0, 0, 64);
+        sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![0xBE; 120], PacketTrace::default()));
+        sim.set_fault_schedule(
+            FaultSchedule::new()
+                .node_crash(CRASH, NodeId(1))
+                .link_down(200, NodeId(0), Direction::XPlus)
+                .node_restore(RESTORE, NodeId(1))
+                .link_up(1_000, NodeId(0), Direction::XPlus),
+        );
+        mode.advance(&mut sim, RESTORE);
+        let parked = sim.link_ledger(NodeId(0), Direction::XPlus);
+        mode.advance(&mut sim, 1);
+        let dropped = sim.link_ledger(NodeId(0), Direction::XPlus);
+        mode.advance(&mut sim, 5_000);
+        sim.check_conservation().unwrap();
+        (parked, dropped, fingerprint(&sim), sim.fault_stats())
+    };
+    let (parked, dropped, reference, stats) = run(DriveMode::DenseSerial);
+    assert_eq!(parked.late_arrivals_dropped, 0, "nothing drains a dark node's wire");
+    assert!(
+        dropped.late_arrivals_dropped > 8,
+        "the restore cycle drops what was in flight at the crash and sent since: {dropped:?}"
+    );
+    assert_eq!(stats.late_arrivals_dropped, dropped.late_arrivals_dropped, "and nothing later");
+    assert!(stats.credits_lost > 0, "the refunds went down a dead reverse wire: {stats:?}");
+    for mode in &DriveMode::ALL[1..] {
+        assert_eq!((parked, dropped, reference.clone(), stats), run(*mode), "{mode:?} diverged");
+    }
 }
 
 /// Faults and control-plane table writes are entries of one agenda: a

@@ -21,9 +21,11 @@ use realtime_router::channels::sender::ChannelSender;
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::events::{WakeHandle, WakeQueue};
-use realtime_router::mesh::{NetworkReport, Simulator, Topology};
+use realtime_router::mesh::{NetworkReport, Simulator, Topology, TrafficSource};
+use realtime_router::types::chip::ChipIo;
 use realtime_router::types::config::RouterConfig;
-use realtime_router::types::ids::{ConnectionId, Direction, Port};
+use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
+use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
 use realtime_router::workloads::patterns::TrafficPattern;
 use realtime_router::workloads::tc::PeriodicTcSource;
@@ -314,6 +316,97 @@ fn plain_stepping_keeps_event_queue_warm() {
     assert!(
         interleaved.ticks_executed() < stepped.ticks_executed(),
         "the leaping segments must still skip quiet cycles"
+    );
+}
+
+/// Queues a burst of best-effort packets at one cycle; silent otherwise.
+struct Burst(u64);
+
+impl TrafficSource for Burst {
+    fn pre_cycle(&mut self, now: u64, _node: NodeId, io: &mut ChipIo) {
+        if now == self.0 {
+            let packet = BePacket::new(-2, 0, vec![0xB5; 24], PacketTrace::default());
+            io.inject_be.extend([packet.clone(), packet.clone(), packet]);
+        }
+    }
+
+    fn next_event(&self, now: u64) -> Option<u64> {
+        (now < self.0).then_some(self.0)
+    }
+}
+
+/// Packets queued for injection live in simulator-owned queues no wake
+/// describes, and the event cycle finds their chips on the injection-backlog
+/// list, not by scanning the mesh. Injecting from outside (`inject_tc` /
+/// `inject_be`) between two drive calls must neither stale the warm core nor
+/// go unnoticed by it, a backlog a *dense* cycle's source left behind must be
+/// picked up when the core is primed, and the result stays byte-identical to
+/// dense stepping.
+#[test]
+fn injection_on_a_warm_core_is_seen() {
+    let conn = ConnectionId(40);
+    let drive = |mode: DriveMode| {
+        let leaping = mode == DriveMode::EventSerial;
+        let mut sim = build_mesh(64, 0.0);
+        let topo = sim.topology().clone();
+        // A routed one-hop connection without a source of its own, on a row
+        // the periodic channels leave alone.
+        let (src, dst) = (topo.node_at(0, 3), topo.node_at(1, 3));
+        for (node, port) in [(src, Port::Dir(Direction::XPlus)), (dst, Port::Local)] {
+            sim.chip_mut(node)
+                .apply_control(ControlCommand::SetConnection {
+                    incoming: conn,
+                    outgoing: conn,
+                    delay: DELAY,
+                    out_mask: port.mask(),
+                })
+                .unwrap();
+        }
+        // The burst lands in a dense cycle (no core yet, so no backlog
+        // bookkeeping) and is still draining when the core is primed.
+        sim.add_source(topo.node_at(6, 1), Box::new(Burst(40)));
+        sim.run(45);
+        mode.advance(&mut sim, 2_955);
+        let warm = sim.event_core_stats();
+
+        let config = RouterConfig::default();
+        let slot = realtime_router::types::time::cycle_to_slot(sim.now(), config.slot_bytes);
+        sim.inject_tc(
+            src,
+            TcPacket {
+                conn,
+                arrival: sim.chip(src).clock().wrap(slot + 2),
+                payload: vec![0x7C; config.tc_data_bytes()].into(),
+                trace: PacketTrace::default(),
+            },
+        );
+        let be_src = topo.node_at(4, 4);
+        sim.inject_be(be_src, BePacket::new(2, 1, vec![0xBE; 24], PacketTrace::default()));
+        if leaping {
+            let warm = warm.expect("leaping built the core");
+            let now = sim.event_core_stats().expect("injection must not stale the core");
+            assert_eq!(warm, now);
+        }
+        mode.advance(&mut sim, 3_000);
+        if leaping {
+            // Still the same queue: a re-prime would have started its
+            // counters from zero.
+            let after = sim.event_core_stats().unwrap();
+            let warm = warm.unwrap();
+            assert!(after.filed > warm.filed && after.fired > warm.fired, "{warm:?} → {after:?}");
+        }
+        assert_eq!(sim.log(dst).tc.len(), 1, "the injected TC packet arrived");
+        assert_eq!(sim.log(topo.node_at(6, 5)).be.len(), 1, "the injected BE packet arrived");
+        assert_eq!(sim.log(topo.node_at(4, 1)).be.len(), 3, "the dense-queued burst arrived");
+        sim
+    };
+    let (stepped, leaping) = (drive(DriveMode::DenseSerial), drive(DriveMode::EventSerial));
+    assert_eq!(fingerprint(&stepped), fingerprint(&leaping));
+    assert!(
+        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
+        "both leaping spans must still leap: {} vs {} ticks",
+        leaping.ticks_executed(),
+        stepped.ticks_executed()
     );
 }
 

@@ -130,6 +130,56 @@ fn router_struct_does_not_grow() {
     assert!(size <= ceiling, "RealTimeRouter grew to {size} bytes (ceiling {ceiling})");
 }
 
+/// An event cycle costs what happened in it, not the mesh around it: the
+/// same eight three-hop periodic channels poll the same number of links for
+/// arrivals and walk the same number of `ChipIo`s on 16×16 as on 64×64 once
+/// the one-shot prime cycle (which does sweep everything) is behind them.
+#[cfg(feature = "metrics")]
+#[test]
+fn event_cycle_work_is_flat_in_mesh_size() {
+    use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+    use realtime_router::workloads::tc::PeriodicTcSource;
+
+    let work_after_prime = |side: u16| {
+        let config = RouterConfig::default();
+        let mut sim = idle_mesh(side, side);
+        let topo = sim.topology().clone();
+        let mut manager = ChannelManager::new(&config);
+        for i in 0..8u16 {
+            let (src, dst) = (topo.node_at(2 + i, 1), topo.node_at(3 + i, 3));
+            let request = ChannelRequest::unicast(src, dst, TrafficSpec::periodic(64, 18), 40);
+            let channel = manager.establish(&topo, request, &mut sim).unwrap();
+            let sender = ChannelSender::new(
+                &channel,
+                sim.chip(src).clock(),
+                config.slot_bytes,
+                config.tc_data_bytes(),
+            );
+            let payload = vec![i as u8; config.tc_data_bytes()];
+            let source =
+                PeriodicTcSource::new(sender, 64, u64::from(i), config.slot_bytes, payload);
+            sim.add_source(src, Box::new(source));
+        }
+        let visits = |sim: &Simulator<RealTimeRouter>| {
+            let snapshot = sim.metrics_snapshot();
+            ["sim.link_visits", "sim.io_visits"].map(|name| snapshot.counter(name).unwrap())
+        };
+        sim.run_leaping(1);
+        let [prime_links, prime_ios] = visits(&sim);
+        let nodes = u64::from(side) * u64::from(side);
+        assert_eq!(prime_ios, nodes, "the prime cycle walks every chip");
+        assert_eq!(prime_links, 4 * nodes - 4 * u64::from(side), "and every link");
+        sim.run_leaping(20_000);
+        let delivered: usize = topo.nodes().map(|n| sim.log(n).tc.len()).sum();
+        assert!(delivered >= 8 * 14, "the channels carried traffic: {delivered}");
+        let [links, ios] = visits(&sim);
+        [links - prime_links, ios - prime_ios]
+    };
+    let small = work_after_prime(16);
+    assert!(small.iter().all(|&visits| visits > 0), "{small:?}");
+    assert_eq!(small, work_after_prime(64), "[link_visits, io_visits] on 16×16 vs 64×64");
+}
+
 proptest! {
     /// On arbitrary irregular topologies (random meshes with random links
     /// torn out) the CSR adjacency agrees link-for-link with the dense
