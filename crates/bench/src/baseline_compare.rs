@@ -27,11 +27,10 @@ use rtr_mesh::{Simulator, Topology};
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::NodeId;
 use rtr_types::time::Cycle;
-use rtr_workloads::be::{RandomBeSource, SizeDist};
-use rtr_workloads::patterns::TrafficPattern;
+use rtr_workloads::be::SizeDist;
 use rtr_workloads::tc::{BurstyTcSource, PeriodicTcSource};
 
-use crate::util::PeriodicDeadlineBeSource;
+use crate::util::{add_uniform_be, PeriodicDeadlineBeSource};
 
 /// The router designs under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,32 +120,6 @@ fn scenario() -> Scenario {
         ChannelRequest::unicast(topo.node_at(2, 3), dst, aggr_spec, AGGR_DEADLINE),
     ];
     Scenario { topo, tight, aggressors }
-}
-
-fn add_background<C: rtr_types::chip::Chip>(
-    sim: &mut Simulator<C>,
-    topo: &Topology,
-    rate: f64,
-    seed: u64,
-) {
-    if rate <= 0.0 {
-        return;
-    }
-    for node in topo.nodes() {
-        sim.add_source(
-            node,
-            Box::new(
-                RandomBeSource::new(
-                    topo.clone(),
-                    TrafficPattern::Uniform,
-                    rate,
-                    SizeDist::Uniform(16, 64),
-                    seed ^ u64::from(node.0),
-                )
-                .with_max_queue(8),
-            ),
-        );
-    }
 }
 
 /// Translates Table 3 commands onto the priority-VC baseline (delays and
@@ -290,7 +263,7 @@ pub fn run_one(design: Design, be_rate: f64, total_cycles: Cycle) -> CompareRow 
             for (node, src) in make_tc_sources(&tight, &aggressors, clock) {
                 sim.add_source(node, src);
             }
-            add_background(&mut sim, &topo, be_rate, 0xBEEF);
+            add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(16, 64), 0xBEEF, 8);
             sim.run(total_cycles);
             let (delivered, misses, mean, max) =
                 measure_tight(sim.log(dst), tight_src, slot, false);
@@ -307,7 +280,7 @@ pub fn run_one(design: Design, be_rate: f64, total_cycles: Cycle) -> CompareRow 
             for (node, src) in make_tc_sources(&tight, &aggressors, clock) {
                 sim.add_source(node, src);
             }
-            add_background(&mut sim, &topo, be_rate, 0xBEEF);
+            add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(16, 64), 0xBEEF, 8);
             sim.run(total_cycles);
             let (delivered, misses, mean, max) =
                 measure_tight(sim.log(dst), tight_src, slot, false);
@@ -324,7 +297,7 @@ pub fn run_one(design: Design, be_rate: f64, total_cycles: Cycle) -> CompareRow 
             for (node, src) in make_tc_sources(&tight, &aggressors, clock) {
                 sim.add_source(node, src);
             }
-            add_background(&mut sim, &topo, be_rate, 0xBEEF);
+            add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(16, 64), 0xBEEF, 8);
             sim.run(total_cycles);
             let (delivered, misses, mean, max) =
                 measure_tight(sim.log(dst), tight_src, slot, false);
@@ -370,7 +343,7 @@ pub fn wormhole_sim(be_rate: f64) -> Simulator<WormholeRouter> {
             )),
         );
     }
-    add_background(&mut sim, &s.topo, be_rate, 0xBEEF);
+    add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(16, 64), 0xBEEF, 8);
     sim
 }
 

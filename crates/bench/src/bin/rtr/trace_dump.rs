@@ -1,32 +1,34 @@
-//! Replays a JSONL trace (written by `network_console trace=<path>` or any
+//! Replays a JSONL trace (written by `rtr console trace=<path>` or any
 //! [`rtr_types::trace::JsonlSink`]) into human-readable per-connection
-//! timelines plus a slack summary. Metric lines (`network_console
+//! timelines plus a slack summary. Metric lines (`rtr console
 //! metrics=<path>`) and flight-recorder dumps share the same flat-JSONL
 //! shape, so the tool reads those too: metric lines become a `metrics_dump`
 //! summary and flight events a post-mortem timeline, interleaved or alone.
 //!
 //! The JSONL codecs live in `rtr-types`/`rtr-metrics` and need no feature
-//! flags, so this tool always builds — only *recording* needs
+//! flags, so replay always builds — only *recording* needs
 //! `--features trace` (packet traces) or `--features metrics` (snapshots).
-//!
-//! ```text
-//! cargo run --release -p rtr-bench --bin trace_dump -- <trace.jsonl> \
-//!     [conn=<id>] [packets=<K>]
-//! ```
-//!
-//! `conn=` restricts the report to one connection; `packets=` controls how
-//! many per-packet timelines are printed per connection (default 1).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use rtr_metrics::{MetricLine, MetricValue};
 use rtr_types::trace::{parse_jsonl, TraceEvent, TraceRecord};
 
-const USAGE: &str = "\
-usage: trace_dump <trace.jsonl> [conn=<id>] [packets=<K>]
+use crate::{Args, Keys};
 
-  conn=N      only report connection N
-  packets=K   per-packet timelines printed per connection (default 1)";
+const KEYS: &Keys = &[
+    ("path", "the JSONL file (may be given bare)"),
+    ("conn", "only report connection N"),
+    ("packets", "per-packet timelines printed per connection (default 1)"),
+];
+
+/// `println!` into the report being built (writing to a `String` cannot fail).
+macro_rules! line {
+    ($out:expr, $($arg:tt)*) => {{
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
 
 /// Everything we learned about one packet from its event chain.
 struct PacketChain {
@@ -86,35 +88,24 @@ fn event_conn(event: &TraceEvent) -> Option<u16> {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path = None;
-    let mut only_conn: Option<u16> = None;
-    let mut packets_per_conn = 1usize;
-    for arg in &args {
-        if let Some(v) = arg.strip_prefix("conn=") {
-            match v.parse() {
-                Ok(c) => only_conn = Some(c),
-                Err(_) => fail(&format!("bad value for conn={v}")),
-            }
-        } else if let Some(v) = arg.strip_prefix("packets=") {
-            match v.parse() {
-                Ok(k) => packets_per_conn = k,
-                Err(_) => fail(&format!("bad value for packets={v}")),
-            }
-        } else if arg.contains('=') || path.is_some() {
-            fail(&format!("unexpected argument `{arg}`"));
-        } else {
-            path = Some(arg.clone());
-        }
-    }
-    let Some(path) = path else {
-        fail("missing trace file path");
-    };
+pub fn run(args: &[String]) -> Result<(), String> {
+    let args = Args::parse(KEYS, 1, args)?;
+    let path = args.get("path").ok_or_else(|| args.error("missing trace file path".into()))?;
+    let only_conn: Option<u16> = args.opt("conn")?;
+    let packets_per_conn: usize = args.num("packets", 1)?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    print!("{}", render(path, &text, only_conn, packets_per_conn)?);
+    Ok(())
+}
 
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-
+/// The whole report for one file's `text`; `path` only labels it.
+fn render(
+    path: &str,
+    text: &str,
+    only_conn: Option<u16>,
+    packets_per_conn: usize,
+) -> Result<String, String> {
+    let mut out = String::new();
     // Partition observability lines (metric snapshots, flight-recorder
     // headers and events) out of the stream before trace parsing, so one
     // tool reads console traces, metrics files, and flight dumps alike.
@@ -140,20 +131,19 @@ fn main() {
     }
 
     if let Some(header) = &flight_header {
-        println!("flight-recorder dump: {header}");
+        line!(out, "flight-recorder dump: {header}");
         for event in &flight_events {
-            println!("  {event}");
+            line!(out, "  {event}");
         }
     }
-    print_metrics_dump(&metric_lines);
+    print_metrics_dump(&mut out, &metric_lines);
 
-    let records =
-        parse_jsonl(&trace_text).unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
+    let records = parse_jsonl(&trace_text).map_err(|e| format!("cannot parse {path}: {e}"))?;
     if records.is_empty() {
         if flight_header.is_none() && metric_lines.is_empty() && flight_events.is_empty() {
-            println!("{path}: empty trace");
+            line!(out, "{path}: empty trace");
         }
-        return;
+        return Ok(out);
     }
 
     let first = records.iter().map(|r| r.cycle).min().unwrap();
@@ -162,12 +152,12 @@ fn main() {
     for rec in &records {
         *by_kind.entry(rec.event.tag()).or_default() += 1;
     }
-    println!("{path}: {} records, cycles {first}..{last}", records.len());
-    print!("events:");
+    line!(out, "{path}: {} records, cycles {first}..{last}", records.len());
+    out.push_str("events:");
     for (tag, n) in &by_kind {
-        print!("  {tag} {n}");
+        let _ = write!(out, "  {tag} {n}");
     }
-    println!();
+    out.push('\n');
 
     // Stitch per-packet chains across nodes using the (src, seq) provenance.
     // Best-effort events are left out: BE sources number their packets
@@ -209,23 +199,25 @@ fn main() {
         }
     }
     if by_conn.is_empty() {
-        println!();
-        println!(
+        out.push('\n');
+        line!(
+            out,
             "no time-constrained packet chains{}",
             match only_conn {
                 Some(c) => format!(" on connection {c}"),
                 None => String::new(),
             }
         );
-        return;
+        return Ok(out);
     }
 
     for (conn, packets) in &by_conn {
         let delivered: Vec<i64> = packets.iter().filter_map(|p| p.delivered_slack).collect();
         let dropped = packets.iter().filter(|p| p.dropped).count();
         let in_flight = packets.len() - delivered.len() - dropped;
-        println!();
-        println!(
+        out.push('\n');
+        line!(
+            out,
             "connection {conn} (id at first traced hop): {} packets \
              ({} delivered, {} dropped, {} in flight)",
             packets.len(),
@@ -236,16 +228,17 @@ fn main() {
         if !delivered.is_empty() {
             let min = delivered.iter().copied().min().unwrap();
             let mean = delivered.iter().sum::<i64>() as f64 / delivered.len() as f64;
-            println!("  delivery slack (slots): min {min}  mean {mean:.1}");
+            line!(out, "  delivery slack (slots): min {min}  mean {mean:.1}");
         }
         for packet in packets.iter().take(packets_per_conn) {
             let (src, seq) = packet.records[0]
                 .event
                 .packet_id()
                 .expect("chains only hold provenance-bearing events");
-            println!("  packet src {} seq {seq}:", src.0);
+            line!(out, "  packet src {} seq {seq}:", src.0);
             for rec in &packet.records {
-                println!(
+                line!(
+                    out,
                     "    cycle {:>8}  node {:>3}  {}",
                     rec.cycle,
                     rec.node.0,
@@ -254,12 +247,13 @@ fn main() {
             }
         }
     }
+    Ok(out)
 }
 
 /// The `metrics_dump` summary: the final registry snapshot in the file,
 /// counters/gauges one per line, histograms as count/mean/max. Earlier
 /// snapshots (from `metrics_every=N` streaming) are only counted.
-fn print_metrics_dump(lines: &[MetricLine]) {
+fn print_metrics_dump(out: &mut String, lines: &[MetricLine]) {
     if lines.is_empty() {
         return;
     }
@@ -270,17 +264,19 @@ fn print_metrics_dump(lines: &[MetricLine]) {
         cycles.dedup();
         cycles.len()
     };
-    println!();
-    println!(
+    out.push('\n');
+    line!(
+        out,
         "metrics_dump: {} metrics at cycle {last_cycle}{}",
         lines.iter().filter(|m| m.cycle == last_cycle).count(),
         if snapshots > 1 { format!(" (last of {snapshots} snapshots)") } else { String::new() }
     );
     for metric in lines.iter().filter(|m| m.cycle == last_cycle) {
         match &metric.value {
-            MetricValue::Counter(v) => println!("  {:<34} {v}", metric.name),
-            MetricValue::Gauge(v) => println!("  {:<34} {v}  (gauge)", metric.name),
-            MetricValue::Histogram(h) => println!(
+            MetricValue::Counter(v) => line!(out, "  {:<34} {v}", metric.name),
+            MetricValue::Gauge(v) => line!(out, "  {:<34} {v}  (gauge)", metric.name),
+            MetricValue::Histogram(h) => line!(
+                out,
                 "  {:<34} count {}  mean {:.1}  max {}",
                 metric.name,
                 h.count,
@@ -291,7 +287,31 @@ fn print_metrics_dump(lines: &[MetricLine]) {
     }
 }
 
-fn fail(message: &str) -> ! {
-    eprintln!("trace_dump: {message}\n\n{USAGE}");
-    std::process::exit(2);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One flight header, one metrics line, and one packet's chain written
+    /// newest first: the report sorts each chain by cycle.
+    const SAMPLE: &str = r#"
+{"flight": "dump", "reason": "conservation", "cycle": 179, "events": 0, "dropped": 0}
+{"cycle": 179, "metric": "router.tc_delivered", "type": "counter", "value": 1}
+{"cycle":179,"node":5,"ev":"tc_deliver","conn":2,"slack":5,"src":4,"seq":7}
+{"cycle":85,"node":4,"ev":"tc_arrive","conn":2,"port":0,"src":4,"seq":7}
+{"cycle":60,"node":4,"ev":"tc_inject","conn":2,"src":4,"seq":7}
+"#;
+
+    #[test]
+    fn a_packet_chain_renders_in_lifecycle_order() {
+        let report = render("sample.jsonl", SAMPLE, Some(2), 1).unwrap();
+        let at = |needle: &str| report.find(needle).unwrap_or_else(|| panic!("{needle}: {report}"));
+        assert!(at("flight-recorder dump:") < at("metrics_dump: 1 metrics at cycle 179"));
+        assert!(at("router.tc_delivered") < at("sample.jsonl: 3 records, cycles 60..179"));
+        assert!(at("1 packets (1 delivered, 0 dropped, 0 in flight)") < at("packet src 4 seq 7:"));
+        let chain =
+            ["tc_inject     conn 2", "tc_arrive     conn 2", "tc_deliver    conn 2"].map(at);
+        assert!(chain.is_sorted(), "{report}");
+        assert!(render("sample.jsonl", SAMPLE, Some(3), 1).unwrap().contains("on connection 3"));
+        assert!(render("bad.jsonl", "{\"cycle\": 1}", None, 1).unwrap_err().contains("bad.jsonl"));
+    }
 }

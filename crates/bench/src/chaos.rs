@@ -1,14 +1,13 @@
-//! Chaos scenarios: measured fault-tolerance outcomes for the recorded
-//! benchmark suite.
+//! Chaos scenarios: measured fault-tolerance outcomes (`rtr chaos`).
 //!
 //! Three scripted scenarios exercise the fault plane end to end and
 //! report *recovery* figures rather than wall-clock: a mid-run link kill
 //! answered by the detection/re-route loop, a flaky-link regime absorbed
 //! by the conservation ledger, and a node crash/restore blackout. Each
 //! scenario is fully deterministic (seeded schedule, seeded traffic), so
-//! the committed `BENCH_7.json` rows double as a regression surface: a
-//! violation window or loss column that drifts means the fault plane or
-//! the recovery loop changed behaviour.
+//! the rows pinned by `chaos_rows_match_the_recorded_run` are a regression
+//! surface: a violation window or loss column that drifts means the fault
+//! plane or the recovery loop changed behaviour.
 
 use rtr_channels::establish::ChannelManager;
 use rtr_channels::recovery::{watch_and_recover, RecoveryConfig};
@@ -18,12 +17,13 @@ use rtr_core::RealTimeRouter;
 use rtr_mesh::{FaultKind, FaultSchedule, Simulator, Topology};
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::{Direction, NodeId};
+use rtr_types::time::cycle_to_slot;
 use rtr_workloads::tc::PeriodicTcSource;
 
 /// Measured outcome of one chaos scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosOutcome {
-    /// Scenario identifier (the benchmark row name).
+    /// Scenario identifier.
     pub scenario: &'static str,
     /// Cycle the scripted fault fired.
     pub fault_at: u64,
@@ -42,6 +42,8 @@ pub struct ChaosOutcome {
     pub victim_delivered: usize,
     /// Deadline misses on the victim channel.
     pub victim_misses: usize,
+    /// Delivery cycle of each of those misses.
+    pub victim_late_at: Vec<u64>,
     /// Deliveries on the fault-avoiding bystander channel.
     pub bystander_delivered: usize,
     /// Deadline misses on the bystander — the guarantee under test: 0.
@@ -106,6 +108,55 @@ struct ChannelPair {
     far_dst: NodeId,
 }
 
+/// When the fault struck and how service came back: the columns the
+/// scenarios differ in (zeros where no detector or re-route ran).
+struct Timeline {
+    fault_at: u64,
+    detected_at: u64,
+    rerouted_at: u64,
+    recovered_at: u64,
+}
+
+impl ChannelPair {
+    /// Reads the delivery and loss columns off the finished run.
+    fn outcome(
+        &self,
+        scenario: &'static str,
+        sim: &Simulator<RealTimeRouter>,
+        slot_bytes: usize,
+        t: Timeline,
+    ) -> ChaosOutcome {
+        let victim = sim.log(self.dst);
+        let bystander = sim.log(self.far_dst);
+        let stats = sim.fault_stats();
+        // The predicate of `DeliveryLog::tc_deadline_misses`, keeping the cycles.
+        let victim_late_at: Vec<u64> = victim
+            .tc
+            .iter()
+            .filter(|(cycle, p)| {
+                p.trace.deadline != 0 && cycle_to_slot(*cycle, slot_bytes) > p.trace.deadline
+            })
+            .map(|(cycle, _)| *cycle)
+            .collect();
+        ChaosOutcome {
+            scenario,
+            fault_at: t.fault_at,
+            detected_at: t.detected_at,
+            rerouted_at: t.rerouted_at,
+            recovered_at: t.recovered_at,
+            violation_window: t.recovered_at.saturating_sub(t.fault_at),
+            reroute_latency: t.rerouted_at - t.detected_at,
+            victim_delivered: victim.tc.len(),
+            victim_misses: victim_late_at.len(),
+            victim_late_at,
+            bystander_delivered: bystander.tc.len(),
+            bystander_misses: bystander.tc_deadline_misses(slot_bytes),
+            symbols_lost: stats.symbols_lost,
+            symbols_corrupted: stats.symbols_corrupted,
+        }
+    }
+}
+
 /// A mid-run link kill on the victim's row, answered by the full
 /// watch → detect → localize → re-route loop while the mesh keeps
 /// running. The bystander channel on a disjoint row must keep a zero
@@ -131,22 +182,13 @@ pub fn link_down_recovery() -> ChaosOutcome {
         watch_and_recover(&mut sim, &mut manager, &topo, pair.victim_id, pair.dst, &recovery)
             .expect("the 3x3 mesh always has a detour");
     sim.run(20_000);
-    let stats = sim.fault_stats();
-    ChaosOutcome {
-        scenario: "chaos_link_down_recovery",
+    let timeline = Timeline {
         fault_at,
         detected_at: report.detected_at,
         rerouted_at: report.rerouted_at,
         recovered_at: report.recovered_at,
-        violation_window: report.recovered_at - fault_at,
-        reroute_latency: report.reroute_latency(),
-        victim_delivered: sim.log(pair.dst).tc.len(),
-        victim_misses: sim.log(pair.dst).tc_deadline_misses(config.slot_bytes),
-        bystander_delivered: sim.log(pair.far_dst).tc.len(),
-        bystander_misses: sim.log(pair.far_dst).tc_deadline_misses(config.slot_bytes),
-        symbols_lost: stats.symbols_lost,
-        symbols_corrupted: stats.symbols_corrupted,
-    }
+    };
+    pair.outcome("chaos_link_down_recovery", &sim, config.slot_bytes, timeline)
 }
 
 /// A flaky regime on the victim's first-hop link: a seeded fraction of
@@ -167,23 +209,9 @@ pub fn flaky_link() -> ChaosOutcome {
     sim.set_fault_schedule(schedule);
     sim.run(40_000);
     sim.check_conservation().expect("losses must be ledgered, not leaked");
-    let stats = sim.fault_stats();
     // Service was degraded, not interrupted: recovery is the heal cycle.
-    ChaosOutcome {
-        scenario: "chaos_flaky_link",
-        fault_at,
-        detected_at: 0,
-        rerouted_at: 0,
-        recovered_at: 24_000,
-        violation_window: 24_000 - fault_at,
-        reroute_latency: 0,
-        victim_delivered: sim.log(pair.dst).tc.len(),
-        victim_misses: sim.log(pair.dst).tc_deadline_misses(config.slot_bytes),
-        bystander_delivered: sim.log(pair.far_dst).tc.len(),
-        bystander_misses: sim.log(pair.far_dst).tc_deadline_misses(config.slot_bytes),
-        symbols_lost: stats.symbols_lost,
-        symbols_corrupted: stats.symbols_corrupted,
-    }
+    let timeline = Timeline { fault_at, detected_at: 0, rerouted_at: 0, recovered_at: 24_000 };
+    pair.outcome("chaos_flaky_link", &sim, config.slot_bytes, timeline)
 }
 
 /// A crash/restore blackout of the router in the middle of the victim's
@@ -203,7 +231,6 @@ pub fn node_crash() -> ChaosOutcome {
     sim.set_fault_schedule(schedule);
     sim.run(40_000);
     sim.check_conservation().expect("crash losses must be ledgered, not leaked");
-    let stats = sim.fault_stats();
     let recovered_at = sim
         .log(pair.dst)
         .tc
@@ -211,21 +238,8 @@ pub fn node_crash() -> ChaosOutcome {
         .map(|(cycle, _)| *cycle)
         .find(|&cycle| cycle > restore_at)
         .unwrap_or(0);
-    ChaosOutcome {
-        scenario: "chaos_node_crash",
-        fault_at,
-        detected_at: 0,
-        rerouted_at: 0,
-        recovered_at,
-        violation_window: recovered_at.saturating_sub(fault_at),
-        reroute_latency: 0,
-        victim_delivered: sim.log(pair.dst).tc.len(),
-        victim_misses: sim.log(pair.dst).tc_deadline_misses(config.slot_bytes),
-        bystander_delivered: sim.log(pair.far_dst).tc.len(),
-        bystander_misses: sim.log(pair.far_dst).tc_deadline_misses(config.slot_bytes),
-        symbols_lost: stats.symbols_lost,
-        symbols_corrupted: stats.symbols_corrupted,
-    }
+    let timeline = Timeline { fault_at, detected_at: 0, rerouted_at: 0, recovered_at };
+    pair.outcome("chaos_node_crash", &sim, config.slot_bytes, timeline)
 }
 
 /// Runs all three scenarios in order.
@@ -238,29 +252,47 @@ pub fn run_all() -> Vec<ChaosOutcome> {
 mod tests {
     use super::*;
 
+    /// Every column of the three rows, as last recorded by the old runner
+    /// (its JSON is in git history at `9c68c21`). The bystander's zero
+    /// misses are the guarantee; the rest moves only if the fault plane or
+    /// the recovery loop changes behaviour.
     #[test]
-    fn link_down_scenario_recovers_with_clean_bystander() {
-        let outcome = link_down_recovery();
-        assert_eq!(outcome.bystander_misses, 0);
-        assert!(outcome.violation_window > 0);
-        assert!(outcome.reroute_latency > 0);
-        assert!(outcome.recovered_at > outcome.rerouted_at);
-        assert!(outcome.symbols_lost > 0);
-    }
-
-    #[test]
-    fn flaky_scenario_ledgers_its_losses() {
-        let outcome = flaky_link();
-        assert_eq!(outcome.bystander_misses, 0);
-        assert!(outcome.symbols_lost > 0);
-        assert!(outcome.symbols_corrupted > 0);
-    }
-
-    #[test]
-    fn crash_scenario_heals_after_restore() {
-        let outcome = node_crash();
-        assert_eq!(outcome.bystander_misses, 0);
-        assert!(outcome.recovered_at > 12_000, "service resumed: {outcome:?}");
-        assert!(outcome.symbols_lost > 0);
+    fn chaos_rows_match_the_recorded_run() {
+        let row = |scenario,
+                   [fault_at, detected_at, rerouted_at, recovered_at]: [u64; 4],
+                   victim: (usize, &[u64]),
+                   bystander_delivered,
+                   (symbols_lost, symbols_corrupted)| ChaosOutcome {
+            scenario,
+            fault_at,
+            detected_at,
+            rerouted_at,
+            recovered_at,
+            violation_window: recovered_at - fault_at,
+            reroute_latency: rerouted_at - detected_at,
+            victim_delivered: victim.0,
+            victim_misses: victim.1.len(),
+            victim_late_at: victim.1.to_vec(),
+            bystander_delivered,
+            bystander_misses: 0,
+            symbols_lost,
+            symbols_corrupted,
+        };
+        let recorded = [
+            row("chaos_link_down_recovery", [5_000, 5_920, 5_944, 7_059], (78, &[]), 83, (80, 0)),
+            row("chaos_flaky_link", [4_000, 0, 0, 24_000], (103, &[]), 123, (180, 11)),
+            // The one late packet left the source at cycle 5 760, sat out the
+            // blackout in the crashed router's packet memory (a crash
+            // freezes a chip, it does not wipe it), and is the very arrival
+            // that ends the violation window: late by design, inside
+            // [fault_at, recovered_at] = [6 000, 12 049].
+            row("chaos_node_crash", [6_000, 0, 0, 12_049], (104, &[12_049]), 123, (380, 0)),
+        ];
+        assert_eq!(run_all(), recorded);
+        assert_eq!((recorded[0].violation_window, recorded[0].reroute_latency), (2_059, 24));
+        for outcome in &recorded {
+            let window = outcome.fault_at..=outcome.recovered_at;
+            assert!(outcome.victim_late_at.iter().all(|at| window.contains(at)), "{outcome:?}");
+        }
     }
 }

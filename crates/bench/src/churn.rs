@@ -12,10 +12,10 @@
 //! channel overload a link they reserve.
 //!
 //! The scenario is fully deterministic (the churn schedule is a pure
-//! function of its seed) and drive-mode independent, so its committed
-//! `BENCH_8.json` row is a regression surface for the whole signaling
-//! path: setup throughput, per-establish table cost, rejection rate, and
-//! the teardown-abort ledger.
+//! function of its seed) and drive-mode independent, so the row pinned by
+//! `churn_row_matches_the_recorded_run` (and printed by `rtr churn`) is a
+//! regression surface for the whole signaling path: setup throughput,
+//! per-establish table cost, rejection rate, and the teardown-abort ledger.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -28,7 +28,7 @@ use rtr_mesh::{Simulator, Topology};
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::NodeId;
 use rtr_types::time::{cycle_to_slot, slot_to_cycle, Cycle};
-use rtr_workloads::churn::{churn_schedule, ChurnConfig, WindowedSource};
+use rtr_workloads::churn::{churn_schedule, ChurnConfig, ChurnEvent, WindowedSource};
 use rtr_workloads::tc::PeriodicTcSource;
 
 /// How the churn driver advances the simulator between control events:
@@ -74,9 +74,9 @@ impl DriveMode {
 }
 
 /// Measured outcome of the churn scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnOutcome {
-    /// Scenario identifier (the benchmark row name).
+    /// Scenario identifier.
     pub scenario: &'static str,
     /// Establishment attempts issued.
     pub attempted: u64,
@@ -117,10 +117,100 @@ enum Action {
     Teardown(u64, TeardownStyle),
 }
 
+/// Plays a churn schedule against a running mesh through the signaling
+/// engine, calling `advance` to move the simulator between control events.
+///
+/// Each arrival requests a channel of period `period_slots` and a deadline
+/// of `hop_deadline_slots` per router on its route, carries periodic
+/// traffic for its lifetime, and is torn down — `Abort` and `Drain`
+/// alternating, so both the drain path and the abort ledger run — at its
+/// stop slot, pulled inside a run that ends at `horizon`. Events due at or
+/// past `horizon` never fire. Returns the admitted arrivals' destinations
+/// and the cycle the last teardown's table clears land.
+pub fn drive_schedule(
+    sim: &mut Simulator<RealTimeRouter>,
+    engine: &mut SignalingEngine,
+    config: &RouterConfig,
+    events: &[ChurnEvent],
+    (period_slots, hop_deadline_slots): (u32, u32),
+    horizon: Cycle,
+    mut advance: impl FnMut(&mut Simulator<RealTimeRouter>, Cycle),
+) -> (Vec<NodeId>, Cycle) {
+    let topo = sim.topology().clone();
+    let mut actions: Vec<Action> = Vec::new();
+    let mut due: BinaryHeap<Reverse<(Cycle, usize)>> = BinaryHeap::new();
+    for (i, event) in events.iter().enumerate() {
+        let at = slot_to_cycle(event.start_slot, config.slot_bytes).max(1);
+        due.push(Reverse((at, actions.len())));
+        actions.push(Action::Establish(i));
+    }
+
+    let mut churn_dsts: Vec<NodeId> = Vec::new();
+    let mut last_clear = 0;
+    while let Some(Reverse((at, seq))) = due.pop() {
+        if at >= horizon {
+            break;
+        }
+        advance(sim, at.saturating_sub(sim.now()));
+        match actions[seq] {
+            Action::Establish(i) => {
+                let event = events[i];
+                let (sx, sy) = topo.coords(event.src);
+                let (dx, dy) = topo.coords(event.dst);
+                let dist = u32::from(sx.abs_diff(dx) + sy.abs_diff(dy));
+                let request = ChannelRequest::unicast(
+                    event.src,
+                    event.dst,
+                    TrafficSpec::periodic(period_slots, 18),
+                    hop_deadline_slots * (dist + 1),
+                );
+                let Ok(ticket) = engine.request_establish(&topo, request, sim) else {
+                    continue;
+                };
+                // A channel that only becomes ready on the run's last cycle
+                // stays up: its teardown falls past the horizon.
+                let stop = slot_to_cycle(event.stop_slot(), config.slot_bytes)
+                    .min(horizon.saturating_sub(1).max(1))
+                    .max(ticket.ready_at + 1);
+                let style = if i % 2 == 0 { TeardownStyle::Abort } else { TeardownStyle::Drain };
+                due.push(Reverse((stop, actions.len())));
+                actions.push(Action::Teardown(ticket.channel.id, style));
+
+                let sender = ChannelSender::new(
+                    &ticket.channel,
+                    sim.chip(event.src).clock(),
+                    config.slot_bytes,
+                    config.tc_data_bytes(),
+                );
+                let first_slot = cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1;
+                let source = PeriodicTcSource::new(
+                    sender,
+                    u64::from(period_slots),
+                    first_slot,
+                    config.slot_bytes,
+                    vec![0x80 ^ i as u8; config.tc_data_bytes()],
+                )
+                .with_limit((event.lifetime_slots / u64::from(period_slots)).max(1));
+                sim.add_source(
+                    event.src,
+                    Box::new(WindowedSource::new(source, ticket.ready_at, stop)),
+                );
+                churn_dsts.push(event.dst);
+            }
+            Action::Teardown(id, style) => {
+                let ticket =
+                    engine.request_teardown(id, style, sim).expect("teardown of a known channel");
+                last_clear = last_clear.max(ticket.cleared_at);
+            }
+        }
+    }
+    (churn_dsts, last_clear)
+}
+
 /// Runs the churn scenario under one drive mode.
 ///
 /// All four modes produce byte-identical network state (asserted by
-/// `tests/churn.rs`); the benchmark records the stepped run.
+/// `tests/churn.rs`); `rtr churn` prints the stepped run.
 #[must_use]
 pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
     let config = RouterConfig::default();
@@ -174,72 +264,10 @@ pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
         min_lifetime_slots: 64,
     };
     let events = churn_schedule(&churn, &topo);
-
-    let mut actions: Vec<Action> = Vec::new();
-    let mut due: BinaryHeap<Reverse<(Cycle, usize)>> = BinaryHeap::new();
-    for (i, event) in events.iter().enumerate() {
-        let at = slot_to_cycle(event.start_slot, config.slot_bytes).max(1);
-        due.push(Reverse((at, actions.len())));
-        actions.push(Action::Establish(i));
-    }
-
-    let mut churn_dsts: Vec<NodeId> = Vec::new();
-    let mut last_clear = 0;
-    while let Some(Reverse((at, seq))) = due.pop() {
-        let gap = at.saturating_sub(sim.now());
-        mode.advance(&mut sim, gap);
-        match actions[seq] {
-            Action::Establish(i) => {
-                let event = events[i];
-                let (sx, sy) = topo.coords(event.src);
-                let (dx, dy) = topo.coords(event.dst);
-                let dist = u32::from(sx.abs_diff(dx) + sy.abs_diff(dy));
-                let request = ChannelRequest::unicast(
-                    event.src,
-                    event.dst,
-                    TrafficSpec::periodic(4, 18),
-                    4 * (dist + 1),
-                );
-                let Ok(ticket) = engine.request_establish(&topo, request, &mut sim) else {
-                    continue;
-                };
-                let stop = slot_to_cycle(event.stop_slot(), config.slot_bytes);
-                // Alternate teardown styles so the run exercises both the
-                // drain path and the abort ledger.
-                let style = if i % 2 == 0 { TeardownStyle::Abort } else { TeardownStyle::Drain };
-                due.push(Reverse((stop.max(ticket.ready_at + 1), actions.len())));
-                actions.push(Action::Teardown(ticket.channel.id, style));
-
-                let sender = ChannelSender::new(
-                    &ticket.channel,
-                    sim.chip(event.src).clock(),
-                    config.slot_bytes,
-                    config.tc_data_bytes(),
-                );
-                let first_slot = cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1;
-                let limit = (event.lifetime_slots / 4).max(1);
-                let source = PeriodicTcSource::new(
-                    sender,
-                    4,
-                    first_slot,
-                    config.slot_bytes,
-                    vec![0x80 ^ i as u8; config.tc_data_bytes()],
-                )
-                .with_limit(limit);
-                sim.add_source(
-                    event.src,
-                    Box::new(WindowedSource::new(source, ticket.ready_at, stop)),
-                );
-                churn_dsts.push(event.dst);
-            }
-            Action::Teardown(id, style) => {
-                let ticket = engine
-                    .request_teardown(id, style, &mut sim)
-                    .expect("teardown of a known channel");
-                last_clear = last_clear.max(ticket.cleared_at);
-            }
-        }
-    }
+    let (mut churn_dsts, last_clear) =
+        drive_schedule(&mut sim, &mut engine, &config, &events, (4, 4), Cycle::MAX, |sim, gap| {
+            mode.advance(sim, gap)
+        });
     // Let the last drains land and the bystanders run a comfortable tail.
     let tail = last_clear.saturating_sub(sim.now()) + 20_000;
     mode.advance(&mut sim, tail);
@@ -284,26 +312,34 @@ pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
     }
 }
 
-/// Runs the scenario in the reference (dense serial) drive mode.
-#[must_use]
-pub fn run() -> ChurnOutcome {
-    run_churn(DriveMode::DenseSerial)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every column of the row, as last recorded by the old runner (its
+    /// JSON is in git history at `9c68c21`): admission said no nine times,
+    /// every table write landed, and the bystanders never missed.
     #[test]
-    fn churn_scenario_admits_rejects_and_keeps_bystanders_clean() {
-        let outcome = run();
-        assert_eq!(outcome.bystander_misses, 0, "{outcome:?}");
-        assert!(outcome.accepted > 0, "{outcome:?}");
-        assert!(outcome.attempted == outcome.accepted + outcome.rejected);
-        assert_eq!(outcome.control_ops_rejected, 0, "{outcome:?}");
-        assert_eq!(outcome.control_ops_applied, outcome.table_writes, "{outcome:?}");
-        assert!(outcome.bystander_delivered > 0);
-        assert!(outcome.churn_delivered > 0, "{outcome:?}");
-        assert!(outcome.setup_cycles_per_establish > 0);
+    fn churn_row_matches_the_recorded_run() {
+        let recorded = ChurnOutcome {
+            scenario: "churn_admission_under_load",
+            attempted: 50,
+            accepted: 41,
+            rejected: 9,
+            teardowns: 39,
+            table_writes: 506,
+            write_cost_cycles: 8,
+            setup_cycles_per_establish: 98,
+            accepted_per_mcycle: 710,
+            span_cycles: 57_712,
+            control_ops_applied: 506,
+            control_ops_rejected: 0,
+            control_rejections: Vec::new(),
+            aborted_packets: 54,
+            bystander_delivered: 404,
+            bystander_misses: 0,
+            churn_delivered: 4_352,
+        };
+        assert_eq!(run_churn(DriveMode::DenseSerial), recorded);
     }
 }

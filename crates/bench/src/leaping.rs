@@ -6,9 +6,12 @@
 //! of each source link's cycles under traffic), then runs the identical
 //! workload through [`Simulator::run`] and [`Simulator::run_leaping`] and
 //! reports the wall-clock ratio, alongside the wake-precision counters of
-//! the leaping run. The results back the "Event-driven leaping" and
-//! "Event core" sections of `EXPERIMENTS.md`; `bench_runner` records the
-//! sparse points (8×8 and 32×32) in `BENCH_3.json`.
+//! the leaping run (`rtr leaping`). The results back the "Event-driven
+//! leaping" and "Event core" sections of `EXPERIMENTS.md`. This is the one
+//! module of the crate that reads a clock: the ratio *is* the experiment,
+//! and each point asserts both drives delivered alike. Recorded timings
+//! of the same sparse meshes are the benchmark's `sparse_leap` and
+//! `mega_cold` workloads (`benchmark/README.md`).
 
 use std::time::Instant;
 
@@ -65,16 +68,9 @@ impl LeapingPoint {
     }
 }
 
-/// Builds the sweep's mesh: four one-hop channels with the given period.
-#[must_use]
-pub fn periodic_mesh(period_slots: u64) -> Simulator<RealTimeRouter> {
-    periodic_mesh_sized(8, 8, period_slots)
-}
-
 /// Builds a `width × height` sweep mesh with four one-hop periodic TC
 /// channels on rows spread across the height (rows 0, h/4, 5h/8, and h−1 —
-/// for an 8-row mesh exactly the historical rows 0, 2, 5, 7, so `BENCH_2`
-/// numbers stay comparable).
+/// for an 8-row mesh exactly the historical rows 0, 2, 5, 7).
 ///
 /// # Panics
 ///
@@ -179,22 +175,22 @@ pub fn measure(period_slots: u64, cycles: u64, iters: usize) -> LeapingPoint {
     let mut leaping_delivered = 0;
     let mut wake = WakeStats::default();
     for _ in 0..iters {
-        let mut sim = periodic_mesh(period_slots);
+        let mut sim = periodic_mesh_sized(8, 8, period_slots);
         let start = Instant::now();
         sim.run(cycles);
         stepped_s = stepped_s.min(start.elapsed().as_secs_f64());
         stepped_ticks = sim.ticks_executed();
         stepped_delivered = sim.topology().nodes().map(|n| sim.log(n).tc.len()).sum();
 
-        let mut sim = periodic_mesh(period_slots);
+        let mut sim = periodic_mesh_sized(8, 8, period_slots);
         let start = Instant::now();
         sim.run_leaping(cycles);
         leaping_s = leaping_s.min(start.elapsed().as_secs_f64());
         leaping_ticks = sim.ticks_executed();
         leaping_delivered = sim.topology().nodes().map(|n| sim.log(n).tc.len()).sum();
         // Read the wake counters back through the metrics registry rather
-        // than the chips directly: the sweep exercises the same export
-        // surface bench_runner embeds in its JSON.
+        // than the chips directly: the export surface every other reader
+        // of these counters uses.
         let snapshot = sim.metrics_snapshot();
         wake = WakeStats {
             polls: snapshot.counter("wake.polls").unwrap_or(0),

@@ -2,8 +2,9 @@
 //! extension sweeps (see `DESIGN.md` §4 for the experiment index).
 //!
 //! Each module exposes a `run` function returning structured results; the
-//! `src/bin/*` targets print them in the paper's format, the Criterion
-//! benches time them, and the integration tests assert their shapes.
+//! `rtr` binary prints them in the paper's format (one subcommand each)
+//! and the integration tests assert their shapes. Timing the simulator is
+//! `benchmark/`'s job, not this crate's.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

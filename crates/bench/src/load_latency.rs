@@ -17,8 +17,7 @@ use rtr_mesh::stats::LatencySummary;
 use rtr_mesh::{Simulator, Topology};
 use rtr_types::config::RouterConfig;
 use rtr_types::time::Cycle;
-use rtr_workloads::be::{RandomBeSource, SizeDist};
-use rtr_workloads::patterns::TrafficPattern;
+use rtr_workloads::be::SizeDist;
 use rtr_workloads::tc::BackloggedTcSource;
 
 /// One point on the load–latency curve.
@@ -90,21 +89,7 @@ pub fn run_point(tc_period: Option<u32>, offered: f64, total_cycles: Cycle) -> L
         }
     }
 
-    for node in topo.nodes() {
-        sim.add_source(
-            node,
-            Box::new(
-                RandomBeSource::new(
-                    topo.clone(),
-                    TrafficPattern::Uniform,
-                    offered,
-                    SizeDist::Fixed(28),
-                    0x10AD ^ u64::from(node.0),
-                )
-                .with_max_queue(16),
-            ),
-        );
-    }
+    crate::util::add_uniform_be(&mut sim, offered, SizeDist::Fixed(28), 0x10AD, 16);
 
     sim.run(total_cycles);
 

@@ -17,8 +17,7 @@ use rtr_mesh::{Simulator, Topology};
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::NodeId;
 use rtr_types::time::Cycle;
-use rtr_workloads::be::{RandomBeSource, SizeDist};
-use rtr_workloads::patterns::TrafficPattern;
+use rtr_workloads::be::SizeDist;
 use rtr_workloads::tc::PeriodicTcSource;
 
 /// The experiment's outcome.
@@ -42,6 +41,63 @@ pub struct GuaranteeResult {
     pub be_delivered: usize,
 }
 
+/// Offers `offered` random unicast requests (seeded by `seed`: period 8,
+/// 16 or 32 slots, 4 to 8 slots of deadline per router on the route) to
+/// `manager` and starts a periodic sender, payload byte `fill`, on every
+/// channel admitted. Returns the admitted channels.
+pub fn offer_random_channels(
+    sim: &mut Simulator<RealTimeRouter>,
+    manager: &mut ChannelManager,
+    config: &RouterConfig,
+    offered: usize,
+    seed: u64,
+    fill: u8,
+) -> Vec<EstablishedChannel> {
+    let topo = sim.topology().clone();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut admitted: Vec<EstablishedChannel> = Vec::new();
+    if topo.len() < 2 {
+        return admitted; // no distinct destination to draw
+    }
+    for _ in 0..offered {
+        let src = NodeId(rng.gen_range(0..topo.len() as u16));
+        let dst = loop {
+            let d = NodeId(rng.gen_range(0..topo.len() as u16));
+            if d != src {
+                break d;
+            }
+        };
+        let i_min = [8u32, 16, 32][rng.gen_range(0..3usize)];
+        let depth = topo.dor_route(src, dst).len() as u32 + 1;
+        let d_per = rng.gen_range(4..=8.min(i_min));
+        let request =
+            ChannelRequest::unicast(src, dst, TrafficSpec::periodic(i_min, 18), depth * d_per);
+        if let Ok(channel) = manager.establish(&topo, request, sim) {
+            admitted.push(channel);
+        }
+    }
+    for channel in &admitted {
+        let src = channel.request.source;
+        let sender = ChannelSender::new(
+            channel,
+            sim.chip(src).clock(),
+            config.slot_bytes,
+            config.tc_data_bytes(),
+        );
+        sim.add_source(
+            src,
+            Box::new(PeriodicTcSource::new(
+                sender,
+                u64::from(channel.request.spec.i_min),
+                channel.id % 8,
+                config.slot_bytes,
+                vec![fill; config.tc_data_bytes()],
+            )),
+        );
+    }
+    admitted
+}
+
 /// Runs the guarantee experiment.
 ///
 /// `offered` random unicast requests (seeded by `seed`) are offered on a
@@ -63,64 +119,9 @@ pub fn run(
     let topo = Topology::mesh(side, side);
     let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
     let mut manager = ChannelManager::new(&config);
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let mut admitted: Vec<EstablishedChannel> = Vec::new();
-    for _ in 0..offered {
-        let src = NodeId(rng.gen_range(0..topo.len() as u16));
-        let dst = loop {
-            let d = NodeId(rng.gen_range(0..topo.len() as u16));
-            if d != src {
-                break d;
-            }
-        };
-        let i_min = *[8u32, 16, 32].get(rng.gen_range(0..3usize)).unwrap();
-        let depth = topo.dor_route(src, dst).len() as u32 + 1;
-        let d_per = rng.gen_range(4..=8.min(i_min));
-        let request =
-            ChannelRequest::unicast(src, dst, TrafficSpec::periodic(i_min, 18), depth * d_per);
-        if let Ok(channel) = manager.establish(&topo, request, &mut sim) {
-            admitted.push(channel);
-        }
-    }
-
-    for channel in &admitted {
-        let src = channel.request.source;
-        let sender = ChannelSender::new(
-            channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        let phase = channel.id % 8;
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                u64::from(channel.request.spec.i_min),
-                phase,
-                config.slot_bytes,
-                vec![0x33; config.tc_data_bytes()],
-            )),
-        );
-    }
-    if be_rate > 0.0 {
-        for node in topo.nodes() {
-            sim.add_source(
-                node,
-                Box::new(
-                    RandomBeSource::new(
-                        topo.clone(),
-                        TrafficPattern::Uniform,
-                        be_rate,
-                        SizeDist::Uniform(8, 48),
-                        seed.wrapping_mul(31) ^ u64::from(node.0),
-                    )
-                    .with_max_queue(8),
-                ),
-            );
-        }
-    }
+    let admitted = offer_random_channels(&mut sim, &mut manager, &config, offered, seed, 0x33);
+    let be_seed = seed.wrapping_mul(31);
+    crate::util::add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(8, 48), be_seed, 8);
 
     sim.run(total_cycles);
 

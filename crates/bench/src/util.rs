@@ -3,10 +3,35 @@
 use rtr_channels::arrival::ArrivalTracker;
 use rtr_mesh::source::TrafficSource;
 use rtr_mesh::topology::Topology;
-use rtr_types::chip::ChipIo;
+use rtr_mesh::Simulator;
+use rtr_types::chip::{Chip, ChipIo};
 use rtr_types::ids::NodeId;
 use rtr_types::packet::{BePacket, PacketTrace};
 use rtr_types::time::{cycle_to_slot, Cycle};
+use rtr_workloads::be::{RandomBeSource, SizeDist};
+use rtr_workloads::patterns::TrafficPattern;
+
+/// Adds a uniform-random best-effort source injecting at `rate` to every
+/// node, node `n` seeded with `seed ^ n`. A zero rate or a one-node mesh
+/// (no destination to draw) adds nothing.
+pub fn add_uniform_be<C: Chip>(
+    sim: &mut Simulator<C>,
+    rate: f64,
+    sizes: SizeDist,
+    seed: u64,
+    max_queue: usize,
+) {
+    let topo = sim.topology().clone();
+    if rate <= 0.0 || topo.len() < 2 {
+        return;
+    }
+    for node in topo.nodes() {
+        let node_seed = seed ^ u64::from(node.0);
+        let source =
+            RandomBeSource::new(topo.clone(), TrafficPattern::Uniform, rate, sizes, node_seed);
+        sim.add_source(node, Box::new(source.with_max_queue(max_queue)));
+    }
+}
 
 /// A periodic source that sends deadline-stamped *best-effort* packets —
 /// used to offer the real-time workload to baseline routers that have no

@@ -172,6 +172,14 @@ fn event_cycle_work_is_flat_in_mesh_size() {
         sim.run_leaping(20_000);
         let delivered: usize = topo.nodes().map(|n| sim.log(n).tc.len()).sum();
         assert!(delivered >= 8 * 14, "the channels carried traffic: {delivered}");
+        // The cold prime re-polls every chip and source but only the links
+        // that carry traffic, and nothing re-primes mid-run: the whole run's
+        // stale-repoll bill is one prime, not a per-leap sweep of the mesh.
+        let stale = sim.metrics_snapshot().counter("sim.stale_repolls").unwrap();
+        assert!(
+            stale <= nodes + 8 + 256,
+            "{side}×{side}: {stale} stale re-polls, one prime allowed"
+        );
         let [links, ios] = visits(&sim);
         [links - prime_links, ios - prime_ios]
     };
