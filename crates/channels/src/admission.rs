@@ -134,8 +134,14 @@ pub struct LinkBook {
 impl LinkBook {
     /// Creates an empty book.
     #[must_use]
-    pub fn new() -> Self {
-        LinkBook::default()
+    pub const fn new() -> Self {
+        LinkBook { reservations: Vec::new() }
+    }
+
+    /// Heap bytes behind the reservation list (allocated capacity).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.reservations.capacity() * std::mem::size_of::<LinkReservation>()
     }
 
     /// Currently admitted reservations.
@@ -353,6 +359,16 @@ impl BufferBook {
         self.available().min(by_cap)
     }
 
+    /// Slots a connection leaving on the ports in `out_mask` can still
+    /// reserve: the tightest of those ports' partitions and the memory.
+    #[must_use]
+    pub fn available_through(&self, out_mask: u8) -> usize {
+        rtr_types::ids::ports_in_mask(out_mask)
+            .map(|p| self.available_for(p.index()))
+            .min()
+            .unwrap_or_else(|| self.available())
+    }
+
     /// Slots reserved so far.
     #[must_use]
     pub fn reserved(&self) -> usize {
@@ -373,10 +389,7 @@ impl BufferBook {
         slots: usize,
         out_mask: u8,
     ) -> Result<(), AdmissionError> {
-        let tightest = rtr_types::ids::ports_in_mask(out_mask)
-            .map(|p| self.available_for(p.index()))
-            .min()
-            .unwrap_or_else(|| self.available());
+        let tightest = self.available_through(out_mask);
         if slots > tightest {
             return Err(AdmissionError::BufferExceeded {
                 node,

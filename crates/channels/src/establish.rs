@@ -14,7 +14,7 @@
 //! all children. The reception port at each destination is scheduled like a
 //! link and receives its own `d`.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 
 use rtr_core::control::{ControlCommand, ControlError};
 use rtr_core::RealTimeRouter;
@@ -24,8 +24,9 @@ use rtr_types::config::RouterConfig;
 use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
 
 use crate::admission::{
-    buffers_needed, AdmissionError, AdmissionPolicy, BufferBook, LinkBook, LinkReservation,
+    buffers_needed, AdmissionError, AdmissionPolicy, LinkBook, LinkReservation,
 };
+use crate::books::{IdBook, NodeBooks, NO_IDS};
 use crate::spec::ChannelRequest;
 
 /// A failure to establish a channel.
@@ -190,24 +191,21 @@ pub struct ChannelManager {
     eta: u32,
     data_bytes: usize,
     half_range: u32,
-    buffer_capacity: usize,
+    /// Identifiers per router, at most the 2^16 a [`ConnectionId`] can name.
     conn_capacity: usize,
     /// Horizon the manager assumes links use when sizing downstream buffers
     /// (§4.1: larger horizons require more reservation).
     assumed_horizon: u32,
     /// Link schedulability test variant.
     policy: AdmissionPolicy,
-    links: HashMap<(NodeId, usize), LinkBook>,
-    buffers: HashMap<NodeId, BufferBook>,
-    used_ids: HashMap<NodeId, HashSet<u16>>,
-    /// Generation tag of the most recent release of each `(node, id)` —
-    /// the teardown recency record behind [`ChannelManager::pick_free_id`]:
-    /// never-released ids are handed out first (smallest), then the
-    /// least-recently-released, so a just-torn-down identifier goes to the
-    /// back of the reuse queue and its in-flight packets drain into the
+    /// Link, buffer and identifier books of every node a channel has
+    /// crossed. Identifiers are handed out generation-ordered (see
+    /// [`IdBook::pick_free`]): never-released ones first (smallest), then
+    /// the least-recently-released, so a just-torn-down identifier goes to
+    /// the back of the reuse queue and its in-flight packets drain into the
     /// teardown ledger before the id can carry new traffic.
-    released_gen: HashMap<NodeId, HashMap<u16, u64>>,
-    /// Monotone teardown clock stamping `released_gen` entries.
+    books: NodeBooks,
+    /// Monotone teardown clock stamping identifier releases.
     release_clock: u64,
     /// One-shot ingress-id preference consumed by the next establishment's
     /// source pick (set by [`ChannelManager::reroute`] so a replacement
@@ -216,6 +214,10 @@ pub struct ChannelManager {
     prefer_ingress: Option<u16>,
     channels: HashMap<u64, EstablishedChannel>,
     next_id: u64,
+    /// The scan the id books replaced, fed the same marks and releases;
+    /// every pick is checked against it.
+    #[cfg(test)]
+    oracle: tests::ScanOracle,
 }
 
 impl ChannelManager {
@@ -226,18 +228,16 @@ impl ChannelManager {
             eta: 2,
             data_bytes: config.tc_data_bytes(),
             half_range: 1 << (config.clock_bits - 1),
-            buffer_capacity: config.packet_slots,
-            conn_capacity: config.connections,
+            conn_capacity: config.connections.min(usize::from(u16::MAX) + 1),
             assumed_horizon: 0,
             policy: AdmissionPolicy::default(),
-            links: HashMap::new(),
-            buffers: HashMap::new(),
-            used_ids: HashMap::new(),
-            released_gen: HashMap::new(),
+            books: NodeBooks::new(config.packet_slots),
             release_clock: 0,
             prefer_ingress: None,
             channels: HashMap::new(),
             next_id: 0,
+            #[cfg(test)]
+            oracle: tests::ScanOracle::default(),
         }
     }
 
@@ -263,10 +263,7 @@ impl ChannelManager {
     /// `port` — the §3.4 logical memory partitioning. `None` restores full
     /// sharing.
     pub fn set_buffer_partition(&mut self, node: NodeId, port: Port, cap: Option<usize>) {
-        self.buffers
-            .entry(node)
-            .or_insert_with(|| BufferBook::new(self.buffer_capacity))
-            .set_partition(port.index(), cap);
+        self.books.materialise(node).buffers.set_partition(port.index(), cap);
     }
 
     /// Established channels, by identifier.
@@ -278,7 +275,23 @@ impl ChannelManager {
     /// The link book of `(node, port)` (reception = `Port::Local`).
     #[must_use]
     pub fn link_book(&self, node: NodeId, port: Port) -> Option<&LinkBook> {
-        self.links.get(&(node, port.index()))
+        self.books.get(node)?.links[port.index()].as_ref()
+    }
+
+    /// Nodes holding a reservation book: those a committed channel has
+    /// crossed or a partition was set at. A refused request adds none.
+    #[must_use]
+    pub fn booked_nodes(&self) -> usize {
+        self.books.len()
+    }
+
+    /// Heap bytes behind the reservation books (allocated capacity): a
+    /// few dozen words per booked node plus four bytes of index per node
+    /// up to the highest-numbered booked one; the channel registry is not
+    /// counted.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.books.heap_bytes()
     }
 
     /// A network-wide reservation summary: per reserved link, its
@@ -287,18 +300,21 @@ impl ChannelManager {
     /// partitions.
     #[must_use]
     pub fn utilization_report(&self) -> Vec<LinkLoad> {
-        let mut rows: Vec<LinkLoad> = self
-            .links
-            .iter()
-            .filter(|(_, book)| !book.reservations().is_empty())
-            .map(|(&(node, port_index), book)| LinkLoad {
-                node,
-                port: Port::from_index(port_index),
-                connections: book.reservations().len(),
-                utilization: book.utilization_with(None),
-                headroom_slots: book.headroom(),
-            })
-            .collect();
+        let mut rows = Vec::new();
+        for at in self.books.iter() {
+            for (book, port) in at.links.iter().zip(Port::ALL) {
+                let Some(book) = book.as_ref().filter(|b| !b.reservations().is_empty()) else {
+                    continue;
+                };
+                rows.push(LinkLoad {
+                    node: at.node,
+                    port,
+                    connections: book.reservations().len(),
+                    utilization: book.utilization_with(None),
+                    headroom_slots: book.headroom(),
+                });
+            }
+        }
         rows.sort_by(|a, b| {
             b.utilization
                 .partial_cmp(&a.utilization)
@@ -356,8 +372,9 @@ impl ChannelManager {
         let packets = request.spec.packets_per_message(self.data_bytes);
 
         // 1. Build the routing tree (BFS order; each node has a unique
-        //    parent).
+        //    parent). Everything below is indexed by position in that order.
         let tree = RouteTree::build_from_routes(topo, &request, routes)?;
+        let order = tree.order();
 
         // 2. Decompose the deadline: a uniform per-node delay, with the
         //    remainder spread along the deepest path.
@@ -370,46 +387,40 @@ impl ChannelManager {
             }
             .into());
         }
-        let mut delays: BTreeMap<NodeId, u32> = BTreeMap::new();
-        for &node in tree.order() {
-            delays.insert(node, base.min(request.spec.i_min).min(self.half_range - 1));
-        }
-        for node in tree.deepest_path().into_iter().take(remainder as usize) {
-            let d = delays.get_mut(&node).expect("deepest path node in tree");
-            *d = (*d + 1).min(request.spec.i_min).min(self.half_range - 1);
+        let d_cap = request.spec.i_min.min(self.half_range - 1);
+        let mut delays = vec![base.min(d_cap); order.len()];
+        for at in tree.deepest_path().into_iter().take(remainder as usize) {
+            delays[at] = (delays[at] + 1).min(d_cap);
         }
 
-        // 3. Admission: links (including reception ports) and buffers.
-        let mut planned: Vec<Hop> = Vec::new();
-        for &node in tree.order() {
-            let d_here = delays[&node];
+        // 3. Admission: links (including reception ports) and buffers. Reads
+        //    the books only — a node without one has empty links and a full
+        //    memory — so a refusal leaves nothing behind.
+        let mut planned: Vec<Hop> = Vec::with_capacity(order.len());
+        for (at, &node) in order.iter().enumerate() {
+            let d_here = delays[at];
             let reservation =
                 LinkReservation { packets, period: request.spec.i_min, delay: d_here };
             let mut mask = 0u8;
-            for dir in tree.children(node) {
+            for (dir, _) in tree.children(at) {
                 mask |= Port::Dir(dir).mask();
             }
-            if tree.delivers(node) {
+            if tree.delivers(at) {
                 mask |= Port::Local.mask();
             }
+            let book = self.books.get(node);
             for port in rtr_types::ids::ports_in_mask(mask) {
-                self.links.entry((node, port.index())).or_default().admissible_with(
-                    reservation,
-                    self.eta,
-                    self.policy,
-                )?;
+                book.and_then(|b| b.links[port.index()].as_ref())
+                    .unwrap_or(&NO_LINKS)
+                    .admissible_with(reservation, self.eta, self.policy)?;
             }
-            let (h_prev, d_prev, is_source) = match tree.parent(node) {
-                Some(parent) => (self.assumed_horizon, delays[&parent], false),
+            let (h_prev, d_prev, is_source) = match tree.parent(at) {
+                Some(parent) => (self.assumed_horizon, delays[parent], false),
                 None => (0, 0, true),
             };
             let buffers = buffers_needed(&request.spec, packets, h_prev, d_prev, d_here, is_source);
-            let book =
-                self.buffers.entry(node).or_insert_with(|| BufferBook::new(self.buffer_capacity));
-            let tightest = rtr_types::ids::ports_in_mask(mask)
-                .map(|p| book.available_for(p.index()))
-                .min()
-                .unwrap_or_else(|| book.available());
+            let tightest =
+                book.map_or(self.books.buffer_capacity(), |b| b.buffers.available_through(mask));
             if buffers > tightest {
                 return Err(AdmissionError::BufferExceeded {
                     node,
@@ -429,68 +440,45 @@ impl ChannelManager {
         }
 
         // 4. Connection identifiers: the source picks any free id; each
-        //    parent's outgoing id must be free at *all* children.
-        let mut assigned: HashMap<NodeId, ConnectionId> = HashMap::new();
-        let mut newly_used: Vec<(NodeId, u16)> = Vec::new();
-        {
-            let preferred = prefer_ingress
-                .filter(|&id| {
-                    (id as usize) < self.conn_capacity
-                        && self.used_ids.get(&request.source).is_none_or(|used| !used.contains(&id))
-                })
-                .map(ConnectionId);
-            let source_id = preferred
-                .or_else(|| self.pick_free_id(&[request.source]))
-                .ok_or(AdmissionError::NoFreeConnectionId { node: request.source })?;
-            assigned.insert(request.source, source_id);
-            newly_used.push((request.source, source_id.0));
-            self.used_ids.entry(request.source).or_default().insert(source_id.0);
-        }
-        for &node in tree.order() {
-            let child_nodes: Vec<NodeId> = tree
-                .children(node)
-                .map(|dir| topo.link_end(node, dir).expect("tree uses wired links").node)
-                .collect();
-            if child_nodes.is_empty() {
+        //    parent's outgoing id must be free at *all* children. A tree
+        //    node receives exactly one id, so no pick depends on another
+        //    and nothing is marked until every pick has succeeded.
+        planned[0].conn = prefer_ingress
+            .filter(|&id| {
+                usize::from(id) < self.conn_capacity && !self.id_in_use(request.source, id)
+            })
+            .map(ConnectionId)
+            .or_else(|| self.pick_free_id([request.source]))
+            .ok_or(AdmissionError::NoFreeConnectionId { node: request.source })?;
+        for at in 0..order.len() {
+            // A refusal names the child the routes reached first.
+            let Some(first) = tree.children(at).map(|(_, child)| child).min() else {
+                planned[at].out_conn = planned[at].conn;
                 continue;
-            }
-            let Some(id) = self.pick_free_id(&child_nodes) else {
-                // Roll back id marks before failing.
-                for (n, v) in newly_used {
-                    self.used_ids.get_mut(&n).map(|s| s.remove(&v));
-                }
-                return Err(AdmissionError::NoFreeConnectionId { node: child_nodes[0] }.into());
             };
-            for &child in &child_nodes {
-                assigned.insert(child, id);
-                newly_used.push((child, id.0));
-                self.used_ids.entry(child).or_default().insert(id.0);
+            let id = self
+                .pick_free_id(tree.children(at).map(|(_, child)| order[child]))
+                .ok_or(AdmissionError::NoFreeConnectionId { node: order[first] })?;
+            planned[at].out_conn = id;
+            for (_, child) in tree.children(at) {
+                planned[child].conn = id;
             }
-        }
-        for hop in &mut planned {
-            hop.conn = assigned[&hop.node];
-            let first_child = tree
-                .children(hop.node)
-                .next()
-                .map(|dir| topo.link_end(hop.node, dir).expect("wired").node);
-            hop.out_conn = match first_child {
-                Some(child) => assigned[&child],
-                None => hop.conn,
-            };
         }
 
         // 5. Commit reservations and program the routers.
         for hop in &planned {
             let reservation =
                 LinkReservation { packets, period: request.spec.i_min, delay: hop.delay };
+            let book = self.books.materialise(hop.node);
             for port in rtr_types::ids::ports_in_mask(hop.out_mask) {
-                self.links.entry((hop.node, port.index())).or_default().reserve(reservation);
+                book.links[port.index()].get_or_insert_with(LinkBook::new).reserve(reservation);
             }
-            self.buffers
-                .get_mut(&hop.node)
-                .expect("buffer book created during admission")
+            book.buffers
                 .reserve(hop.node, hop.buffers, hop.out_mask)
                 .expect("buffer availability checked during admission");
+            book.ids.mark_used(hop.conn.index());
+            #[cfg(test)]
+            self.oracle.mark(hop.node, hop.conn.0);
             plane.apply(
                 hop.node,
                 ControlCommand::SetConnection {
@@ -505,26 +493,17 @@ impl ChannelManager {
         let id = self.next_id;
         self.next_id += 1;
         // Analytic bound: the largest per-path sum of the committed delay
-        // bounds (≤ the requested deadline by construction).
-        let guaranteed = request
-            .destinations
-            .iter()
-            .map(|&dst| {
-                let mut sum = delays[&dst];
-                let mut here = dst;
-                while let Some(p) = tree.parent(here) {
-                    sum += delays[&p];
-                    here = p;
-                }
-                sum
-            })
-            .max()
-            .unwrap_or(0);
+        // bounds (≤ the requested deadline by construction). Parents come
+        // before children, so one pass turns `delays` into path sums.
+        for at in 1..delays.len() {
+            delays[at] += delays[tree.parent(at).expect("only the source has no parent")];
+        }
+        let guaranteed = tree.destinations().map(|at| delays[at]).max().unwrap_or(0);
         debug_assert!(guaranteed <= request.deadline);
 
         let channel = EstablishedChannel {
             id,
-            ingress: assigned[&request.source],
+            ingress: planned[0].conn,
             depth,
             guaranteed,
             hops: planned,
@@ -596,16 +575,16 @@ impl ChannelManager {
         for hop in &channel.hops {
             let reservation =
                 LinkReservation { packets, period: channel.request.spec.i_min, delay: hop.delay };
+            let book = self.books.get_mut(hop.node).expect("an established hop has a book");
             for port in rtr_types::ids::ports_in_mask(hop.out_mask) {
-                self.links.get_mut(&(hop.node, port.index())).map(|b| b.release(reservation));
+                if let Some(link) = &mut book.links[port.index()] {
+                    link.release(reservation);
+                }
             }
-            if let Some(book) = self.buffers.get_mut(&hop.node) {
-                book.release(hop.buffers, hop.out_mask);
-            }
-            if let Some(ids) = self.used_ids.get_mut(&hop.node) {
-                ids.remove(&hop.conn.0);
-            }
-            self.released_gen.entry(hop.node).or_default().insert(hop.conn.0, stamp);
+            book.buffers.release(hop.buffers, hop.out_mask);
+            book.ids.release(hop.conn.index(), stamp);
+            #[cfg(test)]
+            self.oracle.release(hop.node, hop.conn.0, stamp);
             if let Err(e) =
                 plane.apply(hop.node, ControlCommand::ClearConnection { incoming: hop.conn })
             {
@@ -618,50 +597,62 @@ impl ChannelManager {
         }
     }
 
-    /// Generation-ordered identifier allocation: among the ids free at
-    /// every listed node, the smallest never-released one wins; when all
-    /// free ids have been released before, the least-recently-released
-    /// (smallest on ties). Recycling an id therefore waits as long as the
-    /// id space allows, giving a torn-down predecessor's in-flight packets
-    /// the longest possible window to drain into the teardown ledger.
-    fn pick_free_id(&self, nodes: &[NodeId]) -> Option<ConnectionId> {
-        let mut best: Option<(u64, u16)> = None;
-        for id in 0..self.conn_capacity as u16 {
-            let free_everywhere =
-                nodes.iter().all(|n| self.used_ids.get(n).is_none_or(|used| !used.contains(&id)));
-            if !free_everywhere {
-                continue;
-            }
-            // The id's reuse recency is its *latest* release anywhere on
-            // the candidate node set (zero = never released).
-            let gen = nodes
-                .iter()
-                .map(|n| self.released_gen.get(n).and_then(|m| m.get(&id)).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            if gen == 0 {
-                return Some(ConnectionId(id));
-            }
-            if best.is_none_or(|(bg, _)| gen < bg) {
-                best = Some((gen, id));
+    fn id_in_use(&self, node: NodeId, id: u16) -> bool {
+        let used = self.books.get(node).is_some_and(|b| b.ids.is_used(id.into()));
+        #[cfg(test)]
+        assert_eq!(used, self.oracle.is_used(node, id), "id {id} at {node}");
+        used
+    }
+
+    /// An identifier free at every listed node (at most one per
+    /// direction: the children of a tree node), by the generation order of
+    /// [`IdBook::pick_free`]. A node without a book constrains nothing.
+    fn pick_free_id(&self, nodes: impl IntoIterator<Item = NodeId>) -> Option<ConnectionId> {
+        #[cfg(test)]
+        let nodes: Vec<NodeId> = nodes.into_iter().collect();
+        #[cfg(test)]
+        let expected = self.oracle.pick_free_id(&nodes, self.conn_capacity);
+        let mut books = [&NO_IDS; Direction::ALL.len()];
+        let mut booked = 0;
+        for node in nodes {
+            if let Some(at) = self.books.get(node) {
+                books[booked] = &at.ids;
+                booked += 1;
             }
         }
-        best.map(|(_, id)| ConnectionId(id))
+        // `conn_capacity` ≤ 2^16, so every pick fits the identifier.
+        let picked = IdBook::pick_free(&books[..booked], self.conn_capacity)
+            .map(|id| ConnectionId(id as u16));
+        #[cfg(test)]
+        assert_eq!(picked, expected, "the id books and the reference scan disagree");
+        picked
     }
 }
 
-/// The routing tree of one channel: DOR paths from the source to every
-/// destination, merged.
+/// What a link no channel has reserved reads as.
+static NO_LINKS: LinkBook = LinkBook::new();
+
+/// Marks "no node" among a [`RouteTree`]'s positions.
+const NO_POS: u32 = u32::MAX;
+
+/// The routing tree of one channel: the routes from the source to every
+/// destination, merged. A tree of `n` nodes is `n` rows; a node is named
+/// by its position in [`RouteTree::order`].
 #[derive(Debug)]
 struct RouteTree {
-    /// Nodes in BFS order from the source.
+    /// Nodes in BFS order from the source (position 0).
     order: Vec<NodeId>,
-    children: HashMap<NodeId, Vec<Direction>>,
-    parent: HashMap<NodeId, NodeId>,
-    delivers: HashSet<NodeId>,
-    /// Scheduled-hop depth (nodes on path, including the destination's
-    /// reception) per destination.
-    depths: HashMap<NodeId, u32>,
+    /// Position of each node's parent ([`NO_POS`] for the source).
+    parent: Vec<u32>,
+    /// Position of each node's child per direction ([`NO_POS`] = none).
+    child: Vec<[u32; Direction::ALL.len()]>,
+    delivers: Vec<bool>,
+    /// Position of each destination, in request order.
+    destinations: Vec<u32>,
+    /// The first destination (in request order) with the longest route.
+    deepest: usize,
+    /// Scheduled hops on that route (its links plus the reception port).
+    max_depth: u32,
 }
 
 impl RouteTree {
@@ -675,89 +666,108 @@ impl RouteTree {
                 reason: "one route per destination required",
             });
         }
-        let mut children: HashMap<NodeId, Vec<Direction>> = HashMap::new();
-        let mut parent = HashMap::new();
-        let mut delivers = HashSet::new();
-        let mut depths = HashMap::new();
-        let mut seen = vec![request.source];
-        for (&dst, route) in request.destinations.iter().zip(routes) {
+        let mut tree = RouteTree {
+            order: vec![request.source],
+            parent: vec![NO_POS],
+            child: vec![[NO_POS; Direction::ALL.len()]],
+            delivers: vec![false],
+            destinations: Vec::with_capacity(routes.len()),
+            deepest: 0,
+            max_depth: 0,
+        };
+        // One bit per node index, grown to the highest index in the tree:
+        // whether the node already has a position.
+        let mut in_tree: Vec<u64> = Vec::new();
+        let mut enter = |node: NodeId| {
+            let (word, bit) = (node.index() / 64, 1u64 << (node.index() % 64));
+            if in_tree.len() <= word {
+                in_tree.resize(word + 1, 0);
+            }
+            let fresh = in_tree[word] & bit == 0;
+            in_tree[word] |= bit;
+            fresh
+        };
+        enter(request.source);
+        for (i, (&dst, route)) in request.destinations.iter().zip(routes).enumerate() {
             let nodes = topo.walk(request.source, route);
             if *nodes.last().expect("walk includes the source") != dst {
                 return Err(AdmissionError::InvalidRoute {
                     reason: "route does not end at its destination",
                 });
             }
-            depths.insert(dst, route.len() as u32 + 1);
-            delivers.insert(dst);
-            for (i, dir) in route.iter().enumerate() {
-                let here = nodes[i];
-                let next = nodes[i + 1];
-                match parent.get(&next) {
-                    Some(&p) if p != here => {
-                        // Two routes reach `next` from different parents:
-                        // the single outgoing-identifier-per-node scheme of
-                        // §3.3 cannot express that.
+            let mut here = 0usize;
+            for (dir, &next) in route.iter().zip(&nodes[1..]) {
+                let via = Port::Dir(*dir).index() - 1;
+                if tree.child[here][via] == NO_POS {
+                    if !enter(next) {
+                        // `next` is already in the tree and not as this
+                        // edge's end: it is the source, or two routes reach
+                        // it from different parents, which the single
+                        // outgoing-identifier-per-node scheme of §3.3
+                        // cannot express.
                         return Err(AdmissionError::InvalidRoute {
-                            reason: "routes must merge into a tree",
+                            reason: if next == request.source {
+                                "route loops back through the source"
+                            } else {
+                                "routes must merge into a tree"
+                            },
                         });
                     }
-                    _ => {}
+                    tree.child[here][via] = tree.order.len() as u32;
+                    tree.order.push(next);
+                    tree.parent.push(here as u32);
+                    tree.child.push([NO_POS; Direction::ALL.len()]);
+                    tree.delivers.push(false);
                 }
-                if next == request.source {
-                    return Err(AdmissionError::InvalidRoute {
-                        reason: "route loops back through the source",
-                    });
-                }
-                let kids = children.entry(here).or_default();
-                if !kids.contains(dir) {
-                    kids.push(*dir);
-                    parent.insert(next, here);
-                    seen.push(next);
-                }
+                here = tree.child[here][via] as usize;
+            }
+            tree.delivers[here] = true;
+            tree.destinations.push(here as u32);
+            if route.len() as u32 + 1 > tree.max_depth {
+                tree.max_depth = route.len() as u32 + 1;
+                tree.deepest = i;
             }
         }
-        // BFS order: `seen` is path-ordered; dedup preserving first
-        // occurrence gives parents before children.
-        let mut order = Vec::new();
-        let mut visited = HashSet::new();
-        for n in seen {
-            if visited.insert(n) {
-                order.push(n);
-            }
-        }
-        Ok(RouteTree { order, children, parent, delivers, depths })
+        Ok(tree)
     }
 
     fn order(&self) -> &[NodeId] {
         &self.order
     }
 
-    fn children(&self, node: NodeId) -> impl Iterator<Item = Direction> + '_ {
-        self.children.get(&node).into_iter().flatten().copied()
+    /// The children of the node at `at`, by direction.
+    fn children(&self, at: usize) -> impl Iterator<Item = (Direction, usize)> + '_ {
+        Direction::ALL
+            .into_iter()
+            .zip(self.child[at])
+            .filter(|&(_, child)| child != NO_POS)
+            .map(|(dir, child)| (dir, child as usize))
     }
 
-    fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.parent.get(&node).copied()
+    fn parent(&self, at: usize) -> Option<usize> {
+        Some(self.parent[at]).filter(|&p| p != NO_POS).map(|p| p as usize)
     }
 
-    fn delivers(&self, node: NodeId) -> bool {
-        self.delivers.contains(&node)
+    fn delivers(&self, at: usize) -> bool {
+        self.delivers[at]
     }
 
+    /// Positions of the destinations, in request order.
+    fn destinations(&self) -> impl Iterator<Item = usize> + '_ {
+        self.destinations.iter().map(|&at| at as usize)
+    }
+
+    /// Scheduled hops (nodes on the path, the destination's reception
+    /// included) to the deepest destination.
     fn max_depth(&self) -> u32 {
-        self.depths.values().copied().max().unwrap_or(1)
+        self.max_depth
     }
 
-    /// Nodes on the path to the deepest destination, source first.
-    fn deepest_path(&self) -> Vec<NodeId> {
-        let Some((&dst, _)) = self.depths.iter().max_by_key(|(_, d)| **d) else {
-            return Vec::new();
-        };
-        let mut path = vec![dst];
-        let mut here = dst;
-        while let Some(p) = self.parent(here) {
+    /// Positions on the path to the deepest destination, source first.
+    fn deepest_path(&self) -> Vec<usize> {
+        let mut path = vec![self.destinations[self.deepest] as usize];
+        while let Some(p) = self.parent(path[path.len() - 1]) {
             path.push(p);
-            here = p;
         }
         path.reverse();
         path
@@ -766,6 +776,10 @@ impl RouteTree {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
     use super::*;
     use crate::spec::TrafficSpec;
 
@@ -784,6 +798,62 @@ mod tests {
 
     fn manager() -> ChannelManager {
         ChannelManager::new(&RouterConfig::default())
+    }
+
+    /// The identifier allocator as it was before the id books: hashed
+    /// per-node sets, and a scan of the whole identifier space probing
+    /// them per id per node. Kept as the reference every
+    /// [`ChannelManager::pick_free_id`] call is compared with.
+    #[derive(Debug, Default)]
+    pub(super) struct ScanOracle {
+        used_ids: HashMap<NodeId, HashSet<u16>>,
+        released_gen: HashMap<NodeId, HashMap<u16, u64>>,
+    }
+
+    impl ScanOracle {
+        pub(super) fn mark(&mut self, node: NodeId, id: u16) {
+            self.used_ids.entry(node).or_default().insert(id);
+        }
+
+        pub(super) fn release(&mut self, node: NodeId, id: u16, stamp: u64) {
+            if let Some(ids) = self.used_ids.get_mut(&node) {
+                ids.remove(&id);
+            }
+            self.released_gen.entry(node).or_default().insert(id, stamp);
+        }
+
+        pub(super) fn is_used(&self, node: NodeId, id: u16) -> bool {
+            self.used_ids.get(&node).is_some_and(|used| used.contains(&id))
+        }
+
+        pub(super) fn pick_free_id(
+            &self,
+            nodes: &[NodeId],
+            conn_capacity: usize,
+        ) -> Option<ConnectionId> {
+            let mut best: Option<(u64, u16)> = None;
+            for id in (0..conn_capacity).map(|id| id as u16) {
+                if nodes.iter().any(|&n| self.is_used(n, id)) {
+                    continue;
+                }
+                // The id's reuse recency is its *latest* release anywhere on
+                // the candidate node set (zero = never released).
+                let gen = nodes
+                    .iter()
+                    .map(|n| {
+                        self.released_gen.get(n).and_then(|m| m.get(&id)).copied().unwrap_or(0)
+                    })
+                    .max()
+                    .unwrap_or(0);
+                if gen == 0 {
+                    return Some(ConnectionId(id));
+                }
+                if best.is_none_or(|(bg, _)| gen < bg) {
+                    best = Some((gen, id));
+                }
+            }
+            best.map(|(_, id)| ConnectionId(id))
+        }
     }
 
     #[test]
@@ -1232,5 +1302,202 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, EstablishError::Admission(AdmissionError::BufferExceeded { .. })));
+    }
+
+    #[test]
+    fn the_identifier_space_is_usable_at_both_edges() {
+        let topo = Topology::mesh(2, 1);
+        let spec = TrafficSpec::periodic(64, 18);
+        let request = || ChannelRequest::unicast(topo.node_at(0, 0), topo.node_at(1, 0), spec, 16);
+        let mut plane = MockPlane::default();
+
+        // One identifier: a second live channel cannot be named, and
+        // teardown hands the one id back.
+        let config = RouterConfig { connections: 1, ..RouterConfig::default() };
+        config.validate().unwrap();
+        let mut mgr = ChannelManager::new(&config);
+        let only = mgr.establish(&topo, request(), &mut plane).unwrap();
+        assert_eq!(only.hops.iter().map(|h| h.conn.0).collect::<Vec<_>>(), [0, 0]);
+        assert_eq!(
+            mgr.establish(&topo, request(), &mut plane).unwrap_err(),
+            EstablishError::Admission(AdmissionError::NoFreeConnectionId {
+                node: topo.node_at(0, 0)
+            })
+        );
+        mgr.teardown(only.id, &mut plane).unwrap();
+        assert_eq!(mgr.establish(&topo, request(), &mut plane).unwrap().ingress.0, 0);
+
+        // The full 16-bit space (the largest `validate` accepts): the first
+        // and the last identifier can both be taken and released.
+        let config = RouterConfig { connections: 65_536, ..RouterConfig::default() };
+        config.validate().unwrap();
+        let mut mgr = ChannelManager::new(&config);
+        let first = mgr.establish(&topo, request(), &mut plane).unwrap();
+        assert_eq!(first.ingress.0, 0);
+        mgr.prefer_ingress = Some(u16::MAX);
+        let last = mgr.establish(&topo, request(), &mut plane).unwrap();
+        assert_eq!((last.ingress.0, last.hops[1].conn.0), (u16::MAX, 1));
+        // Taken means taken: the preference falls back to the scan.
+        mgr.prefer_ingress = Some(u16::MAX);
+        assert_eq!(mgr.establish(&topo, request(), &mut plane).unwrap().ingress.0, 1);
+        mgr.teardown(first.id, &mut plane).unwrap();
+        mgr.teardown(last.id, &mut plane).unwrap();
+        assert_eq!(mgr.establish(&topo, request(), &mut plane).unwrap().ingress.0, 2);
+    }
+
+    #[test]
+    fn a_refused_request_leaves_no_trace_in_the_books() {
+        let topo = Topology::mesh(4, 4);
+        let mut mgr =
+            ChannelManager::new(&RouterConfig { connections: 2, ..RouterConfig::default() });
+        let mut plane = MockPlane::default();
+        let spec = TrafficSpec::periodic(4, 18);
+        let (a, b) = (topo.node_at(0, 0), topo.node_at(1, 0));
+        mgr.establish(&topo, ChannelRequest::unicast(a, b, spec, 8), &mut plane).unwrap();
+        mgr.establish(&topo, ChannelRequest::unicast(a, b, spec, 8), &mut plane).unwrap();
+
+        let every_link = |mgr: &ChannelManager| -> Vec<bool> {
+            topo.nodes().flat_map(|n| Port::ALL.map(|p| mgr.link_book(n, p).is_some())).collect()
+        };
+        let before =
+            (every_link(&mgr), mgr.utilization_report(), mgr.booked_nodes(), mgr.heap_bytes());
+        let commands = plane.commands.len();
+        assert_eq!(before.2, 2);
+
+        let far = topo.node_at(3, 3);
+        let link_full = AdmissionError::DeadlineInfeasible { interval: 4, demand: 5 };
+        let refusals = [
+            // The link test fails at the first hop; six fresh nodes follow.
+            (ChannelRequest::unicast(a, far, spec, 56), link_full.clone()),
+            // Five fresh nodes pass the link test; `b`'s reception is full.
+            (ChannelRequest::unicast(far, b, spec, 24), link_full),
+            // Links and buffers pass everywhere; the ids at `b` are spent.
+            (
+                ChannelRequest::unicast(far, b, TrafficSpec::periodic(4000, 18), 700),
+                AdmissionError::NoFreeConnectionId { node: b },
+            ),
+            // The source's burst allowance exceeds a fresh node's memory.
+            (
+                ChannelRequest::unicast(
+                    far,
+                    topo.node_at(2, 3),
+                    TrafficSpec { i_min: 64, s_max_bytes: 18, b_max: 100_000 },
+                    128,
+                ),
+                AdmissionError::BufferExceeded { node: far, requested: 100_001, available: 256 },
+            ),
+        ];
+        for (request, why) in refusals {
+            let err = mgr.establish(&topo, request, &mut plane).unwrap_err();
+            assert_eq!(err, EstablishError::Admission(why.clone()));
+            let after =
+                (every_link(&mgr), mgr.utilization_report(), mgr.booked_nodes(), mgr.heap_bytes());
+            assert_eq!(before, after, "a request refused for {why:?} changed the books");
+            assert_eq!(plane.commands.len(), commands);
+        }
+    }
+
+    /// Prints the operation log if the test dies, because the vendored
+    /// proptest cannot shrink a failing sequence.
+    struct LogOnPanic(Vec<String>);
+
+    impl Drop for LogOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("operations up to the failure:\n{}", self.0.join("\n"));
+            }
+        }
+    }
+
+    /// Random establish / multicast / teardown / reroute sequences over
+    /// identifier spaces small enough to run dry and be recycled (and one
+    /// that crosses a bitmap word): [`ChannelManager::pick_free_id`]
+    /// asserts every pick against [`ScanOracle`].
+    #[test]
+    fn id_books_pick_what_the_reference_scan_picks() {
+        let topo = Topology::mesh(4, 3);
+        let (mut exhausted, mut recycled, mut forked, mut rerouted) = (0, 0, 0, 0);
+        for seed in 0..24u64 {
+            let connections = [3, 6, 70][seed as usize % 3];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mgr =
+                ChannelManager::new(&RouterConfig { connections, ..RouterConfig::default() });
+            let mut plane = MockPlane::default();
+            let mut live: Vec<EstablishedChannel> = Vec::new();
+            let mut released: HashSet<(NodeId, ConnectionId)> = HashSet::new();
+            let mut log = LogOnPanic(vec![format!("seed {seed}, {connections} connections")]);
+            for _ in 0..400 {
+                let node = |rng: &mut StdRng| NodeId(rng.gen_range(0..topo.len() as u16));
+                let outcome = match rng.gen_range(0..10) {
+                    0..=5 => {
+                        let source = node(&mut rng);
+                        let mut destinations = vec![node(&mut rng)];
+                        if rng.gen_range(0..3) == 0 {
+                            destinations.push(node(&mut rng));
+                        }
+                        let request = ChannelRequest {
+                            source,
+                            destinations,
+                            spec: TrafficSpec::periodic(2048, 18),
+                            deadline: 600,
+                        };
+                        log.0.push(format!("establish {request:?}"));
+                        mgr.establish(&topo, request, &mut plane)
+                    }
+                    6..=8 if !live.is_empty() => {
+                        let gone = live.swap_remove(rng.gen_range(0..live.len()));
+                        log.0.push(format!("teardown {} {:?}", gone.id, gone.hops));
+                        mgr.teardown(gone.id, &mut plane).unwrap();
+                        released.extend(gone.hops.iter().map(|h| (h.node, h.conn)));
+                        continue;
+                    }
+                    _ if !live.is_empty() => {
+                        let old = live.swap_remove(rng.gen_range(0..live.len()));
+                        let dead: Vec<_> = rtr_types::ids::ports_in_mask(old.hops[0].out_mask)
+                            .filter_map(Port::direction)
+                            .take(1)
+                            .map(|dir| (old.request.source, dir))
+                            .collect();
+                        log.0.push(format!("reroute {} around {dead:?}", old.id));
+                        released.extend(old.hops.iter().map(|h| (h.node, h.conn)));
+                        let new = mgr.reroute(old.id, &topo, &dead, &mut plane);
+                        if let Ok(new) = &new {
+                            assert_eq!(new.ingress, old.ingress, "reroute keeps the ingress id");
+                            rerouted += 1;
+                        }
+                        new
+                    }
+                    _ => continue,
+                };
+                match outcome {
+                    Ok(channel) => {
+                        log.0.push(format!("  -> {} {:?}", channel.id, channel.hops));
+                        recycled += channel
+                            .hops
+                            .iter()
+                            .filter(|h| released.contains(&(h.node, h.conn)))
+                            .count();
+                        forked += channel
+                            .hops
+                            .iter()
+                            .filter(|h| (h.out_mask & !Port::Local.mask()).count_ones() > 1)
+                            .count();
+                        live.push(channel);
+                    }
+                    Err(EstablishError::Admission(AdmissionError::NoFreeConnectionId {
+                        ..
+                    })) => {
+                        log.0.push("  -> no free id".into());
+                        exhausted += 1;
+                    }
+                    Err(e) => log.0.push(format!("  -> {e}")),
+                }
+            }
+        }
+        assert!(
+            exhausted > 50 && recycled > 50 && forked > 50 && rerouted > 50,
+            "the sequences must run ids dry ({exhausted}), recycle them ({recycled}), fork \
+             ({forked}) and reroute ({rerouted})"
+        );
     }
 }

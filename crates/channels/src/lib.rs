@@ -54,6 +54,7 @@
 
 pub mod admission;
 pub mod arrival;
+mod books;
 pub mod control_plane;
 pub mod establish;
 pub mod recovery;

@@ -4,9 +4,11 @@
 //! release would panic).
 
 use proptest::prelude::*;
-use realtime_router::channels::{ChannelManager, ChannelRequest, ControlPlane, TrafficSpec};
-use realtime_router::core::{ControlCommand, ControlError};
-use realtime_router::mesh::Topology;
+use realtime_router::channels::{
+    ChannelManager, ChannelRequest, ChannelSender, ControlPlane, TrafficSpec,
+};
+use realtime_router::core::{ControlCommand, ControlError, RealTimeRouter};
+use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::types::config::RouterConfig;
 
@@ -63,5 +65,42 @@ proptest! {
         }
         prop_assert!(manager.utilization_report().is_empty());
         prop_assert!(manager.channels().is_empty());
+    }
+}
+
+/// Both ends of what `RouterConfig::validate` accepts for `connections`,
+/// against real routers: the manager names identifiers the chip's table
+/// holds, traffic arrives, and teardown returns them. (At 65 536 the old
+/// scan's `u16` bound wrapped to an empty range and refused everything.)
+#[test]
+fn both_ends_of_the_identifier_space_program_real_routers() {
+    for connections in [1usize, 65_536] {
+        let config = RouterConfig { connections, ..RouterConfig::default() };
+        config.validate().unwrap();
+        let topo = Topology::mesh(3, 1);
+        let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone()))
+            .expect("a valid configuration builds");
+        let mut manager = ChannelManager::new(&config);
+        let (src, dst) = (topo.node_at(0, 0), topo.node_at(2, 0));
+        let request = || ChannelRequest::unicast(src, dst, TrafficSpec::periodic(16, 18), 24);
+
+        let channel = manager.establish(&topo, request(), &mut sim).unwrap();
+        let mut sender = ChannelSender::new(
+            &channel,
+            sim.chip(src).clock(),
+            config.slot_bytes,
+            config.tc_data_bytes(),
+        );
+        for packet in sender.make_message(sim.now(), &[7; 8]) {
+            sim.inject_tc(src, packet);
+        }
+        sim.run(2_000);
+        assert_eq!(sim.log(dst).tc.len(), 1, "{connections} connections");
+        assert_eq!(sim.log(dst).tc_deadline_misses(config.slot_bytes), 0);
+
+        let second = manager.establish(&topo, request(), &mut sim);
+        assert_eq!(second.is_ok(), connections > 1, "{connections} connections: {second:?}");
+        manager.teardown(channel.id, &mut sim).unwrap();
+        manager.establish(&topo, request(), &mut sim).expect("the identifier came back");
     }
 }

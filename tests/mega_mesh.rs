@@ -9,6 +9,7 @@
 //! of the 16-bit space and keep the per-node footprint honest.
 
 use proptest::prelude::*;
+use realtime_router::channels::{ChannelManager, ChannelRequest, DeferredPlane, TrafficSpec};
 use realtime_router::core::{RealTimeRouter, RouterTemplate};
 use realtime_router::mesh::{LinkTable, Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
@@ -134,6 +135,46 @@ fn router_struct_does_not_grow() {
 /// same eight three-hop periodic channels poll the same number of links for
 /// arrivals and walk the same number of `ChipIo`s on 16×16 as on 64×64 once
 /// the one-shot prime cycle (which does sweep everything) is behind them.
+/// What `mega_cold` pays per request, without the stopwatch: the
+/// manager's books cost a bounded number of words per node a channel
+/// crossed and nothing for the rest of the mesh — only the 4-byte slot
+/// index is per mesh node, and only once a high-numbered node is booked.
+/// A layout that sizes a node's identifier tables to `connections` when
+/// the node is first crossed (256 stamps = 2 KiB), or when an identifier
+/// is first released there, breaks the ceiling.
+#[test]
+fn manager_books_cost_only_the_nodes_channels_cross() {
+    const PER_BOOKED_NODE: usize = 768;
+    let topo = Topology::mesh(128, 128);
+    let mut manager = ChannelManager::new(&RouterConfig::default());
+    assert_eq!(manager.heap_bytes(), 0, "construction allocates nothing, whatever the mesh");
+    let mut plane = DeferredPlane::default();
+    let mut crossed = std::collections::HashSet::new();
+    let channels: Vec<u64> = (0..32u16)
+        .map(|k| {
+            let (src, dst) = (topo.node_at(0, k), topo.node_at(127, 127 - k));
+            crossed.extend(topo.walk(src, &topo.dor_route(src, dst)));
+            let hops = 127 + (127 - 2 * u32::from(k)) + 1;
+            let request =
+                ChannelRequest::unicast(src, dst, TrafficSpec::periodic(4096, 18), hops * 64);
+            manager.establish(&topo, request, &mut plane).expect("a lightly loaded mesh").id
+        })
+        .collect();
+    assert_eq!(manager.booked_nodes(), crossed.len());
+    assert!(crossed.len() < topo.len() / 2, "{} of {} nodes", crossed.len(), topo.len());
+    // The slot index may hold twice the mesh (amortised growth).
+    let ceiling = 2 * 4 * topo.len() + PER_BOOKED_NODE * crossed.len();
+    let live = manager.heap_bytes();
+    assert!(live <= ceiling, "{live} B over {} booked nodes, ceiling {ceiling}", crossed.len());
+    // Teardown stamps a release per hop; that too is sized by use.
+    for id in channels {
+        manager.teardown(id, &mut plane).unwrap();
+    }
+    let drained = manager.heap_bytes();
+    assert!(drained <= ceiling, "{drained} B after teardown, ceiling {ceiling}");
+    println!("{} booked nodes: {live} B live, {drained} B after teardown", crossed.len());
+}
+
 #[cfg(feature = "metrics")]
 #[test]
 fn event_cycle_work_is_flat_in_mesh_size() {
