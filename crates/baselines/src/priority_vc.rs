@@ -183,6 +183,7 @@ impl Chip for PriorityVcRouter {
             self.inputs[0].push_tc_start(now, packet);
         }
         self.channel.inject(now, &mut self.inputs[0], &mut io.inject_be);
+        self.channel.collect_requests(&self.inputs, now);
         self.process_arrivals(now);
         for out_idx in 0..PORT_COUNT {
             self.drive_output(now, out_idx, io);

@@ -83,6 +83,7 @@ impl Chip for WormholeRouter {
             self.stats.tc_rejected += 1;
         }
         self.channel.inject(now, &mut self.inputs[0], &mut io.inject_be);
+        self.channel.collect_requests(&self.inputs, now);
         for out_idx in 0..PORT_COUNT {
             if let Some(sent) = self.channel.send(now, &mut self.inputs, out_idx, io) {
                 self.stats.bytes[out_idx] += 1;

@@ -88,10 +88,27 @@ impl BeOut {
     }
 }
 
+/// No ready head-of-line byte: the input requests no output this tick.
+const NO_REQUEST: u8 = u8::MAX;
+
+/// The output `input`'s head-of-line byte may leave on at `now`, if any.
+fn request_of(input: &InputPort, now: Cycle) -> u8 {
+    match input.be_head() {
+        Some(head) if head.ready_at <= now => head.out.index() as u8,
+        _ => NO_REQUEST,
+    }
+}
+
 /// The best-effort virtual channel of one router.
 #[derive(Debug)]
 pub struct WormholeChannel {
     outs: [BeOut; PORT_COUNT],
+    /// The tick's request vector: per input, the output its ready
+    /// head-of-line byte is routed to. Only a head-of-line byte can leave,
+    /// so this is everything arbitration needs to know about the inputs;
+    /// [`Self::collect_requests`] fills it once the tick's arrivals are in
+    /// and [`Self::send`] refreshes the one input it pops.
+    requests: [u8; PORT_COUNT],
     /// Injection in progress: position in `inject_buf` and the packet's
     /// trace.
     inject: Option<(usize, PacketTrace)>,
@@ -113,6 +130,7 @@ impl WormholeChannel {
                 credits: flit_bytes,
                 infinite_credit: i == 0,
             }),
+            requests: [NO_REQUEST; PORT_COUNT],
             inject: None,
             inject_buf: Vec::new(),
             rx: BeReassembler::default(),
@@ -167,6 +185,17 @@ impl WormholeChannel {
         self.inject = None;
     }
 
+    /// Reads the tick's request vector off the flit buffers. The owning
+    /// router calls this once per tick, after the last byte of the cycle
+    /// has entered an input port (link arrivals and [`Self::inject`]) and
+    /// before the first [`Self::send`].
+    #[inline]
+    pub fn collect_requests(&mut self, inputs: &[InputPort; PORT_COUNT], now: Cycle) {
+        for (request, input) in self.requests.iter_mut().zip(inputs) {
+            *request = request_of(input, now);
+        }
+    }
+
     /// Whether a byte could leave on `out_idx` this cycle (read-only).
     #[must_use]
     pub fn waiting(&self, inputs: &[InputPort; PORT_COUNT], out_idx: usize, now: Cycle) -> bool {
@@ -177,7 +206,8 @@ impl WormholeChannel {
 
     /// Picks the input whose head-of-line byte this output should carry,
     /// honouring an existing wormhole binding and otherwise rotating
-    /// round-robin over the input links (§3.2).
+    /// round-robin over the input links (§3.2). Reads the request vector,
+    /// not the flit buffers.
     #[inline]
     fn be_pick(
         &mut self,
@@ -185,16 +215,28 @@ impl WormholeChannel {
         out_idx: usize,
         now: Cycle,
     ) -> Option<usize> {
-        let port = Port::from_index(out_idx);
+        debug_assert!(
+            (0..PORT_COUNT * PORT_COUNT).all(|k| {
+                let (i, o) = (k / PORT_COUNT, k % PORT_COUNT);
+                inputs[i].be_front_for(Port::from_index(o), now).is_some()
+                    == (usize::from(self.requests[i]) == o)
+            }),
+            "request vector {:?} is not the flit buffers' at cycle {now}",
+            self.requests
+        );
+        let want = out_idx as u8;
         let out = &mut self.outs[out_idx];
         if let Some(bound) = out.bound {
             // A packet is mid-flight on this output: only its bytes may go.
-            return inputs[bound].be_front_for(port, now).map(|_| bound);
+            return (self.requests[bound] == want).then_some(bound);
         }
         for k in 0..PORT_COUNT {
             let i = (out.rr_next + k) % PORT_COUNT;
-            if let Some(front) = inputs[i].be_front_for(port, now) {
-                debug_assert!(front.byte.head, "unbound output must start at a head byte");
+            if self.requests[i] == want {
+                debug_assert!(
+                    inputs[i].be_head().is_some_and(|front| front.byte.head),
+                    "unbound output must start at a head byte"
+                );
                 out.rr_next = (i + 1) % PORT_COUNT;
                 return Some(i);
             }
@@ -213,11 +255,14 @@ impl WormholeChannel {
         out_idx: usize,
         io: &mut ChipIo,
     ) -> Option<BeSent> {
-        if !self.outs[out_idx].has_credit() {
+        // An all-idle vector answers every output of the tick in one compare.
+        if self.requests == [NO_REQUEST; PORT_COUNT] || !self.outs[out_idx].has_credit() {
             return None;
         }
         let in_idx = self.be_pick(inputs, out_idx, now)?;
         let byte = inputs[in_idx].pop_be().byte;
+        // The pop may expose a byte a later output of this tick must see.
+        self.requests[in_idx] = request_of(&inputs[in_idx], now);
         let out = &mut self.outs[out_idx];
         out.bound = (!byte.tail).then_some(in_idx);
         if !out.infinite_credit {
@@ -301,6 +346,7 @@ mod tests {
         let mut reports = Vec::new();
         for now in 0..40 {
             channel.inject(now, &mut inputs[0], &mut io.inject_be);
+            channel.collect_requests(&inputs, now);
             if now == 0 {
                 assert_eq!(channel.next_event(&inputs, now), Some(now), "injecting: busy now");
             }
@@ -315,6 +361,87 @@ mod tests {
         assert_eq!(reports[5].delivered, Some(Ok(trace)));
         assert_eq!(io.delivered_be[0].1.payload, vec![1, 2]);
         assert_eq!(channel.next_event(&inputs, 40), None, "drained");
+    }
+
+    /// Pushes one payload-free packet (its four header bytes) into `input`,
+    /// one byte per cycle from `at`.
+    fn push_packet(input: &mut InputPort, at: Cycle, x_off: i8, y_off: i8) {
+        let wire = BePacket::new(x_off, y_off, vec![], PacketTrace::default()).to_wire();
+        for (i, &byte) in wire.iter().enumerate() {
+            let (head, tail) = (i == 0, i == wire.len() - 1);
+            let outcome = input.push_be(at + i as Cycle, BeByte { byte, head, tail, trace: None });
+            assert_eq!(outcome, Default::default());
+        }
+    }
+
+    /// One tick of the channel alone: collect, then offer every output its
+    /// cycle in port order; returns `(output, what was sent)` per byte.
+    fn tick(
+        channel: &mut WormholeChannel,
+        inputs: &mut [InputPort; PORT_COUNT],
+        now: Cycle,
+        io: &mut ChipIo,
+    ) -> Vec<(usize, BeSent)> {
+        channel.collect_requests(inputs, now);
+        let sends =
+            (0..PORT_COUNT).filter_map(|out| Some((out, channel.send(now, inputs, out, io)?)));
+        sends.collect()
+    }
+
+    #[test]
+    fn a_pop_exposes_the_next_packet_to_a_later_output_of_the_same_tick() {
+        // Input 2 holds a packet for +x (output 1) and, behind it, one for
+        // +y (output 3). On the tick output 1 takes the first packet's
+        // tail, the pop uncovers the second packet's head — ready, and
+        // bound for an output that has not had its turn yet. The live
+        // probe served it that same cycle; so must the request vector.
+        let mut channel = WormholeChannel::new(8);
+        let mut inputs = inputs();
+        let mut io = ChipIo::new();
+        push_packet(&mut inputs[2], 0, 1, 0);
+        push_packet(&mut inputs[2], 4, 0, 1);
+        let served: Vec<Vec<(usize, bool)>> = (100..105)
+            .map(|now| {
+                let sent = tick(&mut channel, &mut inputs, now, &mut io);
+                assert!(sent.iter().all(|(_, s)| s.input == 2));
+                sent.iter().map(|(out, s)| (*out, s.head)).collect()
+            })
+            .collect();
+        assert_eq!(served[0], [(1, true)]);
+        assert_eq!(served[1], [(1, false)]);
+        assert_eq!(served[3], [(1, false), (3, true)], "tail on +x, then the uncovered head on +y");
+        assert_eq!(served[4], [(3, false)]);
+        // The other way round the later packet's output has already had its
+        // turn when the pop happens: the head waits one cycle.
+        push_packet(&mut inputs[4], 200, 0, 1);
+        push_packet(&mut inputs[4], 204, 1, 0);
+        let served: Vec<usize> =
+            (300..305).map(|now| tick(&mut channel, &mut inputs, now, &mut io).len()).collect();
+        assert_eq!(served, [1, 1, 1, 1, 1], "output 1 was offered before output 3 popped");
+    }
+
+    #[test]
+    fn round_robin_alternates_packets_between_two_requesting_inputs() {
+        // Inputs 1 and 2 each hold two packets for the reception port: the
+        // output stays bound to one input until its packet's tail, then the
+        // round-robin pointer moves past it.
+        let mut channel = WormholeChannel::new(8);
+        let mut inputs = inputs();
+        let mut io = ChipIo::new();
+        for input in [1, 2] {
+            push_packet(&mut inputs[input], 0, 0, 0);
+            push_packet(&mut inputs[input], 4, 0, 0);
+        }
+        let order: Vec<usize> = (100..116)
+            .flat_map(|now| tick(&mut channel, &mut inputs, now, &mut io))
+            .map(|(out, sent)| {
+                assert_eq!(out, 0);
+                sent.input
+            })
+            .collect();
+        assert_eq!(order, [1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2]);
+        assert_eq!(io.delivered_be.len(), 4);
+        assert!(tick(&mut channel, &mut inputs, 116, &mut io).is_empty(), "drained: all idle");
     }
 
     #[test]

@@ -119,6 +119,11 @@ impl OutputPort {
     /// the pipelined tree: `recompute` is called only when the tree version
     /// or the scheduler slot changed. Returns the selection and whether the
     /// pipeline grant is usable at `now`.
+    ///
+    /// Inlined into `drive_output`: out of line the 40-byte tuple returns
+    /// through memory, and the caller's narrow reloads of it stall on store
+    /// forwarding once per output per tick.
+    #[inline]
     pub fn selection_with_grant(
         &mut self,
         now: Cycle,

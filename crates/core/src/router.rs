@@ -580,9 +580,10 @@ impl RealTimeRouter {
         }
     }
 
-    fn drive_output(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) {
+    /// Arbitrates one output for cycle `now`; `t` is the tick's scheduler
+    /// time, computed once for all five outputs.
+    fn drive_output(&mut self, now: Cycle, t: LogicalTime, out_idx: usize, io: &mut ChipIo) {
         let port = Port::from_index(out_idx);
-        let t = self.scheduler_time(now);
 
         // 1. An in-flight time-constrained packet finishes its bytes.
         if self.outputs[out_idx].tc_tx.busy() {
@@ -769,9 +770,11 @@ impl Chip for RealTimeRouter {
         self.be.ingest_credits(&io.credit_in);
         self.ingest_network_symbols(now, io);
         self.run_injectors(now, io);
+        self.be.collect_requests(&self.inputs, now);
         self.process_tc_arrivals(now);
+        let t = self.scheduler_time(now);
         for out_idx in 0..PORT_COUNT {
-            self.drive_output(now, out_idx, io);
+            self.drive_output(now, t, out_idx, io);
         }
     }
 
@@ -1712,5 +1715,45 @@ mod tests {
         assert_eq!(r.scheduler_time(40).raw(), 2);
         r.set_clock_skew(3);
         assert_eq!(r.scheduler_time(40).raw(), 5);
+    }
+
+    #[test]
+    fn every_output_of_a_tick_arbitrates_on_the_skewed_clock() {
+        // One early packet per output (zero horizon), all logically arriving
+        // at slot 50. A router skewed 10 slots ahead must start all five in
+        // slot 40 of real time, an unskewed one in slot 50: the scheduler
+        // time `tick` computes once is the skewed one, on every port.
+        let first_starts = |skew: u64| -> [Cycle; PORT_COUNT] {
+            let mut r = router();
+            r.set_clock_skew(skew);
+            for port in Port::ALL {
+                r.apply_control(ControlCommand::SetConnection {
+                    incoming: ConnectionId(port.index() as u16 + 1),
+                    outgoing: ConnectionId(9),
+                    delay: 4,
+                    out_mask: port.mask(),
+                })
+                .unwrap();
+            }
+            let mut io = io();
+            for port in Port::ALL {
+                io.inject_tc.push_back(tc_packet(port.index() as u16 + 1, 50, &r));
+            }
+            let mut starts = [Cycle::MAX; PORT_COUNT];
+            for now in 0..1200u64 {
+                io.begin_cycle();
+                r.tick(now, &mut io);
+                io.tx = Default::default();
+                for (start, &sent) in starts.iter_mut().zip(&r.stats().tc_transmitted) {
+                    if sent == 1 && *start == Cycle::MAX {
+                        *start = now;
+                    }
+                }
+            }
+            starts
+        };
+        let slot = |cycle: Cycle| cycle / RouterConfig::default().slot_bytes as u64;
+        assert_eq!(first_starts(0).map(slot), [50; PORT_COUNT]);
+        assert_eq!(first_starts(10).map(slot), [40; PORT_COUNT]);
     }
 }

@@ -65,12 +65,17 @@ impl LinkLedger {
 }
 
 /// One unidirectional link (plus its reverse credit wire).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Link {
     /// Wire latency in cycles added on top of the one-cycle transfer.
     latency: Cycle,
     data: VecDeque<(Cycle, LinkSymbol)>,
     credits: VecDeque<(Cycle, u16)>,
+    /// Earliest owed arrival: the front data symbol's or the front credit
+    /// batch's cycle, whichever is sooner; `Cycle::MAX` on an empty wire.
+    /// Kept by every call that pushes or pops either queue, so a receiver
+    /// can pass over the link with one compare.
+    next_at: Cycle,
     /// Downed link: new packets and credits are blackholed (packets whose
     /// head already crossed complete, keeping receivers coherent).
     down: bool,
@@ -101,7 +106,41 @@ impl Link {
     /// Creates a link with the given extra wire latency.
     #[must_use]
     pub fn new(latency: Cycle) -> Self {
-        Link { latency, ..Link::default() }
+        Link {
+            latency,
+            data: VecDeque::new(),
+            credits: VecDeque::new(),
+            next_at: Cycle::MAX,
+            down: false,
+            drop_per_1024: 0,
+            corrupt_per_1024: 0,
+            rng: 0,
+            tc_dropping: false,
+            be_dropping: false,
+            be_corrupt_armed: false,
+            be_pos: 0,
+            pending_corrupt: false,
+            ledger: LinkLedger::default(),
+        }
+    }
+
+    /// Whether any fault state can touch the next symbol sent: the link is
+    /// down or flaky, or a packet in transit is being dropped or corrupted.
+    fn fault_live(&self) -> bool {
+        self.down
+            || self.tc_dropping
+            || self.be_dropping
+            || self.be_corrupt_armed
+            || self.drop_per_1024 != 0
+            || self.corrupt_per_1024 != 0
+    }
+
+    /// What `next_at` must read, by the queues themselves: the earlier
+    /// front's arrival cycle. Pops restamp from it; pushes only lower it.
+    fn earliest_front(&self) -> Cycle {
+        let data = self.data.front().map_or(Cycle::MAX, |(t, _)| *t);
+        let credit = self.credits.front().map_or(Cycle::MAX, |(t, _)| *t);
+        data.min(credit)
     }
 
     /// Puts a symbol on the wire at `now`; it arrives at `now + 1 +
@@ -111,13 +150,36 @@ impl Link {
     /// cross (or vanish) whole.
     pub fn send(&mut self, now: Cycle, symbol: LinkSymbol) {
         self.ledger.symbols_sent += 1;
-        let symbol = match symbol {
+        // With no fault state live, `through_faults` would pass the symbol
+        // on untouched and reset only flags that are already clear (`be_pos`
+        // is read only while a corruption is armed, and arming zeroes it).
+        let symbol = if self.fault_live() {
+            let Some(symbol) = self.through_faults(symbol) else { return };
+            symbol
+        } else {
+            symbol
+        };
+        let arrive = now + 1 + self.latency;
+        debug_assert!(
+            self.data.back().is_none_or(|(t, _)| *t < arrive),
+            "link carries at most one symbol per cycle"
+        );
+        self.data.push_back((arrive, symbol));
+        self.next_at = self.next_at.min(arrive);
+    }
+
+    /// The fault plane's verdict on a symbol entering the wire: `None` when
+    /// it is destroyed (and counted lost), else the symbol, maybe corrupted.
+    /// Out of line, so the fault-free `send` stays a plain queue push.
+    #[cold]
+    fn through_faults(&mut self, symbol: LinkSymbol) -> Option<LinkSymbol> {
+        Some(match symbol {
             LinkSymbol::TcStart(mut packet) => {
                 self.tc_dropping = false;
                 if self.down || self.roll_drop() {
                     self.tc_dropping = true;
                     self.ledger.symbols_lost += 1;
-                    return;
+                    return None;
                 }
                 if self.roll_corrupt() {
                     // Header corruption: a flipped connection id. Routers
@@ -131,7 +193,7 @@ impl Link {
             LinkSymbol::TcCont { index } => {
                 if self.tc_dropping {
                     self.ledger.symbols_lost += 1;
-                    return;
+                    return None;
                 }
                 LinkSymbol::TcCont { index }
             }
@@ -153,7 +215,7 @@ impl Link {
                     if byte.tail {
                         self.be_dropping = false;
                     }
-                    return;
+                    return None;
                 }
                 // Payload corruption only (positions ≥ 4 skip the 4-byte
                 // header, whose offsets steer routing): the packet arrives
@@ -168,13 +230,7 @@ impl Link {
                 }
                 LinkSymbol::Be(byte)
             }
-        };
-        let arrive = now + 1 + self.latency;
-        debug_assert!(
-            self.data.back().is_none_or(|(t, _)| *t < arrive),
-            "link carries at most one symbol per cycle"
-        );
-        self.data.push_back((arrive, symbol));
+        })
     }
 
     /// Takes the symbol arriving exactly at `now`, if any. Arrivals whose
@@ -184,18 +240,24 @@ impl Link {
     /// delivered late: delivering them after the fact would retroactively
     /// change what the receiver should have seen cycles ago.
     pub fn recv(&mut self, now: Cycle) -> Option<LinkSymbol> {
-        while let Some((t, _)) = self.data.front() {
-            if *t < now {
+        if self.next_at > now {
+            return None;
+        }
+        while let Some(&(t, _)) = self.data.front() {
+            if t < now {
                 self.data.pop_front();
                 self.ledger.symbols_lost += 1;
                 self.ledger.late_arrivals_dropped += 1;
-            } else if *t == now {
+            } else if t == now {
                 self.ledger.symbols_delivered += 1;
-                return self.data.pop_front().map(|(_, s)| s);
+                let symbol = self.data.pop_front().map(|(_, s)| s);
+                self.next_at = self.earliest_front();
+                return symbol;
             } else {
-                return None;
+                break;
             }
         }
+        self.next_at = self.earliest_front();
         None
     }
 
@@ -206,7 +268,9 @@ impl Link {
             self.ledger.credits_lost += u64::from(bytes);
             return;
         }
-        self.credits.push_back((now + 1 + self.latency, bytes));
+        let arrive = now + 1 + self.latency;
+        self.credits.push_back((arrive, bytes));
+        self.next_at = self.next_at.min(arrive);
     }
 
     /// Takes the credits arriving at `now` (summed), if any. Unlike data
@@ -214,14 +278,18 @@ impl Link {
     /// batches whose cycle passed while the receiver was crashed are
     /// simply delivered late.
     pub fn recv_credit(&mut self, now: Cycle) -> u16 {
+        if self.next_at > now {
+            return 0;
+        }
         let mut total = 0;
-        while let Some((t, _)) = self.credits.front() {
-            if *t <= now {
-                total += self.credits.pop_front().unwrap().1;
-            } else {
+        while let Some(&(t, bytes)) = self.credits.front() {
+            if t > now {
                 break;
             }
+            self.credits.pop_front();
+            total += bytes;
         }
+        self.next_at = self.earliest_front();
         total
     }
 
@@ -330,15 +398,18 @@ impl Link {
     /// front credit batch, whichever is earlier); `None` when the wire is
     /// empty in both directions. [`Link::recv`] insists on being called at
     /// the exact arrival cycle, so the simulator's leaping mode must never
-    /// jump past this.
+    /// jump past this — and until it comes, `recv` and `recv_credit` are
+    /// both no-ops, so a receiver may pass over the link.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
-        let data = self.data.front().map(|(t, _)| *t);
-        let credit = self.credits.front().map(|(t, _)| *t);
-        match (data, credit) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        (self.next_at != Cycle::MAX).then_some(self.next_at)
+    }
+
+    /// [`Link::next_event`] as the queues themselves say it — the scan it
+    /// used to run, kept as the oracle `next_at` is checked against.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn scanned_next_event(&self) -> Option<Cycle> {
+        Some(self.earliest_front()).filter(|&at| at != Cycle::MAX)
     }
 }
 
@@ -523,5 +594,119 @@ mod tests {
         assert_eq!(out[4], 0x11 ^ 0xA5, "first payload byte flipped");
         assert_eq!(out[5], 0x22, "only one byte corrupted");
         assert_eq!(l.ledger().symbols_corrupted, 1);
+    }
+
+    proptest::proptest! {
+        /// Any interleaving of sends, credit returns and (possibly long
+        /// overdue — a crashed receiver) polls, on a link that goes down
+        /// and comes back, keeps `next_at` equal to the earlier queue
+        /// front, `recv`/`recv_credit` inert before it, and the ledger
+        /// balanced, after every call.
+        #[test]
+        fn next_at_is_the_earlier_queue_front_after_every_call(
+            latency in 0u64..4,
+            ops in proptest::collection::vec((0u8..6, 0u64..7, 1u16..5), 1..120),
+        ) {
+            let mut l = Link::new(latency);
+            let (mut now, mut last_send) = (0, None);
+            for (op, gap, bytes) in ops {
+                now += gap;
+                match op {
+                    0 | 1 => {
+                        // One symbol per cycle is the wire's own rule.
+                        if last_send == Some(now) {
+                            now += 1;
+                        }
+                        last_send = Some(now);
+                        l.send(now, if op == 0 { be(bytes as u8) } else { tc_start(bytes) });
+                    }
+                    2 => l.send_credit(now, bytes),
+                    3 => {
+                        let due = l.data.iter().any(|(t, _)| *t == now);
+                        proptest::prop_assert_eq!(l.recv(now).is_some(), due);
+                        proptest::prop_assert!(l.data.front().is_none_or(|(t, _)| *t > now));
+                    }
+                    4 => {
+                        let owed: u16 =
+                            l.credits.iter().filter(|(t, _)| *t <= now).map(|(_, b)| b).sum();
+                        proptest::prop_assert_eq!(l.recv_credit(now), owed);
+                    }
+                    _ if l.is_down() => l.set_up(),
+                    _ => l.set_down(),
+                }
+                let scanned = l.scanned_next_event();
+                proptest::prop_assert_eq!(l.next_at, scanned.unwrap_or(Cycle::MAX));
+                proptest::prop_assert_eq!(l.next_event(), scanned);
+                l.check_conservation().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_link_owes_nothing() {
+        // `Link` has no `Default`: a zeroed `next_at` would read "owes now".
+        let mut l = Link::new(3);
+        assert_eq!(l.next_event(), None);
+        l.send_credit(0, 1);
+        assert_eq!(l.next_event(), Some(4));
+        assert_eq!((l.recv_credit(4), l.next_event()), (1, None));
+    }
+
+    /// [`Link::send`] without its fault-free shortcut: every symbol takes
+    /// the fault plane's path.
+    fn send_slow(l: &mut Link, now: Cycle, symbol: LinkSymbol) {
+        l.ledger.symbols_sent += 1;
+        if let Some(symbol) = l.through_faults(symbol) {
+            let arrive = now + 1 + l.latency;
+            l.data.push_back((arrive, symbol));
+            l.next_at = l.next_at.min(arrive);
+        }
+    }
+
+    #[test]
+    fn the_fault_free_shortcut_agrees_with_the_fault_path_across_mid_packet_toggles() {
+        // Two packets of each class back to back; a fault regime switches
+        // on before symbol `on` and off three symbols later, for every
+        // `on` — so inside a best-effort packet, inside a time-constrained
+        // one, and on every boundary.
+        let mut stream = Vec::new();
+        for round in 0..2u16 {
+            for i in 0..8u8 {
+                let byte = BeByte { byte: i, head: i == 0, tail: i == 7, trace: None };
+                stream.push(LinkSymbol::Be(byte));
+            }
+            stream.push(tc_start(round));
+            stream.extend((1..6).map(|index| LinkSymbol::TcCont { index }));
+        }
+        type Toggle = fn(&mut Link);
+        let regimes: [(Toggle, Toggle); 3] = [
+            (|l| l.set_down(), |l| l.set_up()),
+            (|l| l.set_flaky(1024, 0, 5), |l| l.set_flaky(0, 0, 5)),
+            (|l| l.set_flaky(0, 1024, 5), |l| l.set_flaky(0, 0, 5)),
+        ];
+        // What a run leaves behind, `be_pos` aside: the shortcut does not
+        // count bytes of packets no fault is watching.
+        let state = |l: &Link| {
+            let flags = (l.down, l.tc_dropping, l.be_dropping, l.be_corrupt_armed, l.rng);
+            format!("{:?} {:?} {:?} {flags:?}", l.data, l.next_at, l.ledger)
+        };
+        for (on, off) in regimes {
+            for start in 0..stream.len() {
+                let (mut fast, mut slow) = (Link::new(1), Link::new(1));
+                for (now, symbol) in stream.iter().enumerate() {
+                    for l in [&mut fast, &mut slow] {
+                        if now == start {
+                            on(l);
+                        } else if now == start + 3 {
+                            off(l);
+                        }
+                    }
+                    fast.send(now as Cycle, symbol.clone());
+                    send_slow(&mut slow, now as Cycle, symbol.clone());
+                    assert_eq!(state(&fast), state(&slow), "regime on at {start}, symbol {now}");
+                }
+                fast.check_conservation().unwrap();
+            }
+        }
     }
 }

@@ -174,7 +174,11 @@ pub struct Simulator<C: Chip> {
     /// the elapsed cycles it yields [`Simulator::peak_link_utilization`]
     /// without rescanning `usage`.
     max_link_total: u64,
-    sources: Vec<(NodeId, Box<dyn TrafficSource>)>,
+    /// The registered sources: home node, the source, and the first cycle
+    /// its `pre_cycle` must run again — its own `next_event` answer as of
+    /// its last run (0 = not run yet), so the per-cycle source pass costs a
+    /// compare for a source that has promised silence.
+    sources: Vec<(NodeId, Box<dyn TrafficSource>, Cycle)>,
     /// Fed by [`Simulator::inject_tc`]/[`Simulator::inject_be`] and the
     /// event cycle's source pass; the prime cycle scans in what dense
     /// cycles queued.
@@ -393,7 +397,7 @@ impl<C: Chip> Simulator<C> {
     /// they run in registration order).
     pub fn add_source(&mut self, node: NodeId, source: Box<dyn TrafficSource>) {
         self.events_stale = true;
-        self.sources.push((node, source));
+        self.sources.push((node, source, 0));
     }
 
     /// Queues a time-constrained packet for injection at a node.
@@ -551,7 +555,7 @@ impl<C: Chip> Simulator<C> {
                 *totals.entry(name).or_insert(0) += value;
             });
         }
-        for (_, source) in &self.sources {
+        for (_, source, _) in &self.sources {
             source.counters(&mut |name, value| {
                 *totals.entry(name).or_insert(0) += value;
             });
@@ -838,7 +842,7 @@ impl<C: Chip> Simulator<C> {
                     // restore re-registers them.
                     self.events.mark(i, now);
                     let base = n + self.adj.len();
-                    for (s, (home, _)) in self.sources.iter().enumerate() {
+                    for (s, (home, ..)) in self.sources.iter().enumerate() {
                         if home.index() == i {
                             self.events.mark(base + s, now);
                         }
@@ -971,7 +975,9 @@ impl<C: Chip> Simulator<C> {
             + events
             + self.adj.heap_bytes()
             + self.topo.heap_bytes()
-            + self.unticked.capacity() * std::mem::size_of::<Cycle>();
+            + self.unticked.capacity() * std::mem::size_of::<Cycle>()
+            + self.sources.capacity()
+                * std::mem::size_of::<(NodeId, Box<dyn TrafficSource>, Cycle)>();
         total / n.max(1)
     }
 
@@ -1236,14 +1242,18 @@ impl<C: Chip> Simulator<C> {
         }
     }
 
-    /// Debug-build proof of the activity sets (DESIGN.md §3.11) where an
-    /// event cycle's full sweeps used to start: every `ChipIo` is clear and
-    /// its backlog listed, and no link outside `fired` (the link handles of
-    /// `events.due`; `None` when all links are swept) owes anything yet.
+    /// Debug-build proof of the activity sets (DESIGN.md §3.11) where a
+    /// cycle's full sweeps used to start. On an event cycle every `ChipIo`
+    /// is clear and its backlog listed (a dense cycle clears them all and
+    /// keeps no backlog list). On every cycle no link the arrival pass will
+    /// pass over — its wake is not in `fired` (the link handles of
+    /// `events.due`; `None` when all links are swept), or its `next_at` lies
+    /// ahead — owes anything yet by the queues' own account.
     #[cfg(debug_assertions)]
-    fn dbg_check_activity(&self, fired: Option<&[WakeHandle]>) {
+    fn dbg_check_activity(&self, event: bool, fired: Option<&[WakeHandle]>) {
         let (now, n) = (self.now, self.chips.len());
-        for (node, io) in self.ios.iter().enumerate() {
+        let ios = if event { &self.ios[..] } else { &[] };
+        for (node, io) in ios.iter().enumerate() {
             let clear = io.rx.iter().chain(&io.tx).all(Option::is_none)
                 && io.credit_in.iter().chain(&io.credit_out).all(|&c| c == 0)
                 && io.delivered_tc.is_empty()
@@ -1252,11 +1262,12 @@ impl<C: Chip> Simulator<C> {
             let listed = self.backlog.listed[node] || !Backlog::pending(io);
             assert!(listed, "chip {node} has queued injections but is not on the backlog list");
         }
-        let Some(fired) = fired else { return };
         for li in 0..self.adj.len() {
-            let owes = self.adj.link(li).next_event().is_some_and(|at| at <= now);
-            let fired = fired.binary_search(&WakeHandle((n + li) as u32)).is_ok();
-            assert!(fired || !owes, "link {li} owes an arrival at {now} but its wake did not fire");
+            let link = self.adj.link(li);
+            let owes = link.scanned_next_event().is_some_and(|at| at <= now);
+            let polled = link.next_event().is_some_and(|at| at <= now)
+                && fired.is_none_or(|f| f.binary_search(&WakeHandle((n + li) as u32)).is_ok());
+            assert!(polled || !owes, "link {li} owes an arrival at {now} but will not be polled");
         }
     }
 
@@ -1303,12 +1314,15 @@ impl<C: Chip> Simulator<C> {
             (due.partition_point(|h| h.index() < n), due.partition_point(|h| h.index() < links))
         };
         #[cfg(debug_assertions)]
-        if EV {
-            self.dbg_check_activity((!sweep).then(|| &self.events.due[lo..hi]));
-        }
+        self.dbg_check_activity(EV, (!sweep).then(|| &self.events.due[lo..hi]));
         self.metrics.registry.inc(self.metrics.ids.link_visits, (hi - lo) as u64);
         for k in lo..hi {
             let li = if sweep { k } else { self.events.due[k].index() - n };
+            // Nothing due on either wire: `recv` and `recv_credit` would be
+            // no-ops whatever the crash flags say.
+            if self.adj.link(li).next_event().is_none_or(|at| at > now) {
+                continue;
+            }
             let node = self.adj.owner_of(li).index();
             // A crashed receiver drains nothing: its arrivals age on the
             // wire and are dropped (and counted) once stale. A crashed
@@ -1344,13 +1358,16 @@ impl<C: Chip> Simulator<C> {
             }
         }
 
-        // 2. Traffic sources (silent while their node is crashed).
-        for (node, source) in &mut self.sources {
+        // 2. Traffic sources (silent while their node is crashed). A source
+        // runs when its own `next_event` answer comes due — the contract
+        // leaping relies on: until then `pre_cycle` would do nothing.
+        for (node, source, due) in &mut self.sources {
             let i = node.index();
-            if self.crashed[i] {
+            if now < *due || self.crashed[i] {
                 continue;
             }
             source.pre_cycle(now, *node, &mut self.ios[i]);
+            *due = source.next_event(now).unwrap_or(Cycle::MAX);
             if EV && Backlog::pending(&self.ios[i]) {
                 self.backlog.note(i);
             }
@@ -1513,7 +1530,7 @@ impl<C: Chip> Simulator<C> {
         } else if handle < nl {
             self.adj.link(handle - n).next_event()
         } else {
-            let (node, source) = &self.sources[handle - nl];
+            let (node, source, _) = &self.sources[handle - nl];
             if self.crashed[node.index()] {
                 None
             } else {

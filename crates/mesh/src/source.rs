@@ -1,9 +1,10 @@
 //! The traffic-source interface.
 //!
-//! A [`TrafficSource`] is attached to a node and runs once per cycle before
-//! the chip ticks; it injects packets by pushing onto the node's
-//! [`ChipIo`] queues. Implementations live in `rtr_workloads`; tests and
-//! examples can use closures via [`FnSource`].
+//! A [`TrafficSource`] is attached to a node and runs before the chip
+//! ticks, on every cycle it has not promised to sit out (see
+//! [`TrafficSource::next_event`]); it injects packets by pushing onto the
+//! node's [`ChipIo`] queues. Implementations live in `rtr_workloads`; tests
+//! and examples can use closures via [`FnSource`].
 
 use rtr_types::chip::ChipIo;
 use rtr_types::ids::NodeId;
@@ -19,10 +20,12 @@ pub trait TrafficSource {
     /// inject (or otherwise change state), assuming it last ran at `now`.
     /// `None` means the source is exhausted and will never inject again.
     ///
-    /// The simulator's leaping mode skips cycles only when every source's
-    /// next event is in the future; sources that consult a random-number
-    /// generator every cycle must keep the conservative default
-    /// `Some(now + 1)` so their random stream is drawn cycle by cycle.
+    /// The answer is a promise: the simulator does not call `pre_cycle`
+    /// again before that cycle, stepping or leaping (the leaping mode skips
+    /// cycles only when every source's next event is in the future). Sources
+    /// that consult a random-number generator or their injection queue every
+    /// cycle must keep the conservative default `Some(now + 1)`, which runs
+    /// them cycle by cycle.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }

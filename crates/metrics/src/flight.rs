@@ -7,7 +7,7 @@
 //! leaps, injections) into the ring; on a conservation-ledger violation, a
 //! missed deadline, or a panic (via [`FlightGuard`]), the last-N events and
 //! a full [`MetricsSnapshot`] are written as flat JSONL for post-mortem
-//! reading (`trace_dump` summarises these files).
+//! reading (`rtr trace-dump` summarises these files).
 //!
 //! The recorder is `Arc`-shared and `Send`, so guards can outlive the
 //! borrow of the simulator that armed them. Only the *first* dump wins;

@@ -1,9 +1,10 @@
 //! Point-in-time metric snapshots and their JSONL wire form.
 //!
 //! Snapshots are plain data, compiled with or without the `metrics` feature,
-//! so export surfaces (`bench_runner` columns, `network_console` streams,
-//! `trace_dump` summaries) and their parsers never carry feature gates. A
-//! disabled registry just produces an empty snapshot.
+//! so export surfaces (`rtr console metrics=` streams, `rtr trace-dump`
+//! summaries, the `benchmark/` crate's per-layer rows) and their parsers
+//! never carry feature gates. A disabled registry just produces an empty
+//! snapshot.
 //!
 //! Like the rest of the repository (no serialisation crate is available
 //! offline), the wire form is hand-rolled flat JSON: one object per line, string values free of
@@ -154,8 +155,8 @@ impl MetricsSnapshot {
     }
 
     /// Renders counters and gauges as one flat JSON object, histograms
-    /// flattened to `name.count`/`name.sum`/`name.max` members — the shape
-    /// `bench_runner` embeds next to its timing columns.
+    /// flattened to `name.count`/`name.sum`/`name.max` members — a shape a
+    /// results file can embed next to its timing columns.
     #[must_use]
     pub fn render_object(&self) -> String {
         let mut out = String::from("{");

@@ -208,8 +208,8 @@ impl RouterConfig {
         range(
             "slot_bytes",
             self.slot_bytes as u64,
-            self.slot_bytes >= 3,
-            "at least 3 (two header bytes + payload)",
+            (3..=256).contains(&self.slot_bytes),
+            "3..=256 (two header bytes + payload; continuation indices are one byte)",
         )?;
         range("chunk_bytes", self.chunk_bytes as u64, self.chunk_bytes >= 1, "at least 1")?;
         range(
@@ -411,6 +411,19 @@ mod tests {
         c.flit_buffer_bytes = 10;
         c.connections = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn slot_bytes_is_bounded_by_the_one_byte_continuation_index() {
+        // A packet's last continuation symbol carries index `slot_bytes − 1`
+        // in a `u8`: 256 is the largest slot that does not wrap it.
+        let with = |slot_bytes| RouterConfig { slot_bytes, ..RouterConfig::default() }.validate();
+        assert!(with(256).is_ok());
+        assert!(matches!(
+            with(257),
+            Err(ConfigError::OutOfRange { parameter: "slot_bytes", value: 257, .. })
+        ));
+        assert!(with(5).is_ok() && with(2).is_err());
     }
 
     #[test]

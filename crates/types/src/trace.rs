@@ -11,7 +11,7 @@
 //! Records serialise to JSON Lines (one object per line) via
 //! [`TraceRecord::to_jsonl`] / [`TraceRecord::from_jsonl`]. The codec is
 //! hand-rolled and self-contained: the format is flat, the keys are fixed,
-//! and replay tools (`trace_dump`) must parse traces without any feature
+//! and replay tools (`rtr trace-dump`) must parse traces without any feature
 //! flags or external crates.
 //!
 //! Time-constrained events carry the packet's simulation-only provenance

@@ -429,3 +429,78 @@ fn faults_and_table_writes_share_one_agenda() {
         }
     }
 }
+
+/// The source pass skips a source until its own `next_event` answer comes
+/// due. A periodic sender whose node is dark across several of its fire
+/// cycles must still fire on the cycles it always has — the restore cycle
+/// if slot-aligned, else the next slot boundary, then once per slot until
+/// it has caught up — and a source registered mid-run must be polled on the
+/// very cycle it was added, in every drive mode.
+#[test]
+fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
+    use realtime_router::mesh::source::FnSource;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    const CRASH: u64 = 1_003;
+    const RESTORE: u64 = 2_011;
+    const ADDED: u64 = 3_001;
+    const END: u64 = 4_000;
+    let run = |mode: DriveMode| {
+        let config = RouterConfig::default();
+        let mut sim =
+            Simulator::build(Topology::mesh(2, 2), |_| RealTimeRouter::new(config.clone()))
+                .unwrap();
+        mode.configure(&mut sim);
+        // One message every 8 slots (160 cycles) from (0, 0), which crashes.
+        add_channel(&mut sim, 0, 0, 8);
+        sim.set_fault_schedule(
+            FaultSchedule::new().node_crash(CRASH, NodeId(0)).node_restore(RESTORE, NodeId(0)),
+        );
+        // Every poll of a source that never promises silence, per node.
+        let polls: Rc<RefCell<Vec<(NodeId, u64)>>> = Rc::default();
+        let recorder = |polls: &Rc<RefCell<Vec<(NodeId, u64)>>>| {
+            let polls = Rc::clone(polls);
+            Box::new(FnSource(move |now, node, _: &mut _| polls.borrow_mut().push((node, now))))
+        };
+        sim.add_source(NodeId(0), recorder(&polls));
+        mode.advance(&mut sim, ADDED);
+        add_channel(&mut sim, 1, 1, 8);
+        sim.add_source(NodeId(3), recorder(&polls));
+        mode.advance(&mut sim, END - ADDED);
+        sim.check_conservation().unwrap();
+        // The fire cycles of a row's sender, as stamped on what it delivered.
+        let fired = |y: u16| -> Vec<u64> {
+            let log = sim.log(sim.topology().node_at(1, y));
+            let mut at: Vec<u64> = log.tc.iter().map(|(_, p)| p.trace.injected_at).collect();
+            at.sort_unstable();
+            at
+        };
+        let polls = polls.borrow().clone();
+        (fired(0), fired(1), polls, fingerprint(&sim))
+    };
+    let (row0, row1, polls, reference) = run(DriveMode::DenseSerial);
+    // Row 0: on period until the crash; dark across the fire cycles 1 120 …
+    // 1 920; from the first slot boundary after the restore one message per
+    // slot until message k is no longer overdue (k · 160 > now); on period
+    // again. (The burst runs logical time ahead, so later messages are held
+    // ~1 000 cycles and the last few are still in the mesh at the end.)
+    let mut expected: Vec<u64> = (0..=960).step_by(160).collect();
+    expected.extend((2_020..=2_140).step_by(20));
+    expected.extend((2_240..=2_880).step_by(160));
+    assert_eq!(row0, expected);
+    // Row 1's sender did not exist before cycle 3 001: overdue from birth,
+    // it fires on every slot boundary from the first one it sees.
+    assert_eq!(row1[..4], [3_020, 3_040, 3_060, 3_080], "row 1 fired at {row1:?}");
+    // The every-cycle sources: node 0's on each live cycle and no dark one,
+    // node 3's from the cycle it was registered on.
+    let polled = |node: u16| -> Vec<u64> {
+        polls.iter().filter(|(n, _)| *n == NodeId(node)).map(|(_, now)| *now).collect()
+    };
+    assert_eq!(polled(0), (0..CRASH).chain(RESTORE..END).collect::<Vec<_>>());
+    assert_eq!(polled(3), (ADDED..END).collect::<Vec<_>>());
+    for mode in &DriveMode::ALL[1..] {
+        let (r0, r1, p, outcome) = run(*mode);
+        assert_eq!((&r0, &r1, &p), (&row0, &row1, &polls), "{mode:?} polled differently");
+        assert_eq!(outcome, reference, "{mode:?} diverged");
+    }
+}
