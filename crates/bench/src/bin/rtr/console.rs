@@ -32,7 +32,7 @@ use crate::{Args, Keys};
 
 /// The first [`POSITIONAL`] keys are the historical positional interface.
 const KEYS: &Keys = &[
-    ("side", "mesh side length, 1..=128 (default 4)"),
+    ("side", "mesh side, 1..=128: a best-effort header spans 127 hops an axis (default 4)"),
     ("channels", "offered channels (default 12)"),
     ("be_rate", "best-effort injection rate, 0..=1 (default 0.1)"),
     ("cycles", "cycles to simulate (default 100000)"),

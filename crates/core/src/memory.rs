@@ -44,21 +44,28 @@ enum Slot {
 /// The idle FIFO is *intrusive*: each free slot stores the address of the
 /// next free slot, and the memory keeps only the FIFO's head and tail —
 /// the paper's idle-address FIFO collapses to two registers plus the slot
-/// array itself, halving the layout's allocations. The slot vector is
-/// materialised lazily on the first store: a mega-mesh is mostly idle
-/// routers that never buffer a packet, and the slot storage is the
-/// router's largest fixed allocation.
+/// array itself, halving the layout's allocations.
+///
+/// The chip's FIFO starts out holding every address in order, so freed
+/// addresses queue behind the never-used ones. Here a never-used address
+/// has no slot yet: it is the length of `slots`, issued (and its slot
+/// pushed) while that is below the capacity, and the chained FIFO holds
+/// freed slots only — the same issue order, with a slot vector as long as
+/// the most addresses ever handed out rather than the capacity (DESIGN.md
+/// §3.14).
 #[derive(Debug)]
 pub struct PacketMemory {
     capacity: usize,
+    /// One slot per address issued so far.
     slots: Vec<Slot>,
-    /// Next idle address to issue (FIFO front); `None` when the memory is
-    /// full or not yet materialised.
+    /// Oldest freed address (FIFO front), issued once every address has
+    /// been used; `None` when no slot is free.
     free_head: Option<SlotAddr>,
-    /// Last idle address (FIFO back), where freed slots are appended.
+    /// Last freed address (FIFO back), where freed slots are appended.
     free_tail: Option<SlotAddr>,
-    live: usize,
-    high_water: usize,
+    /// Occupancy counts; addresses are 16-bit, so 32 bits hold any count.
+    live: u32,
+    high_water: u32,
 }
 
 impl PacketMemory {
@@ -85,14 +92,14 @@ impl PacketMemory {
     /// Number of occupied slots.
     #[must_use]
     pub fn occupied(&self) -> usize {
-        self.live
+        self.live as usize
     }
 
     /// Highest occupancy ever observed (for the buffer-reservation
     /// experiments).
     #[must_use]
     pub fn high_water(&self) -> usize {
-        self.high_water
+        self.high_water as usize
     }
 
     /// Stores an arriving packet, drawing an address from the idle FIFO.
@@ -101,30 +108,24 @@ impl PacketMemory {
     /// (admission control reserves slots precisely so this cannot happen for
     /// admitted traffic).
     pub fn store(&mut self, packet: TcPacket) -> Result<SlotAddr, TcPacket> {
-        if self.slots.len() < self.capacity {
-            // First store: materialise the slots chained `0 → 1 → …`, the
-            // same order the explicit idle FIFO used, preserving the FIFO
-            // reissue discipline exactly.
-            self.slots = (0..self.capacity)
-                .map(|i| Slot::Free {
-                    next: (i + 1 < self.capacity).then(|| SlotAddr((i + 1) as u16)),
-                })
-                .collect();
-            self.free_head = Some(SlotAddr(0));
-            self.free_tail = Some(SlotAddr((self.capacity - 1) as u16));
-        }
-        let Some(addr) = self.free_head else {
-            return Err(packet);
+        let addr = if self.slots.len() < self.capacity {
+            self.slots.push(Slot::Occupied(packet));
+            SlotAddr((self.slots.len() - 1) as u16)
+        } else {
+            let Some(addr) = self.free_head else {
+                return Err(packet);
+            };
+            let Slot::Free { next } =
+                std::mem::replace(&mut self.slots[addr.index()], Slot::Occupied(packet))
+            else {
+                unreachable!("idle FIFO handed a live slot");
+            };
+            self.free_head = next;
+            if next.is_none() {
+                self.free_tail = None;
+            }
+            addr
         };
-        let Slot::Free { next } =
-            std::mem::replace(&mut self.slots[addr.index()], Slot::Occupied(packet))
-        else {
-            unreachable!("idle FIFO handed a live slot");
-        };
-        self.free_head = next;
-        if next.is_none() {
-            self.free_tail = None;
-        }
         self.live += 1;
         self.high_water = self.high_water.max(self.live);
         Ok(addr)
@@ -167,7 +168,7 @@ impl PacketMemory {
     }
 
     /// Heap bytes currently allocated behind the memory — zero until the
-    /// first store materialises the slot array.
+    /// first store.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
@@ -181,6 +182,7 @@ mod tests {
     use rtr_types::ids::ConnectionId;
     use rtr_types::packet::PacketTrace;
     use rtr_types::SlotClock;
+    use std::collections::VecDeque;
 
     fn packet(tag: u8) -> TcPacket {
         TcPacket {
@@ -258,6 +260,39 @@ mod tests {
     }
 
     proptest! {
+        /// The chip's idle-address FIFO starts out holding every address in
+        /// order and takes freed ones at the back. Over more than twice the
+        /// capacity in stores, with frees interleaved, the memory issues
+        /// the address that FIFO issues — and refuses when it is empty.
+        #[test]
+        fn addresses_come_in_the_eager_idle_fifo_order(
+            ops in proptest::collection::vec((0u8..3, 0usize..64), 40..300),
+        ) {
+            const CAPACITY: u16 = 16;
+            let mut m = PacketMemory::new(usize::from(CAPACITY));
+            let mut idle: VecDeque<SlotAddr> = (0..CAPACITY).map(SlotAddr).collect();
+            let mut live: Vec<SlotAddr> = Vec::new();
+            // The drawn operations, then enough stores, every other one
+            // followed by a free, to make the count certain.
+            let tail = (0..3 * usize::from(CAPACITY))
+                .flat_map(|k| [(0, 0), (2 + (k % 2) as u8, k)]);
+            let mut stores = 0;
+            for (kind, pick) in ops.into_iter().chain(tail) {
+                if kind < 2 {
+                    let issued = m.store(packet(stores as u8)).ok();
+                    prop_assert_eq!(issued, idle.pop_front());
+                    live.extend(issued);
+                    stores += usize::from(issued.is_some());
+                } else if kind == 2 && !live.is_empty() {
+                    let addr = live.swap_remove(pick % live.len());
+                    m.free(addr);
+                    idle.push_back(addr);
+                }
+                prop_assert_eq!(m.occupied(), live.len());
+            }
+            prop_assert!(stores > 2 * usize::from(CAPACITY));
+        }
+
         /// Under any interleaving of stores and frees the idle pool and the
         /// live slots exactly partition the memory, and no address is ever
         /// issued twice concurrently.

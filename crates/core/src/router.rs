@@ -103,9 +103,8 @@ pub struct RealTimeRouter {
 /// [`RouterConfig`]. The template validates the configuration once and
 /// pre-builds the shared read-only state — the (copy-on-write) connection
 /// table and the slot clock — so [`RouterTemplate::build`] allocates only
-/// what is genuinely per-router. Combined with the lazily materialised
-/// packet memory and comparator-tree cache, this is what makes 128×128
-/// builds cheap.
+/// what is genuinely per-router. Combined with a packet memory and a
+/// scheduler that allocate by use, this is what makes 128×128 builds cheap.
 #[derive(Debug, Clone)]
 pub struct RouterTemplate {
     config: Arc<RouterConfig>,
@@ -323,6 +322,18 @@ impl RealTimeRouter {
     #[must_use]
     pub fn scheduler_time(&self, now: Cycle) -> LogicalTime {
         self.clock.wrap(now / self.config.slot_bytes as u64 + self.skew_slots)
+    }
+
+    /// Debug builds re-derive the per-port backlog the wake logic reads
+    /// from a count over the buffered leaves.
+    fn dbg_check_backlog(&self) {
+        debug_assert!(
+            Port::ALL.iter().all(|&port| {
+                let counted = self.sched.iter().filter(|(_, leaf)| leaf.eligible_for(port)).count();
+                self.sched.backlog_for(port) == counted
+            }),
+            "per-port backlog counters are not the buffered leaves'"
+        );
     }
 
     fn ingest_network_symbols(&mut self, now: Cycle, io: &mut ChipIo) {
@@ -621,7 +632,7 @@ impl RealTimeRouter {
 
         // On-time packets preempt best-effort traffic at a byte boundary.
         if let Some(sel) = granted {
-            if sel.key.is_on_time() {
+            if sel.key.is_on_time(&self.clock) {
                 self.start_tc(now, out_idx, sel, false, io);
                 return;
             }
@@ -636,7 +647,9 @@ impl RealTimeRouter {
         // 4. Early time-constrained packets within the horizon fill
         //    otherwise-idle cycles.
         if let Some(sel) = granted {
-            if sel.key.is_early() && sel.key.time_field() <= self.outputs[out_idx].horizon {
+            if sel.key.is_early(&self.clock)
+                && sel.key.time_field(&self.clock) <= self.outputs[out_idx].horizon
+            {
                 self.start_tc(now, out_idx, sel, true, io);
                 return;
             }
@@ -826,6 +839,7 @@ impl Chip for RealTimeRouter {
         // longer blocks the leap — it only keeps its telemetry: how often
         // it was the sole blocker under the old rule, and how many cycles
         // the settle path reclaims.
+        self.dbg_check_backlog();
         let mut sync_guard = false;
         for (idx, out) in self.outputs.iter().enumerate() {
             if out.had_candidate() != (self.sched.backlog_for(Port::from_index(idx)) > 0) {
@@ -889,6 +903,7 @@ impl Chip for RealTimeRouter {
         // transmit inside a provably quiet span (on-time backlog forces
         // per-cycle ticks via `next_event`'s short answers), so the
         // transition is all that recompute would have done.
+        self.dbg_check_backlog();
         let latency = self.config.effective_sched_latency();
         for (idx, out) in self.outputs.iter_mut().enumerate() {
             let has_candidate = self.sched.backlog_for(Port::from_index(idx)) > 0;
@@ -1005,6 +1020,34 @@ mod tests {
         // Injection takes 20 cycles, storage ~6, scheduling ~4, reception 20.
         let (cycle, _) = io.delivered_tc[0];
         assert!((40..=80).contains(&cycle), "delivery at {cycle}");
+    }
+
+    /// A router costs what it holds: storing, scheduling, transmitting and
+    /// freeing one packet leaves a few slots, leaves and tournament nodes
+    /// behind, not the chip's 256 of each (which was ≈ 45 KB).
+    #[test]
+    fn a_router_that_buffered_one_packet_holds_by_use() {
+        let mut r = router();
+        r.apply_control(ControlCommand::SetConnection {
+            incoming: ConnectionId(1),
+            outgoing: ConnectionId(1),
+            delay: 4,
+            out_mask: Port::Local.mask(),
+        })
+        .unwrap();
+        let mut io = io();
+        io.inject_tc.push_back(tc_packet(1, 0, &r));
+        let mut now = 0;
+        run(&mut r, &mut io, &mut now, 200);
+        assert_eq!(r.stats().tc_delivered, 1);
+        assert_eq!((r.memory.occupied(), r.sched.len()), (0, 0), "stored, sent and freed");
+        let port_queues = r.inputs.iter().map(InputPort::heap_bytes).sum::<usize>()
+            + r.be.heap_bytes()
+            + r.table.heap_bytes();
+        let held = r.heap_bytes_estimate() - port_queues;
+        assert_eq!(held, r.memory.heap_bytes() + r.sched.heap_bytes());
+        assert!(held > 0, "capacity actually held is reported");
+        assert!(held < 1024, "one buffered packet left {held} B of memory and scheduler state");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! width (see the ablation in `rtr-bench`).
 
 use crate::memory::SlotAddr;
-use crate::sched::leaf::Leaf;
+use crate::sched::leaf::{Leaf, LeafStore};
 use crate::sched::tree::Selection;
 use rtr_types::clock::{LogicalTime, SlotClock};
 use rtr_types::ids::Port;
@@ -25,19 +25,16 @@ use rtr_types::key::{LatePolicy, SortKey};
 /// [`crate::sched::tree::ComparatorTree`].
 #[derive(Debug)]
 pub struct BandedScheduler {
-    /// Leaf capacity; `leaves`/`free` are materialised (to this length) on
-    /// the first insert so idle routers allocate nothing.
-    capacity: usize,
-    leaves: Vec<Option<(Leaf, u64)>>,
-    free: Vec<usize>,
+    leaves: LeafStore,
+    /// Arrival sequence number of the leaf at each index (FIFO within a
+    /// band); meaningful where `leaves` is occupied.
+    seqs: Vec<u64>,
     clock: SlotClock,
     late_policy: LatePolicy,
     /// Laxity quantum: keys are right-shifted by this many bits before
     /// comparison (band width = `2^shift` slots).
     band_shift: u32,
     next_seq: u64,
-    version: u64,
-    live: usize,
 }
 
 impl BandedScheduler {
@@ -52,15 +49,12 @@ impl BandedScheduler {
         band_shift: u32,
     ) -> Self {
         BandedScheduler {
-            capacity,
-            leaves: Vec::new(),
-            free: Vec::new(),
+            leaves: LeafStore::new(capacity),
+            seqs: Vec::new(),
             clock,
             late_policy,
             band_shift,
             next_seq: 0,
-            version: 0,
-            live: 0,
         }
     }
 
@@ -70,22 +64,10 @@ impl BandedScheduler {
         1 << self.band_shift
     }
 
-    /// Number of live leaves.
+    /// The leaf state: occupancy, per-port backlog, mutation counter.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no packets are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Mutation counter (for the output ports' selection caches).
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
+    pub fn leaves(&self) -> &LeafStore {
+        &self.leaves
     }
 
     /// Inserts a packet's scheduler state.
@@ -94,19 +76,13 @@ impl BandedScheduler {
     ///
     /// Gives the leaf back if every slot is occupied.
     pub fn insert(&mut self, leaf: Leaf) -> Result<usize, Leaf> {
-        if self.leaves.len() < self.capacity {
-            // High-to-low free list: pops hand out index 0 first, matching
-            // the eager construction leaf for leaf.
-            self.leaves = (0..self.capacity).map(|_| None).collect();
-            self.free = (0..self.capacity).rev().collect();
+        let idx = self.leaves.insert(leaf)?;
+        if idx == self.seqs.len() {
+            self.seqs.push(self.next_seq);
+        } else {
+            self.seqs[idx] = self.next_seq;
         }
-        let Some(idx) = self.free.pop() else {
-            return Err(leaf);
-        };
-        self.leaves[idx] = Some((leaf, self.next_seq));
         self.next_seq += 1;
-        self.live += 1;
-        self.version += 1;
         Ok(idx)
     }
 
@@ -117,8 +93,8 @@ impl BandedScheduler {
     #[must_use]
     pub fn select(&self, port: Port, t: LogicalTime) -> Option<Selection> {
         let mut best: Option<(u32, u64, Selection)> = None;
-        for (idx, slot) in self.leaves.iter().enumerate() {
-            let Some((leaf, seq)) = slot else { continue };
+        for (idx, leaf) in self.leaves.iter() {
+            let seq = self.seqs[idx];
             if !leaf.eligible_for(port) {
                 continue;
             }
@@ -126,13 +102,13 @@ impl BandedScheduler {
             // Quantise only the time field; the class bits stay exact so
             // on-time packets always beat early ones.
             let class = key.value() & !(self.clock.half_range() - 1);
-            let banded = class | (key.time_field() >> self.band_shift);
+            let banded = class | (key.time_field(&self.clock) >> self.band_shift);
             let better = match &best {
                 None => true,
-                Some((b, s, _)) => banded < *b || (banded == *b && seq < s),
+                Some((b, s, _)) => banded < *b || (banded == *b && seq < *s),
             };
             if better {
-                best = Some((banded, *seq, Selection { leaf: idx, addr: leaf.addr, key }));
+                best = Some((banded, seq, Selection { leaf: idx, addr: leaf.addr, key }));
             }
         }
         best.map(|(_, _, sel)| sel)
@@ -144,32 +120,14 @@ impl BandedScheduler {
     ///
     /// Panics if the leaf is empty or the port's bit was clear.
     pub fn commit(&mut self, idx: usize, port: Port) -> Option<SlotAddr> {
-        let (leaf, _) =
-            self.leaves.get_mut(idx).and_then(Option::as_mut).expect("committing an empty leaf");
-        assert!(leaf.eligible_for(port), "committing a port whose bit is clear");
-        self.version += 1;
-        if leaf.clear_port(port) {
-            let addr = leaf.addr;
-            self.leaves[idx] = None;
-            self.free.push(idx);
-            self.live -= 1;
-            Some(addr)
-        } else {
-            None
-        }
-    }
-
-    /// Iterates live leaves.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Leaf)> {
-        self.leaves.iter().enumerate().filter_map(|(i, l)| l.as_ref().map(|(l, _)| (i, l)))
+        self.leaves.commit(idx, port)
     }
 
     /// Heap bytes currently allocated behind the scheduler — zero until
     /// the first insert.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.leaves.capacity() * std::mem::size_of::<Option<(Leaf, u64)>>()
-            + self.free.capacity() * std::mem::size_of::<usize>()
+        self.leaves.heap_bytes() + self.seqs.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -221,7 +179,7 @@ mod tests {
         s.insert(leaf(0, 120, 1)).unwrap(); // on-time, huge laxity
         let sel = s.select(XP, clock().wrap(5)).unwrap();
         assert_eq!(sel.addr, SlotAddr(1));
-        assert!(sel.key.is_on_time());
+        assert!(sel.key.is_on_time(&clock()));
     }
 
     #[test]

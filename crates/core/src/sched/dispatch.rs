@@ -4,7 +4,7 @@
 
 use crate::memory::SlotAddr;
 use crate::sched::banded::BandedScheduler;
-use crate::sched::leaf::Leaf;
+use crate::sched::leaf::{Leaf, LeafStore};
 use crate::sched::oracle::OracleScheduler;
 use crate::sched::tree::{ComparatorTree, Selection};
 use rtr_types::clock::{LogicalTime, SlotClock};
@@ -56,10 +56,15 @@ impl Scheduler {
         }
     }
 
+    /// The active implementation's leaves.
+    fn leaves(&self) -> &LeafStore {
+        each!(self, s => s.leaves())
+    }
+
     /// Number of buffered packets.
     #[must_use]
     pub fn len(&self) -> usize {
-        each!(self, s => s.len())
+        self.leaves().len()
     }
 
     /// Whether no packets are buffered.
@@ -71,7 +76,7 @@ impl Scheduler {
     /// Monotone counter bumped on every mutation (never by selection).
     #[must_use]
     pub fn version(&self) -> u64 {
-        each!(self, s => s.version())
+        self.leaves().version()
     }
 
     /// Inserts a packet's scheduler state, returning its leaf index — or
@@ -91,21 +96,15 @@ impl Scheduler {
         each!(self, s => s.commit(idx, port))
     }
 
-    /// The occupied `(index, leaf)` pairs; one chained option is populated.
+    /// The occupied `(index, leaf)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Leaf)> {
-        let (tree, banded, oracle) = match self {
-            Scheduler::Tree(t) => (Some(t.iter()), None, None),
-            Scheduler::Banded(b) => (None, Some(b.iter()), None),
-            Scheduler::Oracle(o) => (None, None, Some(o.iter())),
-        };
-        let rest = banded.into_iter().flatten().chain(oracle.into_iter().flatten());
-        tree.into_iter().flatten().chain(rest)
+        self.leaves().iter()
     }
 
     /// Buffered packets still awaiting transmission on `port`.
     #[must_use]
     pub fn backlog_for(&self, port: Port) -> usize {
-        self.iter().filter(|(_, leaf)| leaf.port_mask & port.mask() != 0).count()
+        self.leaves().backlog_for(port)
     }
 
     /// Sorting-key computations so far (banded and oracle count none).
@@ -117,10 +116,14 @@ impl Scheduler {
         }
     }
 
-    /// Heap bytes allocated so far (leaf storage is lazy in every variant).
+    /// Heap bytes held: the leaves plus what the variant keeps beside them.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        each!(self, s => s.heap_bytes())
+        match self {
+            Scheduler::Tree(t) => t.heap_bytes(),
+            Scheduler::Banded(b) => b.heap_bytes(),
+            Scheduler::Oracle(o) => o.leaves().heap_bytes(),
+        }
     }
 }
 

@@ -16,7 +16,7 @@ pub mod tree;
 
 pub use banded::BandedScheduler;
 pub use dispatch::Scheduler;
-pub use leaf::Leaf;
+pub use leaf::{Leaf, LeafStore};
 pub use oracle::OracleScheduler;
 pub use reference::ReferenceScheduler;
 pub use tree::{ComparatorTree, Selection};

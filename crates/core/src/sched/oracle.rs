@@ -15,7 +15,7 @@
 //! under [`LatePolicy::Wrap`].
 
 use crate::memory::SlotAddr;
-use crate::sched::leaf::Leaf;
+use crate::sched::leaf::{Leaf, LeafStore};
 use crate::sched::reference::{ReferenceChoice, ReferenceScheduler};
 use crate::sched::tree::Selection;
 use rtr_types::clock::{LogicalTime, SlotClock};
@@ -26,14 +26,9 @@ use rtr_types::key::{LatePolicy, SortKey};
 /// tree.
 #[derive(Debug)]
 pub struct OracleScheduler {
-    /// Leaf capacity; storage is materialised on first insert.
-    capacity: usize,
-    leaves: Vec<Option<Leaf>>,
-    free: Vec<usize>,
+    leaves: LeafStore,
     clock: SlotClock,
     reference: ReferenceScheduler,
-    version: u64,
-    live: usize,
 }
 
 impl OracleScheduler {
@@ -50,32 +45,16 @@ impl OracleScheduler {
             "the oracle scheduler implements Table 1, which saturates late packets"
         );
         OracleScheduler {
-            capacity,
-            leaves: Vec::new(),
-            free: Vec::new(),
+            leaves: LeafStore::new(capacity),
             clock,
             reference: ReferenceScheduler::new(clock),
-            version: 0,
-            live: 0,
         }
     }
 
-    /// Number of buffered packets.
+    /// The leaf state: occupancy, per-port backlog, mutation counter.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no packets are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Mutation counter (for selection caching).
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
+    pub fn leaves(&self) -> &LeafStore {
+        &self.leaves
     }
 
     /// Inserts a packet's scheduler state, returning its leaf index.
@@ -84,21 +63,7 @@ impl OracleScheduler {
     ///
     /// Gives the leaf back if every leaf is occupied.
     pub fn insert(&mut self, leaf: Leaf) -> Result<usize, Leaf> {
-        debug_assert!(leaf.port_mask != 0, "inserting a leaf with an empty mask");
-        if self.leaves.len() < self.capacity {
-            // High-to-low free list: pops hand out index 0 first, matching
-            // the eager construction leaf for leaf.
-            self.leaves = (0..self.capacity).map(|_| None).collect();
-            self.free = (0..self.capacity).rev().collect();
-        }
-        let Some(idx) = self.free.pop() else {
-            return Err(leaf);
-        };
-        debug_assert!(self.leaves[idx].is_none());
-        self.leaves[idx] = Some(leaf);
-        self.live += 1;
-        self.version += 1;
-        Ok(idx)
+        self.leaves.insert(leaf)
     }
 
     /// Evaluates Table 1 for `port` at time `t`. The horizon is left to the
@@ -108,13 +73,12 @@ impl OracleScheduler {
     /// with an unbounded horizon here.
     #[must_use]
     pub fn select(&self, port: Port, t: LogicalTime) -> Option<Selection> {
-        let live = self.leaves.iter().enumerate().filter_map(|(i, l)| l.as_ref().map(|l| (i, l)));
-        let choice = self.reference.choose(live, port, t, self.clock.range());
+        let choice = self.reference.choose(self.leaves.iter(), port, t, self.clock.range());
         let idx = match choice {
             ReferenceChoice::OnTime(idx) | ReferenceChoice::EarlyWithinHorizon(idx) => idx,
             ReferenceChoice::Nothing => return None,
         };
-        let leaf = self.leaves[idx].as_ref().expect("reference chose a live leaf");
+        let leaf = self.leaves.get(idx).expect("reference chose a live leaf");
         let key = SortKey::compute(&self.clock, leaf.l, leaf.delay, t, LatePolicy::Saturate);
         Some(Selection { leaf: idx, addr: leaf.addr, key })
     }
@@ -126,32 +90,7 @@ impl OracleScheduler {
     ///
     /// Panics if the leaf is empty or the port's bit was not set.
     pub fn commit(&mut self, idx: usize, port: Port) -> Option<SlotAddr> {
-        let leaf =
-            self.leaves.get_mut(idx).and_then(Option::as_mut).expect("committing an empty leaf");
-        assert!(leaf.eligible_for(port), "committing a port whose bit is clear");
-        self.version += 1;
-        if leaf.clear_port(port) {
-            let addr = leaf.addr;
-            self.leaves[idx] = None;
-            self.free.push(idx);
-            self.live -= 1;
-            Some(addr)
-        } else {
-            None
-        }
-    }
-
-    /// Iterates the live leaves (index, leaf).
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Leaf)> {
-        self.leaves.iter().enumerate().filter_map(|(i, l)| l.as_ref().map(|l| (i, l)))
-    }
-
-    /// Heap bytes currently allocated behind the scheduler — zero until
-    /// the first insert.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.leaves.capacity() * std::mem::size_of::<Option<Leaf>>()
-            + self.free.capacity() * std::mem::size_of::<usize>()
+        self.leaves.commit(idx, port)
     }
 }
 
@@ -177,9 +116,9 @@ mod tests {
         let sel = o.select(XP, clock().wrap(1)).unwrap();
         assert_eq!(sel.leaf, idx);
         assert_eq!(sel.addr, SlotAddr(2));
-        assert!(sel.key.is_on_time());
+        assert!(sel.key.is_on_time(&clock()));
         assert_eq!(o.commit(idx, XP), Some(SlotAddr(2)));
-        assert!(o.is_empty());
+        assert!(o.leaves().is_empty());
     }
 
     #[test]
@@ -187,8 +126,8 @@ mod tests {
         let mut o = OracleScheduler::new(4, clock(), LatePolicy::Saturate);
         o.insert(leaf(30, 5, XP.mask(), 0)).unwrap();
         let sel = o.select(XP, clock().wrap(20)).unwrap();
-        assert!(sel.key.is_early());
-        assert_eq!(sel.key.time_field(), 10, "the port compares this against its horizon");
+        assert!(sel.key.is_early(&clock()));
+        assert_eq!(sel.key.time_field(&clock()), 10, "the port compares this against its horizon");
     }
 
     #[test]

@@ -185,25 +185,25 @@ mod tests {
             }
             for port in Port::ALL {
                 let tree_sel = tree.select(port, t);
-                let ref_choice = reference.choose(tree.iter(), port, t, h);
+                let ref_choice = reference.choose(tree.leaves().iter(), port, t, h);
                 match ref_choice {
                     ReferenceChoice::OnTime(idx) => {
                         let sel = tree_sel.expect("tree missed an on-time packet");
-                        prop_assert!(sel.key.is_on_time());
+                        prop_assert!(sel.key.is_on_time(&c));
                         prop_assert_eq!(sel.leaf, idx);
                     }
                     ReferenceChoice::EarlyWithinHorizon(idx) => {
                         let sel = tree_sel.expect("tree missed an early packet");
-                        prop_assert!(sel.key.is_early());
+                        prop_assert!(sel.key.is_early(&c));
                         prop_assert_eq!(sel.leaf, idx);
-                        prop_assert!(sel.key.time_field() <= h);
+                        prop_assert!(sel.key.time_field(&c) <= h);
                     }
                     ReferenceChoice::Nothing => {
                         // The tree may still report an early packet beyond
                         // the horizon; the port-level check rejects it.
                         if let Some(sel) = tree_sel {
-                            prop_assert!(sel.key.is_early());
-                            prop_assert!(sel.key.time_field() > h);
+                            prop_assert!(sel.key.is_early(&c));
+                            prop_assert!(sel.key.time_field(&c) > h);
                         }
                     }
                 }

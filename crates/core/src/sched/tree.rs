@@ -29,7 +29,7 @@
 use std::cell::RefCell;
 
 use crate::memory::SlotAddr;
-use crate::sched::leaf::Leaf;
+use crate::sched::leaf::{Leaf, LeafStore};
 use rtr_types::clock::{LogicalTime, SlotClock};
 use rtr_types::ids::{ports_in_mask, Port, PORT_COUNT};
 use rtr_types::key::{LatePolicy, SortKey};
@@ -55,15 +55,17 @@ struct MinCache {
     /// The slot time (raw wrapped value) the cached keys are normalised to;
     /// `None` while cold (rebuilt lazily by the next selection).
     t: Option<u32>,
-    /// Key per occupied leaf, valid only while the cache is warm.
+    /// Key per occupied leaf, valid only while the cache is warm. Grows
+    /// to the widest tournament built so far.
     keys: Vec<SortKey>,
     /// Tournament nodes: node `i` has children `2i`/`2i+1`, leaf `j` lives
     /// at `width + j`, the root is node 1. Only `2 * width` entries are in
-    /// play at a time; the vector is sized for the full capacity.
+    /// play at a time; the vector grows to twice the widest tournament
+    /// built so far.
     nodes: Vec<[u64; PORT_COUNT]>,
     /// Tournament width of the last rebuild: the occupied-leaf high-water
     /// mark rounded up to a power of two, so rebuild cost tracks occupancy
-    /// rather than capacity (the free list reuses low indices first).
+    /// rather than capacity (the store reuses low indices first).
     width: usize,
     /// Total `SortKey::compute` invocations (perf accounting: selections at
     /// an unchanged slot must not add any).
@@ -108,18 +110,9 @@ pub struct Selection {
 /// ```
 #[derive(Debug)]
 pub struct ComparatorTree {
-    /// Leaf capacity (one per packet-memory slot). `leaves`/`free` hold
-    /// this many entries once materialised, and none before the first
-    /// insert — an idle router's tree allocates nothing.
-    capacity: usize,
-    leaves: Vec<Option<Leaf>>,
-    free: Vec<usize>,
+    leaves: LeafStore,
     clock: SlotClock,
     late_policy: LatePolicy,
-    version: u64,
-    live: usize,
-    /// One past the highest occupied leaf index; bounds every rebuild.
-    high: usize,
     cache: RefCell<MinCache>,
 }
 
@@ -127,20 +120,10 @@ impl ComparatorTree {
     /// Creates a tree with `capacity` leaves (one per packet-memory slot).
     #[must_use]
     pub fn new(capacity: usize, clock: SlotClock, late_policy: LatePolicy) -> Self {
-        // Both the leaf storage and the cache's key/node vectors are
-        // materialised lazily on first use: a mega-mesh is mostly idle
-        // routers whose trees never hold a packet, and the node vector
-        // (sized for the full tournament width) is the tree's dominant
-        // allocation.
         ComparatorTree {
-            capacity,
-            leaves: Vec::new(),
-            free: Vec::new(),
+            leaves: LeafStore::new(capacity),
             clock,
             late_policy,
-            version: 0,
-            live: 0,
-            high: 0,
             cache: RefCell::new(MinCache {
                 t: None,
                 keys: Vec::new(),
@@ -151,31 +134,30 @@ impl ComparatorTree {
         }
     }
 
+    /// The leaf state: occupancy, per-port backlog, mutation counter.
+    #[must_use]
+    pub fn leaves(&self) -> &LeafStore {
+        &self.leaves
+    }
+
     /// Number of leaves holding packets.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.leaves.len()
     }
 
     /// Whether no packets are buffered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.leaves.is_empty()
     }
 
-    /// Leaf capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Heap bytes currently allocated behind the tree (leaf storage, free
-    /// list, and tournament cache) — zero until the first insert.
+    /// Heap bytes currently allocated behind the tree (leaf store and
+    /// tournament cache) — zero until the first insert.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let cache = self.cache.borrow();
-        self.leaves.capacity() * std::mem::size_of::<Option<Leaf>>()
-            + self.free.capacity() * std::mem::size_of::<usize>()
+        self.leaves.heap_bytes()
             + cache.keys.capacity() * std::mem::size_of::<SortKey>()
             + cache.nodes.capacity() * std::mem::size_of::<[u64; PORT_COUNT]>()
     }
@@ -184,7 +166,7 @@ impl ComparatorTree {
     /// cache selections between changes.
     #[must_use]
     pub fn version(&self) -> u64 {
-        self.version
+        self.leaves.version()
     }
 
     /// The scheduler clock this tree normalises keys against.
@@ -201,23 +183,7 @@ impl ComparatorTree {
     /// cannot happen: leaves and memory slots are allocated 1:1 and the
     /// memory is checked first.
     pub fn insert(&mut self, leaf: Leaf) -> Result<usize, Leaf> {
-        debug_assert!(leaf.port_mask != 0, "inserting a leaf with an empty mask");
-        if self.leaves.len() < self.capacity {
-            // First insert: materialise the leaf storage. The free list is
-            // built high-to-low so pops hand out index 0 first, exactly as
-            // the eager construction did — leaf numbering (and therefore
-            // every tie-break and every drive mode) is byte-identical.
-            self.leaves = (0..self.capacity).map(|_| None).collect();
-            self.free = (0..self.capacity).rev().collect();
-        }
-        let Some(idx) = self.free.pop() else {
-            return Err(leaf);
-        };
-        debug_assert!(self.leaves[idx].is_none());
-        self.leaves[idx] = Some(leaf);
-        self.live += 1;
-        self.version += 1;
-        self.high = self.high.max(idx + 1);
+        let idx = self.leaves.insert(leaf)?;
         let cache = self.cache.get_mut();
         if let Some(raw) = cache.t {
             if idx >= cache.width {
@@ -259,27 +225,22 @@ impl ComparatorTree {
     /// Rebuilds the whole tournament for slot time `t` — the once-per-slot
     /// equivalent of the hardware recomputing every key combinationally.
     fn rebuild(&self, cache: &mut MinCache, t: LogicalTime) {
-        if cache.nodes.is_empty() {
-            // First rebuild: materialise the cache storage. Sized once for
-            // the maximum tournament width (capacity rounded up to a power
-            // of two); rebuilds use a prefix. Every warm-cache incremental
-            // path (`insert`/`commit`) is gated on `cache.t.is_some()`,
-            // which implies this ran.
-            let cap_pow2 = self.capacity.next_power_of_two().max(1);
-            cache.keys = vec![SortKey::ineligible(&self.clock); self.capacity];
-            cache.nodes = vec![[NONE_ENTRY; PORT_COUNT]; 2 * cap_pow2];
-        }
         cache.t = Some(t.raw());
         // Size the tournament to the occupied prefix, not the capacity:
-        // the free list hands out low indices first, so a quarter-full
-        // 256-leaf tree rebuilds a 64-wide tournament.
-        let base = self.high.next_power_of_two().max(1);
+        // the store hands out low indices first, so a quarter-full
+        // 256-leaf tree rebuilds a 64-wide tournament. The storage grows
+        // with the width; every warm-cache incremental path
+        // (`insert`/`commit`) stays inside the width this sets.
+        let base = self.leaves.high().next_power_of_two();
         cache.width = base;
+        if cache.keys.len() < base {
+            cache.keys.resize(base, SortKey::ineligible(&self.clock));
+            cache.nodes.resize(2 * base, [NONE_ENTRY; PORT_COUNT]);
+        }
         for node in &mut cache.nodes[base..2 * base] {
             *node = [NONE_ENTRY; PORT_COUNT];
         }
-        for (idx, slot) in self.leaves[..self.high].iter().enumerate() {
-            let Some(leaf) = slot else { continue };
+        for (idx, leaf) in self.leaves.iter() {
             let key = SortKey::compute(&self.clock, leaf.l, leaf.delay, t, self.late_policy);
             cache.key_computes += 1;
             cache.keys[idx] = key;
@@ -310,7 +271,7 @@ impl ComparatorTree {
     /// Reads a leaf (test/diagnostic use).
     #[must_use]
     pub fn leaf(&self, idx: usize) -> Option<&Leaf> {
-        self.leaves.get(idx).and_then(Option::as_ref)
+        self.leaves.get(idx)
     }
 
     /// Selects the minimum-key packet eligible for `port` at scheduler time
@@ -321,7 +282,7 @@ impl ComparatorTree {
     /// best-effort checks of §3.2 before transmitting an early winner.
     #[must_use]
     pub fn select(&self, port: Port, t: LogicalTime) -> Option<Selection> {
-        if self.live == 0 {
+        if self.leaves.is_empty() {
             // Nothing buffered: answer without touching (or materialising)
             // the cache, so idle routers never allocate tournament storage.
             return None;
@@ -335,18 +296,17 @@ impl ComparatorTree {
             return None;
         }
         let idx = unpack_leaf(entry);
-        let leaf = self.leaves[idx].as_ref().expect("tournament winner must be live");
+        let leaf = self.leaves.get(idx).expect("tournament winner must be live");
         Some(Selection { leaf: idx, addr: leaf.addr, key: cache.keys[idx] })
     }
 
-    /// The original exhaustive scan over every leaf — O(n) per call. Kept as
+    /// The original exhaustive scan over every occupied leaf. Kept as
     /// the in-crate oracle for the tournament (property tests drive both and
     /// assert equality on every selection).
     #[must_use]
     pub fn select_linear(&self, port: Port, t: LogicalTime) -> Option<Selection> {
         let mut best: Option<Selection> = None;
-        for (idx, slot) in self.leaves.iter().enumerate() {
-            let Some(leaf) = slot else { continue };
+        for (idx, leaf) in self.leaves.iter() {
             if !leaf.eligible_for(port) {
                 continue;
             }
@@ -371,43 +331,21 @@ impl ComparatorTree {
     /// Panics if the leaf is empty or the port's bit was not set — either
     /// indicates a scheduler/port desynchronisation bug.
     pub fn commit(&mut self, idx: usize, port: Port) -> Option<SlotAddr> {
-        let leaf =
-            self.leaves.get_mut(idx).and_then(Option::as_mut).expect("committing an empty leaf");
-        assert!(leaf.eligible_for(port), "committing a port whose bit is clear");
-        self.version += 1;
-        let freed = leaf.clear_port(port);
-        let addr = leaf.addr;
-        if freed {
-            self.leaves[idx] = None;
-            self.free.push(idx);
-            self.live -= 1;
-            while self.high > 0 && self.leaves[self.high - 1].is_none() {
-                self.high -= 1;
-            }
-        }
+        let freed = self.leaves.commit(idx, port);
         let cache = self.cache.get_mut();
         if cache.t.is_some() {
             // A warm cache always covers every live leaf (inserting past
             // the width invalidates it), so `idx` is inside the tournament.
             debug_assert!(idx < cache.width);
             let node = &mut cache.nodes[cache.width + idx];
-            if freed {
+            if freed.is_some() {
                 *node = [NONE_ENTRY; PORT_COUNT];
             } else {
                 node[port.index()] = NONE_ENTRY;
             }
             Self::refresh_path(cache, cache.width + idx);
         }
-        if freed {
-            Some(addr)
-        } else {
-            None
-        }
-    }
-
-    /// Iterates the live leaves (index, leaf).
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Leaf)> {
-        self.leaves.iter().enumerate().filter_map(|(i, l)| l.as_ref().map(|l| (i, l)))
+        freed
     }
 }
 
@@ -439,7 +377,7 @@ mod tests {
         t.insert(leaf(5, 40, XP.mask(), 2)).unwrap(); // deadline 45
         let sel = t.select(XP, clock().wrap(15)).unwrap();
         assert_eq!(sel.addr, SlotAddr(1));
-        assert!(sel.key.is_on_time());
+        assert!(sel.key.is_on_time(&clock()));
     }
 
     #[test]
@@ -458,8 +396,8 @@ mod tests {
         t.insert(leaf(25, 5, XP.mask(), 1)).unwrap();
         let sel = t.select(XP, clock().wrap(20)).unwrap();
         assert_eq!(sel.addr, SlotAddr(1));
-        assert!(sel.key.is_early());
-        assert_eq!(sel.key.time_field(), 5);
+        assert!(sel.key.is_early(&clock()));
+        assert_eq!(sel.key.time_field(&clock()), 5);
     }
 
     #[test]
@@ -539,7 +477,7 @@ mod tests {
         t.insert(leaf(95, 30, XP.mask(), 1)).unwrap(); // deadline 125, laxity 25
         let sel = t.select(XP, clock().wrap(100)).unwrap();
         assert_eq!(sel.addr, SlotAddr(1), "the aliased late packet is starved");
-        assert!(sel.key.is_on_time());
+        assert!(sel.key.is_on_time(&clock()));
         // With Saturate, the late packet wins instead.
         let mut t = ComparatorTree::new(4, clock(), LatePolicy::Saturate);
         t.insert(leaf(10, 20, XP.mask(), 0)).unwrap();
@@ -559,7 +497,7 @@ mod tests {
         t.insert(leaf(246, 8, XP.mask(), 1)).unwrap(); // deadline 254, laxity 0
         let sel = t.select(XP, clock().wrap(254)).unwrap();
         assert_eq!(sel.addr, SlotAddr(1));
-        assert_eq!(sel.key.time_field(), 0);
+        assert_eq!(sel.key.time_field(&clock()), 0);
     }
 
     #[test]

@@ -167,49 +167,44 @@ impl Topology {
         NodeId(y * self.width + x)
     }
 
+    /// The signed column and row distance from `src` to `dst`.
+    fn deltas(&self, src: NodeId, dst: NodeId) -> (i32, i32) {
+        let (sx, sy) = self.coords(src);
+        let (dx, dy) = self.coords(dst);
+        (i32::from(dx) - i32::from(sx), i32::from(dy) - i32::from(sy))
+    }
+
     /// The dimension-ordered header offsets for a best-effort packet from
-    /// `src` to `dst` (Figure 3b).
+    /// `src` to `dst` (Figure 3b). The header carries one signed byte per
+    /// axis, so 127 hops per axis is the bound on what best-effort traffic
+    /// can be routed; time-constrained routes are table-driven
+    /// ([`Topology::dor_route`]) and have no such bound.
     ///
     /// # Panics
     ///
-    /// Panics if an offset exceeds the `i8` header field (meshes wider than
-    /// 127 hops).
+    /// Panics if an offset exceeds the `i8` header field.
     #[must_use]
     pub fn be_offsets(&self, src: NodeId, dst: NodeId) -> (i8, i8) {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        let x = i32::from(dx) - i32::from(sx);
-        let y = i32::from(dy) - i32::from(sy);
-        (
-            i8::try_from(x).expect("x offset exceeds header field"),
-            i8::try_from(y).expect("y offset exceeds header field"),
-        )
+        const BOUND: &str =
+            "a best-effort header offset is one signed byte: at most 127 hops per axis";
+        let (x, y) = self.deltas(src, dst);
+        (i8::try_from(x).expect(BOUND), i8::try_from(y).expect(BOUND))
     }
 
     /// The dimension-ordered route from `src` to `dst` as a list of output
     /// directions (empty when `src == dst`). This is the fixed path the
-    /// channel-establishment protocol reserves resources along.
+    /// channel-establishment protocol reserves resources along; it may be
+    /// as long as the mesh is wide.
     #[must_use]
     pub fn dor_route(&self, src: NodeId, dst: NodeId) -> Vec<Direction> {
-        let (mut x, mut y) = self.be_offsets(src, dst);
-        let mut route = Vec::with_capacity(x.unsigned_abs() as usize + y.unsigned_abs() as usize);
-        while x > 0 {
-            route.push(Direction::XPlus);
-            x -= 1;
-        }
-        while x < 0 {
-            route.push(Direction::XMinus);
-            x += 1;
-        }
-        while y > 0 {
-            route.push(Direction::YPlus);
-            y -= 1;
-        }
-        while y < 0 {
-            route.push(Direction::YMinus);
-            y += 1;
-        }
-        route
+        let (x, y) = self.deltas(src, dst);
+        let along = |delta: i32, plus, minus| {
+            let dir = if delta > 0 { plus } else { minus };
+            std::iter::repeat_n(dir, delta.unsigned_abs() as usize)
+        };
+        along(x, Direction::XPlus, Direction::XMinus)
+            .chain(along(y, Direction::YPlus, Direction::YMinus))
+            .collect()
     }
 
     /// A shortest route from `src` to `dst` that avoids the given dead (or

@@ -39,17 +39,24 @@ pub enum LatePolicy {
 /// Keys order: all on-time packets by laxity, then all early packets by
 /// time-to-eligibility, then ineligible leaves. Comparison looks only at the
 /// normalised value, exactly like the unsigned comparators of Figure 5.
+///
+/// One 32-bit word, like a comparator input: the value in the low 31 bits
+/// (a clock is at most 30 bits wide, so the largest value — the ineligible
+/// sentinel, the clock's range — fits) and the alias flag in the top bit.
+/// Where the early and ineligible bits sit depends on the clock, which a
+/// key does not carry: the class predicates take it. A plain word, with no
+/// spare values for an enclosing `Option` to hide its tag in, is also what
+/// keeps a cached `Option<Selection>` from being copied piecemeal
+/// (DESIGN.md §3.13(b)).
 #[derive(Debug, Clone, Copy)]
-pub struct SortKey {
-    value: u32,
-    /// Half the owning clock's range; the "early" bit position.
-    half: u32,
-    aliased: bool,
-}
+pub struct SortKey(u32);
+
+/// The alias flag's bit in the key word.
+const ALIASED: u32 = 1 << 31;
 
 impl PartialEq for SortKey {
     fn eq(&self, other: &Self) -> bool {
-        self.value == other.value
+        self.value() == other.value()
     }
 }
 
@@ -63,13 +70,13 @@ impl PartialOrd for SortKey {
 
 impl Ord for SortKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.value.cmp(&other.value)
+        self.value().cmp(&other.value())
     }
 }
 
 impl std::hash::Hash for SortKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.value.hash(state);
+        self.value().hash(state);
     }
 }
 
@@ -103,18 +110,16 @@ impl SortKey {
             let delta = clock.until(l, t);
             debug_assert!(delta >= 1);
             let field = delta.min(field_mask);
-            SortKey { value: half | field, half, aliased: delta > field_mask }
+            SortKey(half | field | if delta > field_mask { ALIASED } else { 0 })
         } else {
             let deadline = clock.add(l, d);
             if clock.has_passed(deadline, t) {
                 match late_policy {
-                    LatePolicy::Saturate => SortKey { value: 0, half, aliased: true },
-                    LatePolicy::Wrap => {
-                        SortKey { value: clock.diff(deadline, t) & field_mask, half, aliased: true }
-                    }
+                    LatePolicy::Saturate => SortKey(ALIASED),
+                    LatePolicy::Wrap => SortKey(clock.diff(deadline, t) & field_mask | ALIASED),
                 }
             } else {
-                SortKey { value: clock.until(deadline, t), half, aliased: false }
+                SortKey(clock.until(deadline, t))
             }
         }
     }
@@ -122,45 +127,46 @@ impl SortKey {
     /// The key of an ineligible leaf: larger than every packet key.
     #[must_use]
     pub fn ineligible(clock: &SlotClock) -> SortKey {
-        SortKey { value: clock.range(), half: clock.half_range(), aliased: false }
+        SortKey(clock.range())
     }
 
     /// Raw unsigned key value (what the comparator hardware compares).
     #[must_use]
     pub fn value(self) -> u32 {
-        self.value
+        self.0 & !ALIASED
     }
 
-    /// Whether this key encodes an on-time packet.
+    /// Whether this key encodes an on-time packet on `clock`.
     #[must_use]
-    pub fn is_on_time(self) -> bool {
-        self.value < self.half
+    pub fn is_on_time(self, clock: &SlotClock) -> bool {
+        self.value() < clock.half_range()
     }
 
-    /// Whether this key encodes an early packet.
+    /// Whether this key encodes an early packet on `clock`.
     #[must_use]
-    pub fn is_early(self) -> bool {
-        self.value >= self.half && self.value < 2 * self.half
+    pub fn is_early(self, clock: &SlotClock) -> bool {
+        (clock.half_range()..clock.range()).contains(&self.value())
     }
 
-    /// Whether this is the ineligible sentinel.
+    /// Whether this is `clock`'s ineligible sentinel.
     #[must_use]
-    pub fn is_ineligible(self) -> bool {
-        self.value >= 2 * self.half
+    pub fn is_ineligible(self, clock: &SlotClock) -> bool {
+        self.value() >= clock.range()
     }
 
     /// Whether modulo arithmetic aliased this key (late packet, or
     /// out-of-window earliness clamped into the field).
     #[must_use]
     pub fn is_aliased(self) -> bool {
-        self.aliased
+        self.0 & ALIASED != 0
     }
 
-    /// The time field: laxity for an on-time key, slots-to-eligibility for an
-    /// early key, meaningless for the ineligible sentinel.
+    /// The time field on `clock`: laxity for an on-time key,
+    /// slots-to-eligibility for an early key, meaningless for the
+    /// ineligible sentinel.
     #[must_use]
-    pub fn time_field(self) -> u32 {
-        self.value & (self.half - 1)
+    pub fn time_field(self, clock: &SlotClock) -> u32 {
+        self.value() & (clock.half_range() - 1)
     }
 
     /// Total key width in bits (clock bits + 1, e.g. 9 for the 8-bit clock of
@@ -168,18 +174,6 @@ impl SortKey {
     #[must_use]
     pub fn width_bits(clock: &SlotClock) -> u32 {
         clock.bits() + 1
-    }
-}
-
-impl std::fmt::Display for SortKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_ineligible() {
-            f.write_str("key(ineligible)")
-        } else if self.is_early() {
-            write!(f, "key(early+{})", self.time_field())
-        } else {
-            write!(f, "key(laxity {})", self.time_field())
-        }
     }
 }
 
@@ -198,9 +192,9 @@ mod tests {
         let t = c.wrap(100);
         // ℓ = 95, d = 20 → deadline 115, laxity 15.
         let k = SortKey::compute(&c, c.wrap(95), 20, t, LatePolicy::Saturate);
-        assert!(k.is_on_time());
+        assert!(k.is_on_time(&c));
         assert_eq!(k.value(), 15);
-        assert_eq!(k.time_field(), 15);
+        assert_eq!(k.time_field(&c), 15);
         assert!(!k.is_aliased());
     }
 
@@ -210,9 +204,9 @@ mod tests {
         let t = c.wrap(100);
         // ℓ = 110 → early by 10 slots; key = 128 | 10.
         let k = SortKey::compute(&c, c.wrap(110), 20, t, LatePolicy::Saturate);
-        assert!(k.is_early());
+        assert!(k.is_early(&c));
         assert_eq!(k.value(), 128 | 10);
-        assert_eq!(k.time_field(), 10);
+        assert_eq!(k.time_field(&c), 10);
     }
 
     #[test]
@@ -231,8 +225,8 @@ mod tests {
         let worst_early =
             SortKey::compute(&c, c.add(t, c.half_range() - 1), 0, t, LatePolicy::Saturate);
         assert!(worst_early < SortKey::ineligible(&c));
-        assert!(SortKey::ineligible(&c).is_ineligible());
-        assert!(!worst_early.is_ineligible());
+        assert!(SortKey::ineligible(&c).is_ineligible(&c));
+        assert!(!worst_early.is_ineligible(&c));
     }
 
     #[test]
@@ -278,9 +272,9 @@ mod tests {
         let t = c.wrap(0);
         let on_time = SortKey::compute(&c, t, 7, t, LatePolicy::Saturate);
         let early = SortKey::compute(&c, c.add(t, 3), 2, t, LatePolicy::Saturate);
-        assert!(on_time.is_on_time() && !on_time.is_early());
-        assert!(early.is_early() && !early.is_on_time());
-        assert!(SortKey::ineligible(&c).is_ineligible());
+        assert!(on_time.is_on_time(&c) && !on_time.is_early(&c));
+        assert!(early.is_early(&c) && !early.is_on_time(&c));
+        assert!(SortKey::ineligible(&c).is_ineligible(&c));
     }
 
     #[test]
@@ -341,7 +335,7 @@ mod tests {
             let l_abs = (t_abs as i64 + off).max(0) as u64;
             let k = SortKey::compute(&c, c.wrap(l_abs), d, t, LatePolicy::Saturate);
             let classes =
-                u32::from(k.is_on_time()) + u32::from(k.is_early()) + u32::from(k.is_ineligible());
+                u32::from(k.is_on_time(&c)) + u32::from(k.is_early(&c)) + u32::from(k.is_ineligible(&c));
             prop_assert_eq!(classes, 1);
             prop_assert!(k < SortKey::ineligible(&c));
         }

@@ -30,7 +30,7 @@
 //!
 //! // On-time packets sort by time-to-deadline.
 //! let key = SortKey::compute(&clock, clock.wrap(210), 8, t, LatePolicy::Saturate);
-//! assert!(key.is_on_time());
+//! assert!(key.is_on_time(&clock));
 //! ```
 
 #![warn(missing_docs)]

@@ -9,7 +9,9 @@
 //! of the 16-bit space and keep the per-node footprint honest.
 
 use proptest::prelude::*;
-use realtime_router::channels::{ChannelManager, ChannelRequest, DeferredPlane, TrafficSpec};
+use realtime_router::channels::{
+    ChannelManager, ChannelRequest, ChannelSender, DeferredPlane, TrafficSpec,
+};
 use realtime_router::core::{RealTimeRouter, RouterTemplate};
 use realtime_router::mesh::{LinkTable, Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
@@ -81,6 +83,30 @@ fn be_offsets_span_the_i8_header_field() {
     assert_eq!(*topo.walk(topo.node_at(200, 200), &route).last().unwrap(), topo.node_at(255, 255));
 }
 
+/// Time-constrained routing is table-driven: only best-effort headers carry
+/// offsets, so a channel may cross more than 127 hops of one axis.
+#[test]
+fn a_tc_route_may_be_longer_than_the_be_header_allows() {
+    let config = RouterConfig::default();
+    let mut sim = idle_mesh(200, 1);
+    let topo = sim.topology().clone();
+    let (src, dst) = (topo.node_at(0, 0), topo.node_at(199, 0));
+    assert_eq!(topo.dor_route(src, dst), vec![Direction::XPlus; 199]);
+    assert_eq!(topo.dor_route(dst, src), vec![Direction::XMinus; 199]);
+    let mut manager = ChannelManager::new(&config);
+    let request = ChannelRequest::unicast(src, dst, TrafficSpec::periodic(4096, 18), 200 * 8);
+    let channel = manager.establish(&topo, request, &mut sim).expect("an empty mesh admits it");
+    assert_eq!(channel.hops.len(), 200);
+    let data = config.tc_data_bytes();
+    let mut sender = ChannelSender::new(&channel, sim.chip(src).clock(), config.slot_bytes, data);
+    for packet in sender.make_message(0, &vec![7; data]) {
+        sim.inject_tc(src, packet);
+    }
+    sim.run_leaping(200 * 8 * config.slot_bytes as u64);
+    assert_eq!(sim.log(dst).tc.len(), 1);
+    assert_eq!(sim.log(dst).tc_deadline_misses(config.slot_bytes), 0);
+}
+
 #[test]
 fn mega_mesh_builds_and_ticks() {
     let mut sim = idle_mesh(256, 256);
@@ -113,11 +139,12 @@ fn bytes_per_node_stays_under_the_ceiling() {
     assert!(idle > 0, "estimate must count the fixed arenas");
     assert!(idle < 5 * 1024, "idle mesh costs {idle} bytes/node, ceiling 5 KiB");
 
-    // Driving the mesh materialises lazy state but must stay bounded too.
+    // Driving the mesh allocates behind the routers that carry traffic, by
+    // what they buffered: 4 997 bytes/node measured, plus a quarter.
     let mut sim = rtr_bench::leaping::periodic_mesh_sized(64, 64, 512);
     sim.run_leaping(20_000);
     let driven = sim.bytes_per_node();
-    assert!(driven < 8 * 1024, "driven mesh costs {driven} bytes/node, ceiling 8 KiB");
+    assert!(driven < 6_246, "driven mesh costs {driven} bytes/node, ceiling 6 246");
 }
 
 /// The fixed part of the same budget: a mesh is a `Vec` of router structs,
@@ -178,7 +205,6 @@ fn manager_books_cost_only_the_nodes_channels_cross() {
 #[cfg(feature = "metrics")]
 #[test]
 fn event_cycle_work_is_flat_in_mesh_size() {
-    use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
     use realtime_router::workloads::tc::PeriodicTcSource;
 
     let work_after_prime = |side: u16| {
