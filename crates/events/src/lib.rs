@@ -292,10 +292,12 @@ impl WakeQueue {
 
     /// Drains one slot: fires due entries, drops stale ones, cascades the
     /// rest down (they are in the horizon's slot but still in its future).
+    /// The emptied bucket goes back with its capacity, so a slot that is
+    /// filled and fired over and over allocates once.
     fn drain_slot(&mut self, level: usize, idx: usize, now: Cycle, due: &mut Vec<WakeHandle>) {
-        let bucket = std::mem::take(&mut self.slots[level * SLOTS + idx]);
+        let mut bucket = std::mem::take(&mut self.slots[level * SLOTS + idx]);
         self.occupied[level] &= !(1u64 << idx);
-        for (h, w) in bucket {
+        for (h, w) in bucket.drain(..) {
             if self.scheduled[h as usize] != Some(w) {
                 self.stats.stale_discarded += 1;
             } else if w <= now {
@@ -314,6 +316,9 @@ impl WakeQueue {
                 self.file(h, w);
             }
         }
+        let slot = &mut self.slots[level * SLOTS + idx];
+        debug_assert!(slot.is_empty(), "a cascade landed in the slot being drained");
+        *slot = bucket;
     }
 }
 
@@ -509,6 +514,27 @@ mod tests {
             assert_eq!(q.next_wake(), Some(fire_at));
             assert_eq!(drain(&mut q, fire_at), vec![a.0]);
         }
+    }
+
+    #[test]
+    fn a_drained_slot_keeps_its_capacity() {
+        // Every round files eight wakes into level 0's slot 5 and fires
+        // them. The bucket grows while the first round files; after that
+        // neither a fire nor a refill may change what the wheel holds.
+        let mut q = WakeQueue::new();
+        let hs: Vec<_> = (0..8).map(|_| q.register()).collect();
+        let mut settled = None;
+        for round in 0..1_000u64 {
+            assert_eq!(drain(&mut q, round * 64), Vec::<u32>::new());
+            for h in &hs {
+                q.set_wake(*h, round * 64 + 5);
+            }
+            let filled = q.bytes_estimate();
+            assert_eq!(drain(&mut q, round * 64 + 5), (0..8).collect::<Vec<_>>());
+            assert_eq!(q.bytes_estimate(), filled, "round {round}: the fire freed the bucket");
+            assert_eq!(*settled.get_or_insert(filled), filled, "round {round}: the wheel grew");
+        }
+        assert_eq!(q.stats().cascaded, 0, "every wake went through level 0 only");
     }
 
     proptest! {

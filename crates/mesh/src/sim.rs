@@ -41,6 +41,11 @@ use crate::topology::Topology;
 /// itself plus the per-step dirty set of components whose registered wake
 /// must be recomputed after the cycle runs.
 ///
+/// The queue holds only wakes beyond the next cycle. A component answering
+/// `now + 1` — a busy chip, every zero-latency wire — is *carried*: it goes
+/// straight onto the next cycle's dirty list and never enters the wheel
+/// (DESIGN.md §3.15).
+///
 /// Handle layout (for `n` nodes and `L` wired links): chips occupy `0..n`
 /// (by node index), links `n..n + L` (`n +` the link's global CSR index —
 /// see [`LinkTable`]), traffic sources `n + L..` (by registration order).
@@ -50,12 +55,18 @@ use crate::topology::Topology;
 struct EventCore {
     queue: WakeQueue,
     /// Handles marked dirty during the step in progress, in marking order
-    /// (deduplicated via `stamp`).
-    dirty: Vec<u32>,
+    /// (deduplicated via `stamp`). The step began with the first `began`:
+    /// what the last step carried, then what the wheel fired.
+    dirty: Vec<WakeHandle>,
+    began: usize,
+    /// Handles polled this step that answered the next cycle, stamped for
+    /// it already. A handle is polled at most once a step and nothing marks
+    /// it afterwards, so the list holds no duplicate.
+    carry: Vec<WakeHandle>,
+    /// Wakes carried so far: with the queue's `filed`, one per answered poll.
+    carried: u64,
     /// Per-handle cycle of the most recent dirty mark.
     stamp: Vec<Cycle>,
-    /// Scratch buffer for the handles popped due at the start of a step.
-    due: Vec<WakeHandle>,
     /// Poll every component at the end of the next step (the core was just
     /// built and knows no wakes yet).
     prime: bool,
@@ -69,30 +80,55 @@ impl EventCore {
         }
         EventCore {
             queue,
-            // A cycle marks and pops only what is active, so both lists
-            // grow to the busiest cycle's activity, not to `handles`.
+            // A cycle marks, carries and pops only what is active, so the
+            // lists grow to the busiest cycle's activity, not to `handles`.
             dirty: Vec::new(),
+            began: 0,
+            carry: Vec::new(),
+            carried: 0,
             stamp: vec![Cycle::MAX; handles],
-            due: Vec::new(),
             prime: true,
         }
+    }
+
+    /// Opens the step simulating `now`: its dirty list starts as what the
+    /// last step carried (already stamped `now`), and the wheel's due wakes
+    /// join it — other handles, since carrying one clears its registration.
+    fn begin(&mut self, now: Cycle) {
+        std::mem::swap(&mut self.dirty, &mut self.carry);
+        self.carry.clear();
+        debug_assert!(self.dirty.iter().all(|h| self.stamp[h.index()] == now));
+        let carried = self.dirty.len();
+        self.queue.pop_due(now, &mut self.dirty);
+        for h in &self.dirty[carried..] {
+            self.stamp[h.index()] = now;
+        }
+        self.began = self.dirty.len();
     }
 
     /// Marks a handle for re-polling at the end of the step simulating
     /// `now`. Steps have distinct `now`s, so the stamp deduplicates marks
     /// within a step without any per-step reset.
     fn mark(&mut self, handle: usize, now: Cycle) {
-        if self.stamp[handle] != now {
-            self.stamp[handle] = now;
-            self.dirty.push(handle as u32);
+        let stamp = &mut self.stamp[handle];
+        debug_assert!(*stamp <= now || *stamp == Cycle::MAX, "{handle} marked after its poll");
+        if *stamp != now {
+            *stamp = now;
+            self.dirty.push(WakeHandle(handle as u32));
         }
     }
 
-    /// Files (or, for `None`, clears) a handle's wake as polled at the end
-    /// of cycle `now`; a wake never lands at or before the cycle just run.
+    /// Records a handle's wake as polled at the end of cycle `now`: cleared
+    /// for `None`, filed in the wheel when it lies beyond the next cycle,
+    /// else carried (a wake never lands at or before the cycle just run).
     fn file_wake(&mut self, handle: u32, at: Option<Cycle>, now: Cycle) {
         match at {
-            Some(at) => self.queue.set_wake(WakeHandle(handle), at.max(now + 1)),
+            Some(at) if at > now + 1 => self.queue.set_wake(WakeHandle(handle), at),
+            Some(_) => {
+                self.queue.clear_wake(WakeHandle(handle));
+                self.stamp[handle as usize] = now + 1;
+                self.carry.push(WakeHandle(handle));
+            }
             None => self.queue.clear_wake(WakeHandle(handle)),
         }
     }
@@ -579,6 +615,7 @@ impl<C: Chip> Simulator<C> {
         }
         if let Some(queue) = self.event_core_stats() {
             queue.emit_counters(&mut |name, value| registry.absorb_counter(name, value));
+            registry.absorb_counter("sim.wakes_carried", self.events.carried);
         }
         registry.absorb_counter("sim.ticks_executed", self.ticks_executed);
         registry.absorb_counter("sim.cycles", self.now);
@@ -963,9 +1000,9 @@ impl<C: Chip> Simulator<C> {
                 })
                 .sum::<usize>();
         let events = self.events.queue.bytes_estimate()
-            + self.events.dirty.capacity() * std::mem::size_of::<u32>()
+            + (self.events.dirty.capacity() + self.events.carry.capacity())
+                * std::mem::size_of::<WakeHandle>()
             + self.events.stamp.capacity() * std::mem::size_of::<Cycle>()
-            + self.events.due.capacity() * std::mem::size_of::<WakeHandle>()
             + (self.tick_list.capacity() + self.backlog.nodes.capacity())
                 * std::mem::size_of::<u32>()
             + self.backlog.listed.capacity();
@@ -1012,10 +1049,11 @@ impl<C: Chip> Simulator<C> {
 
     /// The step kernel — the one definition of what happens in a cycle:
     ///
-    /// 1. (`EV`) due wakes are popped into the dirty set;
+    /// 1. (`EV`) the dirty set starts as the handles carried into this cycle
+    ///    and the wheel's due wakes join it;
     /// 2. agenda ops due now apply — faults, then control writes;
-    /// 3. links — all when dense or priming, else those whose wake fired —
-    ///    deliver arrivals, and traffic sources run (`phase_pre`);
+    /// 3. links — all when dense or priming, else those whose wake fired or
+    ///    was carried — deliver arrivals, and sources run (`phase_pre`);
     /// 4. chips tick: every live chip when dense (`EV` unset) or priming a
     ///    freshly built event core, otherwise exactly the dirty chips (due
     ///    wakes, arrivals, credits, pending injections, agenda touches).
@@ -1025,7 +1063,8 @@ impl<C: Chip> Simulator<C> {
     /// 5. the ticked chips' driven symbols and credits move onto the
     ///    links, their deliveries drain, the clock advances (`phase_post`);
     /// 6. (`EV`) the dirty links and sources re-register their wakes, or
-    ///    the prime sweep registers everything once.
+    ///    the prime sweep registers everything once; a wake for the next
+    ///    cycle is carried there instead of filed.
     ///
     /// `EV = false` compiles all wake bookkeeping out.
     fn cycle<const EV: bool>(&mut self) {
@@ -1034,12 +1073,7 @@ impl<C: Chip> Simulator<C> {
         let t = self.metrics.profiler.start();
         if EV {
             debug_assert!(!self.events_stale, "event cycle on a stale core");
-            self.events.dirty.clear();
-            self.events.due.clear();
-            self.events.queue.pop_due(now, &mut self.events.due);
-            for k in 0..self.events.due.len() {
-                self.events.mark(self.events.due[k].index(), now);
-            }
+            self.events.begin(now);
         }
         self.apply_due();
         let t = if EV { self.metrics.profiler.lap(Phase::WheelPop, t) } else { t };
@@ -1055,7 +1089,7 @@ impl<C: Chip> Simulator<C> {
         if !EV || prime {
             list.extend((0..n as u32).filter(|&h| !crashed[h as usize]));
         } else {
-            let dirty = self.events.dirty.iter().copied();
+            let dirty = self.events.dirty.iter().map(|h| h.0);
             list.extend(dirty.filter(|&h| (h as usize) < n && !crashed[h as usize]));
             list.sort_unstable();
         }
@@ -1085,12 +1119,19 @@ impl<C: Chip> Simulator<C> {
             } else {
                 for k in 0..self.events.dirty.len() {
                     // Live chips were polled as they ticked.
-                    let h = self.events.dirty[k] as usize;
+                    let h = self.events.dirty[k].index();
                     if h >= n || self.crashed[h] {
                         self.repoll(h, now);
                     }
                 }
+                #[cfg(debug_assertions)]
+                {
+                    let mut polled = self.events.dirty.clone();
+                    polled.sort_unstable();
+                    assert!(polled.windows(2).all(|w| w[0] != w[1]), "a handle polled twice");
+                }
             }
+            self.events.carried += self.events.carry.len() as u64;
             self.metrics.profiler.stop(Phase::Repoll, t);
         }
         self.flush_flight_trigger();
@@ -1246,8 +1287,8 @@ impl<C: Chip> Simulator<C> {
     /// cycle's full sweeps used to start. On an event cycle every `ChipIo`
     /// is clear and its backlog listed (a dense cycle clears them all and
     /// keeps no backlog list). On every cycle no link the arrival pass will
-    /// pass over — its wake is not in `fired` (the link handles of
-    /// `events.due`; `None` when all links are swept), or its `next_at` lies
+    /// pass over — its wake is not in `fired` (the handles the cycle began
+    /// with, sorted; `None` when all links are swept), or its `next_at` lies
     /// ahead — owes anything yet by the queues' own account.
     #[cfg(debug_assertions)]
     fn dbg_check_activity(&self, event: bool, fired: Option<&[WakeHandle]>) {
@@ -1299,25 +1340,29 @@ impl<C: Chip> Simulator<C> {
             }
         }
 
-        // 1. Link arrivals (data forward, credits backward), in global CSR
-        // order. A link's wake is its earliest owed arrival (re-filed for
-        // the next cycle while a crashed end leaves one parked), so on a
-        // primed core `recv`/`recv_credit` are no-ops on every link not in
-        // `due` — which is sorted by handle, and link handles are `n +`
-        // the CSR index.
+        // 1. Link arrivals (data forward, credits backward). A link's wake
+        // is its earliest owed arrival (carried to the next cycle while a
+        // crashed end leaves one parked), so on a primed core `recv` and
+        // `recv_credit` are no-ops on every link the step did not begin
+        // with. Their order is free: a link writes only its own `rx` and
+        // `credit_in` slots, and the tick list is sorted afterwards.
         let sweep = !EV || prime;
-        let (lo, hi) = if sweep {
-            (0, self.adj.len())
-        } else {
-            let due = &self.events.due;
-            let links = n + self.adj.len();
-            (due.partition_point(|h| h.index() < n), due.partition_point(|h| h.index() < links))
-        };
+        let began = if sweep { self.adj.len() } else { self.events.began };
         #[cfg(debug_assertions)]
-        self.dbg_check_activity(EV, (!sweep).then(|| &self.events.due[lo..hi]));
-        self.metrics.registry.inc(self.metrics.ids.link_visits, (hi - lo) as u64);
-        for k in lo..hi {
-            let li = if sweep { k } else { self.events.due[k].index() - n };
+        {
+            let mut fired = if sweep { Vec::new() } else { self.events.dirty[..began].to_vec() };
+            fired.sort_unstable();
+            self.dbg_check_activity(EV, (!sweep).then_some(&fired[..]));
+        }
+        let mut visits = 0;
+        for k in 0..began {
+            // The step began with chips and sources too: below `n` the
+            // subtraction wraps, so both fall outside the link indices.
+            let li = if sweep { k } else { self.events.dirty[k].index().wrapping_sub(n) };
+            if !sweep && li >= self.adj.len() {
+                continue;
+            }
+            visits += 1;
             // Nothing due on either wire: `recv` and `recv_credit` would be
             // no-ops whatever the crash flags say.
             if self.adj.link(li).next_event().is_none_or(|at| at > now) {
@@ -1357,6 +1402,7 @@ impl<C: Chip> Simulator<C> {
                 }
             }
         }
+        self.metrics.registry.inc(self.metrics.ids.link_visits, visits);
 
         // 2. Traffic sources (silent while their node is crashed). A source
         // runs when its own `next_event` answer comes due — the contract
@@ -1549,6 +1595,10 @@ impl<C: Chip> Simulator<C> {
         // Never leap across an agenda op: each must apply at the start of
         // exactly its own cycle in every drive mode.
         let end = self.agenda.next_at().map_or(end, |at| end.min(at));
+        // A carried handle wakes at `self.now`, and no wheel entry says so.
+        if !self.events.carry.is_empty() {
+            return None;
+        }
         // Packets queued for injection live in simulator-owned ChipIo
         // queues the chips drain over time, so no wake describes them; any
         // backlog keeps stepping. (A crashed chip drains nothing, so its
@@ -1653,7 +1703,10 @@ impl<C: Chip> Simulator<C> {
     /// Components register their next-event cycle in a calendar queue once
     /// and re-register only when their state could have changed, so a
     /// stepped cycle costs O(dirty components) wake bookkeeping and a leap
-    /// decision pops the queue's minimum in O(1).
+    /// decision pops the queue's minimum in O(1). The queue holds only
+    /// wakes beyond the next cycle: a component that answers `now + 1` is
+    /// carried straight onto the next cycle's dirty list, so a busy
+    /// neighbourhood streams without touching the wheel at all.
     ///
     /// The payoff is on sparse loads: an idle span of any length costs
     /// O(1) bookkeeping instead of O(nodes × cycles) chip ticks (see
@@ -1997,6 +2050,37 @@ mod tests {
             format!("{:?}", stepped.chip(dst).stats()),
             format!("{:?}", leaping.chip(dst).stats())
         );
+    }
+
+    #[test]
+    fn a_streaming_hop_files_no_wheel_entries() {
+        // Four best-effort packets stream back to back over one hop: both
+        // chips and both wires answer "next cycle" for hundreds of cycles.
+        // Those answers are carried, so the wheel sees only the few wakes
+        // that lie further out — one or two a packet, none per cycle.
+        const PACKETS: u64 = 4;
+        let mut stepped = two_node_sim();
+        let mut leaping = two_node_sim();
+        let dst = stepped.topology().node_at(1, 0);
+        leaping.run_leaping(10); // warm core: the prime cycle is behind us
+        stepped.run(10);
+        let warm = leaping.event_core_stats().expect("leaping built the core");
+        for sim in [&mut stepped, &mut leaping] {
+            for k in 0..PACKETS {
+                let payload = vec![k as u8; 120];
+                sim.inject_be(NodeId(0), BePacket::new(1, 0, payload, PacketTrace::default()));
+            }
+        }
+        let ticks = leaping.ticks_executed();
+        stepped.run(2_000);
+        leaping.run_leaping(2_000);
+        assert_eq!(stepped.log(dst).be, leaping.log(dst).be);
+        assert_eq!(leaping.log(dst).be.len(), PACKETS as usize);
+        let busy = (leaping.ticks_executed() - ticks) / 2;
+        assert!(busy >= 200, "only {busy} busy cycles");
+        let after = leaping.event_core_stats().expect("injection keeps the core warm");
+        let filed = after.filed - warm.filed;
+        assert!(filed <= 2 * PACKETS, "{filed} wakes filed over {busy} busy cycles");
     }
 
     #[test]

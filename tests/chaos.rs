@@ -15,7 +15,7 @@ use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::mesh::{FaultSchedule, NetworkReport, Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
-use realtime_router::types::packet::{BePacket, PacketTrace};
+use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
 use realtime_router::workloads::tc::PeriodicTcSource;
 use rtr_bench::churn::DriveMode;
 
@@ -502,5 +502,75 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
         let (r0, r1, p, outcome) = run(*mode);
         assert_eq!((&r0, &r1, &p), (&row0, &row1, &polls), "{mode:?} polled differently");
         assert_eq!(outcome, reference, "{mode:?} diverged");
+    }
+}
+
+/// A busy chip answers "next cycle" and is carried onto that cycle's dirty
+/// list without a wheel entry. If the agenda crashes the chip on that very
+/// cycle, the carried handle must behave like a fired wake would have: the
+/// chip is not ticked, its wake is cleared rather than carried again — so
+/// the dark span is leapt, not stepped — and the restore's mark ticks it
+/// again. Only node 0 is ever active (it injects a packet it delivers to
+/// itself), so every tick counted below is its own.
+#[test]
+fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
+    const INJECT: u64 = 100;
+    const CRASH: u64 = 110; // mid-injection: the chip ticks every cycle
+    const RESTORE: u64 = 5_000;
+    const END: u64 = 9_000;
+    let run = |mode: DriveMode, crash: bool| {
+        let config = RouterConfig::default();
+        let mut sim =
+            Simulator::build(Topology::mesh(2, 1), |_| RealTimeRouter::new(config.clone()))
+                .unwrap();
+        mode.configure(&mut sim);
+        let conn = ConnectionId(30);
+        sim.chip_mut(NodeId(0))
+            .apply_control(ControlCommand::SetConnection {
+                incoming: conn,
+                outgoing: conn,
+                delay: DELAY,
+                out_mask: Port::Local.mask(),
+            })
+            .unwrap();
+        if crash {
+            sim.set_fault_schedule(
+                FaultSchedule::new().node_crash(CRASH, NodeId(0)).node_restore(RESTORE, NodeId(0)),
+            );
+        }
+        mode.advance(&mut sim, INJECT);
+        let slot = realtime_router::types::time::cycle_to_slot(sim.now(), config.slot_bytes);
+        sim.inject_tc(
+            NodeId(0),
+            TcPacket {
+                conn,
+                arrival: sim.chip(NodeId(0)).clock().wrap(slot + 2),
+                payload: vec![0x7C; config.tc_data_bytes()].into(),
+                trace: PacketTrace::default(),
+            },
+        );
+        // Ticks executed, and wakes filed in the wheel, span by span.
+        let spans = [CRASH - 1, CRASH, CRASH + 1, RESTORE, RESTORE + 1, END].map(|stop| {
+            let filed = |sim: &Simulator<_>| sim.event_core_stats().map_or(0, |s| s.filed);
+            let before = (sim.ticks_executed(), filed(&sim), sim.now());
+            mode.advance(&mut sim, stop - before.2);
+            (sim.ticks_executed() - before.0, filed(&sim) - before.1)
+        });
+        sim.check_conservation().unwrap();
+        (spans, fingerprint(&sim))
+    };
+    let (_, reference) = run(DriveMode::DenseSerial, true);
+    for mode in [DriveMode::EventSerial, DriveMode::EventPool] {
+        // Undisturbed, the chip ticks on the cycle before CRASH, files
+        // nothing, and ticks on CRASH: it was carried there.
+        let (spans, _) = run(mode, false);
+        assert_eq!(spans[1..3], [(1, 0), (1, 0)], "{mode:?}: not mid-injection at {CRASH}");
+        let ([_, before, crash, dark, restore, tail], outcome) = run(mode, true);
+        assert_eq!(before, (1, 0), "{mode:?}: the chip ticked and was carried into its crash");
+        assert_eq!(crash, (0, 0), "{mode:?}: a chip crashed on the cycle it was carried to ticked");
+        assert_eq!(dark, (0, 0), "{mode:?}: nothing stirs while the only busy chip is dark");
+        assert_eq!(restore.0, 1, "{mode:?}: the restore marks the chip");
+        assert!(tail.0 < 100, "{mode:?}: the tail must be leapt, not stepped: {} ticks", tail.0);
+        assert_eq!(outcome, reference, "{mode:?} diverged from dense stepping");
     }
 }

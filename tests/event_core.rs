@@ -130,9 +130,20 @@ fn add_be_background(sim: &mut Simulator<RealTimeRouter>, rate: f64) {
 
 /// Builds an 8×8 mesh with four periodic channels and optional BE load.
 fn build_mesh(tc_period_slots: u64, be_rate: f64) -> Simulator<RealTimeRouter> {
+    build_mesh_on_wire(0, tc_period_slots, be_rate)
+}
+
+/// [`build_mesh`] with `latency` extra cycles on every wire.
+fn build_mesh_on_wire(
+    latency: u64,
+    tc_period_slots: u64,
+    be_rate: f64,
+) -> Simulator<RealTimeRouter> {
     let config = RouterConfig::default();
-    let mut sim =
-        Simulator::build(Topology::mesh(8, 8), |_| RealTimeRouter::new(config.clone())).unwrap();
+    let mut sim = Simulator::build_with_latency(Topology::mesh(8, 8), latency, |_| {
+        RealTimeRouter::new(config.clone())
+    })
+    .unwrap();
     sim.enable_gauge_sampling(50);
     for (i, y) in [0u16, 2, 5, 7].into_iter().enumerate() {
         add_channel(&mut sim, y, i, tc_period_slots);
@@ -229,6 +240,31 @@ fn event_core_equivalence_saturating_load() {
     let (stepped, _) = assert_all_modes_agree(|| build_mesh(8, 0.35), 3_000);
     let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
     assert!(be_total > 1_000, "saturating BE load too light to trust: {be_total}");
+}
+
+/// The wire decides which way a link's wake travels. A zero-latency link
+/// always answers the next cycle, so its wake is carried onto the next dirty
+/// list and never filed — the three scenarios above. Three cycles of wire put
+/// a fresh arrival beyond the next cycle, so the same wake is filed in the
+/// wheel (and fires from it, unless a later poll of the link finds the
+/// arrival one cycle off and carries it the rest of the way). All four drive
+/// modes agree on the latent wire too, and the wheel's own counter shows the
+/// two wires really took different ways.
+#[test]
+fn event_core_equivalence_on_a_latent_wire() {
+    let (stepped, leaping) = assert_all_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
+    let tc: usize = stepped.topology().nodes().map(|n| stepped.log(n).tc.len()).sum();
+    let be: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+    assert!(tc >= 40 && be > 300, "latent-wire load too light to trust: {tc} / {be}");
+    assert!(leaping.ticks_executed() < stepped.ticks_executed());
+    let filed = |sim: &Simulator<RealTimeRouter>| sim.event_core_stats().expect("warm core").filed;
+    let direct = drive(&mut || build_mesh(8, 0.05), DriveMode::EventSerial, 3_000);
+    assert!(
+        filed(&leaping) > 4 * filed(&direct),
+        "a latent wire's wakes go through the wheel, a direct wire's do not: {} vs {}",
+        filed(&leaping),
+        filed(&direct)
+    );
 }
 
 /// A predicate that becomes true in the middle of a leapable quiet span
