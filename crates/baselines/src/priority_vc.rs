@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use rtr_core::conn_table::{ConnEntry, ConnectionTable, TableError};
 use rtr_core::memory::{PacketMemory, SlotAddr};
-use rtr_core::ports::{InputPort, Serialiser, WormholeChannel};
+use rtr_core::ports::{InputPort, PortTiming, Serialiser, WormholeChannel};
 use rtr_types::chip::{Chip, ChipIo};
 use rtr_types::clock::SlotClock;
 use rtr_types::config::RouterConfig;
@@ -56,6 +56,7 @@ pub struct PriorityVcRouter {
     queues: [VecDeque<SlotAddr>; PORT_COUNT],
     /// Remaining output-port mask per memory slot (multicast refcount).
     remaining: Vec<u8>,
+    timing: PortTiming,
     inputs: [InputPort; PORT_COUNT],
     channel: WormholeChannel,
     /// High-class transmission in flight per output port.
@@ -74,14 +75,16 @@ impl PriorityVcRouter {
     /// Returns the configuration's validation error, if any.
     pub fn new(config: RouterConfig) -> Result<Self, ConfigError> {
         config.validate()?;
+        let timing = PortTiming::from_config(&config);
         Ok(PriorityVcRouter {
             clock: SlotClock::new(config.clock_bits),
             table: ConnectionTable::new(config.connections),
             memory: PacketMemory::new(config.packet_slots),
             queues: Default::default(),
             remaining: vec![0; config.packet_slots],
-            inputs: std::array::from_fn(|_| InputPort::from_config(&config)),
-            channel: WormholeChannel::new(config.be_path_bytes() as u32),
+            timing,
+            inputs: Default::default(),
+            channel: WormholeChannel::new(timing.flit_capacity),
             tc_tx: Default::default(),
             tc_inject: Serialiser::default(),
             stats: PriorityVcStats::default(),
@@ -119,7 +122,7 @@ impl PriorityVcRouter {
                 self.stats.tc_dropped += 1;
                 continue;
             };
-            let rewritten = TcPacket { conn: entry.outgoing, ..packet };
+            let rewritten = TcPacket { conn: entry.outgoing, ..*packet };
             let Ok(addr) = self.memory.store(rewritten) else {
                 self.stats.tc_dropped += 1;
                 continue;
@@ -161,15 +164,16 @@ impl Chip for PriorityVcRouter {
         for idx in 1..PORT_COUNT {
             match io.rx[idx].take() {
                 Some(LinkSymbol::TcStart(packet)) => {
-                    let torn = self.inputs[idx].push_tc_start(now, *packet);
+                    let torn = self.inputs[idx].push_tc_start(now, packet, self.timing);
                     self.stats.tc_truncated += u64::from(torn);
                 }
                 Some(LinkSymbol::TcCont { .. }) => {
                     // An orphan (head destroyed upstream) is shed: no credit.
-                    self.inputs[idx].push_tc_cont(now);
+                    self.inputs[idx].push_tc_cont(now, self.timing);
                 }
                 Some(LinkSymbol::Be(byte)) => {
-                    let outcome = self.inputs[idx].accept_be(now, byte, &mut io.credit_out[idx]);
+                    let outcome =
+                        self.inputs[idx].accept_be(now, byte, &mut io.credit_out[idx], self.timing);
                     self.stats.be_dropped += u64::from(outcome.dropped);
                 }
                 None => {}
@@ -177,12 +181,12 @@ impl Chip for PriorityVcRouter {
         }
         // High-class injection: one byte per cycle.
         if self.tc_inject.step() {
-            self.inputs[0].push_tc_cont(now);
+            self.inputs[0].push_tc_cont(now, self.timing);
         } else if let Some(packet) = io.inject_tc.pop_front() {
             self.tc_inject.begin(packet.wire_len());
-            self.inputs[0].push_tc_start(now, packet);
+            self.inputs[0].push_tc_start(now, Box::new(packet), self.timing);
         }
-        self.channel.inject(now, &mut self.inputs[0], &mut io.inject_be);
+        self.channel.inject(now, &mut self.inputs[0], &mut io.inject_be, self.timing);
         self.channel.collect_requests(&self.inputs, now);
         self.process_arrivals(now);
         for out_idx in 0..PORT_COUNT {

@@ -6,7 +6,7 @@
 //! channel; packets with deadlines get no preferential treatment, which is
 //! exactly what the baseline-comparison experiments measure.
 
-use rtr_core::ports::{InputPort, WakePolls, WormholeChannel};
+use rtr_core::ports::{InputPort, PortTiming, WakePolls, WormholeChannel};
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
 use rtr_types::config::RouterConfig;
 use rtr_types::error::ConfigError;
@@ -34,6 +34,7 @@ pub struct WormholeStats {
 #[derive(Debug)]
 pub struct WormholeRouter {
     config: RouterConfig,
+    timing: PortTiming,
     inputs: [InputPort; PORT_COUNT],
     channel: WormholeChannel,
     stats: WormholeStats,
@@ -49,9 +50,11 @@ impl WormholeRouter {
     /// Returns the configuration's validation error, if any.
     pub fn new(config: RouterConfig) -> Result<Self, ConfigError> {
         config.validate()?;
+        let timing = PortTiming::from_config(&config);
         Ok(WormholeRouter {
-            inputs: std::array::from_fn(|_| InputPort::from_config(&config)),
-            channel: WormholeChannel::new(config.be_path_bytes() as u32),
+            timing,
+            inputs: Default::default(),
+            channel: WormholeChannel::new(timing.flit_capacity),
             stats: WormholeStats::default(),
             wake: WakePolls::default(),
             config,
@@ -71,7 +74,8 @@ impl Chip for WormholeRouter {
         for idx in 1..PORT_COUNT {
             match io.rx[idx].take() {
                 Some(LinkSymbol::Be(byte)) => {
-                    let outcome = self.inputs[idx].accept_be(now, byte, &mut io.credit_out[idx]);
+                    let outcome =
+                        self.inputs[idx].accept_be(now, byte, &mut io.credit_out[idx], self.timing);
                     self.stats.be_dropped += u64::from(outcome.dropped);
                 }
                 Some(_) => panic!("wormhole baseline received a time-constrained symbol"),
@@ -82,7 +86,7 @@ impl Chip for WormholeRouter {
         while io.inject_tc.pop_front().is_some() {
             self.stats.tc_rejected += 1;
         }
-        self.channel.inject(now, &mut self.inputs[0], &mut io.inject_be);
+        self.channel.inject(now, &mut self.inputs[0], &mut io.inject_be, self.timing);
         self.channel.collect_requests(&self.inputs, now);
         for out_idx in 0..PORT_COUNT {
             if let Some(sent) = self.channel.send(now, &mut self.inputs, out_idx, io) {

@@ -20,7 +20,7 @@ use rtr_types::packet::{BePacket, PacketTrace};
 use rtr_types::time::Cycle;
 use rtr_types::{chip::ChipIo, error::PacketDecodeError};
 
-use super::input::InputPort;
+use super::input::{InputPort, PortTiming};
 
 /// Reassembles a best-effort byte stream into packets.
 #[derive(Debug, Default)]
@@ -69,13 +69,13 @@ pub struct BeSent {
     pub delivered: Option<Result<PacketTrace, PacketDecodeError>>,
 }
 
-/// Wormhole state of one output port.
+/// Wormhole state of one output port (an input index fits a byte).
 #[derive(Debug)]
 struct BeOut {
     /// Input bound to the packet in flight, until its tail byte.
-    bound: Option<usize>,
+    bound: Option<u8>,
     /// Next input to consider in round-robin order.
-    rr_next: usize,
+    rr_next: u8,
     /// Free flit-buffer bytes downstream.
     credits: u32,
     /// Reception port: local delivery needs no credits.
@@ -157,7 +157,13 @@ impl WormholeChannel {
     /// The injection port: feeds the packet at the head of `queue` into the
     /// local input port, one byte per cycle, gated by its flit buffer.
     #[inline]
-    pub fn inject(&mut self, now: Cycle, local: &mut InputPort, queue: &mut VecDeque<BePacket>) {
+    pub fn inject(
+        &mut self,
+        now: Cycle,
+        local: &mut InputPort,
+        queue: &mut VecDeque<BePacket>,
+        timing: PortTiming,
+    ) {
         if self.inject.is_none() {
             if let Some(packet) = queue.pop_front() {
                 packet.to_wire_into(&mut self.inject_buf);
@@ -165,12 +171,12 @@ impl WormholeChannel {
             }
         }
         if let Some((pos, trace)) = &mut self.inject {
-            if local.be_free_space() > 0 {
+            if local.be_occupancy() < timing.flit_capacity as usize {
                 let wire = &self.inject_buf;
                 let head = *pos == 0;
                 let tail = *pos == wire.len() - 1;
                 let byte = BeByte { byte: wire[*pos], head, tail, trace: head.then_some(*trace) };
-                let outcome = local.push_be(now, byte);
+                let outcome = local.push_be(now, byte, timing);
                 debug_assert_eq!(outcome, Default::default(), "injection is free-space gated");
                 *pos += 1;
                 if *pos == wire.len() {
@@ -226,18 +232,18 @@ impl WormholeChannel {
         );
         let want = out_idx as u8;
         let out = &mut self.outs[out_idx];
-        if let Some(bound) = out.bound {
+        if let Some(bound) = out.bound.map(usize::from) {
             // A packet is mid-flight on this output: only its bytes may go.
             return (self.requests[bound] == want).then_some(bound);
         }
         for k in 0..PORT_COUNT {
-            let i = (out.rr_next + k) % PORT_COUNT;
+            let i = (usize::from(out.rr_next) + k) % PORT_COUNT;
             if self.requests[i] == want {
                 debug_assert!(
                     inputs[i].be_head().is_some_and(|front| front.byte.head),
                     "unbound output must start at a head byte"
                 );
-                out.rr_next = (i + 1) % PORT_COUNT;
+                out.rr_next = u8::try_from((i + 1) % PORT_COUNT).expect("a port index fits a byte");
                 return Some(i);
             }
         }
@@ -264,7 +270,7 @@ impl WormholeChannel {
         // The pop may expose a byte a later output of this tick must see.
         self.requests[in_idx] = request_of(&inputs[in_idx], now);
         let out = &mut self.outs[out_idx];
-        out.bound = (!byte.tail).then_some(in_idx);
+        out.bound = (!byte.tail).then(|| u8::try_from(in_idx).expect("a port index fits a byte"));
         if !out.infinite_credit {
             out.credits -= 1;
         }
@@ -320,8 +326,12 @@ impl WormholeChannel {
 mod tests {
     use super::*;
 
+    /// The timing every test port shares.
+    const T: PortTiming =
+        PortTiming { pipeline_latency: 10, tc_store_latency: 6, flit_capacity: 10 };
+
     fn inputs() -> [InputPort; PORT_COUNT] {
-        std::array::from_fn(|_| InputPort::new(10, 6, 10))
+        Default::default()
     }
 
     #[test]
@@ -345,7 +355,7 @@ mod tests {
         io.inject_be.push_back(BePacket::new(0, 0, vec![1, 2], trace));
         let mut reports = Vec::new();
         for now in 0..40 {
-            channel.inject(now, &mut inputs[0], &mut io.inject_be);
+            channel.inject(now, &mut inputs[0], &mut io.inject_be, T);
             channel.collect_requests(&inputs, now);
             if now == 0 {
                 assert_eq!(channel.next_event(&inputs, now), Some(now), "injecting: busy now");
@@ -369,7 +379,8 @@ mod tests {
         let wire = BePacket::new(x_off, y_off, vec![], PacketTrace::default()).to_wire();
         for (i, &byte) in wire.iter().enumerate() {
             let (head, tail) = (i == 0, i == wire.len() - 1);
-            let outcome = input.push_be(at + i as Cycle, BeByte { byte, head, tail, trace: None });
+            let outcome =
+                input.push_be(at + i as Cycle, BeByte { byte, head, tail, trace: None }, T);
             assert_eq!(outcome, Default::default());
         }
     }

@@ -63,9 +63,10 @@ pub struct AbortedRx {
 }
 
 /// Routing progress of the best-effort stream currently crossing this port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum BeRoute {
     /// Waiting for a head byte.
+    #[default]
     Idle,
     /// Got the x-offset byte; waiting for the y-offset to decide the route.
     GotX { x: u8, trace: Option<PacketTrace>, arrived: Cycle },
@@ -73,68 +74,64 @@ enum BeRoute {
     Streaming { out: Port },
 }
 
-/// One of the router's five input ports.
-#[derive(Debug)]
-pub struct InputPort {
+/// The latencies and flit buffer all five input ports of a router share:
+/// kept once per router and passed to the port methods that read them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortTiming {
     /// Per-hop best-effort pipeline latency in cycles (sync + header + chunk
     /// + bus grant).
-    pipeline_latency: Cycle,
+    pub pipeline_latency: u32,
     /// Latency from a time-constrained packet's last byte to it becoming
     /// schedulable (sync + header lookup + memory-store chunks).
-    tc_store_latency: Cycle,
+    pub tc_store_latency: u32,
     /// Flit-buffer capacity in bytes.
-    flit_capacity: usize,
+    pub flit_capacity: u32,
+}
+
+impl PortTiming {
+    /// The input ports of `config`'s datapath: the `30 + b` best-effort
+    /// pipeline of §5.2, the header-lookup plus memory-store latency of the
+    /// time-constrained path, and the flit buffer advertised upstream.
+    /// Panics if one exceeds 32 bits (`RouterConfig::validate` bounds none).
+    #[must_use]
+    pub fn from_config(config: &RouterConfig) -> Self {
+        let t = &config.timing;
+        let narrow = |v: u64| u32::try_from(v).expect("a port latency or buffer exceeds 32 bits");
+        let store_chunks = config.slot_bytes.div_ceil(config.memory_chunk_bytes) as u64;
+        PortTiming {
+            pipeline_latency: narrow(
+                t.sync_cycles + t.header_cycles + config.chunk_bytes as u64 + t.bus_grant_cycles,
+            ),
+            tc_store_latency: narrow(
+                t.sync_cycles + t.header_cycles + store_chunks * t.bus_grant_cycles,
+            ),
+            flit_capacity: narrow(config.be_path_bytes() as u64),
+        }
+    }
+}
+
+/// One of the router's five input ports; an arriving time-constrained
+/// packet stays in the box its start symbol carried.
+#[derive(Debug, Default)]
+pub struct InputPort {
     /// Time-constrained packet currently arriving: packet and symbols still
     /// to come. `None` in the packet slot means the packet is cutting
     /// through (§7 virtual cut-through): the symbols are consumed for
     /// timing but the output port already owns the packet.
-    tc_rx: Option<(Option<TcPacket>, usize)>,
+    tc_rx: Option<(Option<Box<TcPacket>>, usize)>,
     /// Fully received packets waiting out the arrival pipeline.
-    tc_pending: VecDeque<(Cycle, TcPacket)>,
+    tc_pending: VecDeque<(Cycle, Box<TcPacket>)>,
     /// Routed best-effort bytes in the flit buffer.
     be_fifo: VecDeque<RoutedByte>,
     be_route: BeRoute,
 }
 
 impl InputPort {
-    /// Creates an input port.
-    #[must_use]
-    pub fn new(pipeline_latency: Cycle, tc_store_latency: Cycle, flit_capacity: usize) -> Self {
-        InputPort {
-            pipeline_latency,
-            tc_store_latency,
-            flit_capacity,
-            tc_rx: None,
-            tc_pending: VecDeque::new(),
-            be_fifo: VecDeque::new(),
-            be_route: BeRoute::Idle,
-        }
-    }
-
-    /// The input port of `config`'s datapath: the `30 + b` best-effort
-    /// pipeline of §5.2, the header-lookup plus memory-store latency of the
-    /// time-constrained path, and the flit buffer advertised upstream.
-    #[must_use]
-    pub fn from_config(config: &RouterConfig) -> Self {
-        let t = &config.timing;
-        let be_latency =
-            t.sync_cycles + t.header_cycles + config.chunk_bytes as u64 + t.bus_grant_cycles;
-        let store_chunks = config.slot_bytes.div_ceil(config.memory_chunk_bytes) as u64;
-        let tc_store_latency = t.sync_cycles + t.header_cycles + store_chunks * t.bus_grant_cycles;
-        InputPort::new(be_latency, tc_store_latency, config.be_path_bytes())
-    }
-
     /// Bytes currently held on the best-effort channel (routed bytes plus a
     /// held header byte); bounded by the flit capacity via flow control.
     #[must_use]
     pub fn be_occupancy(&self) -> usize {
         self.be_fifo.len() + usize::from(matches!(self.be_route, BeRoute::GotX { .. }))
-    }
-
-    /// Free best-effort buffer space in bytes.
-    #[must_use]
-    pub(super) fn be_free_space(&self) -> usize {
-        self.flit_capacity - self.be_occupancy()
     }
 
     /// Accepts the first symbol of a time-constrained packet that will be
@@ -145,11 +142,11 @@ impl InputPort {
     /// symbols upstream; a start arriving while a packet is still
     /// mid-arrival therefore abandons the torn predecessor. Returns `true`
     /// when that happened (the caller counts it).
-    pub fn push_tc_start(&mut self, now: Cycle, packet: TcPacket) -> bool {
+    pub fn push_tc_start(&mut self, now: Cycle, packet: Box<TcPacket>, timing: PortTiming) -> bool {
         let truncated = self.tc_rx.take().is_some();
         let remaining = packet.wire_len() - 1;
         if remaining == 0 {
-            self.tc_pending.push_back((now + self.tc_store_latency, packet));
+            self.tc_pending.push_back((now + Cycle::from(timing.tc_store_latency), packet));
         } else {
             self.tc_rx = Some((Some(packet), remaining));
         }
@@ -174,13 +171,13 @@ impl InputPort {
     /// packet. Returns `false` for an orphan continuation — its packet's
     /// head was destroyed by a fault upstream — which is shed (the caller
     /// counts it).
-    pub fn push_tc_cont(&mut self, now: Cycle) -> bool {
+    pub fn push_tc_cont(&mut self, now: Cycle, timing: PortTiming) -> bool {
         let Some((packet, remaining)) = self.tc_rx.take() else {
             return false;
         };
         if remaining == 1 {
             if let Some(packet) = packet {
-                self.tc_pending.push_back((now + self.tc_store_latency, packet));
+                self.tc_pending.push_back((now + Cycle::from(timing.tc_store_latency), packet));
             }
         } else {
             self.tc_rx = Some((packet, remaining - 1));
@@ -206,7 +203,7 @@ impl InputPort {
     }
 
     /// Pops the next packet whose arrival pipeline has completed, if any.
-    pub fn take_ready_tc(&mut self, now: Cycle) -> Option<TcPacket> {
+    pub fn take_ready_tc(&mut self, now: Cycle) -> Option<Box<TcPacket>> {
         match self.tc_pending.front() {
             Some((ready_at, _)) if *ready_at <= now => self.tc_pending.pop_front().map(|(_, p)| p),
             _ => None,
@@ -216,8 +213,14 @@ impl InputPort {
     /// Accepts one best-effort byte from the link feeding this port. Bytes
     /// it had to shed (see [`BePush`]) consumed upstream credits, which are
     /// refunded into `credit_out`; the caller counts them.
-    pub fn accept_be(&mut self, now: Cycle, byte: BeByte, credit_out: &mut u16) -> BePush {
-        let outcome = self.push_be(now, byte);
+    pub fn accept_be(
+        &mut self,
+        now: Cycle,
+        byte: BeByte,
+        credit_out: &mut u16,
+        timing: PortTiming,
+    ) -> BePush {
+        let outcome = self.push_be(now, byte, timing);
         *credit_out += u16::from(outcome.dropped);
         outcome
     }
@@ -231,9 +234,9 @@ impl InputPort {
     /// tear frames (orphan fragments, missing tails, a head mid-stream) —
     /// so instead of asserting, the port sheds exactly the bytes it cannot
     /// frame and reports them for counting and credit refund.
-    pub(super) fn push_be(&mut self, now: Cycle, byte: BeByte) -> BePush {
+    pub(super) fn push_be(&mut self, now: Cycle, byte: BeByte, timing: PortTiming) -> BePush {
         let mut outcome = BePush::default();
-        if self.be_occupancy() >= self.flit_capacity {
+        if self.be_occupancy() >= timing.flit_capacity as usize {
             // Only reachable via forged credits: honest flow control never
             // sends into a full buffer. Shed the byte; if it was a tail,
             // resync the framer so the next packet starts clean.
@@ -260,19 +263,19 @@ impl InputPort {
                     // then refeed the byte to the idle framer.
                     outcome.dropped = 1;
                     self.be_route = BeRoute::Idle;
-                    let refeed = self.push_be(now, byte);
+                    let refeed = self.push_be(now, byte, timing);
                     outcome.dropped += refeed.dropped;
                     return outcome;
                 }
                 let header = BeHeader { x_off: x as i8, y_off: byte.byte as i8, length: 0 };
                 let (out, rewritten) = header.dimension_ordered_step();
                 self.be_fifo.push_back(RoutedByte {
-                    ready_at: arrived + self.pipeline_latency,
+                    ready_at: arrived + Cycle::from(timing.pipeline_latency),
                     byte: BeByte { byte: rewritten.x_off as u8, head: true, tail: false, trace },
                     out,
                 });
                 self.be_fifo.push_back(RoutedByte {
-                    ready_at: now + self.pipeline_latency,
+                    ready_at: now + Cycle::from(timing.pipeline_latency),
                     byte: BeByte::body(rewritten.y_off as u8),
                     out,
                 });
@@ -285,12 +288,12 @@ impl InputPort {
                     // it) and this byte starts the next packet.
                     outcome.truncated = true;
                     self.be_route = BeRoute::Idle;
-                    let refeed = self.push_be(now, byte);
+                    let refeed = self.push_be(now, byte, timing);
                     outcome.dropped += refeed.dropped;
                     return outcome;
                 }
                 self.be_fifo.push_back(RoutedByte {
-                    ready_at: now + self.pipeline_latency,
+                    ready_at: now + Cycle::from(timing.pipeline_latency),
                     byte,
                     out,
                 });
@@ -343,10 +346,12 @@ impl InputPort {
     }
 
     /// Heap bytes behind the port's queues (allocated capacity) — zero
-    /// until traffic first crosses the port.
+    /// until traffic first crosses the port. The boxed packets themselves
+    /// are not followed: a port holds one for at most its wire length plus
+    /// the store latency.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.tc_pending.capacity() * std::mem::size_of::<(Cycle, TcPacket)>()
+        self.tc_pending.capacity() * std::mem::size_of::<(Cycle, Box<TcPacket>)>()
             + self.be_fifo.capacity() * std::mem::size_of::<RoutedByte>()
     }
 }
@@ -357,26 +362,30 @@ mod tests {
     use rtr_types::clock::SlotClock;
     use rtr_types::ids::{ConnectionId, Direction};
 
-    fn tc_packet(payload_len: usize) -> TcPacket {
-        TcPacket {
+    /// The timing every test port shares.
+    const T: PortTiming =
+        PortTiming { pipeline_latency: 10, tc_store_latency: 6, flit_capacity: 10 };
+
+    fn tc_packet(payload_len: usize) -> Box<TcPacket> {
+        Box::new(TcPacket {
             conn: ConnectionId(1),
             arrival: SlotClock::new(8).wrap(0),
             payload: vec![0xAA; payload_len].into(),
             trace: PacketTrace::default(),
-        }
+        })
     }
 
     fn port() -> InputPort {
-        InputPort::new(10, 6, 10)
+        InputPort::default()
     }
 
     #[test]
     fn tc_packet_ready_after_all_symbols_plus_store_latency() {
         let mut p = port();
-        p.push_tc_start(100, tc_packet(18)); // 20 symbols: cycles 100..=119
+        p.push_tc_start(100, tc_packet(18), T); // 20 symbols: cycles 100..=119
         for i in 1..20 {
             assert!(p.take_ready_tc(100 + i).is_none());
-            p.push_tc_cont(100 + i);
+            p.push_tc_cont(100 + i, T);
         }
         // Last symbol at cycle 119; ready at 119 + 6 = 125.
         assert!(p.take_ready_tc(124).is_none());
@@ -389,11 +398,11 @@ mod tests {
         let mut p = port();
         // Packet with x_off = +2, y_off = -1, length 1: bytes
         // [2, 0xFF, 1, 0, payload].
-        p.push_be(0, BeByte { byte: 2, head: true, tail: false, trace: None });
-        p.push_be(1, BeByte::body(0xFF));
-        p.push_be(2, BeByte::body(1));
-        p.push_be(3, BeByte::body(0));
-        p.push_be(4, BeByte { byte: 0x55, head: false, tail: true, trace: None });
+        p.push_be(0, BeByte { byte: 2, head: true, tail: false, trace: None }, T);
+        p.push_be(1, BeByte::body(0xFF), T);
+        p.push_be(2, BeByte::body(1), T);
+        p.push_be(3, BeByte::body(0), T);
+        p.push_be(4, BeByte { byte: 0x55, head: false, tail: true, trace: None }, T);
         assert_eq!(p.be_occupancy(), 5);
 
         // Routed towards +x with x offset decremented to 1.
@@ -410,16 +419,16 @@ mod tests {
     #[test]
     fn be_zero_offsets_route_to_local() {
         let mut p = port();
-        p.push_be(0, BeByte { byte: 0, head: true, tail: false, trace: None });
-        p.push_be(1, BeByte::body(0));
+        p.push_be(0, BeByte { byte: 0, head: true, tail: false, trace: None }, T);
+        p.push_be(1, BeByte::body(0), T);
         assert!(p.be_front_for(Port::Local, 11).is_some());
     }
 
     #[test]
     fn be_y_routing_after_x_exhausted() {
         let mut p = port();
-        p.push_be(0, BeByte { byte: 0, head: true, tail: false, trace: None });
-        p.push_be(1, BeByte::body(0xFE)); // y_off = -2
+        p.push_be(0, BeByte { byte: 0, head: true, tail: false, trace: None }, T);
+        p.push_be(1, BeByte::body(0xFE), T); // y_off = -2
         let front = p.be_front_for(Port::Dir(Direction::YMinus), 11).unwrap();
         assert_eq!(front.byte.byte, 0, "x offset unchanged at 0");
         p.pop_be();
@@ -429,8 +438,8 @@ mod tests {
     #[test]
     fn bytes_not_ready_before_pipeline_latency() {
         let mut p = port();
-        p.push_be(50, BeByte { byte: 1, head: true, tail: false, trace: None });
-        p.push_be(51, BeByte::body(0));
+        p.push_be(50, BeByte { byte: 1, head: true, tail: false, trace: None }, T);
+        p.push_be(51, BeByte::body(0), T);
         assert!(p.be_front_for(Port::Dir(Direction::XPlus), 59).is_none());
         assert!(p.be_front_for(Port::Dir(Direction::XPlus), 60).is_some());
     }
@@ -438,34 +447,34 @@ mod tests {
     #[test]
     fn occupancy_counts_held_header_byte() {
         let mut p = port();
-        assert_eq!(p.be_free_space(), 10);
-        p.push_be(0, BeByte { byte: 1, head: true, tail: false, trace: None });
+        assert_eq!(p.be_occupancy(), 0);
+        p.push_be(0, BeByte { byte: 1, head: true, tail: false, trace: None }, T);
         assert_eq!(p.be_occupancy(), 1, "held x byte counts");
-        assert_eq!(p.be_free_space(), 9);
     }
 
     #[test]
     fn overflow_sheds_bytes_instead_of_panicking() {
-        let mut p = InputPort::new(10, 6, 2);
+        let mut p = port();
+        let two = PortTiming { flit_capacity: 2, ..T };
         assert_eq!(
-            p.push_be(0, BeByte { byte: 1, head: true, tail: false, trace: None }),
+            p.push_be(0, BeByte { byte: 1, head: true, tail: false, trace: None }, two),
             BePush::default()
         );
-        assert_eq!(p.push_be(1, BeByte::body(0)), BePush::default());
+        assert_eq!(p.push_be(1, BeByte::body(0), two), BePush::default());
         // Forged credits pushed a third byte into a 2-byte buffer: shed.
-        assert_eq!(p.push_be(2, BeByte::body(0)), BePush { dropped: 1, truncated: false });
+        assert_eq!(p.push_be(2, BeByte::body(0), two), BePush { dropped: 1, truncated: false });
         assert_eq!(p.be_occupancy(), 2, "buffer never exceeds capacity");
     }
 
     #[test]
     fn interleaved_tc_start_abandons_the_torn_packet() {
         let mut p = port();
-        assert!(!p.push_tc_start(0, tc_packet(18)));
+        assert!(!p.push_tc_start(0, tc_packet(18), T));
         // The first packet's remaining symbols were destroyed upstream; a
         // new start abandons it and the new packet arrives whole.
-        assert!(p.push_tc_start(1, tc_packet(18)), "torn predecessor reported");
+        assert!(p.push_tc_start(1, tc_packet(18), T), "torn predecessor reported");
         for i in 2..21 {
-            assert!(p.push_tc_cont(i));
+            assert!(p.push_tc_cont(i, T));
         }
         assert!(p.take_ready_tc(20 + 6).is_some(), "successor unharmed");
         assert!(p.take_ready_tc(10_000).is_none(), "torn packet never surfaces");
@@ -474,7 +483,7 @@ mod tests {
     #[test]
     fn orphan_tc_continuation_is_shed() {
         let mut p = port();
-        assert!(!p.push_tc_cont(5), "continuation without a start reported");
+        assert!(!p.push_tc_cont(5, T), "continuation without a start reported");
         assert!(!p.tc_rx_active());
     }
 
@@ -482,29 +491,29 @@ mod tests {
     fn orphan_be_fragments_are_shed_until_the_next_head() {
         let mut p = port();
         // Head lost upstream: body/tail fragments shed one by one.
-        assert_eq!(p.push_be(0, BeByte::body(9)), BePush { dropped: 1, truncated: false });
+        assert_eq!(p.push_be(0, BeByte::body(9), T), BePush { dropped: 1, truncated: false });
         assert_eq!(
-            p.push_be(1, BeByte { byte: 3, head: false, tail: true, trace: None }),
+            p.push_be(1, BeByte { byte: 3, head: false, tail: true, trace: None }, T),
             BePush { dropped: 1, truncated: false }
         );
         assert_eq!(p.be_occupancy(), 0);
         // The next complete packet frames normally.
-        p.push_be(2, BeByte { byte: 1, head: true, tail: false, trace: None });
-        p.push_be(3, BeByte::body(0));
+        p.push_be(2, BeByte { byte: 1, head: true, tail: false, trace: None }, T);
+        p.push_be(3, BeByte::body(0), T);
         assert_eq!(p.be_occupancy(), 2);
     }
 
     #[test]
     fn head_mid_stream_truncates_and_starts_the_next_packet() {
         let mut p = port();
-        p.push_be(0, BeByte { byte: 1, head: true, tail: false, trace: None });
-        p.push_be(1, BeByte::body(0));
-        p.push_be(2, BeByte::body(2));
+        p.push_be(0, BeByte { byte: 1, head: true, tail: false, trace: None }, T);
+        p.push_be(1, BeByte::body(0), T);
+        p.push_be(2, BeByte::body(2), T);
         // Tail destroyed upstream; the next packet's head arrives while
         // streaming: predecessor truncated, successor accepted.
-        let outcome = p.push_be(3, BeByte { byte: 0, head: true, tail: false, trace: None });
+        let outcome = p.push_be(3, BeByte { byte: 0, head: true, tail: false, trace: None }, T);
         assert_eq!(outcome, BePush { dropped: 0, truncated: true });
-        p.push_be(4, BeByte::body(0));
+        p.push_be(4, BeByte::body(0), T);
         // Both the truncated front and the new packet occupy the buffer.
         assert_eq!(p.be_occupancy(), 5);
     }
@@ -512,15 +521,15 @@ mod tests {
     #[test]
     fn abort_partial_clears_both_channels() {
         let mut p = port();
-        p.push_tc_start(0, tc_packet(18));
-        p.push_be(0, BeByte { byte: 1, head: true, tail: false, trace: None });
+        p.push_tc_start(0, tc_packet(18), T);
+        p.push_be(0, BeByte { byte: 1, head: true, tail: false, trace: None }, T);
         let aborted = p.abort_partial();
         assert_eq!(aborted, AbortedRx { tc_aborted: true, be_dropped: 1, be_truncated: false });
         assert!(!p.tc_rx_active(), "port leaps again after the abort");
         assert_eq!(p.be_occupancy(), 0);
         // Streaming abort reports the truncation instead of a held byte.
-        p.push_be(2, BeByte { byte: 1, head: true, tail: false, trace: None });
-        p.push_be(3, BeByte::body(0));
+        p.push_be(2, BeByte { byte: 1, head: true, tail: false, trace: None }, T);
+        p.push_be(3, BeByte::body(0), T);
         let aborted = p.abort_partial();
         assert_eq!(aborted, AbortedRx { tc_aborted: false, be_dropped: 0, be_truncated: true });
     }
@@ -530,13 +539,13 @@ mod tests {
         let mut p = port();
         p.push_tc_start_cut(20);
         for i in 1..20 {
-            p.push_tc_cont(i);
+            p.push_tc_cont(i, T);
         }
         assert!(p.take_ready_tc(10_000).is_none(), "cut packets bypass the pipeline");
         // The channel is free again for a buffered packet.
-        p.push_tc_start(100, tc_packet(18));
+        p.push_tc_start(100, tc_packet(18), T);
         for i in 1..20 {
-            p.push_tc_cont(100 + i);
+            p.push_tc_cont(100 + i, T);
         }
         assert!(p.take_ready_tc(100 + 19 + 6).is_some());
     }
@@ -555,7 +564,8 @@ mod tests {
             use rtr_types::packet::BePacket;
             // Capacity 64 ≥ 3 packets × (4 header + 12 payload) bytes, so
             // the whole sequence fits without draining.
-            let mut port = InputPort::new(10, 6, 64);
+            let mut port = InputPort::default();
+            let timing = PortTiming { flit_capacity: 64, ..T };
             let mut now: Cycle = 0;
             let mut expected: Vec<(Port, Vec<u8>)> = Vec::new();
             for (payload, x, y) in &packets {
@@ -576,7 +586,7 @@ mod tests {
                         head: i == 0,
                         tail: i == wire.len() - 1,
                         trace: None,
-                    });
+                    }, timing);
                     now += 1;
                 }
             }
@@ -610,7 +620,7 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            p.push_be(i as Cycle, b);
+            p.push_be(i as Cycle, b, T);
         }
         for (i, b) in [
             BeByte { byte: 0, head: true, tail: false, trace: None },
@@ -621,7 +631,7 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            p.push_be(5 + i as Cycle, b);
+            p.push_be(5 + i as Cycle, b, T);
         }
         // Head-of-line: the local-bound packet waits behind the +x packet.
         assert!(p.be_front_for(Port::Local, 1000).is_none());

@@ -1,7 +1,8 @@
 //! The router kit (paper §3, Figure 2): the port state machines every
 //! router in the workspace is assembled from.
 //!
-//! * [`input`] — the per-link input port (both virtual channels),
+//! * [`input`] — the per-link input port (both virtual channels) and the
+//!   [`PortTiming`] its router stores once for all five,
 //! * [`WormholeChannel`] — the best-effort channel across all five ports,
 //! * [`output`] — the time-constrained link serialiser and the real-time
 //!   router's grant pipeline,
@@ -17,7 +18,7 @@ pub mod input;
 pub mod output;
 
 pub use channel::{BeReassembler, BeSent, WormholeChannel};
-pub use input::{AbortedRx, BePush, InputPort};
+pub use input::{AbortedRx, BePush, InputPort, PortTiming};
 pub use output::{OutputPort, Serialiser};
 
 /// Wake-precision counters of a chip's `next_event` answers (see

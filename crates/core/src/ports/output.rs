@@ -13,7 +13,7 @@ use rtr_types::packet::TcPacket;
 use rtr_types::time::Cycle;
 
 /// A virtual cut-through transmission waiting out the header-processing
-/// latency before streaming (§7 extension).
+/// latency before streaming (§7 extension); boxed while it exists.
 #[derive(Debug)]
 pub struct PendingCut {
     /// The packet (header already rewritten for the next hop).
@@ -33,12 +33,12 @@ pub struct PendingCut {
 #[derive(Debug, Default)]
 pub struct Serialiser {
     /// Continuation symbols still to go.
-    remaining: usize,
+    remaining: u32,
     /// Symbols of the packet in flight (continuation `total − remaining`).
-    total: usize,
+    total: u32,
     /// The packet itself, kept only on its way to the reception port — a
-    /// network link carries it inside the start symbol.
-    held: Option<TcPacket>,
+    /// network link carries it inside the start symbol. Boxed like it.
+    held: Option<Box<TcPacket>>,
 }
 
 impl Serialiser {
@@ -50,14 +50,14 @@ impl Serialiser {
 
     /// Starts pacing `wire_len` symbols, the first crossing this cycle.
     pub fn begin(&mut self, wire_len: usize) {
-        self.total = wire_len;
-        self.remaining = wire_len - 1;
+        self.total = u32::try_from(wire_len).expect("a packet exceeds 2^32 symbols");
+        self.remaining = self.total - 1;
     }
 
     /// Spends this cycle on the next continuation symbol, if one is owed.
     pub fn step(&mut self) -> bool {
         let owed = self.busy();
-        self.remaining -= usize::from(owed);
+        self.remaining -= u32::from(owed);
         owed
     }
 
@@ -66,7 +66,7 @@ impl Serialiser {
     pub fn start(&mut self, now: Cycle, out_idx: usize, packet: TcPacket, io: &mut ChipIo) -> bool {
         self.begin(packet.wire_len());
         if out_idx == 0 {
-            self.held = Some(packet);
+            self.held = Some(Box::new(packet));
         } else {
             io.tx[out_idx] = Some(LinkSymbol::TcStart(Box::new(packet)));
         }
@@ -77,6 +77,8 @@ impl Serialiser {
     pub fn advance(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) -> bool {
         debug_assert!(self.busy(), "no time-constrained transmission in flight");
         if out_idx != 0 {
+            // One byte: `RouterConfig::validate` caps `slot_bytes` at 256,
+            // so the last index is 255.
             let index = (self.total - self.remaining) as u8;
             io.tx[out_idx] = Some(LinkSymbol::TcCont { index });
         }
@@ -86,7 +88,7 @@ impl Serialiser {
 
     fn deliver_if_done(&mut self, now: Cycle, io: &mut ChipIo) -> bool {
         let done = if self.busy() { None } else { self.held.take() };
-        done.map(|packet| io.delivered_tc.push((now, packet))).is_some()
+        done.map(|packet| io.delivered_tc.push((now, *packet))).is_some()
     }
 }
 
@@ -106,7 +108,7 @@ pub struct OutputPort {
     /// In-flight time-constrained transmission.
     pub tc_tx: Serialiser,
     /// A virtual cut-through transmission awaiting its start cycle.
-    pub pending_cut: Option<PendingCut>,
+    pub pending_cut: Option<Box<PendingCut>>,
     /// Horizon register `h` for this port, in slots (Table 3).
     pub horizon: u32,
     cached: Option<CachedSelection>,

@@ -31,7 +31,7 @@ use rtr_types::time::Cycle;
 use crate::conn_table::ConnectionTable;
 use crate::control::{ControlCommand, ControlError, ControlPort, ControlReg};
 use crate::memory::PacketMemory;
-use crate::ports::output::PendingCut;
+use crate::ports::{output::PendingCut, PortTiming};
 use crate::ports::{BeSent, InputPort, OutputPort, Serialiser, WakePolls, WormholeChannel};
 use crate::sched::dispatch::Scheduler;
 use crate::sched::leaf::Leaf;
@@ -81,6 +81,8 @@ pub struct RealTimeRouter {
     torn_down: std::collections::HashSet<u16>,
     memory: PacketMemory,
     sched: Scheduler,
+    /// The input ports' shared latencies and flit buffer.
+    timing: PortTiming,
     inputs: [InputPort; PORT_COUNT],
     outputs: [OutputPort; PORT_COUNT],
     /// The best-effort virtual channel across all five ports.
@@ -138,6 +140,7 @@ impl RouterTemplate {
     pub fn build(&self) -> RealTimeRouter {
         let config = Arc::clone(&self.config);
         let clock = self.clock;
+        let timing = PortTiming::from_config(&config);
         RealTimeRouter {
             clock,
             skew_slots: 0,
@@ -146,9 +149,10 @@ impl RouterTemplate {
             torn_down: std::collections::HashSet::new(),
             memory: PacketMemory::new(config.packet_slots),
             sched: Scheduler::new(config.scheduler, config.packet_slots, clock, config.late_policy),
-            inputs: std::array::from_fn(|_| InputPort::from_config(&config)),
+            timing,
+            inputs: Default::default(),
             outputs: Default::default(),
-            be: WormholeChannel::new(config.be_path_bytes() as u32),
+            be: WormholeChannel::new(timing.flit_capacity),
             tc_inject: Serialiser::default(),
             stats: RouterStats::default(),
             wake: WakePolls::default(),
@@ -340,16 +344,16 @@ impl RealTimeRouter {
         for idx in 1..PORT_COUNT {
             if let Some(symbol) = io.rx[idx].take() {
                 match symbol {
-                    LinkSymbol::TcStart(packet) => self.ingest_tc_start(now, idx, *packet),
+                    LinkSymbol::TcStart(packet) => self.ingest_tc_start(now, idx, packet),
                     LinkSymbol::TcCont { .. } => {
-                        if !self.inputs[idx].push_tc_cont(now) {
+                        if !self.inputs[idx].push_tc_cont(now, self.timing) {
                             // Orphan of a packet whose head a fault destroyed.
                             self.stats.tc_orphan_symbols += 1;
                         }
                     }
                     LinkSymbol::Be(byte) => {
-                        let outcome =
-                            self.inputs[idx].accept_be(now, byte, &mut io.credit_out[idx]);
+                        let (input, timing) = (&mut self.inputs[idx], self.timing);
+                        let outcome = input.accept_be(now, byte, &mut io.credit_out[idx], timing);
                         self.stats.be_dropped_faulty += u64::from(outcome.dropped);
                         if outcome.truncated {
                             self.stats.be_truncated += 1;
@@ -364,7 +368,7 @@ impl RealTimeRouter {
     /// either sets up a virtual cut-through (§7 extension, when enabled and
     /// the packet would win the output immediately) or begins the normal
     /// store-and-forward reception.
-    fn ingest_tc_start(&mut self, now: Cycle, in_idx: usize, packet: TcPacket) {
+    fn ingest_tc_start(&mut self, now: Cycle, in_idx: usize, packet: Box<TcPacket>) {
         if self.config.tc_cut_through {
             if let Some(entry) = self.table.lookup(packet.conn) {
                 if entry.out_mask.count_ones() == 1 {
@@ -427,13 +431,13 @@ impl RealTimeRouter {
                             let rewritten = TcPacket {
                                 conn: entry.outgoing,
                                 arrival: self.clock.add(l, entry.delay),
-                                ..packet
+                                ..*packet
                             };
-                            self.outputs[out_idx].pending_cut = Some(PendingCut {
+                            self.outputs[out_idx].pending_cut = Some(Box::new(PendingCut {
                                 packet: rewritten,
                                 start_at: now + cut_latency,
                                 early: !on_time,
-                            });
+                            }));
                             if self.inputs[in_idx].push_tc_start_cut(wire_len) {
                                 self.stats.tc_truncated += 1;
                             }
@@ -448,7 +452,7 @@ impl RealTimeRouter {
                 }
             }
         }
-        if self.inputs[in_idx].push_tc_start(now, packet) {
+        if self.inputs[in_idx].push_tc_start(now, packet, self.timing) {
             self.stats.tc_truncated += 1;
         }
     }
@@ -456,7 +460,7 @@ impl RealTimeRouter {
     fn run_injectors(&mut self, now: Cycle, io: &mut ChipIo) {
         // Time-constrained injection port: one byte per cycle.
         if self.tc_inject.step() {
-            let fed = self.inputs[0].push_tc_cont(now);
+            let fed = self.inputs[0].push_tc_cont(now, self.timing);
             debug_assert!(fed, "injection continuations always follow their start");
         } else if let Some(packet) = io.inject_tc.pop_front() {
             if packet.payload.len() != self.config.tc_data_bytes() {
@@ -483,11 +487,12 @@ impl RealTimeRouter {
                     }
                 );
                 self.tc_inject.begin(packet.wire_len());
-                self.ingest_tc_start(now, 0, packet);
+                // Boxed once here; every later hop passes the box on.
+                self.ingest_tc_start(now, 0, Box::new(packet));
             }
         }
 
-        self.be.inject(now, &mut self.inputs[0], &mut io.inject_be);
+        self.be.inject(now, &mut self.inputs[0], &mut io.inject_be, self.timing);
     }
 
     fn process_tc_arrivals(&mut self, now: Cycle) {
@@ -540,7 +545,7 @@ impl RealTimeRouter {
             let rewritten = TcPacket {
                 conn: entry.outgoing,
                 arrival: self.clock.add(l, entry.delay),
-                ..packet
+                ..*packet
             };
             let addr = match self.memory.store(rewritten) {
                 Ok(addr) => addr,
@@ -1048,6 +1053,58 @@ mod tests {
         assert_eq!(held, r.memory.heap_bytes() + r.sched.heap_bytes());
         assert!(held > 0, "capacity actually held is reported");
         assert!(held < 1024, "one buffered packet left {held} B of memory and scheduler state");
+    }
+
+    /// `slot_bytes = 256` is the largest slot `RouterConfig::validate`
+    /// admits: the symbol counts narrowed to `u32` hold its wire length and
+    /// the last continuation index is 255, the top of its byte. One packet
+    /// crosses injection, a network hop and local delivery at the cycle the
+    /// pipeline arithmetic predicts, and each port counts every byte.
+    #[test]
+    fn a_packet_at_the_largest_slot_crosses_injection_a_hop_and_delivery() {
+        let config = RouterConfig { slot_bytes: 256, ..RouterConfig::default() };
+        let wire = config.slot_bytes as u64;
+        let (east, west) = (Port::Dir(Direction::XPlus), Port::Dir(Direction::XMinus));
+        let [mut up, mut down] = [east, Port::Local].map(|out| {
+            let mut r = RealTimeRouter::new(config.clone()).unwrap();
+            r.apply_control(ControlCommand::SetConnection {
+                incoming: ConnectionId(1),
+                outgoing: ConnectionId(1),
+                delay: 1,
+                out_mask: out.mask(),
+            })
+            .unwrap();
+            r
+        });
+        let (mut up_io, mut down_io) = (io(), io());
+        up_io.inject_tc.push_back(tc_packet(1, 0, &up));
+        let mut on_wire = None;
+        let mut indices = Vec::new();
+        for now in 0..1_000 {
+            up_io.begin_cycle();
+            down_io.begin_cycle();
+            // What the upstream router drove last cycle arrives now.
+            down_io.rx[west.index()] = on_wire.take();
+            up.tick(now, &mut up_io);
+            down.tick(now, &mut down_io);
+            on_wire = up_io.tx[east.index()].take();
+            if let Some(LinkSymbol::TcCont { index }) = on_wire {
+                indices.push(index);
+            }
+        }
+        assert_eq!(indices, (1..=255).collect::<Vec<u8>>(), "continuation indices fill the byte");
+        // Each router: the last symbol, the store latency, the grant
+        // pipeline, then `wire` symbols out; one cycle on the wire between.
+        let store = u64::from(PortTiming::from_config(&config).tc_store_latency);
+        let sched = config.effective_sched_latency();
+        assert_eq!(down_io.delivered_tc.len(), 1);
+        assert_eq!(down_io.delivered_tc[0].0, 3 * wire - 2 + 2 * (store + sched));
+        assert_eq!(down_io.delivered_tc[0].1.payload.len(), config.tc_data_bytes());
+        for (router, out) in [(&up, east), (&down, Port::Local)] {
+            assert_eq!(router.stats().tc_bytes[out.index()], wire, "bytes sent on {out:?}");
+            assert_eq!(router.stats().tc_conn_bytes(out.index(), ConnectionId(1)), wire);
+            router.check_conservation().unwrap();
+        }
     }
 
     #[test]

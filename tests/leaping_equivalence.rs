@@ -15,10 +15,11 @@ use realtime_router::baselines::WormholeRouter;
 use realtime_router::channels::establish::{EstablishedChannel, Hop};
 use realtime_router::channels::sender::ChannelSender;
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
+use realtime_router::channels::ChannelManager;
 use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::mesh::{NetworkReport, Simulator, Topology};
 use realtime_router::types::chip::Chip;
-use realtime_router::types::config::RouterConfig;
+use realtime_router::types::config::{RouterConfig, SchedulerKind};
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{PacketTrace, TcPacket};
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
@@ -274,6 +275,62 @@ fn leaping_equivalence_horizon_limited_early_tc() {
         leaping.ticks_executed(),
         stepped.ticks_executed()
     );
+}
+
+/// The `extensions_compose` mesh — 4×4, three multi-hop channels, §7
+/// virtual cut-through on — with period-64 channels and `be_rate` uniform
+/// best-effort background.
+fn cut_through_mesh(scheduler: SchedulerKind, be_rate: f64) -> Simulator<RealTimeRouter> {
+    const PERIOD: u64 = 64;
+    let config = RouterConfig { tc_cut_through: true, scheduler, ..RouterConfig::default() };
+    let topo = Topology::mesh(4, 4);
+    let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
+    let mut manager = ChannelManager::new(&config);
+    for ((sx, sy), (dx, dy)) in [((0, 0), (3, 1)), ((3, 3), (0, 2)), ((1, 0), (2, 3))] {
+        let (src, dst) = (topo.node_at(sx, sy), topo.node_at(dx, dy));
+        let depth = topo.dor_route(src, dst).len() as u32 + 1;
+        let spec = TrafficSpec::periodic(PERIOD as u32, 18);
+        let request = ChannelRequest::unicast(src, dst, spec, depth * 8);
+        let channel = manager.establish(&topo, request, &mut sim).unwrap();
+        let sender = ChannelSender::new(
+            &channel,
+            sim.chip(src).clock(),
+            config.slot_bytes,
+            config.tc_data_bytes(),
+        );
+        let payload = vec![3; config.tc_data_bytes()];
+        let source = PeriodicTcSource::new(sender, PERIOD, 0, config.slot_bytes, payload);
+        sim.add_source(src, Box::new(source));
+    }
+    if be_rate > 0.0 {
+        add_be_background(&mut sim, be_rate);
+    }
+    sim
+}
+
+/// Cut-through leaps the way it steps: a packet that cuts through waits out
+/// its header latency in the output port's `pending_cut`, and `next_event`
+/// must wake the chip at its `start_at` — on both schedulers, on a quiet
+/// mesh (which must leap most cycles) and under best-effort load.
+#[test]
+fn cut_through_leaps_like_it_steps() {
+    for scheduler in [SchedulerKind::ComparatorTree, SchedulerKind::Banded { band_shift: 1 }] {
+        for be_rate in [0.0, 0.05] {
+            let (stepped, leaping) =
+                assert_equivalent(|| cut_through_mesh(scheduler, be_rate), 40_000);
+            let topo = stepped.topology();
+            let cut: u64 = topo.nodes().map(|n| stepped.chip(n).stats().tc_cut_through).sum();
+            assert!(cut > 0, "{scheduler:?} at BE {be_rate}: no packet cut through");
+            if be_rate == 0.0 {
+                assert!(
+                    leaping.ticks_executed() * 2 < stepped.ticks_executed(),
+                    "{scheduler:?}: a quiet cut-through mesh must leap: {} vs {} ticks",
+                    leaping.ticks_executed(),
+                    stepped.ticks_executed()
+                );
+            }
+        }
+    }
 }
 
 /// The baselines' share of the contract: a baseline that answers
