@@ -32,34 +32,18 @@ use rtr_workloads::churn::{churn_schedule, ChurnConfig, ChurnEvent, WindowedSour
 use rtr_workloads::tc::PeriodicTcSource;
 
 /// How the churn driver advances the simulator between control events:
-/// the simulator's two drive axes, {dense, event} × {serial, pool}.
+/// which chips each cycle ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriveMode {
-    /// Dense cycle-by-cycle stepping on the calling thread — the reference.
-    DenseSerial,
-    /// Dense stepping with a 4-way parallel tick.
-    DensePool,
-    /// Event-driven leaping on the calling thread.
-    EventSerial,
-    /// Event-driven leaping with a 4-way parallel tick.
-    EventPool,
+    /// Dense cycle-by-cycle stepping of every chip — the reference.
+    Dense,
+    /// Event-driven leaping that ticks only the chips that can act.
+    Event,
 }
 
 impl DriveMode {
     /// Every drive mode, the reference first.
-    pub const ALL: [DriveMode; 4] = [
-        DriveMode::DenseSerial,
-        DriveMode::DensePool,
-        DriveMode::EventSerial,
-        DriveMode::EventPool,
-    ];
-
-    /// Configures a freshly built simulator for this mode.
-    pub fn configure(self, sim: &mut Simulator<RealTimeRouter>) {
-        if matches!(self, DriveMode::DensePool | DriveMode::EventPool) {
-            sim.set_parallelism(4);
-        }
-    }
+    pub const ALL: [DriveMode; 2] = [DriveMode::Dense, DriveMode::Event];
 
     /// Advances the simulator `cycles` cycles the way this mode does.
     pub fn advance(self, sim: &mut Simulator<RealTimeRouter>, cycles: Cycle) {
@@ -67,8 +51,8 @@ impl DriveMode {
             return;
         }
         match self {
-            DriveMode::DenseSerial | DriveMode::DensePool => sim.run(cycles),
-            DriveMode::EventSerial | DriveMode::EventPool => sim.run_leaping(cycles),
+            DriveMode::Dense => sim.run(cycles),
+            DriveMode::Event => sim.run_leaping(cycles),
         }
     }
 }
@@ -209,14 +193,13 @@ pub fn drive_schedule(
 
 /// Runs the churn scenario under one drive mode.
 ///
-/// All four modes produce byte-identical network state (asserted by
+/// Both modes produce byte-identical network state (asserted by
 /// `tests/churn.rs`); `rtr churn` prints the stepped run.
 #[must_use]
 pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
     let config = RouterConfig::default();
     let topo = Topology::mesh(8, 8);
     let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-    mode.configure(&mut sim);
     let mut engine = SignalingEngine::new(&config);
 
     // Two long-lived bystanders on the mesh's top and bottom rows; their
@@ -340,6 +323,6 @@ mod tests {
             bystander_misses: 0,
             churn_delivered: 4_352,
         };
-        assert_eq!(run_churn(DriveMode::DenseSerial), recorded);
+        assert_eq!(run_churn(DriveMode::Dense), recorded);
     }
 }

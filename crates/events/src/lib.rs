@@ -17,8 +17,7 @@
 //!   registration even if the same wake was filed several times.
 //! * **Determinism.** [`WakeQueue::pop_due`] returns due handles sorted by
 //!   handle index, and every other observable (the minimum wake, the
-//!   stored truth table) is independent of insertion order — so serial and
-//!   worker-thread registration produce identical simulations.
+//!   stored truth table) is independent of insertion order.
 //! * **Full `u64` range.** The wheel has 11 levels of 64 slots
 //!   (6 bits per level, 66 bits total), so wakes anywhere in cycle space —
 //!   including next to [`Cycle::MAX`] — file and fire without overflow;
@@ -27,6 +26,8 @@
 //! Amortised costs: `set_wake`/`clear_wake` are O(1), `pop_due` is O(due +
 //! stale + cascades) with at most [`LEVELS`] cascade hops per entry over
 //! its whole lifetime, and `next_wake` is O(stale scrubbed).
+
+#![forbid(unsafe_code)]
 
 use rtr_types::time::Cycle;
 

@@ -34,17 +34,13 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the worker pool's handoff cell and disjoint
-// chunk views need a small, documented unsafe core (`pool.rs` opts in with
-// a module-level allow); everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod adjacency;
 pub mod fault;
 pub mod link;
 pub(crate) mod metrics;
 pub mod netstats;
-pub(crate) mod pool;
 pub mod sim;
 pub mod source;
 pub mod stats;

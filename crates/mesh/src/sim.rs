@@ -8,9 +8,8 @@
 //! the links, route returned credits back to the upstream transmitter, and
 //! drain deliveries into per-node [`DeliveryLog`]s. The drive calls differ
 //! only in *which* chips the kernel ticks — all of them (dense), or the
-//! ones the calendar-queue event core proves can change state (event) —
-//! and in *who* executes the ticks (the calling thread, or the worker pool
-//! behind [`Simulator::set_parallelism`]); the results are bit-identical.
+//! ones the calendar-queue event core proves can change state (event);
+//! the results are bit-identical.
 //!
 //! The simulation is fully deterministic: node order is fixed, all queues
 //! are FIFO, and sources that need randomness own their seeded generators.
@@ -32,7 +31,6 @@ use crate::adjacency::{LinkTable, LinkUsage};
 use crate::fault::{FaultKind, FaultSchedule, FaultStats};
 use crate::link::LinkLedger;
 use crate::metrics::SimMetrics;
-use crate::pool::{ClaimSlice, WorkerPool};
 use crate::source::TrafficSource;
 use crate::stats::{DeliveryLog, OccupancyHistory};
 use crate::topology::Topology;
@@ -223,17 +221,6 @@ pub struct Simulator<C: Chip> {
     /// Sample chip gauges every N cycles (None = sampling off).
     gauge_every: Option<Cycle>,
     gauge_samples: OccupancyHistory,
-    /// Worker threads chip ticks may run on (1 = serial); see
-    /// [`Simulator::set_parallelism`].
-    workers: usize,
-    /// Threads the host can actually run concurrently (cached
-    /// `std::thread::available_parallelism`); the tick executor clamps
-    /// its dispatch decisions to it.
-    cpu_limit: usize,
-    /// The persistent worker pool behind pool-dispatched ticks, rebuilt
-    /// when [`Simulator::set_parallelism`] changes the count. Dropping the
-    /// simulator shuts the workers down (joined, not leaked).
-    pool: Option<WorkerPool>,
     /// The chips the last cycle ticked (live node indices, ascending): the
     /// only [`ChipIo`]s left to clear, and the next cycle's list buffer.
     tick_list: Vec<u32>,
@@ -370,9 +357,6 @@ impl<C: Chip> Simulator<C> {
             tap: None,
             gauge_every: None,
             gauge_samples: OccupancyHistory::default(),
-            workers: 1,
-            cpu_limit: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            pool: None,
             tick_list: Vec::with_capacity(n),
             ticks_executed: 0,
             unticked: vec![0; n],
@@ -493,41 +477,11 @@ impl<C: Chip> Simulator<C> {
         &self.gauge_samples
     }
 
-    /// Sets how many worker threads every drive call may tick chips on
-    /// (clamped to at least 1; 1 means the calling thread only).
-    ///
-    /// Within a cycle every chip reads and writes only its own state and
-    /// its own [`ChipIo`] bundle — cross-node effects travel exclusively
-    /// through the link phases, which stay on the calling thread — so the
-    /// worker count never changes simulation results (see the
-    /// `parallel_determinism` integration tests).
-    ///
-    /// The pool is (re)built here, not mid-step, so thread spawns never
-    /// land inside a measured stepping loop: `workers > 1` spawns
-    /// `workers - 1` pool threads immediately, `workers = 1` joins and
-    /// drops any existing pool. Each cycle additionally clamps its
-    /// *dispatch* to the host's available CPUs — handing chunks to more
-    /// threads than cores only serialises them through the OS scheduler —
-    /// and to the work at hand, so surplus workers stay parked, and a
-    /// single-core host or a cycle with few chips to tick simply ticks on
-    /// the calling thread.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-        // `workers - 1` pool threads: the calling thread is worker zero.
-        // Replacing the pool drops the old one, which joins its threads.
-        let needed = self.workers - 1;
-        if needed == 0 {
-            self.pool = None;
-        } else if self.pool.as_ref().map(WorkerPool::worker_threads) != Some(needed) {
-            self.pool = Some(WorkerPool::new(needed));
-        }
-    }
-
-    /// The configured worker-thread count.
-    #[must_use]
-    pub fn parallelism(&self) -> usize {
-        self.workers
-    }
+    /// Does nothing: chips always tick on the calling thread. Kept only for
+    /// its one caller, the `mesh.pool.speedup_2w` probe in
+    /// `benchmark/src/probes.rs`; ROADMAP 1(f) deletes it with that probe.
+    #[doc(hidden)]
+    pub fn set_parallelism(&mut self, _workers: usize) {}
 
     /// Operation counters of the calendar-queue event core, or `None` when
     /// the core is stale (no leaping call since the last world mutation).
@@ -1031,12 +985,6 @@ impl<C: Chip> Simulator<C> {
         self.settle_idle();
     }
 
-    /// Same as [`Simulator::step`]: every drive call ticks chips on the
-    /// worker threads [`Simulator::set_parallelism`] configured.
-    pub fn step_parallel(&mut self) {
-        self.step();
-    }
-
     /// One cycle without the idle settle (public drive calls settle once, at
     /// their end). A stale event core stays stale: dense cycles skip wakes.
     fn step_inner(&mut self) {
@@ -1138,16 +1086,8 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Ticks the chips in `list` (live node indices, ascending) for cycle
-    /// `now` and, with `EV`, registers each one's next wake.
-    ///
-    /// The ticks run on the worker pool when the host has spare cores and
-    /// the list is long enough to amortise a handoff, otherwise on the
-    /// calling thread. Pool workers tick one contiguous chunk of nodes
-    /// each (the first chunk runs on the calling thread) and poll
-    /// `next_event` into per-chunk buffers, merged into the wake queue at
-    /// the barrier in chunk order. Both branches therefore register wakes
-    /// in ascending node order, so the choice cannot affect results — or
-    /// the queue's internal state — only wall-clock.
+    /// `now` and, with `EV`, registers each one's next wake, in ascending
+    /// node order.
     fn tick_chips<const EV: bool>(
         &mut self,
         now: Cycle,
@@ -1159,92 +1099,24 @@ impl<C: Chip> Simulator<C> {
             self.dbg_accounted[h as usize] += now + 1 - self.unticked[h as usize];
         }
         self.ticks_executed += list.len() as u64;
-        // Ticks one chip, first reconciling any idle span a sparse cycle or a
-        // leap left pending. With `EV`, returns its next wake: a chip's state
-        // is final for the cycle once it has ticked — the link phases never
-        // touch it — so polling here sees what an end-of-cycle poll would.
-        let tick = |chip: &mut C, io: &mut ChipIo, unticked: &mut Cycle| {
-            if *unticked < now {
-                chip.skip_quiet(*unticked, now);
+        for &h in list {
+            let i = h as usize;
+            let chip = &mut self.chips[i];
+            // First reconcile any idle span a sparse cycle or a leap left
+            // pending.
+            if self.unticked[i] < now {
+                chip.skip_quiet(self.unticked[i], now);
             }
-            chip.tick(now, io);
-            *unticked = now + 1;
+            chip.tick(now, &mut self.ios[i]);
+            self.unticked[i] = now + 1;
+            // A chip's state is final for the cycle once it has ticked — the
+            // link phases never touch it — so polling here sees what an
+            // end-of-cycle poll would.
             if EV {
-                chip.next_event(now)
-            } else {
-                None
-            }
-        };
-        // The configured parallelism clamped to the host's CPUs: a wall-clock
-        // decision only, both branches produce bit-identical results.
-        let effective = self.workers.min(self.cpu_limit);
-        if effective <= 1 || list.len() <= effective * 8 {
-            for &h in list {
-                let i = h as usize;
-                let wake = tick(&mut self.chips[i], &mut self.ios[i], &mut self.unticked[i]);
-                if EV {
-                    self.events.file_wake(h, wake, now);
-                }
-            }
-            return self.metrics.profiler.lap(Phase::SerialTick, t);
-        }
-
-        // One pool work item: chunk base node, the chunk's chip / io /
-        // unticked slices, its slice of the tick list, and the wake buffer
-        // the worker fills for the in-order merge at the barrier.
-        type Chunk<'s, C> =
-            (usize, &'s mut [C], &'s mut [ChipIo], &'s mut [Cycle], &'s [u32], Vec<Option<Cycle>>);
-        let n = self.chips.len();
-        let chunk = n.div_ceil(self.workers);
-        let pool = self.pool.as_ref().expect("set_parallelism builds the pool");
-        let mut rest = list;
-        let mut items: Vec<Chunk<'_, C>> = self
-            .chips
-            .chunks_mut(chunk)
-            .zip(self.ios.chunks_mut(chunk))
-            .zip(self.unticked.chunks_mut(chunk))
-            .enumerate()
-            .map(|(ci, ((chips, ios), unticked))| {
-                let (sub, tail) =
-                    rest.split_at(rest.partition_point(|&h| (h as usize) < (ci + 1) * chunk));
-                rest = tail;
-                let wakes = Vec::with_capacity(if EV { sub.len() } else { 0 });
-                (ci * chunk, chips, ios, unticked, sub, wakes)
-            })
-            .collect();
-        let claims = ClaimSlice::new(&mut items);
-        let run_chunk = |(base, chips, ios, unticked, sub, wakes): &mut Chunk<'_, C>| {
-            for &h in sub.iter() {
-                let i = h as usize - *base;
-                let wake = tick(&mut chips[i], &mut ios[i], &mut unticked[i]);
-                if EV {
-                    wakes.push(wake);
-                }
-            }
-        };
-        let job = |w: usize| {
-            if let Some(item) = claims.claim(w + 1) {
-                run_chunk(item);
-            }
-        };
-        let active = pool.dispatch(&job);
-        let t = self.metrics.profiler.lap(Phase::PoolHandoff, t);
-        if let Some(item) = claims.claim(0) {
-            run_chunk(item);
-        }
-        let t = self.metrics.profiler.lap(Phase::PoolLocalTick, t);
-        active.wait();
-        let t = self.metrics.profiler.lap(Phase::PoolWait, t);
-        drop(claims);
-        if !EV {
-            return t;
-        }
-        for (_, _, _, _, sub, wakes) in items {
-            for (&h, wake) in sub.iter().zip(wakes) {
-                self.events.file_wake(h, wake, now);
+                self.events.file_wake(h, chip.next_event(now), now);
             }
         }
-        self.metrics.profiler.lap(Phase::Repoll, t)
+        self.metrics.profiler.lap(Phase::SerialTick, t)
     }
 
     /// Flushes every chip's outstanding lazy idle span. Sparse event-core
@@ -1556,8 +1428,10 @@ impl<C: Chip> Simulator<C> {
         self.run_until(cycles, |_| false);
     }
 
-    /// Same as [`Simulator::run`]: every drive call ticks chips on the
-    /// worker threads [`Simulator::set_parallelism`] configured.
+    /// Same as [`Simulator::run`]. Kept only for its one caller, the
+    /// `mesh.pool.speedup_2w` probe in `benchmark/src/probes.rs`; ROADMAP
+    /// 1(f) deletes it with that probe.
+    #[doc(hidden)]
     pub fn run_parallel(&mut self, cycles: Cycle) {
         self.run(cycles);
     }
@@ -1991,21 +1865,6 @@ mod tests {
         // A zero period would divide by zero on every cycle's
         // `is_multiple_of` check; the knob must refuse it up front.
         two_node_sim().enable_gauge_sampling(0);
-    }
-
-    #[test]
-    fn parallel_step_with_one_worker_is_a_serial_step() {
-        let mut serial = two_node_sim();
-        let mut parallel = two_node_sim();
-        parallel.set_parallelism(4);
-        assert_eq!(parallel.parallelism(), 4);
-        let dst = serial.topology().node_at(1, 0);
-        for sim in [&mut serial, &mut parallel] {
-            sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![7; 12], PacketTrace::default()));
-        }
-        serial.run(500);
-        parallel.run_parallel(500);
-        assert_eq!(serial.log(dst).be, parallel.log(dst).be);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! so export surfaces and parsers never need feature gates; a disabled
 //! registry simply snapshots to an empty set.
 
+#![forbid(unsafe_code)]
+
 pub mod flight;
 pub mod profile;
 pub mod registry;

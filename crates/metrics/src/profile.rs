@@ -15,19 +15,11 @@
 /// gates. Variants map to the phases named in the bench reports:
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Serial pre-tick work: source injection, link delivery into `rx`.
+    /// Pre-tick work: source injection, link delivery into `rx`.
     LinkPre,
-    /// The serial chip-tick loop.
+    /// The chip-tick loop, including each ticked chip's wake registration.
     SerialTick,
-    /// Parallel stepping: publishing the cycle's job to the persistent
-    /// worker pool (epoch bump + unparks).
-    PoolHandoff,
-    /// Parallel stepping: the calling thread's own chunk of chip ticks.
-    PoolLocalTick,
-    /// Parallel stepping: waiting for the pool workers to drain their
-    /// chunks (the per-cycle barrier).
-    PoolWait,
-    /// Serial post-tick work: collecting `tx`, credits, delivery drain.
+    /// Post-tick work: collecting `tx`, credits, delivery drain.
     LinkPost,
     /// Calendar-queue pop (including wheel cascades) and due-list marking.
     WheelPop,
@@ -41,12 +33,9 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 7] = [
         Phase::LinkPre,
         Phase::SerialTick,
-        Phase::PoolHandoff,
-        Phase::PoolLocalTick,
-        Phase::PoolWait,
         Phase::LinkPost,
         Phase::WheelPop,
         Phase::Repoll,
@@ -60,9 +49,6 @@ impl Phase {
         match self {
             Phase::LinkPre => "link_pre",
             Phase::SerialTick => "serial_tick",
-            Phase::PoolHandoff => "pool_handoff",
-            Phase::PoolLocalTick => "pool_local_tick",
-            Phase::PoolWait => "pool_wait",
             Phase::LinkPost => "link_post",
             Phase::WheelPop => "wheel_pop",
             Phase::Repoll => "repoll",

@@ -140,10 +140,10 @@ impl WakeStats {
 /// arrivals. The chip reads those, updates internal state, fills
 /// `io.tx`/`io.credit_out`, drains injection queues, and appends deliveries.
 ///
-/// Chips are `Send`: within a cycle each chip touches only its own state
-/// and its own [`ChipIo`], so the simulator may tick disjoint chips on
-/// worker threads.
-pub trait Chip: Send {
+/// Within a cycle each chip touches only its own state and its own
+/// [`ChipIo`]; cross-node effects travel only through the simulator's link
+/// phases, so the order in which chips tick cannot change results.
+pub trait Chip {
     /// Advances the chip by one cycle.
     fn tick(&mut self, now: Cycle, io: &mut ChipIo);
 

@@ -568,9 +568,7 @@ pub trait TraceSink: std::fmt::Debug {
 }
 
 /// A sink shareable between the routers of a mesh. `Arc<Mutex<…>>` so
-/// routers stay `Send` and the simulator may tick chips on worker threads;
-/// with tracing enabled the sink lock serialises emission, so parallel runs
-/// should normally trace to per-node sinks or run serially.
+/// routers that hold one stay `Send`.
 pub type SharedTraceSink = Arc<Mutex<dyn TraceSink + Send>>;
 
 /// Wraps a concrete sink for sharing across routers.

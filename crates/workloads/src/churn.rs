@@ -11,7 +11,7 @@
 //! driver can pre-register sources for connections that do not exist yet.
 //!
 //! The schedule is generated up front from the seed alone (no simulation
-//! feedback), which is what makes four drive modes byte-identical: every
+//! feedback), which is what makes both drive modes byte-identical: every
 //! mode sees the same establishment requests at the same cycles.
 
 use rand::rngs::StdRng;

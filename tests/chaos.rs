@@ -1,11 +1,11 @@
-//! Chaos: the scripted fault plane is deterministic across every drive
-//! mode, and conservation still balances with loss columns included.
+//! Chaos: the scripted fault plane is deterministic across both drive
+//! modes, and conservation still balances with loss columns included.
 //!
 //! A seeded [`FaultSchedule`] is part of the simulation's initial state,
 //! so a mid-run link kill, a flaky regime, or a node crash must produce
 //! byte-identical outcomes whether the mesh is stepped densely or leapt
-//! over the event queue, on the calling thread or on the worker pool —
-//! and the leaper must never leap *across* a fault epoch (the clamp is load-bearing: a fault applied late would tick
+//! over the event queue — and the leaper must never leap *across* a fault
+//! epoch (the clamp is load-bearing: a fault applied late would tick
 //! routers against a stale topology).
 
 use realtime_router::channels::establish::{EstablishedChannel, Hop};
@@ -141,44 +141,28 @@ fn fingerprint(sim: &Simulator<RealTimeRouter>) -> String {
 }
 
 #[test]
-fn all_four_drive_modes_agree_under_chaos() {
+fn dense_and_event_agree_under_chaos() {
     let mut stepped = build_chaos_mesh();
     stepped.run(SPAN);
     stepped.check_conservation().unwrap();
-    let reference = fingerprint(&stepped);
-    let reference_report =
-        format!("{:?}", NetworkReport::capture(&stepped, RouterConfig::default().slot_bytes));
 
-    let mut serial = build_chaos_mesh();
-    serial.run_leaping(SPAN);
-    serial.check_conservation().unwrap();
-    assert_eq!(reference, fingerprint(&serial), "serial leaping diverged");
+    let mut leaping = build_chaos_mesh();
+    leaping.run_leaping(SPAN);
+    leaping.check_conservation().unwrap();
+    assert_eq!(fingerprint(&stepped), fingerprint(&leaping), "leaping diverged");
     assert!(
-        serial.ticks_executed() * 2 < stepped.ticks_executed(),
+        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
         "the sparse chaos scenario must still leap: {} vs {} ticks",
-        serial.ticks_executed(),
+        leaping.ticks_executed(),
         stepped.ticks_executed()
     );
 
-    let mut parallel = build_chaos_mesh();
-    parallel.set_parallelism(4);
-    parallel.run_leaping(SPAN);
-    parallel.check_conservation().unwrap();
-    assert_eq!(reference, fingerprint(&parallel), "parallel leaping diverged");
-
-    let mut dense_pool = build_chaos_mesh();
-    dense_pool.set_parallelism(4);
-    dense_pool.run(SPAN);
-    dense_pool.check_conservation().unwrap();
-    assert_eq!(reference, fingerprint(&dense_pool), "dense pool stepping diverged");
-
     // Full network reports agree too (the report holds per-router stats
     // and link usage, not drive-mode internals like tick counts).
-    for sim in [&serial, &parallel, &dense_pool] {
-        let report =
-            format!("{:?}", NetworkReport::capture(sim, RouterConfig::default().slot_bytes));
-        assert_eq!(reference_report, report, "network reports diverged");
-    }
+    let report = |sim: &Simulator<RealTimeRouter>| {
+        format!("{:?}", NetworkReport::capture(sim, RouterConfig::default().slot_bytes))
+    };
+    assert_eq!(report(&stepped), report(&leaping), "network reports diverged");
 
     // The chaos really happened: the outage blackholed symbols, the flaky
     // regime corrupted some, the crash aged arrivals into drops.
@@ -244,7 +228,7 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
     // A node crash stops the chip dead: arrivals age past their delivery
     // cycle and are dropped-and-counted, credits deliver late, and the
     // restore aborts half-received packets (refunding their flit-buffer
-    // credits). The conservation check must balance in all modes, with
+    // credits). The conservation check must balance in both modes, with
     // the losses showing up in the fault columns rather than vanishing.
     let build = || {
         let config = RouterConfig::default();
@@ -266,14 +250,10 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
     stepped.check_conservation().unwrap();
     let reference = fingerprint(&stepped);
 
-    // {dense, event} × {serial, pool}, minus the dense serial reference.
-    for mode in &DriveMode::ALL[1..] {
-        let mut sim = build();
-        mode.configure(&mut sim);
-        mode.advance(&mut sim, span);
-        sim.check_conservation().unwrap();
-        assert_eq!(reference, fingerprint(&sim), "{mode:?} diverged under crash/restore");
-    }
+    let mut leaping = build();
+    leaping.run_leaping(span);
+    leaping.check_conservation().unwrap();
+    assert_eq!(reference, fingerprint(&leaping), "leaping diverged under crash/restore");
 
     let stats = stepped.fault_stats();
     assert_eq!(stats.node_crash_events, 1);
@@ -307,7 +287,6 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
             RealTimeRouter::new(config.clone())
         })
         .unwrap();
-        mode.configure(&mut sim);
         // One packet every 1 280 cycles: the restore lands mid-slumber.
         add_channel(&mut sim, 0, 0, 64);
         sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![0xBE; 120], PacketTrace::default()));
@@ -326,7 +305,7 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
         sim.check_conservation().unwrap();
         (parked, dropped, fingerprint(&sim), sim.fault_stats())
     };
-    let (parked, dropped, reference, stats) = run(DriveMode::DenseSerial);
+    let (parked, dropped, reference, stats) = run(DriveMode::Dense);
     assert_eq!(parked.late_arrivals_dropped, 0, "nothing drains a dark node's wire");
     assert!(
         dropped.late_arrivals_dropped > 8,
@@ -334,15 +313,13 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
     );
     assert_eq!(stats.late_arrivals_dropped, dropped.late_arrivals_dropped, "and nothing later");
     assert!(stats.credits_lost > 0, "the refunds went down a dead reverse wire: {stats:?}");
-    for mode in &DriveMode::ALL[1..] {
-        assert_eq!((parked, dropped, reference.clone(), stats), run(*mode), "{mode:?} diverged");
-    }
+    assert_eq!((parked, dropped, reference, stats), run(DriveMode::Event), "leaping diverged");
 }
 
 /// Faults and control-plane table writes are entries of one agenda: a
 /// crash/restore pair and two scheduled table writes — the second write
 /// on the restore's own cycle, deep inside a quiet span — must land at
-/// their exact cycles in every drive mode, faults before writes.
+/// their exact cycles in both drive modes, faults before writes.
 #[test]
 fn faults_and_table_writes_share_one_agenda() {
     const RESTORE: u64 = 7_000;
@@ -383,11 +360,10 @@ fn faults_and_table_writes_share_one_agenda() {
         );
         sim
     };
-    // Dense stepping first (the reference), then serial and pool leaping.
+    // Dense stepping first (the reference), then leaping.
     let mut reference: Option<(String, u64)> = None;
-    for mode in [DriveMode::DenseSerial, DriveMode::EventSerial, DriveMode::EventPool] {
+    for mode in DriveMode::ALL {
         let mut sim = build();
-        mode.configure(&mut sim);
         #[cfg(feature = "metrics")]
         let dump = std::env::temp_dir()
             .join(format!("rtr_chaos_agenda_{mode:?}_{}.jsonl", std::process::id()));
@@ -435,7 +411,7 @@ fn faults_and_table_writes_share_one_agenda() {
 /// cycles must still fire on the cycles it always has — the restore cycle
 /// if slot-aligned, else the next slot boundary, then once per slot until
 /// it has caught up — and a source registered mid-run must be polled on the
-/// very cycle it was added, in every drive mode.
+/// very cycle it was added, in both drive modes.
 #[test]
 fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
     use realtime_router::mesh::source::FnSource;
@@ -450,7 +426,6 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
         let mut sim =
             Simulator::build(Topology::mesh(2, 2), |_| RealTimeRouter::new(config.clone()))
                 .unwrap();
-        mode.configure(&mut sim);
         // One message every 8 slots (160 cycles) from (0, 0), which crashes.
         add_channel(&mut sim, 0, 0, 8);
         sim.set_fault_schedule(
@@ -478,7 +453,7 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
         let polls = polls.borrow().clone();
         (fired(0), fired(1), polls, fingerprint(&sim))
     };
-    let (row0, row1, polls, reference) = run(DriveMode::DenseSerial);
+    let (row0, row1, polls, reference) = run(DriveMode::Dense);
     // Row 0: on period until the crash; dark across the fire cycles 1 120 …
     // 1 920; from the first slot boundary after the restore one message per
     // slot until message k is no longer overdue (k · 160 > now); on period
@@ -498,11 +473,9 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
     };
     assert_eq!(polled(0), (0..CRASH).chain(RESTORE..END).collect::<Vec<_>>());
     assert_eq!(polled(3), (ADDED..END).collect::<Vec<_>>());
-    for mode in &DriveMode::ALL[1..] {
-        let (r0, r1, p, outcome) = run(*mode);
-        assert_eq!((&r0, &r1, &p), (&row0, &row1, &polls), "{mode:?} polled differently");
-        assert_eq!(outcome, reference, "{mode:?} diverged");
-    }
+    let (r0, r1, p, outcome) = run(DriveMode::Event);
+    assert_eq!((&r0, &r1, &p), (&row0, &row1, &polls), "leaping polled differently");
+    assert_eq!(outcome, reference, "leaping diverged");
 }
 
 /// A busy chip answers "next cycle" and is carried onto that cycle's dirty
@@ -523,7 +496,6 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
         let mut sim =
             Simulator::build(Topology::mesh(2, 1), |_| RealTimeRouter::new(config.clone()))
                 .unwrap();
-        mode.configure(&mut sim);
         let conn = ConnectionId(30);
         sim.chip_mut(NodeId(0))
             .apply_control(ControlCommand::SetConnection {
@@ -559,18 +531,16 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
         sim.check_conservation().unwrap();
         (spans, fingerprint(&sim))
     };
-    let (_, reference) = run(DriveMode::DenseSerial, true);
-    for mode in [DriveMode::EventSerial, DriveMode::EventPool] {
-        // Undisturbed, the chip ticks on the cycle before CRASH, files
-        // nothing, and ticks on CRASH: it was carried there.
-        let (spans, _) = run(mode, false);
-        assert_eq!(spans[1..3], [(1, 0), (1, 0)], "{mode:?}: not mid-injection at {CRASH}");
-        let ([_, before, crash, dark, restore, tail], outcome) = run(mode, true);
-        assert_eq!(before, (1, 0), "{mode:?}: the chip ticked and was carried into its crash");
-        assert_eq!(crash, (0, 0), "{mode:?}: a chip crashed on the cycle it was carried to ticked");
-        assert_eq!(dark, (0, 0), "{mode:?}: nothing stirs while the only busy chip is dark");
-        assert_eq!(restore.0, 1, "{mode:?}: the restore marks the chip");
-        assert!(tail.0 < 100, "{mode:?}: the tail must be leapt, not stepped: {} ticks", tail.0);
-        assert_eq!(outcome, reference, "{mode:?} diverged from dense stepping");
-    }
+    let (_, reference) = run(DriveMode::Dense, true);
+    // Undisturbed, the chip ticks on the cycle before CRASH, files nothing,
+    // and ticks on CRASH: it was carried there.
+    let (spans, _) = run(DriveMode::Event, false);
+    assert_eq!(spans[1..3], [(1, 0), (1, 0)], "not mid-injection at {CRASH}");
+    let ([_, before, crash, dark, restore, tail], outcome) = run(DriveMode::Event, true);
+    assert_eq!(before, (1, 0), "the chip ticked and was carried into its crash");
+    assert_eq!(crash, (0, 0), "a chip crashed on the cycle it was carried to ticked");
+    assert_eq!(dark, (0, 0), "nothing stirs while the only busy chip is dark");
+    assert_eq!(restore.0, 1, "the restore marks the chip");
+    assert!(tail.0 < 100, "the tail must be leapt, not stepped: {} ticks", tail.0);
+    assert_eq!(outcome, reference, "leaping diverged from dense stepping");
 }

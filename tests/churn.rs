@@ -1,5 +1,5 @@
-//! Churn: the live control plane is deterministic across every drive
-//! mode, recycled connection ids never collide with their past lives,
+//! Churn: the live control plane is deterministic across both drive
+//! modes, recycled connection ids never collide with their past lives,
 //! and teardown losses are ledgered rather than leaked.
 //!
 //! Establish/teardown requests land through
@@ -7,9 +7,9 @@
 //! while the mesh runs: admission consults the live reservation books and
 //! accepted channels' table writes are timed control ops, so a mid-run
 //! establishment must produce byte-identical outcomes whether the mesh is
-//! stepped densely or leapt over the event queue, on the calling thread or
-//! on the worker pool — and the leaper must never leap *across* a pending
-//! table write (a late write would tick routers against stale tables).
+//! stepped densely or leapt over the event queue — and the leaper must never
+//! leap *across* a pending table write (a late write would tick routers
+//! against stale tables).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,8 +26,7 @@ use realtime_router::types::time::{cycle_to_slot, slot_to_cycle, Cycle};
 use realtime_router::workloads::churn::{churn_schedule, ChurnConfig, WindowedSource};
 use realtime_router::workloads::tc::PeriodicTcSource;
 
-/// The drive modes, {dense, event} × {serial, pool}; dense serial stepping
-/// is the reference the other three are held to.
+/// The drive modes; dense stepping is the reference leaping is held to.
 use rtr_bench::churn::DriveMode as Mode;
 
 /// Everything observable about a finished run: per-node delivery logs,
@@ -62,7 +61,6 @@ fn run_interleaving(seed: u64, arrivals: usize, mode: Mode) -> (String, u64) {
     let config = RouterConfig::default();
     let topo = Topology::mesh(8, 8);
     let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-    mode.configure(&mut sim);
     let mut engine = SignalingEngine::new(&config);
 
     // A long-lived bystander keeps the mesh loaded: its reservations sit
@@ -173,33 +171,28 @@ fn run_interleaving(seed: u64, arrivals: usize, mode: Mode) -> (String, u64) {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 3, // each case replays a full churn run in all four drive modes
+        cases: 3, // each case replays a full churn run in both drive modes
         ..ProptestConfig::default()
     })]
 
     /// Random establish/teardown interleavings on a loaded mesh produce
     /// byte-identical delivery logs, control counters, and link ledgers
-    /// in every drive mode.
+    /// in both drive modes.
     #[test]
     fn random_churn_interleavings_are_drive_mode_invariant(
         seed in any::<u64>(),
         arrivals in 6usize..12,
     ) {
-        let (reference, _) = run_interleaving(seed, arrivals, Mode::DenseSerial);
-        for &mode in &Mode::ALL[1..] {
-            let (fp, _) = run_interleaving(seed, arrivals, mode);
-            prop_assert_eq!(&reference, &fp, "{:?} diverged for seed {:#x}", mode, seed);
-        }
+        let (reference, _) = run_interleaving(seed, arrivals, Mode::Dense);
+        let (fp, _) = run_interleaving(seed, arrivals, Mode::Event);
+        prop_assert_eq!(&reference, &fp, "leaping diverged for seed {:#x}", seed);
     }
 }
 
 #[test]
 fn the_bench_churn_scenario_agrees_in_every_drive_mode() {
     use rtr_bench::churn::run_churn;
-    let reference = format!("{:?}", run_churn(Mode::DenseSerial));
-    for &mode in &Mode::ALL[1..] {
-        assert_eq!(reference, format!("{:?}", run_churn(mode)), "{mode:?} diverged");
-    }
+    assert_eq!(run_churn(Mode::Dense), run_churn(Mode::Event), "leaping diverged");
 }
 
 #[test]
@@ -211,11 +204,10 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
     // every write epoch (the debug assert in `leap_to` aborts the test
     // otherwise) and still leap the spans between them.
     let config = RouterConfig::default();
-    let build = |mode: Mode| {
+    let build = || {
         let topo = Topology::mesh(4, 1);
         let mut sim =
             Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-        mode.configure(&mut sim);
         let mut engine = SignalingEngine::with_write_cost(&config, 1_500);
         let request = ChannelRequest::unicast(
             topo.node_at(0, 0),
@@ -244,7 +236,7 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
     };
     let span = 40_000;
 
-    let (mut stepped, engine, _) = build(Mode::DenseSerial);
+    let (mut stepped, engine, _) = build();
     stepped.run(span);
     stepped.check_conservation().unwrap();
     let reference = fingerprint(&stepped, &engine);
@@ -257,20 +249,18 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
         stepped.control_rejections()
     );
 
-    for mode in [Mode::EventSerial, Mode::EventPool] {
-        let (mut sim, engine, topo) = build(mode);
-        sim.run_leaping(span);
-        sim.check_conservation().unwrap();
-        assert_eq!(reference, fingerprint(&sim, &engine), "{mode:?} diverged");
-        assert!(
-            sim.ticks_executed() * 2 < stepped.ticks_executed(),
-            "{mode:?} must still leap the quiet spans between writes: {} vs {} ticks",
-            sim.ticks_executed(),
-            stepped.ticks_executed()
-        );
-        // The channel went live: the writes were applied, not skipped.
-        assert!(!sim.log(topo.node_at(1, 0)).tc.is_empty(), "{mode:?} delivered nothing");
-    }
+    let (mut leaping, engine, topo) = build();
+    leaping.run_leaping(span);
+    leaping.check_conservation().unwrap();
+    assert_eq!(reference, fingerprint(&leaping, &engine), "leaping diverged");
+    assert!(
+        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
+        "leaping must still leap the quiet spans between writes: {} vs {} ticks",
+        leaping.ticks_executed(),
+        stepped.ticks_executed()
+    );
+    // The channel went live: the writes were applied, not skipped.
+    assert!(!leaping.log(topo.node_at(1, 0)).tc.is_empty(), "leaping delivered nothing");
 }
 
 #[test]

@@ -1,20 +1,18 @@
 //! Integration: the calendar-queue event core is bit-identical to stepping.
 //!
-//! The simulator has one step kernel with two real axes: *which* chips a
+//! The simulator has one step kernel and one drive axis: *which* chips a
 //! cycle ticks (dense: all of them; event: the ones the registered-wake
-//! calendar queue proves can change, leaping across quiet spans) and *who*
-//! executes the ticks (the calling thread, or the worker pool — workers
-//! drain wake re-polls into per-chunk buffers merged at the barrier). This
-//! suite proves all four combinations bit-identical, with dense serial
-//! stepping as the reference. Every scenario diffs delivery logs
-//! byte-for-byte and the full `Debug` rendering of [`NetworkReport`]. The
-//! mid-leap predicate test locks [`Simulator::run_until_leaping`] to
-//! stepped `run_until` semantics. The conservation test closes the
-//! per-node packet ledger under all four drive modes, and the warm-queue
-//! test pins the contract that plain `step` drives a primed event queue
-//! instead of staling it. The wake-queue unit tests (stale-wake invalidation,
-//! same-cycle re-registration, wheel rollover) exercise the public
-//! `events` API directly.
+//! calendar queue proves can change, leaping across quiet spans). This
+//! suite proves the two bit-identical, with dense stepping as the
+//! reference. Every scenario diffs delivery logs byte-for-byte and the
+//! full `Debug` rendering of [`NetworkReport`]. The mid-leap predicate
+//! test locks [`Simulator::run_until_leaping`] to stepped `run_until`
+//! semantics. The conservation test closes the per-node packet ledger
+//! under both drive modes, and the warm-queue test pins the contract that
+//! plain `step` drives a primed event queue instead of staling it. The
+//! wake-queue unit tests (stale-wake invalidation, same-cycle
+//! re-registration, wheel rollover) exercise the public `events` API
+//! directly.
 
 use realtime_router::channels::establish::{EstablishedChannel, Hop};
 use realtime_router::channels::sender::ChannelSender;
@@ -167,41 +165,35 @@ fn fingerprint(sim: &Simulator<RealTimeRouter>) -> String {
     out
 }
 
-/// Builds the scenario and drives it `cycles` cycles in one of the drive
-/// modes, {dense, event} × {serial, 4-worker pool}.
+/// Builds the scenario and drives it `cycles` cycles in one drive mode.
 fn drive(
     build: &mut impl FnMut() -> Simulator<RealTimeRouter>,
     mode: DriveMode,
     cycles: u64,
 ) -> Simulator<RealTimeRouter> {
     let mut sim = build();
-    mode.configure(&mut sim);
     mode.advance(&mut sim, cycles);
     sim
 }
 
-/// Runs one scenario in every drive mode and asserts byte-identical
-/// observables against dense serial stepping. Returns `(dense serial,
-/// event serial)` for follow-up assertions.
-fn assert_all_modes_agree(
+/// Runs one scenario densely and event-driven and asserts byte-identical
+/// observables. Returns `(dense, event)` for follow-up assertions.
+fn assert_modes_agree(
     mut build: impl FnMut() -> Simulator<RealTimeRouter>,
     cycles: u64,
 ) -> (Simulator<RealTimeRouter>, Simulator<RealTimeRouter>) {
-    let [stepped, dense_pool, serial, event_pool] =
-        DriveMode::ALL.map(|mode| drive(&mut build, mode, cycles));
-    let f_stepped = fingerprint(&stepped);
-    for (sim, mode) in [&dense_pool, &serial, &event_pool].into_iter().zip(&DriveMode::ALL[1..]) {
-        assert_eq!(stepped.now(), sim.now(), "{mode:?} covered a different span");
-        assert_eq!(f_stepped, fingerprint(sim), "dense serial vs {mode:?}");
-    }
-    (stepped, serial)
+    let stepped = drive(&mut build, DriveMode::Dense, cycles);
+    let leaping = drive(&mut build, DriveMode::Event, cycles);
+    assert_eq!(stepped.now(), leaping.now(), "event mode covered a different span");
+    assert_eq!(fingerprint(&stepped), fingerprint(&leaping), "dense vs event");
+    (stepped, leaping)
 }
 
 /// Sparse load: long-period channels, no best-effort traffic. The event
-/// queue must leap most cycles and stay byte-identical in every mode.
+/// queue must leap most cycles and stay byte-identical to stepping.
 #[test]
 fn event_core_equivalence_sparse_load() {
-    let (stepped, leaping) = assert_all_modes_agree(|| build_mesh(64, 0.0), 20_000);
+    let (stepped, leaping) = assert_modes_agree(|| build_mesh(64, 0.0), 20_000);
     let tc_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).tc.len()).sum();
     assert!(tc_total >= 40, "sparse TC load too light to trust: {tc_total}");
     assert!(
@@ -221,7 +213,7 @@ fn event_core_equivalence_sparse_load() {
 /// byte-identical.
 #[test]
 fn event_core_equivalence_mixed_load() {
-    let (stepped, leaping) = assert_all_modes_agree(|| build_mesh(8, 0.05), 4_000);
+    let (stepped, leaping) = assert_modes_agree(|| build_mesh(8, 0.05), 4_000);
     let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
     assert!(be_total > 500, "mixed BE load too light to trust: {be_total}");
     assert!(
@@ -237,7 +229,7 @@ fn event_core_equivalence_mixed_load() {
 /// heavy contention and credit stalls with the event core armed throughout.
 #[test]
 fn event_core_equivalence_saturating_load() {
-    let (stepped, _) = assert_all_modes_agree(|| build_mesh(8, 0.35), 3_000);
+    let (stepped, _) = assert_modes_agree(|| build_mesh(8, 0.35), 3_000);
     let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
     assert!(be_total > 1_000, "saturating BE load too light to trust: {be_total}");
 }
@@ -247,18 +239,18 @@ fn event_core_equivalence_saturating_load() {
 /// list and never filed — the three scenarios above. Three cycles of wire put
 /// a fresh arrival beyond the next cycle, so the same wake is filed in the
 /// wheel (and fires from it, unless a later poll of the link finds the
-/// arrival one cycle off and carries it the rest of the way). All four drive
+/// arrival one cycle off and carries it the rest of the way). Both drive
 /// modes agree on the latent wire too, and the wheel's own counter shows the
 /// two wires really took different ways.
 #[test]
 fn event_core_equivalence_on_a_latent_wire() {
-    let (stepped, leaping) = assert_all_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
+    let (stepped, leaping) = assert_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
     let tc: usize = stepped.topology().nodes().map(|n| stepped.log(n).tc.len()).sum();
     let be: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
     assert!(tc >= 40 && be > 300, "latent-wire load too light to trust: {tc} / {be}");
     assert!(leaping.ticks_executed() < stepped.ticks_executed());
     let filed = |sim: &Simulator<RealTimeRouter>| sim.event_core_stats().expect("warm core").filed;
-    let direct = drive(&mut || build_mesh(8, 0.05), DriveMode::EventSerial, 3_000);
+    let direct = drive(&mut || build_mesh(8, 0.05), DriveMode::Event, 3_000);
     assert!(
         filed(&leaping) > 4 * filed(&direct),
         "a latent wire's wakes go through the wheel, a direct wire's do not: {} vs {}",
@@ -305,8 +297,8 @@ fn run_until_budget_exhaustion_matches_stepped() {
 }
 
 /// The per-node conservation ledger (arrived = buffered + delivered +
-/// dropped + forwarded, memory occupancy consistent) must close under every
-/// drive mode: dense or event-driven, on the calling thread or the pool.
+/// dropped + forwarded, memory occupancy consistent) must close under both
+/// drive modes.
 #[test]
 fn conservation_holds_across_all_drive_modes() {
     for mode in DriveMode::ALL {
@@ -382,7 +374,7 @@ impl TrafficSource for Burst {
 fn injection_on_a_warm_core_is_seen() {
     let conn = ConnectionId(40);
     let drive = |mode: DriveMode| {
-        let leaping = mode == DriveMode::EventSerial;
+        let leaping = mode == DriveMode::Event;
         let mut sim = build_mesh(64, 0.0);
         let topo = sim.topology().clone();
         // A routed one-hop connection without a source of its own, on a row
@@ -436,7 +428,7 @@ fn injection_on_a_warm_core_is_seen() {
         assert_eq!(sim.log(topo.node_at(4, 1)).be.len(), 3, "the dense-queued burst arrived");
         sim
     };
-    let (stepped, leaping) = (drive(DriveMode::DenseSerial), drive(DriveMode::EventSerial));
+    let (stepped, leaping) = (drive(DriveMode::Dense), drive(DriveMode::Event));
     assert_eq!(fingerprint(&stepped), fingerprint(&leaping));
     assert!(
         leaping.ticks_executed() * 2 < stepped.ticks_executed(),

@@ -244,10 +244,8 @@ fn flight_guard_dumps_on_panic() {
 }
 
 /// Wall-clock attribution must land in the phases a drive mode actually
-/// runs: stepped time in the serial tick loop, leaping runs in planning,
-/// and parallel runs in the pool laps — or, when the dispatch clamp keeps
-/// a cycle inline (core-starved host, too few due chips), back in the
-/// serial tick lap. Either way the time is attributed, never lost.
+/// runs: stepped time in the tick loop, leaping runs in planning as well as
+/// in the tick loop for the cycles they step.
 #[test]
 fn profiler_attributes_time_to_live_phases() {
     let mut stepped = build_mesh(8, 0.05);
@@ -257,33 +255,18 @@ fn profiler_attributes_time_to_live_phases() {
     let line = |p: Phase| report.iter().find(|l| l.phase == p).copied().unwrap();
     assert_eq!(line(Phase::SerialTick).calls, 1_000);
     assert!(line(Phase::SerialTick).ns > 0);
-    assert_eq!(line(Phase::PoolWait).calls, 0, "a serial run never waits on the pool");
     let (dominant, share) = stepped.phase_profiler().dominant().unwrap();
     assert!(share > 0.0 && share <= 1.0, "dominant {dominant:?} share {share}");
 
-    let mut parallel = build_mesh(8, 0.05);
-    parallel.set_parallelism(4);
-    parallel.phase_profiler().set_enabled(true);
-    parallel.run_leaping(1_000);
-    let report = parallel.phase_profiler().report();
+    let mut leaping = build_mesh(8, 0.05);
+    leaping.phase_profiler().set_enabled(true);
+    leaping.run_leaping(1_000);
+    let report = leaping.phase_profiler().report();
     let line = |p: Phase| report.iter().find(|l| l.phase == p).copied().unwrap();
     assert!(line(Phase::LeapPlan).calls > 0, "leaping run must plan leaps");
-    let ticked = line(Phase::SerialTick).calls + line(Phase::PoolLocalTick).calls;
-    assert!(ticked > 0, "stepped cycles must attribute their chip ticks somewhere");
-    assert_eq!(
-        line(Phase::PoolHandoff).calls,
-        line(Phase::PoolWait).calls,
-        "every pool hand-off is matched by exactly one wait"
-    );
-    if std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) == 1 {
-        assert_eq!(
-            line(Phase::PoolHandoff).calls,
-            0,
-            "a single-core host must clamp every cycle to the inline path"
-        );
-    }
+    assert!(line(Phase::SerialTick).calls > 0, "stepped cycles must attribute their chip ticks");
 
     // The profile also exports through the registry as profile.* counters.
-    let snap = parallel.metrics_snapshot();
+    let snap = leaping.metrics_snapshot();
     assert!(snap.counter("profile.leap_plan.calls").unwrap_or(0) > 0);
 }
