@@ -153,11 +153,7 @@ impl LinkBook {
     /// Long-run utilisation (packet slots per slot) including `extra`.
     #[must_use]
     pub fn utilization_with(&self, extra: Option<LinkReservation>) -> f64 {
-        self.reservations
-            .iter()
-            .chain(extra.as_ref())
-            .map(|r| f64::from(r.packets) / f64::from(r.period.max(1)))
-            .sum()
+        utilization(&self.reservations, extra.as_ref())
     }
 
     /// Tests `candidate` under the chosen policy.
@@ -198,66 +194,7 @@ impl LinkBook {
     ///
     /// See [`AdmissionError`].
     pub fn admissible(&self, candidate: LinkReservation, eta: u32) -> Result<(), AdmissionError> {
-        if candidate.period == 0 || candidate.packets == 0 {
-            return Err(AdmissionError::BadDelayBound { reason: "zero period or message size" });
-        }
-        if candidate.delay > candidate.period {
-            return Err(AdmissionError::BadDelayBound { reason: "d_j must not exceed I_min" });
-        }
-        if candidate.delay < candidate.packets {
-            return Err(AdmissionError::BadDelayBound {
-                reason: "d_j below the message transmission time",
-            });
-        }
-        let all: Vec<LinkReservation> =
-            self.reservations.iter().copied().chain(std::iter::once(candidate)).collect();
-
-        let u = self.utilization_with(Some(candidate));
-        if u > 1.0 {
-            return Err(AdmissionError::UtilizationExceeded { utilization_ppm: (u * 1e6) as u64 });
-        }
-
-        // Busy-period bound for the demand criterion: for U < 1,
-        // L* = (η + Σ c_k (1 − d_k/P_k)₊) / (1 − U); clamp for U ≈ 1.
-        let slack_sum: f64 = all
-            .iter()
-            .map(|r| {
-                f64::from(r.packets) * (1.0 - f64::from(r.delay) / f64::from(r.period)).max(0.0)
-            })
-            .sum();
-        let max_d = all.iter().map(|r| u64::from(r.delay)).max().unwrap_or(0);
-        let l_star = if u < 0.999_999 {
-            (((f64::from(eta) + slack_sum) / (1.0 - u)).ceil() as u64).max(max_d)
-        } else {
-            65_536
-        }
-        .min(1 << 20);
-
-        // Test points: every absolute deadline d_k + n·P_k up to L*.
-        let mut points: Vec<u64> = Vec::new();
-        for r in &all {
-            let mut l = u64::from(r.delay);
-            while l <= l_star {
-                points.push(l);
-                l += u64::from(r.period);
-            }
-        }
-        points.sort_unstable();
-        points.dedup();
-
-        for l in points {
-            let mut demand = u64::from(eta);
-            for r in &all {
-                let d = u64::from(r.delay);
-                if l >= d {
-                    demand += u64::from(r.packets) * ((l - d) / u64::from(r.period) + 1);
-                }
-            }
-            if demand > l {
-                return Err(AdmissionError::DeadlineInfeasible { interval: l, demand });
-            }
-        }
-        Ok(())
+        demand_test(&self.reservations, candidate, eta)
     }
 
     /// The link's schedulability headroom: the largest overhead allowance
@@ -266,17 +203,12 @@ impl LinkBook {
     /// much horizon or how many more connections a link can take.
     #[must_use]
     pub fn headroom(&self) -> u32 {
-        if self.reservations.is_empty() {
+        let Some((&last, rest)) = self.reservations.split_last() else {
             return u32::MAX;
-        }
-        // The demand test is monotone in η: binary search the threshold.
-        let probe = |eta: u32| {
-            // Re-run the demand criterion against the existing set only, by
-            // testing the last reservation against the rest.
-            let mut rest = LinkBook { reservations: self.reservations.clone() };
-            let last = rest.reservations.pop().expect("non-empty");
-            rest.admissible(last, eta).is_ok()
         };
+        // The demand test is monotone in η: binary search the threshold,
+        // testing the last reservation against the rest.
+        let probe = |eta: u32| demand_test(rest, last, eta).is_ok();
         if !probe(0) {
             return 0;
         }
@@ -312,6 +244,74 @@ impl LinkBook {
             false
         }
     }
+}
+
+/// Long-run utilisation of `rest` and then `extra`, summed in that order.
+fn utilization(rest: &[LinkReservation], extra: Option<&LinkReservation>) -> f64 {
+    rest.iter().chain(extra).map(|r| f64::from(r.packets) / f64::from(r.period.max(1))).sum()
+}
+
+/// The demand criterion for `candidate` joining `rest`.
+///
+/// The test points `d_k + n·P_k ≤ L*` are walked in ascending order, one
+/// cursor per reservation: a point adds the `c_k` of every cursor standing
+/// on it, so the running sum is the demand there, and the walk stops at the
+/// first point whose demand exceeds it.
+fn demand_test(
+    rest: &[LinkReservation],
+    candidate: LinkReservation,
+    eta: u32,
+) -> Result<(), AdmissionError> {
+    if candidate.period == 0 || candidate.packets == 0 {
+        return Err(AdmissionError::BadDelayBound { reason: "zero period or message size" });
+    }
+    if candidate.delay > candidate.period {
+        return Err(AdmissionError::BadDelayBound { reason: "d_j must not exceed I_min" });
+    }
+    if candidate.delay < candidate.packets {
+        return Err(AdmissionError::BadDelayBound {
+            reason: "d_j below the message transmission time",
+        });
+    }
+    let all = || rest.iter().chain(std::iter::once(&candidate));
+
+    let u = utilization(rest, Some(&candidate));
+    if u > 1.0 {
+        return Err(AdmissionError::UtilizationExceeded { utilization_ppm: (u * 1e6) as u64 });
+    }
+
+    // Busy-period bound for the demand criterion: for U < 1,
+    // L* = (η + Σ c_k (1 − d_k/P_k)₊) / (1 − U); clamp for U ≈ 1.
+    let slack_sum: f64 = all()
+        .map(|r| f64::from(r.packets) * (1.0 - f64::from(r.delay) / f64::from(r.period)).max(0.0))
+        .sum();
+    // Each reservation's cursor starts at its first deadline `d_k`.
+    let mut cursors: Vec<u64> = all().map(|r| u64::from(r.delay)).collect();
+    let max_d = cursors.iter().copied().max().unwrap_or(0);
+    let l_star = if u < 0.999_999 {
+        (((f64::from(eta) + slack_sum) / (1.0 - u)).ceil() as u64).max(max_d)
+    } else {
+        65_536
+    }
+    .min(1 << 20);
+
+    let mut demand = u64::from(eta);
+    let mut l = cursors.iter().copied().min().unwrap_or(u64::MAX);
+    while l <= l_star {
+        let mut next = u64::MAX;
+        for (at, r) in cursors.iter_mut().zip(all()) {
+            if *at == l {
+                demand += u64::from(r.packets);
+                *at += u64::from(r.period);
+            }
+            next = next.min(*at);
+        }
+        if demand > l {
+            return Err(AdmissionError::DeadlineInfeasible { interval: l, demand });
+        }
+        l = next;
+    }
+    Ok(())
 }
 
 /// Packet-buffer bookkeeping for one node's shared memory, with the §3.4
@@ -619,6 +619,221 @@ mod tests {
             }
         }
         true
+    }
+
+    /// The demand test as it was before the cursor walk: every test point
+    /// collected, sorted and deduplicated, and the demand recomputed from
+    /// scratch at each one. The reference the walk is compared with.
+    fn sorted_scan(
+        book: &LinkBook,
+        candidate: LinkReservation,
+        eta: u32,
+    ) -> Result<(), AdmissionError> {
+        if candidate.period == 0 || candidate.packets == 0 {
+            return Err(AdmissionError::BadDelayBound { reason: "zero period or message size" });
+        }
+        if candidate.delay > candidate.period {
+            return Err(AdmissionError::BadDelayBound { reason: "d_j must not exceed I_min" });
+        }
+        if candidate.delay < candidate.packets {
+            return Err(AdmissionError::BadDelayBound {
+                reason: "d_j below the message transmission time",
+            });
+        }
+        let all: Vec<LinkReservation> =
+            book.reservations.iter().copied().chain(std::iter::once(candidate)).collect();
+
+        let u: f64 = all.iter().map(|r| f64::from(r.packets) / f64::from(r.period.max(1))).sum();
+        if u > 1.0 {
+            return Err(AdmissionError::UtilizationExceeded { utilization_ppm: (u * 1e6) as u64 });
+        }
+        let slack_sum: f64 = all
+            .iter()
+            .map(|r| {
+                f64::from(r.packets) * (1.0 - f64::from(r.delay) / f64::from(r.period)).max(0.0)
+            })
+            .sum();
+        let max_d = all.iter().map(|r| u64::from(r.delay)).max().unwrap_or(0);
+        let l_star = if u < 0.999_999 {
+            (((f64::from(eta) + slack_sum) / (1.0 - u)).ceil() as u64).max(max_d)
+        } else {
+            65_536
+        }
+        .min(1 << 20);
+
+        let mut points: Vec<u64> = Vec::new();
+        for r in &all {
+            let mut l = u64::from(r.delay);
+            while l <= l_star {
+                points.push(l);
+                l += u64::from(r.period);
+            }
+        }
+        points.sort_unstable();
+        points.dedup();
+
+        for l in points {
+            let mut demand = u64::from(eta);
+            for r in &all {
+                let d = u64::from(r.delay);
+                if l >= d {
+                    demand += u64::from(r.packets) * ((l - d) / u64::from(r.period) + 1);
+                }
+            }
+            if demand > l {
+                return Err(AdmissionError::DeadlineInfeasible { interval: l, demand });
+            }
+        }
+        Ok(())
+    }
+
+    /// [`LinkBook::headroom`] as it was: a binary search probing
+    /// [`sorted_scan`] with the last reservation against a clone of the rest.
+    fn sorted_scan_headroom(book: &LinkBook) -> u32 {
+        if book.reservations.is_empty() {
+            return u32::MAX;
+        }
+        let probe = |eta: u32| {
+            let mut rest = LinkBook { reservations: book.reservations.clone() };
+            let last = rest.reservations.pop().expect("non-empty");
+            sorted_scan(&rest, last, eta).is_ok()
+        };
+        if !probe(0) {
+            return 0;
+        }
+        let (mut lo, mut hi) = (0u32, 1u32);
+        while hi < 1 << 20 && probe(hi) {
+            lo = hi;
+            hi *= 2;
+        }
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if probe(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Splits `total` packets over one reservation per weight, each at
+    /// least one packet.
+    fn split(total: u32, weights: &[u32]) -> Vec<u32> {
+        let (n, sum) = (weights.len() as u32, weights.iter().sum::<u32>());
+        let mut packets: Vec<u32> = weights.iter().map(|w| 1 + (total - n) * w / sum).collect();
+        let given: u32 = packets.iter().sum();
+        *packets.last_mut().expect("at least one reservation") += total - given;
+        packets
+    }
+
+    /// A reservation set with its candidate last, and the `η` to test it
+    /// at, in one of three shapes:
+    /// - 0, free-form: periods 1–4 096 spread over every octave, and a
+    ///   candidate that may break a structural rule;
+    /// - 1, `U = 1` exactly (the `L* = 65 536` branch): one power-of-two
+    ///   period shared by every reservation, its packets split among them;
+    /// - 2, `U = 4 095/4 096` with `L*` far past the 2^20 clamp: period
+    ///   4 096 shared the same way.
+    ///
+    /// Half the sets of shapes 1 and 2 take the staircase deadlines
+    /// `d_k = η + c_1 + … + c_k` at `η ≤ 1`, which pass the whole walk to
+    /// the bound (shape 1 at `η = 0` only); the rest draw `d_k` at random.
+    fn link_set(shape: u32, raw: &[(u32, u32, u32)], eta: u32) -> (Vec<LinkReservation>, u32) {
+        let weights: Vec<u32> = raw.iter().map(|&(_, w, _)| w).collect();
+        let within = |c: u32, p: u32, d: u32| c + d % (p - c + 1);
+        if shape == 0 {
+            let set = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(p, c, d))| {
+                    let p = 1 + (p >> (p % 12));
+                    let c = 1 + c % p.min(16);
+                    res(c, p, if i + 1 == raw.len() { d % (p + 2) } else { within(c, p, d) })
+                })
+                .collect();
+            return (set, eta);
+        }
+        let period = if shape == 1 { (raw.len() as u32).next_power_of_two() } else { 4096 };
+        let staircase = raw[0].2.is_multiple_of(2);
+        let eta = if staircase { eta % 2 } else { eta };
+        let mut reached = eta;
+        let set = split(period - u32::from(shape == 2), &weights)
+            .into_iter()
+            .zip(raw)
+            .map(|(c, &(_, _, d))| {
+                reached += c;
+                res(c, period, if staircase { reached.min(period) } else { within(c, period, d) })
+            })
+            .collect();
+        (set, eta)
+    }
+
+    /// Reservation sets (0–32 reserved plus a candidate) and an `η` in 0–8.
+    fn link_sets() -> impl Strategy<Value = (Vec<LinkReservation>, u32)> {
+        let raw = proptest::collection::vec((1u32..=4096, 1u32..=64, 0u32..=4096), 1..=33);
+        (0u32..3, raw, 0u32..=8).prop_map(|(shape, raw, eta)| link_set(shape, &raw, eta))
+    }
+
+    fn book_of(reservations: &[LinkReservation]) -> LinkBook {
+        LinkBook { reservations: reservations.to_vec() }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        /// The cursor walk decides what the sorted scan decided, with the
+        /// same `DeadlineInfeasible { interval, demand }` and
+        /// `UtilizationExceeded { utilization_ppm }` payloads, and the
+        /// headroom searches built on the two agree.
+        #[test]
+        fn demand_walk_matches_the_sorted_scan(drawn in link_sets()) {
+            let (set, eta) = drawn;
+            let (&candidate, rest) = set.split_last().expect("a candidate");
+            let book = book_of(rest);
+            prop_assert_eq!(
+                book.admissible(candidate, eta),
+                sorted_scan(&book, candidate, eta),
+                "{set:?} at eta {eta}"
+            );
+            let full = book_of(&set);
+            prop_assert_eq!(full.headroom(), sorted_scan_headroom(&full), "{set:?}");
+        }
+    }
+
+    /// The differential's generator reaches what it claims to: sets with
+    /// `U = 1` and sets whose `L*` is clamped to 2^20, both accepted (so
+    /// the walk runs to the bound), and refusals of every payload kind.
+    #[test]
+    fn the_differential_reaches_both_bounds_and_every_refusal() {
+        let (mut saturated, mut clamped, mut infeasible, mut overloaded, mut malformed) =
+            (0, 0, 0, 0, 0);
+        for case in 0..192 {
+            let (set, eta) =
+                link_sets().generate(&mut proptest::test_runner::TestRng::for_case(case));
+            let (&candidate, rest) = set.split_last().unwrap();
+            let book = book_of(rest);
+            let u = book.utilization_with(Some(candidate));
+            let slack: f64 = set
+                .iter()
+                .map(|r| f64::from(r.packets) * (1.0 - f64::from(r.delay) / f64::from(r.period)))
+                .sum();
+            match book.admissible(candidate, eta) {
+                Ok(()) if u == 1.0 => saturated += 1,
+                Ok(()) if u < 0.999_999 && (f64::from(eta) + slack) / (1.0 - u) > 1_048_576.0 => {
+                    clamped += 1;
+                }
+                Ok(()) => {}
+                Err(AdmissionError::DeadlineInfeasible { .. }) => infeasible += 1,
+                Err(AdmissionError::UtilizationExceeded { .. }) => overloaded += 1,
+                Err(_) => malformed += 1,
+            }
+        }
+        let counts = [saturated, clamped, infeasible, overloaded, malformed];
+        assert!(
+            counts.iter().all(|&n| n >= 8),
+            "saturated, clamped, infeasible, overloaded, malformed: {counts:?}"
+        );
     }
 
     proptest! {

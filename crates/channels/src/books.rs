@@ -19,40 +19,47 @@ const NO_BOOK: u32 = u32::MAX;
 
 /// The id book every node without one reads as: every identifier free and
 /// never released.
-pub(crate) static NO_IDS: IdBook = IdBook { used: Vec::new(), released: Vec::new() };
+pub(crate) static NO_IDS: IdBook = IdBook { bits: Vec::new(), released: Vec::new() };
 
 /// Connection-identifier bookkeeping of one node.
 ///
-/// Both arrays are sized by use, not by the identifier space: `used` ends
-/// at the word of the highest identifier ever taken here and `released` at
-/// the highest identifier ever released here, so a node one channel
-/// crossed once holds one word of each.
+/// Both arrays are sized by use, not by the identifier space: `bits` ends
+/// at the word pair of the highest identifier ever taken here and
+/// `released` at the highest identifier ever released here, so a node one
+/// channel crossed once holds one word pair and one stamp.
 #[derive(Debug, Default)]
 pub(crate) struct IdBook {
-    /// Bit `id` set ⇔ `id` is taken at this node.
-    used: Vec<u64>,
+    /// Per 64 identifiers, a word of those taken here, then one of those
+    /// ever released here (bit `id % 64` of words `2·(id / 64)` and `+ 1`).
+    bits: Vec<u64>,
     /// Teardown-clock stamp of the most recent release of each identifier
     /// (zero = never released).
     released: Vec<u64>,
 }
 
 impl IdBook {
+    /// The taken and ever-released words holding `id`, growing `bits` to them.
+    fn words_mut(&mut self, id: usize) -> &mut [u64] {
+        let at = 2 * (id / 64);
+        if self.bits.len() <= at {
+            self.bits.resize(at + 2, 0);
+        }
+        &mut self.bits[at..at + 2]
+    }
+
     pub(crate) fn is_used(&self, id: usize) -> bool {
-        self.used.get(id / 64).is_some_and(|w| w >> (id % 64) & 1 == 1)
+        self.bits.get(2 * (id / 64)).is_some_and(|w| w >> (id % 64) & 1 == 1)
     }
 
     pub(crate) fn mark_used(&mut self, id: usize) {
-        if self.used.len() <= id / 64 {
-            self.used.resize(id / 64 + 1, 0);
-        }
-        self.used[id / 64] |= 1 << (id % 64);
+        self.words_mut(id)[0] |= 1 << (id % 64);
     }
 
     /// Frees `id` and stamps its release.
     pub(crate) fn release(&mut self, id: usize, stamp: u64) {
-        if let Some(w) = self.used.get_mut(id / 64) {
-            *w &= !(1 << (id % 64));
-        }
+        let (pair, bit) = (self.words_mut(id), 1 << (id % 64));
+        pair[0] &= !bit;
+        pair[1] |= bit;
         if self.released.len() <= id {
             self.released.resize(id + 1, 0);
         }
@@ -67,23 +74,27 @@ impl IdBook {
     /// free in *every* book, the smallest never-released one wins; when
     /// all free ones have been released before, the least-recently-released
     /// (smallest on ties), an identifier's recency being its *latest*
-    /// release in any of the books.
+    /// release in any of the books. Only the second case reads the stamps.
     pub(crate) fn pick_free(books: &[&IdBook], capacity: usize) -> Option<usize> {
+        let union = |at: usize| books.iter().fold(0, |acc, b| acc | b.bits.get(at).unwrap_or(&0));
+        let in_range = |w: usize| match capacity - w * 64 {
+            bits @ 0..=63 => (1u64 << bits) - 1,
+            _ => u64::MAX,
+        };
+        let words = capacity.div_ceil(64);
+        for w in 0..words {
+            let fresh = !(union(2 * w) | union(2 * w + 1)) & in_range(w);
+            if fresh != 0 {
+                return Some(w * 64 + fresh.trailing_zeros() as usize);
+            }
+        }
         let mut best: Option<(u64, usize)> = None;
-        for word in 0..capacity.div_ceil(64) {
-            let used = books.iter().fold(0, |acc, b| acc | b.used.get(word).copied().unwrap_or(0));
-            let in_range = match capacity - word * 64 {
-                bits @ 0..=63 => (1u64 << bits) - 1,
-                _ => u64::MAX,
-            };
-            let mut free = !used & in_range;
+        for w in 0..words {
+            let mut free = !union(2 * w) & in_range(w);
             while free != 0 {
-                let id = word * 64 + free.trailing_zeros() as usize;
+                let id = w * 64 + free.trailing_zeros() as usize;
                 free &= free - 1;
                 let gen = books.iter().map(|b| b.released_at(id)).max().unwrap_or(0);
-                if gen == 0 {
-                    return Some(id);
-                }
                 if best.is_none_or(|(oldest, _)| gen < oldest) {
                     best = Some((gen, id));
                 }
@@ -93,7 +104,7 @@ impl IdBook {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.used.capacity() + self.released.capacity()) * std::mem::size_of::<u64>()
+        (self.bits.capacity() + self.released.capacity()) * std::mem::size_of::<u64>()
     }
 }
 
@@ -179,5 +190,60 @@ impl NodeBooks {
                         + b.links.iter().flatten().map(LinkBook::heap_bytes).sum::<usize>()
                 })
                 .sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::IdBook;
+
+    /// 130 identifiers: three bitmap words, the last one partial.
+    const CAPACITY: usize = 130;
+
+    /// A book that took and released every identifier once, `id` at
+    /// `stamp(id)`.
+    fn spent(stamp: impl Fn(usize) -> u64) -> IdBook {
+        let mut book = IdBook::default();
+        for id in 0..CAPACITY {
+            book.mark_used(id);
+            book.release(id, stamp(id));
+        }
+        book
+    }
+
+    /// What the pick must return: among the ids free in every book, the
+    /// smallest latest-release stamp, then the smallest id.
+    fn least_recent(books: &[&IdBook]) -> Option<usize> {
+        (0..CAPACITY)
+            .filter(|&id| books.iter().all(|b| !b.is_used(id)))
+            .min_by_key(|&id| (books.iter().map(|b| b.released_at(id)).max().unwrap_or(0), id))
+    }
+
+    #[test]
+    fn a_spent_id_space_recycles_least_recently_released_first() {
+        // One book: pairs of ids share a stamp, the highest ids the oldest.
+        let mut one = spent(|id| 1 + (CAPACITY - 1 - id) as u64 / 2);
+        for expected in [128, 129, 126, 127] {
+            assert_eq!(IdBook::pick_free(&[&one], CAPACITY), Some(expected), "smaller id on ties");
+            assert_eq!(least_recent(&[&one]), Some(expected));
+            one.mark_used(expected);
+        }
+        // A book that never saw an id makes nothing fresh again.
+        let empty = IdBook::default();
+        assert_eq!(IdBook::pick_free(&[&one, &empty], CAPACITY), Some(124));
+
+        // A two-child fork: an id's recency is its later release of the
+        // two, and 95 and 96 tie at stamp 106 below every other id.
+        let mut left = spent(|id| 10 + id as u64);
+        let right = spent(|id| 201 - id as u64);
+        assert_eq!(IdBook::pick_free(&[&left], CAPACITY), Some(0));
+        assert_eq!(IdBook::pick_free(&[&right], CAPACITY), Some(129));
+        assert_eq!(IdBook::pick_free(&[&left, &right], CAPACITY), Some(95));
+        assert_eq!(least_recent(&[&left, &right]), Some(95));
+        // Taken at either child means taken.
+        left.mark_used(95);
+        assert_eq!(IdBook::pick_free(&[&left, &right], CAPACITY), Some(96));
+        assert_eq!(IdBook::pick_free(&[&right, &left], CAPACITY), Some(96));
+        assert_eq!(least_recent(&[&left, &right]), Some(96));
     }
 }

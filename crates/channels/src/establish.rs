@@ -82,25 +82,30 @@ impl ControlPlane for Simulator<RealTimeRouter> {
 /// A control plane that drives the routers through the raw Table 3 pin
 /// protocol (the 4-write connection sequence and 2-write horizon sequence)
 /// instead of the typed convenience API — byte-for-byte what the
-/// controlling processor would do.
+/// controlling processor would do, refusing a value its register cannot hold.
 #[derive(Debug)]
 pub struct WordLevelPlane<'a>(pub &'a mut Simulator<RealTimeRouter>);
 
 impl ControlPlane for WordLevelPlane<'_> {
     fn apply(&mut self, node: NodeId, cmd: ControlCommand) -> Result<(), ControlError> {
         use rtr_core::control::ControlReg;
+        let word = |reg, value: u32| {
+            u16::try_from(value).map_err(|_| ControlError::RegisterOverflow { reg, value })
+        };
         let chip = self.0.chip_mut(node);
         match cmd {
             ControlCommand::SetConnection { incoming, outgoing, delay, out_mask } => {
+                let delay = word(ControlReg::Delay, delay)?;
                 chip.control_write(ControlReg::OutConn, outgoing.0)?;
-                chip.control_write(ControlReg::Delay, delay as u16)?;
+                chip.control_write(ControlReg::Delay, delay)?;
                 chip.control_write(ControlReg::PortMask, u16::from(out_mask))?;
                 chip.control_write(ControlReg::InConnCommit, incoming.0)?;
                 Ok(())
             }
             ControlCommand::SetHorizon { port_mask, horizon } => {
+                let horizon = word(ControlReg::HorizonCommit, horizon)?;
                 chip.control_write(ControlReg::HorizonMask, u16::from(port_mask))?;
-                chip.control_write(ControlReg::HorizonCommit, horizon as u16)?;
+                chip.control_write(ControlReg::HorizonCommit, horizon)?;
                 Ok(())
             }
             // The chip has no teardown pin sequence; protocol software

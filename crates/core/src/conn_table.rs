@@ -7,8 +7,6 @@
 //! them), and the connection identifier the packet will carry to the next
 //! hop.
 
-use std::sync::Arc;
-
 use rtr_types::ids::ConnectionId;
 use rtr_types::SlotClock;
 
@@ -26,16 +24,28 @@ pub struct ConnEntry {
     pub out_mask: u8,
 }
 
+/// One row of a [`ConnectionTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Row {
+    /// Never written, or cleared while it held no entry.
+    Empty,
+    Live(ConnEntry),
+    /// Cleared while live: the teardown tombstone. A packet still arriving
+    /// for it is an accounted teardown abort, not a routing error, until an
+    /// install recycles the identifier.
+    TornDown,
+}
+
 /// The table of per-connection routing and scheduling state.
 ///
-/// The entry storage sits behind an [`Arc`] with copy-on-write updates:
-/// cloning a table (as [`crate::router::RouterTemplate`] does for every
-/// router of a mesh) shares one allocation until a node actually installs
-/// or removes a connection, which keeps mega-mesh construction from being
-/// dominated by per-router table copies.
+/// Rows are sized by use: the table holds rows up to the highest
+/// identifier ever written to it, and an identifier past them reads as
+/// empty, so an unprogrammed router's table holds no heap at all.
 #[derive(Debug, Clone)]
 pub struct ConnectionTable {
-    entries: Arc<Vec<Option<ConnEntry>>>,
+    rows: Vec<Row>,
+    /// Identifiers the table accepts (256 on the paper's chip).
+    capacity: usize,
 }
 
 /// Why a table update was rejected.
@@ -84,35 +94,28 @@ impl ConnectionTable {
     /// chip).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        ConnectionTable { entries: Arc::new(vec![None; capacity]) }
-    }
-
-    /// Table capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of live entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// Whether no connections are installed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(Option::is_none)
+        ConnectionTable { rows: Vec::new(), capacity }
     }
 
     /// Looks up the entry for an arriving packet's connection identifier.
     #[must_use]
     pub fn lookup(&self, conn: ConnectionId) -> Option<ConnEntry> {
-        self.entries.get(conn.index()).copied().flatten()
+        match self.rows.get(conn.index()) {
+            Some(&Row::Live(entry)) => Some(entry),
+            _ => None,
+        }
+    }
+
+    /// Whether `conn`'s entry was removed while live and not reinstalled
+    /// since (its packets still in flight are teardown aborts).
+    #[must_use]
+    pub fn is_torn_down(&self, conn: ConnectionId) -> bool {
+        self.rows.get(conn.index()) == Some(&Row::TornDown)
     }
 
     /// Installs (or overwrites) the entry for `incoming`, validating the
-    /// §4.3 constraints against the router's clock.
+    /// §4.3 constraints against the router's clock. Installing lifts a
+    /// teardown tombstone, so a recycled identifier starts clean.
     ///
     /// # Errors
     ///
@@ -123,8 +126,8 @@ impl ConnectionTable {
         entry: ConnEntry,
         clock: &SlotClock,
     ) -> Result<(), TableError> {
-        if incoming.index() >= self.entries.len() {
-            return Err(TableError::BadIndex { conn: incoming, capacity: self.entries.len() });
+        if incoming.index() >= self.capacity {
+            return Err(TableError::BadIndex { conn: incoming, capacity: self.capacity });
         }
         if entry.delay >= clock.half_range() {
             return Err(TableError::DelayTooLarge {
@@ -135,44 +138,38 @@ impl ConnectionTable {
         if entry.out_mask & !0b1_1111 != 0 {
             return Err(TableError::BadMask { mask: entry.out_mask });
         }
-        Arc::make_mut(&mut self.entries)[incoming.index()] = Some(entry);
+        if self.rows.len() <= incoming.index() {
+            self.rows.resize(incoming.index() + 1, Row::Empty);
+        }
+        self.rows[incoming.index()] = Row::Live(entry);
         Ok(())
     }
 
-    /// Removes the entry for `incoming` (connection teardown). Returns the
-    /// removed entry, if any.
+    /// Removes the entry for `incoming` (connection teardown), leaving a
+    /// tombstone in its row. Returns the removed entry, if any; removing
+    /// an absent entry changes nothing.
     ///
     /// # Errors
     ///
     /// Returns [`TableError::BadIndex`] if the identifier exceeds the table.
     pub fn remove(&mut self, incoming: ConnectionId) -> Result<Option<ConnEntry>, TableError> {
-        if incoming.index() >= self.entries.len() {
-            return Err(TableError::BadIndex { conn: incoming, capacity: self.entries.len() });
+        if incoming.index() >= self.capacity {
+            return Err(TableError::BadIndex { conn: incoming, capacity: self.capacity });
         }
-        if self.entries[incoming.index()].is_none() {
-            // Nothing to remove: leave the shared allocation untouched.
+        let Some(row) = self.rows.get_mut(incoming.index()) else {
             return Ok(None);
-        }
-        Ok(Arc::make_mut(&mut self.entries)[incoming.index()].take())
+        };
+        let Row::Live(entry) = *row else {
+            return Ok(None);
+        };
+        *row = Row::TornDown;
+        Ok(Some(entry))
     }
 
-    /// Finds a free incoming identifier, if any (a convenience for protocol
-    /// software; the chip itself never allocates identifiers).
-    #[must_use]
-    pub fn free_id(&self) -> Option<ConnectionId> {
-        self.entries.iter().position(Option::is_none).map(|i| ConnectionId(i as u16))
-    }
-
-    /// Heap bytes attributable to *this* table. A table still sharing the
-    /// template's allocation reports zero — the storage is counted once at
-    /// the owner, not once per router.
+    /// Heap bytes behind the rows (allocated capacity).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        if Arc::strong_count(&self.entries) > 1 {
-            0
-        } else {
-            self.entries.capacity() * std::mem::size_of::<Option<ConnEntry>>()
-        }
+        self.rows.capacity() * std::mem::size_of::<Row>()
     }
 }
 
@@ -192,14 +189,13 @@ mod tests {
     #[test]
     fn install_lookup_remove_round_trip() {
         let mut t = ConnectionTable::new(256);
-        assert!(t.is_empty());
+        assert_eq!(t.lookup(ConnectionId(3)), None);
         let e = entry(16, Port::Dir(Direction::XPlus).mask());
         t.install(ConnectionId(3), e, &clock()).unwrap();
-        assert_eq!(t.len(), 1);
         assert_eq!(t.lookup(ConnectionId(3)), Some(e));
         assert_eq!(t.lookup(ConnectionId(4)), None);
         assert_eq!(t.remove(ConnectionId(3)).unwrap(), Some(e));
-        assert!(t.is_empty());
+        assert_eq!(t.lookup(ConnectionId(3)), None);
     }
 
     #[test]
@@ -238,31 +234,52 @@ mod tests {
     }
 
     #[test]
-    fn free_id_scans_in_order() {
-        let mut t = ConnectionTable::new(3);
-        assert_eq!(t.free_id(), Some(ConnectionId(0)));
-        t.install(ConnectionId(0), entry(1, 1), &clock()).unwrap();
-        t.install(ConnectionId(2), entry(1, 1), &clock()).unwrap();
-        assert_eq!(t.free_id(), Some(ConnectionId(1)));
-        t.install(ConnectionId(1), entry(1, 1), &clock()).unwrap();
-        assert_eq!(t.free_id(), None);
+    fn a_template_built_table_holds_no_heap() {
+        use crate::control::ControlCommand;
+        use crate::router::RouterTemplate;
+        let config = rtr_types::RouterConfig { connections: 65_536, ..Default::default() };
+        let template = RouterTemplate::new(config).unwrap();
+        let (mut a, b) = (template.build(), template.build());
+        assert_eq!(a.connection_table().heap_bytes(), 0);
+        // Clears of absent entries anywhere in range write nothing.
+        let last = ConnectionId(u16::MAX);
+        a.apply_control(ControlCommand::ClearConnection { incoming: last }).unwrap();
+        assert_eq!(a.connection_table().heap_bytes(), 0);
+        // A write grows the rows to the identifier written, not the table.
+        let (incoming, outgoing) = (ConnectionId(2), ConnectionId(2));
+        a.apply_control(ControlCommand::SetConnection {
+            incoming,
+            outgoing,
+            delay: 6,
+            out_mask: 1,
+        })
+        .unwrap();
+        let rows = a.connection_table().rows.len();
+        assert!(rows == 3 && a.connection_table().heap_bytes() < 256, "{rows} rows");
+        assert_eq!(b.connection_table().lookup(incoming), None, "a sibling stays empty");
     }
 
     #[test]
-    fn clones_share_storage_until_written() {
-        let mut a = ConnectionTable::new(256);
-        a.install(ConnectionId(1), entry(5, 1), &clock()).unwrap();
-        let mut b = a.clone();
-        assert!(Arc::ptr_eq(&a.entries, &b.entries), "clone must share the allocation");
-        b.install(ConnectionId(2), entry(6, 1), &clock()).unwrap();
-        assert!(!Arc::ptr_eq(&a.entries, &b.entries), "write must unshare");
-        assert_eq!(a.lookup(ConnectionId(2)), None, "writer must not leak into the original");
-        assert_eq!(b.lookup(ConnectionId(1)).unwrap().delay, 5);
-        // Removing a non-existent entry keeps sharing intact.
-        let c = b.clone();
-        let mut d = b.clone();
-        assert_eq!(d.remove(ConnectionId(100)).unwrap(), None);
-        assert!(Arc::ptr_eq(&c.entries, &d.entries), "no-op remove must not unshare");
+    fn clearing_a_live_row_tombstones_it_until_reinstalled() {
+        let mut t = ConnectionTable::new(8);
+        let e = entry(5, 1);
+        t.install(ConnectionId(1), e, &clock()).unwrap();
+        assert_eq!(t.remove(ConnectionId(1)).unwrap(), Some(e));
+        assert!(t.is_torn_down(ConnectionId(1)));
+        assert_eq!(t.lookup(ConnectionId(1)), None);
+        // A second clear finds nothing and keeps the tombstone.
+        assert_eq!(t.remove(ConnectionId(1)).unwrap(), None);
+        assert!(t.is_torn_down(ConnectionId(1)));
+        // Clearing an absent row, written or not, leaves no tombstone.
+        assert_eq!(t.remove(ConnectionId(0)).unwrap(), None);
+        assert_eq!(t.remove(ConnectionId(6)).unwrap(), None);
+        assert!(!t.is_torn_down(ConnectionId(0)) && !t.is_torn_down(ConnectionId(6)));
+        // A failed install leaves the tombstone; a good one lifts it.
+        assert!(t.install(ConnectionId(1), entry(500, 1), &clock()).is_err());
+        assert!(t.is_torn_down(ConnectionId(1)));
+        t.install(ConnectionId(1), e, &clock()).unwrap();
+        assert!(!t.is_torn_down(ConnectionId(1)));
+        assert_eq!(t.lookup(ConnectionId(1)), Some(e));
     }
 
     #[test]
@@ -271,6 +288,6 @@ mod tests {
         t.install(ConnectionId(5), entry(1, 1), &clock()).unwrap();
         t.install(ConnectionId(5), entry(2, 2), &clock()).unwrap();
         assert_eq!(t.lookup(ConnectionId(5)).unwrap().delay, 2);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 6, "one row per identifier up to the highest written");
     }
 }

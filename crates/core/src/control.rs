@@ -83,6 +83,15 @@ pub enum ControlError {
         /// Maximum admissible value.
         max: u32,
     },
+    /// A value does not fit the register field it travels through: a delay
+    /// or horizon past the 16-bit register, or a port mask with bits past
+    /// the five ports.
+    RegisterOverflow {
+        /// The register.
+        reg: ControlReg,
+        /// The value.
+        value: u32,
+    },
 }
 
 impl From<TableError> for ControlError {
@@ -101,6 +110,9 @@ impl std::fmt::Display for ControlError {
             ControlError::HorizonTooLarge { horizon, max } => {
                 write!(f, "horizon {horizon} exceeds the rollover limit {max}")
             }
+            ControlError::RegisterOverflow { reg, value } => {
+                write!(f, "{value:#x} does not fit the {reg:?} register")
+            }
         }
     }
 }
@@ -112,8 +124,16 @@ impl std::error::Error for ControlError {}
 struct Staging {
     out_conn: Option<u16>,
     delay: Option<u16>,
-    port_mask: Option<u16>,
-    horizon_mask: Option<u16>,
+    port_mask: Option<u8>,
+    horizon_mask: Option<u8>,
+}
+
+/// The five-port mask a 16-bit mask register write carries.
+fn port_mask(reg: ControlReg, value: u16) -> Result<u8, ControlError> {
+    u8::try_from(value)
+        .ok()
+        .filter(|mask| mask & !0b1_1111 == 0)
+        .ok_or(ControlError::RegisterOverflow { reg, value: u32::from(value) })
 }
 
 /// The chip's control port: applies typed commands or word-level register
@@ -177,9 +197,10 @@ impl ControlPort {
     ///
     /// # Errors
     ///
-    /// Returns [`ControlError::IncompleteSequence`] if a commit register is
-    /// written before all of its staging registers, or the underlying
-    /// command's error.
+    /// Returns [`ControlError::RegisterOverflow`] for a mask with bits beyond
+    /// the five ports, [`ControlError::IncompleteSequence`] if a commit
+    /// register is written before all of its staging registers, or the
+    /// underlying command's error.
     pub fn write(
         &mut self,
         reg: ControlReg,
@@ -197,7 +218,7 @@ impl ControlPort {
                 Ok(None)
             }
             ControlReg::PortMask => {
-                self.staging.port_mask = Some(value);
+                self.staging.port_mask = Some(port_mask(reg, value)?);
                 Ok(None)
             }
             ControlReg::InConnCommit => {
@@ -213,13 +234,13 @@ impl ControlPort {
                     incoming: ConnectionId(value),
                     outgoing: ConnectionId(out_conn),
                     delay: u32::from(delay),
-                    out_mask: mask as u8,
+                    out_mask: mask,
                 };
                 self.apply(cmd, table, horizons)?;
                 Ok(Some(cmd))
             }
             ControlReg::HorizonMask => {
-                self.staging.horizon_mask = Some(value);
+                self.staging.horizon_mask = Some(port_mask(reg, value)?);
                 Ok(None)
             }
             ControlReg::HorizonCommit => {
@@ -227,8 +248,7 @@ impl ControlPort {
                     return Err(ControlError::IncompleteSequence { reg });
                 };
                 self.staging.horizon_mask = None;
-                let cmd =
-                    ControlCommand::SetHorizon { port_mask: mask as u8, horizon: u32::from(value) };
+                let cmd = ControlCommand::SetHorizon { port_mask: mask, horizon: u32::from(value) };
                 self.apply(cmd, table, horizons)?;
                 Ok(Some(cmd))
             }
@@ -319,6 +339,30 @@ mod tests {
         port.write(ControlReg::PortMask, 0b10, &mut table, &mut horizons).unwrap();
         port.write(ControlReg::InConnCommit, 0, &mut table, &mut horizons).unwrap();
         assert_eq!(table.lookup(ConnectionId(0)).unwrap().outgoing, ConnectionId(9));
+    }
+
+    #[test]
+    fn mask_registers_refuse_bits_beyond_the_five_ports() {
+        let (mut port, mut table, mut horizons) = setup();
+        // Bits 8–15 would vanish in a byte and bits 5–7 name no port: a
+        // mask register refuses both, and nothing is staged to commit.
+        for (reg, commit, mask) in [
+            (ControlReg::PortMask, ControlReg::InConnCommit, 0x0102),
+            (ControlReg::HorizonMask, ControlReg::HorizonCommit, 0x0100),
+            (ControlReg::PortMask, ControlReg::InConnCommit, 0b10_0001),
+        ] {
+            port.write(ControlReg::OutConn, 1, &mut table, &mut horizons).unwrap();
+            port.write(ControlReg::Delay, 2, &mut table, &mut horizons).unwrap();
+            assert_eq!(
+                port.write(reg, mask, &mut table, &mut horizons),
+                Err(ControlError::RegisterOverflow { reg, value: u32::from(mask) })
+            );
+            assert_eq!(
+                port.write(commit, 0, &mut table, &mut horizons),
+                Err(ControlError::IncompleteSequence { reg: commit })
+            );
+        }
+        assert_eq!((table.lookup(ConnectionId(0)), horizons), (None, [0; PORT_COUNT]));
     }
 
     #[test]

@@ -71,14 +71,11 @@ pub struct RealTimeRouter {
     /// Bounded clock skew in slots, added to the local scheduler clock
     /// (§4.1: routers share a notion of time within bounded skew).
     skew_slots: u64,
+    /// The connection table; its teardown tombstones make a packet
+    /// arriving for a cleared connection an accounted teardown abort
+    /// (`tc_aborted_teardown`), not a `no_conn` routing error.
     table: ConnectionTable,
     control: ControlPort,
-    /// Incoming connection ids cleared by a `ClearConnection` whose entry
-    /// existed — the teardown tombstones. A packet arriving for one is an
-    /// accounted teardown abort (`tc_aborted_teardown`), not a `no_conn`
-    /// routing error; re-installing the id lifts the tombstone, so a
-    /// recycled identifier starts clean.
-    torn_down: std::collections::HashSet<u16>,
     memory: PacketMemory,
     sched: Scheduler,
     /// The input ports' shared latencies and flit buffer.
@@ -103,15 +100,15 @@ pub struct RealTimeRouter {
 ///
 /// Building a mesh means constructing thousands of routers from one
 /// [`RouterConfig`]. The template validates the configuration once and
-/// pre-builds the shared read-only state — the (copy-on-write) connection
-/// table and the slot clock — so [`RouterTemplate::build`] allocates only
-/// what is genuinely per-router. Combined with a packet memory and a
-/// scheduler that allocate by use, this is what makes 128×128 builds cheap.
+/// pre-builds the shared read-only state — the configuration and the slot
+/// clock — so [`RouterTemplate::build`] allocates only what is genuinely
+/// per-router. Combined with a connection table, a packet memory and a
+/// scheduler that all allocate by use, this is what makes 128×128 builds
+/// cheap.
 #[derive(Debug, Clone)]
 pub struct RouterTemplate {
     config: Arc<RouterConfig>,
     clock: SlotClock,
-    table: ConnectionTable,
 }
 
 impl RouterTemplate {
@@ -123,8 +120,7 @@ impl RouterTemplate {
     pub fn new(config: RouterConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let clock = SlotClock::new(config.clock_bits);
-        let table = ConnectionTable::new(config.connections);
-        Ok(RouterTemplate { clock, table, config: Arc::new(config) })
+        Ok(RouterTemplate { clock, config: Arc::new(config) })
     }
 
     /// The validated configuration.
@@ -133,9 +129,8 @@ impl RouterTemplate {
         &self.config
     }
 
-    /// Stamps out one router. The connection table is shared with the
-    /// template (and every sibling router) until the router installs its
-    /// first connection.
+    /// Stamps out one router, with an empty connection table that holds no
+    /// heap until the router installs its first connection.
     #[must_use]
     pub fn build(&self) -> RealTimeRouter {
         let config = Arc::clone(&self.config);
@@ -144,9 +139,8 @@ impl RouterTemplate {
         RealTimeRouter {
             clock,
             skew_slots: 0,
-            table: self.table.clone(),
+            table: ConnectionTable::new(config.connections),
             control: ControlPort::new(clock),
-            torn_down: std::collections::HashSet::new(),
             memory: PacketMemory::new(config.packet_slots),
             sched: Scheduler::new(config.scheduler, config.packet_slots, clock, config.late_policy),
             timing,
@@ -261,35 +255,12 @@ impl RealTimeRouter {
     ///
     /// See [`ControlError`].
     pub fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
-        // A clear of a live entry tombstones the id (packets still in
-        // flight become accounted teardown aborts); checked before the
-        // apply, which consumes the entry.
-        let cleared_live = match cmd {
-            ControlCommand::ClearConnection { incoming } => self.table.lookup(incoming).is_some(),
-            _ => false,
-        };
         let mut horizons: [u32; PORT_COUNT] = std::array::from_fn(|i| self.outputs[i].horizon);
         self.control.apply(cmd, &mut self.table, &mut horizons)?;
         for (out, h) in self.outputs.iter_mut().zip(horizons) {
             out.horizon = h;
         }
-        self.note_control(&cmd, cleared_live);
         Ok(())
-    }
-
-    /// Maintains the teardown tombstones after a successful control
-    /// command: clearing a live entry marks the id, re-installing it (a
-    /// recycled identifier) lifts the mark.
-    fn note_control(&mut self, cmd: &ControlCommand, cleared_live: bool) {
-        match *cmd {
-            ControlCommand::SetConnection { incoming, .. } => {
-                self.torn_down.remove(&incoming.0);
-            }
-            ControlCommand::ClearConnection { incoming } if cleared_live => {
-                self.torn_down.insert(incoming.0);
-            }
-            _ => {}
-        }
     }
 
     /// Performs one word-level control-register write (the Table 3 pin
@@ -307,11 +278,6 @@ impl RealTimeRouter {
         let r = self.control.write(reg, value, &mut self.table, &mut horizons)?;
         for (out, h) in self.outputs.iter_mut().zip(horizons) {
             out.horizon = h;
-        }
-        if let Some(cmd) = &r {
-            // The word-level protocol has no clear register, so a
-            // completed command can only install (lifting a tombstone).
-            self.note_control(cmd, false);
         }
         Ok(r)
     }
@@ -512,7 +478,7 @@ impl RealTimeRouter {
                 }
             );
             let Some(entry) = self.table.lookup(packet.conn) else {
-                if self.torn_down.contains(&packet.conn.0) {
+                if self.table.is_torn_down(packet.conn) {
                     // The connection was torn down while this packet was
                     // in flight: an accounted abort, not a routing error.
                     self.stats.tc_aborted_teardown += 1;
@@ -929,16 +895,14 @@ impl Chip for RealTimeRouter {
 
     fn heap_bytes_estimate(&self) -> usize {
         // The dominant allocations: packet memory, scheduler leaves, the
-        // connection table (zero while still sharing the template's
-        // storage — it is counted once at the owner), and the per-port
-        // queues and staging buffers. The shared `Arc<RouterConfig>` is
-        // likewise charged to the template, not to every router.
+        // connection table's rows, and the per-port queues and staging
+        // buffers. The shared `Arc<RouterConfig>` is charged to the
+        // template, not to every router.
         self.memory.heap_bytes()
             + self.sched.heap_bytes()
             + self.table.heap_bytes()
             + self.inputs.iter().map(InputPort::heap_bytes).sum::<usize>()
             + self.be.heap_bytes()
-            + self.torn_down.capacity() * std::mem::size_of::<u16>()
     }
 
     fn check_conservation(&self) -> Result<(), String> {

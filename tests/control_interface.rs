@@ -216,3 +216,56 @@ fn rejected_control_ops_are_kept_with_their_reason() {
     assert_eq!((*cycle, *node), (5_000, NodeId(1)), "each op is logged at its own cycle");
     assert!(!message.is_empty() && !message.starts_with("synthetic"), "router said: {message}");
 }
+
+/// The 16-bit control registers never narrow a value silently: on an
+/// 18-bit clock a hop delay of 2^16 or more is legal (below half the clock
+/// range) and the typed plane installs it, but it cannot travel through
+/// the Delay register, so the word-level plane refuses it before writing
+/// anything; and a port mask with a bit above the low byte is refused,
+/// not truncated to the bits that happen to name a port.
+#[test]
+fn wide_values_are_refused_by_the_word_level_registers() {
+    use realtime_router::channels::{
+        ChannelManager, ChannelRequest, EstablishError, TrafficSpec, WordLevelPlane,
+    };
+    use realtime_router::core::ControlError;
+    let config = RouterConfig { clock_bits: 18, ..RouterConfig::default() };
+    let topo = Topology::mesh(2, 1);
+    let build = || Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
+    let request = || {
+        ChannelRequest::unicast(NodeId(0), NodeId(1), TrafficSpec::periodic(80_000, 18), 140_000)
+    };
+
+    let mut typed_sim = build();
+    let typed = ChannelManager::new(&config).establish(&topo, request(), &mut typed_sim).unwrap();
+    let hop = typed.hops[0];
+    assert_eq!(hop.delay, 70_000);
+    assert_eq!(typed_sim.chip(hop.node).connection_table().lookup(hop.conn).unwrap().delay, 70_000);
+
+    let mut word_sim = build();
+    let refused = ChannelManager::new(&config)
+        .establish(&topo, request(), &mut WordLevelPlane(&mut word_sim))
+        .unwrap_err();
+    assert_eq!(
+        refused,
+        EstablishError::Control(ControlError::RegisterOverflow {
+            reg: ControlReg::Delay,
+            value: 70_000
+        })
+    );
+    let table = word_sim.chip(hop.node).connection_table();
+    assert_eq!(table.lookup(hop.conn), None, "nothing was programmed");
+
+    let chip = word_sim.chip_mut(NodeId(0));
+    chip.control_write(ControlReg::OutConn, 1).unwrap();
+    chip.control_write(ControlReg::Delay, 6).unwrap();
+    assert_eq!(
+        chip.control_write(ControlReg::PortMask, 0x0102),
+        Err(ControlError::RegisterOverflow { reg: ControlReg::PortMask, value: 0x0102 })
+    );
+    assert_eq!(
+        chip.control_write(ControlReg::InConnCommit, 1),
+        Err(ControlError::IncompleteSequence { reg: ControlReg::InConnCommit })
+    );
+    assert_eq!(chip.connection_table().lookup(ConnectionId(1)), None);
+}
