@@ -35,7 +35,6 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ("horizon", "X1: the horizon trade-off, latency vs buffering", experiments::horizon),
     ("load-latency", "X12: best-effort load-latency curves", experiments::load_latency),
     ("guarantees", "X3: end-to-end guarantees across a mesh", experiments::guarantees),
-    ("leaping", "stepped vs leaping wall-clock sweep [cycles=N iters=N]", experiments::leaping),
     ("chaos", "fault scenarios: link kill, flaky link, node crash", experiments::chaos),
     ("churn", "live establish/teardown under load", experiments::churn),
     ("console", "ad-hoc mesh scenario [side=N channels=N ...]", console::run),
@@ -202,7 +201,6 @@ mod tests {
             (&["console", "be_rate=nan"], "be_rate=NaN is out of range"),
             (&["console", "side=4", "side=8"], "duplicate key `side`"),
             (&["console", "4", "side=8"], "duplicate key `side`"),
-            (&["leaping", "--cycles", "5"], "too many positional arguments at `--cycles`"),
             (&["trace-dump"], "missing trace file path"),
             (&["trace-dump", "a.jsonl", "b.jsonl"], "too many positional arguments at `b.jsonl`"),
             (&["trace-dump", "a.jsonl", "conn=x"], "bad value for conn=x"),

@@ -186,7 +186,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         sim.set_fault_schedule(schedule);
     }
     let mut manager = ChannelManager::new(&config);
-    let admitted = offer_random_channels(&mut sim, &mut manager, &config, offered, seed, 0x42);
+    let admitted = offer_random_channels(&mut sim, &mut manager, offered, seed, 0x42);
     println!("admitted {}/{} channels", admitted.len(), offered);
     add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(8, 64), seed.wrapping_mul(7919), 8);
 

@@ -6,7 +6,7 @@ use rtr_hwcost::HardwareModel;
 use rtr_types::config::{table2_policy, RouterConfig, SchedulerKind};
 use rtr_types::ids::TrafficClass;
 
-use crate::{Args, Keys};
+use crate::Args;
 
 fn no_args(args: &[String]) -> Result<(), String> {
     Args::parse(&[], 0, args).map(drop)
@@ -367,51 +367,6 @@ pub fn guarantees(args: &[String]) -> Result<(), String> {
     row(8, 48, 0.1, 2026);
     println!();
     println!("the guarantee under test: zero misses, zero key aliasing for every admitted set");
-    Ok(())
-}
-
-const LEAPING_KEYS: &Keys = &[
-    ("cycles", "simulated cycles per run (default 100000)"),
-    ("iters", "runs per point, best wall-clock kept (default 5)"),
-];
-
-/// The event-driven leaping sweep: stepped vs leaping wall-clock at ~1%,
-/// ~10%, and ~50% injection (see `EXPERIMENTS.md`, "Event-driven
-/// leaping"). An experiment about the simulator, not a recorded
-/// measurement: each point also asserts both drives delivered alike.
-pub fn leaping(args: &[String]) -> Result<(), String> {
-    let args = Args::parse(LEAPING_KEYS, 0, args)?;
-    let cycles: u64 = args.num("cycles", 100_000)?;
-    let iters: usize = args.num_in("iters", 5, 1..=usize::MAX)?;
-    println!("event-driven leaping sweep: 8x8 mesh, {cycles} cycles, best of {iters}");
-    println!(
-        "{:>12} {:>10} {:>12} {:>12} {:>9} {:>14} {:>14} {:>10} {:>11} {:>12}",
-        "period",
-        "~inject",
-        "stepped",
-        "leaping",
-        "speedup",
-        "stepped-ticks",
-        "leaping-ticks",
-        "short-poll",
-        "guard-only",
-        "guard-cycles"
-    );
-    for point in rtr_bench::leaping::run(cycles, iters) {
-        println!(
-            "{:>10}sl {:>9.1}% {:>11.4}s {:>11.4}s {:>8.1}x {:>14} {:>14} {:>9.1}% {:>11} {:>12}",
-            point.period_slots,
-            100.0 / point.period_slots as f64,
-            point.stepped_s,
-            point.leaping_s,
-            point.speedup(),
-            point.stepped_ticks,
-            point.leaping_ticks,
-            100.0 * point.short_poll_rate(),
-            point.wake.sync_guard_only,
-            point.wake.sync_guard_foregone,
-        );
-    }
     Ok(())
 }
 

@@ -11,14 +11,14 @@
 
 use rtr_channels::establish::ChannelManager;
 use rtr_channels::recovery::{watch_and_recover, RecoveryConfig};
-use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::RealTimeRouter;
 use rtr_mesh::{FaultKind, FaultSchedule, Simulator, Topology};
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::{Direction, NodeId};
 use rtr_types::time::cycle_to_slot;
-use rtr_workloads::tc::PeriodicTcSource;
+
+use crate::util::add_periodic_sender;
 
 /// Measured outcome of one chaos scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,26 +78,8 @@ fn build_pair(
             &mut sim,
         )
         .unwrap();
-    for (channel, node, offset, fill) in
-        [(&victim, src, 0u64, 0x44u8), (&bystander, far_src, 5, 0x55)]
-    {
-        let sender = ChannelSender::new(
-            channel,
-            sim.chip(node).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            node,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                16,
-                offset,
-                config.slot_bytes,
-                vec![fill; config.tc_data_bytes()],
-            )),
-        );
-    }
+    add_periodic_sender(&mut sim, &victim, 16, 0, 0x44);
+    add_periodic_sender(&mut sim, &bystander, 16, 5, 0x55);
     let pair = ChannelPair { victim_id: victim.id, dst, far_dst };
     (sim, manager, pair)
 }

@@ -21,15 +21,17 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rtr_channels::control_plane::{SignalingEngine, TeardownStyle};
-use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::RealTimeRouter;
 use rtr_mesh::{Simulator, Topology};
+use rtr_types::chip::Chip;
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::NodeId;
 use rtr_types::time::{cycle_to_slot, slot_to_cycle, Cycle};
 use rtr_workloads::churn::{churn_schedule, ChurnConfig, ChurnEvent, WindowedSource};
 use rtr_workloads::tc::PeriodicTcSource;
+
+use crate::util::{add_periodic_sender, sender_for};
 
 /// How the churn driver advances the simulator between control events:
 /// which chips each cycle ticks.
@@ -46,7 +48,7 @@ impl DriveMode {
     pub const ALL: [DriveMode; 2] = [DriveMode::Dense, DriveMode::Event];
 
     /// Advances the simulator `cycles` cycles the way this mode does.
-    pub fn advance(self, sim: &mut Simulator<RealTimeRouter>, cycles: Cycle) {
+    pub fn advance<C: Chip>(self, sim: &mut Simulator<C>, cycles: Cycle) {
         if cycles == 0 {
             return;
         }
@@ -160,15 +162,9 @@ pub fn drive_schedule(
                 due.push(Reverse((stop, actions.len())));
                 actions.push(Action::Teardown(ticket.channel.id, style));
 
-                let sender = ChannelSender::new(
-                    &ticket.channel,
-                    sim.chip(event.src).clock(),
-                    config.slot_bytes,
-                    config.tc_data_bytes(),
-                );
                 let first_slot = cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1;
                 let source = PeriodicTcSource::new(
-                    sender,
+                    sender_for(sim, &ticket.channel),
                     u64::from(period_slots),
                     first_slot,
                     config.slot_bytes,
@@ -215,23 +211,8 @@ pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
         let ticket = engine
             .request_establish(&topo, request, &mut sim)
             .expect("an empty mesh admits the bystanders");
-        let sender = ChannelSender::new(
-            &ticket.channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
         let start_slot = cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1;
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                16,
-                start_slot + i as u64,
-                config.slot_bytes,
-                vec![0x55 + i as u8; config.tc_data_bytes()],
-            )),
-        );
+        add_periodic_sender(&mut sim, &ticket.channel, 16, start_slot + i as u64, 0x55 + i as u8);
     }
 
     // The churn schedule: establishment times and lifetimes are a pure

@@ -9,7 +9,6 @@
 //! deadline, and best-effort traffic consumes the remaining bandwidth.
 
 use rtr_channels::establish::{EstablishedChannel, Hop};
-use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::control::ControlCommand;
 use rtr_core::RealTimeRouter;
@@ -19,6 +18,8 @@ use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
 use rtr_types::time::Cycle;
 use rtr_workloads::be::BackloggedBeSource;
 use rtr_workloads::tc::BackloggedTcSource;
+
+use crate::util::sender_for;
 
 /// One sample of the cumulative-service series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,16 +122,10 @@ pub fn run(
             ],
             request: ChannelRequest::unicast(src, dst, TrafficSpec::periodic(*i_min, 18), 2 * d),
         };
-        let sender = ChannelSender::new(
-            &channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
         sim.add_source(
             src,
             Box::new(BackloggedTcSource::new(
-                sender,
+                sender_for(&sim, &channel),
                 *i_min,
                 3,
                 config.slot_bytes,

@@ -15,7 +15,6 @@
 
 use rtr_channels::admission::buffers_needed;
 use rtr_channels::establish::ChannelManager;
-use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::control::ControlCommand;
 use rtr_core::RealTimeRouter;
@@ -25,6 +24,8 @@ use rtr_types::config::RouterConfig;
 use rtr_types::ids::Port;
 use rtr_types::time::Cycle;
 use rtr_workloads::tc::BackloggedTcSource;
+
+use crate::util::sender_for;
 
 const I_MIN: u32 = 16;
 const DEADLINE: u32 = 48;
@@ -86,18 +87,12 @@ fn build(horizon: u32, mask: u8, total_cycles: Cycle) -> (Simulator<RealTimeRout
             .apply_control(ControlCommand::SetHorizon { port_mask: mask, horizon })
             .unwrap();
     }
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
     // Lead 3 messages: logical arrival times run up to 48 slots ahead, so
     // there is plenty of "early" traffic for the horizon to release.
     sim.add_source(
         src,
         Box::new(BackloggedTcSource::new(
-            sender,
+            sender_for(&sim, &channel),
             I_MIN,
             3,
             config.slot_bytes,

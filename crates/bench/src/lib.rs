@@ -15,7 +15,6 @@ pub mod churn;
 pub mod exp1;
 pub mod fig7;
 pub mod horizon;
-pub mod leaping;
 pub mod load_latency;
 pub mod mesh_guarantees;
 pub mod sched_ablation;

@@ -10,7 +10,6 @@
 //! themselves never miss.
 
 use rtr_channels::establish::ChannelManager;
-use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::RealTimeRouter;
 use rtr_mesh::stats::LatencySummary;
@@ -70,16 +69,10 @@ pub fn run_point(tc_period: Option<u32>, offered: f64, total_cycles: Cycle) -> L
                     &mut sim,
                 )
                 .expect("row reservations must be admissible");
-            let sender = ChannelSender::new(
-                &channel,
-                sim.chip(src).clock(),
-                config.slot_bytes,
-                config.tc_data_bytes(),
-            );
             sim.add_source(
                 src,
                 Box::new(BackloggedTcSource::new(
-                    sender,
+                    crate::util::sender_for(&sim, &channel),
                     period,
                     2,
                     config.slot_bytes,

@@ -10,7 +10,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_channels::establish::{ChannelManager, EstablishedChannel};
-use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::RealTimeRouter;
 use rtr_mesh::{Simulator, Topology};
@@ -18,7 +17,8 @@ use rtr_types::config::RouterConfig;
 use rtr_types::ids::NodeId;
 use rtr_types::time::Cycle;
 use rtr_workloads::be::SizeDist;
-use rtr_workloads::tc::PeriodicTcSource;
+
+use crate::util::add_periodic_sender;
 
 /// The experiment's outcome.
 #[derive(Debug, Clone)]
@@ -48,7 +48,6 @@ pub struct GuaranteeResult {
 pub fn offer_random_channels(
     sim: &mut Simulator<RealTimeRouter>,
     manager: &mut ChannelManager,
-    config: &RouterConfig,
     offered: usize,
     seed: u64,
     fill: u8,
@@ -77,23 +76,8 @@ pub fn offer_random_channels(
         }
     }
     for channel in &admitted {
-        let src = channel.request.source;
-        let sender = ChannelSender::new(
-            channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                u64::from(channel.request.spec.i_min),
-                channel.id % 8,
-                config.slot_bytes,
-                vec![fill; config.tc_data_bytes()],
-            )),
-        );
+        let period = u64::from(channel.request.spec.i_min);
+        add_periodic_sender(sim, channel, period, channel.id % 8, fill);
     }
     admitted
 }
@@ -119,7 +103,7 @@ pub fn run(
     let topo = Topology::mesh(side, side);
     let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
     let mut manager = ChannelManager::new(&config);
-    let admitted = offer_random_channels(&mut sim, &mut manager, &config, offered, seed, 0x33);
+    let admitted = offer_random_channels(&mut sim, &mut manager, offered, seed, 0x33);
     let be_seed = seed.wrapping_mul(31);
     crate::util::add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(8, 48), be_seed, 8);
 

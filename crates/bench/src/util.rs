@@ -1,15 +1,131 @@
-//! Shared helpers for the experiment harnesses.
+//! Shared helpers for the experiment harnesses and the integration tests:
+//! best-effort background, senders on a channel's source clock, and the
+//! hand-programmed one-hop channel meshes the drive-mode identity suites
+//! run.
 
 use rtr_channels::arrival::ArrivalTracker;
+use rtr_channels::establish::{EstablishedChannel, Hop};
+use rtr_channels::sender::ChannelSender;
+use rtr_channels::spec::{ChannelRequest, TrafficSpec};
+use rtr_core::control::ControlCommand;
+use rtr_core::{RealTimeRouter, RouterTemplate};
 use rtr_mesh::source::TrafficSource;
 use rtr_mesh::topology::Topology;
 use rtr_mesh::Simulator;
 use rtr_types::chip::{Chip, ChipIo};
-use rtr_types::ids::NodeId;
+use rtr_types::config::RouterConfig;
+use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
 use rtr_types::packet::{BePacket, PacketTrace};
 use rtr_types::time::{cycle_to_slot, Cycle};
 use rtr_workloads::be::{RandomBeSource, SizeDist};
 use rtr_workloads::patterns::TrafficPattern;
+use rtr_workloads::tc::PeriodicTcSource;
+
+/// Local delay bound, in slots, of both hops of [`add_one_hop_channel`].
+pub const ONE_HOP_DELAY: u32 = 6;
+
+/// A sender for `channel` on its source router's clock and slot geometry.
+#[must_use]
+pub fn sender_for(sim: &Simulator<RealTimeRouter>, channel: &EstablishedChannel) -> ChannelSender {
+    let chip = sim.chip(channel.request.source);
+    let config = chip.config();
+    ChannelSender::new(channel, chip.clock(), config.slot_bytes, config.tc_data_bytes())
+}
+
+/// Attaches a [`PeriodicTcSource`] at `channel`'s source: one message every
+/// `period_slots` from slot `phase_slots` on, every payload byte `fill`.
+pub fn add_periodic_sender(
+    sim: &mut Simulator<RealTimeRouter>,
+    channel: &EstablishedChannel,
+    period_slots: u64,
+    phase_slots: u64,
+    fill: u8,
+) {
+    let src = channel.request.source;
+    let config = sim.chip(src).config();
+    let (slot_bytes, payload) = (config.slot_bytes, vec![fill; config.tc_data_bytes()]);
+    let source = PeriodicTcSource::new(
+        sender_for(sim, channel),
+        period_slots,
+        phase_slots,
+        slot_bytes,
+        payload,
+    );
+    sim.add_source(src, Box::new(source));
+}
+
+/// Adds connection `10 + index` from `(0, y)` to `(1, y)`, written straight
+/// into both routers' tables (no admission round-trip, so a build is cheap
+/// and the same every time) with delay [`ONE_HOP_DELAY`] at each hop, and
+/// a periodic sender of fill `0xA0 + index` at `(0, y)`.
+///
+/// # Panics
+///
+/// Panics if either router refuses the table write.
+pub fn add_one_hop_channel(
+    sim: &mut Simulator<RealTimeRouter>,
+    y: u16,
+    index: usize,
+    period_slots: u64,
+) {
+    let conn = ConnectionId(10 + index as u16);
+    let (src, dst) = (sim.topology().node_at(0, y), sim.topology().node_at(1, y));
+    let hops: Vec<Hop> = [(src, Port::Dir(Direction::XPlus)), (dst, Port::Local)]
+        .into_iter()
+        .map(|(node, port)| Hop {
+            node,
+            conn,
+            out_conn: conn,
+            delay: ONE_HOP_DELAY,
+            out_mask: port.mask(),
+            buffers: 2,
+        })
+        .collect();
+    for hop in &hops {
+        sim.chip_mut(hop.node)
+            .apply_control(ControlCommand::SetConnection {
+                incoming: conn,
+                outgoing: conn,
+                delay: ONE_HOP_DELAY,
+                out_mask: hop.out_mask,
+            })
+            .expect("a one-hop table write fits the router");
+    }
+    let spec = TrafficSpec::periodic(period_slots as u32, 18);
+    let channel = EstablishedChannel {
+        id: u64::from(conn.0),
+        ingress: conn,
+        depth: 2,
+        guaranteed: 2 * ONE_HOP_DELAY,
+        hops,
+        request: ChannelRequest::unicast(src, dst, spec, 2 * ONE_HOP_DELAY),
+    };
+    add_periodic_sender(sim, &channel, period_slots, 0, 0xA0 + index as u8);
+}
+
+/// A `width × height` mesh of default routers carrying four one-hop
+/// channels ([`add_one_hop_channel`]) on rows 0, h/4, 5h/8 and h−1 — rows
+/// 0, 2, 5 and 7 of an 8-row mesh. The routers come from one
+/// [`RouterTemplate`], so a 128×128 build is not dominated by per-router
+/// set-up.
+///
+/// # Panics
+///
+/// Panics if the mesh is narrower than 2 columns or shorter than 4 rows.
+#[must_use]
+pub fn periodic_mesh(width: u16, height: u16, period_slots: u64) -> Simulator<RealTimeRouter> {
+    assert!(width >= 2 && height >= 4, "a periodic mesh needs at least 2 columns and 4 rows");
+    let template =
+        RouterTemplate::new(RouterConfig::default()).expect("the default config is valid");
+    let mut sim = Simulator::build(Topology::mesh(width, height), |_| {
+        Ok::<_, std::convert::Infallible>(template.build())
+    })
+    .expect("a template build cannot fail");
+    for (index, y) in [0, height / 4, height * 5 / 8, height - 1].into_iter().enumerate() {
+        add_one_hop_channel(&mut sim, y, index, period_slots);
+    }
+    sim
+}
 
 /// Adds a uniform-random best-effort source injecting at `rate` to every
 /// node, node `n` seeded with `seed ^ n`. A zero rate or a one-node mesh

@@ -14,7 +14,6 @@
 //! plus the store/schedule latency — while guarantees are untouched.
 
 use rtr_channels::establish::ChannelManager;
-use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::control::ControlCommand;
 use rtr_core::RealTimeRouter;
@@ -22,7 +21,8 @@ use rtr_mesh::stats::LatencySummary;
 use rtr_mesh::{Simulator, Topology};
 use rtr_types::config::RouterConfig;
 use rtr_types::time::Cycle;
-use rtr_workloads::tc::PeriodicTcSource;
+
+use crate::util::add_periodic_sender;
 
 /// One row of the ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,22 +79,7 @@ fn run_chain(hops: u16, cut: bool, total_cycles: Cycle) -> (f64, f64, usize) {
             .apply_control(ControlCommand::SetHorizon { port_mask: 0b1_1111, horizon: 16 })
             .unwrap();
     }
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            u64::from(i_min),
-            0,
-            config.slot_bytes,
-            vec![0xCC; config.tc_data_bytes()],
-        )),
-    );
+    add_periodic_sender(&mut sim, &channel, u64::from(i_min), 0, 0xCC);
     sim.run(total_cycles);
     let log = sim.log(dst);
     let mean = LatencySummary::of(&log.tc_latencies()).mean;

@@ -55,13 +55,4 @@ impl WakePolls {
         });
         short.then_some(now + 1).or(wake)
     }
-
-    /// Counts a poll on which only the grant-pipeline sync guard would have
-    /// demanded `now + 1`, and the leap cycles `skip_quiet` reclaims.
-    pub fn sync_guard(&self, reclaimed: Cycle) {
-        self.update(|s| {
-            s.sync_guard_only += 1;
-            s.sync_guard_foregone += reclaimed;
-        });
-    }
 }

@@ -802,20 +802,11 @@ impl Chip for RealTimeRouter {
             earliest = Some(earliest.map_or(at, |e: Cycle| e.min(at)));
         };
 
-        // The empty↔non-empty transition of a port's candidate set is what
-        // charges (or resets) the comparator tree's pipeline-refill
-        // latency. It used to force per-cycle ticks until every port
-        // recomputed; now `skip_quiet` settles the transition over a
-        // skipped span via `OutputPort::settle_pipeline`, so the guard no
-        // longer blocks the leap — it only keeps its telemetry: how often
-        // it was the sole blocker under the old rule, and how many cycles
-        // the settle path reclaims.
+        // A port whose candidate set changed since its last selection needs
+        // no tick to notice: `skip_quiet` settles the grant pipeline over a
+        // skipped span (`OutputPort::settle_pipeline`).
         self.dbg_check_backlog();
-        let mut sync_guard = false;
-        for (idx, out) in self.outputs.iter().enumerate() {
-            if out.had_candidate() != (self.sched.backlog_for(Port::from_index(idx)) > 0) {
-                sync_guard = true;
-            }
+        for out in &self.outputs {
             if let Some(pending) = &out.pending_cut {
                 merge(pending.start_at);
             }
@@ -851,12 +842,6 @@ impl Chip for RealTimeRouter {
             }
         }
 
-        if sync_guard {
-            // The guard would have been the only blocker under the old
-            // rule: every other wake source allowed `earliest` (or
-            // silence). Count the leap the settle path reclaims.
-            self.wake.sync_guard(earliest.map_or(0, |e| e - (now + 1)));
-        }
         self.wake.answer(now, earliest)
     }
 

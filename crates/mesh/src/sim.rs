@@ -564,8 +564,6 @@ impl<C: Chip> Simulator<C> {
         if let Some(wake) = self.wake_precision() {
             registry.absorb_counter("wake.polls", wake.polls);
             registry.absorb_counter("wake.short_polls", wake.short_polls);
-            registry.absorb_counter("wake.sync_guard_only", wake.sync_guard_only);
-            registry.absorb_counter("wake.sync_guard_foregone", wake.sync_guard_foregone);
         }
         if let Some(queue) = self.event_core_stats() {
             queue.emit_counters(&mut |name, value| registry.absorb_counter(name, value));
@@ -1571,8 +1569,7 @@ impl<C: Chip> Simulator<C> {
     /// because a leap is only taken when every chip, link, and traffic
     /// source reports (via [`Chip::next_event`], [`Link::next_event`], and
     /// [`TrafficSource::next_event`]) that nothing can change before the
-    /// target cycle. See the `leaping_equivalence` and `event_core`
-    /// integration tests.
+    /// target cycle. See the `event_core` integration tests.
     ///
     /// Components register their next-event cycle in a calendar queue once
     /// and re-register only when their state could have changed, so a

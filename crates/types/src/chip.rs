@@ -99,28 +99,16 @@ pub struct ChipGauges {
 /// Wake-precision counters of a chip's [`Chip::next_event`] predictions.
 ///
 /// `next_event` is allowed to be conservative — answering `now + 1` always
-/// preserves correctness — but every unnecessary short answer forecloses a
-/// leap the event core could otherwise have taken. Chips that can tell the
-/// difference report how often (and why) they fell back to `now + 1` so the
-/// next conservatism worth shaving is measurable instead of guessed at.
-/// All values are cumulative counters since construction.
+/// preserves correctness — but every short answer pins the event core to
+/// ticking this chip on the next cycle. The share of short answers is how
+/// much of a run a chip kept from being leaped. Both values are cumulative
+/// counters since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeStats {
     /// Total `next_event` polls answered.
     pub polls: u64,
     /// Polls answered `now + 1` (no leap possible past this chip).
     pub short_polls: u64,
-    /// Polls where the grant-pipeline sync guard (`had_candidate`
-    /// disagreeing with the scheduler backlog) was the **only** wake source
-    /// demanding `now + 1`. The guard no longer shortens the answer — the
-    /// pipeline is settled in [`Chip::skip_quiet`] instead — so this counts
-    /// how often the old conservatism *would* have fired.
-    pub sync_guard_only: u64,
-    /// Cycles of leaping **reclaimed** from `sync_guard_only` polls: the
-    /// summed distance from `now + 1` to the wake the chip now reports. A
-    /// chip still enforcing the guard reports the same sum as cycles
-    /// foregone.
-    pub sync_guard_foregone: u64,
 }
 
 impl WakeStats {
@@ -128,8 +116,6 @@ impl WakeStats {
     pub fn merge(&mut self, other: &WakeStats) {
         self.polls += other.polls;
         self.short_polls += other.short_polls;
-        self.sync_guard_only += other.sync_guard_only;
-        self.sync_guard_foregone += other.sync_guard_foregone;
     }
 }
 

@@ -4,12 +4,12 @@
 //! the demand criterion admits is delivered on time.
 
 use realtime_router::channels::{
-    AdmissionPolicy, ChannelManager, ChannelRequest, ChannelSender, EstablishedChannel, TrafficSpec,
+    AdmissionPolicy, ChannelManager, ChannelRequest, EstablishedChannel, TrafficSpec,
 };
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
-use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::util::add_periodic_sender;
 
 /// Nine phase-aligned connections, all due within 3 slots of their
 /// release, converging on the centre of a 3×3 mesh from four directions
@@ -43,23 +43,7 @@ fn run(policy: AdmissionPolicy) -> (usize, usize, usize) {
         }
     }
     for ch in &admitted {
-        let src = ch.request.source;
-        let sender = ChannelSender::new(
-            ch,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                100,
-                0,
-                config.slot_bytes,
-                vec![0x77; config.tc_data_bytes()],
-            )),
-        );
+        add_periodic_sender(&mut sim, ch, 100, 0, 0x77);
     }
     sim.run(60_000);
 

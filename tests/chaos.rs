@@ -8,91 +8,13 @@
 //! epoch (the clamp is load-bearing: a fault applied late would tick
 //! routers against a stale topology).
 
-use realtime_router::channels::establish::{EstablishedChannel, Hop};
-use realtime_router::channels::sender::ChannelSender;
-use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::mesh::{FaultSchedule, NetworkReport, Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
-use realtime_router::workloads::tc::PeriodicTcSource;
 use rtr_bench::churn::DriveMode;
-
-const DELAY: u32 = 6;
-
-/// Adds a one-hop periodic TC channel from `(0, y)` to `(1, y)` by
-/// programming the tables directly (no admission round-trip, so builds
-/// stay cheap and identical).
-fn add_channel(sim: &mut Simulator<RealTimeRouter>, y: u16, index: usize, period_slots: u64) {
-    let config = RouterConfig::default();
-    let topo = sim.topology().clone();
-    let conn = ConnectionId(10 + index as u16);
-    let src = topo.node_at(0, y);
-    let dst = topo.node_at(1, y);
-    sim.chip_mut(src)
-        .apply_control(ControlCommand::SetConnection {
-            incoming: conn,
-            outgoing: conn,
-            delay: DELAY,
-            out_mask: Port::Dir(Direction::XPlus).mask(),
-        })
-        .unwrap();
-    sim.chip_mut(dst)
-        .apply_control(ControlCommand::SetConnection {
-            incoming: conn,
-            outgoing: conn,
-            delay: DELAY,
-            out_mask: Port::Local.mask(),
-        })
-        .unwrap();
-    let channel = EstablishedChannel {
-        id: u64::from(conn.0),
-        ingress: conn,
-        depth: 2,
-        guaranteed: 2 * DELAY,
-        hops: vec![
-            Hop {
-                node: src,
-                conn,
-                out_conn: conn,
-                delay: DELAY,
-                out_mask: Port::Dir(Direction::XPlus).mask(),
-                buffers: 2,
-            },
-            Hop {
-                node: dst,
-                conn,
-                out_conn: conn,
-                delay: DELAY,
-                out_mask: Port::Local.mask(),
-                buffers: 2,
-            },
-        ],
-        request: ChannelRequest::unicast(
-            src,
-            dst,
-            TrafficSpec::periodic(period_slots as u32, 18),
-            2 * DELAY,
-        ),
-    };
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            period_slots,
-            0,
-            config.slot_bytes,
-            vec![0xB0 + index as u8; config.tc_data_bytes()],
-        )),
-    );
-}
+use rtr_bench::util::{add_one_hop_channel, ONE_HOP_DELAY};
 
 /// The chaos scenario: a sparse 8×8 mesh (long quiet spans, so leaping
 /// really leaps) with every fault kind landing mid-run, several of them
@@ -106,7 +28,7 @@ fn build_chaos_mesh() -> Simulator<RealTimeRouter> {
     // heads to both drop and corrupt; the rest stay sparse so the mesh
     // still has long quiet spans to leap.
     for (i, (y, period)) in [(0u16, 64u64), (2, 64), (5, 8), (7, 64)].into_iter().enumerate() {
-        add_channel(&mut sim, y, i, period);
+        add_one_hop_channel(&mut sim, y, i, period);
     }
     let topo = sim.topology().clone();
     let schedule = FaultSchedule::new()
@@ -185,7 +107,7 @@ fn faults_inside_quiet_spans_fire_at_their_exact_cycle() {
         let mut sim =
             Simulator::build(Topology::mesh(4, 1), |_| RealTimeRouter::new(config.clone()))
                 .unwrap();
-        add_channel(&mut sim, 0, 0, 64);
+        add_one_hop_channel(&mut sim, 0, 0, 64);
         sim
     };
     let span = 12_000;
@@ -237,7 +159,7 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
                 .unwrap();
         // Period 8: dense enough that symbols are mid-link when the
         // crash lands.
-        add_channel(&mut sim, 0, 0, 8);
+        add_one_hop_channel(&mut sim, 0, 0, 8);
         let schedule =
             FaultSchedule::new().node_crash(2_003, NodeId(1)).node_restore(4_007, NodeId(1));
         sim.set_fault_schedule(schedule);
@@ -288,7 +210,7 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
         })
         .unwrap();
         // One packet every 1 280 cycles: the restore lands mid-slumber.
-        add_channel(&mut sim, 0, 0, 64);
+        add_one_hop_channel(&mut sim, 0, 0, 64);
         sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![0xBE; 120], PacketTrace::default()));
         sim.set_fault_schedule(
             FaultSchedule::new()
@@ -328,8 +250,8 @@ fn faults_and_table_writes_share_one_agenda() {
         let mut sim =
             Simulator::build(Topology::mesh(8, 4), |_| RealTimeRouter::new(config.clone()))
                 .unwrap();
-        add_channel(&mut sim, 0, 0, 64);
-        add_channel(&mut sim, 1, 1, 64);
+        add_one_hop_channel(&mut sim, 0, 0, 64);
+        add_one_hop_channel(&mut sim, 1, 1, 64);
         let topo = sim.topology().clone();
         // Row 1's channel starts unrouted (its packets drop cleanly) and
         // goes live mid-run: the source hop's entry at 5 000, the
@@ -347,7 +269,7 @@ fn faults_and_table_writes_share_one_agenda() {
                 chip.apply_control(ControlCommand::SetConnection {
                     incoming: conn,
                     outgoing: conn,
-                    delay: DELAY,
+                    delay: ONE_HOP_DELAY,
                     out_mask,
                 })
                 .map_err(|e| e.to_string())
@@ -427,7 +349,7 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
             Simulator::build(Topology::mesh(2, 2), |_| RealTimeRouter::new(config.clone()))
                 .unwrap();
         // One message every 8 slots (160 cycles) from (0, 0), which crashes.
-        add_channel(&mut sim, 0, 0, 8);
+        add_one_hop_channel(&mut sim, 0, 0, 8);
         sim.set_fault_schedule(
             FaultSchedule::new().node_crash(CRASH, NodeId(0)).node_restore(RESTORE, NodeId(0)),
         );
@@ -439,7 +361,7 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
         };
         sim.add_source(NodeId(0), recorder(&polls));
         mode.advance(&mut sim, ADDED);
-        add_channel(&mut sim, 1, 1, 8);
+        add_one_hop_channel(&mut sim, 1, 1, 8);
         sim.add_source(NodeId(3), recorder(&polls));
         mode.advance(&mut sim, END - ADDED);
         sim.check_conservation().unwrap();
@@ -501,7 +423,7 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
             .apply_control(ControlCommand::SetConnection {
                 incoming: conn,
                 outgoing: conn,
-                delay: DELAY,
+                delay: ONE_HOP_DELAY,
                 out_mask: Port::Local.mask(),
             })
             .unwrap();

@@ -16,7 +16,6 @@ use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 use realtime_router::channels::control_plane::{SignalingEngine, TeardownStyle};
-use realtime_router::channels::sender::ChannelSender;
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
@@ -28,6 +27,7 @@ use realtime_router::workloads::tc::PeriodicTcSource;
 
 /// The drive modes; dense stepping is the reference leaping is held to.
 use rtr_bench::churn::DriveMode as Mode;
+use rtr_bench::util::{add_periodic_sender, sender_for};
 
 /// Everything observable about a finished run: per-node delivery logs,
 /// control-op and signaling counters, and per-link conservation ledgers.
@@ -74,22 +74,8 @@ fn run_interleaving(seed: u64, arrivals: usize, mode: Mode) -> (String, u64) {
         96,
     );
     let ticket = engine.request_establish(&topo, request, &mut sim).unwrap();
-    let sender = ChannelSender::new(
-        &ticket.channel,
-        sim.chip(topo.node_at(0, 0)).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        topo.node_at(0, 0),
-        Box::new(PeriodicTcSource::new(
-            sender,
-            16,
-            cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1,
-            config.slot_bytes,
-            vec![0x55; config.tc_data_bytes()],
-        )),
-    );
+    let first_slot = cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1;
+    add_periodic_sender(&mut sim, &ticket.channel, 16, first_slot, 0x55);
 
     let churn = ChurnConfig {
         seed,
@@ -132,12 +118,7 @@ fn run_interleaving(seed: u64, arrivals: usize, mode: Mode) -> (String, u64) {
                 due.push(Reverse((stop.max(ticket.ready_at + 1), actions.len())));
                 actions.push(Action::Teardown(ticket.channel.id, style));
 
-                let sender = ChannelSender::new(
-                    &ticket.channel,
-                    sim.chip(event.src).clock(),
-                    config.slot_bytes,
-                    config.tc_data_bytes(),
-                );
+                let sender = sender_for(&sim, &ticket.channel);
                 let source = PeriodicTcSource::new(
                     sender,
                     8,
@@ -216,22 +197,8 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
             2_048,
         );
         let ticket = engine.request_establish(&topo, request, &mut sim).unwrap();
-        let sender = ChannelSender::new(
-            &ticket.channel,
-            sim.chip(topo.node_at(0, 0)).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            topo.node_at(0, 0),
-            Box::new(PeriodicTcSource::new(
-                sender,
-                256,
-                cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1,
-                config.slot_bytes,
-                vec![0xA5; config.tc_data_bytes()],
-            )),
-        );
+        let first_slot = cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1;
+        add_periodic_sender(&mut sim, &ticket.channel, 256, first_slot, 0xA5);
         (sim, engine, topo)
     };
     let span = 40_000;
@@ -283,14 +250,8 @@ fn recycled_connection_ids_never_collide_with_their_predecessors() {
                      stop: Cycle| {
         let request = ChannelRequest::unicast(src, dst, TrafficSpec::periodic(4, 18), 64);
         let ticket = engine.request_establish(&topo, request, sim).unwrap();
-        let sender = ChannelSender::new(
-            &ticket.channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
         let source = PeriodicTcSource::new(
-            sender,
+            sender_for(sim, &ticket.channel),
             2,
             cycle_to_slot(ticket.ready_at, config.slot_bytes) + 1,
             config.slot_bytes,
@@ -355,12 +316,7 @@ fn drain_teardown_delivers_everything_abort_ledgers_the_rest() {
         let mut engine = SignalingEngine::new(&config);
         let request = ChannelRequest::unicast(src, dst, TrafficSpec::periodic(4, 18), 96);
         let ticket = engine.request_establish(&topo, request, &mut sim).unwrap();
-        let sender = ChannelSender::new(
-            &ticket.channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
+        let sender = sender_for(&sim, &ticket.channel);
         let source = PeriodicTcSource::new(
             sender,
             4,

@@ -14,6 +14,7 @@ use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
 use realtime_router::workloads::patterns::TrafficPattern;
+use rtr_bench::util::add_periodic_sender;
 
 fn total_be_delivered(sim: &Simulator<RealTimeRouter>, topo: &Topology) -> usize {
     topo.nodes().map(|n| sim.log(n).be.len()).sum()
@@ -24,8 +25,6 @@ fn total_be_delivered(sim: &Simulator<RealTimeRouter>, topo: &Topology) -> usize
 /// buffered) and buffered packets fully retired or still in memory.
 #[test]
 fn router_stats_conserve_under_mixed_traffic() {
-    use realtime_router::workloads::tc::PeriodicTcSource;
-
     let config = RouterConfig::default();
     let topo = Topology::mesh(3, 3);
     let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
@@ -42,22 +41,7 @@ fn router_stats_conserve_under_mixed_traffic() {
                 &mut sim,
             )
             .expect("sparse channel set admits");
-        let sender = ChannelSender::new(
-            &channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                16,
-                phase as u64,
-                config.slot_bytes,
-                vec![0x42; config.tc_data_bytes()],
-            )),
-        );
+        add_periodic_sender(&mut sim, &channel, 16, phase as u64, 0x42);
     }
     for node in topo.nodes() {
         sim.add_source(

@@ -1,11 +1,11 @@
 //! Integration: full channel lifecycle across the mesh — establishment,
 //! traffic, guarantees, teardown, and capacity reuse.
 
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
-use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::util::add_periodic_sender;
 
 fn build(side: u16) -> (RouterConfig, Topology, Simulator<RealTimeRouter>, ChannelManager) {
     let config = RouterConfig::default();
@@ -27,22 +27,7 @@ fn single_channel_end_to_end_guarantee() {
             &mut sim,
         )
         .unwrap();
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            16,
-            0,
-            config.slot_bytes,
-            vec![9; config.tc_data_bytes()],
-        )),
-    );
+    add_periodic_sender(&mut sim, &channel, 16, 0, 9);
     sim.run(60_000);
     let log = sim.log(dst);
     assert!(log.tc.len() > 150, "delivered {}", log.tc.len());
@@ -83,23 +68,7 @@ fn many_channels_coexist_without_misses() {
         channels.push(channel);
     }
     for channel in &channels {
-        let src = channel.request.source;
-        let sender = ChannelSender::new(
-            channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                16,
-                channel.id % 16,
-                config.slot_bytes,
-                vec![channel.id as u8; config.tc_data_bytes()],
-            )),
-        );
+        add_periodic_sender(&mut sim, channel, 16, channel.id % 16, channel.id as u8);
     }
     sim.run(80_000);
     let mut total = 0;

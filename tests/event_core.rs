@@ -5,126 +5,27 @@
 //! calendar queue proves can change, leaping across quiet spans). This
 //! suite proves the two bit-identical, with dense stepping as the
 //! reference. Every scenario diffs delivery logs byte-for-byte and the
-//! full `Debug` rendering of [`NetworkReport`]. The mid-leap predicate
-//! test locks [`Simulator::run_until_leaping`] to stepped `run_until`
-//! semantics. The conservation test closes the per-node packet ledger
-//! under both drive modes, and the warm-queue test pins the contract that
-//! plain `step` drives a primed event queue instead of staling it. The
-//! wake-queue unit tests (stale-wake invalidation, same-cycle
-//! re-registration, wheel rollover) exercise the public `events` API
-//! directly.
+//! full `Debug` rendering of [`NetworkReport`]: seeded 8×8 meshes at
+//! sparse, mixed and saturating load and on a latent wire, a packet parked
+//! early behind a horizon, §7 cut-through on both schedulers, and the
+//! wormhole baseline. The mid-leap predicate test locks
+//! [`Simulator::run_until_leaping`] to stepped `run_until` semantics. The
+//! conservation test closes the per-node packet ledger under both drive
+//! modes, and the warm-queue test pins the contract that plain `step`
+//! drives a primed event queue instead of staling it.
 
-use realtime_router::channels::establish::{EstablishedChannel, Hop};
-use realtime_router::channels::sender::ChannelSender;
+use realtime_router::baselines::WormholeRouter;
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
+use realtime_router::channels::ChannelManager;
 use realtime_router::core::{ControlCommand, RealTimeRouter};
-use realtime_router::events::{WakeHandle, WakeQueue};
 use realtime_router::mesh::{NetworkReport, Simulator, Topology, TrafficSource};
-use realtime_router::types::chip::ChipIo;
-use realtime_router::types::config::RouterConfig;
+use realtime_router::types::chip::{Chip, ChipIo};
+use realtime_router::types::config::{RouterConfig, SchedulerKind};
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
-use realtime_router::workloads::be::{RandomBeSource, SizeDist};
-use realtime_router::workloads::patterns::TrafficPattern;
-use realtime_router::workloads::tc::PeriodicTcSource;
+use realtime_router::workloads::be::SizeDist;
 use rtr_bench::churn::DriveMode;
-
-const DELAY: u32 = 6;
-
-/// Adds a one-hop periodic TC channel from `(0, y)` to `(1, y)`.
-fn add_channel(sim: &mut Simulator<RealTimeRouter>, y: u16, index: usize, period_slots: u64) {
-    let config = RouterConfig::default();
-    let topo = sim.topology().clone();
-    let conn = ConnectionId(10 + index as u16);
-    let src = topo.node_at(0, y);
-    let dst = topo.node_at(1, y);
-    sim.chip_mut(src)
-        .apply_control(ControlCommand::SetConnection {
-            incoming: conn,
-            outgoing: conn,
-            delay: DELAY,
-            out_mask: Port::Dir(Direction::XPlus).mask(),
-        })
-        .unwrap();
-    sim.chip_mut(dst)
-        .apply_control(ControlCommand::SetConnection {
-            incoming: conn,
-            outgoing: conn,
-            delay: DELAY,
-            out_mask: Port::Local.mask(),
-        })
-        .unwrap();
-    let channel = EstablishedChannel {
-        id: u64::from(conn.0),
-        ingress: conn,
-        depth: 2,
-        guaranteed: 2 * DELAY,
-        hops: vec![
-            Hop {
-                node: src,
-                conn,
-                out_conn: conn,
-                delay: DELAY,
-                out_mask: Port::Dir(Direction::XPlus).mask(),
-                buffers: 2,
-            },
-            Hop {
-                node: dst,
-                conn,
-                out_conn: conn,
-                delay: DELAY,
-                out_mask: Port::Local.mask(),
-                buffers: 2,
-            },
-        ],
-        request: ChannelRequest::unicast(
-            src,
-            dst,
-            TrafficSpec::periodic(period_slots as u32, 18),
-            2 * DELAY,
-        ),
-    };
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            period_slots,
-            0,
-            config.slot_bytes,
-            vec![0xA0 + index as u8, config.tc_data_bytes() as u8]
-                .into_iter()
-                .cycle()
-                .take(config.tc_data_bytes())
-                .collect(),
-        )),
-    );
-}
-
-/// Adds a seeded Bernoulli BE source at every node.
-fn add_be_background(sim: &mut Simulator<RealTimeRouter>, rate: f64) {
-    let topo = sim.topology().clone();
-    for node in topo.nodes() {
-        sim.add_source(
-            node,
-            Box::new(
-                RandomBeSource::new(
-                    topo.clone(),
-                    TrafficPattern::Uniform,
-                    rate,
-                    SizeDist::Fixed(16),
-                    0xC0FF_EE00 ^ u64::from(node.0),
-                )
-                .with_max_queue(8),
-            ),
-        );
-    }
-}
+use rtr_bench::util::{add_one_hop_channel, add_periodic_sender, add_uniform_be, ONE_HOP_DELAY};
 
 /// Builds an 8×8 mesh with four periodic channels and optional BE load.
 fn build_mesh(tc_period_slots: u64, be_rate: f64) -> Simulator<RealTimeRouter> {
@@ -144,33 +45,30 @@ fn build_mesh_on_wire(
     .unwrap();
     sim.enable_gauge_sampling(50);
     for (i, y) in [0u16, 2, 5, 7].into_iter().enumerate() {
-        add_channel(&mut sim, y, i, tc_period_slots);
+        add_one_hop_channel(&mut sim, y, i, tc_period_slots);
     }
-    if be_rate > 0.0 {
-        add_be_background(&mut sim, be_rate);
-    }
+    add_uniform_be(&mut sim, be_rate, SizeDist::Fixed(16), 0xC0FF_EE00, 8);
     sim
 }
 
 /// Full observable fingerprint of a finished run: every node's delivery
 /// log plus the `Debug` rendering of the captured [`NetworkReport`].
-fn fingerprint(sim: &Simulator<RealTimeRouter>) -> String {
-    let config = RouterConfig::default();
+fn fingerprint<C: Chip>(sim: &Simulator<C>) -> String {
     let mut out = String::new();
     for node in sim.topology().nodes() {
         let log = sim.log(node);
         out.push_str(&format!("{node}: tc={:?} be={:?}\n", log.tc, log.be));
     }
-    out.push_str(&format!("{:?}", NetworkReport::capture(sim, config.slot_bytes)));
+    out.push_str(&format!("{:?}", NetworkReport::capture(sim, RouterConfig::default().slot_bytes)));
     out
 }
 
 /// Builds the scenario and drives it `cycles` cycles in one drive mode.
-fn drive(
-    build: &mut impl FnMut() -> Simulator<RealTimeRouter>,
+fn drive<C: Chip>(
+    build: &mut impl FnMut() -> Simulator<C>,
     mode: DriveMode,
     cycles: u64,
-) -> Simulator<RealTimeRouter> {
+) -> Simulator<C> {
     let mut sim = build();
     mode.advance(&mut sim, cycles);
     sim
@@ -178,10 +76,10 @@ fn drive(
 
 /// Runs one scenario densely and event-driven and asserts byte-identical
 /// observables. Returns `(dense, event)` for follow-up assertions.
-fn assert_modes_agree(
-    mut build: impl FnMut() -> Simulator<RealTimeRouter>,
+fn assert_modes_agree<C: Chip>(
+    mut build: impl FnMut() -> Simulator<C>,
     cycles: u64,
-) -> (Simulator<RealTimeRouter>, Simulator<RealTimeRouter>) {
+) -> (Simulator<C>, Simulator<C>) {
     let stepped = drive(&mut build, DriveMode::Dense, cycles);
     let leaping = drive(&mut build, DriveMode::Event, cycles);
     assert_eq!(stepped.now(), leaping.now(), "event mode covered a different span");
@@ -385,7 +283,7 @@ fn injection_on_a_warm_core_is_seen() {
                 .apply_control(ControlCommand::SetConnection {
                     incoming: conn,
                     outgoing: conn,
-                    delay: DELAY,
+                    delay: ONE_HOP_DELAY,
                     out_mask: port.mask(),
                 })
                 .unwrap();
@@ -438,52 +336,135 @@ fn injection_on_a_warm_core_is_seen() {
     );
 }
 
-/// Stale wakes never fire: re-registering at a later cycle invalidates the
-/// earlier wheel entry lazily, and only the live wake pops.
+/// Horizon-limited early traffic: a packet whose logical arrival is far in
+/// the future parks in packet memory until its slack enters the horizon.
+/// The event run must wake exactly at the horizon boundary — waking one
+/// slot late would shift the transmit cycle, one slot early would burn
+/// ticks — and still deliver at the dense run's cycle.
 #[test]
-fn stale_wakes_are_invalidated() {
-    let mut q = WakeQueue::new();
-    let h = q.register();
-    q.set_wake(h, 10);
-    q.set_wake(h, 500); // the entry filed for cycle 10 is now stale
-    let mut due = Vec::new();
-    q.pop_due(10, &mut due);
-    assert!(due.is_empty(), "stale wake at 10 must not fire: {due:?}");
-    q.pop_due(500, &mut due);
-    assert_eq!(due, vec![h]);
-    assert_eq!(q.stats().stale_discarded, 1);
+fn leaping_equivalence_horizon_limited_early_tc() {
+    let build = || {
+        let config = RouterConfig::default();
+        let mut sim =
+            Simulator::build(Topology::mesh(2, 1), |_| RealTimeRouter::new(config.clone()))
+                .unwrap();
+        sim.enable_gauge_sampling(50);
+        let src = NodeId(0);
+        let dst = sim.topology().node_at(1, 0);
+        let (conn, xplus) = (ConnectionId(5), Port::Dir(Direction::XPlus).mask());
+        for (node, out_mask) in [(src, xplus), (dst, Port::Local.mask())] {
+            sim.chip_mut(node)
+                .apply_control(ControlCommand::SetConnection {
+                    incoming: conn,
+                    outgoing: conn,
+                    delay: 100,
+                    out_mask,
+                })
+                .unwrap();
+        }
+        sim.chip_mut(src)
+            .apply_control(ControlCommand::SetHorizon { port_mask: xplus, horizon: 4 })
+            .unwrap();
+        let clock = sim.chip(src).clock();
+        let payload = vec![0x77; sim.chip(src).config().tc_data_bytes()];
+        sim.inject_tc(
+            src,
+            TcPacket {
+                conn,
+                arrival: clock.wrap(120),
+                payload: payload.into(),
+                trace: PacketTrace {
+                    source: src,
+                    destination: dst,
+                    deadline: 320,
+                    ..PacketTrace::default()
+                },
+            },
+        );
+        sim
+    };
+    let (stepped, leaping) = assert_modes_agree(build, 6_000);
+    let dst = stepped.topology().node_at(1, 0);
+    assert_eq!(stepped.log(dst).tc.len(), 1, "the parked packet must arrive");
+    assert!(
+        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
+        "the early-parked span must be leaped: {} vs {} ticks",
+        leaping.ticks_executed(),
+        stepped.ticks_executed()
+    );
 }
 
-/// Re-registering the *same* cycle is idempotent: one firing, no
-/// duplicate wheel entries.
-#[test]
-fn same_cycle_reregistration_is_idempotent() {
-    let mut q = WakeQueue::new();
-    let h = q.register();
-    q.set_wake(h, 42);
-    q.set_wake(h, 42);
-    q.set_wake(h, 42);
-    let mut due = Vec::new();
-    q.pop_due(100, &mut due);
-    assert_eq!(due, vec![h], "exactly one firing");
-    assert_eq!(q.stats().filed, 1, "same-cycle re-registration must not re-file");
+/// The `extensions_compose` mesh — 4×4, three multi-hop channels, §7
+/// virtual cut-through on — with period-64 channels and `be_rate` uniform
+/// best-effort background.
+fn cut_through_mesh(scheduler: SchedulerKind, be_rate: f64) -> Simulator<RealTimeRouter> {
+    const PERIOD: u64 = 64;
+    let config = RouterConfig { tc_cut_through: true, scheduler, ..RouterConfig::default() };
+    let topo = Topology::mesh(4, 4);
+    let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
+    let mut manager = ChannelManager::new(&config);
+    for ((sx, sy), (dx, dy)) in [((0, 0), (3, 1)), ((3, 3), (0, 2)), ((1, 0), (2, 3))] {
+        let (src, dst) = (topo.node_at(sx, sy), topo.node_at(dx, dy));
+        let depth = topo.dor_route(src, dst).len() as u32 + 1;
+        let spec = TrafficSpec::periodic(PERIOD as u32, 18);
+        let request = ChannelRequest::unicast(src, dst, spec, depth * 8);
+        let channel = manager.establish(&topo, request, &mut sim).unwrap();
+        add_periodic_sender(&mut sim, &channel, PERIOD, 0, 3);
+    }
+    add_uniform_be(&mut sim, be_rate, SizeDist::Fixed(16), 0xC0FF_EE00, 8);
+    sim
 }
 
-/// The wheel survives horizons and wakes near `Cycle::MAX`: top-level
-/// slots cover the full 64-bit range without overflow.
+/// Cut-through leaps the way it steps: a packet that cuts through waits out
+/// its header latency in the output port's `pending_cut`, and `next_event`
+/// must wake the chip at its `start_at` — on both schedulers, on a quiet
+/// mesh (which must leap most cycles) and under best-effort load.
 #[test]
-fn wheel_rollover_near_cycle_max() {
-    let mut q = WakeQueue::new();
-    let a = q.register();
-    let b = q.register();
-    q.pop_due(u64::MAX - 4_000, &mut Vec::new());
-    q.set_wake(a, u64::MAX - 1);
-    q.set_wake(b, u64::MAX);
-    assert_eq!(q.next_wake(), Some(u64::MAX - 1));
-    let mut due = Vec::new();
-    q.pop_due(u64::MAX - 2, &mut due);
-    assert!(due.is_empty());
-    q.pop_due(u64::MAX, &mut due);
-    assert_eq!(due, vec![a, b], "both extreme wakes fire, sorted by handle");
-    assert_eq!(WakeHandle(0), a);
+fn cut_through_leaps_like_it_steps() {
+    for scheduler in [SchedulerKind::ComparatorTree, SchedulerKind::Banded { band_shift: 1 }] {
+        for be_rate in [0.0, 0.05] {
+            let (stepped, leaping) =
+                assert_modes_agree(|| cut_through_mesh(scheduler, be_rate), 40_000);
+            let topo = stepped.topology();
+            let cut: u64 = topo.nodes().map(|n| stepped.chip(n).stats().tc_cut_through).sum();
+            assert!(cut > 0, "{scheduler:?} at BE {be_rate}: no packet cut through");
+            if be_rate == 0.0 {
+                assert!(
+                    leaping.ticks_executed() * 2 < stepped.ticks_executed(),
+                    "{scheduler:?}: a quiet cut-through mesh must leap: {} vs {} ticks",
+                    leaping.ticks_executed(),
+                    stepped.ticks_executed()
+                );
+            }
+        }
+    }
+}
+
+/// The baselines' share of the contract: a baseline that answers
+/// `next_event` at all (the pure-wormhole router, whose answer is the
+/// kit channel's) must leap like it steps. The `baseline_compare` scenario
+/// under 20% best-effort background; the store-and-forward and priority-VC
+/// baselines keep the trait's never-leap default and need no proof.
+#[test]
+fn baselines_leap_like_they_step() {
+    let (stepped, leaping) =
+        assert_modes_agree(|| rtr_bench::baseline_compare::wormhole_sim(0.2), 10_000);
+    // Every baseline counter is event-based, so — unlike the real-time
+    // router's `sched.key_computations` work counter — all of them match.
+    let counters = |sim: &Simulator<WormholeRouter>, node| {
+        let mut seen = Vec::new();
+        sim.chip(node).counters(&mut |name, value| seen.push((name, value)));
+        seen
+    };
+    for node in stepped.topology().nodes() {
+        assert_eq!(counters(&stepped, node), counters(&leaping, node), "counters at {node}");
+    }
+    let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+    assert!(be_total > 500, "the scenario must carry traffic: {be_total} packets");
+    assert!(
+        leaping.ticks_executed() < stepped.ticks_executed(),
+        "idle wormhole chips must be skipped: {} vs {} ticks",
+        leaping.ticks_executed(),
+        stepped.ticks_executed()
+    );
 }

@@ -2,14 +2,14 @@
 //! banded approximate scheduler (with safe band width) still deliver every
 //! admitted packet on time across a mesh.
 
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::types::config::SchedulerKind;
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
 use realtime_router::workloads::patterns::TrafficPattern;
-use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::util::add_periodic_sender;
 
 #[test]
 fn cut_through_plus_banded_scheduler_keep_guarantees() {
@@ -39,23 +39,7 @@ fn cut_through_plus_banded_scheduler_keep_guarantees() {
         );
     }
     for channel in &channels {
-        let src = channel.request.source;
-        let sender = ChannelSender::new(
-            channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                16,
-                0,
-                config.slot_bytes,
-                vec![3; config.tc_data_bytes()],
-            )),
-        );
+        add_periodic_sender(&mut sim, channel, 16, 0, 3);
     }
     for node in topo.nodes() {
         sim.add_source(

@@ -5,37 +5,11 @@
 //! a link killed mid-run.
 
 use realtime_router::channels::recovery::{watch_and_recover, RecoveryConfig};
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{FaultKind, Simulator, Topology};
 use realtime_router::prelude::*;
-use realtime_router::workloads::tc::PeriodicTcSource;
-
-fn attach_periodic_source(
-    sim: &mut Simulator<RealTimeRouter>,
-    channel: &EstablishedChannel,
-    config: &RouterConfig,
-    src: NodeId,
-    offset: u64,
-    fill: u8,
-) {
-    let sender = ChannelSender::new(
-        channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            16,
-            offset,
-            config.slot_bytes,
-            vec![fill; config.tc_data_bytes()],
-        )),
-    );
-}
+use rtr_bench::util::add_periodic_sender;
 
 #[test]
 fn mid_run_link_kill_is_detected_and_rerouted_live() {
@@ -64,8 +38,8 @@ fn mid_run_link_kill_is_detected_and_rerouted_live() {
             &mut sim,
         )
         .unwrap();
-    attach_periodic_source(&mut sim, &victim, &config, src, 0, 0x44);
-    attach_periodic_source(&mut sim, &bystander, &config, far_src, 5, 0x55);
+    add_periodic_sender(&mut sim, &victim, 16, 0, 0x44);
+    add_periodic_sender(&mut sim, &bystander, 16, 5, 0x55);
 
     // Kill a row-0 link mid-run, while traffic is flowing.
     let broken = (topo.node_at(1, 0), Direction::XPlus);
@@ -152,22 +126,7 @@ fn channel_routed_around_a_dead_link_still_guarantees() {
         )
         .unwrap();
 
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            16,
-            0,
-            config.slot_bytes,
-            vec![0x44; config.tc_data_bytes()],
-        )),
-    );
+    add_periodic_sender(&mut sim, &channel, 16, 0, 0x44);
     sim.run(50_000);
 
     let log = sim.log(dst);

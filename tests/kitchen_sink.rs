@@ -3,13 +3,14 @@
 //! saturating best-effort background, horizons enabled — for 200 000
 //! cycles. The single invariant that matters: **zero deadline misses**.
 
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::mesh::{NetworkReport, Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
 use realtime_router::workloads::patterns::TrafficPattern;
 use realtime_router::workloads::tc::{BurstyTcSource, PeriodicTcSource};
+use rtr_bench::util::{add_periodic_sender, sender_for};
 
 #[test]
 fn everything_at_once_zero_misses() {
@@ -70,12 +71,7 @@ fn everything_at_once_zero_misses() {
     // Senders: alternate periodic and legally-bursty.
     for (k, channel) in channels.iter().enumerate() {
         let src = channel.request.source;
-        let sender = ChannelSender::new(
-            channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
+        let sender = sender_for(&sim, channel);
         let source: Box<dyn rtr_mesh::TrafficSource> = if k % 2 == 0 {
             Box::new(PeriodicTcSource::new(
                 sender,
@@ -95,25 +91,7 @@ fn everything_at_once_zero_misses() {
         };
         sim.add_source(src, source);
     }
-    {
-        let src = mcast.request.source;
-        let sender = ChannelSender::new(
-            &mcast,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                32,
-                5,
-                config.slot_bytes,
-                vec![0xAC; config.tc_data_bytes()],
-            )),
-        );
-    }
+    add_periodic_sender(&mut sim, &mcast, 32, 5, 0xAC);
 
     // Saturating best-effort background everywhere.
     for node in topo.nodes() {

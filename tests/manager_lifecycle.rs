@@ -4,13 +4,12 @@
 //! release would panic).
 
 use proptest::prelude::*;
-use realtime_router::channels::{
-    ChannelManager, ChannelRequest, ChannelSender, ControlPlane, TrafficSpec,
-};
+use realtime_router::channels::{ChannelManager, ChannelRequest, ControlPlane, TrafficSpec};
 use realtime_router::core::{ControlCommand, ControlError, RealTimeRouter};
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::types::config::RouterConfig;
+use rtr_bench::util::sender_for;
 
 struct NullPlane;
 
@@ -85,12 +84,7 @@ fn both_ends_of_the_identifier_space_program_real_routers() {
         let request = || ChannelRequest::unicast(src, dst, TrafficSpec::periodic(16, 18), 24);
 
         let channel = manager.establish(&topo, request(), &mut sim).unwrap();
-        let mut sender = ChannelSender::new(
-            &channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
+        let mut sender = sender_for(&sim, &channel);
         for packet in sender.make_message(sim.now(), &[7; 8]) {
             sim.inject_tc(src, packet);
         }

@@ -9,13 +9,12 @@
 //! of the 16-bit space and keep the per-node footprint honest.
 
 use proptest::prelude::*;
-use realtime_router::channels::{
-    ChannelManager, ChannelRequest, ChannelSender, DeferredPlane, TrafficSpec,
-};
+use realtime_router::channels::{ChannelManager, ChannelRequest, DeferredPlane, TrafficSpec};
 use realtime_router::core::{RealTimeRouter, RouterTemplate};
 use realtime_router::mesh::{LinkTable, Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{Direction, NodeId};
+use rtr_bench::util::{periodic_mesh, sender_for};
 
 /// Builds an idle `width × height` simulator from one shared template —
 /// the construction path the mega-mesh benches time.
@@ -97,9 +96,8 @@ fn a_tc_route_may_be_longer_than_the_be_header_allows() {
     let request = ChannelRequest::unicast(src, dst, TrafficSpec::periodic(4096, 18), 200 * 8);
     let channel = manager.establish(&topo, request, &mut sim).expect("an empty mesh admits it");
     assert_eq!(channel.hops.len(), 200);
-    let data = config.tc_data_bytes();
-    let mut sender = ChannelSender::new(&channel, sim.chip(src).clock(), config.slot_bytes, data);
-    for packet in sender.make_message(0, &vec![7; data]) {
+    let mut sender = sender_for(&sim, &channel);
+    for packet in sender.make_message(0, &vec![7; config.tc_data_bytes()]) {
         sim.inject_tc(src, packet);
     }
     sim.run_leaping(200 * 8 * config.slot_bytes as u64);
@@ -145,7 +143,7 @@ fn bytes_per_node_stays_under_the_ceiling() {
     // Driving the mesh allocates behind the routers that carry traffic, by
     // what they buffered and the table rows they were written: 3 719
     // bytes/node measured.
-    let mut sim = rtr_bench::leaping::periodic_mesh_sized(64, 64, 512);
+    let mut sim = periodic_mesh(64, 64, 512);
     sim.run_leaping(20_000);
     let driven = sim.bytes_per_node();
     assert!(driven <= 3_905, "driven mesh costs {driven} bytes/node, ceiling 3 905");
@@ -225,8 +223,6 @@ fn manager_books_cost_only_the_nodes_channels_cross() {
 #[cfg(feature = "metrics")]
 #[test]
 fn event_cycle_work_is_flat_in_mesh_size() {
-    use realtime_router::workloads::tc::PeriodicTcSource;
-
     let work_after_prime = |side: u16| {
         let config = RouterConfig::default();
         let mut sim = idle_mesh(side, side);
@@ -236,16 +232,7 @@ fn event_cycle_work_is_flat_in_mesh_size() {
             let (src, dst) = (topo.node_at(2 + i, 1), topo.node_at(3 + i, 3));
             let request = ChannelRequest::unicast(src, dst, TrafficSpec::periodic(64, 18), 40);
             let channel = manager.establish(&topo, request, &mut sim).unwrap();
-            let sender = ChannelSender::new(
-                &channel,
-                sim.chip(src).clock(),
-                config.slot_bytes,
-                config.tc_data_bytes(),
-            );
-            let payload = vec![i as u8; config.tc_data_bytes()];
-            let source =
-                PeriodicTcSource::new(sender, 64, u64::from(i), config.slot_bytes, payload);
-            sim.add_source(src, Box::new(source));
+            rtr_bench::util::add_periodic_sender(&mut sim, &channel, 64, u64::from(i), i as u8);
         }
         let visits = |sim: &Simulator<RealTimeRouter>| {
             let snapshot = sim.metrics_snapshot();

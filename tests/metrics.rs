@@ -12,109 +12,23 @@
 //! in the phases each drive mode actually executes.
 #![cfg(feature = "metrics")]
 
-use realtime_router::channels::establish::{EstablishedChannel, Hop};
-use realtime_router::channels::sender::ChannelSender;
-use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
-use realtime_router::core::{ControlCommand, RealTimeRouter};
+use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::metrics::{MetricLine, Phase};
 use realtime_router::types::config::RouterConfig;
-use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
-use realtime_router::workloads::be::{RandomBeSource, SizeDist};
-use realtime_router::workloads::patterns::TrafficPattern;
-use realtime_router::workloads::tc::PeriodicTcSource;
-
-const DELAY: u32 = 6;
+use realtime_router::types::ids::NodeId;
+use realtime_router::workloads::be::SizeDist;
+use rtr_bench::util::{add_one_hop_channel, add_uniform_be};
 
 /// A 4×4 mesh with two one-hop periodic TC channels and optional BE load.
 fn build_mesh(tc_period_slots: u64, be_rate: f64) -> Simulator<RealTimeRouter> {
     let config = RouterConfig::default();
-    let topo = Topology::mesh(4, 4);
-    let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
+    let mut sim =
+        Simulator::build(Topology::mesh(4, 4), |_| RealTimeRouter::new(config.clone())).unwrap();
     for (i, y) in [0u16, 3].into_iter().enumerate() {
-        let conn = ConnectionId(10 + i as u16);
-        let src = topo.node_at(0, y);
-        let dst = topo.node_at(1, y);
-        sim.chip_mut(src)
-            .apply_control(ControlCommand::SetConnection {
-                incoming: conn,
-                outgoing: conn,
-                delay: DELAY,
-                out_mask: Port::Dir(Direction::XPlus).mask(),
-            })
-            .unwrap();
-        sim.chip_mut(dst)
-            .apply_control(ControlCommand::SetConnection {
-                incoming: conn,
-                outgoing: conn,
-                delay: DELAY,
-                out_mask: Port::Local.mask(),
-            })
-            .unwrap();
-        let channel = EstablishedChannel {
-            id: u64::from(conn.0),
-            ingress: conn,
-            depth: 2,
-            guaranteed: 2 * DELAY,
-            hops: vec![
-                Hop {
-                    node: src,
-                    conn,
-                    out_conn: conn,
-                    delay: DELAY,
-                    out_mask: Port::Dir(Direction::XPlus).mask(),
-                    buffers: 2,
-                },
-                Hop {
-                    node: dst,
-                    conn,
-                    out_conn: conn,
-                    delay: DELAY,
-                    out_mask: Port::Local.mask(),
-                    buffers: 2,
-                },
-            ],
-            request: ChannelRequest::unicast(
-                src,
-                dst,
-                TrafficSpec::periodic(tc_period_slots as u32, 18),
-                2 * DELAY,
-            ),
-        };
-        let sender = ChannelSender::new(
-            &channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                tc_period_slots,
-                0,
-                config.slot_bytes,
-                vec![0xA0 + i as u8; config.tc_data_bytes()],
-            )),
-        );
+        add_one_hop_channel(&mut sim, y, i, tc_period_slots);
     }
-    if be_rate > 0.0 {
-        for node in topo.nodes() {
-            sim.add_source(
-                node,
-                Box::new(
-                    RandomBeSource::new(
-                        topo.clone(),
-                        TrafficPattern::Uniform,
-                        be_rate,
-                        SizeDist::Fixed(16),
-                        0xC0FF_EE00 ^ u64::from(node.0),
-                    )
-                    .with_max_queue(8),
-                ),
-            );
-        }
-    }
+    add_uniform_be(&mut sim, be_rate, SizeDist::Fixed(16), 0xC0FF_EE00, 8);
     sim
 }
 

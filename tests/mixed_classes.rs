@@ -2,13 +2,14 @@
 //! prescribes — on-time time-constrained packets always win, best-effort
 //! consumes exactly the excess, and neither starves the other.
 
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::stats::LatencySummary;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::workloads::be::BackloggedBeSource;
 use realtime_router::workloads::tc::BackloggedTcSource;
+use rtr_bench::util::sender_for;
 
 /// Builds a 2-node link with one TC channel (utilisation `1/i_min`) and a
 /// saturating best-effort stream; returns (sim, config, dst).
@@ -31,12 +32,7 @@ fn shared_link(i_min: u32) -> (Simulator<RealTimeRouter>, RouterConfig, rtr_type
             &mut sim,
         )
         .unwrap();
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
+    let sender = sender_for(&sim, &channel);
     sim.add_source(
         src,
         Box::new(BackloggedTcSource::new(

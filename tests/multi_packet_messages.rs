@@ -3,10 +3,11 @@
 //! packet slots per period, the sender splits, and every fragment meets
 //! the message deadline.
 
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
+use rtr_bench::util::sender_for;
 
 #[test]
 fn large_messages_split_travel_and_arrive_on_time() {
@@ -23,12 +24,7 @@ fn large_messages_split_travel_and_arrive_on_time() {
     let channel =
         manager.establish(&topo, ChannelRequest::unicast(src, dst, spec, 45), &mut sim).unwrap();
 
-    let mut sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
+    let mut sender = sender_for(&sim, &channel);
     let messages = 30u64;
     for k in 0..messages {
         let now = sim.now();

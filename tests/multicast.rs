@@ -1,10 +1,11 @@
 //! Integration: table-driven multicast (§3.3) — one injected packet fans
 //! out through the tree and reaches every destination by the deadline.
 
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
+use rtr_bench::util::sender_for;
 
 fn setup() -> (RouterConfig, Topology, Simulator<RealTimeRouter>, ChannelManager) {
     let config = RouterConfig::default();
@@ -27,12 +28,7 @@ fn one_send_reaches_every_destination() {
         )
         .unwrap();
 
-    let mut sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
+    let mut sender = sender_for(&sim, &channel);
     for packet in sender.make_message(0, b"fan out") {
         sim.inject_tc(src, packet);
     }
@@ -52,7 +48,7 @@ fn one_send_reaches_every_destination() {
 
 #[test]
 fn multicast_shares_memory_slots_per_router() {
-    let (config, topo, mut sim, mut manager) = setup();
+    let (_, topo, mut sim, mut manager) = setup();
     // Destinations straight east and straight north of the source: the
     // source router itself is the fork (x-first routing exhausts x before
     // y, so (2,0) forks +x and the (0,2) branch leaves +y at the source).
@@ -73,12 +69,7 @@ fn multicast_shares_memory_slots_per_router() {
     let fork = channel.hop_at(src).unwrap();
     assert_eq!(fork.out_mask.count_ones(), 2, "source forks to +x and +y");
 
-    let mut sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
+    let mut sender = sender_for(&sim, &channel);
     for packet in sender.make_message(0, b"shared slot") {
         sim.inject_tc(src, packet);
     }
@@ -106,12 +97,7 @@ fn periodic_multicast_sustains_guarantees() {
             &mut sim,
         )
         .unwrap();
-    let mut sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
+    let mut sender = sender_for(&sim, &channel);
     for k in 0..60u64 {
         let now = sim.now();
         for packet in sender.make_message(now, &[k as u8]) {

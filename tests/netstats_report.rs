@@ -1,12 +1,12 @@
 //! Integration: the network-report instrumentation captures a coherent
 //! whole-network picture.
 
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{NetworkReport, Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::workloads::be::BackloggedBeSource;
-use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::util::add_periodic_sender;
 
 #[test]
 fn report_reflects_the_simulation() {
@@ -23,22 +23,7 @@ fn report_reflects_the_simulation() {
             &mut sim,
         )
         .unwrap();
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            16,
-            0,
-            config.slot_bytes,
-            vec![2; config.tc_data_bytes()],
-        )),
-    );
+    add_periodic_sender(&mut sim, &channel, 16, 0, 2);
     sim.add_source(src, Box::new(BackloggedBeSource::new(&topo, src, dst, 60, 2)));
     sim.run(40_000);
 

@@ -3,14 +3,14 @@
 //! statement of the paper's central claim.
 
 use proptest::prelude::*;
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::NodeId;
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
 use realtime_router::workloads::patterns::TrafficPattern;
-use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::util::add_periodic_sender;
 
 /// A compact description of one randomized scenario.
 #[derive(Debug, Clone)]
@@ -86,22 +86,7 @@ proptest! {
             );
             if let Ok(ch) = manager.establish(&topo, request, &mut sim) {
                 any = true;
-                let sender = ChannelSender::new(
-                    &ch,
-                    sim.chip(src).clock(),
-                    config.slot_bytes,
-                    config.tc_data_bytes(),
-                );
-                sim.add_source(
-                    src,
-                    Box::new(PeriodicTcSource::new(
-                        sender,
-                        u64::from(ch.request.spec.i_min),
-                        ch.id % 4,
-                        config.slot_bytes,
-                        vec![8; config.tc_data_bytes()],
-                    )),
-                );
+                add_periodic_sender(&mut sim, &ch, u64::from(ch.request.spec.i_min), ch.id % 4, 8);
             }
         }
         sim.run(25_000);
@@ -149,23 +134,7 @@ proptest! {
             }
         }
         for ch in &admitted {
-            let src = ch.request.source;
-            let sender = ChannelSender::new(
-                &ch.clone(),
-                sim.chip(src).clock(),
-                config.slot_bytes,
-                config.tc_data_bytes(),
-            );
-            sim.add_source(
-                src,
-                Box::new(PeriodicTcSource::new(
-                    sender,
-                    u64::from(ch.request.spec.i_min),
-                    ch.id % 4,
-                    config.slot_bytes,
-                    vec![7; config.tc_data_bytes()],
-                )),
-            );
+            add_periodic_sender(&mut sim, ch, u64::from(ch.request.spec.i_min), ch.id % 4, 7);
         }
         if s.be_rate > 0.0 && topo.len() > 1 {
             for node in topo.nodes() {

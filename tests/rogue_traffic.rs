@@ -10,12 +10,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::source::FnSource;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::util::{add_periodic_sender, sender_for};
 
 #[test]
 fn rogue_injections_are_contained() {
@@ -34,22 +35,7 @@ fn rogue_injections_are_contained() {
             &mut sim,
         )
         .unwrap();
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            16,
-            0,
-            config.slot_bytes,
-            vec![0x60; config.tc_data_bytes()],
-        )),
-    );
+    add_periodic_sender(&mut sim, &channel, 16, 0, 0x60);
 
     // The rogue sits mid-route and injects garbage every few cycles.
     let rogue = topo.node_at(1, 1);
@@ -134,12 +120,7 @@ fn over_rate_source_is_regulated_and_cannot_starve_a_well_behaved_channel() {
         )
         .unwrap();
 
-    let greedy_sender = ChannelSender::new(
-        &greedy,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
+    let greedy_sender = sender_for(&sim, &greedy);
     // Period 4 on a contract of 16: four times the declared rate.
     sim.add_source(
         src,
@@ -151,22 +132,7 @@ fn over_rate_source_is_regulated_and_cannot_starve_a_well_behaved_channel() {
             vec![0x6E; config.tc_data_bytes()],
         )),
     );
-    let honest_sender = ChannelSender::new(
-        &honest,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            honest_sender,
-            16,
-            7,
-            config.slot_bytes,
-            vec![0x61; config.tc_data_bytes()],
-        )),
-    );
+    add_periodic_sender(&mut sim, &honest, 16, 7, 0x61);
 
     sim.run(60_000);
 
@@ -222,22 +188,7 @@ fn byzantine_neighbor_credits_cannot_corrupt_or_starve_the_tc_class() {
             &mut sim,
         )
         .unwrap();
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            16,
-            0,
-            config.slot_bytes,
-            vec![0x42; config.tc_data_bytes()],
-        )),
-    );
+    add_periodic_sender(&mut sim, &channel, 16, 0, 0x42);
 
     // A best-effort flood keeps the upstream transmitter busy enough for
     // the bogus credits to matter.

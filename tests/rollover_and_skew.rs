@@ -1,11 +1,11 @@
 //! Integration: the §4.3 clock machinery under stress — long runs crossing
 //! many 8-bit clock wraps, and bounded per-node clock skew (§4.1).
 
-use realtime_router::channels::{ChannelManager, ChannelRequest, ChannelSender, TrafficSpec};
+use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::types::config::RouterConfig;
-use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::util::add_periodic_sender;
 
 fn run_chain(skews: &[u64], cycles: u64) -> (usize, usize, u64) {
     let config = RouterConfig::default();
@@ -24,22 +24,7 @@ fn run_chain(skews: &[u64], cycles: u64) -> (usize, usize, u64) {
             &mut sim,
         )
         .unwrap();
-    let sender = ChannelSender::new(
-        &channel,
-        sim.chip(src).clock(),
-        config.slot_bytes,
-        config.tc_data_bytes(),
-    );
-    sim.add_source(
-        src,
-        Box::new(PeriodicTcSource::new(
-            sender,
-            16,
-            0,
-            config.slot_bytes,
-            vec![5; config.tc_data_bytes()],
-        )),
-    );
+    add_periodic_sender(&mut sim, &channel, 16, 0, 5);
     sim.run(cycles);
     let aliased: u64 = topo.nodes().map(|n| sim.chip(n).stats().aliased_keys).sum();
     (sim.log(dst).tc.len(), sim.log(dst).tc_deadline_misses(config.slot_bytes), aliased)

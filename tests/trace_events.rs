@@ -19,7 +19,7 @@ use realtime_router::prelude::*;
 use realtime_router::types::trace::{shared, RingSink, TraceEvent, TraceRecord};
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
 use realtime_router::workloads::patterns::TrafficPattern;
-use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::util::add_periodic_sender;
 
 #[test]
 fn delivered_tc_packets_leave_complete_chains() {
@@ -45,22 +45,7 @@ fn delivered_tc_packets_leave_complete_chains() {
                 &mut sim,
             )
             .expect("sparse channel set admits");
-        let sender = ChannelSender::new(
-            &channel,
-            sim.chip(src).clock(),
-            config.slot_bytes,
-            config.tc_data_bytes(),
-        );
-        sim.add_source(
-            src,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                16,
-                phase as u64 * 2,
-                config.slot_bytes,
-                vec![0x42; config.tc_data_bytes()],
-            )),
-        );
+        add_periodic_sender(&mut sim, &channel, 16, phase as u64 * 2, 0x42);
     }
     for node in topo.nodes() {
         sim.add_source(
