@@ -6,7 +6,7 @@
 //!
 //! `sample=N` snapshots packet-memory/scheduler/queue gauges every N cycles
 //! and prints an occupancy summary. `trace=<path>` streams the cycle-level
-//! packet lifecycle as JSONL (requires building with `--features trace`;
+//! packet lifecycle as JSONL (requires building with `--features metrics`;
 //! replay it with `rtr trace-dump`). `metrics=<path>` writes the unified
 //! metrics registry as JSONL — one line per counter/gauge/histogram at the
 //! end of the run, or every `metrics_every=N` cycles when given (requires
@@ -40,7 +40,7 @@ const KEYS: &Keys = &[
     ("vct", "0|1: TC virtual cut-through (default 0)"),
     ("seed", "RNG seed (default 42)"),
     ("sample", "gauge-sample every N cycles (default 0 = off)"),
-    ("trace", "write JSONL packet trace to PATH (needs --features trace)"),
+    ("trace", "write JSONL packet trace to PATH (needs --features metrics)"),
     ("metrics", "write metrics-registry JSONL to PATH (needs --features metrics)"),
     ("metrics_every", "snapshot metrics every N cycles (default 0 = end only)"),
     ("faults", "scripted fault schedule at PATH, applied mid-run"),
@@ -99,7 +99,7 @@ impl Options {
     }
 }
 
-#[cfg(feature = "trace")]
+#[cfg(feature = "metrics")]
 fn attach_trace(
     sim: &mut Simulator<RealTimeRouter>,
     topo: &Topology,
@@ -145,11 +145,11 @@ fn drive_churn(
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let opts = Options::parse(args)?;
-    #[cfg(not(feature = "trace"))]
+    #[cfg(not(feature = "metrics"))]
     if let Some(path) = &opts.trace {
         return Err(format!(
-            "trace={path} needs the `trace` feature; rebuild with\n  \
-             cargo run --release -p rtr-bench --features trace --bin rtr -- console"
+            "trace={path} needs the `metrics` feature; rebuild with\n  \
+             cargo run --release -p rtr-bench --features metrics --bin rtr -- console"
         ));
     }
 
@@ -171,7 +171,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if opts.sample > 0 {
         sim.enable_gauge_sampling(opts.sample);
     }
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "metrics")]
     let trace_sink = opts.trace.as_deref().map(|p| attach_trace(&mut sim, &topo, p)).transpose()?;
     if let Some(path) = &opts.faults {
         let text = std::fs::read_to_string(path)
@@ -360,7 +360,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!();
         println!("virtual cut-through traversals: {cut}");
     }
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "metrics")]
     if let Some(sink) = trace_sink {
         use rtr_types::trace::TraceSink;
         sink.lock().unwrap().flush();

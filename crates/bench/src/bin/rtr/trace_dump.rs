@@ -7,13 +7,13 @@
 //!
 //! The JSONL codecs live in `rtr-types`/`rtr-metrics` and need no feature
 //! flags, so replay always builds — only *recording* needs
-//! `--features trace` (packet traces) or `--features metrics` (snapshots).
+//! `--features metrics`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use rtr_metrics::{MetricLine, MetricValue};
-use rtr_types::trace::{parse_jsonl, TraceEvent, TraceRecord};
+use rtr_types::trace::{TraceEvent, TraceRecord};
 
 use crate::{Args, Keys};
 
@@ -106,39 +106,42 @@ fn render(
     packets_per_conn: usize,
 ) -> Result<String, String> {
     let mut out = String::new();
-    // Partition observability lines (metric snapshots, flight-recorder
-    // headers and events) out of the stream before trace parsing, so one
-    // tool reads console traces, metrics files, and flight dumps alike.
+    // Sort each line by what it parses as, never by its spacing, so one
+    // tool reads console traces, metrics files, and flight dumps alike: a
+    // metric line, a flight-recorder header, a trace record, and only
+    // then — an `"ev"` line no trace tag matches — a flight event.
     let mut metric_lines: Vec<MetricLine> = Vec::new();
     let mut flight_header: Option<String> = None;
     let mut flight_events: Vec<String> = Vec::new();
-    let mut trace_text = String::new();
-    for line in text.lines() {
+    let mut records: Vec<TraceRecord> = Vec::new();
+    for (i, line) in text.lines().enumerate() {
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
         if let Some(metric) = MetricLine::parse(trimmed) {
             metric_lines.push(metric);
-        } else if trimmed.contains("\"flight\": \"dump\"") {
+        } else if trimmed.contains("\"flight\"") {
             flight_header = Some(trimmed.to_string());
-        } else if trimmed.contains("\"ev\": \"") {
-            flight_events.push(trimmed.to_string());
         } else {
-            trace_text.push_str(trimmed);
-            trace_text.push('\n');
+            match TraceRecord::from_jsonl(trimmed) {
+                Ok(record) => records.push(record),
+                Err(_) if trimmed.contains("\"ev\"") => flight_events.push(trimmed.to_string()),
+                Err(e) => return Err(format!("cannot parse {path}: line {}: {e}", i + 1)),
+            }
         }
     }
 
-    if let Some(header) = &flight_header {
-        line!(out, "flight-recorder dump: {header}");
-        for event in &flight_events {
-            line!(out, "  {event}");
-        }
+    match &flight_header {
+        Some(header) => line!(out, "flight-recorder dump: {header}"),
+        None if !flight_events.is_empty() => line!(out, "flight-recorder events (no dump header):"),
+        None => {}
+    }
+    for event in &flight_events {
+        line!(out, "  {event}");
     }
     print_metrics_dump(&mut out, &metric_lines);
 
-    let records = parse_jsonl(&trace_text).map_err(|e| format!("cannot parse {path}: {e}"))?;
     if records.is_empty() {
         if flight_header.is_none() && metric_lines.is_empty() && flight_events.is_empty() {
             line!(out, "{path}: empty trace");
@@ -313,5 +316,24 @@ mod tests {
         assert!(chain.is_sorted(), "{report}");
         assert!(render("sample.jsonl", SAMPLE, Some(3), 1).unwrap().contains("on connection 3"));
         assert!(render("bad.jsonl", "{\"cycle\": 1}", None, 1).unwrap_err().contains("bad.jsonl"));
+    }
+
+    /// A writer that puts a space after each `:` and `,` spells the same
+    /// records: the chain must still read as a trace, not as flight events,
+    /// and a flight event without its dump header is still printed.
+    #[test]
+    fn records_are_sorted_by_content_not_spacing() {
+        let chain: Vec<&str> = SAMPLE.lines().filter(|l| l.contains("\"ev\":\"")).collect();
+        assert_eq!(chain.len(), 3);
+        let compact = chain.join("\n");
+        let spaced = compact.replace("\":", "\": ").replace(",\"", ", \"");
+        assert!(spaced.contains("\"ev\": \"tc_deliver\""));
+        let report = render("chain.jsonl", &spaced, Some(2), 1).unwrap();
+        assert!(report.contains("chain.jsonl: 3 records, cycles 60..179"), "{report}");
+        assert_eq!(report, render("chain.jsonl", &compact, Some(2), 1).unwrap());
+
+        let event = r#"{"cycle": 12, "node": 3, "ev": "deliver_tc", "a": 2, "b": 9}"#;
+        let report = render("flight.jsonl", event, None, 1).unwrap();
+        assert!(report.contains(event), "{report}");
     }
 }

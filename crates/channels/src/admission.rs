@@ -17,7 +17,7 @@
 //! ∀ L ∈ test points:   η + Σ_k c_k · (⌊(L − d_k)/P_k⌋ + 1) · [L ≥ d_k]  ≤  L
 //! ```
 //!
-//! `η` (default 2 slots) covers the one-slot non-preemptive blocking of a
+//! `η` (2 slots in the channel manager) covers the one-slot non-preemptive blocking of a
 //! just-started packet plus the sub-slot pipeline latencies of the datapath.
 //!
 //! # Buffer test

@@ -187,13 +187,16 @@ pub struct LinkLoad {
     pub headroom_slots: u32,
 }
 
+/// The blocking/overhead allowance `η` (slots) the manager's link test
+/// charges (see [`crate::admission`]).
+const ETA: u32 = 2;
+
 /// The channel manager: owns the network's reservation state and programs
 /// routers through a [`ControlPlane`].
 ///
 /// The manager assumes it is the only writer of connection tables.
 #[derive(Debug)]
 pub struct ChannelManager {
-    eta: u32,
     data_bytes: usize,
     half_range: u32,
     /// Identifiers per router, at most the 2^16 a [`ConnectionId`] can name.
@@ -230,7 +233,6 @@ impl ChannelManager {
     #[must_use]
     pub fn new(config: &RouterConfig) -> Self {
         ChannelManager {
-            eta: 2,
             data_bytes: config.tc_data_bytes(),
             half_range: 1 << (config.clock_bits - 1),
             conn_capacity: config.connections.min(usize::from(u16::MAX) + 1),
@@ -244,11 +246,6 @@ impl ChannelManager {
             #[cfg(test)]
             oracle: tests::ScanOracle::default(),
         }
-    }
-
-    /// Sets the blocking/overhead allowance `η` used by the link test.
-    pub fn set_eta(&mut self, eta: u32) {
-        self.eta = eta;
     }
 
     /// Sets the horizon value assumed when sizing downstream buffers. Must
@@ -417,7 +414,7 @@ impl ChannelManager {
             for port in rtr_types::ids::ports_in_mask(mask) {
                 book.and_then(|b| b.links[port.index()].as_ref())
                     .unwrap_or(&NO_LINKS)
-                    .admissible_with(reservation, self.eta, self.policy)?;
+                    .admissible_with(reservation, ETA, self.policy)?;
             }
             let (h_prev, d_prev, is_source) = match tree.parent(at) {
                 Some(parent) => (self.assumed_horizon, delays[parent], false),

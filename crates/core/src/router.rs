@@ -37,13 +37,13 @@ use crate::sched::dispatch::Scheduler;
 use crate::sched::leaf::Leaf;
 use crate::stats::RouterStats;
 
-#[cfg(feature = "trace")]
+#[cfg(feature = "metrics")]
 use rtr_types::trace::{DropReason, QueueClass, SharedTraceSink, TraceEvent, TraceRecord};
 
-/// Emits a trace event through the attached sink. With the `trace` feature
+/// Emits a trace event through the attached sink. With the `metrics` feature
 /// disabled the invocation expands to nothing, so the event-building
 /// expressions are never evaluated and the traced datapath costs zero.
-#[cfg(feature = "trace")]
+#[cfg(feature = "metrics")]
 macro_rules! trace_event {
     ($self:ident, $now:expr, $event:expr) => {
         if let Some(sink) = &$self.trace_sink {
@@ -55,7 +55,7 @@ macro_rules! trace_event {
         }
     };
 }
-#[cfg(not(feature = "trace"))]
+#[cfg(not(feature = "metrics"))]
 macro_rules! trace_event {
     ($self:ident, $now:expr, $event:expr) => {};
 }
@@ -89,10 +89,10 @@ pub struct RealTimeRouter {
     stats: RouterStats,
     wake: WakePolls,
     /// Event sink for cycle-accurate tracing (None = tracing off).
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "metrics")]
     trace_sink: Option<SharedTraceSink>,
     /// Node identity stamped on emitted trace records.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "metrics")]
     trace_node: rtr_types::ids::NodeId,
 }
 
@@ -150,9 +150,9 @@ impl RouterTemplate {
             tc_inject: Serialiser::default(),
             stats: RouterStats::default(),
             wake: WakePolls::default(),
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "metrics")]
             trace_sink: None,
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "metrics")]
             trace_node: rtr_types::ids::NodeId(0),
             config,
         }
@@ -210,18 +210,11 @@ impl RealTimeRouter {
     }
 
     /// Attaches a trace sink and sets the node identity stamped on emitted
-    /// records. Only available with the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// records. Only available with the `metrics` feature.
+    #[cfg(feature = "metrics")]
     pub fn set_trace_sink(&mut self, node: rtr_types::ids::NodeId, sink: SharedTraceSink) {
         self.trace_node = node;
         self.trace_sink = Some(sink);
-    }
-
-    /// Detaches the trace sink, returning it. Only available with the
-    /// `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn take_trace_sink(&mut self) -> Option<SharedTraceSink> {
-        self.trace_sink.take()
     }
 
     /// Current packet-memory occupancy (buffered time-constrained packets).
@@ -1690,7 +1683,7 @@ mod tests {
         assert_eq!(slow - fast, 28, "7 extra serialisation rounds × 4 cycles");
     }
 
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "metrics")]
     #[test]
     fn trace_records_full_local_lifecycle() {
         use rtr_types::ids::NodeId;

@@ -96,32 +96,12 @@ const GATE: u64 = 4;
 impl HardwareModel {
     /// Builds the model for a router configuration with the default
     /// (paper-calibrated) process. The configuration's own `leaf_sharing`
-    /// is honoured; [`Self::with_leaf_sharing`] overrides it.
+    /// sets how many leaves share one base comparator (the §5.1 cost
+    /// reduction).
     #[must_use]
     pub fn new(config: RouterConfig) -> Self {
         let leaf_sharing = config.leaf_sharing.max(1);
         HardwareModel { config, process: ProcessParams::default(), leaf_sharing }
-    }
-
-    /// Overrides the process constants.
-    #[must_use]
-    pub fn with_process(mut self, process: ProcessParams) -> Self {
-        self.process = process;
-        self
-    }
-
-    /// Shares one base comparator among `k` leaves (the §5.1 cost
-    /// reduction: "combine several leaf units into a single module with a
-    /// small memory ... to serialize access to a single comparator").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    #[must_use]
-    pub fn with_leaf_sharing(mut self, k: usize) -> Self {
-        assert!(k > 0, "leaf sharing factor must be positive");
-        self.leaf_sharing = k;
-        self
     }
 
     /// The configuration being modelled.
@@ -311,7 +291,9 @@ mod tests {
     #[test]
     fn leaf_sharing_cuts_comparator_cost() {
         let base = default_report();
-        let shared = HardwareModel::new(RouterConfig::default()).with_leaf_sharing(4).report();
+        let shared =
+            HardwareModel::new(RouterConfig { leaf_sharing: 4, ..RouterConfig::default() })
+                .report();
         assert!(
             shared.block("link scheduler") < base.block("link scheduler"),
             "sharing must reduce scheduler cost: {} vs {}",

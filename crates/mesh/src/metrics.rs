@@ -39,8 +39,6 @@ pub(crate) struct SimMetrics {
     pub profiler: PhaseProfiler,
     #[cfg(feature = "metrics")]
     recorder: Option<FlightRecorder>,
-    #[cfg(feature = "metrics")]
-    deadline_slot_bytes: Option<usize>,
     /// Pre-registered ids for hot-path increments.
     pub ids: SimIds,
 }
@@ -61,8 +59,6 @@ impl SimMetrics {
             profiler: PhaseProfiler::new(),
             #[cfg(feature = "metrics")]
             recorder: None,
-            #[cfg(feature = "metrics")]
-            deadline_slot_bytes: None,
             ids,
         }
     }
@@ -93,32 +89,6 @@ impl SimMetrics {
         #[cfg(not(feature = "metrics"))]
         {
             let _ = (cap, path);
-        }
-    }
-
-    /// Starts triggering the flight recorder on missed deadlines, using
-    /// `slot_bytes` to convert delivery cycles to slot numbers.
-    pub fn watch_deadlines(&mut self, slot_bytes: usize) {
-        #[cfg(feature = "metrics")]
-        {
-            self.deadline_slot_bytes = Some(slot_bytes);
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = slot_bytes;
-        }
-    }
-
-    /// The configured deadline watch, if any.
-    #[inline]
-    pub fn deadline_slot_bytes(&self) -> Option<usize> {
-        #[cfg(feature = "metrics")]
-        {
-            self.deadline_slot_bytes
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            None
         }
     }
 }

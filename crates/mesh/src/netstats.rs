@@ -285,13 +285,6 @@ impl NetworkReport {
         })
     }
 
-    /// Slack statistics of one connection, if it delivered deadline-bearing
-    /// packets.
-    #[must_use]
-    pub fn conn_slack(&self, conn: ConnectionId) -> Option<&ConnSlackReport> {
-        self.slack.iter().find(|r| r.conn == conn)
-    }
-
     /// The smallest per-connection slack across the whole network (None
     /// when nothing deadline-bearing was delivered).
     #[must_use]

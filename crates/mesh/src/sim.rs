@@ -22,10 +22,9 @@ use rtr_metrics::{
     PhaseProfiler, PhaseToken,
 };
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
-use rtr_types::flit::LinkSymbol;
 use rtr_types::ids::{Direction, NodeId, Port};
 use rtr_types::packet::{BePacket, TcPacket};
-use rtr_types::time::{cycle_to_slot, Cycle};
+use rtr_types::time::Cycle;
 
 use crate::adjacency::{LinkTable, LinkUsage};
 use crate::fault::{FaultKind, FaultSchedule, FaultStats};
@@ -204,10 +203,6 @@ pub struct Simulator<C: Chip> {
     /// The wired links in CSR form: pipe state, usage counters, and the
     /// forward/reverse adjacency, all indexed by dense global link index.
     adj: LinkTable,
-    /// Running maximum of any single link's total symbol count; divided by
-    /// the elapsed cycles it yields [`Simulator::peak_link_utilization`]
-    /// without rescanning `usage`.
-    max_link_total: u64,
     /// The registered sources: home node, the source, and the first cycle
     /// its `pre_cycle` must run again — its own `next_event` answer as of
     /// its last run (0 = not run yet), so the per-cycle source pass costs a
@@ -217,7 +212,6 @@ pub struct Simulator<C: Chip> {
     /// event cycle's source pass; the prime cycle scans in what dense
     /// cycles queued.
     backlog: Backlog,
-    tap: Option<LinkTap>,
     /// Sample chip gauges every N cycles (None = sampling off).
     gauge_every: Option<Cycle>,
     gauge_samples: OccupancyHistory,
@@ -268,10 +262,6 @@ pub struct Simulator<C: Chip> {
     control_rejections: Vec<(Cycle, NodeId, String)>,
     now: Cycle,
 }
-
-/// An observer invoked for every symbol placed on a link (debugging and
-/// custom instrumentation); see [`Simulator::set_link_tap`].
-pub type LinkTap = Box<dyn FnMut(Cycle, NodeId, Direction, &LinkSymbol)>;
 
 /// The boxed closure form of a scheduled control operation; see
 /// [`Simulator::schedule_control`].
@@ -351,10 +341,8 @@ impl<C: Chip> Simulator<C> {
             ios: (0..n).map(|_| ChipIo::new()).collect(),
             logs: (0..n).map(|_| DeliveryLog::default()).collect(),
             adj,
-            max_link_total: 0,
             sources: Vec::new(),
             backlog: Backlog { nodes: Vec::new(), listed: vec![false; n] },
-            tap: None,
             gauge_every: None,
             gauge_samples: OccupancyHistory::default(),
             tick_list: Vec::with_capacity(n),
@@ -438,26 +426,6 @@ impl<C: Chip> Simulator<C> {
         self.backlog.note(node.index());
     }
 
-    /// Pending injections (both classes) at a node — sources use this for
-    /// backlog control.
-    #[must_use]
-    pub fn pending_injections(&self, node: NodeId) -> usize {
-        let io = &self.ios[node.index()];
-        io.inject_tc.len() + io.inject_be.len()
-    }
-
-    /// Installs an observer called once per symbol placed on any link
-    /// (after the driving chip's tick, before the symbol arrives
-    /// downstream). One tap at a time; replaces any existing tap.
-    pub fn set_link_tap(&mut self, tap: LinkTap) {
-        self.tap = Some(tap);
-    }
-
-    /// Removes the link tap.
-    pub fn clear_link_tap(&mut self) {
-        self.tap = None;
-    }
-
     /// Starts sampling every chip's occupancy gauges once per `every`
     /// cycles (after that cycle's tick). Chips whose [`Chip::gauges`]
     /// returns `None` contribute zeroed gauges.
@@ -492,8 +460,7 @@ impl<C: Chip> Simulator<C> {
 
     /// The merged wake-precision telemetry of every chip that keeps any
     /// (see [`rtr_types::chip::WakeStats`]), or `None` when no chip does.
-    #[must_use]
-    pub fn wake_precision(&self) -> Option<WakeStats> {
+    fn wake_precision(&self) -> Option<WakeStats> {
         let mut merged: Option<WakeStats> = None;
         for chip in &self.chips {
             if let Some(stats) = chip.wake_stats() {
@@ -589,9 +556,9 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Arms a flight recorder keeping the last `cap` trace events in a
-    /// ring, dumped as JSONL to `path` on the first conservation failure,
-    /// missed deadline (see [`Simulator::watch_deadlines`]), or panic (see
-    /// [`Simulator::flight_guard`]). No-op without the `metrics` feature.
+    /// ring, dumped as JSONL to `path` on the first conservation failure
+    /// or panic (see [`Simulator::flight_guard`]). No-op without the
+    /// `metrics` feature.
     pub fn arm_flight_recorder(&mut self, cap: usize, path: impl Into<std::path::PathBuf>) {
         self.metrics.arm_recorder(cap, path.into());
     }
@@ -600,13 +567,6 @@ impl<C: Chip> Simulator<C> {
     #[must_use]
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
         self.metrics.recorder()
-    }
-
-    /// Makes the armed flight recorder dump when a time-constrained packet
-    /// is delivered after its deadline (`slot_bytes` converts delivery
-    /// cycles to slot numbers, as in the delivery-log accounting).
-    pub fn watch_deadlines(&mut self, slot_bytes: usize) {
-        self.metrics.watch_deadlines(slot_bytes);
     }
 
     /// A guard that dumps the flight ring if the current thread panics
@@ -669,12 +629,6 @@ impl<C: Chip> Simulator<C> {
     /// cycle), after any fault already pending at that cycle.
     pub fn schedule_fault(&mut self, at: Cycle, kind: FaultKind) {
         self.agenda.file(at.max(self.now), Op::Fault(kind));
-    }
-
-    /// Applies a fault at the current cycle: the next stepped cycle
-    /// observes it (mid-run injection for interactive use and tests).
-    pub fn inject_fault(&mut self, kind: FaultKind) {
-        self.schedule_fault(self.now, kind);
     }
 
     /// Fault-plane statistics: event counts plus the loss columns summed
@@ -888,20 +842,6 @@ impl<C: Chip> Simulator<C> {
         }
     }
 
-    /// Dumps the flight ring if a trigger was raised mid-step. Triggers
-    /// fire from places without `&self` access (e.g. the delivery drain);
-    /// the dump happens here, at the end of the step, where a full
-    /// metrics snapshot can accompany the events.
-    fn flush_flight_trigger(&self) {
-        let Some(reason) = self.metrics.recorder().and_then(FlightRecorder::take_trigger) else {
-            return;
-        };
-        let snapshot = self.metrics_snapshot();
-        if let Some(rec) = self.metrics.recorder() {
-            rec.dump(reason, &snapshot);
-        }
-    }
-
     /// Traffic carried so far by the link leaving `node` in `dir`
     /// (defaults to zero for unwired directions).
     #[must_use]
@@ -909,16 +849,6 @@ impl<C: Chip> Simulator<C> {
         self.adj
             .out_index(node.index(), dir)
             .map_or_else(LinkUsage::default, |li| self.adj.usage(li))
-    }
-
-    /// The busiest link's utilisation so far (symbols per cycle). Served
-    /// from a running maximum maintained as symbols are collected — every
-    /// link divides by the same elapsed-cycle count, so the busiest link is
-    /// simply the one with the most symbols and report generation never
-    /// rescans the per-link counters.
-    #[must_use]
-    pub fn peak_link_utilization(&self) -> f64 {
-        self.max_link_total as f64 / self.now.max(1) as f64
     }
 
     /// Chip ticks executed so far (the tick-loop work actually performed).
@@ -1080,7 +1010,6 @@ impl<C: Chip> Simulator<C> {
             self.events.carried += self.events.carry.len() as u64;
             self.metrics.profiler.stop(Phase::Repoll, t);
         }
-        self.flush_flight_trigger();
     }
 
     /// Ticks the chips in `list` (live node indices, ascending) for cycle
@@ -1328,21 +1257,13 @@ impl<C: Chip> Simulator<C> {
             );
             let (start, end) = self.adj.out_bounds(node);
             for li in start..end {
-                let dir = self.adj.dir(li);
-                let idx = Port::Dir(dir).index();
+                let idx = Port::Dir(self.adj.dir(li)).index();
                 if let Some(symbol) = self.ios[node].tx[idx].take() {
-                    let total = {
-                        let usage = self.adj.usage_mut(li);
-                        if symbol.is_time_constrained() {
-                            usage.tc_symbols += 1;
-                        } else {
-                            usage.be_symbols += 1;
-                        }
-                        usage.tc_symbols + usage.be_symbols
-                    };
-                    self.max_link_total = self.max_link_total.max(total);
-                    if let Some(tap) = &mut self.tap {
-                        tap(now, NodeId(node as u16), dir, &symbol);
+                    let usage = self.adj.usage_mut(li);
+                    if symbol.is_time_constrained() {
+                        usage.tc_symbols += 1;
+                    } else {
+                        usage.be_symbols += 1;
                     }
                     self.adj.link_mut(li).send(now, symbol);
                     if EV {
@@ -1376,10 +1297,8 @@ impl<C: Chip> Simulator<C> {
         }
 
         // 5. Drain deliveries — recording them in the flight ring when a
-        // recorder is armed, and raising a trigger on a missed deadline
-        // when a deadline watch is configured.
+        // recorder is armed.
         if let Some(rec) = self.metrics.recorder() {
-            let slot_bytes = self.metrics.deadline_slot_bytes();
             for node in Self::ticked::<EV>(list, n) {
                 let io = &self.ios[node];
                 for (cycle, p) in &io.delivered_tc {
@@ -1390,11 +1309,6 @@ impl<C: Chip> Simulator<C> {
                         a: u64::from(p.conn.0),
                         b: p.trace.deadline,
                     });
-                    if let Some(sb) = slot_bytes {
-                        if p.trace.deadline != 0 && cycle_to_slot(*cycle, sb) > p.trace.deadline {
-                            rec.trigger("deadline_miss");
-                        }
-                    }
                 }
                 for (cycle, p) in &io.delivered_be {
                     rec.record(FlightEvent {
@@ -1792,29 +1706,25 @@ mod tests {
     }
 
     #[test]
-    fn link_tap_observes_every_symbol() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let mut sim = two_node_sim();
-        let dst = sim.topology().node_at(1, 0);
-        let events: Rc<RefCell<Vec<(Cycle, NodeId, Direction)>>> = Rc::default();
-        let sink = Rc::clone(&events);
-        sim.set_link_tap(Box::new(move |cycle, node, dir, symbol| {
-            assert!(!symbol.is_time_constrained(), "only BE injected here");
-            sink.borrow_mut().push((cycle, node, dir));
-        }));
-        sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![0; 6], PacketTrace::default()));
-        assert!(sim.run_until(2000, |s| !s.log(dst).be.is_empty()));
-        let seen = events.borrow();
-        assert_eq!(seen.len(), 10, "4 header + 6 payload bytes crossed one link");
-        assert!(seen.iter().all(|(_, n, d)| *n == NodeId(0) && *d == Direction::XPlus));
-        drop(seen);
-        // Clearing the tap stops observation.
-        sim.clear_link_tap();
-        let before = events.borrow().len();
-        sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![0; 6], PacketTrace::default()));
-        sim.run(2000);
-        assert_eq!(events.borrow().len(), before);
+    fn wire_latency_delays_delivery_by_exactly_its_cycles() {
+        // One best-effort packet (4 header + 6 payload bytes) over the one
+        // link of a 2×1 mesh: the extra wire cycles are the only knob, and
+        // a pipelined wire adds them once, not once per symbol.
+        let delivered_at = |sim: &mut Simulator<RealTimeRouter>| {
+            let dst = sim.topology().node_at(1, 0);
+            sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![0; 6], PacketTrace::default()));
+            assert!(sim.run_until(2000, |s| !s.log(dst).be.is_empty()));
+            sim.log(dst).be[0].0
+        };
+        let base = delivered_at(&mut two_node_sim());
+        assert_eq!(base, 30);
+        for latency in [1, 3, 7, 20] {
+            let mut sim = Simulator::build_with_latency(Topology::mesh(2, 1), latency, |_| {
+                RealTimeRouter::new(RouterConfig::default())
+            })
+            .unwrap();
+            assert_eq!(delivered_at(&mut sim), base + latency, "latency {latency}");
+        }
     }
 
     #[test]
@@ -2016,7 +1926,6 @@ mod tests {
         let usage = sim.link_usage(NodeId(0), Direction::XPlus);
         assert_eq!(usage.be_symbols, 34, "4 header + 30 payload bytes crossed");
         assert_eq!(usage.tc_symbols, 0);
-        assert!(sim.peak_link_utilization() > 0.0);
         assert_eq!(
             sim.link_usage(dst, Direction::XMinus),
             LinkUsage::default(),

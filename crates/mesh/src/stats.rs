@@ -39,20 +39,6 @@ impl DeliveryLog {
             .count()
     }
 
-    /// Delivered best-effort packets that missed a deadline carried in
-    /// their trace — used when a baseline router carries time-constrained
-    /// payloads as best-effort traffic. Packets without a deadline are
-    /// skipped.
-    #[must_use]
-    pub fn be_deadline_misses(&self, slot_bytes: usize) -> usize {
-        self.be
-            .iter()
-            .filter(|(cycle, p)| {
-                p.trace.deadline != 0 && cycle_to_slot(*cycle, slot_bytes) > p.trace.deadline
-            })
-            .count()
-    }
-
     /// Remaining slack (slots) of each delivered deadline-bearing packet;
     /// negative values are misses.
     #[must_use]

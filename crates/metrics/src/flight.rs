@@ -4,14 +4,14 @@
 //! The recorder answers the question equivalence-suite failures used to
 //! leave open: *what was the network doing just before the invariant
 //! broke?* The simulator records cheap fixed-size events (deliveries,
-//! leaps, injections) into the ring; on a conservation-ledger violation, a
-//! missed deadline, or a panic (via [`FlightGuard`]), the last-N events and
+//! leaps, injections) into the ring; on a conservation-ledger violation or
+//! a panic (via [`FlightGuard`]), the last-N events and
 //! a full [`MetricsSnapshot`] are written as flat JSONL for post-mortem
 //! reading (`rtr trace-dump` summarises these files).
 //!
 //! The recorder is `Arc`-shared and `Send`, so guards can outlive the
 //! borrow of the simulator that armed them. Only the *first* dump wins;
-//! later triggers are ignored so the dump reflects the original failure.
+//! later ones are ignored so the dump reflects the original failure.
 //!
 //! Without the `metrics` feature every type here is a zero-sized no-op.
 
@@ -61,7 +61,6 @@ mod enabled {
         dropped: u64,
         dump_path: Option<PathBuf>,
         dumped: Option<String>,
-        pending: Option<&'static str>,
     }
 
     /// The flight recorder. See the module docs.
@@ -81,7 +80,6 @@ mod enabled {
                     dropped: 0,
                     dump_path: None,
                     dumped: None,
-                    pending: None,
                 })),
             }
         }
@@ -111,21 +109,6 @@ mod enabled {
         #[must_use]
         pub fn is_empty(&self) -> bool {
             self.len() == 0
-        }
-
-        /// Flags a failure noticed deep in the drive loop; the simulator
-        /// collects it at the end of the step (where a snapshot can be
-        /// taken) and calls [`FlightRecorder::dump`]. First flag wins.
-        pub fn trigger(&self, reason: &'static str) {
-            let mut inner = self.inner.lock().unwrap();
-            if inner.pending.is_none() {
-                inner.pending = Some(reason);
-            }
-        }
-
-        /// Takes the pending trigger, if any.
-        pub fn take_trigger(&self) -> Option<&'static str> {
-            self.inner.lock().unwrap().pending.take()
         }
 
         /// The reason of the dump already written, if any.
@@ -185,13 +168,6 @@ mod enabled {
         snapshot: MetricsSnapshot,
     }
 
-    impl FlightGuard {
-        /// Refreshes the snapshot that a panic dump would include.
-        pub fn update_snapshot(&mut self, snapshot: MetricsSnapshot) {
-            self.snapshot = snapshot;
-        }
-    }
-
     impl Drop for FlightGuard {
         fn drop(&mut self) {
             if std::thread::panicking() {
@@ -235,14 +211,6 @@ mod disabled {
         #[must_use]
         pub fn is_empty(&self) -> bool {
             true
-        }
-
-        /// No-op.
-        pub fn trigger(&self, _reason: &'static str) {}
-
-        /// Always `None`.
-        pub fn take_trigger(&self) -> Option<&'static str> {
-            None
         }
 
         /// Always `None`.
@@ -309,7 +277,7 @@ mod tests {
         assert!(lines[1].contains("\"cycle\": 6"), "oldest surviving event first");
         let metric = lines.iter().find_map(|l| MetricLine::parse(l)).unwrap();
         assert_eq!(metric.name, "router.tc_arrived");
-        // A second trigger must not clobber the original post-mortem.
+        // A second dump must not clobber the original post-mortem.
         assert!(rec.dump("later", &reg.snapshot()).is_none());
         assert_eq!(rec.dumped().as_deref(), Some("conservation"));
     }
@@ -329,14 +297,5 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(text.lines().next().unwrap().contains("\"reason\": \"panic\""));
-    }
-
-    #[test]
-    fn pending_trigger_is_first_wins() {
-        let rec = FlightRecorder::new(2);
-        rec.trigger("deadline_miss");
-        rec.trigger("conservation");
-        assert_eq!(rec.take_trigger(), Some("deadline_miss"));
-        assert_eq!(rec.take_trigger(), None);
     }
 }

@@ -8,11 +8,13 @@
 //!   [`FlightRecorder`] are real: `Cell`-based counters/gauges/log₂
 //!   histograms with deterministic snapshot order, wall-clock attribution
 //!   per simulator phase, and a bounded ring of recent events dumped as
-//!   JSONL on conservation failures, deadline misses, or panics.
+//!   JSONL on conservation failures or panics.
 //! - Without it (the default), every one of those types is a zero-sized
 //!   struct whose methods are empty `#[inline]` bodies, so hot structs that
 //!   embed them grow by zero bytes and call sites compile to nothing — the
-//!   same contract as `rtr-core`'s `trace` feature.
+//!   same contract as the router's packet tracing (`rtr_types::trace`),
+//!   which the root and `rtr-bench` `metrics` features switch on with
+//!   this crate's.
 //!
 //! [`MetricsSnapshot`] (and its JSONL rendering) is compiled in both shapes
 //! so export surfaces and parsers never need feature gates; a disabled

@@ -109,40 +109,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The change since `earlier`: counters and histogram counts subtract
-    /// (saturating), gauges keep this snapshot's level. Metrics absent from
-    /// `earlier` pass through unchanged.
-    #[must_use]
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(name, value)| {
-                let v = match (value, earlier.get(name)) {
-                    (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
-                        MetricValue::Counter(now.saturating_sub(*then))
-                    }
-                    (MetricValue::Histogram(now), Some(MetricValue::Histogram(then))) => {
-                        let mut d = now.clone();
-                        d.count = d.count.saturating_sub(then.count);
-                        d.sum = d.sum.saturating_sub(then.sum);
-                        for (bucket, count) in &mut d.buckets {
-                            if let Some((_, c0)) = then.buckets.iter().find(|(b0, _)| b0 == bucket)
-                            {
-                                *count = count.saturating_sub(*c0);
-                            }
-                        }
-                        d.buckets.retain(|(_, c)| *c > 0);
-                        MetricValue::Histogram(d)
-                    }
-                    (v, _) => v.clone(),
-                };
-                (name.clone(), v)
-            })
-            .collect();
-        MetricsSnapshot { entries }
-    }
-
     /// Renders the snapshot as JSONL, one flat object per metric, each
     /// stamped with `cycle`. Ends with a trailing newline unless empty.
     #[must_use]
@@ -151,35 +117,6 @@ impl MetricsSnapshot {
         for (name, value) in &self.entries {
             render_line(&mut out, cycle, name, value);
         }
-        out
-    }
-
-    /// Renders counters and gauges as one flat JSON object, histograms
-    /// flattened to `name.count`/`name.sum`/`name.max` members — a shape a
-    /// results file can embed next to its timing columns.
-    #[must_use]
-    pub fn render_object(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        let mut field = |out: &mut String, name: &str, v: String| {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let _ = write!(out, "\"{name}\": {v}");
-        };
-        for (name, value) in &self.entries {
-            match value {
-                MetricValue::Counter(v) => field(&mut out, name, v.to_string()),
-                MetricValue::Gauge(v) => field(&mut out, name, v.to_string()),
-                MetricValue::Histogram(h) => {
-                    field(&mut out, &format!("{name}.count"), h.count.to_string());
-                    field(&mut out, &format!("{name}.sum"), h.sum.to_string());
-                    field(&mut out, &format!("{name}.max"), h.max.to_string());
-                }
-            }
-        }
-        out.push('}');
         out
     }
 }
@@ -356,19 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_subtracts_counters_and_histograms() {
-        let early = MetricsSnapshot {
-            entries: vec![
-                ("a.count".into(), MetricValue::Counter(2)),
-                ("b.level".into(), MetricValue::Gauge(9)),
-            ],
-        };
-        let d = sample().delta(&early);
-        assert_eq!(d.counter("a.count"), Some(5));
-        assert_eq!(d.get("b.level"), Some(&MetricValue::Gauge(-3)));
-    }
-
-    #[test]
     fn filter_prefix_selects_namespace() {
         let snap = sample();
         let only_a = snap.filter_prefix("a.");
@@ -380,13 +304,5 @@ mod tests {
     fn foreign_lines_parse_to_none() {
         assert!(MetricLine::parse("{\"cycle\": 3, \"node\": 1, \"tag\": \"tc_arrive\"}").is_none());
         assert!(MetricLine::parse("not json").is_none());
-    }
-
-    #[test]
-    fn render_object_flattens_histograms() {
-        let obj = sample().render_object();
-        assert!(obj.starts_with('{') && obj.ends_with('}'));
-        assert!(obj.contains("\"c.hist.count\": 3"));
-        assert!(obj.contains("\"a.count\": 7"));
     }
 }

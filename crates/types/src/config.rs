@@ -27,8 +27,6 @@ pub struct TimingConfig {
     pub header_cycles: u64,
     /// Cycles to win a grant on the shared internal bus.
     pub bus_grant_cycles: u64,
-    /// Wire latency of an external link, in cycles.
-    pub link_latency_cycles: u64,
     /// Latency from a scheduler selection request to the grant, in cycles.
     /// Models the two-stage comparator-tree pipeline of §5.1 shared by the
     /// five output ports (one selection per port per packet slot, with
@@ -42,7 +40,6 @@ impl Default for TimingConfig {
             sync_cycles: 2,
             header_cycles: 2,
             bus_grant_cycles: 1,
-            link_latency_cycles: 0,
             sched_latency_cycles: 4,
         }
     }

@@ -4,8 +4,8 @@
 //! channel for time-constrained traffic and a wormhole channel for
 //! best-effort traffic, distinguished by a single bit on the link. The link
 //! also carries an acknowledgement bit in the reverse direction for
-//! best-effort flow control; we model those acknowledgements as [`Credit`]
-//! symbols on a dedicated reverse queue.
+//! best-effort flow control; the simulator models those acknowledgements
+//! as `u16` credit counts on a dedicated reverse queue of each link.
 //!
 //! One [`LinkSymbol`] occupies the link for exactly one cycle (one byte
 //! time). A 20-byte time-constrained packet therefore occupies 20 consecutive
@@ -60,14 +60,6 @@ impl LinkSymbol {
     pub fn is_time_constrained(&self) -> bool {
         matches!(self, LinkSymbol::TcStart(_) | LinkSymbol::TcCont { .. })
     }
-}
-
-/// A best-effort flow-control acknowledgement travelling against the data
-/// direction: the downstream router freed `bytes` of flit-buffer space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Credit {
-    /// Number of flit-buffer bytes freed (usually 1).
-    pub bytes: u16,
 }
 
 #[cfg(test)]

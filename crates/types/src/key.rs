@@ -168,13 +168,6 @@ impl SortKey {
     pub fn time_field(self, clock: &SlotClock) -> u32 {
         self.value() & (clock.half_range() - 1)
     }
-
-    /// Total key width in bits (clock bits + 1, e.g. 9 for the 8-bit clock of
-    /// Table 4a: ineligible bit + early bit + 7-bit time field).
-    #[must_use]
-    pub fn width_bits(clock: &SlotClock) -> u32 {
-        clock.bits() + 1
-    }
 }
 
 #[cfg(test)]
@@ -262,8 +255,10 @@ mod tests {
 
     #[test]
     fn key_width_matches_table_4a() {
-        // "Clock (sorting key): 8 (9) bits".
-        assert_eq!(SortKey::width_bits(&SlotClock::new(8)), 9);
+        // "Clock (sorting key): 8 (9) bits": the largest key, the
+        // ineligible sentinel, needs exactly one bit more than the clock.
+        let widest = SortKey::ineligible(&SlotClock::new(8)).value();
+        assert_eq!(u32::BITS - widest.leading_zeros(), 9);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use chip::{Chip, ChipIo};
 pub use clock::{LogicalTime, SlotClock};
 pub use config::{RouterConfig, TimingConfig};
 pub use error::{ConfigError, PacketDecodeError};
-pub use flit::{BeByte, Credit, LinkSymbol};
+pub use flit::{BeByte, LinkSymbol};
 pub use ids::{ConnectionId, Direction, NodeId, Port, TrafficClass};
 pub use key::{LatePolicy, SortKey};
 pub use packet::{BeHeader, BePacket, PacketTrace, TcPacket};

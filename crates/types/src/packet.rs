@@ -243,12 +243,6 @@ impl BeHeader {
             (Port::Local, self)
         }
     }
-
-    /// Total remaining hop count.
-    #[must_use]
-    pub fn remaining_hops(self) -> u32 {
-        self.x_off.unsigned_abs() as u32 + self.y_off.unsigned_abs() as u32
-    }
 }
 
 /// A variable-length best-effort packet (Figure 3b).

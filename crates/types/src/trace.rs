@@ -4,9 +4,10 @@
 //! arrival, memory-slot allocation, scheduler selection, transmission,
 //! cut-through, drop, delivery — can be emitted as a [`TraceEvent`], stamped
 //! with the cycle and node into a [`TraceRecord`], and handed to a
-//! [`TraceSink`]. Routers emit events only when built with their `trace`
-//! cargo feature *and* given a sink, so the disabled path compiles to
-//! nothing and costs nothing.
+//! [`TraceSink`]. Routers emit events only when `rtr-core` is built with
+//! its `metrics` cargo feature (the workspace's one observability switch,
+//! which the root and `rtr-bench` `metrics` features turn on) *and* given a
+//! sink, so the disabled path compiles to nothing and costs nothing.
 //!
 //! Records serialise to JSON Lines (one object per line) via
 //! [`TraceRecord::to_jsonl`] / [`TraceRecord::from_jsonl`]. The codec is
@@ -697,24 +698,6 @@ impl<W: std::io::Write> Drop for JsonlSink<W> {
     }
 }
 
-/// Parses a whole JSONL trace, skipping blank lines.
-///
-/// # Errors
-///
-/// Returns the first line's parse error, annotated with its line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
-    let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec = TraceRecord::from_jsonl(line)
-            .map_err(|e| err(format!("line {}: {}", i + 1, e.message)))?;
-        records.push(rec);
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,21 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_jsonl_handles_blank_lines_and_reports_line_numbers() {
-        let recs = sample_records();
-        let mut text = String::new();
-        for r in &recs {
-            text.push_str(&r.to_jsonl());
-            text.push('\n');
-            text.push('\n'); // blank line between records
-        }
-        assert_eq!(parse_jsonl(&text).unwrap(), recs);
-        let good = recs[0].to_jsonl();
-        let e = parse_jsonl(&format!("{good}\nnot json\n")).unwrap_err();
-        assert!(e.message.starts_with("line 2:"), "{e}");
-    }
-
-    #[test]
     fn parser_rejects_malformations() {
         for bad in [
             "",
@@ -844,7 +812,9 @@ mod tests {
             assert_eq!(sink.written(), sample_records().len() as u64);
         }
         let text = String::from_utf8(out).unwrap();
-        assert_eq!(parse_jsonl(&text).unwrap(), sample_records());
+        let parsed: Vec<TraceRecord> =
+            text.lines().map(|l| TraceRecord::from_jsonl(l).unwrap()).collect();
+        assert_eq!(parsed, sample_records());
     }
 
     #[test]

@@ -147,12 +147,6 @@ impl RandomBeSource {
         self.max_queue = max_queue.max(1);
         self
     }
-
-    /// Packets generated so far.
-    #[must_use]
-    pub fn generated(&self) -> u64 {
-        self.sequence
-    }
 }
 
 impl TrafficSource for RandomBeSource {

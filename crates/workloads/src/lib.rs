@@ -18,11 +18,9 @@
 pub mod be;
 pub mod churn;
 pub mod patterns;
-pub mod replay;
 pub mod tc;
 
 pub use be::{BackloggedBeSource, RandomBeSource};
 pub use churn::{churn_schedule, ChurnConfig, ChurnEvent, WindowedSource};
 pub use patterns::TrafficPattern;
-pub use replay::{InjectionTrace, ReplaySource};
 pub use tc::{BackloggedTcSource, BurstyTcSource, PeriodicTcSource};

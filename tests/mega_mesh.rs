@@ -153,8 +153,8 @@ fn bytes_per_node_stays_under_the_ceiling() {
 /// so every byte here is paid per node by building, priming and settling
 /// it. A router holds its registers inline, a packet only in the box it
 /// travels in, and its teardown tombstones in its connection table's rows
-/// (DESIGN.md §3.16); 2 104 bytes (2 120 with the `trace` feature's sink
-/// fields) is what that layout measures, and one ceiling per part names
+/// (DESIGN.md §3.16); 2 104 bytes (2 120 with the `metrics` feature's trace
+/// sink fields) is what that layout measures, and one ceiling per part names
 /// the part that grew.
 #[test]
 fn router_struct_does_not_grow() {
@@ -162,7 +162,7 @@ fn router_struct_does_not_grow() {
     use realtime_router::core::ConnectionTable;
     use std::mem::size_of;
 
-    let ceiling = if cfg!(feature = "trace") { 2120 } else { 2104 };
+    let ceiling = if cfg!(feature = "metrics") { 2120 } else { 2104 };
     let size = size_of::<RealTimeRouter>();
     assert!(size <= ceiling, "RealTimeRouter grew to {size} bytes (ceiling {ceiling})");
     for (part, size, ceiling) in [

@@ -1,5 +1,5 @@
 //! Integration: cycle-accurate tracing on a 3×3 mesh (needs `--features
-//! trace`).
+//! metrics`).
 //!
 //! Runs admitted periodic channels plus background best-effort noise with
 //! every router tracing into one shared ring, then checks that each
@@ -9,7 +9,7 @@
 //! delivered late (delivery slack ≥ 0). Also exercises the
 //! [`realtime_router::mesh::NetworkReport`] slack view against the trace.
 
-#![cfg(feature = "trace")]
+#![cfg(feature = "metrics")]
 
 use std::collections::BTreeMap;
 
