@@ -38,7 +38,7 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ("chaos", "fault scenarios: link kill, flaky link, node crash", experiments::chaos),
     ("churn", "live establish/teardown under load", experiments::churn),
     ("console", "ad-hoc mesh scenario [side=N channels=N ...]", console::run),
-    ("trace-dump", "replay a JSONL trace, metrics or flight dump", trace_dump::run),
+    ("trace-dump", "replay a JSONL packet trace or metrics file", trace_dump::run),
 ];
 
 fn usage() -> String {

@@ -7,11 +7,10 @@
 //! `sample=N` snapshots packet-memory/scheduler/queue gauges every N cycles
 //! and prints an occupancy summary. `trace=<path>` streams the cycle-level
 //! packet lifecycle as JSONL (requires building with `--features metrics`;
-//! replay it with `rtr trace-dump`). `metrics=<path>` writes the unified
-//! metrics registry as JSONL — one line per counter/gauge/histogram at the
-//! end of the run, or every `metrics_every=N` cycles when given (requires
-//! `--features metrics` for non-empty output; `rtr trace-dump` summarises
-//! the file). `faults=<path>` loads a scripted fault schedule
+//! replay it with `rtr trace-dump`). `metrics=<path>` writes the counter
+//! registry as JSONL — one line per counter at the end of the run, or
+//! every `metrics_every=N` cycles when given (requires `--features
+//! metrics` for non-empty output; `rtr trace-dump` summarises the file). `faults=<path>` loads a scripted fault schedule
 //! (`<cycle> link_down|link_up|node_crash|node_restore|link_flaky|\
 //! link_stable <x>,<y> [dir] [drop=N corrupt=N]`, plus `seed <n>` lines
 //! and `#` comments) and applies it mid-run; the run then reports the

@@ -1,9 +1,9 @@
 //! Replays a JSONL trace (written by `rtr console trace=<path>` or any
 //! [`rtr_types::trace::JsonlSink`]) into human-readable per-connection
-//! timelines plus a slack summary. Metric lines (`rtr console
-//! metrics=<path>`) and flight-recorder dumps share the same flat-JSONL
-//! shape, so the tool reads those too: metric lines become a `metrics_dump`
-//! summary and flight events a post-mortem timeline, interleaved or alone.
+//! timelines plus a slack summary. Counter lines (`rtr console
+//! metrics=<path>`) share the same flat-JSONL shape, so the tool reads
+//! those too, interleaved with trace records or alone, and summarises them
+//! as a `metrics_dump`. A line that is neither is an error.
 //!
 //! The JSONL codecs live in `rtr-types`/`rtr-metrics` and need no feature
 //! flags, so replay always builds — only *recording* needs
@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use rtr_metrics::{MetricLine, MetricValue};
+use rtr_metrics::MetricLine;
 use rtr_types::trace::{TraceEvent, TraceRecord};
 
 use crate::{Args, Keys};
@@ -106,13 +106,9 @@ fn render(
     packets_per_conn: usize,
 ) -> Result<String, String> {
     let mut out = String::new();
-    // Sort each line by what it parses as, never by its spacing, so one
-    // tool reads console traces, metrics files, and flight dumps alike: a
-    // metric line, a flight-recorder header, a trace record, and only
-    // then — an `"ev"` line no trace tag matches — a flight event.
+    // Sort each line by what it parses as, never by its spacing: a counter
+    // line or a trace record, and anything else is an error.
     let mut metric_lines: Vec<MetricLine> = Vec::new();
-    let mut flight_header: Option<String> = None;
-    let mut flight_events: Vec<String> = Vec::new();
     let mut records: Vec<TraceRecord> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let trimmed = line.trim();
@@ -121,29 +117,17 @@ fn render(
         }
         if let Some(metric) = MetricLine::parse(trimmed) {
             metric_lines.push(metric);
-        } else if trimmed.contains("\"flight\"") {
-            flight_header = Some(trimmed.to_string());
         } else {
-            match TraceRecord::from_jsonl(trimmed) {
-                Ok(record) => records.push(record),
-                Err(_) if trimmed.contains("\"ev\"") => flight_events.push(trimmed.to_string()),
-                Err(e) => return Err(format!("cannot parse {path}: line {}: {e}", i + 1)),
-            }
+            let record = TraceRecord::from_jsonl(trimmed)
+                .map_err(|e| format!("cannot parse {path}: line {}: {e}", i + 1))?;
+            records.push(record);
         }
     }
 
-    match &flight_header {
-        Some(header) => line!(out, "flight-recorder dump: {header}"),
-        None if !flight_events.is_empty() => line!(out, "flight-recorder events (no dump header):"),
-        None => {}
-    }
-    for event in &flight_events {
-        line!(out, "  {event}");
-    }
     print_metrics_dump(&mut out, &metric_lines);
 
     if records.is_empty() {
-        if flight_header.is_none() && metric_lines.is_empty() && flight_events.is_empty() {
+        if metric_lines.is_empty() {
             line!(out, "{path}: empty trace");
         }
         return Ok(out);
@@ -254,8 +238,8 @@ fn render(
 }
 
 /// The `metrics_dump` summary: the final registry snapshot in the file,
-/// counters/gauges one per line, histograms as count/mean/max. Earlier
-/// snapshots (from `metrics_every=N` streaming) are only counted.
+/// one counter per line. Earlier snapshots (from `metrics_every=N`
+/// streaming) are only counted.
 fn print_metrics_dump(out: &mut String, lines: &[MetricLine]) {
     if lines.is_empty() {
         return;
@@ -275,18 +259,7 @@ fn print_metrics_dump(out: &mut String, lines: &[MetricLine]) {
         if snapshots > 1 { format!(" (last of {snapshots} snapshots)") } else { String::new() }
     );
     for metric in lines.iter().filter(|m| m.cycle == last_cycle) {
-        match &metric.value {
-            MetricValue::Counter(v) => line!(out, "  {:<34} {v}", metric.name),
-            MetricValue::Gauge(v) => line!(out, "  {:<34} {v}  (gauge)", metric.name),
-            MetricValue::Histogram(h) => line!(
-                out,
-                "  {:<34} count {}  mean {:.1}  max {}",
-                metric.name,
-                h.count,
-                h.mean(),
-                h.max
-            ),
-        }
+        line!(out, "  {:<34} {}", metric.name, metric.value);
     }
 }
 
@@ -294,10 +267,9 @@ fn print_metrics_dump(out: &mut String, lines: &[MetricLine]) {
 mod tests {
     use super::*;
 
-    /// One flight header, one metrics line, and one packet's chain written
-    /// newest first: the report sorts each chain by cycle.
+    /// One metrics line and one packet's chain written newest first: the
+    /// report sorts each chain by cycle.
     const SAMPLE: &str = r#"
-{"flight": "dump", "reason": "conservation", "cycle": 179, "events": 0, "dropped": 0}
 {"cycle": 179, "metric": "router.tc_delivered", "type": "counter", "value": 1}
 {"cycle":179,"node":5,"ev":"tc_deliver","conn":2,"slack":5,"src":4,"seq":7}
 {"cycle":85,"node":4,"ev":"tc_arrive","conn":2,"port":0,"src":4,"seq":7}
@@ -308,7 +280,7 @@ mod tests {
     fn a_packet_chain_renders_in_lifecycle_order() {
         let report = render("sample.jsonl", SAMPLE, Some(2), 1).unwrap();
         let at = |needle: &str| report.find(needle).unwrap_or_else(|| panic!("{needle}: {report}"));
-        assert!(at("flight-recorder dump:") < at("metrics_dump: 1 metrics at cycle 179"));
+        assert!(at("metrics_dump: 1 metrics at cycle 179") < at("router.tc_delivered"));
         assert!(at("router.tc_delivered") < at("sample.jsonl: 3 records, cycles 60..179"));
         assert!(at("1 packets (1 delivered, 0 dropped, 0 in flight)") < at("packet src 4 seq 7:"));
         let chain =
@@ -319,8 +291,7 @@ mod tests {
     }
 
     /// A writer that puts a space after each `:` and `,` spells the same
-    /// records: the chain must still read as a trace, not as flight events,
-    /// and a flight event without its dump header is still printed.
+    /// records: the chain must still read as a trace.
     #[test]
     fn records_are_sorted_by_content_not_spacing() {
         let chain: Vec<&str> = SAMPLE.lines().filter(|l| l.contains("\"ev\":\"")).collect();
@@ -331,9 +302,23 @@ mod tests {
         let report = render("chain.jsonl", &spaced, Some(2), 1).unwrap();
         assert!(report.contains("chain.jsonl: 3 records, cycles 60..179"), "{report}");
         assert_eq!(report, render("chain.jsonl", &compact, Some(2), 1).unwrap());
+    }
 
-        let event = r#"{"cycle": 12, "node": 3, "ev": "deliver_tc", "a": 2, "b": 9}"#;
-        let report = render("flight.jsonl", event, None, 1).unwrap();
-        assert!(report.contains(event), "{report}");
+    /// A line that is neither a counter line nor a trace record — a
+    /// misspelled event tag, a gauge or histogram line from an older build —
+    /// is refused with its line number, never skipped or printed as is.
+    #[test]
+    fn a_line_of_neither_format_is_refused() {
+        let foreign = [
+            r#"{"cycle": 12, "node": 3, "ev": "deliver_tc", "a": 2, "b": 9}"#,
+            r#"{"cycle":179,"node":5,"ev":"tc_delivr","conn":2,"slack":5,"src":4,"seq":7}"#,
+            r#"{"cycle": 179, "metric": "sim.level", "type": "gauge", "value": -3}"#,
+            r#"{"cycle": 179, "metric": "sim.leap_cycles", "type": "histogram", "count": 1, "sum": 4, "min": 4, "max": 4, "buckets": "2:1"}"#,
+        ];
+        for line in foreign {
+            let text = format!("{}{line}\n", SAMPLE.trim_start());
+            let err = render("bad.jsonl", &text, None, 1).unwrap_err();
+            assert!(err.starts_with("cannot parse bad.jsonl: line 5: "), "{line}: {err}");
+        }
     }
 }

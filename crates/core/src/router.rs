@@ -189,10 +189,9 @@ impl RealTimeRouter {
         &self.stats
     }
 
-    /// Mutable statistics counters, for fault injection: tests (and the
-    /// flight-recorder demo) corrupt a counter to force a conservation
-    /// violation. Not for datapath use — the router maintains its own
-    /// ledger.
+    /// Mutable statistics counters, for fault injection: tests corrupt a
+    /// counter to force a conservation violation. Not for datapath use —
+    /// the router maintains its own ledger.
     #[doc(hidden)]
     pub fn stats_mut(&mut self) -> &mut RouterStats {
         &mut self.stats

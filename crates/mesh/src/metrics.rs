@@ -1,14 +1,11 @@
-//! The simulator's metrics bundle: registry + profiler + flight recorder.
+//! The simulator's metrics bundle: counter registry + phase profiler.
 //!
 //! [`SimMetrics`] groups everything the simulator carries for
-//! observability, so `sim.rs` holds one field and the `metrics` feature
-//! gates live here. With the feature off every member is a zero-sized
-//! no-op (checked by a unit test below), so the bundle adds no bytes to
-//! `Simulator` and call sites compile out.
+//! observability, so `sim.rs` holds one field. With the `metrics` feature
+//! off every member is a zero-sized no-op (checked by a unit test below),
+//! so the bundle adds no bytes to `Simulator` and call sites compile out.
 
-use std::path::PathBuf;
-
-use rtr_metrics::{CounterId, FlightRecorder, HistogramId, MetricsRegistry, PhaseProfiler};
+use rtr_metrics::{CounterId, MetricsRegistry, PhaseProfiler};
 
 /// Pre-registered ids for the simulator's own hot-path metrics.
 ///
@@ -22,8 +19,6 @@ pub(crate) struct SimIds {
     pub leaps: CounterId,
     /// `sim.leaped_cycles`: total cycles skipped by leaping.
     pub leaped_cycles: CounterId,
-    /// `sim.leap_cycles`: log2 histogram of individual leap lengths.
-    pub leap_len: HistogramId,
     /// `sim.link_visits`: links polled for arrivals by the pre phase.
     pub link_visits: CounterId,
     /// `sim.io_visits`: `ChipIo`s walked by the post phase.
@@ -33,12 +28,10 @@ pub(crate) struct SimIds {
 /// Everything the simulator carries for observability.
 #[derive(Debug)]
 pub(crate) struct SimMetrics {
-    /// The unified counter/gauge/histogram registry.
+    /// The counter registry.
     pub registry: MetricsRegistry,
     /// Wall-clock attribution per drive phase.
     pub profiler: PhaseProfiler,
-    #[cfg(feature = "metrics")]
-    recorder: Option<FlightRecorder>,
     /// Pre-registered ids for hot-path increments.
     pub ids: SimIds,
 }
@@ -50,46 +43,10 @@ impl SimMetrics {
             stale_repolls: registry.counter("sim.stale_repolls"),
             leaps: registry.counter("sim.leaps"),
             leaped_cycles: registry.counter("sim.leaped_cycles"),
-            leap_len: registry.histogram("sim.leap_cycles"),
             link_visits: registry.counter("sim.link_visits"),
             io_visits: registry.counter("sim.io_visits"),
         };
-        SimMetrics {
-            registry,
-            profiler: PhaseProfiler::new(),
-            #[cfg(feature = "metrics")]
-            recorder: None,
-            ids,
-        }
-    }
-
-    /// The armed flight recorder, if any (always `None` with the feature
-    /// off, which dead-code-eliminates recording blocks).
-    #[inline]
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        #[cfg(feature = "metrics")]
-        {
-            self.recorder.as_ref()
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            None
-        }
-    }
-
-    /// Arms a flight recorder with a ring of `cap` events dumping to
-    /// `path`. No-op without the `metrics` feature.
-    pub fn arm_recorder(&mut self, cap: usize, path: PathBuf) {
-        #[cfg(feature = "metrics")]
-        {
-            let recorder = FlightRecorder::new(cap);
-            recorder.set_dump_path(path);
-            self.recorder = Some(recorder);
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            let _ = (cap, path);
-        }
+        SimMetrics { registry, profiler: PhaseProfiler::new(), ids }
     }
 }
 

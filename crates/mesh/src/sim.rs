@@ -17,10 +17,7 @@
 use std::collections::BTreeMap;
 
 use rtr_events::{QueueStats, WakeHandle, WakeQueue};
-use rtr_metrics::{
-    FlightEvent, FlightGuard, FlightRecorder, MetricsRegistry, MetricsSnapshot, Phase,
-    PhaseProfiler, PhaseToken,
-};
+use rtr_metrics::{MetricsRegistry, MetricsSnapshot, Phase, PhaseProfiler, PhaseToken};
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
 use rtr_types::ids::{Direction, NodeId, Port};
 use rtr_types::packet::{BePacket, TcPacket};
@@ -242,8 +239,8 @@ pub struct Simulator<C: Chip> {
     /// overhead), as do external mutators like [`Simulator::chip_mut`].
     /// The next leaping call re-primes.
     events_stale: bool,
-    /// Metrics registry, phase profiler, and flight recorder (all
-    /// zero-sized no-ops without the `metrics` feature).
+    /// Counter registry and phase profiler (both zero-sized no-ops
+    /// without the `metrics` feature).
     metrics: SimMetrics,
     /// Pending faults and control-plane writes.
     agenda: Agenda<C>,
@@ -470,9 +467,8 @@ impl<C: Chip> Simulator<C> {
         merged
     }
 
-    /// The unified metrics registry (counters, gauges, histograms). A
-    /// zero-sized no-op without the `metrics` feature; runtime-switchable
-    /// via [`rtr_metrics::MetricsRegistry::set_enabled`] with it.
+    /// The counter registry. A zero-sized no-op without the `metrics`
+    /// feature.
     #[must_use]
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         &self.metrics.registry
@@ -488,7 +484,7 @@ impl<C: Chip> Simulator<C> {
     /// A snapshot of every registered metric, after absorbing the chips'
     /// counters, wake-precision telemetry, event-core stats, tick counts,
     /// and the profiler's phase report into the registry. Empty without
-    /// the `metrics` feature (or with the registry runtime-disabled).
+    /// the `metrics` feature.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.refresh_metrics();
@@ -526,8 +522,8 @@ impl<C: Chip> Simulator<C> {
             symbols += link.in_flight();
             credit_batches += link.credits_in_flight();
         }
-        registry.set_gauge(registry.gauge("sim.link_symbols_in_flight"), symbols as i64);
-        registry.set_gauge(registry.gauge("sim.link_credits_in_flight"), credit_batches as i64);
+        registry.absorb_counter("sim.link_symbols_in_flight", symbols as u64);
+        registry.absorb_counter("sim.link_credits_in_flight", credit_batches as u64);
         if let Some(wake) = self.wake_precision() {
             registry.absorb_counter("wake.polls", wake.polls);
             registry.absorb_counter("wake.short_polls", wake.short_polls);
@@ -555,31 +551,8 @@ impl<C: Chip> Simulator<C> {
         }
     }
 
-    /// Arms a flight recorder keeping the last `cap` trace events in a
-    /// ring, dumped as JSONL to `path` on the first conservation failure
-    /// or panic (see [`Simulator::flight_guard`]). No-op without the
-    /// `metrics` feature.
-    pub fn arm_flight_recorder(&mut self, cap: usize, path: impl Into<std::path::PathBuf>) {
-        self.metrics.arm_recorder(cap, path.into());
-    }
-
-    /// The armed flight recorder, if any.
-    #[must_use]
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.metrics.recorder()
-    }
-
-    /// A guard that dumps the flight ring if the current thread panics
-    /// while it is alive (`None` when no recorder is armed). Take one at
-    /// the top of a test body to capture the moments before an assert.
-    #[must_use]
-    pub fn flight_guard(&self) -> Option<FlightGuard> {
-        let recorder = self.metrics.recorder()?;
-        Some(recorder.panic_guard(self.metrics_snapshot()))
-    }
-
-    /// Checks every chip's conservation ledger, dumping the flight ring
-    /// (when a recorder is armed) and returning the first violation.
+    /// Checks every chip's and every link's conservation ledger, returning
+    /// the first violation.
     ///
     /// # Errors
     ///
@@ -587,11 +560,7 @@ impl<C: Chip> Simulator<C> {
     pub fn check_conservation(&self) -> Result<(), String> {
         for (node, chip) in self.chips.iter().enumerate() {
             if let Err(violation) = chip.check_conservation() {
-                let message = format!("node {node}: {violation}");
-                if let Some(rec) = self.metrics.recorder() {
-                    rec.dump("conservation", &self.metrics_snapshot());
-                }
-                return Err(message);
+                return Err(format!("node {node}: {violation}"));
             }
         }
         // Link ledgers: symbols destroyed by faults must land in a loss
@@ -599,11 +568,7 @@ impl<C: Chip> Simulator<C> {
         for li in 0..self.adj.len() {
             if let Err(violation) = self.adj.link(li).check_conservation() {
                 let node = self.adj.owner_of(li);
-                let message = format!("link {} {:?}: {violation}", node.index(), self.adj.dir(li));
-                if let Some(rec) = self.metrics.recorder() {
-                    rec.dump("conservation", &self.metrics_snapshot());
-                }
-                return Err(message);
+                return Err(format!("link {} {:?}: {violation}", node.index(), self.adj.dir(li)));
             }
         }
         Ok(())
@@ -714,7 +679,6 @@ impl<C: Chip> Simulator<C> {
         if !self.events_stale {
             self.events.mark(i, now);
         }
-        self.record_fault(now, "control_op", node, 0);
     }
 
     /// Whether the node is currently crashed.
@@ -757,9 +721,8 @@ impl<C: Chip> Simulator<C> {
                 // purely crashed cycles.
                 self.settle_chip(i);
                 self.crashed[i] = crash;
-                let label = if crash {
+                if crash {
                     self.fault_events.node_crash_events += 1;
-                    "fault_node_crash"
                 } else {
                     self.fault_events.node_restore_events += 1;
                     // A restored chip's reassembly registers are undefined:
@@ -778,8 +741,7 @@ impl<C: Chip> Simulator<C> {
                             }
                         }
                     }
-                    "fault_node_restore"
-                };
+                }
                 if warm {
                     // Crash clears the chip's and its sources' wakes;
                     // restore re-registers them.
@@ -791,7 +753,6 @@ impl<C: Chip> Simulator<C> {
                         }
                     }
                 }
-                self.record_fault(now, label, node, 0);
             }
             FaultKind::LinkDown { node, dir }
             | FaultKind::LinkUp { node, dir }
@@ -805,40 +766,29 @@ impl<C: Chip> Simulator<C> {
                 let seed =
                     (self.fault_seed ^ (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).max(1);
                 let (link, events) = (self.adj.link_mut(li), &mut self.fault_events);
-                let label = match kind {
+                match kind {
                     FaultKind::LinkDown { .. } => {
                         link.set_down();
                         events.link_down_events += 1;
-                        "fault_link_down"
                     }
                     FaultKind::LinkUp { .. } => {
                         link.set_up();
                         events.link_up_events += 1;
-                        "fault_link_up"
                     }
                     FaultKind::LinkFlaky { drop_per_1024, corrupt_per_1024, .. } => {
                         link.set_flaky(drop_per_1024, corrupt_per_1024, seed);
                         events.link_flaky_events += 1;
-                        "fault_link_flaky"
                     }
                     // `LinkStable`: the outer arm admits nothing else.
                     _ => {
                         link.set_flaky(0, 0, seed);
                         events.link_stable_events += 1;
-                        "fault_link_stable"
                     }
-                };
+                }
                 if warm {
                     self.events.mark(n + li, now);
                 }
-                self.record_fault(now, label, node, dir as u64);
             }
-        }
-    }
-
-    fn record_fault(&self, cycle: Cycle, kind: &'static str, node: NodeId, a: u64) {
-        if let Some(rec) = self.metrics.recorder() {
-            rec.record(FlightEvent { cycle, kind, node: u32::from(node.0), a, b: 0 });
         }
     }
 
@@ -1296,31 +1246,7 @@ impl<C: Chip> Simulator<C> {
             );
         }
 
-        // 5. Drain deliveries — recording them in the flight ring when a
-        // recorder is armed.
-        if let Some(rec) = self.metrics.recorder() {
-            for node in Self::ticked::<EV>(list, n) {
-                let io = &self.ios[node];
-                for (cycle, p) in &io.delivered_tc {
-                    rec.record(FlightEvent {
-                        cycle: *cycle,
-                        kind: "deliver_tc",
-                        node: node as u32,
-                        a: u64::from(p.conn.0),
-                        b: p.trace.deadline,
-                    });
-                }
-                for (cycle, p) in &io.delivered_be {
-                    rec.record(FlightEvent {
-                        cycle: *cycle,
-                        kind: "deliver_be",
-                        node: node as u32,
-                        a: p.payload.len() as u64,
-                        b: 0,
-                    });
-                }
-            }
-        }
+        // 5. Drain deliveries.
         for node in Self::ticked::<EV>(list, n) {
             let (io, log) = (&mut self.ios[node], &mut self.logs[node]);
             log.tc.append(&mut io.delivered_tc);
@@ -1443,10 +1369,6 @@ impl<C: Chip> Simulator<C> {
         let to = self.now;
         self.metrics.registry.inc(self.metrics.ids.leaps, 1);
         self.metrics.registry.inc(self.metrics.ids.leaped_cycles, to - from);
-        self.metrics.registry.observe(self.metrics.ids.leap_len, to - from);
-        if let Some(rec) = self.metrics.recorder() {
-            rec.record(FlightEvent { cycle: from, kind: "leap", node: 0, a: from, b: to });
-        }
         self.metrics.profiler.stop(Phase::LeapApply, t);
         fired
     }
@@ -1931,5 +1853,33 @@ mod tests {
             LinkUsage::default(),
             "the return link never carried anything"
         );
+    }
+
+    /// At a shared cycle the agenda pops faults before control ops, even
+    /// a fault filed after one, and the control ops in filing order; an op
+    /// is not due before its cycle.
+    #[test]
+    fn agenda_pops_faults_first_then_control_ops_in_filing_order() {
+        let mut agenda: Agenda<RealTimeRouter> = Agenda { ops: BTreeMap::new(), filed: 0 };
+        let control = |tag: &'static str| {
+            Op::Control(NodeId(1), Box::new(move |_: &mut RealTimeRouter| Err(tag.to_string())))
+        };
+        let restore = FaultKind::NodeRestore { node: NodeId(2) };
+        agenda.file(9, Op::Fault(FaultKind::NodeCrash { node: NodeId(3) }));
+        agenda.file(7, control("first"));
+        agenda.file(7, Op::Fault(restore));
+        agenda.file(7, control("second"));
+        assert_eq!(agenda.next_at(), Some(7));
+        assert!(agenda.pop_due(6).is_none());
+
+        let mut chip = RealTimeRouter::new(RouterConfig::default()).unwrap();
+        let popped: Vec<String> = std::iter::from_fn(|| agenda.pop_due(7))
+            .map(|op| match op {
+                Op::Fault(kind) => format!("{kind:?}"),
+                Op::Control(node, op) => format!("{} {}", node.0, op(&mut chip).unwrap_err()),
+            })
+            .collect();
+        assert_eq!(popped, [format!("{restore:?}"), "1 first".into(), "1 second".into()]);
+        assert_eq!(agenda.next_at(), Some(9));
     }
 }

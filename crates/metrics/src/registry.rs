@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges, and log₂ histograms.
+//! The metrics registry: named counters.
 //!
 //! All storage is `Cell`-based so the hot path increments through `&self` —
 //! the same interior-mutability discipline `rtr-core`'s `WakeTelemetry`
@@ -14,178 +14,48 @@ mod enabled {
     use std::cell::{Cell, RefCell};
     use std::collections::BTreeMap;
 
-    use crate::snapshot::{HistogramSnapshot, MetricValue, MetricsSnapshot};
+    use crate::snapshot::MetricsSnapshot;
 
     /// Handle to a registered counter.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct CounterId(u32);
 
-    /// Handle to a registered gauge.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct GaugeId(u32);
-
-    /// Handle to a registered histogram.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct HistogramId(u32);
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Slot {
-        Counter(u32),
-        Gauge(u32),
-        Histogram(u32),
-    }
-
-    /// One log₂-bucketed histogram; bucket `i` counts values `v` with
-    /// `floor(log2(v)) == i` (value 0 shares bucket 0 with value 1).
-    #[derive(Debug)]
-    struct Log2Histogram {
-        count: Cell<u64>,
-        sum: Cell<u64>,
-        min: Cell<u64>,
-        max: Cell<u64>,
-        buckets: [Cell<u64>; 64],
-    }
-
-    impl Default for Log2Histogram {
-        fn default() -> Self {
-            Log2Histogram {
-                count: Cell::new(0),
-                sum: Cell::new(0),
-                min: Cell::new(0),
-                max: Cell::new(0),
-                buckets: std::array::from_fn(|_| Cell::new(0)),
-            }
-        }
-    }
-
-    impl Log2Histogram {
-        fn record(&self, value: u64) {
-            if self.count.get() == 0 || value < self.min.get() {
-                self.min.set(value);
-            }
-            if value > self.max.get() {
-                self.max.set(value);
-            }
-            self.count.set(self.count.get() + 1);
-            self.sum.set(self.sum.get() + value);
-            let bucket = if value == 0 { 0 } else { value.ilog2() as usize };
-            self.buckets[bucket].set(self.buckets[bucket].get() + 1);
-        }
-
-        fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot {
-                count: self.count.get(),
-                sum: self.sum.get(),
-                min: self.min.get(),
-                max: self.max.get(),
-                buckets: self
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.get() > 0)
-                    .map(|(b, c)| (b as u32, c.get()))
-                    .collect(),
-            }
-        }
-    }
-
     /// The unified registry. See the module docs.
     #[derive(Debug, Default)]
     pub struct MetricsRegistry {
-        enabled: Cell<bool>,
-        names: RefCell<BTreeMap<String, Slot>>,
+        names: RefCell<BTreeMap<String, u32>>,
         counters: RefCell<Vec<Cell<u64>>>,
-        gauges: RefCell<Vec<Cell<i64>>>,
-        histograms: RefCell<Vec<Log2Histogram>>,
     }
 
     impl MetricsRegistry {
-        /// A fresh, enabled registry.
+        /// A fresh registry.
         #[must_use]
         pub fn new() -> Self {
-            let reg = MetricsRegistry::default();
-            reg.enabled.set(true);
-            reg
+            MetricsRegistry::default()
         }
 
-        /// Runtime switch: a disabled registry ignores `inc`/`set`/`observe`
-        /// (one predictable branch each) and snapshots empty.
-        pub fn set_enabled(&self, on: bool) {
-            self.enabled.set(on);
-        }
-
-        /// Whether the registry is currently recording.
+        /// Always true: the `metrics` feature compiles the registry in.
         #[must_use]
         pub fn enabled(&self) -> bool {
-            self.enabled.get()
+            true
         }
 
         /// Registers (or finds) a counter by name.
-        ///
-        /// # Panics
-        ///
-        /// If `name` is already registered as a different metric kind.
         pub fn counter(&self, name: &str) -> CounterId {
             let mut names = self.names.borrow_mut();
-            if let Some(slot) = names.get(name) {
-                match slot {
-                    Slot::Counter(i) => return CounterId(*i),
-                    _ => panic!("metric {name:?} already registered with another kind"),
-                }
+            if let Some(&i) = names.get(name) {
+                return CounterId(i);
             }
             let mut counters = self.counters.borrow_mut();
             let id = counters.len() as u32;
             counters.push(Cell::new(0));
-            names.insert(name.to_string(), Slot::Counter(id));
+            names.insert(name.to_string(), id);
             CounterId(id)
-        }
-
-        /// Registers (or finds) a gauge by name.
-        ///
-        /// # Panics
-        ///
-        /// If `name` is already registered as a different metric kind.
-        pub fn gauge(&self, name: &str) -> GaugeId {
-            let mut names = self.names.borrow_mut();
-            if let Some(slot) = names.get(name) {
-                match slot {
-                    Slot::Gauge(i) => return GaugeId(*i),
-                    _ => panic!("metric {name:?} already registered with another kind"),
-                }
-            }
-            let mut gauges = self.gauges.borrow_mut();
-            let id = gauges.len() as u32;
-            gauges.push(Cell::new(0));
-            names.insert(name.to_string(), Slot::Gauge(id));
-            GaugeId(id)
-        }
-
-        /// Registers (or finds) a log₂ histogram by name.
-        ///
-        /// # Panics
-        ///
-        /// If `name` is already registered as a different metric kind.
-        pub fn histogram(&self, name: &str) -> HistogramId {
-            let mut names = self.names.borrow_mut();
-            if let Some(slot) = names.get(name) {
-                match slot {
-                    Slot::Histogram(i) => return HistogramId(*i),
-                    _ => panic!("metric {name:?} already registered with another kind"),
-                }
-            }
-            let mut histograms = self.histograms.borrow_mut();
-            let id = histograms.len() as u32;
-            histograms.push(Log2Histogram::default());
-            names.insert(name.to_string(), Slot::Histogram(id));
-            HistogramId(id)
         }
 
         /// Adds `n` to a counter.
         #[inline]
         pub fn inc(&self, id: CounterId, n: u64) {
-            if !self.enabled.get() {
-                return;
-            }
             let counters = self.counters.borrow();
             let cell = &counters[id.0 as usize];
             cell.set(cell.get() + n);
@@ -195,63 +65,26 @@ mod enabled {
         /// the simulator folds pre-existing stat structs into the registry).
         #[inline]
         pub fn set_counter(&self, id: CounterId, value: u64) {
-            if !self.enabled.get() {
-                return;
-            }
             self.counters.borrow()[id.0 as usize].set(value);
-        }
-
-        /// Sets a gauge level.
-        #[inline]
-        pub fn set_gauge(&self, id: GaugeId, value: i64) {
-            if !self.enabled.get() {
-                return;
-            }
-            self.gauges.borrow()[id.0 as usize].set(value);
-        }
-
-        /// Records one histogram observation.
-        #[inline]
-        pub fn observe(&self, id: HistogramId, value: u64) {
-            if !self.enabled.get() {
-                return;
-            }
-            self.histograms.borrow()[id.0 as usize].record(value);
         }
 
         /// Absorbs a named counter total, registering the name on first use
         /// — the path for metrics whose source of truth lives elsewhere
         /// (router ledgers, queue stats, wake telemetry).
         pub fn absorb_counter(&self, name: &str, value: u64) {
-            if !self.enabled.get() {
-                return;
-            }
             let id = self.counter(name);
             self.set_counter(id, value);
         }
 
-        /// Freezes every registered metric, sorted by name.
+        /// Freezes every registered counter, sorted by name.
         #[must_use]
         pub fn snapshot(&self) -> MetricsSnapshot {
-            if !self.enabled.get() {
-                return MetricsSnapshot::empty();
-            }
-            let names = self.names.borrow();
             let counters = self.counters.borrow();
-            let gauges = self.gauges.borrow();
-            let histograms = self.histograms.borrow();
-            let entries = names
+            let entries = self
+                .names
+                .borrow()
                 .iter()
-                .map(|(name, slot)| {
-                    let value = match slot {
-                        Slot::Counter(i) => MetricValue::Counter(counters[*i as usize].get()),
-                        Slot::Gauge(i) => MetricValue::Gauge(gauges[*i as usize].get()),
-                        Slot::Histogram(i) => {
-                            MetricValue::Histogram(histograms[*i as usize].snapshot())
-                        }
-                    };
-                    (name.clone(), value)
-                })
+                .map(|(name, &i)| (name.clone(), counters[i as usize].get()))
                 .collect();
             MetricsSnapshot { entries }
         }
@@ -266,15 +99,6 @@ mod disabled {
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct CounterId;
 
-    /// Handle to a registered gauge (inert without the `metrics` feature).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct GaugeId;
-
-    /// Handle to a registered histogram (inert without the `metrics`
-    /// feature).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct HistogramId;
-
     /// Zero-sized stand-in for the registry; every method is a no-op.
     #[derive(Debug, Default)]
     pub struct MetricsRegistry;
@@ -285,9 +109,6 @@ mod disabled {
         pub fn new() -> Self {
             MetricsRegistry
         }
-
-        /// No-op.
-        pub fn set_enabled(&self, _on: bool) {}
 
         /// Always false: nothing records.
         #[must_use]
@@ -300,16 +121,6 @@ mod disabled {
             CounterId
         }
 
-        /// Returns an inert handle.
-        pub fn gauge(&self, _name: &str) -> GaugeId {
-            GaugeId
-        }
-
-        /// Returns an inert handle.
-        pub fn histogram(&self, _name: &str) -> HistogramId {
-            HistogramId
-        }
-
         /// No-op.
         #[inline]
         pub fn inc(&self, _id: CounterId, _n: u64) {}
@@ -317,14 +128,6 @@ mod disabled {
         /// No-op.
         #[inline]
         pub fn set_counter(&self, _id: CounterId, _value: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn set_gauge(&self, _id: GaugeId, _value: i64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn observe(&self, _id: HistogramId, _value: u64) {}
 
         /// No-op.
         pub fn absorb_counter(&self, _name: &str, _value: u64) {}
@@ -338,60 +141,24 @@ mod disabled {
 }
 
 #[cfg(feature = "metrics")]
-pub use enabled::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+pub use enabled::{CounterId, MetricsRegistry};
 
 #[cfg(not(feature = "metrics"))]
-pub use disabled::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+pub use disabled::{CounterId, MetricsRegistry};
 
 #[cfg(all(test, feature = "metrics"))]
 mod tests {
     use super::*;
-    use crate::snapshot::MetricValue;
 
     #[test]
-    fn counters_and_gauges_snapshot_sorted() {
+    fn counters_snapshot_sorted() {
         let reg = MetricsRegistry::new();
         let b = reg.counter("b.total");
         let a = reg.counter("a.total");
-        let g = reg.gauge("m.level");
         reg.inc(b, 2);
         reg.inc(a, 1);
-        reg.set_gauge(g, -7);
         let snap = reg.snapshot();
-        let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["a.total", "b.total", "m.level"]);
-        assert_eq!(snap.counter("b.total"), Some(2));
-        assert_eq!(snap.get("m.level"), Some(&MetricValue::Gauge(-7)));
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("leap.cycles");
-        for v in [0, 1, 2, 3, 1024] {
-            reg.observe(h, v);
-        }
-        let snap = reg.snapshot();
-        let MetricValue::Histogram(hist) = snap.get("leap.cycles").unwrap() else {
-            panic!("expected histogram");
-        };
-        assert_eq!(hist.count, 5);
-        assert_eq!(hist.sum, 1030);
-        assert_eq!(hist.min, 0);
-        assert_eq!(hist.max, 1024);
-        assert_eq!(hist.buckets, vec![(0, 2), (1, 2), (10, 1)]);
-    }
-
-    #[test]
-    fn disabled_at_runtime_drops_updates() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("x");
-        reg.inc(c, 1);
-        reg.set_enabled(false);
-        reg.inc(c, 100);
-        assert!(reg.snapshot().is_empty());
-        reg.set_enabled(true);
-        assert_eq!(reg.snapshot().counter("x"), Some(1));
+        assert_eq!(snap.entries, [("a.total".to_string(), 1), ("b.total".to_string(), 2)]);
     }
 
     #[test]

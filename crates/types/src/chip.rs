@@ -218,8 +218,8 @@ pub trait Chip {
 
     /// Checks the chip's internal conservation ledger (every packet
     /// accounted for exactly once), if it keeps one. Called by the
-    /// simulator between cycles; a violation trips the flight recorder.
-    /// The default has no ledger and always passes.
+    /// simulator's `check_conservation`, which reports a violation with the
+    /// node's index. The default has no ledger and always passes.
     ///
     /// # Errors
     ///

@@ -5,8 +5,8 @@
 //!
 //! * [`types`] — shared vocabulary (clock, keys, packets, config),
 //! * [`events`] — the calendar-queue wake list behind time leaping,
-//! * [`metrics`] — the unified metrics registry, phase profiler, and
-//!   flight recorder (live with `--features metrics`, zero-sized without),
+//! * [`metrics`] — the counter registry and phase profiler (live with
+//!   `--features metrics`, zero-sized without),
 //! * [`core`] — the real-time router chip model,
 //! * [`mesh`] — the cycle-stepped network simulator,
 //! * [`channels`] — real-time channel admission and establishment,

@@ -241,7 +241,8 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
 /// Faults and control-plane table writes are entries of one agenda: a
 /// crash/restore pair and two scheduled table writes — the second write
 /// on the restore's own cycle, deep inside a quiet span — must land at
-/// their exact cycles in both drive modes, faults before writes.
+/// their exact cycles in both drive modes. (That a shared cycle applies
+/// faults before writes is `Agenda`'s unit test in `crates/mesh`.)
 #[test]
 fn faults_and_table_writes_share_one_agenda() {
     const RESTORE: u64 = 7_000;
@@ -286,11 +287,6 @@ fn faults_and_table_writes_share_one_agenda() {
     let mut reference: Option<(String, u64)> = None;
     for mode in DriveMode::ALL {
         let mut sim = build();
-        #[cfg(feature = "metrics")]
-        let dump = std::env::temp_dir()
-            .join(format!("rtr_chaos_agenda_{mode:?}_{}.jsonl", std::process::id()));
-        #[cfg(feature = "metrics")]
-        sim.arm_flight_recorder(4_096, dump.clone());
         mode.advance(&mut sim, 12_000);
         sim.check_conservation().unwrap();
         assert_eq!(sim.control_stats().ops_applied, 2, "{mode:?}: {:?}", sim.control_rejections());
@@ -311,19 +307,6 @@ fn faults_and_table_writes_share_one_agenda() {
                     dense_ticks
                 );
             }
-        }
-        // The flight recorder saw the shared cycle's ops in agenda order.
-        #[cfg(feature = "metrics")]
-        {
-            sim.flight_recorder().unwrap().dump("agenda", &sim.metrics_snapshot());
-            let text = std::fs::read_to_string(&dump).expect("dump written");
-            std::fs::remove_file(&dump).ok();
-            let at_restore: Vec<&str> = text
-                .lines()
-                .filter(|l| l.starts_with(&format!("{{\"cycle\": {RESTORE},")))
-                .filter_map(|l| l.split("\"ev\": \"").nth(1)?.split('"').next())
-                .collect();
-            assert_eq!(at_restore, ["fault_node_restore", "control_op"], "{mode:?}");
         }
     }
 }

@@ -14,10 +14,27 @@ use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
 use realtime_router::workloads::patterns::TrafficPattern;
-use rtr_bench::util::add_periodic_sender;
+use rtr_bench::util::{add_one_hop_channel, add_periodic_sender, add_uniform_be};
 
 fn total_be_delivered(sim: &Simulator<RealTimeRouter>, topo: &Topology) -> usize {
     topo.nodes().map(|n| sim.log(n).be.len()).sum()
+}
+
+/// A cooked router ledger — one phantom arrival that never leaves the
+/// node — must be rejected by the simulator's check, naming the node.
+#[test]
+fn a_cooked_router_ledger_fails_the_conservation_check() {
+    let config = RouterConfig::default();
+    let mut sim =
+        Simulator::build(Topology::mesh(4, 4), |_| RealTimeRouter::new(config.clone())).unwrap();
+    add_one_hop_channel(&mut sim, 0, 0, 8);
+    add_uniform_be(&mut sim, 0.05, SizeDist::Fixed(16), 0xC0FF_EE00, 8);
+    sim.run(1_000);
+    assert!(sim.check_conservation().is_ok(), "healthy run must conserve");
+
+    sim.chip_mut(NodeId(0)).stats_mut().tc_arrived += 1;
+    let err = sim.check_conservation().expect_err("cooked ledger must fail");
+    assert!(err.starts_with("node 0: "), "violation must name the node: {err}");
 }
 
 /// Every router's own conservation ledger must balance after a mixed

@@ -1,22 +1,19 @@
-//! Integration: the unified metrics registry, phase profiler, and flight
-//! recorder observed through the simulator (`--features metrics` only).
+//! Integration: the counter registry and phase profiler observed through
+//! the simulator (`--features metrics` only).
 //!
 //! The equivalence test extends the event-core suite's guarantee to the
 //! metrics plane: the datapath ledger (`router.*` counters) must render
 //! byte-identically whether a scenario was driven stepped or leaping —
 //! observability must not see drive-mode artifacts — while work counters
-//! (scheduler key computations) shrink under leaping, never grow. The flight-recorder tests induce real failures
-//! (a cooked conservation ledger, a panic under a guard) and assert the
-//! post-mortem JSONL dump carries the recent-event ring plus a full
-//! metrics snapshot. The profiler test checks wall-clock attribution lands
-//! in the phases each drive mode actually executes.
+//! (scheduler key computations) shrink under leaping, never grow. The
+//! profiler test checks wall-clock attribution lands in the phases each
+//! drive mode actually executes.
 #![cfg(feature = "metrics")]
 
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
-use realtime_router::metrics::{MetricLine, Phase};
+use realtime_router::metrics::Phase;
 use realtime_router::types::config::RouterConfig;
-use realtime_router::types::ids::NodeId;
 use realtime_router::workloads::be::SizeDist;
 use rtr_bench::util::{add_one_hop_channel, add_uniform_be};
 
@@ -30,10 +27,6 @@ fn build_mesh(tc_period_slots: u64, be_rate: f64) -> Simulator<RealTimeRouter> {
     }
     add_uniform_be(&mut sim, be_rate, SizeDist::Fixed(16), 0xC0FF_EE00, 8);
     sim
-}
-
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("rtr_metrics_it_{tag}_{}.jsonl", std::process::id()))
 }
 
 /// The datapath ledger must be drive-mode independent: `router.*` counters
@@ -100,61 +93,6 @@ fn warm_queue_adds_no_stale_repolls() {
         after_prime, after_interleave,
         "plain stepping kept the queue warm, so no re-prime may happen"
     );
-}
-
-/// A conservation-ledger violation must dump the flight recorder: header
-/// line with the reason, the recent-event ring, and a parseable metrics
-/// snapshot.
-#[test]
-fn flight_recorder_dumps_on_conservation_violation() {
-    let path = temp_path("conservation");
-    let mut sim = build_mesh(8, 0.05);
-    sim.arm_flight_recorder(32, path.clone());
-    sim.run(1_000);
-    assert!(sim.check_conservation().is_ok(), "healthy run must conserve");
-
-    // Cook the ledger: one phantom arrival that never leaves the node.
-    sim.chip_mut(NodeId(0)).stats_mut().tc_arrived += 1;
-    let err = sim.check_conservation().expect_err("cooked ledger must fail");
-    assert!(err.contains("node 0"), "violation must name the node: {err}");
-
-    let text = std::fs::read_to_string(&path).expect("violation must write the dump");
-    std::fs::remove_file(&path).ok();
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(
-        lines[0].contains("\"flight\": \"dump\"")
-            && lines[0].contains("\"reason\": \"conservation\""),
-        "dump header must carry the trigger reason: {}",
-        lines[0]
-    );
-    let events = lines.iter().filter(|l| l.contains("\"ev\": \"")).count();
-    assert!(events > 0, "dump must carry the recent-event ring");
-    let metrics: Vec<MetricLine> = lines.iter().filter_map(|l| MetricLine::parse(l)).collect();
-    assert!(
-        metrics.iter().any(|m| m.name == "router.tc_arrived"),
-        "dump must embed a full metrics snapshot"
-    );
-    assert_eq!(sim.flight_recorder().unwrap().dumped().as_deref(), Some("conservation"));
-}
-
-/// A panic while a [`realtime_router::metrics::FlightGuard`] is alive must
-/// dump with reason `"panic"` — the post-mortem for unwinding tests.
-#[test]
-fn flight_guard_dumps_on_panic() {
-    let path = temp_path("panic");
-    let mut sim = build_mesh(8, 0.05);
-    sim.arm_flight_recorder(32, path.clone());
-    sim.run(500);
-    let guard = sim.flight_guard().expect("armed recorder must hand out guards");
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let _guard = guard;
-        panic!("induced failure under guard");
-    }));
-    assert!(result.is_err());
-    let text = std::fs::read_to_string(&path).expect("panic must write the dump");
-    std::fs::remove_file(&path).ok();
-    assert!(text.lines().next().unwrap().contains("\"reason\": \"panic\""));
-    assert!(text.lines().filter_map(MetricLine::parse).count() > 0);
 }
 
 /// Wall-clock attribution must land in the phases a drive mode actually
