@@ -103,6 +103,16 @@ struct CachedSelection {
 
 /// State of one output port; `Default` is the idle port with a zero
 /// horizon.
+///
+/// Whether the port's pipeline last observed a candidate is not kept here
+/// but in one bit of a mask the router holds for all five ports (`bit` =
+/// the port's [`Port::mask`](rtr_types::ids::Port::mask)), so an idle
+/// router compares its whole mask with the scheduler's backlog at once.
+/// When a bit disagrees with the live backlog, the empty↔non-empty
+/// transition — which charges (or resets) the pipeline-refill latency — has
+/// not been recorded yet; the event-driven fast path settles it over a
+/// skipped span with [`OutputPort::settle_pipeline`] instead of forcing
+/// per-cycle ticks.
 #[derive(Debug, Default)]
 pub struct OutputPort {
     /// In-flight time-constrained transmission.
@@ -113,14 +123,14 @@ pub struct OutputPort {
     pub horizon: u32,
     cached: Option<CachedSelection>,
     grant_ready_at: Cycle,
-    had_candidate: bool,
 }
 
 impl OutputPort {
     /// Looks up (or refreshes) the cached selection for this port, modelling
     /// the pipelined tree: `recompute` is called only when the tree version
-    /// or the scheduler slot changed. Returns the selection and whether the
-    /// pipeline grant is usable at `now`.
+    /// or the scheduler slot in `(version, slot_raw)` changed, and only
+    /// then is the port's `bit` of `had_candidate` written. Returns the
+    /// selection and whether the pipeline grant is usable at `now`.
     ///
     /// Inlined into `drive_output`: out of line the 40-byte tuple returns
     /// through memory, and the caller's narrow reloads of it stall on store
@@ -129,9 +139,10 @@ impl OutputPort {
     pub fn selection_with_grant(
         &mut self,
         now: Cycle,
-        version: u64,
-        slot_raw: u32,
+        (version, slot_raw): (u64, u32),
         sched_latency: Cycle,
+        had_candidate: &mut u8,
+        bit: u8,
         recompute: impl FnOnce() -> Option<Selection>,
     ) -> (Option<Selection>, bool) {
         let stale = match self.cached {
@@ -140,43 +151,42 @@ impl OutputPort {
         };
         if stale {
             let selection = recompute();
-            if selection.is_some() && !self.had_candidate {
+            if selection.is_some() && *had_candidate & bit == 0 {
                 // Pipeline refill: the tree was empty for this port and now
                 // has a candidate; the first grant appears after the
                 // pipeline latency.
                 self.grant_ready_at = now + sched_latency;
             }
-            self.had_candidate = selection.is_some();
+            *had_candidate =
+                if selection.is_some() { *had_candidate | bit } else { *had_candidate & !bit };
             self.cached = Some(CachedSelection { version, slot_raw, selection });
         }
         let selection = self.cached.and_then(|c| c.selection);
         (selection, now >= self.grant_ready_at)
     }
 
-    /// Whether the pipeline last observed a candidate for this port. When
-    /// this flag disagrees with the scheduler's live backlog, the
-    /// empty↔non-empty transition — which charges (or resets) the
-    /// pipeline-refill latency — has not been recorded yet; the
-    /// event-driven fast path settles it over a skipped span with
-    /// [`OutputPort::settle_pipeline`] instead of forcing per-cycle ticks.
-    #[must_use]
-    pub fn had_candidate(&self) -> bool {
-        self.had_candidate
-    }
-
     /// Applies, at cycle `at`, the pipeline transition a dense tick would
-    /// have recorded on its first selection recompute: an empty→non-empty
-    /// flip charges the refill latency from `at`, a non-empty→empty flip
-    /// resets the flag so the next candidate charges it anew. Called from
-    /// `skip_quiet` when a skipped span starts with the flag stale —
-    /// nothing can transmit inside a provably quiet span, so recording the
-    /// transition is all the dense recompute would have done. The cache is
-    /// dropped because the cached selection predates the transition.
-    pub fn settle_pipeline(&mut self, at: Cycle, has_candidate: bool, latency: Cycle) {
-        if has_candidate && !self.had_candidate {
+    /// have recorded on its first selection recompute, copying the port's
+    /// `bit` of the scheduler's `backlog` mask into `had_candidate`: an
+    /// empty→non-empty flip charges the refill latency from `at`, a
+    /// non-empty→empty flip clears the bit so the next candidate charges it
+    /// anew. Called from `skip_quiet` when a skipped span starts with the
+    /// bit stale — nothing can transmit inside a provably quiet span, so
+    /// recording the transition is all the dense recompute would have done.
+    /// The cache is dropped because the cached selection predates the
+    /// transition.
+    pub fn settle_pipeline(
+        &mut self,
+        at: Cycle,
+        had_candidate: &mut u8,
+        backlog: u8,
+        bit: u8,
+        latency: Cycle,
+    ) {
+        if backlog & bit != 0 && *had_candidate & bit == 0 {
             self.grant_ready_at = at + latency;
         }
-        self.had_candidate = has_candidate;
+        *had_candidate = (*had_candidate & !bit) | (backlog & bit);
         self.cached = None;
     }
 }
@@ -229,36 +239,66 @@ mod tests {
         assert!(link.step() && link.step() && !link.step(), "two continuations owed");
     }
 
+    /// The bit the tests' port holds in its router's candidate mask.
+    const BIT: u8 = 0b100;
+
+    /// An output port and the router-level candidate mask beside it.
+    #[derive(Default)]
+    struct Piped {
+        port: OutputPort,
+        had: u8,
+    }
+
+    impl Piped {
+        fn select(
+            &mut self,
+            now: Cycle,
+            version: u64,
+            slot_raw: u32,
+            latency: Cycle,
+            recompute: impl FnOnce() -> Option<Selection>,
+        ) -> (Option<Selection>, bool) {
+            let Piped { port, had } = self;
+            port.selection_with_grant(now, (version, slot_raw), latency, had, BIT, recompute)
+        }
+
+        fn settle(&mut self, at: Cycle, has_candidate: bool, latency: Cycle) {
+            let backlog = if has_candidate { BIT } else { 0 };
+            self.port.settle_pipeline(at, &mut self.had, backlog, BIT, latency);
+        }
+    }
+
     #[test]
     fn first_grant_waits_for_pipeline_latency() {
-        let mut p = OutputPort::default();
+        let mut p = Piped::default();
         // Tree becomes non-empty at cycle 100.
-        let (s, usable) = p.selection_with_grant(100, 1, 0, 4, || Some(sel(0)));
+        let (s, usable) = p.select(100, 1, 0, 4, || Some(sel(0)));
         assert!(s.is_some());
         assert!(!usable, "grant not ready before the pipeline latency");
-        let (_, usable) = p.selection_with_grant(103, 1, 0, 4, || unreachable!("cached"));
+        assert_eq!(p.had, BIT, "the recompute records the candidate in the port's bit");
+        let (_, usable) = p.select(103, 1, 0, 4, || unreachable!("cached"));
         assert!(!usable);
-        let (_, usable) = p.selection_with_grant(104, 1, 0, 4, || unreachable!("cached"));
+        let (_, usable) = p.select(104, 1, 0, 4, || unreachable!("cached"));
         assert!(usable);
     }
 
     #[test]
     fn backlog_keeps_pipeline_full() {
-        let mut p = OutputPort::default();
-        let (_, _) = p.selection_with_grant(100, 1, 0, 4, || Some(sel(0)));
+        let mut p = Piped::default();
+        let (_, _) = p.select(100, 1, 0, 4, || Some(sel(0)));
         // Tree mutates (another packet arrives) while a candidate existed:
         // no new latency is charged.
-        let (s, usable) = p.selection_with_grant(104, 2, 0, 4, || Some(sel(1)));
+        let (s, usable) = p.select(104, 2, 0, 4, || Some(sel(1)));
         assert!(s.is_some());
         assert!(usable);
     }
 
     #[test]
     fn cache_invalidates_on_slot_tick() {
-        let mut p = OutputPort::default();
-        let (_, _) = p.selection_with_grant(0, 1, 0, 0, || Some(sel(0)));
+        let mut p = Piped::default();
+        let (_, _) = p.select(0, 1, 0, 0, || Some(sel(0)));
         let mut called = false;
-        let (_, _) = p.selection_with_grant(20, 1, 1, 0, || {
+        let (_, _) = p.select(20, 1, 1, 0, || {
             called = true;
             Some(sel(0))
         });
@@ -269,34 +309,46 @@ mod tests {
     fn settle_pipeline_matches_dense_recompute() {
         // Dense reference: tree becomes non-empty at cycle 100, first
         // grant usable at 104.
-        let mut dense = OutputPort::default();
-        let (_, _) = dense.selection_with_grant(100, 1, 0, 4, || Some(sel(0)));
+        let mut dense = Piped::default();
+        let (_, _) = dense.select(100, 1, 0, 4, || Some(sel(0)));
         // Settled port: the same transition recorded by `settle_pipeline`
         // at the skipped span's first cycle must yield the same grant
         // schedule once ticking resumes.
-        let mut settled = OutputPort::default();
-        settled.settle_pipeline(100, true, 4);
+        let mut settled = Piped::default();
+        settled.settle(100, true, 4);
+        assert_eq!(settled.had, dense.had);
         for now in [103, 104] {
-            let (_, dense_usable) = dense.selection_with_grant(now, 1, 0, 4, || Some(sel(0)));
-            let (_, settled_usable) = settled.selection_with_grant(now, 1, 0, 4, || Some(sel(0)));
+            let (_, dense_usable) = dense.select(now, 1, 0, 4, || Some(sel(0)));
+            let (_, settled_usable) = settled.select(now, 1, 0, 4, || Some(sel(0)));
             assert_eq!(dense_usable, settled_usable, "grant diverged at cycle {now}");
         }
-        // Non-empty → empty resets the flag: the next candidate charges
+        // Non-empty → empty resets the bit: the next candidate charges
         // the latency again, exactly as `empty_tree_resets_pipeline`.
-        settled.settle_pipeline(200, false, 4);
-        let (_, usable) = settled.selection_with_grant(300, 2, 0, 4, || Some(sel(1)));
+        settled.settle(200, false, 4);
+        assert_eq!(settled.had, 0);
+        let (_, usable) = settled.select(300, 2, 0, 4, || Some(sel(1)));
         assert!(!usable, "refill latency must be charged after an empty span");
     }
 
     #[test]
+    fn a_port_writes_only_its_own_bit() {
+        let mut p = Piped { had: !BIT, ..Piped::default() };
+        let (_, _) = p.select(0, 1, 0, 4, || Some(sel(0)));
+        assert_eq!(p.had, u8::MAX);
+        p.settle(10, false, 4);
+        assert_eq!(p.had, !BIT);
+    }
+
+    #[test]
     fn empty_tree_resets_pipeline() {
-        let mut p = OutputPort::default();
-        let (_, _) = p.selection_with_grant(0, 1, 0, 4, || Some(sel(0)));
-        let (_, _) = p.selection_with_grant(10, 2, 0, 4, || None);
+        let mut p = Piped::default();
+        let (_, _) = p.select(0, 1, 0, 4, || Some(sel(0)));
+        let (_, _) = p.select(10, 2, 0, 4, || None);
+        assert_eq!(p.had, 0);
         // Next candidate charges the latency again.
-        let (_, usable) = p.selection_with_grant(50, 3, 0, 4, || Some(sel(1)));
+        let (_, usable) = p.select(50, 3, 0, 4, || Some(sel(1)));
         assert!(!usable);
-        let (_, usable) = p.selection_with_grant(54, 3, 0, 4, || unreachable!());
+        let (_, usable) = p.select(54, 3, 0, 4, || unreachable!());
         assert!(usable);
     }
 }

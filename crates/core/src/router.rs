@@ -82,6 +82,11 @@ pub struct RealTimeRouter {
     timing: PortTiming,
     inputs: [InputPort; PORT_COUNT],
     outputs: [OutputPort; PORT_COUNT],
+    /// Bit `i` (`Port::mask`): whether output `i`'s grant pipeline last
+    /// observed a candidate. Written only by a selection recompute and by
+    /// `skip_quiet`; one byte so an idle router's `skip_quiet` compares all
+    /// five outputs with the scheduler's backlog mask at once.
+    had_candidate: u8,
     /// The best-effort virtual channel across all five ports.
     be: WormholeChannel,
     /// Pacing of the time-constrained injection port.
@@ -146,6 +151,7 @@ impl RouterTemplate {
             timing,
             inputs: Default::default(),
             outputs: Default::default(),
+            had_candidate: 0,
             be: WormholeChannel::new(timing.flit_capacity),
             tc_inject: Serialiser::default(),
             stats: RouterStats::default(),
@@ -586,9 +592,10 @@ impl RealTimeRouter {
         let sched_latency = self.config.effective_sched_latency();
         let (selection, usable) = self.outputs[out_idx].selection_with_grant(
             now,
-            sched.version(),
-            t.raw(),
+            (sched.version(), t.raw()),
             sched_latency,
+            &mut self.had_candidate,
+            port.mask(),
             || sched.select(port, t),
         );
         let granted = usable.then_some(selection).flatten();
@@ -844,19 +851,24 @@ impl Chip for RealTimeRouter {
         for idle in &mut self.stats.idle_cycles {
             *idle += skipped;
         }
-        // Settle stale grant pipelines: a port whose `had_candidate` flag
+        // Settle stale grant pipelines: a port whose `had_candidate` bit
         // disagrees with the scheduler's live backlog records, at the
         // span's first cycle, the transition the first dense tick of the
         // span would have recorded on its selection recompute. Nothing can
         // transmit inside a provably quiet span (on-time backlog forces
         // per-cycle ticks via `next_event`'s short answers), so the
-        // transition is all that recompute would have done.
+        // transition is all that recompute would have done. An idle router
+        // usually has nothing to settle: one compare says so.
         self.dbg_check_backlog();
+        let backlog = self.sched.backlog_mask();
+        if self.had_candidate == backlog {
+            return;
+        }
         let latency = self.config.effective_sched_latency();
         for (idx, out) in self.outputs.iter_mut().enumerate() {
-            let has_candidate = self.sched.backlog_for(Port::from_index(idx)) > 0;
-            if out.had_candidate() != has_candidate {
-                out.settle_pipeline(from, has_candidate, latency);
+            let bit = Port::from_index(idx).mask();
+            if (self.had_candidate ^ backlog) & bit != 0 {
+                out.settle_pipeline(from, &mut self.had_candidate, backlog, bit, latency);
             }
         }
     }
@@ -1748,6 +1760,65 @@ mod tests {
         r.check_conservation().unwrap();
         assert_eq!(r.stats().tc_buffered, 1);
         assert_eq!(r.stats().tc_retired, 1);
+    }
+
+    /// The settle fast path: after two idle spans — the first opening with
+    /// the +x bit still set by the packet just sent (settled), the second
+    /// with mask and backlog agreeing (the one-compare exit) — a new packet
+    /// is granted on the cycle a twin ticked through the same spans grants
+    /// it, with identical statistics.
+    #[test]
+    fn an_idle_router_settles_like_its_densely_ticked_twin() {
+        let east = Port::Dir(Direction::XPlus);
+        let [mut sparse, mut dense] = [router(), router()].map(|mut r| {
+            r.apply_control(ControlCommand::SetConnection {
+                incoming: ConnectionId(1),
+                outgoing: ConnectionId(1),
+                delay: 4,
+                out_mask: east.mask(),
+            })
+            .unwrap();
+            r
+        });
+        let (mut sparse_io, mut dense_io) = (io(), io());
+        // One cycle; whether a packet's start symbol left on +x.
+        let tick = |r: &mut RealTimeRouter, io: &mut ChipIo, now: Cycle| {
+            io.begin_cycle();
+            r.tick(now, io);
+            io.credit_out = [0; PORT_COUNT];
+            matches!(io.tx[east.index()].take(), Some(LinkSymbol::TcStart(_)))
+        };
+        // Tick both until each has granted one packet queued at `now`, and
+        // return the cycle after its last symbol left.
+        let send_one = |sparse: &mut RealTimeRouter,
+                        dense: &mut RealTimeRouter,
+                        ios: [&mut ChipIo; 2],
+                        mut now: Cycle| {
+            let slot = now / sparse.config().slot_bytes as u64;
+            ios[0].inject_tc.push_back(tc_packet(1, slot, sparse));
+            ios[1].inject_tc.push_back(tc_packet(1, slot, dense));
+            let mut granted = None;
+            while granted.is_none() || sparse.outputs[east.index()].tc_tx.busy() {
+                let started = tick(sparse, ios[0], now);
+                assert_eq!(started, tick(dense, ios[1], now), "grants diverged at {now}");
+                granted = granted.or(started.then_some(now));
+                now += 1;
+            }
+            now
+        };
+        let now = send_one(&mut sparse, &mut dense, [&mut sparse_io, &mut dense_io], 0);
+        assert_ne!(sparse.had_candidate, sparse.sched.backlog_mask(), "the +x bit is stale");
+        for (from, to) in [(now, now + 300), (now + 300, now + 700)] {
+            sparse.skip_quiet(from, to);
+            assert_eq!(sparse.had_candidate, sparse.sched.backlog_mask(), "after {from}..{to}");
+            for t in from..to {
+                assert!(!tick(&mut dense, &mut dense_io, t), "an idle span sends nothing");
+            }
+        }
+        send_one(&mut sparse, &mut dense, [&mut sparse_io, &mut dense_io], now + 700);
+        assert_eq!(sparse.stats().tc_transmitted[east.index()], 2);
+        assert_eq!(format!("{:?}", sparse.stats()), format!("{:?}", dense.stats()));
+        assert_eq!(sparse.had_candidate, dense.had_candidate);
     }
 
     #[test]

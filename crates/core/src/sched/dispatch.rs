@@ -107,6 +107,12 @@ impl Scheduler {
         self.leaves().backlog_for(port)
     }
 
+    /// The ports with buffered packets still awaiting them, as a mask.
+    #[must_use]
+    pub fn backlog_mask(&self) -> u8 {
+        self.leaves().backlog_mask()
+    }
+
     /// Sorting-key computations so far (banded and oracle count none).
     #[must_use]
     pub fn key_computations(&self) -> u64 {

@@ -124,6 +124,13 @@ impl LeafStore {
         self.backlog[port.index()] as usize
     }
 
+    /// The ports with leaves still awaiting them, as a mask (bit `i` =
+    /// port `i`, as in [`Leaf::port_mask`]).
+    #[must_use]
+    pub fn backlog_mask(&self) -> u8 {
+        (0..PORT_COUNT).fold(0, |mask, i| mask | u8::from(self.backlog[i] > 0) << i)
+    }
+
     /// The leaf at `idx`, if occupied.
     #[must_use]
     pub fn get(&self, idx: usize) -> Option<&Leaf> {

@@ -43,8 +43,9 @@ use crate::topology::Topology;
 /// Handle layout (for `n` nodes and `L` wired links): chips occupy `0..n`
 /// (by node index), links `n..n + L` (`n +` the link's global CSR index —
 /// see [`LinkTable`]), traffic sources `n + L..` (by registration order).
-/// The core is rebuilt from scratch whenever the world changes shape or is
-/// mutated behind its back (see `Simulator::events_stale`).
+/// The first leaping call builds the core and it lives as long as the
+/// simulator: external mutation carries what it touched into the next
+/// cycle, and a source registered later gets the next handle.
 #[derive(Debug)]
 struct EventCore {
     queue: WakeQueue,
@@ -61,8 +62,8 @@ struct EventCore {
     carried: u64,
     /// Per-handle cycle of the most recent dirty mark.
     stamp: Vec<Cycle>,
-    /// Poll every component at the end of the next step (the core was just
-    /// built and knows no wakes yet).
+    /// The next step polls every component (the core was just built and
+    /// knows no wakes yet).
     prime: bool,
 }
 
@@ -118,13 +119,22 @@ impl EventCore {
     fn file_wake(&mut self, handle: u32, at: Option<Cycle>, now: Cycle) {
         match at {
             Some(at) if at > now + 1 => self.queue.set_wake(WakeHandle(handle), at),
-            Some(_) => {
-                self.queue.clear_wake(WakeHandle(handle));
-                self.stamp[handle as usize] = now + 1;
-                self.carry.push(WakeHandle(handle));
-            }
+            Some(_) => self.carry_into(handle, now + 1),
             None => self.queue.clear_wake(WakeHandle(handle)),
         }
+    }
+
+    /// Puts a handle, stamped, on the dirty list of the step simulating
+    /// `next` instead of the wheel.
+    fn carry_into(&mut self, handle: u32, next: Cycle) {
+        self.queue.clear_wake(WakeHandle(handle));
+        self.stamp[handle as usize] = next;
+        self.carry.push(WakeHandle(handle));
+    }
+
+    /// Whether a leaping call has built the core.
+    fn warm(&self) -> bool {
+        !self.stamp.is_empty()
     }
 }
 
@@ -232,13 +242,9 @@ pub struct Simulator<C: Chip> {
     /// stepping's one-tick-per-chip-per-cycle invariant.
     #[cfg(debug_assertions)]
     dbg_accounted: Vec<Cycle>,
-    /// The calendar-queue event core behind the leaping paths.
+    /// The calendar-queue event core behind the leaping paths; cold (no
+    /// handles, every cycle dense) until the first leaping call.
     events: EventCore,
-    /// The event core no longer reflects the world: dense cycles mutate
-    /// chips without wake bookkeeping (keeping them at zero event-core
-    /// overhead), as do external mutators like [`Simulator::chip_mut`].
-    /// The next leaping call re-primes.
-    events_stale: bool,
     /// Counter registry and phase profiler (both zero-sized no-ops
     /// without the `metrics` feature).
     metrics: SimMetrics,
@@ -348,7 +354,6 @@ impl<C: Chip> Simulator<C> {
             #[cfg(debug_assertions)]
             dbg_accounted: vec![0; n],
             events: EventCore::new(0),
-            events_stale: true,
             metrics: SimMetrics::new(),
             agenda: Agenda { ops: BTreeMap::new(), filed: 0 },
             fault_seed: 1,
@@ -386,10 +391,15 @@ impl<C: Chip> Simulator<C> {
     /// drive call settles all chips before it returns, and a scan of the
     /// whole mesh per table write is what channel establishment on a
     /// 128×128 mesh used to spend its time on.
+    /// A warm event core stays warm: the next cycle ticks the chip and
+    /// re-polls its wake (a stamp of `now` means it is carried already).
     pub fn chip_mut(&mut self, node: NodeId) -> &mut C {
-        self.settle_chip(node.index());
-        self.events_stale = true;
-        &mut self.chips[node.index()]
+        let i = node.index();
+        self.settle_chip(i);
+        if self.events.warm() && self.events.stamp[i] != self.now {
+            self.events.carry_into(i as u32, self.now);
+        }
+        &mut self.chips[i]
     }
 
     /// The delivery log of a node.
@@ -399,9 +409,15 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Registers a traffic source at a node (several per node are allowed;
-    /// they run in registration order).
+    /// they run in registration order). On a warm event core the source
+    /// gets the next wake handle and is carried into the next cycle, which
+    /// runs it and files its first wake.
     pub fn add_source(&mut self, node: NodeId, source: Box<dyn TrafficSource>) {
-        self.events_stale = true;
+        if self.events.warm() {
+            let handle = self.events.queue.register();
+            self.events.stamp.push(Cycle::MAX);
+            self.events.carry_into(handle.0, self.now);
+        }
         self.sources.push((node, source, 0));
     }
 
@@ -448,11 +464,12 @@ impl<C: Chip> Simulator<C> {
     #[doc(hidden)]
     pub fn set_parallelism(&mut self, _workers: usize) {}
 
-    /// Operation counters of the calendar-queue event core, or `None` when
-    /// the core is stale (no leaping call since the last world mutation).
+    /// Operation counters of the calendar-queue event core, or `None`
+    /// before the first leaping call builds it. The core lives as long as
+    /// the simulator, so the counters cover the whole run from then on.
     #[must_use]
     pub fn event_core_stats(&self) -> Option<QueueStats> {
-        (!self.events_stale).then(|| self.events.queue.stats())
+        self.events.warm().then(|| self.events.queue.stats())
     }
 
     /// The merged wake-precision telemetry of every chip that keeps any
@@ -619,11 +636,11 @@ impl<C: Chip> Simulator<C> {
     /// This is the simulator half of live channel signaling: a signaling
     /// engine models its per-write reprogramming latency by scheduling
     /// each table delta a few cycles out instead of mutating through
-    /// [`Simulator::chip_mut`] (which would also cold-stale a warm event
-    /// core; scheduled ops keep it warm and just mark the written chip
-    /// dirty). The closure's `Err` is counted in [`ControlStats`] and
-    /// logged in [`Simulator::control_rejections`], not propagated — the
-    /// schedule keeps running like hardware would.
+    /// [`Simulator::chip_mut`] (which writes between cycles, not at one).
+    /// Either way a warm event core stays warm and the written chip ticks
+    /// on the cycle of the write. The closure's `Err` is counted in
+    /// [`ControlStats`] and logged in [`Simulator::control_rejections`],
+    /// not propagated — the schedule keeps running like hardware would.
     pub fn schedule_control(
         &mut self,
         at: Cycle,
@@ -676,7 +693,7 @@ impl<C: Chip> Simulator<C> {
         // event core ticks and re-polls it this cycle, exactly like a
         // chip the fault plane touched. Dense stepping ticks every
         // chip anyway, so the outcomes stay byte-identical.
-        if !self.events_stale {
+        if self.events.warm() {
             self.events.mark(i, now);
         }
     }
@@ -707,7 +724,7 @@ impl<C: Chip> Simulator<C> {
     fn apply_fault(&mut self, kind: FaultKind) {
         let now = self.now;
         let n = self.chips.len();
-        let warm = !self.events_stale;
+        let warm = self.events.warm();
         match kind {
             FaultKind::NodeCrash { node } | FaultKind::NodeRestore { node } => {
                 let i = node.index();
@@ -852,24 +869,23 @@ impl<C: Chip> Simulator<C> {
 
     /// Advances the network by one cycle.
     ///
-    /// While the event core is warm (a leaping call primed it and nothing
-    /// invalidated it since), the cycle runs with wake bookkeeping and
-    /// ticks only the chips that can change state — the results are
-    /// bit-identical, and keeping the queue warm means a later leaping
-    /// call starts from live wakes instead of an O(components) re-prime
-    /// (counted by the `sim.stale_repolls` metric).
+    /// Once a leaping call has built the event core, every cycle runs with
+    /// wake bookkeeping and ticks only the chips that can change state —
+    /// the results are bit-identical, and the core stays warm for the next
+    /// leaping call: it is primed once per simulator (counted by the
+    /// `sim.stale_repolls` metric), never again.
     pub fn step(&mut self) {
         self.step_inner();
         self.settle_idle();
     }
 
     /// One cycle without the idle settle (public drive calls settle once, at
-    /// their end). A stale event core stays stale: dense cycles skip wakes.
+    /// their end). Before the first leaping call cycles are dense.
     fn step_inner(&mut self) {
-        if self.events_stale {
-            self.cycle::<false>();
-        } else {
+        if self.events.warm() {
             self.cycle::<true>();
+        } else {
+            self.cycle::<false>();
         }
     }
 
@@ -878,19 +894,19 @@ impl<C: Chip> Simulator<C> {
     /// 1. (`EV`) the dirty set starts as the handles carried into this cycle
     ///    and the wheel's due wakes join it;
     /// 2. agenda ops due now apply — faults, then control writes;
-    /// 3. links — all when dense or priming, else those whose wake fired or
-    ///    was carried — deliver arrivals, and sources run (`phase_pre`);
-    /// 4. chips tick: every live chip when dense (`EV` unset) or priming a
-    ///    freshly built event core, otherwise exactly the dirty chips (due
-    ///    wakes, arrivals, credits, pending injections, agenda touches).
-    ///    Every other chip is provably quiet — its registered wake lies
-    ///    beyond `now` and nothing external reached it — and its per-cycle
+    /// 3. links — all when dense or priming after dense cycles, else those
+    ///    whose wake fired or was carried — deliver arrivals, and sources
+    ///    run (`phase_pre`);
+    /// 4. chips tick: every live chip when dense (`EV` unset), otherwise
+    ///    the dirty chips (due wakes, arrivals, credits, pending injections,
+    ///    agenda touches) and, priming, those whose pre-tick poll answers
+    ///    by the next cycle. Every other chip is provably quiet and its
     ///    idle accounting is reconciled lazily from `unticked`;
     /// 5. the ticked chips' driven symbols and credits move onto the
     ///    links, their deliveries drain, the clock advances (`phase_post`);
-    /// 6. (`EV`) the dirty links and sources re-register their wakes, or
-    ///    the prime sweep registers everything once; a wake for the next
-    ///    cycle is carried there instead of filed.
+    /// 6. (`EV`) the dirty links and sources — priming, every source and
+    ///    busy link — re-register their wakes; a wake for the next cycle is
+    ///    carried there instead of filed.
     ///
     /// `EV = false` compiles all wake bookkeeping out.
     fn cycle<const EV: bool>(&mut self) {
@@ -898,26 +914,45 @@ impl<C: Chip> Simulator<C> {
         let n = self.chips.len();
         let t = self.metrics.profiler.start();
         if EV {
-            debug_assert!(!self.events_stale, "event cycle on a stale core");
+            debug_assert!(self.events.warm(), "event cycle on a cold core");
             self.events.begin(now);
         }
         self.apply_due();
         let t = if EV { self.metrics.profiler.lap(Phase::WheelPop, t) } else { t };
         let prime = EV && std::mem::take(&mut self.events.prime);
+        // Priming after dense cycles: they kept no wakes and no backlog
+        // list, so links and injection queues are swept once. Before any
+        // cycle every link is empty and `inject_*` kept the list exact.
+        let sweep = prime && now > 0;
         let mut list = std::mem::take(&mut self.tick_list);
-        self.phase_pre::<EV>(&list, prime);
+        self.phase_pre::<EV>(&list, sweep);
         let t = self.metrics.profiler.lap(Phase::LinkPre, t);
 
         // A crashed chip is passed over either way: its cycles are
         // accounted (without `skip_quiet`) when it restores or at settle.
         list.clear();
         let crashed = &self.crashed;
-        if !EV || prime {
-            list.extend((0..n as u32).filter(|&h| !crashed[h as usize]));
-        } else {
+        if EV {
             let dirty = self.events.dirty.iter().map(|h| h.0);
             list.extend(dirty.filter(|&h| (h as usize) < n && !crashed[h as usize]));
+            // Priming, every other live chip is polled *before* its tick (see
+            // `Chip::next_event`): it ticks if it may act by the next cycle.
+            let chips = if prime { &self.chips[..] } else { &[] };
+            for (i, chip) in chips.iter().enumerate() {
+                if crashed[i] || self.events.stamp[i] == now {
+                    continue;
+                }
+                match chip.next_event(now) {
+                    Some(at) if at > now + 1 => {
+                        self.events.queue.set_wake(WakeHandle(i as u32), at)
+                    }
+                    Some(_) => list.push(i as u32),
+                    None => {}
+                }
+            }
             list.sort_unstable();
+        } else {
+            list.extend((0..n as u32).filter(|&h| !crashed[h as usize]));
         }
         let t = self.tick_chips::<EV>(now, &list, t);
         self.phase_post::<EV>(now, &list);
@@ -925,37 +960,35 @@ impl<C: Chip> Simulator<C> {
         let t = self.metrics.profiler.lap(Phase::LinkPost, t);
         if EV {
             if prime {
-                // Priming a fresh queue: chips were polled as they ticked
-                // and sources are polled unconditionally, but only the
-                // non-empty links file a wake — the queue is empty, so
-                // idle links have nothing to clear, and at mega-mesh scale
-                // they vastly outnumber the ones carrying traffic. Only
-                // the wakes actually filed count as (stale) repolls.
-                let mut repolled = (n + self.sources.len()) as u64;
-                for li in 0..self.adj.len() {
-                    if let Some(at) = self.adj.link(li).next_event() {
-                        self.events.file_wake((n + li) as u32, Some(at), now);
+                // A fresh queue knows no wakes: every source, and after
+                // dense cycles every busy link, files its first. Idle links
+                // have nothing to clear, and at mega-mesh scale they vastly
+                // outnumber the busy ones.
+                let (links, sources) = (self.adj.len(), self.sources.len());
+                let mut repolled = (n + sources) as u64;
+                for li in 0..if sweep { links } else { 0 } {
+                    if self.adj.link(li).next_event().is_some() {
+                        self.events.mark(n + li, now);
                         repolled += 1;
                     }
                 }
-                for s in 0..self.sources.len() {
-                    self.repoll(n + self.adj.len() + s, now);
+                for h in n + links..n + links + sources {
+                    self.events.mark(h, now);
                 }
                 self.metrics.registry.inc(self.metrics.ids.stale_repolls, repolled);
-            } else {
-                for k in 0..self.events.dirty.len() {
-                    // Live chips were polled as they ticked.
-                    let h = self.events.dirty[k].index();
-                    if h >= n || self.crashed[h] {
-                        self.repoll(h, now);
-                    }
+            }
+            for k in 0..self.events.dirty.len() {
+                // Live chips were polled as they ticked (or, priming, before).
+                let h = self.events.dirty[k].index();
+                if h >= n || self.crashed[h] {
+                    self.repoll(h, now);
                 }
-                #[cfg(debug_assertions)]
-                {
-                    let mut polled = self.events.dirty.clone();
-                    polled.sort_unstable();
-                    assert!(polled.windows(2).all(|w| w[0] != w[1]), "a handle polled twice");
-                }
+            }
+            #[cfg(debug_assertions)]
+            {
+                let mut polled = self.events.dirty.clone();
+                polled.sort_unstable();
+                assert!(polled.windows(2).all(|w| w[0] != w[1]), "a handle polled twice");
             }
             self.events.carried += self.events.carry.len() as u64;
             self.metrics.profiler.stop(Phase::Repoll, t);
@@ -1069,20 +1102,21 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Pre-tick phases of one cycle: link arrivals and traffic sources.
-    /// `ticked_last` is the previous cycle's tick list.
+    /// `ticked_last` is the previous cycle's tick list; `sweep` (a prime
+    /// after dense cycles) visits every link and rescans the backlog.
     ///
     /// With `EV` set, additionally feeds the event core's dirty set:
     /// chips receiving symbols, credits, or holding pending injections —
     /// and links whose queues were popped — get their wakes recomputed at
     /// the end of the step. `EV = false` compiles the bookkeeping out.
-    fn phase_pre<const EV: bool>(&mut self, ticked_last: &[u32], prime: bool) {
+    fn phase_pre<const EV: bool>(&mut self, ticked_last: &[u32], sweep: bool) {
         let now = self.now;
         let n = self.chips.len();
         // Being handed an arrival (`rx`/`credit_in`) makes a chip tick.
         for node in Self::ticked::<EV>(ticked_last, n) {
             self.ios[node].begin_cycle();
         }
-        if prime {
+        if sweep {
             // Dense cycles skipped the backlog bookkeeping with the wakes.
             for i in (0..n).filter(|&i| Backlog::pending(&self.ios[i])) {
                 self.backlog.note(i);
@@ -1095,7 +1129,7 @@ impl<C: Chip> Simulator<C> {
         // `recv_credit` are no-ops on every link the step did not begin
         // with. Their order is free: a link writes only its own `rx` and
         // `credit_in` slots, and the tick list is sorted afterwards.
-        let sweep = !EV || prime;
+        let sweep = !EV || sweep;
         let began = if sweep { self.adj.len() } else { self.events.began };
         #[cfg(debug_assertions)]
         {
@@ -1459,12 +1493,11 @@ impl<C: Chip> Simulator<C> {
         cycles: Cycle,
         mut predicate: Option<impl FnMut(&Self) -> bool>,
     ) -> bool {
-        if self.events_stale {
-            // Dense cycles or external mutation ran since the last event
-            // cycle: rebuild the core. The fresh queue is primed — the first
-            // event cycle ticks and polls everything, later ones the dirty.
+        if !self.events.warm() {
+            // The first leaping call builds the core. The fresh queue is
+            // primed — the first event cycle polls everything, later ones
+            // the dirty.
             self.events = EventCore::new(self.chips.len() + self.adj.len() + self.sources.len());
-            self.events_stale = false;
         }
         let end = self.now + cycles;
         let mut fired = false;
@@ -1769,6 +1802,52 @@ mod tests {
         let after = leaping.event_core_stats().expect("injection keeps the core warm");
         let filed = after.filed - warm.filed;
         assert!(filed <= 2 * PACKETS, "{filed} wakes filed over {busy} busy cycles");
+    }
+
+    /// Queues one best-effort packet for the node at `x + 1` at cycle `.0`.
+    struct OneShot(Cycle);
+
+    impl TrafficSource for OneShot {
+        fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut ChipIo) {
+            if now == self.0 {
+                io.inject_be.push_back(BePacket::new(1, 0, vec![7; 8], PacketTrace::default()));
+            }
+        }
+
+        fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            (now < self.0).then_some(self.0)
+        }
+    }
+
+    #[test]
+    fn mutation_keeps_a_warm_core_and_its_counters() {
+        // A source registered and a chip written between two leaping calls
+        // are carried into the next cycle; the core is not rebuilt, so its
+        // counters cover the whole run and never go down.
+        let (mut leaping, mut stepped) = (two_node_sim(), two_node_sim());
+        let dst = leaping.topology().node_at(1, 0);
+        for sim in [&mut leaping, &mut stepped] {
+            sim.add_source(NodeId(0), Box::new(OneShot(100)));
+        }
+        leaping.run_leaping(500);
+        stepped.run(500);
+        let warm = leaping.event_core_stats().expect("leaping built the core");
+        let carried = leaping.events.carried;
+        assert!(warm.filed > 0 && warm.fired > 0, "{warm:?}");
+        for sim in [&mut leaping, &mut stepped] {
+            sim.add_source(NodeId(0), Box::new(OneShot(700)));
+            sim.chip_mut(dst).set_clock_skew(0);
+        }
+        assert_eq!(leaping.event_core_stats(), Some(warm), "mutation kept the core");
+        let ticks = leaping.ticks_executed();
+        leaping.run_leaping(1_500);
+        stepped.run(1_500);
+        let after = leaping.event_core_stats().unwrap();
+        assert!(after.filed > warm.filed && after.fired > warm.fired, "{warm:?} → {after:?}");
+        assert!(leaping.events.carried > carried);
+        assert!(leaping.ticks_executed() - ticks < 400, "the second call still leaps");
+        assert_eq!(leaping.log(dst).be.len(), 2, "both one-shot packets arrived");
+        assert_eq!(stepped.log(dst).be, leaping.log(dst).be);
     }
 
     #[test]

@@ -161,6 +161,14 @@ pub trait Chip {
     /// (counters patched via [`Chip::skip_quiet`] aside) must be identical
     /// to having ticked through them. Conservative answers are always safe —
     /// the default `Some(now + 1)` simply disables leaping for this chip.
+    ///
+    /// The simulator may also poll a chip *before* its tick at `now`, in the
+    /// state its last tick (at `now − 1`, or none on a fresh build) left it:
+    /// the prime cycle of a freshly built event core does so for every chip
+    /// no input reached. An answer of `now + 1` or earlier ticks the chip at
+    /// `now`; a later one skips `now` too, up to the answer, and `None`
+    /// skips it until an input arrives. So a chip with work due at `now`
+    /// must not answer beyond `now + 1` — the default never does.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }

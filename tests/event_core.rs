@@ -8,13 +8,15 @@
 //! full `Debug` rendering of [`NetworkReport`]: seeded 8×8 meshes at
 //! sparse, mixed and saturating load and on a latent wire, a packet parked
 //! early behind a horizon, §7 cut-through on both schedulers, and the
-//! wormhole baseline. The mid-leap predicate test locks
-//! [`Simulator::run_until_leaping`] to stepped `run_until` semantics. The
-//! conservation test closes the per-node packet ledger under both drive
-//! modes, and the warm-queue test pins the contract that plain `step`
-//! drives a primed event queue instead of staling it.
+//! wormhole baseline, and the two baselines that keep the trait's
+//! conservative wake leaping from a fresh build. The mid-leap predicate
+//! test locks [`Simulator::run_until_leaping`] to stepped `run_until`
+//! semantics. The conservation test closes the per-node packet ledger
+//! under both drive modes, and the warm-queue tests pin the contract that
+//! the core is built once: plain `step`, injection and external mutation
+//! all keep it warm.
 
-use realtime_router::baselines::WormholeRouter;
+use realtime_router::baselines::{FifoSfRouter, PriorityVcRouter, WormholeRouter};
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::channels::ChannelManager;
 use realtime_router::core::{ControlCommand, RealTimeRouter};
@@ -209,9 +211,9 @@ fn conservation_holds_across_all_drive_modes() {
 
 /// Interleaving plain `run` between leaping runs must keep the event queue
 /// warm (no teardown, no re-poll storm) and stay byte-identical to a pure
-/// stepped run: plain `step` now drives the live queue instead of staling
-/// it, so only explicit mutation (`chip_mut`, `add_source`) forces a
-/// re-prime.
+/// stepped run: plain `step` drives the live queue. Nothing else stales it
+/// either — `chip_mut` and `add_source` carry what they touch into the next
+/// cycle — so the core is primed once per simulator.
 #[test]
 fn plain_stepping_keeps_event_queue_warm() {
     let mut cold = build_mesh(64, 0.0);
@@ -265,7 +267,8 @@ impl TrafficSource for Burst {
 /// describes, and the event cycle finds their chips on the injection-backlog
 /// list, not by scanning the mesh. Injecting from outside (`inject_tc` /
 /// `inject_be`) between two drive calls must neither stale the warm core nor
-/// go unnoticed by it, a backlog a *dense* cycle's source left behind must be
+/// go unnoticed by it, and neither may a `chip_mut` write that releases a
+/// parked packet; a backlog a *dense* cycle's source left behind must be
 /// picked up when the core is primed, and the result stays byte-identical to
 /// dense stepping.
 #[test]
@@ -297,11 +300,12 @@ fn injection_on_a_warm_core_is_seen() {
 
         let config = RouterConfig::default();
         let slot = realtime_router::types::time::cycle_to_slot(sim.now(), config.slot_bytes);
+        // 50 slots early behind a zero horizon: the packet parks at `src`.
         sim.inject_tc(
             src,
             TcPacket {
                 conn,
-                arrival: sim.chip(src).clock().wrap(slot + 2),
+                arrival: sim.chip(src).clock().wrap(slot + 50),
                 payload: vec![0x7C; config.tc_data_bytes()].into(),
                 trace: PacketTrace::default(),
             },
@@ -313,7 +317,16 @@ fn injection_on_a_warm_core_is_seen() {
             let now = sim.event_core_stats().expect("injection must not stale the core");
             assert_eq!(warm, now);
         }
-        mode.advance(&mut sim, 3_000);
+        mode.advance(&mut sim, 200);
+        // Widening the horizon releases the parked packet at once: the chip
+        // must tick on the next cycle, not at the wake it filed before.
+        let before = sim.event_core_stats();
+        let xplus = Port::Dir(Direction::XPlus).mask();
+        sim.chip_mut(src)
+            .apply_control(ControlCommand::SetHorizon { port_mask: xplus, horizon: 60 })
+            .unwrap();
+        assert_eq!(sim.event_core_stats(), before, "a chip_mut write keeps the core");
+        mode.advance(&mut sim, 2_800);
         if leaping {
             // Still the same queue: a re-prime would have started its
             // counters from zero.
@@ -322,6 +335,8 @@ fn injection_on_a_warm_core_is_seen() {
             assert!(after.filed > warm.filed && after.fired > warm.fired, "{warm:?} → {after:?}");
         }
         assert_eq!(sim.log(dst).tc.len(), 1, "the injected TC packet arrived");
+        let early = sim.chip(src).stats().tc_early_transmitted[Port::Dir(Direction::XPlus).index()];
+        assert_eq!(early, 1, "the widened horizon sent the parked packet early");
         assert_eq!(sim.log(topo.node_at(6, 5)).be.len(), 1, "the injected BE packet arrived");
         assert_eq!(sim.log(topo.node_at(4, 1)).be.len(), 3, "the dense-queued burst arrived");
         sim
@@ -443,8 +458,9 @@ fn cut_through_leaps_like_it_steps() {
 /// The baselines' share of the contract: a baseline that answers
 /// `next_event` at all (the pure-wormhole router, whose answer is the
 /// kit channel's) must leap like it steps. The `baseline_compare` scenario
-/// under 20% best-effort background; the store-and-forward and priority-VC
-/// baselines keep the trait's never-leap default and need no proof.
+/// under 20% best-effort background. The store-and-forward and priority-VC
+/// baselines keep the trait's never-leap default; the next test holds them
+/// to the prime's pre-tick poll.
 #[test]
 fn baselines_leap_like_they_step() {
     let (stepped, leaping) =
@@ -467,4 +483,37 @@ fn baselines_leap_like_they_step() {
         leaping.ticks_executed(),
         stepped.ticks_executed()
     );
+}
+
+/// The prime of a fresh core polls each chip *before* its first tick, and
+/// an answer by the next cycle ticks it. The store-and-forward and
+/// priority-VC baselines keep the trait's conservative `next_event`
+/// (`now + 1`), so every one of them ticks on every cycle from the first —
+/// the event run is dense in all but name and must match dense stepping
+/// byte for byte, with a packet queued before cycle 0, seeded background
+/// load and a burst that sleeps in the wheel.
+#[test]
+fn conservative_chips_leap_from_a_fresh_build() {
+    fn loaded<C: Chip>(make: impl Fn() -> C) -> Simulator<C> {
+        let topo = Topology::mesh(4, 4);
+        let mut sim =
+            Simulator::build(topo.clone(), |_| Ok::<_, std::convert::Infallible>(make())).unwrap();
+        sim.inject_be(NodeId(0), BePacket::new(3, 3, vec![0x5C; 24], PacketTrace::default()));
+        sim.add_source(topo.node_at(3, 0), Box::new(Burst(30)));
+        add_uniform_be(&mut sim, 0.05, SizeDist::Fixed(16), 0xFA57, 8);
+        sim
+    }
+    fn check<C: Chip>(make: impl Fn() -> C) {
+        let (stepped, leaping) = assert_modes_agree(|| loaded(&make), 3_000);
+        let delivered: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+        assert!(delivered > 30, "the mesh must carry traffic: {delivered} packets");
+        assert_eq!(
+            leaping.ticks_executed(),
+            stepped.ticks_executed(),
+            "a chip that always answers the next cycle ticks on every cycle"
+        );
+    }
+    let config = RouterConfig::default();
+    check(|| FifoSfRouter::new(config.clone()).unwrap());
+    check(|| PriorityVcRouter::new(config.clone()).unwrap());
 }

@@ -176,10 +176,6 @@ fn router_struct_does_not_grow() {
     }
 }
 
-/// An event cycle costs what happened in it, not the mesh around it: the
-/// same eight three-hop periodic channels poll the same number of links for
-/// arrivals and walk the same number of `ChipIo`s on 16×16 as on 64×64 once
-/// the one-shot prime cycle (which does sweep everything) is behind them.
 /// What `mega_cold` pays per request, without the stopwatch: the
 /// manager's books cost a bounded number of words per node a channel
 /// crossed and nothing for the rest of the mesh — only the 4-byte slot
@@ -220,10 +216,15 @@ fn manager_books_cost_only_the_nodes_channels_cross() {
     println!("{} booked nodes: {live} B live, {drained} B after teardown", crossed.len());
 }
 
+/// An event cycle costs what happened in it, not the mesh around it: the
+/// same eight three-hop periodic channels poll the same number of links for
+/// arrivals and walk the same number of `ChipIo`s on 16×16 as on 64×64 —
+/// the prime cycle of a fresh build included, which polls every chip but
+/// ticks only those that can act and sweeps no link.
 #[cfg(feature = "metrics")]
 #[test]
 fn event_cycle_work_is_flat_in_mesh_size() {
-    let work_after_prime = |side: u16| {
+    let work = |side: u16| {
         let config = RouterConfig::default();
         let mut sim = idle_mesh(side, side);
         let topo = sim.topology().clone();
@@ -239,27 +240,33 @@ fn event_cycle_work_is_flat_in_mesh_size() {
             ["sim.link_visits", "sim.io_visits"].map(|name| snapshot.counter(name).unwrap())
         };
         sim.run_leaping(1);
-        let [prime_links, prime_ios] = visits(&sim);
-        let nodes = u64::from(side) * u64::from(side);
-        assert_eq!(prime_ios, nodes, "the prime cycle walks every chip");
-        assert_eq!(prime_links, 4 * nodes - 4 * u64::from(side), "and every link");
+        let prime = visits(&sim);
         sim.run_leaping(20_000);
         let delivered: usize = topo.nodes().map(|n| sim.log(n).tc.len()).sum();
         assert!(delivered >= 8 * 14, "the channels carried traffic: {delivered}");
-        // The cold prime re-polls every chip and source but only the links
-        // that carry traffic, and nothing re-primes mid-run: the whole run's
-        // stale-repoll bill is one prime, not a per-leap sweep of the mesh.
+        // The prime polls every chip and source once and no idle link, and
+        // nothing re-primes mid-run: the whole run's stale-repoll bill is
+        // one prime, not a per-leap sweep of the mesh.
+        let active = topo
+            .nodes()
+            .flat_map(|node| Direction::ALL.map(|dir| sim.link_usage(node, dir)))
+            .filter(|usage| usage.tc_symbols + usage.be_symbols > 0)
+            .count() as u64;
+        let (nodes, sources) = (u64::from(side) * u64::from(side), 8);
         let stale = sim.metrics_snapshot().counter("sim.stale_repolls").unwrap();
         assert!(
-            stale <= nodes + 8 + 256,
-            "{side}×{side}: {stale} stale re-polls, one prime allowed"
+            stale <= nodes + sources + active,
+            "{side}×{side}: {stale} stale re-polls, one prime of {nodes} chips, \
+             {sources} sources and {active} active links allowed"
         );
         let [links, ios] = visits(&sim);
-        [links - prime_links, ios - prime_ios]
+        [prime, [links - prime[0], ios - prime[1]]]
     };
-    let small = work_after_prime(16);
+    let [small_prime, small] = work(16);
     assert!(small.iter().all(|&visits| visits > 0), "{small:?}");
-    assert_eq!(small, work_after_prime(64), "[link_visits, io_visits] on 16×16 vs 64×64");
+    let [large_prime, large] = work(64);
+    assert_eq!(small_prime, large_prime, "prime [link_visits, io_visits] on 16×16 vs 64×64");
+    assert_eq!(small, large, "[link_visits, io_visits] after the prime on 16×16 vs 64×64");
 }
 
 proptest! {
