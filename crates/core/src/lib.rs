@@ -74,6 +74,6 @@ pub mod stats;
 pub use conn_table::{ConnEntry, ConnectionTable, TableError};
 pub use control::{ControlCommand, ControlError, ControlPort, ControlReg};
 pub use memory::{PacketMemory, SlotAddr};
-pub use router::{RealTimeRouter, RouterTemplate};
+pub use router::{Datapath, RealTimeRouter, RouterTemplate};
 pub use sched::{ComparatorTree, Leaf, ReferenceScheduler, Selection};
 pub use stats::RouterStats;

@@ -101,8 +101,9 @@ struct CachedSelection {
     selection: Option<Selection>,
 }
 
-/// State of one output port; `Default` is the idle port with a zero
-/// horizon.
+/// State of one output port; `Default` is the idle port. Its horizon
+/// register is the router's, which control writes reach without a
+/// datapath.
 ///
 /// Whether the port's pipeline last observed a candidate is not kept here
 /// but in one bit of a mask the router holds for all five ports (`bit` =
@@ -119,8 +120,6 @@ pub struct OutputPort {
     pub tc_tx: Serialiser,
     /// A virtual cut-through transmission awaiting its start cycle.
     pub pending_cut: Option<Box<PendingCut>>,
-    /// Horizon register `h` for this port, in slots (Table 3).
-    pub horizon: u32,
     cached: Option<CachedSelection>,
     grant_ready_at: Cycle,
 }

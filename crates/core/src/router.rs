@@ -17,6 +17,7 @@
 //! best-effort byte goes; otherwise an early selection within the horizon
 //! goes; otherwise the link idles.
 
+use std::mem::size_of;
 use std::sync::Arc;
 
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
@@ -61,8 +62,33 @@ macro_rules! trace_event {
 }
 
 /// The single-chip real-time router.
+///
+/// Inline is what a router needs before it ever carries a packet: its
+/// configuration and clock, the control port with the connection table and
+/// the horizon registers it writes, the initial best-effort credits, the
+/// statistics ledger and the wake-poll counters — about half a kilobyte.
+/// Everything a packet moves through is one boxed [`Datapath`] that the
+/// router's first [`Chip::tick`] builds, so a router no traffic reaches
+/// never holds one (DESIGN.md §3.16). Everywhere but `tick` a router
+/// without a datapath reads as empty.
 #[derive(Debug)]
 pub struct RealTimeRouter {
+    regs: Registers,
+    control: ControlPort,
+    /// The best-effort credit pool each output starts with, as
+    /// `set_output_credits` records it before the datapath exists.
+    initial_credits: [u32; PORT_COUNT],
+    wake: WakePolls,
+    /// The ports, scheduler and packet memory; `None` until the first tick.
+    datapath: Option<Box<Datapath>>,
+}
+
+/// What a tick reads and writes beside the datapath: the configuration and
+/// clock, the connection table and horizon registers the control port
+/// writes, and the statistics ledger. The tick's helpers are its methods,
+/// handed the datapath they borrow beside it.
+#[derive(Debug)]
+struct Registers {
     /// The architectural parameters, shared (read-only) with the template
     /// and every sibling router of the mesh — stamping out a router costs
     /// one `Arc` bump instead of a config clone.
@@ -75,7 +101,24 @@ pub struct RealTimeRouter {
     /// arriving for a cleared connection an accounted teardown abort
     /// (`tc_aborted_teardown`), not a `no_conn` routing error.
     table: ConnectionTable,
-    control: ControlPort,
+    /// Horizon register `h` of each output port, in slots (Table 3).
+    horizons: [u32; PORT_COUNT],
+    stats: RouterStats,
+    /// Event sink for cycle-accurate tracing (None = tracing off).
+    #[cfg(feature = "metrics")]
+    trace_sink: Option<SharedTraceSink>,
+    /// Node identity stamped on emitted trace records.
+    #[cfg(feature = "metrics")]
+    trace_node: rtr_types::ids::NodeId,
+}
+
+/// What a packet moves through (paper Figure 2): the five input and output
+/// ports, the best-effort wormhole channel, the comparator tree, the shared
+/// packet memory and the injection serialiser. A [`RealTimeRouter`] builds
+/// its datapath on its first tick; a fresh one is the state of a router
+/// that has never ticked.
+#[derive(Debug)]
+pub struct Datapath {
     memory: PacketMemory,
     sched: Scheduler,
     /// The input ports' shared latencies and flit buffer.
@@ -91,14 +134,52 @@ pub struct RealTimeRouter {
     be: WormholeChannel,
     /// Pacing of the time-constrained injection port.
     tc_inject: Serialiser,
-    stats: RouterStats,
-    wake: WakePolls,
-    /// Event sink for cycle-accurate tracing (None = tracing off).
-    #[cfg(feature = "metrics")]
-    trace_sink: Option<SharedTraceSink>,
-    /// Node identity stamped on emitted trace records.
-    #[cfg(feature = "metrics")]
-    trace_node: rtr_types::ids::NodeId,
+}
+
+impl Datapath {
+    /// The empty datapath of a router with `config` and `clock` whose
+    /// network outputs start with `credits` best-effort credits — what a
+    /// router's first tick builds, so kept out of the tick's body.
+    #[cold]
+    #[inline(never)]
+    fn boxed(config: &RouterConfig, clock: SlotClock, credits: [u32; PORT_COUNT]) -> Box<Self> {
+        let timing = PortTiming::from_config(config);
+        let mut be = WormholeChannel::new(timing.flit_capacity);
+        for port in Port::ALL {
+            be.set_credits(port, credits[port.index()]);
+        }
+        Box::new(Datapath {
+            memory: PacketMemory::new(config.packet_slots),
+            sched: Scheduler::new(config.scheduler, config.packet_slots, clock, config.late_policy),
+            timing,
+            inputs: Default::default(),
+            outputs: Default::default(),
+            had_candidate: 0,
+            be,
+            tc_inject: Serialiser::default(),
+        })
+    }
+
+    /// Debug builds re-derive the per-port backlog the wake logic reads
+    /// from a count over the buffered leaves.
+    fn dbg_check_backlog(&self) {
+        debug_assert!(
+            Port::ALL.iter().all(|&port| {
+                let counted = self.sched.iter().filter(|(_, leaf)| leaf.eligible_for(port)).count();
+                self.sched.backlog_for(port) == counted
+            }),
+            "per-port backlog counters are not the buffered leaves'"
+        );
+    }
+
+    /// Heap bytes behind the datapath: the packet memory, the scheduler's
+    /// leaves and the per-port queues and staging buffers.
+    fn heap_bytes(&self) -> usize {
+        self.memory.heap_bytes()
+            + self.sched.heap_bytes()
+            + self.inputs.iter().map(InputPort::heap_bytes).sum::<usize>()
+            + self.be.heap_bytes()
+    }
 }
 
 /// A validated construction template for stamping out identical routers.
@@ -106,10 +187,10 @@ pub struct RealTimeRouter {
 /// Building a mesh means constructing thousands of routers from one
 /// [`RouterConfig`]. The template validates the configuration once and
 /// pre-builds the shared read-only state — the configuration and the slot
-/// clock — so [`RouterTemplate::build`] allocates only what is genuinely
-/// per-router. Combined with a connection table, a packet memory and a
-/// scheduler that all allocate by use, this is what makes 128×128 builds
-/// cheap.
+/// clock — so [`RouterTemplate::build`] writes only the registers and the
+/// ledger of each router. Its datapath, the connection table's rows, the
+/// packet memory and the scheduler all allocate by use, which is what makes
+/// 128×128 builds cheap.
 #[derive(Debug, Clone)]
 pub struct RouterTemplate {
     config: Arc<RouterConfig>,
@@ -134,33 +215,31 @@ impl RouterTemplate {
         &self.config
     }
 
-    /// Stamps out one router, with an empty connection table that holds no
-    /// heap until the router installs its first connection.
+    /// Stamps out one router: its registers and ledger, with an empty
+    /// connection table and no datapath, so it holds no heap until it
+    /// installs its first connection or ticks for the first time.
     #[must_use]
     pub fn build(&self) -> RealTimeRouter {
         let config = Arc::clone(&self.config);
         let clock = self.clock;
-        let timing = PortTiming::from_config(&config);
+        let flit_capacity = PortTiming::from_config(&config).flit_capacity;
         RealTimeRouter {
-            clock,
-            skew_slots: 0,
-            table: ConnectionTable::new(config.connections),
+            regs: Registers {
+                clock,
+                skew_slots: 0,
+                table: ConnectionTable::new(config.connections),
+                horizons: [0; PORT_COUNT],
+                stats: RouterStats::default(),
+                #[cfg(feature = "metrics")]
+                trace_sink: None,
+                #[cfg(feature = "metrics")]
+                trace_node: rtr_types::ids::NodeId(0),
+                config,
+            },
             control: ControlPort::new(clock),
-            memory: PacketMemory::new(config.packet_slots),
-            sched: Scheduler::new(config.scheduler, config.packet_slots, clock, config.late_policy),
-            timing,
-            inputs: Default::default(),
-            outputs: Default::default(),
-            had_candidate: 0,
-            be: WormholeChannel::new(timing.flit_capacity),
-            tc_inject: Serialiser::default(),
-            stats: RouterStats::default(),
+            initial_credits: [flit_capacity; PORT_COUNT],
             wake: WakePolls::default(),
-            #[cfg(feature = "metrics")]
-            trace_sink: None,
-            #[cfg(feature = "metrics")]
-            trace_node: rtr_types::ids::NodeId(0),
-            config,
+            datapath: None,
         }
     }
 }
@@ -180,19 +259,19 @@ impl RealTimeRouter {
     /// The router's architectural parameters.
     #[must_use]
     pub fn config(&self) -> &RouterConfig {
-        &self.config
+        &self.regs.config
     }
 
     /// The scheduler clock.
     #[must_use]
     pub fn clock(&self) -> SlotClock {
-        self.clock
+        self.regs.clock
     }
 
     /// Statistics counters.
     #[must_use]
     pub fn stats(&self) -> &RouterStats {
-        &self.stats
+        &self.regs.stats
     }
 
     /// Mutable statistics counters, for fault injection: tests corrupt a
@@ -200,7 +279,7 @@ impl RealTimeRouter {
     /// the router maintains its own ledger.
     #[doc(hidden)]
     pub fn stats_mut(&mut self) -> &mut RouterStats {
-        &mut self.stats
+        &mut self.regs.stats
     }
 
     /// Checks the packet-conservation invariants (see
@@ -211,39 +290,39 @@ impl RealTimeRouter {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_conservation(&self) -> Result<(), String> {
-        self.stats.check_conservation(self.memory.occupied())
+        self.regs.stats.check_conservation(self.memory_occupied())
     }
 
     /// Attaches a trace sink and sets the node identity stamped on emitted
     /// records. Only available with the `metrics` feature.
     #[cfg(feature = "metrics")]
     pub fn set_trace_sink(&mut self, node: rtr_types::ids::NodeId, sink: SharedTraceSink) {
-        self.trace_node = node;
-        self.trace_sink = Some(sink);
+        self.regs.trace_node = node;
+        self.regs.trace_sink = Some(sink);
     }
 
     /// Current packet-memory occupancy (buffered time-constrained packets).
     #[must_use]
     pub fn memory_occupied(&self) -> usize {
-        self.memory.occupied()
+        self.datapath.as_ref().map_or(0, |dp| dp.memory.occupied())
     }
 
     /// Peak packet-memory occupancy observed so far.
     #[must_use]
     pub fn memory_high_water(&self) -> usize {
-        self.memory.high_water()
+        self.datapath.as_ref().map_or(0, |dp| dp.memory.high_water())
     }
 
     /// Sets this router's bounded clock skew in slots (must stay well below
     /// half the clock range for the §4.3 windows to hold).
     pub fn set_clock_skew(&mut self, slots: u64) {
-        self.skew_slots = slots;
+        self.regs.skew_slots = slots;
     }
 
     /// The horizon register of an output port.
     #[must_use]
     pub fn horizon(&self, port: Port) -> u32 {
-        self.outputs[port.index()].horizon
+        self.regs.horizons[port.index()]
     }
 
     /// Applies a typed control command (Table 3) — what protocol software
@@ -253,12 +332,7 @@ impl RealTimeRouter {
     ///
     /// See [`ControlError`].
     pub fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
-        let mut horizons: [u32; PORT_COUNT] = std::array::from_fn(|i| self.outputs[i].horizon);
-        self.control.apply(cmd, &mut self.table, &mut horizons)?;
-        for (out, h) in self.outputs.iter_mut().zip(horizons) {
-            out.horizon = h;
-        }
-        Ok(())
+        self.control.apply(cmd, &mut self.regs.table, &mut self.regs.horizons)
     }
 
     /// Performs one word-level control-register write (the Table 3 pin
@@ -272,51 +346,40 @@ impl RealTimeRouter {
         reg: ControlReg,
         value: u16,
     ) -> Result<Option<ControlCommand>, ControlError> {
-        let mut horizons: [u32; PORT_COUNT] = std::array::from_fn(|i| self.outputs[i].horizon);
-        let r = self.control.write(reg, value, &mut self.table, &mut horizons)?;
-        for (out, h) in self.outputs.iter_mut().zip(horizons) {
-            out.horizon = h;
-        }
-        Ok(r)
+        self.control.write(reg, value, &mut self.regs.table, &mut self.regs.horizons)
     }
 
     /// Read access to the connection table (diagnostics, tests).
     #[must_use]
     pub fn connection_table(&self) -> &ConnectionTable {
-        &self.table
+        &self.regs.table
     }
 
     /// The local scheduler time at `now`, including this router's skew.
     #[must_use]
     pub fn scheduler_time(&self, now: Cycle) -> LogicalTime {
+        self.regs.scheduler_time(now)
+    }
+}
+
+impl Registers {
+    fn scheduler_time(&self, now: Cycle) -> LogicalTime {
         self.clock.wrap(now / self.config.slot_bytes as u64 + self.skew_slots)
     }
 
-    /// Debug builds re-derive the per-port backlog the wake logic reads
-    /// from a count over the buffered leaves.
-    fn dbg_check_backlog(&self) {
-        debug_assert!(
-            Port::ALL.iter().all(|&port| {
-                let counted = self.sched.iter().filter(|(_, leaf)| leaf.eligible_for(port)).count();
-                self.sched.backlog_for(port) == counted
-            }),
-            "per-port backlog counters are not the buffered leaves'"
-        );
-    }
-
-    fn ingest_network_symbols(&mut self, now: Cycle, io: &mut ChipIo) {
+    fn ingest_network_symbols(&mut self, dp: &mut Datapath, now: Cycle, io: &mut ChipIo) {
         for idx in 1..PORT_COUNT {
             if let Some(symbol) = io.rx[idx].take() {
                 match symbol {
-                    LinkSymbol::TcStart(packet) => self.ingest_tc_start(now, idx, packet),
+                    LinkSymbol::TcStart(packet) => self.ingest_tc_start(dp, now, idx, packet),
                     LinkSymbol::TcCont { .. } => {
-                        if !self.inputs[idx].push_tc_cont(now, self.timing) {
+                        if !dp.inputs[idx].push_tc_cont(now, dp.timing) {
                             // Orphan of a packet whose head a fault destroyed.
                             self.stats.tc_orphan_symbols += 1;
                         }
                     }
                     LinkSymbol::Be(byte) => {
-                        let (input, timing) = (&mut self.inputs[idx], self.timing);
+                        let (input, timing) = (&mut dp.inputs[idx], dp.timing);
                         let outcome = input.accept_be(now, byte, &mut io.credit_out[idx], timing);
                         self.stats.be_dropped_faulty += u64::from(outcome.dropped);
                         if outcome.truncated {
@@ -332,7 +395,13 @@ impl RealTimeRouter {
     /// either sets up a virtual cut-through (§7 extension, when enabled and
     /// the packet would win the output immediately) or begins the normal
     /// store-and-forward reception.
-    fn ingest_tc_start(&mut self, now: Cycle, in_idx: usize, packet: Box<TcPacket>) {
+    fn ingest_tc_start(
+        &mut self,
+        dp: &mut Datapath,
+        now: Cycle,
+        in_idx: usize,
+        packet: Box<TcPacket>,
+    ) {
         if self.config.tc_cut_through {
             if let Some(entry) = self.table.lookup(packet.conn) {
                 if entry.out_mask.count_ones() == 1 {
@@ -349,11 +418,11 @@ impl RealTimeRouter {
                     // best-effort flit awaiting service (§3.2 ordering).
                     let on_time = !self.clock.is_early(l, t);
                     let transmittable = on_time
-                        || (self.clock.until(l, t) <= self.outputs[out_idx].horizon
-                            && !self.be.waiting(&self.inputs, out_idx, now));
+                        || (self.clock.until(l, t) <= self.horizons[out_idx]
+                            && !dp.be.waiting(&dp.inputs, out_idx, now));
                     if transmittable
-                        && !self.outputs[out_idx].tc_tx.busy()
-                        && self.outputs[out_idx].pending_cut.is_none()
+                        && !dp.outputs[out_idx].tc_tx.busy()
+                        && dp.outputs[out_idx].pending_cut.is_none()
                     {
                         let key = rtr_types::key::SortKey::compute(
                             &self.clock,
@@ -362,10 +431,8 @@ impl RealTimeRouter {
                             t,
                             self.config.late_policy,
                         );
-                        let wins = self
-                            .sched
-                            .select(out_port, t)
-                            .is_none_or(|buffered| key < buffered.key);
+                        let wins =
+                            dp.sched.select(out_port, t).is_none_or(|buffered| key < buffered.key);
                         if wins {
                             let t_config = &self.config.timing;
                             let cut_latency = t_config.sync_cycles
@@ -397,12 +464,12 @@ impl RealTimeRouter {
                                 arrival: self.clock.add(l, entry.delay),
                                 ..*packet
                             };
-                            self.outputs[out_idx].pending_cut = Some(Box::new(PendingCut {
+                            dp.outputs[out_idx].pending_cut = Some(Box::new(PendingCut {
                                 packet: rewritten,
                                 start_at: now + cut_latency,
                                 early: !on_time,
                             }));
-                            if self.inputs[in_idx].push_tc_start_cut(wire_len) {
+                            if dp.inputs[in_idx].push_tc_start_cut(wire_len) {
                                 self.stats.tc_truncated += 1;
                             }
                             self.stats.tc_arrived += 1;
@@ -416,15 +483,15 @@ impl RealTimeRouter {
                 }
             }
         }
-        if self.inputs[in_idx].push_tc_start(now, packet, self.timing) {
+        if dp.inputs[in_idx].push_tc_start(now, packet, dp.timing) {
             self.stats.tc_truncated += 1;
         }
     }
 
-    fn run_injectors(&mut self, now: Cycle, io: &mut ChipIo) {
+    fn run_injectors(&mut self, dp: &mut Datapath, now: Cycle, io: &mut ChipIo) {
         // Time-constrained injection port: one byte per cycle.
-        if self.tc_inject.step() {
-            let fed = self.inputs[0].push_tc_cont(now, self.timing);
+        if dp.tc_inject.step() {
+            let fed = dp.inputs[0].push_tc_cont(now, dp.timing);
             debug_assert!(fed, "injection continuations always follow their start");
         } else if let Some(packet) = io.inject_tc.pop_front() {
             if packet.payload.len() != self.config.tc_data_bytes() {
@@ -450,18 +517,18 @@ impl RealTimeRouter {
                         seq: packet.trace.sequence,
                     }
                 );
-                self.tc_inject.begin(packet.wire_len());
+                dp.tc_inject.begin(packet.wire_len());
                 // Boxed once here; every later hop passes the box on.
-                self.ingest_tc_start(now, 0, Box::new(packet));
+                self.ingest_tc_start(dp, now, 0, Box::new(packet));
             }
         }
 
-        self.be.inject(now, &mut self.inputs[0], &mut io.inject_be, self.timing);
+        dp.be.inject(now, &mut dp.inputs[0], &mut io.inject_be, dp.timing);
     }
 
-    fn process_tc_arrivals(&mut self, now: Cycle) {
+    fn process_tc_arrivals(&mut self, dp: &mut Datapath, now: Cycle) {
         for idx in 0..PORT_COUNT {
-            let Some(packet) = self.inputs[idx].take_ready_tc(now) else {
+            let Some(packet) = dp.inputs[idx].take_ready_tc(now) else {
                 continue;
             };
             self.stats.tc_arrived += 1;
@@ -511,7 +578,7 @@ impl RealTimeRouter {
                 arrival: self.clock.add(l, entry.delay),
                 ..*packet
             };
-            let addr = match self.memory.store(rewritten) {
+            let addr = match dp.memory.store(rewritten) {
                 Ok(addr) => addr,
                 Err(_dropped) => {
                     self.stats.tc_dropped_no_buffer += 1;
@@ -539,9 +606,9 @@ impl RealTimeRouter {
                 }
             );
             let leaf = Leaf { l, delay: entry.delay, port_mask: entry.out_mask, addr };
-            if self.sched.insert(leaf).is_err() {
+            if dp.sched.insert(leaf).is_err() {
                 // Unreachable: leaves and memory slots are allocated 1:1.
-                self.memory.free(addr);
+                dp.memory.free(addr);
                 self.stats.tc_dropped_no_buffer += 1;
                 trace_event!(self, now, TraceEvent::SlotFree { slot: addr.0 });
                 trace_event!(
@@ -562,13 +629,20 @@ impl RealTimeRouter {
 
     /// Arbitrates one output for cycle `now`; `t` is the tick's scheduler
     /// time, computed once for all five outputs.
-    fn drive_output(&mut self, now: Cycle, t: LogicalTime, out_idx: usize, io: &mut ChipIo) {
+    fn drive_output(
+        &mut self,
+        dp: &mut Datapath,
+        now: Cycle,
+        t: LogicalTime,
+        out_idx: usize,
+        io: &mut ChipIo,
+    ) {
         let port = Port::from_index(out_idx);
 
         // 1. An in-flight time-constrained packet finishes its bytes.
-        if self.outputs[out_idx].tc_tx.busy() {
+        if dp.outputs[out_idx].tc_tx.busy() {
             self.stats.tc_bytes[out_idx] += 1;
-            if self.outputs[out_idx].tc_tx.advance(now, out_idx, io) {
+            if dp.outputs[out_idx].tc_tx.advance(now, out_idx, io) {
                 self.note_tc_delivered(now, io);
             }
             return;
@@ -577,24 +651,24 @@ impl RealTimeRouter {
         // 1b. A virtual cut-through owns this output: start streaming once
         //     the header-processing latency elapses (until then best-effort
         //     bytes may still fill the gap below; buffered starts hold off).
-        if let Some(pending) = &self.outputs[out_idx].pending_cut {
+        if let Some(pending) = &dp.outputs[out_idx].pending_cut {
             if pending.start_at <= now {
-                let pending = self.outputs[out_idx].pending_cut.take().expect("checked");
-                self.transmit_tc(now, out_idx, pending.packet, pending.early, io);
-            } else if !self.send_be(now, out_idx, io) {
+                let pending = dp.outputs[out_idx].pending_cut.take().expect("checked");
+                self.transmit_tc(dp, now, out_idx, pending.packet, pending.early, io);
+            } else if !self.send_be(dp, now, out_idx, io) {
                 self.stats.idle_cycles[out_idx] += 1;
             }
             return;
         }
 
         // 2. Consult the (pipelined) comparator tree.
-        let sched = &self.sched;
+        let sched = &dp.sched;
         let sched_latency = self.config.effective_sched_latency();
-        let (selection, usable) = self.outputs[out_idx].selection_with_grant(
+        let (selection, usable) = dp.outputs[out_idx].selection_with_grant(
             now,
             (sched.version(), t.raw()),
             sched_latency,
-            &mut self.had_candidate,
+            &mut dp.had_candidate,
             port.mask(),
             || sched.select(port, t),
         );
@@ -603,14 +677,14 @@ impl RealTimeRouter {
         // On-time packets preempt best-effort traffic at a byte boundary.
         if let Some(sel) = granted {
             if sel.key.is_on_time(&self.clock) {
-                self.start_tc(now, out_idx, sel, false, io);
+                self.start_tc(dp, now, out_idx, sel, false, io);
                 return;
             }
         }
 
         // 3. Best-effort flits consume excess bandwidth, ahead of early
         //    time-constrained packets.
-        if self.send_be(now, out_idx, io) {
+        if self.send_be(dp, now, out_idx, io) {
             return;
         }
 
@@ -618,9 +692,9 @@ impl RealTimeRouter {
         //    otherwise-idle cycles.
         if let Some(sel) = granted {
             if sel.key.is_early(&self.clock)
-                && sel.key.time_field(&self.clock) <= self.outputs[out_idx].horizon
+                && sel.key.time_field(&self.clock) <= self.horizons[out_idx]
             {
-                self.start_tc(now, out_idx, sel, true, io);
+                self.start_tc(dp, now, out_idx, sel, true, io);
                 return;
             }
         }
@@ -631,9 +705,9 @@ impl RealTimeRouter {
     /// Gives this cycle on `out_idx` to the best-effort channel and accounts
     /// what it did; returns whether a byte went.
     #[inline]
-    fn send_be(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) -> bool {
+    fn send_be(&mut self, dp: &mut Datapath, now: Cycle, out_idx: usize, io: &mut ChipIo) -> bool {
         let Some(BeSent { input: _input, head, delivered }) =
-            self.be.send(now, &mut self.inputs, out_idx, io)
+            dp.be.send(now, &mut dp.inputs, out_idx, io)
         else {
             return false;
         };
@@ -664,6 +738,7 @@ impl RealTimeRouter {
     /// the packet out.
     fn start_tc(
         &mut self,
+        dp: &mut Datapath,
         now: Cycle,
         out_idx: usize,
         sel: crate::sched::tree::Selection,
@@ -671,11 +746,8 @@ impl RealTimeRouter {
         io: &mut ChipIo,
     ) {
         let port = Port::from_index(out_idx);
-        let packet = self
-            .memory
-            .peek(sel.addr)
-            .expect("selected leaf points at an idle memory slot")
-            .clone();
+        let packet =
+            dp.memory.peek(sel.addr).expect("selected leaf points at an idle memory slot").clone();
         trace_event!(
             self,
             now,
@@ -687,8 +759,8 @@ impl RealTimeRouter {
                 seq: packet.trace.sequence,
             }
         );
-        if let Some(freed) = self.sched.commit(sel.leaf, port) {
-            self.memory.free(freed);
+        if let Some(freed) = dp.sched.commit(sel.leaf, port) {
+            dp.memory.free(freed);
             self.stats.tc_retired += 1;
             trace_event!(self, now, TraceEvent::SlotFree { slot: freed.0 });
         }
@@ -698,13 +770,14 @@ impl RealTimeRouter {
         if sel.key.is_aliased() {
             self.stats.aliased_keys += 1;
         }
-        self.transmit_tc(now, out_idx, packet, early, io);
+        self.transmit_tc(dp, now, out_idx, packet, early, io);
     }
 
     /// Puts a packet's start symbol on `out_idx` — a committed selection or
     /// a virtual cut-through whose header latency has elapsed.
     fn transmit_tc(
         &mut self,
+        dp: &mut Datapath,
         now: Cycle,
         out_idx: usize,
         packet: TcPacket,
@@ -727,7 +800,7 @@ impl RealTimeRouter {
                 seq: packet.trace.sequence,
             }
         );
-        if self.outputs[out_idx].tc_tx.start(now, out_idx, packet, io) {
+        if dp.outputs[out_idx].tc_tx.start(now, out_idx, packet, io) {
             self.note_tc_delivered(now, io);
         }
     }
@@ -749,50 +822,65 @@ impl RealTimeRouter {
 
 impl Chip for RealTimeRouter {
     fn tick(&mut self, now: Cycle, io: &mut ChipIo) {
+        // The first tick builds the datapath; the tick body borrows it
+        // beside the registers.
+        let regs = &mut self.regs;
+        let dp = self
+            .datapath
+            .get_or_insert_with(|| Datapath::boxed(&regs.config, regs.clock, self.initial_credits));
         // Credits freed downstream arrive first so this cycle can use them.
-        self.be.ingest_credits(&io.credit_in);
-        self.ingest_network_symbols(now, io);
-        self.run_injectors(now, io);
-        self.be.collect_requests(&self.inputs, now);
-        self.process_tc_arrivals(now);
-        let t = self.scheduler_time(now);
+        dp.be.ingest_credits(&io.credit_in);
+        regs.ingest_network_symbols(dp, now, io);
+        regs.run_injectors(dp, now, io);
+        dp.be.collect_requests(&dp.inputs, now);
+        regs.process_tc_arrivals(dp, now);
+        let t = regs.scheduler_time(now);
         for out_idx in 0..PORT_COUNT {
-            self.drive_output(now, t, out_idx, io);
+            regs.drive_output(dp, now, t, out_idx, io);
         }
     }
 
     fn flit_buffer_bytes(&self) -> usize {
-        self.config.be_path_bytes()
+        self.regs.config.be_path_bytes()
     }
 
     fn set_output_credits(&mut self, port: Port, bytes: u32) {
-        self.be.set_credits(port, bytes);
+        match &mut self.datapath {
+            Some(dp) => dp.be.set_credits(port, bytes),
+            None => self.initial_credits[port.index()] = bytes,
+        }
     }
 
     fn gauges(&self) -> Option<rtr_types::chip::ChipGauges> {
         let mut g = rtr_types::chip::ChipGauges {
-            memory_occupied: self.memory.occupied(),
-            memory_capacity: self.memory.capacity(),
-            sched_backlog: self.sched.len(),
+            memory_capacity: self.regs.config.packet_slots,
+            horizon: self.regs.horizons,
             ..Default::default()
         };
-        for i in 0..PORT_COUNT {
-            g.queue_depth[i] = self.sched.backlog_for(Port::from_index(i));
-            g.horizon[i] = self.outputs[i].horizon;
-            g.be_buffered[i] = self.inputs[i].be_occupancy();
+        if let Some(dp) = &self.datapath {
+            g.memory_occupied = dp.memory.occupied();
+            g.sched_backlog = dp.sched.len();
+            for i in 0..PORT_COUNT {
+                g.queue_depth[i] = dp.sched.backlog_for(Port::from_index(i));
+                g.be_buffered[i] = dp.inputs[i].be_occupancy();
+            }
         }
         Some(g)
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        // A router that never ticked holds nothing that could wake it.
+        let Some(dp) = self.datapath.as_deref() else {
+            return self.wake.answer(now, None);
+        };
         // Anything that makes progress every cycle forces a tick next cycle.
-        if self.tc_inject.busy()
-            || self.inputs.iter().any(InputPort::tc_rx_active)
-            || self.outputs.iter().any(|out| out.tc_tx.busy())
+        if dp.tc_inject.busy()
+            || dp.inputs.iter().any(InputPort::tc_rx_active)
+            || dp.outputs.iter().any(|out| out.tc_tx.busy())
         {
             return self.wake.short(now);
         }
-        let mut earliest = self.be.next_event(&self.inputs, now);
+        let mut earliest = dp.be.next_event(&dp.inputs, now);
         if earliest.is_some_and(|at| at <= now) {
             return self.wake.short(now);
         }
@@ -804,14 +892,14 @@ impl Chip for RealTimeRouter {
         // A port whose candidate set changed since its last selection needs
         // no tick to notice: `skip_quiet` settles the grant pipeline over a
         // skipped span (`OutputPort::settle_pipeline`).
-        self.dbg_check_backlog();
-        for out in &self.outputs {
+        dp.dbg_check_backlog();
+        for out in &dp.outputs {
             if let Some(pending) = &out.pending_cut {
                 merge(pending.start_at);
             }
         }
 
-        for input in &self.inputs {
+        for input in &dp.inputs {
             if let Some(ready) = input.next_tc_ready() {
                 merge(ready);
             }
@@ -822,15 +910,15 @@ impl Chip for RealTimeRouter {
         // grant pipeline by stepping; early packets sleep until they enter a
         // subscribed output's horizon window.
         let t = self.scheduler_time(now);
-        let slot_bytes = self.config.slot_bytes as u64;
-        for (_, leaf) in self.sched.iter() {
-            if !self.clock.is_early(leaf.l, t) {
+        let slot_bytes = self.regs.config.slot_bytes as u64;
+        for (_, leaf) in dp.sched.iter() {
+            if !self.regs.clock.is_early(leaf.l, t) {
                 return self.wake.short(now);
             }
             for port in rtr_types::ids::ports_in_mask(leaf.port_mask) {
-                let horizon = self.outputs[port.index()].horizon;
+                let horizon = self.regs.horizons[port.index()];
                 let delta =
-                    u64::from(self.clock.until(leaf.l, t)).saturating_sub(u64::from(horizon));
+                    u64::from(self.regs.clock.until(leaf.l, t)).saturating_sub(u64::from(horizon));
                 if delta == 0 {
                     return self.wake.short(now);
                 }
@@ -848,7 +936,7 @@ impl Chip for RealTimeRouter {
         // Every quiescent cycle ends with all five outputs taking an idle
         // path in `drive_output`, so account the skipped span as idle time.
         let skipped = to - from;
-        for idle in &mut self.stats.idle_cycles {
+        for idle in &mut self.regs.stats.idle_cycles {
             *idle += skipped;
         }
         // Settle stale grant pipelines: a port whose `had_candidate` bit
@@ -858,17 +946,21 @@ impl Chip for RealTimeRouter {
         // transmit inside a provably quiet span (on-time backlog forces
         // per-cycle ticks via `next_event`'s short answers), so the
         // transition is all that recompute would have done. An idle router
-        // usually has nothing to settle: one compare says so.
-        self.dbg_check_backlog();
-        let backlog = self.sched.backlog_mask();
-        if self.had_candidate == backlog {
+        // usually has nothing to settle: one compare says so, and one that
+        // never ticked has no pipeline at all.
+        let Some(dp) = self.datapath.as_deref_mut() else {
+            return;
+        };
+        dp.dbg_check_backlog();
+        let backlog = dp.sched.backlog_mask();
+        if dp.had_candidate == backlog {
             return;
         }
-        let latency = self.config.effective_sched_latency();
-        for (idx, out) in self.outputs.iter_mut().enumerate() {
+        let latency = self.regs.config.effective_sched_latency();
+        for (idx, out) in dp.outputs.iter_mut().enumerate() {
             let bit = Port::from_index(idx).mask();
-            if (self.had_candidate ^ backlog) & bit != 0 {
-                out.settle_pipeline(from, &mut self.had_candidate, backlog, bit, latency);
+            if (dp.had_candidate ^ backlog) & bit != 0 {
+                out.settle_pipeline(from, &mut dp.had_candidate, backlog, bit, latency);
             }
         }
     }
@@ -878,20 +970,19 @@ impl Chip for RealTimeRouter {
     }
 
     fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
-        self.stats.emit_counters(emit);
-        emit("sched.key_computations", self.sched.key_computations());
+        self.regs.stats.emit_counters(emit);
+        let keys = self.datapath.as_ref().map_or(0, |dp| dp.sched.key_computations());
+        emit("sched.key_computations", keys);
     }
 
     fn heap_bytes_estimate(&self) -> usize {
-        // The dominant allocations: packet memory, scheduler leaves, the
-        // connection table's rows, and the per-port queues and staging
-        // buffers. The shared `Arc<RouterConfig>` is charged to the
-        // template, not to every router.
-        self.memory.heap_bytes()
-            + self.sched.heap_bytes()
-            + self.table.heap_bytes()
-            + self.inputs.iter().map(InputPort::heap_bytes).sum::<usize>()
-            + self.be.heap_bytes()
+        // The connection table's rows, the ledger's per-connection byte
+        // counters, and the datapath's box with what it holds. The shared
+        // `Arc<RouterConfig>` is charged to the template, not to every
+        // router.
+        self.regs.table.heap_bytes()
+            + self.regs.stats.heap_bytes()
+            + self.datapath.as_ref().map_or(0, |dp| size_of::<Datapath>() + dp.heap_bytes())
     }
 
     fn check_conservation(&self) -> Result<(), String> {
@@ -900,22 +991,25 @@ impl Chip for RealTimeRouter {
 
     fn abort_partial_rx(&mut self) -> [u8; PORT_COUNT] {
         let mut dropped = [0u8; PORT_COUNT];
-        for (idx, input) in self.inputs.iter_mut().enumerate() {
+        let Some(dp) = self.datapath.as_deref_mut() else {
+            return dropped;
+        };
+        for (idx, input) in dp.inputs.iter_mut().enumerate() {
             let aborted = input.abort_partial();
             if aborted.tc_aborted {
-                self.stats.tc_truncated += 1;
+                self.regs.stats.tc_truncated += 1;
             }
             if aborted.be_truncated {
-                self.stats.be_truncated += 1;
+                self.regs.stats.be_truncated += 1;
             }
-            self.stats.be_dropped_faulty += u64::from(aborted.be_dropped);
+            self.regs.stats.be_dropped_faulty += u64::from(aborted.be_dropped);
             dropped[idx] = aborted.be_dropped;
         }
         // The injection machinery feeds port 0 from inside the node; its
         // mid-flight packet died with the port's reassembly registers, and
         // there is no upstream link to refund.
-        self.tc_inject = Serialiser::default();
-        self.be.abort_injection();
+        dp.tc_inject = Serialiser::default();
+        dp.be.abort_injection();
         dropped[0] = 0;
         dropped
     }
@@ -945,6 +1039,11 @@ mod tests {
             io.credit_out = [0; PORT_COUNT];
             *from += 1;
         }
+    }
+
+    /// The datapath of a router that has ticked.
+    fn datapath(router: &RealTimeRouter) -> &Datapath {
+        router.datapath.as_deref().expect("the router has ticked")
     }
 
     fn tc_packet(conn: u16, arrival: u64, router: &RealTimeRouter) -> TcPacket {
@@ -998,14 +1097,120 @@ mod tests {
         let mut now = 0;
         run(&mut r, &mut io, &mut now, 200);
         assert_eq!(r.stats().tc_delivered, 1);
-        assert_eq!((r.memory.occupied(), r.sched.len()), (0, 0), "stored, sent and freed");
-        let port_queues = r.inputs.iter().map(InputPort::heap_bytes).sum::<usize>()
-            + r.be.heap_bytes()
-            + r.table.heap_bytes();
-        let held = r.heap_bytes_estimate() - port_queues;
-        assert_eq!(held, r.memory.heap_bytes() + r.sched.heap_bytes());
+        let dp = datapath(&r);
+        assert_eq!((dp.memory.occupied(), dp.sched.len()), (0, 0), "stored, sent and freed");
+        let port_queues =
+            dp.inputs.iter().map(InputPort::heap_bytes).sum::<usize>() + dp.be.heap_bytes();
+        let ledger = r.regs.table.heap_bytes() + r.regs.stats.heap_bytes() + size_of::<Datapath>();
+        let held = r.heap_bytes_estimate() - port_queues - ledger;
+        assert_eq!(held, dp.memory.heap_bytes() + dp.sched.heap_bytes());
         assert!(held > 0, "capacity actually held is reported");
         assert!(held < 1024, "one buffered packet left {held} B of memory and scheduler state");
+    }
+
+    /// A forwarding router's estimate covers its ledger too: the first
+    /// transmission per (port, connection) adds an entry to
+    /// `tc_bytes_by_conn`, and the datapath is a box of its own.
+    #[test]
+    fn the_estimate_counts_the_per_connection_byte_counters() {
+        let mut r = router();
+        let east = Port::Dir(Direction::XPlus);
+        r.apply_control(ControlCommand::SetConnection {
+            incoming: ConnectionId(1),
+            outgoing: ConnectionId(2),
+            delay: 4,
+            out_mask: east.mask(),
+        })
+        .unwrap();
+        let mut io = io();
+        io.inject_tc.push_back(tc_packet(1, 0, &r));
+        let mut now = 0;
+        run(&mut r, &mut io, &mut now, 200);
+        assert_eq!(r.stats().tc_transmitted[east.index()], 1, "forwarded on +x");
+        let entries = r.stats().tc_bytes_by_conn.capacity();
+        let map = entries * size_of::<((usize, ConnectionId), u64)>();
+        assert!(map > 0, "the first transmission added an entry");
+        let dp = datapath(&r);
+        let counted = r.regs.table.heap_bytes() + size_of::<Datapath>() + dp.heap_bytes();
+        let estimate = r.heap_bytes_estimate();
+        assert!(estimate >= counted + map, "estimate {estimate} B < {counted} B + {map} B of map");
+    }
+
+    /// A router whose datapath a late first tick builds behaves like its
+    /// twin that ticked from cycle 0. Both get the same non-default output
+    /// credits and table and horizon writes; one ticks idle through
+    /// `0..N`, the other is told the span was quiet, which builds nothing.
+    /// From `N` on both take the same time-constrained packet and
+    /// best-effort bytes, both bound for the credit-limited +x output, and
+    /// every cycle drives, returns, answers and counts the same.
+    #[test]
+    fn a_late_first_tick_behaves_like_a_densely_ticked_twin() {
+        const N: Cycle = 333;
+        let (east, west, north) = (
+            Port::Dir(Direction::XPlus),
+            Port::Dir(Direction::XMinus),
+            Port::Dir(Direction::YPlus),
+        );
+        let [mut dense, mut late] = [router(), router()].map(|mut r| {
+            r.set_output_credits(east, 5);
+            r.apply_control(ControlCommand::SetConnection {
+                incoming: ConnectionId(2),
+                outgoing: ConnectionId(7),
+                delay: 4,
+                out_mask: east.mask(),
+            })
+            .unwrap();
+            r.apply_control(ControlCommand::SetHorizon { port_mask: east.mask(), horizon: 3 })
+                .unwrap();
+            r
+        });
+        let (mut dense_io, mut late_io) = (io(), io());
+        for now in 0..N {
+            dense_io.begin_cycle();
+            dense.tick(now, &mut dense_io);
+        }
+        late.skip_quiet(0, N);
+        assert!(late.datapath.is_none(), "a quiet span builds no datapath");
+
+        // An early packet (two slots ahead, inside the horizon) on the -x
+        // input, and a best-effort packet two hops east on the +y input.
+        let packet = tc_packet(2, N / 20 + 2, &late);
+        let mut wire = Vec::new();
+        BePacket::new(2, 0, vec![0xB5; 12], PacketTrace::default()).to_wire_into(&mut wire);
+        let counters = |r: &RealTimeRouter| {
+            let mut all = Vec::new();
+            r.counters(&mut |name, value| all.push((name, value)));
+            all
+        };
+        for now in N..N + 200 {
+            let k = (now - N) as usize;
+            for io in [&mut dense_io, &mut late_io] {
+                io.begin_cycle();
+                io.rx[west.index()] = match k {
+                    0 => Some(LinkSymbol::TcStart(Box::new(packet.clone()))),
+                    1..20 => Some(LinkSymbol::TcCont { index: k as u8 }),
+                    _ => None,
+                };
+                io.rx[north.index()] = wire.get(k).map(|&byte| {
+                    let (head, tail) = (k == 0, k + 1 == wire.len());
+                    LinkSymbol::Be(BeByte { byte, head, tail, trace: None })
+                });
+                io.credit_in[east.index()] = u16::from(k == 120) * 4;
+            }
+            dense.tick(now, &mut dense_io);
+            late.tick(now, &mut late_io);
+            assert_eq!(format!("{:?}", dense_io.tx), format!("{:?}", late_io.tx), "tx at {now}");
+            assert_eq!(dense_io.credit_out, late_io.credit_out, "credit_out at {now}");
+            assert_eq!(dense.next_event(now), late.next_event(now), "next_event at {now}");
+            assert_eq!(counters(&dense), counters(&late), "counters at {now}");
+            for io in [&mut dense_io, &mut late_io] {
+                io.tx = Default::default();
+                io.credit_out = [0; PORT_COUNT];
+            }
+        }
+        let sent =
+            dense.stats().tc_transmitted[east.index()] + dense.stats().be_bytes[east.index()];
+        assert_eq!(sent, 1 + 9, "the packet and the credited best-effort bytes left on +x");
     }
 
     /// `slot_bytes = 256` is the largest slot `RouterConfig::validate`
@@ -1798,7 +2003,7 @@ mod tests {
             ios[0].inject_tc.push_back(tc_packet(1, slot, sparse));
             ios[1].inject_tc.push_back(tc_packet(1, slot, dense));
             let mut granted = None;
-            while granted.is_none() || sparse.outputs[east.index()].tc_tx.busy() {
+            while granted.is_none() || datapath(sparse).outputs[east.index()].tc_tx.busy() {
                 let started = tick(sparse, ios[0], now);
                 assert_eq!(started, tick(dense, ios[1], now), "grants diverged at {now}");
                 granted = granted.or(started.then_some(now));
@@ -1807,10 +2012,14 @@ mod tests {
             now
         };
         let now = send_one(&mut sparse, &mut dense, [&mut sparse_io, &mut dense_io], 0);
-        assert_ne!(sparse.had_candidate, sparse.sched.backlog_mask(), "the +x bit is stale");
+        let bits =
+            |r: &RealTimeRouter| (datapath(r).had_candidate, datapath(r).sched.backlog_mask());
+        let (had, backlog) = bits(&sparse);
+        assert_ne!(had, backlog, "the +x bit is stale");
         for (from, to) in [(now, now + 300), (now + 300, now + 700)] {
             sparse.skip_quiet(from, to);
-            assert_eq!(sparse.had_candidate, sparse.sched.backlog_mask(), "after {from}..{to}");
+            let (had, backlog) = bits(&sparse);
+            assert_eq!(had, backlog, "after {from}..{to}");
             for t in from..to {
                 assert!(!tick(&mut dense, &mut dense_io, t), "an idle span sends nothing");
             }
@@ -1818,7 +2027,7 @@ mod tests {
         send_one(&mut sparse, &mut dense, [&mut sparse_io, &mut dense_io], now + 700);
         assert_eq!(sparse.stats().tc_transmitted[east.index()], 2);
         assert_eq!(format!("{:?}", sparse.stats()), format!("{:?}", dense.stats()));
-        assert_eq!(sparse.had_candidate, dense.had_candidate);
+        assert_eq!(datapath(&sparse).had_candidate, datapath(&dense).had_candidate);
     }
 
     #[test]

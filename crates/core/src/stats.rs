@@ -75,6 +75,14 @@ pub struct RouterStats {
 }
 
 impl RouterStats {
+    /// Heap bytes behind the per-connection byte counters: an entry and a
+    /// control byte for each entry the map has room for.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<((usize, ConnectionId), u64)>() + 1;
+        self.tc_bytes_by_conn.capacity() * entry
+    }
+
     /// Total time-constrained packets dropped for any reason.
     #[must_use]
     pub fn tc_dropped(&self) -> u64 {

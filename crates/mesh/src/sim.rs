@@ -862,6 +862,7 @@ impl<C: Chip> Simulator<C> {
             + self.adj.heap_bytes()
             + self.topo.heap_bytes()
             + self.unticked.capacity() * std::mem::size_of::<Cycle>()
+            + self.crashed.capacity()
             + self.sources.capacity()
                 * std::mem::size_of::<(NodeId, Box<dyn TrafficSource>, Cycle)>();
         total / n.max(1)

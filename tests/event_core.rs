@@ -7,19 +7,20 @@
 //! reference. Every scenario diffs delivery logs byte-for-byte and the
 //! full `Debug` rendering of [`NetworkReport`]: seeded 8×8 meshes at
 //! sparse, mixed and saturating load and on a latent wire, a packet parked
-//! early behind a horizon, §7 cut-through on both schedulers, and the
-//! wormhole baseline, and the two baselines that keep the trait's
-//! conservative wake leaping from a fresh build. The mid-leap predicate
-//! test locks [`Simulator::run_until_leaping`] to stepped `run_until`
-//! semantics. The conservation test closes the per-node packet ledger
-//! under both drive modes, and the warm-queue tests pin the contract that
-//! the core is built once: plain `step`, injection and external mutation
-//! all keep it warm.
+//! early behind a horizon, §7 cut-through on both schedulers, a 16×16
+//! mesh whose routers mostly never tick under leaping (and so never build
+//! a datapath), and the wormhole baseline, and the two baselines that keep
+//! the trait's conservative wake leaping from a fresh build. The mid-leap
+//! predicate test locks [`Simulator::run_until_leaping`] to stepped
+//! `run_until` semantics. The conservation test closes the per-node packet
+//! ledger under both drive modes, and the warm-queue tests pin the contract
+//! that the core is built once: plain `step`, injection and external
+//! mutation all keep it warm.
 
 use realtime_router::baselines::{FifoSfRouter, PriorityVcRouter, WormholeRouter};
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::channels::ChannelManager;
-use realtime_router::core::{ControlCommand, RealTimeRouter};
+use realtime_router::core::{ControlCommand, Datapath, RealTimeRouter};
 use realtime_router::mesh::{NetworkReport, Simulator, Topology, TrafficSource};
 use realtime_router::types::chip::{Chip, ChipIo};
 use realtime_router::types::config::{RouterConfig, SchedulerKind};
@@ -159,6 +160,47 @@ fn event_core_equivalence_on_a_latent_wire() {
     );
 }
 
+/// A router builds its datapath on its first tick, so dense stepping
+/// builds one at every node and leaping only where traffic goes. Two
+/// channels across a 16×16 mesh and one late best-effort packet leave most
+/// of the mesh without one under leaping; both runs still agree byte for
+/// byte, a router that never ticked reading as an empty one everywhere the
+/// report looks.
+#[test]
+fn a_mostly_pristine_mesh_leaps_like_it_steps() {
+    let build = || {
+        let config = RouterConfig::default();
+        let mut sim =
+            Simulator::build(Topology::mesh(16, 16), |_| RealTimeRouter::new(config.clone()))
+                .unwrap();
+        let topo = sim.topology().clone();
+        let mut manager = ChannelManager::new(&config);
+        for (i, ((sx, sy), (dx, dy))) in
+            [((1, 1), (14, 4)), ((13, 14), (2, 10))].into_iter().enumerate()
+        {
+            let (src, dst) = (topo.node_at(sx, sy), topo.node_at(dx, dy));
+            let request = ChannelRequest::unicast(src, dst, TrafficSpec::periodic(128, 18), 200);
+            let channel = manager.establish(&topo, request, &mut sim).unwrap();
+            add_periodic_sender(&mut sim, &channel, 128, i as u64, 0xC0 + i as u8);
+        }
+        sim.add_source(topo.node_at(15, 0), Box::new(Burst { at: 9_000, packets: 1 }));
+        sim
+    };
+    let (stepped, leaping) = assert_modes_agree(build, 12_000);
+    let delivered = |sim: &Simulator<RealTimeRouter>| {
+        let logs = sim.topology().nodes().map(|n| sim.log(n));
+        logs.fold((0, 0), |(tc, be), log| (tc + log.tc.len(), be + log.be.len()))
+    };
+    let (tc, be) = delivered(&leaping);
+    assert!(tc >= 8 && be == 1, "both channels and the late packet delivered: {tc} / {be}");
+    let holders = |sim: &Simulator<RealTimeRouter>| {
+        let datapath = std::mem::size_of::<Datapath>();
+        sim.topology().nodes().filter(|&n| sim.chip(n).heap_bytes_estimate() >= datapath).count()
+    };
+    assert_eq!(holders(&stepped), 256, "a dense cycle ticks, and so builds, every router");
+    assert!(holders(&leaping) < 256 / 4, "leaping built {} datapaths", holders(&leaping));
+}
+
 /// A predicate that becomes true in the middle of a leapable quiet span
 /// must stop `run_until_leaping` at exactly the cycle stepped `run_until`
 /// stops at — not at the span's end — with identical logs either way.
@@ -247,19 +289,23 @@ fn plain_stepping_keeps_event_queue_warm() {
     );
 }
 
-/// Queues a burst of best-effort packets at one cycle; silent otherwise.
-struct Burst(u64);
+/// Queues `packets` best-effort packets two hops west at cycle `at`;
+/// silent otherwise.
+struct Burst {
+    at: u64,
+    packets: usize,
+}
 
 impl TrafficSource for Burst {
     fn pre_cycle(&mut self, now: u64, _node: NodeId, io: &mut ChipIo) {
-        if now == self.0 {
+        if now == self.at {
             let packet = BePacket::new(-2, 0, vec![0xB5; 24], PacketTrace::default());
-            io.inject_be.extend([packet.clone(), packet.clone(), packet]);
+            io.inject_be.extend(std::iter::repeat_n(packet, self.packets));
         }
     }
 
     fn next_event(&self, now: u64) -> Option<u64> {
-        (now < self.0).then_some(self.0)
+        (now < self.at).then_some(self.at)
     }
 }
 
@@ -293,7 +339,7 @@ fn injection_on_a_warm_core_is_seen() {
         }
         // The burst lands in a dense cycle (no core yet, so no backlog
         // bookkeeping) and is still draining when the core is primed.
-        sim.add_source(topo.node_at(6, 1), Box::new(Burst(40)));
+        sim.add_source(topo.node_at(6, 1), Box::new(Burst { at: 40, packets: 3 }));
         sim.run(45);
         mode.advance(&mut sim, 2_955);
         let warm = sim.event_core_stats();
@@ -499,7 +545,7 @@ fn conservative_chips_leap_from_a_fresh_build() {
         let mut sim =
             Simulator::build(topo.clone(), |_| Ok::<_, std::convert::Infallible>(make())).unwrap();
         sim.inject_be(NodeId(0), BePacket::new(3, 3, vec![0x5C; 24], PacketTrace::default()));
-        sim.add_source(topo.node_at(3, 0), Box::new(Burst(30)));
+        sim.add_source(topo.node_at(3, 0), Box::new(Burst { at: 30, packets: 3 }));
         add_uniform_be(&mut sim, 0.05, SizeDist::Fixed(16), 0xFA57, 8);
         sim
     }

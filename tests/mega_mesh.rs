@@ -10,11 +10,13 @@
 
 use proptest::prelude::*;
 use realtime_router::channels::{ChannelManager, ChannelRequest, DeferredPlane, TrafficSpec};
-use realtime_router::core::{RealTimeRouter, RouterTemplate};
+use realtime_router::core::{Datapath, RealTimeRouter, RouterTemplate};
 use realtime_router::mesh::{LinkTable, Simulator, Topology};
+use realtime_router::types::chip::Chip;
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{Direction, NodeId};
-use rtr_bench::util::{periodic_mesh, sender_for};
+use rtr_bench::util::{add_periodic_sender, periodic_mesh, sender_for};
+use std::mem::size_of;
 
 /// Builds an idle `width × height` simulator from one shared template —
 /// the construction path the mega-mesh benches time.
@@ -123,57 +125,109 @@ fn mega_mesh_builds_and_ticks() {
     );
 }
 
-/// The footprint guardrail: an idle router costs ~3.5 KiB all in — the
-/// 2.1 KiB chip struct (port registers, stats, scheduler registers) plus
-/// I/O staging, CSR link share, and event-core share, with *no* heap behind
-/// it (packet memory, scheduler leaves, port queues and connection-table
-/// rows materialise on first use, and the config is Arc-shared). The
-/// ceilings are the measured footprint plus 5 %: the seed's eager layout
-/// sat several KiB of heap higher per node, and the router before PR 25
-/// carried 1.2 KiB of empty packet slots. The bench reports the live
-/// number as a `bytes_per_node` column.
+/// The footprint guardrail: an idle router costs ~1.9 KiB all in — the
+/// 0.5 KiB router struct (control registers, connection table, statistics)
+/// plus I/O staging, CSR link share, and event-core share, with *no* heap
+/// behind it (the datapath is built by a router's first tick; packet
+/// memory, scheduler leaves, port queues and connection-table rows
+/// materialise on first use, and the config is Arc-shared). The ceilings
+/// are the measured footprint plus 5 %: the seed's eager layout sat several
+/// KiB of heap higher per node, an earlier router carried 1.2 KiB of empty
+/// packet slots, and one that held its 1.6 KiB datapath inline cost
+/// 3.6 KiB per node. The bench reports the live number as a
+/// `bytes_per_node` column.
 #[test]
 fn bytes_per_node_stays_under_the_ceiling() {
     let sim = idle_mesh(64, 64);
     let idle = sim.bytes_per_node();
     assert!(idle > 0, "estimate must count the fixed arenas");
-    // 3 598 bytes/node measured.
-    assert!(idle <= 3_778, "idle mesh costs {idle} bytes/node, ceiling 3 778");
+    // 2 015 bytes/node measured.
+    assert!(idle <= 2_115, "idle mesh costs {idle} bytes/node, ceiling 2 115");
 
-    // Driving the mesh allocates behind the routers that carry traffic, by
-    // what they buffered and the table rows they were written: 3 719
-    // bytes/node measured.
+    // Driving the mesh builds a datapath behind the routers that carry
+    // traffic and allocates behind them by what they buffered and the
+    // table rows they were written: 2 139 bytes/node measured.
     let mut sim = periodic_mesh(64, 64, 512);
     sim.run_leaping(20_000);
     let driven = sim.bytes_per_node();
-    assert!(driven <= 3_905, "driven mesh costs {driven} bytes/node, ceiling 3 905");
+    assert!(driven <= 2_245, "driven mesh costs {driven} bytes/node, ceiling 2 245");
 }
 
 /// The fixed part of the same budget: a mesh is a `Vec` of router structs,
 /// so every byte here is paid per node by building, priming and settling
-/// it. A router holds its registers inline, a packet only in the box it
+/// it. A router holds its control registers and ledger inline and its
+/// datapath in a box its first tick builds, a packet only in the box it
 /// travels in, and its teardown tombstones in its connection table's rows
-/// (DESIGN.md §3.16); 2 104 bytes (2 120 with the `metrics` feature's trace
-/// sink fields) is what that layout measures, and one ceiling per part names
-/// the part that grew.
+/// (DESIGN.md §3.16). Each ceiling is what that layout measures plus 5 %
+/// for the router and the datapath, the measured size for each port part,
+/// so a failure names the part that grew.
 #[test]
 fn router_struct_does_not_grow() {
     use realtime_router::core::ports::{InputPort, OutputPort, Serialiser, WormholeChannel};
     use realtime_router::core::ConnectionTable;
-    use std::mem::size_of;
 
-    let ceiling = if cfg!(feature = "metrics") { 2120 } else { 2104 };
+    // 520 B measured (536 B with the `metrics` feature's trace sink fields).
+    let ceiling = if cfg!(feature = "metrics") { 562 } else { 546 };
     let size = size_of::<RealTimeRouter>();
     assert!(size <= ceiling, "RealTimeRouter grew to {size} bytes (ceiling {ceiling})");
     for (part, size, ceiling) in [
+        // 1 576 B measured.
+        ("Datapath", size_of::<Datapath>(), 1654),
         ("InputPort", size_of::<InputPort>(), 152),
-        ("OutputPort", size_of::<OutputPort>(), 80),
+        ("OutputPort", size_of::<OutputPort>(), 72),
         ("Serialiser", size_of::<Serialiser>(), 16),
         ("WormholeChannel", size_of::<WormholeChannel>(), 200),
         ("ConnectionTable", size_of::<ConnectionTable>(), 32),
     ] {
         assert!(size <= ceiling, "{part} grew to {size} bytes (ceiling {ceiling})");
     }
+}
+
+/// Only traffic builds a datapath. Establishing eight channels across a
+/// 64×64 mesh writes table rows and horizon registers at every hop but
+/// builds nothing; running them builds a datapath at the routers their
+/// packets reach and nowhere else — a router that holds one (its estimate
+/// counts the box) is on the route of a channel that delivered, or is a
+/// source's node.
+#[test]
+fn only_routers_that_ticked_hold_a_datapath() {
+    let config = RouterConfig::default();
+    let mut sim = idle_mesh(64, 64);
+    let topo = sim.topology().clone();
+    let mut manager = ChannelManager::new(&config);
+    let channels: Vec<_> = (0..8u16)
+        .map(|i| {
+            let (x, y) = (2 + 7 * i, 4 + 3 * i);
+            let (src, dst) = (topo.node_at(x, y), topo.node_at(x + 12, y + 24));
+            let hops = topo.dor_route(src, dst).len() as u32 + 1;
+            let request =
+                ChannelRequest::unicast(src, dst, TrafficSpec::periodic(256, 18), hops * 4);
+            manager.establish(&topo, request, &mut sim).expect("a lightly loaded mesh admits it")
+        })
+        .collect();
+    let holds_datapath = |sim: &Simulator<RealTimeRouter>, node| {
+        sim.chip(node).heap_bytes_estimate() >= size_of::<Datapath>()
+    };
+    assert!(
+        topo.nodes().all(|node| !holds_datapath(&sim, node)),
+        "establishment builds no datapath"
+    );
+
+    for (i, channel) in channels.iter().enumerate() {
+        add_periodic_sender(&mut sim, channel, 256, i as u64, i as u8);
+    }
+    sim.run_leaping(8_000);
+    let mut carried = std::collections::HashSet::new();
+    for channel in &channels {
+        let dst = channel.request.destinations[0];
+        assert!(!sim.log(dst).tc.is_empty(), "channel {} delivered", channel.id);
+        carried.extend(channel.hops.iter().map(|hop| hop.node));
+        carried.insert(channel.request.source);
+    }
+    let holders: Vec<NodeId> = topo.nodes().filter(|&node| holds_datapath(&sim, node)).collect();
+    assert!(!holders.is_empty(), "the routes' routers ticked");
+    let strays: Vec<&NodeId> = holders.iter().filter(|node| !carried.contains(node)).collect();
+    assert!(strays.is_empty(), "off-route routers built a datapath: {strays:?}");
 }
 
 /// What `mega_cold` pays per request, without the stopwatch: the
