@@ -328,7 +328,8 @@ impl ChannelManager {
 
     /// Attempts to establish `request`; on success the routers reached
     /// through `plane` are programmed and reservations committed. On
-    /// failure, no state changes.
+    /// failure the books are unchanged, and any table write the plane
+    /// accepted before refusing one has been cleared again.
     ///
     /// # Errors
     ///
@@ -467,7 +468,26 @@ impl ChannelManager {
             }
         }
 
-        // 5. Commit reservations and program the routers.
+        // 5. Program the routers. A refused write undoes the writes before
+        //    it and returns before the books are touched.
+        for (k, hop) in planned.iter().enumerate() {
+            let set = ControlCommand::SetConnection {
+                incoming: hop.conn,
+                outgoing: hop.out_conn,
+                delay: hop.delay,
+                out_mask: hop.out_mask,
+            };
+            if let Err(e) = plane.apply(hop.node, set) {
+                for done in &planned[..k] {
+                    // Best effort: the refusal is the error to report.
+                    let _ = plane
+                        .apply(done.node, ControlCommand::ClearConnection { incoming: done.conn });
+                }
+                return Err(e.into());
+            }
+        }
+
+        // 6. Commit the reservations.
         for hop in &planned {
             let reservation =
                 LinkReservation { packets, period: request.spec.i_min, delay: hop.delay };
@@ -481,15 +501,6 @@ impl ChannelManager {
             book.ids.mark_used(hop.conn.index());
             #[cfg(test)]
             self.oracle.mark(hop.node, hop.conn.0);
-            plane.apply(
-                hop.node,
-                ControlCommand::SetConnection {
-                    incoming: hop.conn,
-                    outgoing: hop.out_conn,
-                    delay: hop.delay,
-                    out_mask: hop.out_mask,
-                },
-            )?;
         }
 
         let id = self.next_id;
@@ -781,18 +792,29 @@ mod tests {
     use std::collections::HashSet;
 
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rtr_core::control::ControlReg;
 
     use super::*;
     use crate::spec::TrafficSpec;
 
-    /// A control plane that records commands without real routers.
+    /// A control plane that records commands without real routers, and
+    /// refuses the write it would record at index `refuse_at`, once.
     #[derive(Default)]
     struct MockPlane {
         commands: Vec<(NodeId, ControlCommand)>,
+        refuse_at: Option<usize>,
     }
+
+    /// What a [`MockPlane`] refuses a write with.
+    const REFUSED: ControlError =
+        ControlError::IncompleteSequence { reg: ControlReg::InConnCommit };
 
     impl ControlPlane for MockPlane {
         fn apply(&mut self, node: NodeId, cmd: ControlCommand) -> Result<(), ControlError> {
+            if self.refuse_at == Some(self.commands.len()) {
+                self.refuse_at = None;
+                return Err(REFUSED);
+            }
             self.commands.push((node, cmd));
             Ok(())
         }
@@ -1396,6 +1418,38 @@ mod tests {
                 (every_link(&mgr), mgr.utilization_report(), mgr.booked_nodes(), mgr.heap_bytes());
             assert_eq!(before, after, "a request refused for {why:?} changed the books");
             assert_eq!(plane.commands.len(), commands);
+        }
+
+        // Admission passes at four hops, but the control plane refuses its
+        // `k`-th write: the writes before it are cleared and the books are
+        // as they were, so a later establishment programs the same entries.
+        let request = || ChannelRequest::unicast(far, topo.node_at(0, 3), spec, 24);
+        let mut programmed = Vec::new();
+        for k in 0..4 {
+            let mut refusing = MockPlane { refuse_at: Some(k), ..MockPlane::default() };
+            let err = mgr.establish(&topo, request(), &mut refusing).unwrap_err();
+            assert_eq!(err, EstablishError::Control(REFUSED));
+            let after =
+                (every_link(&mgr), mgr.utilization_report(), mgr.booked_nodes(), mgr.heap_bytes());
+            assert_eq!(before, after, "a refusal at write {k} changed the books");
+            let (set, cleared) = refusing.commands.split_at(k);
+            let undone: Vec<_> = set
+                .iter()
+                .map(|&(node, cmd)| match cmd {
+                    ControlCommand::SetConnection { incoming, .. } => {
+                        (node, ControlCommand::ClearConnection { incoming })
+                    }
+                    other => panic!("{other:?} before the refusal"),
+                })
+                .collect();
+            assert_eq!(cleared, &undone[..], "every accepted write is cleared");
+            programmed.push(set.to_vec());
+        }
+        let mut healthy = MockPlane::default();
+        mgr.establish(&topo, request(), &mut healthy).unwrap();
+        assert_eq!(healthy.commands.len(), 4);
+        for set in programmed {
+            assert_eq!(set, &healthy.commands[..set.len()], "a refusal consumed an identifier");
         }
     }
 

@@ -14,8 +14,8 @@
 //! each node's *fed input directions* back to the global index of the link
 //! that feeds them, which is all the credit-return path needs. Global link
 //! indices are dense (`0..len`), so the event core can address links with
-//! `len` handles instead of `4 × nodes`, and per-link state (the pipe
-//! itself, usage counters) lives in flat arenas indexed by link.
+//! `len` handles instead of `4 × nodes`, and per-link state (the pipe and
+//! its ledger) lives in a flat arena indexed by link.
 
 use rtr_types::ids::{Direction, NodeId};
 use rtr_types::time::Cycle;
@@ -23,29 +23,8 @@ use rtr_types::time::Cycle;
 use crate::link::Link;
 use crate::topology::{LinkEnd, Topology};
 
-/// Per-link traffic counters (symbols carried per virtual channel).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkUsage {
-    /// Time-constrained symbols carried.
-    pub tc_symbols: u64,
-    /// Best-effort symbols carried.
-    pub be_symbols: u64,
-}
-
-impl LinkUsage {
-    /// Link utilisation over `cycles` (symbols per cycle, both channels).
-    #[must_use]
-    pub fn utilization(&self, cycles: Cycle) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        (self.tc_symbols + self.be_symbols) as f64 / cycles as f64
-    }
-}
-
 /// CSR adjacency over a [`Topology`]: the wired links (with their pipe
-/// state and usage counters) plus the reverse feeder map, both grouped by
-/// node.
+/// state) plus the reverse feeder map, both grouped by node.
 #[derive(Debug)]
 pub struct LinkTable {
     /// CSR offsets: node `i`'s outgoing links are `out_start[i] as usize
@@ -62,8 +41,6 @@ pub struct LinkTable {
     out_dst: Vec<LinkEnd>,
     /// The link pipes themselves (symbol/credit queues).
     links: Vec<Link>,
-    /// Per-link carried-symbol counters.
-    usage: Vec<LinkUsage>,
     /// CSR offsets of the feeder map: node `i`'s fed input directions are
     /// `in_start[i] as usize .. in_start[i + 1] as usize`.
     in_start: Vec<u32>,
@@ -122,7 +99,6 @@ impl LinkTable {
             out_dir,
             out_dst,
             links: (0..total).map(|_| Link::new(link_latency)).collect(),
-            usage: vec![LinkUsage::default(); total],
             in_start,
             in_dir,
             in_link,
@@ -168,17 +144,6 @@ impl LinkTable {
     /// Mutable pipe state of link `li`.
     pub fn link_mut(&mut self, li: usize) -> &mut Link {
         &mut self.links[li]
-    }
-
-    /// The usage counters of link `li`.
-    #[must_use]
-    pub fn usage(&self, li: usize) -> LinkUsage {
-        self.usage[li]
-    }
-
-    /// Mutable usage counters of link `li`.
-    pub fn usage_mut(&mut self, li: usize) -> &mut LinkUsage {
-        &mut self.usage[li]
     }
 
     /// The global index of `node`'s `dir` output link, if wired. A linear
@@ -242,7 +207,6 @@ impl LinkTable {
             + self.out_dir.capacity() * std::mem::size_of::<Direction>()
             + self.out_dst.capacity() * std::mem::size_of::<LinkEnd>()
             + self.links.capacity() * std::mem::size_of::<Link>()
-            + self.usage.capacity() * std::mem::size_of::<LinkUsage>()
             + self.in_start.capacity() * std::mem::size_of::<u32>()
             + self.in_dir.capacity() * std::mem::size_of::<Direction>()
             + self.in_link.capacity() * std::mem::size_of::<u32>()

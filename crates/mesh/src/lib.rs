@@ -46,9 +46,9 @@ pub mod source;
 pub mod stats;
 pub mod topology;
 
-pub use adjacency::{LinkTable, LinkUsage};
+pub use adjacency::LinkTable;
 pub use fault::{FaultEvent, FaultKind, FaultSchedule, FaultStats};
-pub use link::LinkLedger;
+pub use link::{LinkLedger, LinkUsage};
 pub use netstats::{ConnSlackReport, Histogram, NetworkReport, OccupancySummary};
 pub use sim::{ControlStats, Simulator};
 pub use source::TrafficSource;

@@ -37,6 +37,8 @@ pub struct LinkLedger {
     /// Symbols the transmitter put on the wire (including ones a fault
     /// destroyed at the transmit end).
     pub symbols_sent: u64,
+    /// The time-constrained share of `symbols_sent`.
+    pub tc_symbols_sent: u64,
     /// Symbols taken off the wire at their exact arrival cycle.
     pub symbols_delivered: u64,
     /// Symbols destroyed by faults: blackholed while down, flaky-dropped,
@@ -56,11 +58,41 @@ impl LinkLedger {
     /// Folds another ledger into this one (mesh-wide totals).
     pub fn merge(&mut self, other: &LinkLedger) {
         self.symbols_sent += other.symbols_sent;
+        self.tc_symbols_sent += other.tc_symbols_sent;
         self.symbols_delivered += other.symbols_delivered;
         self.symbols_lost += other.symbols_lost;
         self.symbols_corrupted += other.symbols_corrupted;
         self.credits_lost += other.credits_lost;
         self.late_arrivals_dropped += other.late_arrivals_dropped;
+    }
+
+    /// The symbols sent, split by virtual channel.
+    #[must_use]
+    pub fn usage(&self) -> LinkUsage {
+        LinkUsage {
+            tc_symbols: self.tc_symbols_sent,
+            be_symbols: self.symbols_sent - self.tc_symbols_sent,
+        }
+    }
+}
+
+/// Per-link traffic counters (symbols carried per virtual channel).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkUsage {
+    /// Time-constrained symbols carried.
+    pub tc_symbols: u64,
+    /// Best-effort symbols carried.
+    pub be_symbols: u64,
+}
+
+impl LinkUsage {
+    /// Link utilisation over `cycles` (symbols per cycle, both channels).
+    #[must_use]
+    pub fn utilization(&self, cycles: Cycle) -> f64 {
+        if cycles == 0 {
+            return 0.0;
+        }
+        (self.tc_symbols + self.be_symbols) as f64 / cycles as f64
     }
 }
 
@@ -150,6 +182,7 @@ impl Link {
     /// cross (or vanish) whole.
     pub fn send(&mut self, now: Cycle, symbol: LinkSymbol) {
         self.ledger.symbols_sent += 1;
+        self.ledger.tc_symbols_sent += u64::from(symbol.is_time_constrained());
         // With no fault state live, `through_faults` would pass the symbol
         // on untouched and reset only flags that are already clear (`be_pos`
         // is read only while a corruption is armed, and arming zeroes it).
@@ -656,6 +689,7 @@ mod tests {
     /// the fault plane's path.
     fn send_slow(l: &mut Link, now: Cycle, symbol: LinkSymbol) {
         l.ledger.symbols_sent += 1;
+        l.ledger.tc_symbols_sent += u64::from(symbol.is_time_constrained());
         if let Some(symbol) = l.through_faults(symbol) {
             let arrive = now + 1 + l.latency;
             l.data.push_back((arrive, symbol));

@@ -8,8 +8,8 @@
 //! the links, route returned credits back to the upstream transmitter, and
 //! drain deliveries into per-node [`DeliveryLog`]s. The drive calls differ
 //! only in *which* chips the kernel ticks — all of them (dense), or the
-//! ones the calendar-queue event core proves can change state (event);
-//! the results are bit-identical.
+//! ones the event core proves can change state (event); the results are
+//! bit-identical.
 //!
 //! The simulation is fully deterministic: node order is fixed, all queues
 //! are FIFO, and sources that need randomness own their seeded generators.
@@ -23,21 +23,21 @@ use rtr_types::ids::{Direction, NodeId, Port};
 use rtr_types::packet::{BePacket, TcPacket};
 use rtr_types::time::Cycle;
 
-use crate::adjacency::{LinkTable, LinkUsage};
+use crate::adjacency::LinkTable;
 use crate::fault::{FaultKind, FaultSchedule, FaultStats};
-use crate::link::LinkLedger;
+use crate::link::{LinkLedger, LinkUsage};
 use crate::metrics::SimMetrics;
 use crate::source::TrafficSource;
 use crate::stats::{DeliveryLog, OccupancyHistory};
 use crate::topology::Topology;
 
-/// The simulator's half of the calendar-queue event core: the wake queue
-/// itself plus the per-step dirty set of components whose registered wake
-/// must be recomputed after the cycle runs.
+/// The simulator's half of the event core: the wake queue itself plus the
+/// per-step dirty set of components whose registered wake must be
+/// recomputed after the cycle runs.
 ///
 /// The queue holds only wakes beyond the next cycle. A component answering
 /// `now + 1` — a busy chip, every zero-latency wire — is *carried*: it goes
-/// straight onto the next cycle's dirty list and never enters the wheel
+/// straight onto the next cycle's dirty list and never enters the queue
 /// (DESIGN.md §3.15).
 ///
 /// Handle layout (for `n` nodes and `L` wired links): chips occupy `0..n`
@@ -51,7 +51,7 @@ struct EventCore {
     queue: WakeQueue,
     /// Handles marked dirty during the step in progress, in marking order
     /// (deduplicated via `stamp`). The step began with the first `began`:
-    /// what the last step carried, then what the wheel fired.
+    /// what the last step carried, then what the queue fired.
     dirty: Vec<WakeHandle>,
     began: usize,
     /// Handles polled this step that answered the next cycle, stamped for
@@ -87,7 +87,7 @@ impl EventCore {
     }
 
     /// Opens the step simulating `now`: its dirty list starts as what the
-    /// last step carried (already stamped `now`), and the wheel's due wakes
+    /// last step carried (already stamped `now`), and the queue's due wakes
     /// join it — other handles, since carrying one clears its registration.
     fn begin(&mut self, now: Cycle) {
         std::mem::swap(&mut self.dirty, &mut self.carry);
@@ -114,7 +114,7 @@ impl EventCore {
     }
 
     /// Records a handle's wake as polled at the end of cycle `now`: cleared
-    /// for `None`, filed in the wheel when it lies beyond the next cycle,
+    /// for `None`, filed in the queue when it lies beyond the next cycle,
     /// else carried (a wake never lands at or before the cycle just run).
     fn file_wake(&mut self, handle: u32, at: Option<Cycle>, now: Cycle) {
         match at {
@@ -125,7 +125,7 @@ impl EventCore {
     }
 
     /// Puts a handle, stamped, on the dirty list of the step simulating
-    /// `next` instead of the wheel.
+    /// `next` instead of the queue.
     fn carry_into(&mut self, handle: u32, next: Cycle) {
         self.queue.clear_wake(WakeHandle(handle));
         self.stamp[handle as usize] = next;
@@ -242,8 +242,8 @@ pub struct Simulator<C: Chip> {
     /// stepping's one-tick-per-chip-per-cycle invariant.
     #[cfg(debug_assertions)]
     dbg_accounted: Vec<Cycle>,
-    /// The calendar-queue event core behind the leaping paths; cold (no
-    /// handles, every cycle dense) until the first leaping call.
+    /// The event core behind the leaping paths; cold (no handles, every
+    /// cycle dense) until the first leaping call.
     events: EventCore,
     /// Counter registry and phase profiler (both zero-sized no-ops
     /// without the `metrics` feature).
@@ -464,7 +464,7 @@ impl<C: Chip> Simulator<C> {
     #[doc(hidden)]
     pub fn set_parallelism(&mut self, _workers: usize) {}
 
-    /// Operation counters of the calendar-queue event core, or `None`
+    /// Operation counters of the event core's wake queue, or `None`
     /// before the first leaping call builds it. The core lives as long as
     /// the simulator, so the counters cover the whole run from then on.
     #[must_use]
@@ -813,9 +813,7 @@ impl<C: Chip> Simulator<C> {
     /// (defaults to zero for unwired directions).
     #[must_use]
     pub fn link_usage(&self, node: NodeId, dir: Direction) -> LinkUsage {
-        self.adj
-            .out_index(node.index(), dir)
-            .map_or_else(LinkUsage::default, |li| self.adj.usage(li))
+        self.link_ledger(node, dir).usage()
     }
 
     /// Chip ticks executed so far (the tick-loop work actually performed).
@@ -893,7 +891,7 @@ impl<C: Chip> Simulator<C> {
     /// The step kernel — the one definition of what happens in a cycle:
     ///
     /// 1. (`EV`) the dirty set starts as the handles carried into this cycle
-    ///    and the wheel's due wakes join it;
+    ///    and the queue's due wakes join it;
     /// 2. agenda ops due now apply — faults, then control writes;
     /// 3. links — all when dense or priming after dense cycles, else those
     ///    whose wake fired or was carried — deliver arrivals, and sources
@@ -1244,12 +1242,6 @@ impl<C: Chip> Simulator<C> {
             for li in start..end {
                 let idx = Port::Dir(self.adj.dir(li)).index();
                 if let Some(symbol) = self.ios[node].tx[idx].take() {
-                    let usage = self.adj.usage_mut(li);
-                    if symbol.is_time_constrained() {
-                        usage.tc_symbols += 1;
-                    } else {
-                        usage.be_symbols += 1;
-                    }
                     self.adj.link_mut(li).send(now, symbol);
                     if EV {
                         self.events.mark(n + li, now);
@@ -1342,7 +1334,7 @@ impl<C: Chip> Simulator<C> {
         // Never leap across an agenda op: each must apply at the start of
         // exactly its own cycle in every drive mode.
         let end = self.agenda.next_at().map_or(end, |at| end.min(at));
-        // A carried handle wakes at `self.now`, and no wheel entry says so.
+        // A carried handle wakes at `self.now`, and no queued wake says so.
         if !self.events.carry.is_empty() {
             return None;
         }
@@ -1442,13 +1434,13 @@ impl<C: Chip> Simulator<C> {
     /// [`TrafficSource::next_event`]) that nothing can change before the
     /// target cycle. See the `event_core` integration tests.
     ///
-    /// Components register their next-event cycle in a calendar queue once
+    /// Components register their next-event cycle in a wake queue once
     /// and re-register only when their state could have changed, so a
     /// stepped cycle costs O(dirty components) wake bookkeeping and a leap
     /// decision pops the queue's minimum in O(1). The queue holds only
     /// wakes beyond the next cycle: a component that answers `now + 1` is
     /// carried straight onto the next cycle's dirty list, so a busy
-    /// neighbourhood streams without touching the wheel at all.
+    /// neighbourhood streams without touching the queue at all.
     ///
     /// The payoff is on sparse loads: an idle span of any length costs
     /// O(1) bookkeeping instead of O(nodes × cycles) chip ticks (see
@@ -1775,10 +1767,10 @@ mod tests {
     }
 
     #[test]
-    fn a_streaming_hop_files_no_wheel_entries() {
+    fn a_streaming_hop_files_no_wakes_per_cycle() {
         // Four best-effort packets stream back to back over one hop: both
         // chips and both wires answer "next cycle" for hundreds of cycles.
-        // Those answers are carried, so the wheel sees only the few wakes
+        // Those answers are carried, so the queue sees only the few wakes
         // that lie further out — one or two a packet, none per cycle.
         const PACKETS: u64 = 4;
         let mut stepped = two_node_sim();

@@ -21,7 +21,7 @@ pub enum Phase {
     SerialTick,
     /// Post-tick work: collecting `tx`, credits, delivery drain.
     LinkPost,
-    /// Calendar-queue pop (including wheel cascades) and due-list marking.
+    /// Wake-queue pop and due-list marking.
     WheelPop,
     /// Re-polling dirty components' `next_event` after a tick.
     Repoll,

@@ -4,7 +4,7 @@
 //! integration tests can depend on a single package:
 //!
 //! * [`types`] — shared vocabulary (clock, keys, packets, config),
-//! * [`events`] — the calendar-queue wake list behind time leaping,
+//! * [`events`] — the wake queue behind time leaping,
 //! * [`metrics`] — the counter registry and phase profiler (live with
 //!   `--features metrics`, zero-sized without),
 //! * [`core`] — the real-time router chip model,

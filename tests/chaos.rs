@@ -384,7 +384,7 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
 }
 
 /// A busy chip answers "next cycle" and is carried onto that cycle's dirty
-/// list without a wheel entry. If the agenda crashes the chip on that very
+/// list without a queued wake. If the agenda crashes the chip on that very
 /// cycle, the carried handle must behave like a fired wake would have: the
 /// chip is not ticked, its wake is cleared rather than carried again — so
 /// the dark span is leapt, not stepped — and the restore's mark ticks it
@@ -426,7 +426,7 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
                 trace: PacketTrace::default(),
             },
         );
-        // Ticks executed, and wakes filed in the wheel, span by span.
+        // Ticks executed, and wakes filed in the queue, span by span.
         let spans = [CRASH - 1, CRASH, CRASH + 1, RESTORE, RESTORE + 1, END].map(|stop| {
             let filed = |sim: &Simulator<_>| sim.event_core_stats().map_or(0, |s| s.filed);
             let before = (sim.ticks_executed(), filed(&sim), sim.now());

@@ -243,9 +243,9 @@ fn wide_values_are_refused_by_the_word_level_registers() {
     assert_eq!(typed_sim.chip(hop.node).connection_table().lookup(hop.conn).unwrap().delay, 70_000);
 
     let mut word_sim = build();
-    let refused = ChannelManager::new(&config)
-        .establish(&topo, request(), &mut WordLevelPlane(&mut word_sim))
-        .unwrap_err();
+    let mut manager = ChannelManager::new(&config);
+    let refused =
+        manager.establish(&topo, request(), &mut WordLevelPlane(&mut word_sim)).unwrap_err();
     assert_eq!(
         refused,
         EstablishError::Control(ControlError::RegisterOverflow {
@@ -255,6 +255,7 @@ fn wide_values_are_refused_by_the_word_level_registers() {
     );
     let table = word_sim.chip(hop.node).connection_table();
     assert_eq!(table.lookup(hop.conn), None, "nothing was programmed");
+    assert!(manager.utilization_report().is_empty(), "the refusal left reservations booked");
 
     let chip = word_sim.chip_mut(NodeId(0));
     chip.control_write(ControlReg::OutConn, 1).unwrap();

@@ -1,8 +1,8 @@
-//! Integration: the calendar-queue event core is bit-identical to stepping.
+//! Integration: the event core is bit-identical to stepping.
 //!
 //! The simulator has one step kernel and one drive axis: *which* chips a
 //! cycle ticks (dense: all of them; event: the ones the registered-wake
-//! calendar queue proves can change, leaping across quiet spans). This
+//! queue proves can change, leaping across quiet spans). This
 //! suite proves the two bit-identical, with dense stepping as the
 //! reference. Every scenario diffs delivery logs byte-for-byte and the
 //! full `Debug` rendering of [`NetworkReport`]: seeded 8×8 meshes at
@@ -139,9 +139,9 @@ fn event_core_equivalence_saturating_load() {
 /// always answers the next cycle, so its wake is carried onto the next dirty
 /// list and never filed — the three scenarios above. Three cycles of wire put
 /// a fresh arrival beyond the next cycle, so the same wake is filed in the
-/// wheel (and fires from it, unless a later poll of the link finds the
+/// wake queue (and fires from it, unless a later poll of the link finds the
 /// arrival one cycle off and carries it the rest of the way). Both drive
-/// modes agree on the latent wire too, and the wheel's own counter shows the
+/// modes agree on the latent wire too, and the queue's own counter shows the
 /// two wires really took different ways.
 #[test]
 fn event_core_equivalence_on_a_latent_wire() {
@@ -154,7 +154,7 @@ fn event_core_equivalence_on_a_latent_wire() {
     let direct = drive(&mut || build_mesh(8, 0.05), DriveMode::Event, 3_000);
     assert!(
         filed(&leaping) > 4 * filed(&direct),
-        "a latent wire's wakes go through the wheel, a direct wire's do not: {} vs {}",
+        "a latent wire's wakes go through the queue, a direct wire's do not: {} vs {}",
         filed(&leaping),
         filed(&direct)
     );
@@ -537,7 +537,7 @@ fn baselines_leap_like_they_step() {
 /// (`now + 1`), so every one of them ticks on every cycle from the first —
 /// the event run is dense in all but name and must match dense stepping
 /// byte for byte, with a packet queued before cycle 0, seeded background
-/// load and a burst that sleeps in the wheel.
+/// load and a burst that sleeps in the wake queue.
 #[test]
 fn conservative_chips_leap_from_a_fresh_build() {
     fn loaded<C: Chip>(make: impl Fn() -> C) -> Simulator<C> {

@@ -63,7 +63,7 @@ fn datapath_counters_are_drive_mode_independent() {
         );
         // Wake accounting: a chip that answers the next cycle is carried
         // there, never filed, so the carried count covers every short poll
-        // (wires and sources add theirs) and the wheel sees fewer wakes than
+        // (wires and sources add theirs) and the queue sees fewer wakes than
         // the chips alone gave short answers.
         let [short, carried, filed] = ["wake.short_polls", "sim.wakes_carried", "queue.filed"]
             .map(|name| snap_leaping.counter(name).unwrap_or(0));
