@@ -8,14 +8,15 @@
 
 use std::collections::VecDeque;
 
-use rtr_core::conn_table::{ConnEntry, ConnectionTable, TableError};
+use rtr_core::conn_table::ConnectionTable;
 use rtr_core::ports::{BeReassembler, Serialiser};
 use rtr_types::chip::{Chip, ChipIo};
 use rtr_types::clock::SlotClock;
 use rtr_types::config::RouterConfig;
+use rtr_types::control::{ControlCommand, ControlError};
 use rtr_types::error::ConfigError;
 use rtr_types::flit::{BeByte, LinkSymbol};
-use rtr_types::ids::{ConnectionId, Port, PORT_COUNT};
+use rtr_types::ids::{Port, PORT_COUNT};
 use rtr_types::packet::{BeHeader, BePacket, TcPacket};
 use rtr_types::time::Cycle;
 
@@ -97,20 +98,6 @@ impl FifoSfRouter {
             stats: FifoSfStats::default(),
             config,
         })
-    }
-
-    /// Installs a routing-table entry for time-constrained connections.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the table's validation error.
-    pub fn install(
-        &mut self,
-        incoming: ConnectionId,
-        outgoing: ConnectionId,
-        out_mask: u8,
-    ) -> Result<(), TableError> {
-        self.table.install(incoming, ConnEntry { outgoing, delay: 0, out_mask }, &self.clock)
     }
 
     /// Statistics counters.
@@ -298,6 +285,10 @@ impl Chip for FifoSfRouter {
         }
     }
 
+    fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
+        crate::apply_route_control(&mut self.table, &self.clock, cmd)
+    }
+
     fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
         emit("fifo_sf.transmitted", self.stats.transmitted.iter().sum());
         emit("fifo_sf.delivered", self.stats.delivered);
@@ -309,7 +300,7 @@ impl Chip for FifoSfRouter {
 mod tests {
     use super::*;
     use rtr_mesh::{Simulator, Topology};
-    use rtr_types::ids::{Direction, NodeId};
+    use rtr_types::ids::{ConnectionId, Direction, NodeId};
     use rtr_types::packet::PacketTrace;
 
     #[test]
@@ -348,9 +339,9 @@ mod tests {
         let src = topo.node_at(0, 0);
         let dst = topo.node_at(1, 0);
         sim.chip_mut(src)
-            .install(ConnectionId(1), ConnectionId(2), Port::Dir(Direction::XPlus).mask())
+            .apply_control(crate::route(1, 2, Port::Dir(Direction::XPlus).mask()))
             .unwrap();
-        sim.chip_mut(dst).install(ConnectionId(2), ConnectionId(2), Port::Local.mask()).unwrap();
+        sim.chip_mut(dst).apply_control(crate::route(2, 2, Port::Local.mask())).unwrap();
         sim.inject_tc(
             src,
             TcPacket {
@@ -368,7 +359,7 @@ mod tests {
     fn fifo_has_no_deadline_awareness() {
         // Two packets with reversed deadline order still deliver FIFO.
         let mut r = FifoSfRouter::new(RouterConfig::default()).unwrap();
-        r.install(ConnectionId(1), ConnectionId(1), Port::Local.mask()).unwrap();
+        r.apply_control(crate::route(1, 1, Port::Local.mask())).unwrap();
         let mut io = ChipIo::new();
         let mk = |tag: u8| TcPacket {
             conn: ConnectionId(1),

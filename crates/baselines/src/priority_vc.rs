@@ -11,15 +11,16 @@
 
 use std::collections::VecDeque;
 
-use rtr_core::conn_table::{ConnEntry, ConnectionTable, TableError};
+use rtr_core::conn_table::ConnectionTable;
 use rtr_core::memory::{PacketMemory, SlotAddr};
 use rtr_core::ports::{InputPort, PortTiming, Serialiser, WormholeChannel};
 use rtr_types::chip::{Chip, ChipIo};
 use rtr_types::clock::SlotClock;
 use rtr_types::config::RouterConfig;
+use rtr_types::control::{ControlCommand, ControlError};
 use rtr_types::error::ConfigError;
 use rtr_types::flit::LinkSymbol;
-use rtr_types::ids::{ConnectionId, Port, PORT_COUNT};
+use rtr_types::ids::{Port, PORT_COUNT};
 use rtr_types::packet::TcPacket;
 use rtr_types::time::Cycle;
 
@@ -90,21 +91,6 @@ impl PriorityVcRouter {
             stats: PriorityVcStats::default(),
             config,
         })
-    }
-
-    /// Installs a routing-table entry (this baseline keeps table-driven
-    /// routing but ignores delay bounds).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the table's validation error.
-    pub fn install(
-        &mut self,
-        incoming: ConnectionId,
-        outgoing: ConnectionId,
-        out_mask: u8,
-    ) -> Result<(), TableError> {
-        self.table.install(incoming, ConnEntry { outgoing, delay: 0, out_mask }, &self.clock)
     }
 
     /// Statistics counters.
@@ -202,6 +188,10 @@ impl Chip for PriorityVcRouter {
         self.channel.set_credits(port, bytes);
     }
 
+    fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
+        crate::apply_route_control(&mut self.table, &self.clock, cmd)
+    }
+
     fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
         emit("priority_vc.tc_transmitted", self.stats.tc_transmitted.iter().sum());
         emit("priority_vc.tc_delivered", self.stats.tc_delivered);
@@ -217,7 +207,7 @@ impl Chip for PriorityVcRouter {
 mod tests {
     use super::*;
     use rtr_mesh::{Simulator, Topology};
-    use rtr_types::ids::Direction;
+    use rtr_types::ids::{ConnectionId, Direction};
     use rtr_types::packet::{BePacket, PacketTrace};
 
     fn packet(conn: u16, payload: u8) -> TcPacket {
@@ -232,7 +222,7 @@ mod tests {
     #[test]
     fn fifo_order_within_class() {
         let mut r = PriorityVcRouter::new(RouterConfig::default()).unwrap();
-        r.install(ConnectionId(1), ConnectionId(1), Port::Local.mask()).unwrap();
+        r.apply_control(crate::route(1, 1, Port::Local.mask())).unwrap();
         let mut io = ChipIo::new();
         io.inject_tc.push_back(packet(1, 0xA));
         io.inject_tc.push_back(packet(1, 0xB));
@@ -254,9 +244,9 @@ mod tests {
         let src = topo.node_at(0, 0);
         let dst = topo.node_at(1, 0);
         sim.chip_mut(src)
-            .install(ConnectionId(1), ConnectionId(1), Port::Dir(Direction::XPlus).mask())
+            .apply_control(crate::route(1, 1, Port::Dir(Direction::XPlus).mask()))
             .unwrap();
-        sim.chip_mut(dst).install(ConnectionId(1), ConnectionId(1), Port::Local.mask()).unwrap();
+        sim.chip_mut(dst).apply_control(crate::route(1, 1, Port::Local.mask())).unwrap();
         // A long best-effort stream plus one high-class packet.
         sim.inject_be(src, BePacket::new(1, 0, vec![0; 400], PacketTrace::default()));
         sim.run(100);
@@ -273,7 +263,7 @@ mod tests {
     fn multicast_shares_the_memory_slot() {
         let mut r = PriorityVcRouter::new(RouterConfig::default()).unwrap();
         let mask = Port::Dir(Direction::XPlus).mask() | Port::Local.mask();
-        r.install(ConnectionId(1), ConnectionId(1), mask).unwrap();
+        r.apply_control(crate::route(1, 1, mask)).unwrap();
         let mut io = ChipIo::new();
         io.inject_tc.push_back(packet(1, 0x5C));
         let mut starts = 0;

@@ -20,10 +20,11 @@ use rtr_baselines::wormhole::WormholeRouter;
 use rtr_channels::establish::{ChannelManager, ControlPlane, EstablishedChannel};
 use rtr_channels::sender::ChannelSender;
 use rtr_channels::spec::{ChannelRequest, TrafficSpec};
-use rtr_core::control::{ControlCommand, ControlError};
 use rtr_core::RealTimeRouter;
 use rtr_mesh::stats::LatencySummary;
-use rtr_mesh::{Simulator, Topology};
+use rtr_mesh::{Simulator, Topology, TrafficSource};
+use rtr_types::chip::Chip;
+use rtr_types::clock::SlotClock;
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::NodeId;
 use rtr_types::time::Cycle;
@@ -122,39 +123,6 @@ fn scenario() -> Scenario {
     Scenario { topo, tight, aggressors }
 }
 
-/// Translates Table 3 commands onto the priority-VC baseline (delays and
-/// horizons have no meaning there).
-struct PvPlane<'a>(&'a mut Simulator<PriorityVcRouter>);
-
-impl ControlPlane for PvPlane<'_> {
-    fn apply(&mut self, node: NodeId, cmd: ControlCommand) -> Result<(), ControlError> {
-        match cmd {
-            ControlCommand::SetConnection { incoming, outgoing, out_mask, .. } => self
-                .0
-                .chip_mut(node)
-                .install(incoming, outgoing, out_mask)
-                .map_err(ControlError::Table),
-            ControlCommand::ClearConnection { .. } | ControlCommand::SetHorizon { .. } => Ok(()),
-        }
-    }
-}
-
-/// The same translation for the store-and-forward baseline.
-struct SfPlane<'a>(&'a mut Simulator<FifoSfRouter>);
-
-impl ControlPlane for SfPlane<'_> {
-    fn apply(&mut self, node: NodeId, cmd: ControlCommand) -> Result<(), ControlError> {
-        match cmd {
-            ControlCommand::SetConnection { incoming, outgoing, out_mask, .. } => self
-                .0
-                .chip_mut(node)
-                .install(incoming, outgoing, out_mask)
-                .map_err(ControlError::Table),
-            ControlCommand::ClearConnection { .. } | ControlCommand::SetHorizon { .. } => Ok(()),
-        }
-    }
-}
-
 fn channels_for<P: ControlPlane>(
     topo: &Topology,
     plane: &mut P,
@@ -205,6 +173,60 @@ fn measure_tight(
     (delivered, misses, summary.mean, summary.max)
 }
 
+/// The sources of the scenario's channels: the tight one periodic, the
+/// aggressors legally bursty.
+fn tc_sources(
+    tight: &EstablishedChannel,
+    aggressors: &[EstablishedChannel],
+    config: &RouterConfig,
+) -> Vec<(NodeId, Box<dyn TrafficSource>)> {
+    let (clock, slot, data) =
+        (SlotClock::new(config.clock_bits), config.slot_bytes, config.tc_data_bytes());
+    let mut sources: Vec<(NodeId, Box<dyn TrafficSource>)> = Vec::new();
+    let sender = ChannelSender::new(tight, clock, slot, data);
+    sources.push((
+        tight.request.source,
+        Box::new(PeriodicTcSource::new(sender, u64::from(TIGHT_PERIOD), 0, slot, vec![0x71; data])),
+    ));
+    for a in aggressors {
+        let sender = ChannelSender::new(a, clock, slot, data);
+        // Legally bursty: logical-arrival regulation at the links is
+        // what keeps the burst away from the tight channel.
+        sources.push((
+            a.request.source,
+            Box::new(BurstyTcSource::new(
+                sender,
+                AGGR_BURST,
+                AGGR_BURST_PERIOD,
+                slot,
+                vec![0xA6; data],
+            )),
+        ));
+    }
+    sources
+}
+
+/// Runs the scenario on a table-routed design: the manager programs the
+/// channels through the simulator's own control plane (each chip takes the
+/// Table 3 writes it has registers for), then the sources and the
+/// background start. Returns the tight channel's measurement.
+fn run_table_routed<C: Chip>(
+    mut sim: Simulator<C>,
+    be_rate: f64,
+    total_cycles: Cycle,
+) -> (usize, usize, f64, Cycle) {
+    let config = RouterConfig::default();
+    let topo = sim.topology().clone();
+    let (tight, aggressors) = channels_for(&topo, &mut sim);
+    for (node, src) in tc_sources(&tight, &aggressors, &config) {
+        sim.add_source(node, src);
+    }
+    add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(16, 64), 0xBEEF, 8);
+    sim.run(total_cycles);
+    let (source, dst) = (tight.request.source, tight.request.destinations[0]);
+    measure_tight(sim.log(dst), source, config.slot_bytes, false)
+}
+
 /// Runs one design at one background load for `total_cycles`.
 ///
 /// # Panics
@@ -213,103 +235,28 @@ fn measure_tight(
 #[must_use]
 pub fn run_one(design: Design, be_rate: f64, total_cycles: Cycle) -> CompareRow {
     let config = RouterConfig::default();
-    let s = scenario();
-    let topo = s.topo.clone();
-    let slot = config.slot_bytes;
-    let data = config.tc_data_bytes();
-    let tight_src = s.tight.source;
-    let dst = s.tight.destinations[0];
-
-    let make_tc_sources = |tight: &EstablishedChannel,
-                           aggressors: &[EstablishedChannel],
-                           clock: rtr_types::clock::SlotClock|
-     -> Vec<(NodeId, Box<dyn rtr_mesh::TrafficSource>)> {
-        let mut sources: Vec<(NodeId, Box<dyn rtr_mesh::TrafficSource>)> = Vec::new();
-        let sender = ChannelSender::new(tight, clock, slot, data);
-        sources.push((
-            tight.request.source,
-            Box::new(PeriodicTcSource::new(
-                sender,
-                u64::from(TIGHT_PERIOD),
-                0,
-                slot,
-                vec![0x71; data],
-            )),
-        ));
-        for a in aggressors {
-            let sender = ChannelSender::new(a, clock, slot, data);
-            // Legally bursty: logical-arrival regulation at the links is
-            // what keeps the burst away from the tight channel.
-            sources.push((
-                a.request.source,
-                Box::new(BurstyTcSource::new(
-                    sender,
-                    AGGR_BURST,
-                    AGGR_BURST_PERIOD,
-                    slot,
-                    vec![0xA6; data],
-                )),
-            ));
-        }
-        sources
-    };
-
-    match design {
+    let topo = scenario().topo;
+    let (delivered, misses, mean_latency, max_latency) = match design {
         Design::RealTime => {
-            let mut sim =
-                Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-            let (tight, aggressors) = channels_for(&topo, &mut sim);
-            let clock = sim.chip(tight_src).clock();
-            for (node, src) in make_tc_sources(&tight, &aggressors, clock) {
-                sim.add_source(node, src);
-            }
-            add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(16, 64), 0xBEEF, 8);
-            sim.run(total_cycles);
-            let (delivered, misses, mean, max) =
-                measure_tight(sim.log(dst), tight_src, slot, false);
-            CompareRow { design, be_rate, delivered, misses, mean_latency: mean, max_latency: max }
+            let sim = Simulator::build(topo, |_| RealTimeRouter::new(config.clone())).unwrap();
+            run_table_routed(sim, be_rate, total_cycles)
         }
         Design::PriorityVc => {
-            let mut sim =
-                Simulator::build(topo.clone(), |_| PriorityVcRouter::new(config.clone())).unwrap();
-            let (tight, aggressors) = {
-                let mut plane = PvPlane(&mut sim);
-                channels_for(&topo, &mut plane)
-            };
-            let clock = rtr_types::clock::SlotClock::new(config.clock_bits);
-            for (node, src) in make_tc_sources(&tight, &aggressors, clock) {
-                sim.add_source(node, src);
-            }
-            add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(16, 64), 0xBEEF, 8);
-            sim.run(total_cycles);
-            let (delivered, misses, mean, max) =
-                measure_tight(sim.log(dst), tight_src, slot, false);
-            CompareRow { design, be_rate, delivered, misses, mean_latency: mean, max_latency: max }
+            let sim = Simulator::build(topo, |_| PriorityVcRouter::new(config.clone())).unwrap();
+            run_table_routed(sim, be_rate, total_cycles)
         }
         Design::StoreForward => {
-            let mut sim =
-                Simulator::build(topo.clone(), |_| FifoSfRouter::new(config.clone())).unwrap();
-            let (tight, aggressors) = {
-                let mut plane = SfPlane(&mut sim);
-                channels_for(&topo, &mut plane)
-            };
-            let clock = rtr_types::clock::SlotClock::new(config.clock_bits);
-            for (node, src) in make_tc_sources(&tight, &aggressors, clock) {
-                sim.add_source(node, src);
-            }
-            add_uniform_be(&mut sim, be_rate, SizeDist::Uniform(16, 64), 0xBEEF, 8);
-            sim.run(total_cycles);
-            let (delivered, misses, mean, max) =
-                measure_tight(sim.log(dst), tight_src, slot, false);
-            CompareRow { design, be_rate, delivered, misses, mean_latency: mean, max_latency: max }
+            let sim = Simulator::build(topo, |_| FifoSfRouter::new(config.clone())).unwrap();
+            run_table_routed(sim, be_rate, total_cycles)
         }
         Design::Wormhole => {
+            let tight = scenario().tight;
             let mut sim = wormhole_sim(be_rate);
             sim.run(total_cycles);
-            let (delivered, misses, mean, max) = measure_tight(sim.log(dst), tight_src, slot, true);
-            CompareRow { design, be_rate, delivered, misses, mean_latency: mean, max_latency: max }
+            measure_tight(sim.log(tight.destinations[0]), tight.source, config.slot_bytes, true)
         }
-    }
+    };
+    CompareRow { design, be_rate, delivered, misses, mean_latency, max_latency }
 }
 
 /// The scenario on the pure-wormhole baseline, traffic attached and not yet

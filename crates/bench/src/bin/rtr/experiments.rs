@@ -440,8 +440,8 @@ pub fn churn(args: &[String]) -> Result<(), String> {
         o.control_ops_rejected,
         o.setup_cycles_per_establish
     );
-    for (cycle, node, message) in &o.control_rejections {
-        println!("  failed at cycle {cycle}, node {node}: {message}");
+    for (cycle, node, error) in &o.control_rejections {
+        println!("  failed at cycle {cycle}, node {node}: {error}");
     }
     println!(
         "setup rate:     {} establishments/Mcycle over {} cycles",

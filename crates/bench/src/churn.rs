@@ -26,6 +26,7 @@ use rtr_core::RealTimeRouter;
 use rtr_mesh::{Simulator, Topology};
 use rtr_types::chip::Chip;
 use rtr_types::config::RouterConfig;
+use rtr_types::control::ControlError;
 use rtr_types::ids::NodeId;
 use rtr_types::time::{cycle_to_slot, slot_to_cycle, Cycle};
 use rtr_workloads::churn::{churn_schedule, ChurnConfig, ChurnEvent, WindowedSource};
@@ -86,8 +87,9 @@ pub struct ChurnOutcome {
     pub control_ops_applied: u64,
     /// Control ops that failed at the router (must be 0).
     pub control_ops_rejected: u64,
-    /// The most recent of those failures, as `(cycle, node, message)`.
-    pub control_rejections: Vec<(Cycle, NodeId, String)>,
+    /// The most recent of those failures, as `(cycle, node, the router's
+    /// error)`.
+    pub control_rejections: Vec<(Cycle, NodeId, ControlError)>,
     /// Packets aborted into the teardown ledger by `Abort` teardowns.
     pub aborted_packets: u64,
     /// Deliveries on the two long-lived bystander channels.

@@ -13,6 +13,7 @@ use rtr_channels::spec::{ChannelRequest, TrafficSpec};
 use rtr_core::control::ControlCommand;
 use rtr_core::RealTimeRouter;
 use rtr_mesh::{Simulator, Topology};
+use rtr_types::chip::Chip;
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
 use rtr_types::time::Cycle;

@@ -14,6 +14,7 @@ use rtr_core::control::ControlCommand;
 use rtr_core::RealTimeRouter;
 use rtr_mesh::stats::LatencySummary;
 use rtr_mesh::{Simulator, Topology};
+use rtr_types::chip::Chip;
 use rtr_types::config::{RouterConfig, SchedulerKind};
 use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
 use rtr_types::time::Cycle;

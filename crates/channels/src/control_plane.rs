@@ -274,9 +274,7 @@ impl SignalingEngine {
         let mut at = base;
         for (node, cmd) in commands {
             at += cost;
-            sim.schedule_control(at, node, move |chip| {
-                chip.apply_control(cmd).map_err(|e| e.to_string())
-            });
+            sim.schedule_control(at, node, cmd);
         }
         (at, writes)
     }

@@ -20,6 +20,7 @@ use rtr_core::control::{ControlCommand, ControlError};
 use rtr_core::RealTimeRouter;
 use rtr_mesh::sim::Simulator;
 use rtr_mesh::topology::Topology;
+use rtr_types::chip::Chip;
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
 
@@ -63,7 +64,7 @@ impl std::fmt::Display for EstablishError {
 impl std::error::Error for EstablishError {}
 
 /// Applies control commands to routers — implemented for the mesh simulator
-/// and mockable in tests.
+/// over any chip and mockable in tests.
 pub trait ControlPlane {
     /// Applies one Table 3 command at a node.
     ///
@@ -73,7 +74,7 @@ pub trait ControlPlane {
     fn apply(&mut self, node: NodeId, cmd: ControlCommand) -> Result<(), ControlError>;
 }
 
-impl ControlPlane for Simulator<RealTimeRouter> {
+impl<C: Chip> ControlPlane for Simulator<C> {
     fn apply(&mut self, node: NodeId, cmd: ControlCommand) -> Result<(), ControlError> {
         self.chip_mut(node).apply_control(cmd)
     }

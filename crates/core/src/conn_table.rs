@@ -10,6 +10,8 @@
 use rtr_types::ids::ConnectionId;
 use rtr_types::SlotClock;
 
+pub use rtr_types::control::TableError;
+
 /// One connection-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnEntry {
@@ -47,47 +49,6 @@ pub struct ConnectionTable {
     /// Identifiers the table accepts (256 on the paper's chip).
     capacity: usize,
 }
-
-/// Why a table update was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableError {
-    /// The incoming connection identifier exceeds the table size.
-    BadIndex {
-        /// The offending identifier.
-        conn: ConnectionId,
-        /// Table capacity.
-        capacity: usize,
-    },
-    /// The delay bound is not below half the clock range (§4.3's rollover
-    /// constraint).
-    DelayTooLarge {
-        /// The offending delay.
-        delay: u32,
-        /// The maximum admissible value (half range − 1).
-        max: u32,
-    },
-    /// The port mask has bits beyond the five ports.
-    BadMask {
-        /// The offending mask.
-        mask: u8,
-    },
-}
-
-impl std::fmt::Display for TableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TableError::BadIndex { conn, capacity } => {
-                write!(f, "connection {conn} exceeds table capacity {capacity}")
-            }
-            TableError::DelayTooLarge { delay, max } => {
-                write!(f, "delay bound {delay} exceeds the rollover limit {max}")
-            }
-            TableError::BadMask { mask } => write!(f, "port mask {mask:#07b} has invalid bits"),
-        }
-    }
-}
-
-impl std::error::Error for TableError {}
 
 impl ConnectionTable {
     /// Creates an empty table with `capacity` entries (256 on the paper's
@@ -237,6 +198,7 @@ mod tests {
     fn a_template_built_table_holds_no_heap() {
         use crate::control::ControlCommand;
         use crate::router::RouterTemplate;
+        use rtr_types::chip::Chip;
         let config = rtr_types::RouterConfig { connections: 65_536, ..Default::default() };
         let template = RouterTemplate::new(config).unwrap();
         let (mut a, b) = (template.build(), template.build());

@@ -10,114 +10,15 @@
 //!
 //! [`ControlPort`] models the word-level pin protocol;
 //! [`ControlCommand`] is the typed convenience layer protocol software
-//! actually uses (and what `rtr_channels` drives).
+//! actually uses (and what `rtr_channels` drives). The command and error
+//! values live in [`rtr_types::control`], so every chip model and the
+//! simulator's agenda share them; they are re-exported here.
 
-use crate::conn_table::{ConnEntry, ConnectionTable, TableError};
+use crate::conn_table::{ConnEntry, ConnectionTable};
 use rtr_types::ids::ConnectionId;
 use rtr_types::SlotClock;
 
-/// A typed control-interface command (the rows of Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlCommand {
-    /// Install a connection-table entry (the four-write sequence).
-    SetConnection {
-        /// Incoming connection identifier (table index).
-        incoming: ConnectionId,
-        /// Identifier to write into forwarded packet headers.
-        outgoing: ConnectionId,
-        /// Local delay bound `d`, in slots.
-        delay: u32,
-        /// Output-port bit mask (multicast sets several bits).
-        out_mask: u8,
-    },
-    /// Remove a connection-table entry (teardown; modelled as installing an
-    /// empty mask would leak the identifier, so removal is explicit).
-    ClearConnection {
-        /// Incoming connection identifier to clear.
-        incoming: ConnectionId,
-    },
-    /// Set the horizon parameter `h` for the ports in the mask (the
-    /// two-write sequence).
-    SetHorizon {
-        /// Output-port bit mask selecting which horizon registers to write.
-        port_mask: u8,
-        /// Horizon value in slots.
-        horizon: u32,
-    },
-}
-
-/// Control-register addresses for the word-level protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ControlReg {
-    /// Outgoing connection identifier (write 1 of 4).
-    OutConn,
-    /// Local delay bound `d` (write 2 of 4).
-    Delay,
-    /// Output-port bit mask (write 3 of 4).
-    PortMask,
-    /// Incoming connection identifier; commits the connection entry
-    /// (write 4 of 4).
-    InConnCommit,
-    /// Horizon port mask (write 1 of 2).
-    HorizonMask,
-    /// Horizon value; commits the horizon update (write 2 of 2).
-    HorizonCommit,
-}
-
-/// Errors surfaced by the control interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlError {
-    /// The committed connection entry was rejected by the table.
-    Table(TableError),
-    /// A commit register was written before its staging registers.
-    IncompleteSequence {
-        /// The commit register that was written.
-        reg: ControlReg,
-    },
-    /// The horizon violates the clock-rollover constraint when combined with
-    /// the largest admissible delay (§4.3 requires `h + d` below half the
-    /// clock range; the chip conservatively bounds `h` itself).
-    HorizonTooLarge {
-        /// The offending horizon.
-        horizon: u32,
-        /// Maximum admissible value.
-        max: u32,
-    },
-    /// A value does not fit the register field it travels through: a delay
-    /// or horizon past the 16-bit register, or a port mask with bits past
-    /// the five ports.
-    RegisterOverflow {
-        /// The register.
-        reg: ControlReg,
-        /// The value.
-        value: u32,
-    },
-}
-
-impl From<TableError> for ControlError {
-    fn from(e: TableError) -> Self {
-        ControlError::Table(e)
-    }
-}
-
-impl std::fmt::Display for ControlError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ControlError::Table(e) => write!(f, "table update rejected: {e}"),
-            ControlError::IncompleteSequence { reg } => {
-                write!(f, "commit register {reg:?} written before its staging registers")
-            }
-            ControlError::HorizonTooLarge { horizon, max } => {
-                write!(f, "horizon {horizon} exceeds the rollover limit {max}")
-            }
-            ControlError::RegisterOverflow { reg, value } => {
-                write!(f, "{value:#x} does not fit the {reg:?} register")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ControlError {}
+pub use rtr_types::control::{ControlCommand, ControlError, ControlReg};
 
 /// Staged (not yet committed) control writes.
 #[derive(Debug, Clone, Copy, Default)]
@@ -173,7 +74,8 @@ impl ControlPort {
                 table.remove(incoming)?;
                 Ok(())
             }
-            ControlCommand::SetHorizon { port_mask, horizon } => {
+            ControlCommand::SetHorizon { port_mask: mask, horizon } => {
+                port_mask(ControlReg::HorizonMask, u16::from(mask))?;
                 if horizon >= self.clock.half_range() {
                     return Err(ControlError::HorizonTooLarge {
                         horizon,
@@ -181,7 +83,7 @@ impl ControlPort {
                     });
                 }
                 for (i, h) in horizons.iter_mut().enumerate() {
-                    if port_mask & (1 << i) != 0 {
+                    if mask & (1 << i) != 0 {
                         *h = horizon;
                     }
                 }
@@ -259,6 +161,7 @@ impl ControlPort {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn_table::TableError;
     use rtr_types::ids::PORT_COUNT;
 
     fn setup() -> (ControlPort, ConnectionTable, [u32; PORT_COUNT]) {
@@ -362,6 +265,17 @@ mod tests {
                 Err(ControlError::IncompleteSequence { reg: commit })
             );
         }
+        // The typed horizon write refuses the same mask the pin path does,
+        // rather than writing the five ports and dropping the rest.
+        let reg = ControlReg::HorizonMask;
+        assert_eq!(
+            port.apply(
+                ControlCommand::SetHorizon { port_mask: 0b10_0001, horizon: 3 },
+                &mut table,
+                &mut horizons
+            ),
+            Err(ControlError::RegisterOverflow { reg, value: 0b10_0001 })
+        );
         assert_eq!((table.lookup(ConnectionId(0)), horizons), (None, [0; PORT_COUNT]));
     }
 

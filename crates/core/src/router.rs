@@ -325,16 +325,6 @@ impl RealTimeRouter {
         self.regs.horizons[port.index()]
     }
 
-    /// Applies a typed control command (Table 3) — what protocol software
-    /// calls during channel establishment.
-    ///
-    /// # Errors
-    ///
-    /// See [`ControlError`].
-    pub fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
-        self.control.apply(cmd, &mut self.regs.table, &mut self.regs.horizons)
-    }
-
     /// Performs one word-level control-register write (the Table 3 pin
     /// protocol).
     ///
@@ -851,6 +841,12 @@ impl Chip for RealTimeRouter {
         }
     }
 
+    /// Writes the connection table or horizon registers; never builds the
+    /// datapath.
+    fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
+        self.control.apply(cmd, &mut self.regs.table, &mut self.regs.horizons)
+    }
+
     fn gauges(&self) -> Option<rtr_types::chip::ChipGauges> {
         let mut g = rtr_types::chip::ChipGauges {
             memory_capacity: self.regs.config.packet_slots,
@@ -1046,6 +1042,14 @@ mod tests {
         router.datapath.as_deref().expect("the router has ticked")
     }
 
+    /// Programs `incoming` to leave as `outgoing` with delay bound `delay`
+    /// on the ports in `out_mask`.
+    fn connect(r: &mut RealTimeRouter, incoming: u16, outgoing: u16, delay: u32, out_mask: u8) {
+        let (incoming, outgoing) = (ConnectionId(incoming), ConnectionId(outgoing));
+        r.apply_control(ControlCommand::SetConnection { incoming, outgoing, delay, out_mask })
+            .unwrap();
+    }
+
     fn tc_packet(conn: u16, arrival: u64, router: &RealTimeRouter) -> TcPacket {
         TcPacket {
             conn: ConnectionId(conn),
@@ -1059,13 +1063,7 @@ mod tests {
     fn local_loopback_tc_delivery() {
         let mut r = router();
         // Connection 1: deliver locally with d = 4 slots.
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: Port::Local.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, Port::Local.mask());
         let mut io = io();
         io.inject_tc.push_back(tc_packet(1, 0, &r));
         let mut now = 0;
@@ -1085,13 +1083,7 @@ mod tests {
     #[test]
     fn a_router_that_buffered_one_packet_holds_by_use() {
         let mut r = router();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: Port::Local.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, Port::Local.mask());
         let mut io = io();
         io.inject_tc.push_back(tc_packet(1, 0, &r));
         let mut now = 0;
@@ -1115,13 +1107,7 @@ mod tests {
     fn the_estimate_counts_the_per_connection_byte_counters() {
         let mut r = router();
         let east = Port::Dir(Direction::XPlus);
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(2),
-            delay: 4,
-            out_mask: east.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 2, 4, east.mask());
         let mut io = io();
         io.inject_tc.push_back(tc_packet(1, 0, &r));
         let mut now = 0;
@@ -1153,13 +1139,7 @@ mod tests {
         );
         let [mut dense, mut late] = [router(), router()].map(|mut r| {
             r.set_output_credits(east, 5);
-            r.apply_control(ControlCommand::SetConnection {
-                incoming: ConnectionId(2),
-                outgoing: ConnectionId(7),
-                delay: 4,
-                out_mask: east.mask(),
-            })
-            .unwrap();
+            connect(&mut r, 2, 7, 4, east.mask());
             r.apply_control(ControlCommand::SetHorizon { port_mask: east.mask(), horizon: 3 })
                 .unwrap();
             r
@@ -1225,13 +1205,7 @@ mod tests {
         let (east, west) = (Port::Dir(Direction::XPlus), Port::Dir(Direction::XMinus));
         let [mut up, mut down] = [east, Port::Local].map(|out| {
             let mut r = RealTimeRouter::new(config.clone()).unwrap();
-            r.apply_control(ControlCommand::SetConnection {
-                incoming: ConnectionId(1),
-                outgoing: ConnectionId(1),
-                delay: 1,
-                out_mask: out.mask(),
-            })
-            .unwrap();
+            connect(&mut r, 1, 1, 1, out.mask());
             r
         });
         let (mut up_io, mut down_io) = (io(), io());
@@ -1268,13 +1242,7 @@ mod tests {
     #[test]
     fn torn_down_connection_aborts_arrivals_into_its_own_column() {
         let mut r = router();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(3),
-            outgoing: ConnectionId(3),
-            delay: 4,
-            out_mask: Port::Local.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 3, 3, 4, Port::Local.mask());
         r.apply_control(ControlCommand::ClearConnection { incoming: ConnectionId(3) }).unwrap();
         let mut io = io();
         io.inject_tc.push_back(tc_packet(3, 0, &r));
@@ -1285,13 +1253,7 @@ mod tests {
         r.check_conservation().unwrap();
         // Re-installing the id lifts the tombstone: the recycled
         // identifier's traffic routes normally.
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(3),
-            outgoing: ConnectionId(3),
-            delay: 4,
-            out_mask: Port::Local.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 3, 3, 4, Port::Local.mask());
         io.inject_tc.push_back(tc_packet(3, now / 20 + 1, &r));
         run(&mut r, &mut io, &mut now, 200);
         assert_eq!(r.stats().tc_delivered, 1, "recycled id delivers");
@@ -1343,13 +1305,7 @@ mod tests {
     #[test]
     fn tc_packet_forwarded_on_network_port_with_rewritten_header() {
         let mut r = router();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(2),
-            outgoing: ConnectionId(9),
-            delay: 8,
-            out_mask: Port::Dir(Direction::XPlus).mask(),
-        })
-        .unwrap();
+        connect(&mut r, 2, 9, 8, Port::Dir(Direction::XPlus).mask());
         let mut io = io();
         io.inject_tc.push_back(tc_packet(2, 3, &r));
         let mut first_tx: Option<(Cycle, TcPacket)> = None;
@@ -1378,13 +1334,7 @@ mod tests {
         let mask = Port::Dir(Direction::XPlus).mask()
             | Port::Dir(Direction::YMinus).mask()
             | Port::Local.mask();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: mask,
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, mask);
         let mut io = io();
         io.inject_tc.push_back(tc_packet(1, 0, &r));
         let mut starts = [0u32; PORT_COUNT];
@@ -1470,13 +1420,7 @@ mod tests {
     fn on_time_tc_preempts_best_effort_stream() {
         let mut r = router();
         let out = Port::Dir(Direction::XPlus);
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 2,
-            out_mask: out.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 2, out.mask());
         let mut io = io();
         // A long best-effort packet starts flowing; credits replenished by
         // the harness to keep it moving.
@@ -1519,13 +1463,7 @@ mod tests {
     fn early_packet_waits_for_logical_arrival_with_zero_horizon() {
         let mut r = router();
         let out = Port::Dir(Direction::XPlus);
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: out.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, out.mask());
         let mut io = io();
         // Logical arrival at slot 20 — far in the future.
         io.inject_tc.push_back(tc_packet(1, 20, &r));
@@ -1546,13 +1484,7 @@ mod tests {
     fn early_packet_transmits_within_horizon() {
         let mut r = router();
         let out = Port::Dir(Direction::XPlus);
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: out.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, out.mask());
         r.apply_control(ControlCommand::SetHorizon { port_mask: out.mask(), horizon: 100 })
             .unwrap();
         let mut io = io();
@@ -1577,13 +1509,7 @@ mod tests {
             RealTimeRouter::new(RouterConfig { packet_slots: 2, ..RouterConfig::default() })
                 .unwrap();
         let out = Port::Dir(Direction::XPlus);
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 100,
-            out_mask: out.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 100, out.mask());
         let mut io = io();
         // Far-future arrivals so nothing transmits (h = 0): memory fills.
         for k in 0..4 {
@@ -1604,13 +1530,7 @@ mod tests {
                 ..RouterConfig::default()
             })
             .unwrap();
-            r.apply_control(ControlCommand::SetConnection {
-                incoming: ConnectionId(1),
-                outgoing: ConnectionId(1),
-                delay: 8,
-                out_mask: out.mask(),
-            })
-            .unwrap();
+            connect(&mut r, 1, 1, 8, out.mask());
             let mut io = io();
             io.inject_tc.push_back(tc_packet(1, 0, &r));
             for now in 0..600u64 {
@@ -1638,13 +1558,7 @@ mod tests {
         let mut r =
             RealTimeRouter::new(RouterConfig { tc_cut_through: true, ..RouterConfig::default() })
                 .unwrap();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(2),
-            outgoing: ConnectionId(9),
-            delay: 6,
-            out_mask: out.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 2, 9, 6, out.mask());
         let mut io = io();
         io.inject_tc.push_back(tc_packet(2, 0, &r));
         let mut symbols = Vec::new();
@@ -1673,13 +1587,7 @@ mod tests {
             RealTimeRouter::new(RouterConfig { tc_cut_through: true, ..RouterConfig::default() })
                 .unwrap();
         for conn in [1u16, 2] {
-            r.apply_control(ControlCommand::SetConnection {
-                incoming: ConnectionId(conn),
-                outgoing: ConnectionId(conn),
-                delay: if conn == 1 { 4 } else { 100 },
-                out_mask: out.mask(),
-            })
-            .unwrap();
+            connect(&mut r, conn, conn, if conn == 1 { 4 } else { 100 }, out.mask());
         }
         let mut io = io();
         // Tight packet first: it buffers (nothing to cut past at arrival it
@@ -1704,13 +1612,7 @@ mod tests {
         let mut r =
             RealTimeRouter::new(RouterConfig { tc_cut_through: true, ..RouterConfig::default() })
                 .unwrap();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: mask,
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, mask);
         let mut io = io();
         io.inject_tc.push_back(tc_packet(1, 0, &r));
         let mut now = 0;
@@ -1725,13 +1627,7 @@ mod tests {
         let mut r =
             RealTimeRouter::new(RouterConfig { tc_cut_through: true, ..RouterConfig::default() })
                 .unwrap();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: out.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, out.mask());
         let mut io = io();
         io.inject_tc.push_back(tc_packet(1, 50, &r)); // ℓ far in the future
         let mut now = 0;
@@ -1746,13 +1642,7 @@ mod tests {
         let mut r =
             RealTimeRouter::new(RouterConfig { tc_cut_through: true, ..RouterConfig::default() })
                 .unwrap();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: out.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, out.mask());
         r.apply_control(ControlCommand::SetHorizon { port_mask: out.mask(), horizon: 100 })
             .unwrap();
         let mut io = io();
@@ -1772,13 +1662,7 @@ mod tests {
         // each of the five output ports").
         let mut r = router();
         for (i, dir) in Direction::ALL.into_iter().enumerate() {
-            r.apply_control(ControlCommand::SetConnection {
-                incoming: ConnectionId(i as u16 + 1),
-                outgoing: ConnectionId(i as u16 + 1),
-                delay: 4,
-                out_mask: Port::Dir(dir).mask(),
-            })
-            .unwrap();
+            connect(&mut r, i as u16 + 1, i as u16 + 1, 4, Port::Dir(dir).mask());
         }
         let mut io = io();
         // Four packets arrive on the four network inputs in the same
@@ -1875,13 +1759,7 @@ mod tests {
             })
             .unwrap();
             let out = Port::Dir(Direction::XPlus);
-            r.apply_control(ControlCommand::SetConnection {
-                incoming: ConnectionId(1),
-                outgoing: ConnectionId(1),
-                delay: 8,
-                out_mask: out.mask(),
-            })
-            .unwrap();
+            connect(&mut r, 1, 1, 8, out.mask());
             let mut io = io();
             io.inject_tc.push_back(tc_packet(1, 0, &r));
             for now in 0..600u64 {
@@ -1906,13 +1784,7 @@ mod tests {
         use rtr_types::trace::{shared, RingSink};
 
         let mut r = router();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: Port::Local.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, Port::Local.mask());
         let ring = shared(RingSink::new(256));
         r.set_trace_sink(NodeId(5), ring.clone());
         let mut io = io();
@@ -1950,13 +1822,7 @@ mod tests {
     #[test]
     fn conservation_holds_after_mixed_outcomes() {
         let mut r = router();
-        r.apply_control(ControlCommand::SetConnection {
-            incoming: ConnectionId(1),
-            outgoing: ConnectionId(1),
-            delay: 4,
-            out_mask: Port::Local.mask(),
-        })
-        .unwrap();
+        connect(&mut r, 1, 1, 4, Port::Local.mask());
         let mut io = io();
         io.inject_tc.push_back(tc_packet(1, 0, &r)); // delivered
         io.inject_tc.push_back(tc_packet(7, 0, &r)); // dropped: no connection
@@ -1976,13 +1842,7 @@ mod tests {
     fn an_idle_router_settles_like_its_densely_ticked_twin() {
         let east = Port::Dir(Direction::XPlus);
         let [mut sparse, mut dense] = [router(), router()].map(|mut r| {
-            r.apply_control(ControlCommand::SetConnection {
-                incoming: ConnectionId(1),
-                outgoing: ConnectionId(1),
-                delay: 4,
-                out_mask: east.mask(),
-            })
-            .unwrap();
+            connect(&mut r, 1, 1, 4, east.mask());
             r
         });
         let (mut sparse_io, mut dense_io) = (io(), io());
@@ -2048,13 +1908,7 @@ mod tests {
             let mut r = router();
             r.set_clock_skew(skew);
             for port in Port::ALL {
-                r.apply_control(ControlCommand::SetConnection {
-                    incoming: ConnectionId(port.index() as u16 + 1),
-                    outgoing: ConnectionId(9),
-                    delay: 4,
-                    out_mask: port.mask(),
-                })
-                .unwrap();
+                connect(&mut r, port.index() as u16 + 1, 9, 4, port.mask());
             }
             let mut io = io();
             for port in Port::ALL {

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use rtr_events::{QueueStats, WakeHandle, WakeQueue};
 use rtr_metrics::{MetricsRegistry, MetricsSnapshot, Phase, PhaseProfiler, PhaseToken};
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
+use rtr_types::control::{ControlCommand, ControlError};
 use rtr_types::ids::{Direction, NodeId, Port};
 use rtr_types::packet::{BePacket, TcPacket};
 use rtr_types::time::Cycle;
@@ -161,11 +162,12 @@ impl Backlog {
 }
 
 /// What a timed operation does when its cycle comes.
-enum Op<C> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
     /// A scripted fault (or repair).
     Fault(FaultKind),
-    /// A control-plane write against the chip at the node.
-    Control(NodeId, ControlFn<C>),
+    /// A Table 3 write to the chip at the node.
+    Control(NodeId, ControlCommand),
 }
 
 /// The agenda of timed operations — scripted faults and scheduled
@@ -174,17 +176,17 @@ enum Op<C> {
 /// and the leap planner clamps its quiet targets to [`Agenda::next_at`],
 /// so every drive mode observes each op at exactly the same cycle boundary
 /// and no leap ever crosses one.
-struct Agenda<C> {
+struct Agenda {
     /// Pending ops keyed `(cycle, is a control op, filing order)`: at a
     /// shared cycle faults apply before control writes, and within a plane
     /// ops apply in the order they were filed.
-    ops: BTreeMap<(Cycle, bool, u64), Op<C>>,
+    ops: BTreeMap<(Cycle, bool, u64), Op>,
     /// Ops filed so far (the key's tie-breaker).
     filed: u64,
 }
 
-impl<C> Agenda<C> {
-    fn file(&mut self, at: Cycle, op: Op<C>) {
+impl Agenda {
+    fn file(&mut self, at: Cycle, op: Op) {
         self.ops.insert((at, matches!(op, Op::Control(..)), self.filed), op);
         self.filed += 1;
     }
@@ -195,7 +197,7 @@ impl<C> Agenda<C> {
     }
 
     /// Removes and returns the earliest pending op if it is due by `now`.
-    fn pop_due(&mut self, now: Cycle) -> Option<Op<C>> {
+    fn pop_due(&mut self, now: Cycle) -> Option<Op> {
         let entry = self.ops.first_entry()?;
         (entry.key().0 <= now).then(|| entry.remove())
     }
@@ -249,7 +251,7 @@ pub struct Simulator<C: Chip> {
     /// without the `metrics` feature).
     metrics: SimMetrics,
     /// Pending faults and control-plane writes.
-    agenda: Agenda<C>,
+    agenda: Agenda,
     /// Base seed for the per-link flaky generators (each link derives its
     /// own stream, so one flaky link's traffic cannot perturb another's).
     fault_seed: u64,
@@ -262,13 +264,9 @@ pub struct Simulator<C: Chip> {
     control_events: ControlStats,
     /// The most recent rejected control ops, oldest first (at most
     /// [`REJECTION_LOG_CAP`]).
-    control_rejections: Vec<(Cycle, NodeId, String)>,
+    control_rejections: Vec<(Cycle, NodeId, ControlError)>,
     now: Cycle,
 }
-
-/// The boxed closure form of a scheduled control operation; see
-/// [`Simulator::schedule_control`].
-pub type ControlFn<C> = Box<dyn FnOnce(&mut C) -> Result<(), String>>;
 
 /// How many rejected control ops [`Simulator::control_rejections`] keeps.
 const REJECTION_LOG_CAP: usize = 16;
@@ -277,12 +275,11 @@ const REJECTION_LOG_CAP: usize = 16;
 /// [`Simulator::schedule_control`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlStats {
-    /// Operations applied whose closure returned `Ok`.
+    /// Writes the chip accepted.
     pub ops_applied: u64,
-    /// Operations applied whose closure returned `Err` (e.g. a control
-    /// write the router rejected); the error is not propagated — the
-    /// schedule keeps running like hardware would — but the most recent
-    /// ones are kept in [`Simulator::control_rejections`].
+    /// Writes the chip refused with a [`ControlError`]; the error is not
+    /// propagated — the schedule keeps running like hardware would — but
+    /// the most recent ones are kept in [`Simulator::control_rejections`].
     pub ops_rejected: u64,
 }
 
@@ -628,7 +625,7 @@ impl<C: Chip> Simulator<C> {
         stats
     }
 
-    /// Schedules a control-plane operation against the chip at `node`,
+    /// Schedules a Table 3 write to the chip at `node`,
     /// applied at the start of the step simulating cycle `at` (clamped to
     /// the current cycle), before link arrivals — identically in every
     /// drive mode, including inside spans the leaper would otherwise skip.
@@ -638,16 +635,12 @@ impl<C: Chip> Simulator<C> {
     /// each table delta a few cycles out instead of mutating through
     /// [`Simulator::chip_mut`] (which writes between cycles, not at one).
     /// Either way a warm event core stays warm and the written chip ticks
-    /// on the cycle of the write. The closure's `Err` is counted in
-    /// [`ControlStats`] and logged in [`Simulator::control_rejections`],
-    /// not propagated — the schedule keeps running like hardware would.
-    pub fn schedule_control(
-        &mut self,
-        at: Cycle,
-        node: NodeId,
-        op: impl FnOnce(&mut C) -> Result<(), String> + 'static,
-    ) {
-        self.agenda.file(at.max(self.now), Op::Control(node, Box::new(op)));
+    /// on the cycle of the write. The chip's refusal
+    /// ([`Chip::apply_control`]) is counted in [`ControlStats`] and logged
+    /// in [`Simulator::control_rejections`], not propagated — the schedule
+    /// keeps running like hardware would.
+    pub fn schedule_control(&mut self, at: Cycle, node: NodeId, cmd: ControlCommand) {
+        self.agenda.file(at.max(self.now), Op::Control(node, cmd));
     }
 
     /// Counters for the scheduled control-operation plane.
@@ -656,11 +649,11 @@ impl<C: Chip> Simulator<C> {
         self.control_events
     }
 
-    /// The most recent control ops whose closure returned `Err`, oldest
-    /// first, as `(cycle applied, node, the closure's message)`. Only the
-    /// last few are kept; [`ControlStats::ops_rejected`] counts them all.
+    /// The most recent scheduled writes the chip refused, oldest first, as
+    /// `(cycle applied, node, the chip's error)`. Only the last few are
+    /// kept; [`ControlStats::ops_rejected`] counts them all.
     #[must_use]
-    pub fn control_rejections(&self) -> &[(Cycle, NodeId, String)] {
+    pub fn control_rejections(&self) -> &[(Cycle, NodeId, ControlError)] {
         &self.control_rejections
     }
 
@@ -670,22 +663,22 @@ impl<C: Chip> Simulator<C> {
         while let Some(op) = self.agenda.pop_due(self.now) {
             match op {
                 Op::Fault(kind) => self.apply_fault(kind),
-                Op::Control(node, op) => self.apply_control(node, op),
+                Op::Control(node, cmd) => self.apply_control(node, cmd),
             }
         }
     }
 
-    fn apply_control(&mut self, node: NodeId, op: ControlFn<C>) {
+    fn apply_control(&mut self, node: NodeId, cmd: ControlCommand) {
         let now = self.now;
         let i = node.index();
-        match op(&mut self.chips[i]) {
+        match self.chips[i].apply_control(cmd) {
             Ok(()) => self.control_events.ops_applied += 1,
-            Err(message) => {
+            Err(error) => {
                 self.control_events.ops_rejected += 1;
                 if self.control_rejections.len() == REJECTION_LOG_CAP {
                     self.control_rejections.remove(0);
                 }
-                self.control_rejections.push((now, node, message));
+                self.control_rejections.push((now, node, error));
             }
         }
         // A table delta can change what the chip will do next (e.g. a
@@ -1515,7 +1508,6 @@ impl<C: Chip> Simulator<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_core::control::ControlCommand;
     use rtr_core::RealTimeRouter;
     use rtr_types::config::RouterConfig;
     use rtr_types::ids::ConnectionId;
@@ -1849,15 +1841,13 @@ mod tests {
         let src = NodeId(0);
         let dst = sim.topology().node_at(1, 0);
         for (node, mask) in [(src, Port::Dir(Direction::XPlus).mask()), (dst, Port::Local.mask())] {
-            sim.schedule_control(500, node, move |chip| {
-                chip.apply_control(ControlCommand::SetConnection {
-                    incoming: ConnectionId(9),
-                    outgoing: ConnectionId(9),
-                    delay: 4,
-                    out_mask: mask,
-                })
-                .map_err(|e| e.to_string())
-            });
+            let cmd = ControlCommand::SetConnection {
+                incoming: ConnectionId(9),
+                outgoing: ConnectionId(9),
+                delay: 4,
+                out_mask: mask,
+            };
+            sim.schedule_control(500, node, cmd);
         }
         sim.run(400);
         assert_eq!(sim.control_stats().ops_applied, 0, "not due yet");
@@ -1883,10 +1873,19 @@ mod tests {
     #[test]
     fn control_op_failures_are_counted_not_propagated() {
         let mut sim = two_node_sim();
-        sim.schedule_control(10, NodeId(0), |_chip| Err("nope".to_string()));
+        // A horizon at half the 8-bit clock range breaks §4.3's rollover
+        // window: the router refuses it, and the run goes on.
+        sim.schedule_control(
+            10,
+            NodeId(0),
+            ControlCommand::SetHorizon { port_mask: Port::Local.mask(), horizon: 128 },
+        );
         sim.run(20);
         assert_eq!(sim.control_stats().ops_rejected, 1);
         assert_eq!(sim.control_stats().ops_applied, 0);
+        let refused = ControlError::HorizonTooLarge { horizon: 128, max: 127 };
+        assert_eq!(sim.control_rejections(), [(10, NodeId(0), refused)]);
+        assert_eq!(sim.chip(NodeId(0)).horizon(Port::Local), 0);
     }
 
     #[test]
@@ -1896,15 +1895,16 @@ mod tests {
         // aborts the test otherwise), apply the op at its exact cycle, and
         // keep leaping on both sides.
         let mut sim = two_node_sim();
-        sim.schedule_control(5_555, NodeId(0), |chip| {
-            chip.apply_control(ControlCommand::SetConnection {
+        sim.schedule_control(
+            5_555,
+            NodeId(0),
+            ControlCommand::SetConnection {
                 incoming: ConnectionId(3),
                 outgoing: ConnectionId(3),
                 delay: 4,
                 out_mask: Port::Local.mask(),
-            })
-            .map_err(|e| e.to_string())
-        });
+            },
+        );
         sim.run_leaping(10_000);
         assert_eq!(sim.now(), 10_000);
         assert_eq!(sim.control_stats().ops_applied, 1);
@@ -1932,26 +1932,20 @@ mod tests {
     /// is not due before its cycle.
     #[test]
     fn agenda_pops_faults_first_then_control_ops_in_filing_order() {
-        let mut agenda: Agenda<RealTimeRouter> = Agenda { ops: BTreeMap::new(), filed: 0 };
-        let control = |tag: &'static str| {
-            Op::Control(NodeId(1), Box::new(move |_: &mut RealTimeRouter| Err(tag.to_string())))
+        let mut agenda = Agenda { ops: BTreeMap::new(), filed: 0 };
+        let clear = |conn| {
+            Op::Control(NodeId(1), ControlCommand::ClearConnection { incoming: ConnectionId(conn) })
         };
-        let restore = FaultKind::NodeRestore { node: NodeId(2) };
+        let restore = Op::Fault(FaultKind::NodeRestore { node: NodeId(2) });
         agenda.file(9, Op::Fault(FaultKind::NodeCrash { node: NodeId(3) }));
-        agenda.file(7, control("first"));
-        agenda.file(7, Op::Fault(restore));
-        agenda.file(7, control("second"));
+        agenda.file(7, clear(1));
+        agenda.file(7, restore);
+        agenda.file(7, clear(2));
         assert_eq!(agenda.next_at(), Some(7));
         assert!(agenda.pop_due(6).is_none());
 
-        let mut chip = RealTimeRouter::new(RouterConfig::default()).unwrap();
-        let popped: Vec<String> = std::iter::from_fn(|| agenda.pop_due(7))
-            .map(|op| match op {
-                Op::Fault(kind) => format!("{kind:?}"),
-                Op::Control(node, op) => format!("{} {}", node.0, op(&mut chip).unwrap_err()),
-            })
-            .collect();
-        assert_eq!(popped, [format!("{restore:?}"), "1 first".into(), "1 second".into()]);
+        let popped: Vec<Op> = std::iter::from_fn(|| agenda.pop_due(7)).collect();
+        assert_eq!(popped, [restore, clear(1), clear(2)]);
         assert_eq!(agenda.next_at(), Some(9));
     }
 }

@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 
+use crate::control::{ControlCommand, ControlError};
 use crate::flit::LinkSymbol;
 use crate::ids::PORT_COUNT;
 use crate::packet::{BePacket, TcPacket};
@@ -142,6 +143,19 @@ pub trait Chip {
     /// downstream neighbour's flit-buffer size. Called once by the simulator
     /// while wiring the network, before any traffic flows.
     fn set_output_credits(&mut self, port: crate::ids::Port, bytes: u32);
+
+    /// Applies one Table 3 control write — the only way protocol software
+    /// programs the chip (§4.1). A refusal leaves the chip unchanged. The
+    /// default refuses every write with [`ControlError::Unsupported`]: a
+    /// chip without a connection table has nothing to program.
+    ///
+    /// # Errors
+    ///
+    /// The chip's [`ControlError`] for a write it refuses.
+    fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
+        let _ = cmd;
+        Err(ControlError::Unsupported)
+    }
 
     /// Instantaneous occupancy gauges for telemetry sampling, if the chip
     /// exposes them. The default (`None`) opts the chip out of occupancy

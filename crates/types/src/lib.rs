@@ -13,6 +13,8 @@
 //! * [`flit`] — link-level symbols (flits) and flow-control credits,
 //! * [`config`] — the architectural parameters of Table 4(a) and the
 //!   per-class policy matrix of Table 2,
+//! * [`control`] — the Table 3 control commands every chip answers, and
+//!   their errors,
 //! * [`trace`] — cycle-accurate packet lifecycle events, trace sinks, and
 //!   the JSON Lines telemetry format.
 //!
@@ -39,6 +41,7 @@
 pub mod chip;
 pub mod clock;
 pub mod config;
+pub mod control;
 pub mod error;
 pub mod flit;
 pub mod ids;

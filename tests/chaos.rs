@@ -10,6 +10,7 @@
 
 use realtime_router::core::{ControlCommand, RealTimeRouter};
 use realtime_router::mesh::{FaultSchedule, NetworkReport, Simulator, Topology};
+use realtime_router::types::chip::Chip;
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
@@ -266,15 +267,13 @@ fn faults_and_table_writes_share_one_agenda() {
             sim.chip_mut(node)
                 .apply_control(ControlCommand::ClearConnection { incoming: conn })
                 .unwrap();
-            sim.schedule_control(at, node, move |chip| {
-                chip.apply_control(ControlCommand::SetConnection {
-                    incoming: conn,
-                    outgoing: conn,
-                    delay: ONE_HOP_DELAY,
-                    out_mask,
-                })
-                .map_err(|e| e.to_string())
-            });
+            let write = ControlCommand::SetConnection {
+                incoming: conn,
+                outgoing: conn,
+                delay: ONE_HOP_DELAY,
+                out_mask,
+            };
+            sim.schedule_control(at, node, write);
         }
         sim.set_fault_schedule(
             FaultSchedule::new()

@@ -1,8 +1,10 @@
 //! Integration: the word-level control interface (Table 3) drives real
 //! traffic — programming a route through raw register writes only.
 
-use realtime_router::core::{ControlReg, RealTimeRouter};
+use realtime_router::core::{ControlCommand, ControlError, ControlReg, RealTimeRouter, TableError};
 use realtime_router::mesh::{Simulator, Topology};
+use realtime_router::types::chip::Chip;
+use realtime_router::types::clock::SlotClock;
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{PacketTrace, TcPacket};
@@ -58,7 +60,6 @@ fn table_rewrite_redirects_in_flight_connections() {
     let src = NodeId(0);
     let near = topo.node_at(1, 0);
     let far = topo.node_at(2, 0);
-    use realtime_router::core::ControlCommand;
 
     // Initially: conn 1 delivers at the near node.
     sim.chip_mut(src)
@@ -184,37 +185,100 @@ fn unprogrammed_connections_drop_cleanly_everywhere() {
 
 /// A scheduled control op the router refuses is not silently dropped: the
 /// simulator keeps the most recent rejections — cycle, node, and the
-/// router's own message — behind the `ops_rejected` count.
+/// router's own `ControlError` — behind the `ops_rejected` count.
 #[test]
 fn rejected_control_ops_are_kept_with_their_reason() {
-    use realtime_router::core::ControlCommand;
     let config = RouterConfig::default();
+    let capacity = config.connections;
     let mut sim =
         Simulator::build(Topology::mesh(2, 1), |_| RealTimeRouter::new(config.clone())).unwrap();
-    // Twenty synthetic failures, then a write the router itself rejects: a
-    // connection id past the end of its table.
+    // Twenty writes past the end of the connection table, then a horizon
+    // at half the clock range: the router refuses all of them.
+    let past_the_table = |i: u64| ConnectionId(capacity as u16 + i as u16);
     for i in 0..20u64 {
-        sim.schedule_control(100 + i, NodeId(0), move |_| Err(format!("synthetic {i}")));
-    }
-    let bad = ConnectionId(config.connections as u16);
-    sim.schedule_control(5_000, NodeId(1), move |chip| {
-        chip.apply_control(ControlCommand::SetConnection {
-            incoming: bad,
-            outgoing: bad,
+        let incoming = past_the_table(i);
+        let cmd = ControlCommand::SetConnection {
+            incoming,
+            outgoing: incoming,
             delay: 4,
             out_mask: Port::Local.mask(),
-        })
-        .map_err(|e| e.to_string())
-    });
+        };
+        sim.schedule_control(100 + i, NodeId(0), cmd);
+    }
+    let half_range = 1 << (config.clock_bits - 1);
+    let horizon = ControlCommand::SetHorizon { port_mask: Port::Local.mask(), horizon: half_range };
+    sim.schedule_control(5_000, NodeId(1), horizon);
     sim.run_leaping(10_000);
     assert_eq!(sim.control_stats().ops_rejected, 21);
     assert_eq!(sim.control_stats().ops_applied, 0);
     let kept = sim.control_rejections();
     assert_eq!(kept.len(), 16, "only the most recent rejections are kept");
-    assert_eq!(kept[0], (105, NodeId(0), "synthetic 5".to_string()), "oldest first");
-    let (cycle, node, message) = kept.last().unwrap();
-    assert_eq!((*cycle, *node), (5_000, NodeId(1)), "each op is logged at its own cycle");
-    assert!(!message.is_empty() && !message.starts_with("synthetic"), "router said: {message}");
+    let bad_index = ControlError::Table(TableError::BadIndex { conn: past_the_table(5), capacity });
+    assert_eq!(kept[0], (105, NodeId(0), bad_index), "oldest first");
+    let too_large = ControlError::HorizonTooLarge { horizon: half_range, max: half_range - 1 };
+    assert_eq!(kept[15], (5_000, NodeId(1), too_large), "each op is logged at its own cycle");
+}
+
+/// A chip with no connection table takes no Table 3 write: the trait's
+/// default refuses it, and a scheduled write on a wormhole mesh is counted
+/// and kept like any other refusal, in both drive modes.
+#[test]
+fn a_chip_without_control_registers_refuses_scheduled_writes() {
+    use realtime_router::baselines::WormholeRouter;
+    for leaping in [false, true] {
+        let mut sim =
+            Simulator::build(
+                Topology::mesh(2, 1),
+                |_| WormholeRouter::new(RouterConfig::default()),
+            )
+            .unwrap();
+        let clear = ControlCommand::ClearConnection { incoming: ConnectionId(1) };
+        sim.schedule_control(300, NodeId(1), clear);
+        if leaping {
+            sim.run_leaping(1_000);
+        } else {
+            sim.run(1_000);
+        }
+        let stats = sim.control_stats();
+        assert_eq!((stats.ops_applied, stats.ops_rejected), (0, 1), "leaping: {leaping}");
+        assert_eq!(sim.control_rejections(), [(300, NodeId(1), ControlError::Unsupported)]);
+    }
+}
+
+/// The table-routed baselines take teardown through the same control
+/// plane as the real-time router: once `ChannelManager::teardown` has
+/// cleared a priority-VC channel, a packet on it is dropped, not delivered.
+/// A horizon write, which the baseline has no register for, is refused.
+#[test]
+fn priority_vc_teardown_clears_the_route() {
+    use realtime_router::baselines::PriorityVcRouter;
+    use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
+    let config = RouterConfig::default();
+    let topo = Topology::mesh(3, 1);
+    let mut sim =
+        Simulator::build(topo.clone(), |_| PriorityVcRouter::new(config.clone())).unwrap();
+    let (src, dst) = (topo.node_at(0, 0), topo.node_at(2, 0));
+    let mut manager = ChannelManager::new(&config);
+    let request = ChannelRequest::unicast(src, dst, TrafficSpec::periodic(16, 18), 24);
+    let channel = manager.establish(&topo, request, &mut sim).unwrap();
+    let packet = |sim: &Simulator<PriorityVcRouter>| TcPacket {
+        conn: channel.hops[0].conn,
+        arrival: SlotClock::new(config.clock_bits).wrap(sim.now() / config.slot_bytes as u64),
+        payload: vec![0x5A; config.tc_data_bytes()].into(),
+        trace: PacketTrace::default(),
+    };
+    sim.inject_tc(src, packet(&sim));
+    sim.run(2_000);
+    assert_eq!(sim.log(dst).tc.len(), 1, "the established route delivers");
+
+    manager.teardown(channel.id, &mut sim).unwrap();
+    sim.inject_tc(src, packet(&sim));
+    sim.run(2_000);
+    assert_eq!(sim.log(dst).tc.len(), 1, "the torn-down route delivers nothing more");
+    assert_eq!(sim.chip(src).stats().tc_dropped, 1, "the source hop has no entry left");
+
+    let horizon = ControlCommand::SetHorizon { port_mask: Port::Local.mask(), horizon: 4 };
+    assert_eq!(sim.chip_mut(dst).apply_control(horizon), Err(ControlError::Unsupported));
 }
 
 /// The 16-bit control registers never narrow a value silently: on an
@@ -228,7 +292,6 @@ fn wide_values_are_refused_by_the_word_level_registers() {
     use realtime_router::channels::{
         ChannelManager, ChannelRequest, EstablishError, TrafficSpec, WordLevelPlane,
     };
-    use realtime_router::core::ControlError;
     let config = RouterConfig { clock_bits: 18, ..RouterConfig::default() };
     let topo = Topology::mesh(2, 1);
     let build = || Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();

@@ -4,20 +4,12 @@
 //! release would panic).
 
 use proptest::prelude::*;
-use realtime_router::channels::{ChannelManager, ChannelRequest, ControlPlane, TrafficSpec};
-use realtime_router::core::{ControlCommand, ControlError, RealTimeRouter};
+use realtime_router::channels::{ChannelManager, ChannelRequest, DeferredPlane, TrafficSpec};
+use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::types::config::RouterConfig;
 use rtr_bench::util::sender_for;
-
-struct NullPlane;
-
-impl ControlPlane for NullPlane {
-    fn apply(&mut self, _node: NodeId, _cmd: ControlCommand) -> Result<(), ControlError> {
-        Ok(())
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
@@ -46,11 +38,11 @@ proptest! {
                     TrafficSpec::periodic(i_min, 18),
                     depth * 6,
                 );
-                if let Ok(ch) = manager.establish(&topo, request, &mut NullPlane) {
+                if let Ok(ch) = manager.establish(&topo, request, &mut DeferredPlane::default()) {
                     live.push(ch.id);
                 }
             } else if let Some(id) = live.pop() {
-                manager.teardown(id, &mut NullPlane).unwrap();
+                manager.teardown(id, &mut DeferredPlane::default()).unwrap();
             }
             // Reserved links always show sane utilisation.
             for row in manager.utilization_report() {
@@ -60,7 +52,7 @@ proptest! {
         }
         // Tear everything down: a clean slate again.
         for id in live {
-            manager.teardown(id, &mut NullPlane).unwrap();
+            manager.teardown(id, &mut DeferredPlane::default()).unwrap();
         }
         prop_assert!(manager.utilization_report().is_empty());
         prop_assert!(manager.channels().is_empty());

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use realtime_router::channels::{ChannelManager, ChannelRequest, TrafficSpec};
 use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::{Simulator, Topology};
+use realtime_router::types::chip::Chip;
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::NodeId;
 use realtime_router::workloads::be::{RandomBeSource, SizeDist};
