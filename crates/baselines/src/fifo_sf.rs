@@ -55,8 +55,9 @@ pub struct FifoSfRouter {
     input_buffer_bytes: usize,
     /// Per-hop processing latency applied after full reception.
     hop_latency: Cycle,
-    /// Time-constrained reassembly per input: packet and remaining symbols.
-    tc_rx: [Option<(TcPacket, usize)>; PORT_COUNT],
+    /// Time-constrained reassembly per input: the packet and the index of
+    /// its last symbol, the one its link hands on to complete it.
+    tc_rx: [Option<(TcPacket, u8)>; PORT_COUNT],
     be_rx: [BeReassembler; PORT_COUNT],
     /// Packets waiting out the hop latency before queueing: (ready, port
     /// mask or DOR target, packet).
@@ -181,22 +182,16 @@ impl FifoSfRouter {
         let pos = inflight.sent;
         let last = pos == inflight.wire.len() - 1;
         if out_idx != 0 {
-            let symbol = match &inflight.packet {
-                Queued::Tc(p) => {
-                    if pos == 0 {
-                        LinkSymbol::TcStart(Box::new(p.clone()))
-                    } else {
-                        LinkSymbol::TcCont { index: pos as u8 }
-                    }
-                }
-                Queued::Be(p) => LinkSymbol::Be(BeByte {
+            io.tx[out_idx] = match &inflight.packet {
+                // The link emits a time-constrained packet's continuations.
+                Queued::Tc(p) => (pos == 0).then(|| LinkSymbol::TcStart(Box::new(p.clone()))),
+                Queued::Be(p) => Some(LinkSymbol::Be(BeByte {
                     byte: inflight.wire[pos],
                     head: pos == 0,
                     tail: last,
                     trace: (pos == 0).then_some(p.trace),
-                }),
+                })),
             };
-            io.tx[out_idx] = Some(symbol);
         }
         inflight.sent += 1;
         if last {
@@ -221,22 +216,17 @@ impl Chip for FifoSfRouter {
             if let Some(symbol) = io.rx[idx].take() {
                 match symbol {
                     LinkSymbol::TcStart(packet) => {
-                        let remaining = packet.wire_len() - 1;
-                        if remaining == 0 {
+                        let last = packet.last_index();
+                        if last == 0 {
                             self.finish_tc_rx(now, *packet);
                         } else {
-                            self.tc_rx[idx] = Some((*packet, remaining));
+                            self.tc_rx[idx] = Some((*packet, last));
                         }
-                        // Return whole-packet credit on receipt completion
-                        // (below) — head bytes carry no credit.
                     }
-                    LinkSymbol::TcCont { .. } => {
-                        if let Some((packet, remaining)) = self.tc_rx[idx].take() {
-                            if remaining == 1 {
-                                self.finish_tc_rx(now, packet);
-                            } else {
-                                self.tc_rx[idx] = Some((packet, remaining - 1));
-                            }
+                    LinkSymbol::TcCont { index } => {
+                        if self.tc_rx[idx].as_ref().is_some_and(|(_, last)| *last == index) {
+                            let (packet, _) = self.tc_rx[idx].take().expect("just checked");
+                            self.finish_tc_rx(now, packet);
                         }
                     }
                     LinkSymbol::Be(byte) => {
@@ -253,7 +243,7 @@ impl Chip for FifoSfRouter {
         }
         // Injection: model the serial transfer, then hand the whole packet over
         // (the best-effort port frees up a cycle early; the recorded rows pin it).
-        if !self.tc_inject.step() {
+        if self.tc_inject.step().is_none() {
             if let Some(packet) = io.inject_tc.pop_front() {
                 let remaining = packet.wire_len() - 1;
                 self.tc_inject.begin(packet.wire_len());
@@ -261,7 +251,7 @@ impl Chip for FifoSfRouter {
                     .push_back((now + remaining as Cycle + self.hop_latency, Queued::Tc(packet)));
             }
         }
-        if !self.be_inject.step() {
+        if self.be_inject.step().is_none() {
             if let Some(packet) = io.inject_be.pop_front() {
                 let remaining = packet.wire_len() - 1;
                 self.be_inject.begin(remaining);

@@ -125,7 +125,7 @@ impl PriorityVcRouter {
     /// boundary), and only then does the wormhole channel get the cycle.
     fn drive_output(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) {
         if self.tc_tx[out_idx].busy() {
-            let delivered = self.tc_tx[out_idx].advance(now, out_idx, io);
+            let delivered = self.tc_tx[out_idx].advance(now, io);
             self.stats.tc_delivered += u64::from(delivered);
         } else if let Some(addr) = self.queues[out_idx].pop_front() {
             let packet =
@@ -153,9 +153,9 @@ impl Chip for PriorityVcRouter {
                     let torn = self.inputs[idx].push_tc_start(now, packet, self.timing);
                     self.stats.tc_truncated += u64::from(torn);
                 }
-                Some(LinkSymbol::TcCont { .. }) => {
+                Some(LinkSymbol::TcCont { index }) => {
                     // An orphan (head destroyed upstream) is shed: no credit.
-                    self.inputs[idx].push_tc_cont(now, self.timing);
+                    self.inputs[idx].push_tc_cont(now, index, self.timing);
                 }
                 Some(LinkSymbol::Be(byte)) => {
                     let outcome =
@@ -166,8 +166,8 @@ impl Chip for PriorityVcRouter {
             }
         }
         // High-class injection: one byte per cycle.
-        if self.tc_inject.step() {
-            self.inputs[0].push_tc_cont(now, self.timing);
+        if let Some(index) = self.tc_inject.step() {
+            self.inputs[0].push_tc_cont(now, index, self.timing);
         } else if let Some(packet) = io.inject_tc.pop_front() {
             self.tc_inject.begin(packet.wire_len());
             self.inputs[0].push_tc_start(now, Box::new(packet), self.timing);

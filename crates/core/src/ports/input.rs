@@ -114,11 +114,12 @@ impl PortTiming {
 /// packet stays in the box its start symbol carried.
 #[derive(Debug, Default)]
 pub struct InputPort {
-    /// Time-constrained packet currently arriving: packet and symbols still
-    /// to come. `None` in the packet slot means the packet is cutting
-    /// through (§7 virtual cut-through): the symbols are consumed for
-    /// timing but the output port already owns the packet.
-    tc_rx: Option<(Option<Box<TcPacket>>, usize)>,
+    /// Time-constrained packet currently arriving: the packet and the index
+    /// of its last symbol, the one that completes it (the link hands the
+    /// port nothing in between). `None` in the packet slot means the packet
+    /// is cutting through (§7 virtual cut-through): its symbols only time
+    /// the port, the output port already owns the packet.
+    tc_rx: Option<(Option<Box<TcPacket>>, u8)>,
     /// Fully received packets waiting out the arrival pipeline.
     tc_pending: VecDeque<(Cycle, Box<TcPacket>)>,
     /// Routed best-effort bytes in the flit buffer.
@@ -144,43 +145,44 @@ impl InputPort {
     /// when that happened (the caller counts it).
     pub fn push_tc_start(&mut self, now: Cycle, packet: Box<TcPacket>, timing: PortTiming) -> bool {
         let truncated = self.tc_rx.take().is_some();
-        let remaining = packet.wire_len() - 1;
-        if remaining == 0 {
+        let last = packet.last_index();
+        if last == 0 {
             self.tc_pending.push_back((now + Cycle::from(timing.tc_store_latency), packet));
         } else {
-            self.tc_rx = Some((Some(packet), remaining));
+            self.tc_rx = Some((Some(packet), last));
         }
         truncated
     }
 
-    /// Accepts the first symbol of a packet that is *cutting through*: the
-    /// remaining symbols are consumed for timing only and the packet never
-    /// enters the arrival pipeline (the output port streams it directly).
+    /// Accepts the first symbol of a packet that is *cutting through*, whose
+    /// last symbol has index `last` ([`TcPacket::last_index`]): the
+    /// remaining symbols only time the port and the packet never enters the
+    /// arrival pipeline (the output port streams it directly).
     ///
     /// Returns `true` if a torn mid-arrival packet was abandoned (see
     /// [`Self::push_tc_start`]).
-    pub fn push_tc_start_cut(&mut self, wire_len: usize) -> bool {
+    pub fn push_tc_start_cut(&mut self, last: u8) -> bool {
         let truncated = self.tc_rx.take().is_some();
-        if wire_len > 1 {
-            self.tc_rx = Some((None, wire_len - 1));
+        if last > 0 {
+            self.tc_rx = Some((None, last));
         }
         truncated
     }
 
-    /// Accepts a continuation symbol of the in-flight time-constrained
-    /// packet. Returns `false` for an orphan continuation — its packet's
-    /// head was destroyed by a fault upstream — which is shed (the caller
-    /// counts it).
-    pub fn push_tc_cont(&mut self, now: Cycle, timing: PortTiming) -> bool {
-        let Some((packet, remaining)) = self.tc_rx.take() else {
+    /// Accepts continuation symbol `index` of the in-flight time-constrained
+    /// packet: the packet's last completes the reception (a link hands the
+    /// port no other, but one in between is accepted and changes nothing).
+    /// Returns `false` for an orphan continuation — its packet's head was
+    /// destroyed by a fault upstream, or its reception was aborted — which
+    /// is shed (the caller counts it).
+    pub fn push_tc_cont(&mut self, now: Cycle, index: u8, timing: PortTiming) -> bool {
+        let Some((_, last)) = self.tc_rx else {
             return false;
         };
-        if remaining == 1 {
-            if let Some(packet) = packet {
+        if index == last {
+            if let Some((Some(packet), _)) = self.tc_rx.take() {
                 self.tc_pending.push_back((now + Cycle::from(timing.tc_store_latency), packet));
             }
-        } else {
-            self.tc_rx = Some((packet, remaining - 1));
         }
         true
     }
@@ -322,9 +324,9 @@ impl InputPort {
         self.be_fifo.pop_front().expect("popping an empty flit buffer")
     }
 
-    /// Whether a time-constrained packet is mid-arrival on this port. While
-    /// true the port expects a continuation symbol every cycle, so the chip
-    /// can never be quiescent.
+    /// Whether a time-constrained packet is mid-arrival on this port. The
+    /// port waits for the packet's last symbol, which its link hands it —
+    /// an arrival, so a reception needs no wake of its own.
     #[must_use]
     pub fn tc_rx_active(&self) -> bool {
         self.tc_rx.is_some()
@@ -385,12 +387,25 @@ mod tests {
         p.push_tc_start(100, tc_packet(18), T); // 20 symbols: cycles 100..=119
         for i in 1..20 {
             assert!(p.take_ready_tc(100 + i).is_none());
-            p.push_tc_cont(100 + i, T);
+            p.push_tc_cont(100 + i, i as u8, T);
         }
         // Last symbol at cycle 119; ready at 119 + 6 = 125.
         assert!(p.take_ready_tc(124).is_none());
         assert!(p.take_ready_tc(125).is_some());
         assert!(p.take_ready_tc(126).is_none(), "only one packet");
+    }
+
+    #[test]
+    fn a_reception_completes_on_its_last_symbol_alone() {
+        // What a link hands the port: the head, then only the last of the
+        // nineteen continuations.
+        let mut p = port();
+        p.push_tc_start(100, tc_packet(18), T);
+        assert!(p.tc_rx_active());
+        assert!(p.push_tc_cont(119, 19, T));
+        assert!(!p.tc_rx_active());
+        assert!(p.take_ready_tc(124).is_none());
+        assert!(p.take_ready_tc(125).is_some(), "ready at 119 + 6, as if fed every symbol");
     }
 
     #[test]
@@ -474,7 +489,7 @@ mod tests {
         // new start abandons it and the new packet arrives whole.
         assert!(p.push_tc_start(1, tc_packet(18), T), "torn predecessor reported");
         for i in 2..21 {
-            assert!(p.push_tc_cont(i, T));
+            assert!(p.push_tc_cont(i, (i - 1) as u8, T));
         }
         assert!(p.take_ready_tc(20 + 6).is_some(), "successor unharmed");
         assert!(p.take_ready_tc(10_000).is_none(), "torn packet never surfaces");
@@ -483,7 +498,7 @@ mod tests {
     #[test]
     fn orphan_tc_continuation_is_shed() {
         let mut p = port();
-        assert!(!p.push_tc_cont(5, T), "continuation without a start reported");
+        assert!(!p.push_tc_cont(5, 19, T), "continuation without a start reported");
         assert!(!p.tc_rx_active());
     }
 
@@ -537,15 +552,15 @@ mod tests {
     #[test]
     fn cut_through_packets_are_consumed_but_not_enqueued() {
         let mut p = port();
-        p.push_tc_start_cut(20);
+        p.push_tc_start_cut(19);
         for i in 1..20 {
-            p.push_tc_cont(i, T);
+            p.push_tc_cont(i, i as u8, T);
         }
         assert!(p.take_ready_tc(10_000).is_none(), "cut packets bypass the pipeline");
         // The channel is free again for a buffered packet.
         p.push_tc_start(100, tc_packet(18), T);
         for i in 1..20 {
-            p.push_tc_cont(100 + i, T);
+            p.push_tc_cont(100 + i, i as u8, T);
         }
         assert!(p.take_ready_tc(100 + 19 + 6).is_some());
     }

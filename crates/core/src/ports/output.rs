@@ -26,10 +26,15 @@ pub struct PendingCut {
 
 /// One time-constrained packet crossing a port at one symbol per cycle
 /// (§3.1): a start symbol, then `wire_len − 1` continuations. An output
-/// port drives its link with [`Serialiser::start`] / [`Serialiser::advance`]
-/// and delivers locally on the last symbol; an injection port, whose
-/// symbols the caller feeds to the local input, uses the same pacing
-/// through [`Serialiser::begin`] / [`Serialiser::step`].
+/// port drives only the start symbol onto its link with
+/// [`Serialiser::start`] — the link emits the continuations itself — and
+/// keeps the port busy for them with [`Serialiser::advance`], delivering on
+/// the last symbol when the port is the reception port. An injection port
+/// paces its packet into the local input with [`Serialiser::begin`] /
+/// [`Serialiser::step`]. Cycles a router skips rather than ticks are
+/// accounted by [`Serialiser::skip`]; the delivery and the injection's last
+/// symbol must fall on a tick, so their router wakes at
+/// [`Serialiser::last_at`].
 #[derive(Debug, Default)]
 pub struct Serialiser {
     /// Continuation symbols still to go.
@@ -42,10 +47,18 @@ pub struct Serialiser {
 }
 
 impl Serialiser {
-    /// Whether a packet is mid-flight: the port owes a symbol every cycle.
+    /// Whether a packet is mid-flight: the port is taken every cycle until
+    /// its last symbol.
     #[must_use]
     pub fn busy(&self) -> bool {
         self.remaining > 0
+    }
+
+    /// The cycle that carries the packet's last symbol, for a serialiser
+    /// whose next unaccounted cycle is `next`; `None` when idle.
+    #[must_use]
+    pub fn last_at(&self, next: Cycle) -> Option<Cycle> {
+        self.busy().then(|| next + Cycle::from(self.remaining) - 1)
     }
 
     /// Starts pacing `wire_len` symbols, the first crossing this cycle.
@@ -54,15 +67,32 @@ impl Serialiser {
         self.remaining = self.total - 1;
     }
 
-    /// Spends this cycle on the next continuation symbol, if one is owed.
-    pub fn step(&mut self) -> bool {
-        let owed = self.busy();
-        self.remaining -= u32::from(owed);
-        owed
+    /// Spends this cycle on the next continuation symbol, if one is owed,
+    /// and returns its index in the packet. One byte: `RouterConfig::validate`
+    /// caps `slot_bytes` at 256, so the last index is 255 (callers that only
+    /// pace, like a store-and-forward injector, ignore it).
+    pub fn step(&mut self) -> Option<u8> {
+        let index = (self.total - self.remaining) as u8;
+        self.busy().then(|| {
+            self.remaining -= 1;
+            index
+        })
     }
 
-    /// Emits `packet`'s start symbol on output `out_idx`. Returns whether
-    /// this cycle delivered the packet (pushed it onto `io.delivered_tc`).
+    /// Accounts `cycles` cycles that passed without a tick: the packet
+    /// crossed on as many of them as it still had symbols for. Returns
+    /// that count — the cycles the port was busy.
+    pub fn skip(&mut self, cycles: Cycle) -> Cycle {
+        let busy = cycles.min(Cycle::from(self.remaining));
+        // `busy` is at most `remaining`, a `u32`.
+        self.remaining -= busy as u32;
+        busy
+    }
+
+    /// Starts `packet` on output `out_idx`: its start symbol goes on the
+    /// link, or, on the reception port, the packet is held for delivery.
+    /// Returns whether this cycle delivered the packet (pushed it onto
+    /// `io.delivered_tc`).
     pub fn start(&mut self, now: Cycle, out_idx: usize, packet: TcPacket, io: &mut ChipIo) -> bool {
         self.begin(packet.wire_len());
         if out_idx == 0 {
@@ -73,15 +103,10 @@ impl Serialiser {
         self.deliver_if_done(now, io)
     }
 
-    /// Emits the packet's next continuation; returns as [`Self::start`].
-    pub fn advance(&mut self, now: Cycle, out_idx: usize, io: &mut ChipIo) -> bool {
+    /// Spends this cycle on the packet's next symbol; returns as
+    /// [`Self::start`].
+    pub fn advance(&mut self, now: Cycle, io: &mut ChipIo) -> bool {
         debug_assert!(self.busy(), "no time-constrained transmission in flight");
-        if out_idx != 0 {
-            // One byte: `RouterConfig::validate` caps `slot_bytes` at 256,
-            // so the last index is 255.
-            let index = (self.total - self.remaining) as u8;
-            io.tx[out_idx] = Some(LinkSymbol::TcCont { index });
-        }
         self.step();
         self.deliver_if_done(now, io)
     }
@@ -216,26 +241,35 @@ mod tests {
     }
 
     #[test]
-    fn serialiser_paces_start_then_indexed_continuations_and_delivers_locally() {
+    fn serialiser_drives_only_the_start_and_delivers_locally_on_the_last_symbol() {
         let mut io = ChipIo::new();
         let (mut link, mut local) = (Serialiser::default(), Serialiser::default());
         assert!(!link.start(0, 2, packet(), &mut io) && !local.start(0, 0, packet(), &mut io));
         assert!(matches!(io.tx[2].take(), Some(LinkSymbol::TcStart(_))));
+        assert_eq!((link.last_at(1), local.last_at(1)), (Some(19), Some(19)));
         for k in 1..20 {
             assert!(link.busy() && local.busy(), "symbol {k} still owed");
-            assert!(!link.advance(k, 2, &mut io), "network outputs never deliver");
-            assert!(
-                matches!(io.tx[2].take(), Some(LinkSymbol::TcCont { index }) if u64::from(index) == k)
-            );
-            assert_eq!(local.advance(k, 0, &mut io), k == 19, "the 20th symbol completes it");
+            assert!(!link.advance(k, &mut io), "network outputs never deliver");
+            assert_eq!(local.advance(k, &mut io), k == 19, "the 20th symbol completes it");
         }
-        assert!(!link.busy() && !local.busy());
+        assert!(!link.busy() && !local.busy() && link.last_at(20).is_none());
         assert_eq!(io.delivered_tc.len(), 1);
         assert_eq!(io.delivered_tc[0].0, 19);
-        assert!(io.tx.iter().all(Option::is_none), "the reception port drives no link");
-        // An injection port uses the pacing alone.
+        assert!(io.tx.iter().all(Option::is_none), "the link emits the continuations");
+        // An injection port uses the pacing alone, and learns each index.
         link.begin(3);
-        assert!(link.step() && link.step() && !link.step(), "two continuations owed");
+        assert_eq!([link.step(), link.step(), link.step()], [Some(1), Some(2), None]);
+    }
+
+    #[test]
+    fn a_skipped_span_spends_the_symbols_it_covers() {
+        let mut s = Serialiser::default();
+        s.begin(20);
+        assert_eq!(s.skip(5), 5, "five of nineteen continuations crossed unticked");
+        assert_eq!(s.last_at(100), Some(113));
+        assert_eq!(s.step(), Some(6), "the next tick carries continuation 6");
+        assert_eq!(s.skip(30), 13, "the span outlasts the packet");
+        assert!(!s.busy() && s.skip(4) == 0);
     }
 
     /// The bit the tests' port holds in its router's candidate mask.

@@ -134,6 +134,11 @@ pub struct Datapath {
     be: WormholeChannel,
     /// Pacing of the time-constrained injection port.
     tc_inject: Serialiser,
+    /// The first cycle the datapath has not accounted: one past its last
+    /// tick, or the end of the last span `skip_quiet` accounted. Serialiser
+    /// wakes count from it, so a poll before a tick (the event core's
+    /// prime) answers as exactly as one after.
+    next_cycle: Cycle,
 }
 
 impl Datapath {
@@ -157,6 +162,7 @@ impl Datapath {
             had_candidate: 0,
             be,
             tc_inject: Serialiser::default(),
+            next_cycle: 0,
         })
     }
 
@@ -362,8 +368,8 @@ impl Registers {
             if let Some(symbol) = io.rx[idx].take() {
                 match symbol {
                     LinkSymbol::TcStart(packet) => self.ingest_tc_start(dp, now, idx, packet),
-                    LinkSymbol::TcCont { .. } => {
-                        if !dp.inputs[idx].push_tc_cont(now, dp.timing) {
+                    LinkSymbol::TcCont { index } => {
+                        if !dp.inputs[idx].push_tc_cont(now, index, dp.timing) {
                             // Orphan of a packet whose head a fault destroyed.
                             self.stats.tc_orphan_symbols += 1;
                         }
@@ -428,7 +434,7 @@ impl Registers {
                             let cut_latency = t_config.sync_cycles
                                 + t_config.header_cycles
                                 + t_config.bus_grant_cycles;
-                            let wire_len = packet.wire_len();
+                            let last = packet.last_index();
                             trace_event!(
                                 self,
                                 now,
@@ -459,7 +465,7 @@ impl Registers {
                                 start_at: now + cut_latency,
                                 early: !on_time,
                             }));
-                            if dp.inputs[in_idx].push_tc_start_cut(wire_len) {
+                            if dp.inputs[in_idx].push_tc_start_cut(last) {
                                 self.stats.tc_truncated += 1;
                             }
                             self.stats.tc_arrived += 1;
@@ -480,8 +486,8 @@ impl Registers {
 
     fn run_injectors(&mut self, dp: &mut Datapath, now: Cycle, io: &mut ChipIo) {
         // Time-constrained injection port: one byte per cycle.
-        if dp.tc_inject.step() {
-            let fed = dp.inputs[0].push_tc_cont(now, dp.timing);
+        if let Some(index) = dp.tc_inject.step() {
+            let fed = dp.inputs[0].push_tc_cont(now, index, dp.timing);
             debug_assert!(fed, "injection continuations always follow their start");
         } else if let Some(packet) = io.inject_tc.pop_front() {
             if packet.payload.len() != self.config.tc_data_bytes() {
@@ -629,10 +635,11 @@ impl Registers {
     ) {
         let port = Port::from_index(out_idx);
 
-        // 1. An in-flight time-constrained packet finishes its bytes.
+        // 1. An in-flight time-constrained packet finishes its bytes (on a
+        //    network output the link emits them).
         if dp.outputs[out_idx].tc_tx.busy() {
             self.stats.tc_bytes[out_idx] += 1;
-            if dp.outputs[out_idx].tc_tx.advance(now, out_idx, io) {
+            if dp.outputs[out_idx].tc_tx.advance(now, io) {
                 self.note_tc_delivered(now, io);
             }
             return;
@@ -828,6 +835,7 @@ impl Chip for RealTimeRouter {
         for out_idx in 0..PORT_COUNT {
             regs.drive_output(dp, now, t, out_idx, io);
         }
+        dp.next_cycle = now + 1;
     }
 
     fn flit_buffer_bytes(&self) -> usize {
@@ -869,13 +877,6 @@ impl Chip for RealTimeRouter {
         let Some(dp) = self.datapath.as_deref() else {
             return self.wake.answer(now, None);
         };
-        // Anything that makes progress every cycle forces a tick next cycle.
-        if dp.tc_inject.busy()
-            || dp.inputs.iter().any(InputPort::tc_rx_active)
-            || dp.outputs.iter().any(|out| out.tc_tx.busy())
-        {
-            return self.wake.short(now);
-        }
         let mut earliest = dp.be.next_event(&dp.inputs, now);
         if earliest.is_some_and(|at| at <= now) {
             return self.wake.short(now);
@@ -885,16 +886,30 @@ impl Chip for RealTimeRouter {
             earliest = Some(earliest.map_or(at, |e: Cycle| e.min(at)));
         };
 
-        // A port whose candidate set changed since its last selection needs
-        // no tick to notice: `skip_quiet` settles the grant pipeline over a
-        // skipped span (`OutputPort::settle_pipeline`).
-        dp.dbg_check_backlog();
-        for out in &dp.outputs {
+        // A packet crossing a port at a symbol per cycle needs no tick in
+        // between (its link emits and absorbs the symbols): the injection
+        // port wakes on its last symbol, which completes input 0's
+        // reception, the reception port on the delivery, a network output
+        // on the cycle it frees. A reception wakes on its last symbol's
+        // arrival, like any arrival.
+        let next = dp.next_cycle;
+        let free_at = |port: usize| dp.outputs[port].tc_tx.last_at(next).map(|last| last + 1);
+        if let Some(last) = dp.tc_inject.last_at(next) {
+            merge(last);
+        }
+        for (idx, out) in dp.outputs.iter().enumerate() {
+            if let Some(last) = out.tc_tx.last_at(next) {
+                merge(if idx == 0 { last } else { last + 1 });
+            }
             if let Some(pending) = &out.pending_cut {
                 merge(pending.start_at);
             }
         }
 
+        // A port whose candidate set changed since its last selection needs
+        // no tick to notice: `skip_quiet` settles the grant pipeline over a
+        // skipped span (`OutputPort::settle_pipeline`).
+        dp.dbg_check_backlog();
         for input in &dp.inputs {
             if let Some(ready) = input.next_tc_ready() {
                 merge(ready);
@@ -904,24 +919,29 @@ impl Chip for RealTimeRouter {
         // Buffered time-constrained packets wake the chip when they become
         // transmittable: on-time (or late) packets resolve through the EDF
         // grant pipeline by stepping; early packets sleep until they enter a
-        // subscribed output's horizon window.
+        // subscribed output's horizon window. Either waits for a busy output
+        // to free — a busy port never reads the tree.
         let t = self.scheduler_time(now);
         let slot_bytes = self.regs.config.slot_bytes as u64;
         for (_, leaf) in dp.sched.iter() {
-            if !self.regs.clock.is_early(leaf.l, t) {
-                return self.wake.short(now);
-            }
+            let on_time = !self.regs.clock.is_early(leaf.l, t);
             for port in rtr_types::ids::ports_in_mask(leaf.port_mask) {
-                let horizon = self.regs.horizons[port.index()];
-                let delta =
-                    u64::from(self.regs.clock.until(leaf.l, t)).saturating_sub(u64::from(horizon));
-                if delta == 0 {
-                    return self.wake.short(now);
-                }
+                let delta = if on_time {
+                    0
+                } else {
+                    let horizon = self.regs.horizons[port.index()];
+                    u64::from(self.regs.clock.until(leaf.l, t)).saturating_sub(u64::from(horizon))
+                };
                 // The scheduler slot advances exactly when `now` crosses a
                 // multiple of `slot_bytes`, so the packet enters the horizon
                 // at the cycle beginning slot `now / slot_bytes + delta`.
-                merge((now / slot_bytes + delta) * slot_bytes);
+                let ready =
+                    if delta == 0 { now + 1 } else { (now / slot_bytes + delta) * slot_bytes };
+                let at = free_at(port.index()).map_or(ready, |free| free.max(ready));
+                if at <= now + 1 {
+                    return self.wake.short(now);
+                }
+                merge(at);
             }
         }
 
@@ -929,33 +949,54 @@ impl Chip for RealTimeRouter {
     }
 
     fn skip_quiet(&mut self, from: Cycle, to: Cycle) {
-        // Every quiescent cycle ends with all five outputs taking an idle
-        // path in `drive_output`, so account the skipped span as idle time.
+        // A quiescent cycle ends with each output either carrying its
+        // packet's next symbol or taking an idle path in `drive_output`.
         let skipped = to - from;
-        for idle in &mut self.regs.stats.idle_cycles {
-            *idle += skipped;
+        let Some(dp) = self.datapath.as_deref_mut() else {
+            for idle in &mut self.regs.stats.idle_cycles {
+                *idle += skipped;
+            }
+            return;
+        };
+        debug_assert_eq!(from, dp.next_cycle, "a skipped span must start where the last ended");
+        dp.next_cycle = to;
+        let stats = &mut self.regs.stats;
+        let mut busy_ports = 0;
+        for (idx, out) in dp.outputs.iter_mut().enumerate() {
+            let busy = out.tc_tx.skip(skipped);
+            stats.tc_bytes[idx] += busy;
+            stats.idle_cycles[idx] += skipped - busy;
+            if busy > 0 {
+                busy_ports |= Port::from_index(idx).mask();
+                // `next_event` wakes a network output as it frees and the
+                // reception port on its delivery.
+                debug_assert!(busy == skipped, "output {idx} freed inside a quiet span");
+                debug_assert!(idx != 0 || out.tc_tx.busy(), "a delivery skipped");
+            }
         }
+        let fed = dp.tc_inject.skip(skipped);
+        debug_assert!(fed == 0 || dp.tc_inject.busy(), "an injection's last symbol skipped");
         // Settle stale grant pipelines: a port whose `had_candidate` bit
         // disagrees with the scheduler's live backlog records, at the
         // span's first cycle, the transition the first dense tick of the
         // span would have recorded on its selection recompute. Nothing can
-        // transmit inside a provably quiet span (on-time backlog forces
-        // per-cycle ticks via `next_event`'s short answers), so the
-        // transition is all that recompute would have done. An idle router
-        // usually has nothing to settle: one compare says so, and one that
-        // never ticked has no pipeline at all.
-        let Some(dp) = self.datapath.as_deref_mut() else {
-            return;
-        };
+        // transmit inside a provably quiet span (on-time backlog on a free
+        // port forces per-cycle ticks via `next_event`'s short answers), so
+        // the transition is all that recompute would have done. A port busy
+        // through the span never reads the tree in a dense tick (it returns
+        // at step 1 of `drive_output`), so it is left for its first tick.
+        // An idle router usually has nothing to settle: one compare says so,
+        // and one that never ticked has no pipeline at all.
         dp.dbg_check_backlog();
         let backlog = dp.sched.backlog_mask();
-        if dp.had_candidate == backlog {
+        let stale = (dp.had_candidate ^ backlog) & !busy_ports;
+        if stale == 0 {
             return;
         }
         let latency = self.regs.config.effective_sched_latency();
         for (idx, out) in dp.outputs.iter_mut().enumerate() {
             let bit = Port::from_index(idx).mask();
-            if (dp.had_candidate ^ backlog) & bit != 0 {
+            if stale & bit != 0 {
                 out.settle_pipeline(from, &mut dp.had_candidate, backlog, bit, latency);
             }
         }
@@ -1197,7 +1238,10 @@ mod tests {
     /// admits: the symbol counts narrowed to `u32` hold its wire length and
     /// the last continuation index is 255, the top of its byte. One packet
     /// crosses injection, a network hop and local delivery at the cycle the
-    /// pipeline arithmetic predicts, and each port counts every byte.
+    /// pipeline arithmetic predicts, and each port counts every byte. The
+    /// hop is what a link makes of it: the router drives the head alone,
+    /// which arrives the next cycle, and the last continuation arrives
+    /// `wire` cycles after it went out (the ones between are absorbed).
     #[test]
     fn a_packet_at_the_largest_slot_crosses_injection_a_hop_and_delivery() {
         let config = RouterConfig { slot_bytes: 256, ..RouterConfig::default() };
@@ -1210,21 +1254,22 @@ mod tests {
         });
         let (mut up_io, mut down_io) = (io(), io());
         up_io.inject_tc.push_back(tc_packet(1, 0, &up));
-        let mut on_wire = None;
-        let mut indices = Vec::new();
+        let mut arrivals = std::collections::VecDeque::new();
         for now in 0..1_000 {
             up_io.begin_cycle();
             down_io.begin_cycle();
-            // What the upstream router drove last cycle arrives now.
-            down_io.rx[west.index()] = on_wire.take();
+            if arrivals.front().is_some_and(|(at, _)| *at == now) {
+                down_io.rx[west.index()] = arrivals.pop_front().map(|(_, symbol)| symbol);
+            }
             up.tick(now, &mut up_io);
             down.tick(now, &mut down_io);
-            on_wire = up_io.tx[east.index()].take();
-            if let Some(LinkSymbol::TcCont { index }) = on_wire {
-                indices.push(index);
+            if let Some(symbol) = up_io.tx[east.index()].take() {
+                assert!(matches!(symbol, LinkSymbol::TcStart(_)), "only the head is driven");
+                assert!(arrivals.is_empty(), "one packet crosses");
+                arrivals.push_back((now + 1, symbol));
+                arrivals.push_back((now + wire, LinkSymbol::TcCont { index: 255 }));
             }
         }
-        assert_eq!(indices, (1..=255).collect::<Vec<u8>>(), "continuation indices fill the byte");
         // Each router: the last symbol, the store latency, the grant
         // pipeline, then `wire` symbols out; one cycle on the wire between.
         let store = u64::from(PortTiming::from_config(&config).tc_store_latency);
@@ -1236,6 +1281,45 @@ mod tests {
             assert_eq!(router.stats().tc_bytes[out.index()], wire, "bytes sent on {out:?}");
             assert_eq!(router.stats().tc_conn_bytes(out.index(), ConnectionId(1)), wire);
             router.check_conservation().unwrap();
+        }
+    }
+
+    /// A router mid-transmission needs no tick until a packet ends: right
+    /// after a head leaves on +x it answers the cycle +x frees, and a router
+    /// delivering locally answers the delivery cycle — never `now + 1`. A
+    /// later tick, and a poll before a tick (what the event core's prime
+    /// does), answer the same cycle; the skipped span counts as bytes sent.
+    #[test]
+    fn a_router_mid_transmission_wakes_when_its_serialiser_ends() {
+        let east = Port::Dir(Direction::XPlus);
+        for (out, end) in [(east, 20), (Port::Local, 19)] {
+            let mut r = router();
+            connect(&mut r, 1, 1, 4, out.mask());
+            let mut io = io();
+            io.inject_tc.push_back(tc_packet(1, 0, &r));
+            let mut now = 0;
+            let start = loop {
+                io.begin_cycle();
+                r.tick(now, &mut io);
+                io.tx = Default::default();
+                if r.stats().tc_transmitted[out.index()] == 1 {
+                    break now;
+                }
+                now += 1;
+            };
+            assert_eq!(r.next_event(start), Some(start + end), "{out:?} right after its start");
+            for now in start + 1..start + 5 {
+                io.begin_cycle();
+                r.tick(now, &mut io);
+            }
+            assert_eq!(r.next_event(start + 4), Some(start + end), "{out:?} mid-packet");
+            assert_eq!(r.next_event(start + 5), Some(start + end), "{out:?} before a tick");
+            r.skip_quiet(start + 5, start + end);
+            io.begin_cycle();
+            r.tick(start + end, &mut io);
+            assert_eq!(r.stats().tc_bytes[out.index()], 20, "{out:?}: every byte counted");
+            assert_eq!(io.delivered_tc.len(), usize::from(out == Port::Local));
+            assert_eq!(r.next_event(start + end), None, "{out:?}: nothing left to do");
         }
     }
 
@@ -1443,20 +1527,20 @@ mod tests {
             }
             io.tx = Default::default();
         }
-        // Find the TC packet's symbols; they must be contiguous (20 cycles)
-        // and must appear while BE bytes still remain (preemption).
+        // Find the TC packet's head; it must appear while BE bytes still
+        // remain (preemption) and hold the link for its 20 cycles — the
+        // link emits the 19 continuations, so the router drives nothing
+        // until they are out.
         let tc_start = symbols
             .iter()
             .position(|(_, s)| matches!(s, LinkSymbol::TcStart(_)))
             .expect("TC packet must be transmitted");
         let be_after_tc = symbols[tc_start..].iter().any(|(_, s)| matches!(s, LinkSymbol::Be(_)));
         assert!(be_after_tc, "best-effort stream resumes after preemption");
-        for k in 1..20 {
-            assert!(
-                matches!(symbols[tc_start + k].1, LinkSymbol::TcCont { .. }),
-                "TC symbols must be contiguous at byte level"
-            );
-        }
+        let (start, _) = symbols[tc_start];
+        let (next, _) = symbols[tc_start + 1];
+        assert_eq!(next, start + 20, "the packet holds the link for its 20 byte times");
+        assert_eq!(r.stats().tc_bytes[out.index()], 20);
     }
 
     #[test]
@@ -1561,23 +1645,27 @@ mod tests {
         connect(&mut r, 2, 9, 6, out.mask());
         let mut io = io();
         io.inject_tc.push_back(tc_packet(2, 0, &r));
-        let mut symbols = Vec::new();
+        let (mut symbols, mut held) = (Vec::new(), Vec::new());
         for now in 0..300u64 {
             io.begin_cycle();
             r.tick(now, &mut io);
             if let Some(s) = io.tx[out.index()].take() {
                 symbols.push((now, s));
             }
+            if datapath(&r).outputs[out.index()].tc_tx.busy() {
+                held.push(now);
+            }
             io.tx = Default::default();
         }
-        assert_eq!(symbols.len(), 20);
+        // The head alone is driven (the link emits the continuations), and
+        // the port stays taken through its last symbol.
+        assert_eq!(symbols.len(), 1);
         let (start, first) = &symbols[0];
         let LinkSymbol::TcStart(p) = first else { panic!("start first") };
         assert_eq!(p.conn, ConnectionId(9), "header rewritten on the fly");
         assert_eq!(p.arrival.raw(), 6, "timestamp = ℓ + d");
-        for (k, (cycle, _)) in symbols.iter().enumerate() {
-            assert_eq!(*cycle, start + k as u64, "symbols are contiguous");
-        }
+        assert_eq!(held, (*start..start + 19).collect::<Vec<_>>(), "held contiguously");
+        assert_eq!(r.stats().tc_bytes[out.index()], 20);
     }
 
     #[test]

@@ -5,6 +5,18 @@
 //! arbitration enforces the one-byte-per-cycle budget) and best-effort
 //! credits in the reverse direction (the acknowledgement bit of §3.2).
 //!
+//! A time-constrained packet holds its link from head to tail (§3.2), so its
+//! continuation symbols are fixed by its head and the wire is their owner:
+//! a chip drives only the [`LinkSymbol::TcStart`], and the link itself puts
+//! the `wire_len − 1` [`LinkSymbol::TcCont`]s on the wire, one per cycle, as
+//! the simulator asks it to ([`Link::emit_continuation`]). At the far end the
+//! link takes every one of them off the wire at its exact cycle and counts
+//! it, but hands the receiving chip only the last — the one that completes
+//! the packet — so neither chip ticks for the bytes in between. A
+//! continuation that arrives while nothing is being absorbed (an orphan of a
+//! head a fault destroyed, or the tail of a packet a crashed receiver lost)
+//! reaches the chip as before.
+//!
 //! Links are where the fault plane acts (see [`crate::fault`]): a link can
 //! be **down** (blackholing what is sent while down) or **flaky** (a seeded
 //! generator drops or corrupts a fraction of the *packets* it carries).
@@ -131,6 +143,16 @@ pub struct Link {
     /// Corrupt decision stashed by the last flaky roll (both decisions
     /// come from one draw so a packet is never dropped *and* corrupted).
     pending_corrupt: bool,
+    /// Index of the next continuation the link owes the wire (0 = none):
+    /// set by sending a time-constrained head, stepped by
+    /// [`Link::emit_continuation`] up to `emit_last`.
+    emit_next: u8,
+    /// Index of the last continuation of the packet being emitted.
+    emit_last: u8,
+    /// Continuations still to be taken off the wire without being handed
+    /// to the receiver: set by delivering a head, cleared by
+    /// [`Link::stop_absorbing`].
+    absorb: u8,
     ledger: LinkLedger,
 }
 
@@ -152,6 +174,9 @@ impl Link {
             be_corrupt_armed: false,
             be_pos: 0,
             pending_corrupt: false,
+            emit_next: 0,
+            emit_last: 0,
+            absorb: 0,
             ledger: LinkLedger::default(),
         }
     }
@@ -180,7 +205,15 @@ impl Link {
     /// in the [`LinkLedger`] and never arrives. Fault decisions are made
     /// at packet heads and inherited by continuation symbols, so packets
     /// cross (or vanish) whole.
+    ///
+    /// A time-constrained head makes the link owe its packet's
+    /// continuations, which only [`Link::emit_continuation`] sends; the
+    /// sender drives nothing else on the link until they are out.
     pub fn send(&mut self, now: Cycle, symbol: LinkSymbol) {
+        if let LinkSymbol::TcStart(packet) = &symbol {
+            self.emit_last = packet.last_index();
+            self.emit_next = u8::from(self.emit_last > 0);
+        }
         self.ledger.symbols_sent += 1;
         self.ledger.tc_symbols_sent += u64::from(symbol.is_time_constrained());
         // With no fault state live, `through_faults` would pass the symbol
@@ -199,6 +232,31 @@ impl Link {
         );
         self.data.push_back((arrive, symbol));
         self.next_at = self.next_at.min(arrive);
+    }
+
+    /// Whether the link still owes the wire a continuation of the packet
+    /// whose head it sent.
+    #[must_use]
+    pub fn owes_continuation(&self) -> bool {
+        self.emit_next != 0
+    }
+
+    /// Puts the next owed continuation symbol on the wire at `now`, through
+    /// [`Link::send`] like any symbol. The simulator calls it once per cycle
+    /// while the link owes one and its transmitting node is up.
+    pub fn emit_continuation(&mut self, now: Cycle) {
+        let index = self.emit_next;
+        debug_assert!(index != 0, "no continuation owed");
+        self.emit_next = if index == self.emit_last { 0 } else { index + 1 };
+        self.send(now, LinkSymbol::TcCont { index });
+    }
+
+    /// Stops absorbing the packet being received: its remaining
+    /// continuations reach the receiver as orphans. The simulator calls it
+    /// when the receiving node restores from a crash, whose reassembly
+    /// registers no longer hold the packet.
+    pub fn stop_absorbing(&mut self) {
+        self.absorb = 0;
     }
 
     /// The fault plane's verdict on a symbol entering the wire: `None` when
@@ -272,6 +330,12 @@ impl Link {
     /// and counted (`symbols_lost` / `late_arrivals_dropped`), never
     /// delivered late: delivering them after the fact would retroactively
     /// change what the receiver should have seen cycles ago.
+    ///
+    /// A delivered time-constrained head starts an absorption: the next
+    /// `wire_len − 2` continuations are taken off the wire and counted
+    /// delivered at their cycles, but `recv` answers `None` for them. The
+    /// last continuation is returned, and so is any that arrives while
+    /// nothing is absorbed.
     pub fn recv(&mut self, now: Cycle) -> Option<LinkSymbol> {
         if self.next_at > now {
             return None;
@@ -285,7 +349,17 @@ impl Link {
                 self.ledger.symbols_delivered += 1;
                 let symbol = self.data.pop_front().map(|(_, s)| s);
                 self.next_at = self.earliest_front();
-                return symbol;
+                return match symbol {
+                    Some(LinkSymbol::TcCont { .. }) if self.absorb > 0 => {
+                        self.absorb -= 1;
+                        None
+                    }
+                    Some(LinkSymbol::TcStart(packet)) => {
+                        self.absorb = packet.last_index().saturating_sub(1);
+                        Some(LinkSymbol::TcStart(packet))
+                    }
+                    symbol => symbol,
+                };
             } else {
                 break;
             }
@@ -457,13 +531,18 @@ mod tests {
         LinkSymbol::Be(BeByte::body(byte))
     }
 
-    fn tc_start(conn: u16) -> LinkSymbol {
+    /// The head of a `wire_len`-symbol time-constrained packet.
+    fn tc_head(conn: u16, wire_len: usize) -> LinkSymbol {
         LinkSymbol::TcStart(Box::new(TcPacket {
             conn: ConnectionId(conn),
             arrival: SlotClock::new(8).wrap(0),
-            payload: vec![0; 18].into(),
+            payload: vec![0; wire_len - 2].into(),
             trace: PacketTrace::default(),
         }))
+    }
+
+    fn tc_start(conn: u16) -> LinkSymbol {
+        tc_head(conn, 20)
     }
 
     #[test]
@@ -520,24 +599,25 @@ mod tests {
     #[test]
     fn downed_link_blackholes_new_packets_but_completes_in_flight() {
         let mut l = Link::new(0);
-        l.send(0, tc_start(4));
-        l.send(1, LinkSymbol::TcCont { index: 1 });
+        l.send(0, tc_head(4, 3));
+        l.emit_continuation(1);
         l.set_down();
         // The started packet's remaining symbol still crosses (coherence)…
-        l.send(2, LinkSymbol::TcCont { index: 2 });
+        l.emit_continuation(2);
         assert!(l.recv(1).is_some());
-        assert!(l.recv(2).is_some());
+        assert!(l.recv(2).is_none(), "the middle continuation is absorbed");
         assert!(l.recv(3).is_some());
+        assert_eq!(l.ledger().symbols_delivered, 3);
         // …but a new packet sent while down vanishes whole.
-        l.send(3, tc_start(5));
-        l.send(4, LinkSymbol::TcCont { index: 1 });
-        assert!(l.recv(4).is_none());
-        assert!(l.recv(5).is_none());
+        l.send(3, tc_head(5, 3));
+        l.emit_continuation(4);
+        l.emit_continuation(5);
+        assert!((4..=6).all(|t| l.recv(t).is_none()));
         // Credits sent while down vanish too.
         l.send_credit(3, 2);
         assert_eq!(l.recv_credit(10), 0);
         let ledger = l.ledger();
-        assert_eq!(ledger.symbols_lost, 2);
+        assert_eq!(ledger.symbols_lost, 3);
         assert_eq!(ledger.credits_lost, 2);
         l.check_conservation().unwrap();
         // Repair: packets flow again.
@@ -554,9 +634,71 @@ mod tests {
         l.set_up();
         // Continuations of the destroyed packet must not leak through
         // after the repair — the receiver never saw the head.
-        l.send(1, LinkSymbol::TcCont { index: 1 });
+        l.emit_continuation(1);
         assert!(l.recv(2).is_none());
         assert_eq!(l.ledger().symbols_lost, 2);
+        l.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn a_head_makes_the_link_emit_and_absorb_its_continuations() {
+        let mut l = Link::new(2);
+        l.send(10, tc_start(3));
+        for k in 1..20 {
+            assert!(l.owes_continuation(), "continuation {k} owed");
+            l.emit_continuation(10 + k);
+        }
+        assert!(!l.owes_continuation(), "all 19 sent");
+        let indices: Vec<u8> = l
+            .data
+            .iter()
+            .filter_map(|(_, s)| match s {
+                LinkSymbol::TcCont { index } => Some(*index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(indices, (1..20).collect::<Vec<u8>>());
+        assert!(matches!(l.recv(13), Some(LinkSymbol::TcStart(_))));
+        for t in 14..32 {
+            assert_eq!(l.recv(t), None, "continuation arriving at {t} is absorbed");
+            assert_eq!(l.next_event(), Some(t + 1), "and the link still owes the next");
+        }
+        assert_eq!(l.recv(32), Some(LinkSymbol::TcCont { index: 19 }), "the last is handed on");
+        assert_eq!((l.ledger().symbols_sent, l.ledger().symbols_delivered), (20, 20));
+        assert_eq!(l.next_event(), None);
+        l.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn the_largest_slot_emits_and_hands_on_continuation_255() {
+        // `slot_bytes = 256`, the largest `RouterConfig::validate` admits:
+        // the last continuation's index is the top of its byte.
+        let mut l = Link::new(0);
+        l.send(0, tc_head(1, 256));
+        for k in 1..256 {
+            l.emit_continuation(k);
+        }
+        assert!(!l.owes_continuation());
+        assert!(l.recv(1).is_some());
+        assert!((2..256).all(|t| l.recv(t).is_none()), "254 continuations absorbed");
+        assert_eq!(l.recv(256), Some(LinkSymbol::TcCont { index: 255 }));
+        assert_eq!((l.ledger().symbols_sent, l.ledger().symbols_delivered), (256, 256));
+        l.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn a_link_that_stops_absorbing_hands_on_the_rest_as_orphans() {
+        let mut l = Link::new(0);
+        l.send(0, tc_start(3));
+        for k in 1..20 {
+            l.emit_continuation(k);
+        }
+        assert!(l.recv(1).is_some());
+        assert_eq!(l.recv(2), None);
+        l.stop_absorbing();
+        for t in 3..=20 {
+            assert_eq!(l.recv(t), Some(LinkSymbol::TcCont { index: (t - 1) as u8 }));
+        }
         l.check_conservation().unwrap();
     }
 
@@ -567,9 +709,9 @@ mod tests {
             l.set_flaky(512, 0, seed);
             let mut now = 0;
             for p in 0..64u16 {
-                l.send(now, tc_start(p));
+                l.send(now, tc_head(p, 2));
                 now += 1;
-                l.send(now, LinkSymbol::TcCont { index: 1 });
+                l.emit_continuation(now);
                 now += 1;
             }
             // Drain.
@@ -709,7 +851,7 @@ mod tests {
                 let byte = BeByte { byte: i, head: i == 0, tail: i == 7, trace: None };
                 stream.push(LinkSymbol::Be(byte));
             }
-            stream.push(tc_start(round));
+            stream.push(tc_head(round, 6));
             stream.extend((1..6).map(|index| LinkSymbol::TcCont { index }));
         }
         type Toggle = fn(&mut Link);

@@ -5,11 +5,12 @@
 //! writes — one agenda), deliver link arrivals (data symbols and
 //! reverse-flowing credits) into per-node [`ChipIo`] bundles, run the
 //! registered traffic sources, tick the chips, move driven symbols onto
-//! the links, route returned credits back to the upstream transmitter, and
-//! drain deliveries into per-node [`DeliveryLog`]s. The drive calls differ
-//! only in *which* chips the kernel ticks — all of them (dense), or the
-//! ones the event core proves can change state (event); the results are
-//! bit-identical.
+//! the links (and the continuation symbols the links owe for the
+//! time-constrained packets whose heads they carried), route returned
+//! credits back to the upstream transmitter, and drain deliveries into
+//! per-node [`DeliveryLog`]s. The drive calls differ only in *which* chips
+//! the kernel ticks — all of them (dense), or the ones the event core
+//! proves can change state (event); the results are bit-identical.
 //!
 //! The simulation is fully deterministic: node order is fixed, all queues
 //! are FIFO, and sources that need randomness own their seeded generators.
@@ -221,6 +222,11 @@ pub struct Simulator<C: Chip> {
     /// event cycle's source pass; the prime cycle scans in what dense
     /// cycles queued.
     backlog: Backlog,
+    /// The links that owe the wire a continuation symbol of the
+    /// time-constrained packet whose head they carried, in the order their
+    /// heads went out: each cycle emits one symbol on every listed link
+    /// whose transmitting node is up. Kept by every drive mode alike.
+    emitting: Vec<u32>,
     /// Sample chip gauges every N cycles (None = sampling off).
     gauge_every: Option<Cycle>,
     gauge_samples: OccupancyHistory,
@@ -343,6 +349,7 @@ impl<C: Chip> Simulator<C> {
             adj,
             sources: Vec::new(),
             backlog: Backlog { nodes: Vec::new(), listed: vec![false; n] },
+            emitting: Vec::new(),
             gauge_every: None,
             gauge_samples: OccupancyHistory::default(),
             tick_list: Vec::with_capacity(n),
@@ -457,7 +464,7 @@ impl<C: Chip> Simulator<C> {
 
     /// Does nothing: chips always tick on the calling thread. Kept only for
     /// its one caller, the `mesh.pool.speedup_2w` probe in
-    /// `benchmark/src/probes.rs`; ROADMAP 1(f) deletes it with that probe.
+    /// `benchmark/src/probes.rs`; ROADMAP 1(d) deletes it with that probe.
     #[doc(hidden)]
     pub fn set_parallelism(&mut self, _workers: usize) {}
 
@@ -738,13 +745,17 @@ impl<C: Chip> Simulator<C> {
                     // A restored chip's reassembly registers are undefined:
                     // abort partial arrivals and refund the flow-control
                     // credits of the dropped best-effort bytes upstream.
+                    // The feeding links stop absorbing the packets those
+                    // registers held, so their tails reach the chip as
+                    // orphans.
                     let dropped = self.chips[i].abort_partial_rx();
                     let (fs, fe) = self.adj.in_bounds(i);
                     for fi in fs..fe {
+                        let li = self.adj.in_link(fi);
+                        self.adj.link_mut(li).stop_absorbing();
                         let idx = Port::Dir(self.adj.in_dir(fi)).index();
                         let bytes = u16::from(dropped[idx]);
                         if bytes > 0 {
-                            let li = self.adj.in_link(fi);
                             self.adj.link_mut(li).send_credit(now, bytes);
                             if warm {
                                 self.events.mark(n + li, now);
@@ -843,7 +854,9 @@ impl<C: Chip> Simulator<C> {
             + (self.events.dirty.capacity() + self.events.carry.capacity())
                 * std::mem::size_of::<WakeHandle>()
             + self.events.stamp.capacity() * std::mem::size_of::<Cycle>()
-            + (self.tick_list.capacity() + self.backlog.nodes.capacity())
+            + (self.tick_list.capacity()
+                + self.backlog.nodes.capacity()
+                + self.emitting.capacity())
                 * std::mem::size_of::<u32>()
             + self.backlog.listed.capacity();
         let total = chips
@@ -894,8 +907,9 @@ impl<C: Chip> Simulator<C> {
     ///    agenda touches) and, priming, those whose pre-tick poll answers
     ///    by the next cycle. Every other chip is provably quiet and its
     ///    idle accounting is reconciled lazily from `unticked`;
-    /// 5. the ticked chips' driven symbols and credits move onto the
-    ///    links, their deliveries drain, the clock advances (`phase_post`);
+    /// 5. links owing a packet's continuation emit the next one, the
+    ///    ticked chips' driven symbols and credits move onto the links,
+    ///    their deliveries drain, the clock advances (`phase_post`);
     /// 6. (`EV`) the dirty links and sources — priming, every source and
     ///    busy link — re-register their wakes; a wake for the next cycle is
     ///    carried there instead of filed.
@@ -1079,6 +1093,8 @@ impl<C: Chip> Simulator<C> {
         }
         for li in 0..self.adj.len() {
             let link = self.adj.link(li);
+            let listed = !link.owes_continuation() || self.emitting.contains(&(li as u32));
+            assert!(listed, "link {li} owes a continuation but is not on the emitting list");
             let owes = link.scanned_next_event().is_some_and(|at| at <= now);
             let polled = link.next_event().is_some_and(|at| at <= now)
                 && fired.is_none_or(|f| f.binary_search(&WakeHandle((n + li) as u32)).is_ok());
@@ -1212,16 +1228,34 @@ impl<C: Chip> Simulator<C> {
         }
     }
 
-    /// Post-tick phases of one cycle: symbol/credit collection and delivery
-    /// draining over the chips in `list` that just ticked (only a tick
-    /// drives, returns credits, or delivers), gauge sampling, and the clock
-    /// advance. With `EV` set, links that carried a new symbol or credit
-    /// batch are marked dirty.
+    /// Post-tick phases of one cycle: the links' own continuation symbols,
+    /// symbol/credit collection and delivery draining over the chips in
+    /// `list` that just ticked (only a tick drives, returns credits, or
+    /// delivers), gauge sampling, and the clock advance. With `EV` set,
+    /// links that carried a new symbol or credit batch are marked dirty.
     fn phase_post<const EV: bool>(&mut self, now: Cycle, list: &[u32]) {
         let n = self.chips.len();
         let walked = if EV { list.len() } else { n };
         self.metrics.registry.inc(self.metrics.ids.io_visits, walked as u64);
-        // 4. Collect driven symbols and returned credits — walking only
+        // 4. Every link that owes a continuation puts the next one on the
+        // wire. A crashed transmitter's link pauses, as its frozen
+        // serialiser does, and resumes at restore. Heads driven below join
+        // the list after it is walked, so their first continuation goes out
+        // next cycle.
+        let (adj, crashed, events) = (&mut self.adj, &self.crashed, &mut self.events);
+        self.emitting.retain(|&li| {
+            let li = li as usize;
+            if crashed[adj.owner_of(li).index()] {
+                return true;
+            }
+            let link = adj.link_mut(li);
+            link.emit_continuation(now);
+            if EV {
+                events.mark(n + li, now);
+            }
+            link.owes_continuation()
+        });
+        // 5. Collect driven symbols and returned credits — walking only
         // the wired outputs and fed inputs via the CSR tables. A chip can
         // only drive ports its wiring feeds credits through, so scanning
         // the sparse tables covers every live port; the debug asserts
@@ -1235,7 +1269,12 @@ impl<C: Chip> Simulator<C> {
             for li in start..end {
                 let idx = Port::Dir(self.adj.dir(li)).index();
                 if let Some(symbol) = self.ios[node].tx[idx].take() {
-                    self.adj.link_mut(li).send(now, symbol);
+                    let link = self.adj.link_mut(li);
+                    debug_assert!(!link.owes_continuation(), "a chip drove over its own packet");
+                    link.send(now, symbol);
+                    if link.owes_continuation() {
+                        self.emitting.push(li as u32);
+                    }
                     if EV {
                         self.events.mark(n + li, now);
                     }
@@ -1266,14 +1305,14 @@ impl<C: Chip> Simulator<C> {
             );
         }
 
-        // 5. Drain deliveries.
+        // 6. Drain deliveries.
         for node in Self::ticked::<EV>(list, n) {
             let (io, log) = (&mut self.ios[node], &mut self.logs[node]);
             log.tc.append(&mut io.delivered_tc);
             log.be.append(&mut io.delivered_be);
         }
 
-        // 6. Periodic occupancy sampling.
+        // 7. Periodic occupancy sampling.
         if self.gauge_every.is_some_and(|every| now.is_multiple_of(every)) {
             self.gauge_samples.record(now, &self.chips);
         }
@@ -1288,7 +1327,7 @@ impl<C: Chip> Simulator<C> {
 
     /// Same as [`Simulator::run`]. Kept only for its one caller, the
     /// `mesh.pool.speedup_2w` probe in `benchmark/src/probes.rs`; ROADMAP
-    /// 1(f) deletes it with that probe.
+    /// 1(d) deletes it with that probe.
     #[doc(hidden)]
     pub fn run_parallel(&mut self, cycles: Cycle) {
         self.run(cycles);
@@ -1339,6 +1378,11 @@ impl<C: Chip> Simulator<C> {
             !self.crashed[node as usize] && Backlog::pending(&self.ios[node as usize])
         };
         if self.backlog.nodes.iter().any(blocks) {
+            return None;
+        }
+        // A link owing a continuation emits on the next cycle, which no
+        // wake describes either (unless its transmitter is dark).
+        if self.emitting.iter().any(|&li| !self.crashed[self.adj.owner_of(li as usize).index()]) {
             return None;
         }
         let target = self.events.queue.next_wake().map_or(end, |w| w.min(end));

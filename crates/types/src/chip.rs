@@ -169,6 +169,14 @@ pub trait Chip {
     /// further link arrivals, credits, or injections. `None` means the chip
     /// is fully drained and never needs another tick on its own.
     ///
+    /// A time-constrained packet in flight is not a reason to tick every
+    /// cycle: a chip drives only its head, the link emits and absorbs its
+    /// continuation symbols (see `rtr_mesh::link`), and a reception ends with
+    /// the last symbol's arrival. A chip pacing a packet itself — through an
+    /// output, the reception port or an injection port — answers the cycle
+    /// that pacing ends: the cycle an output frees, the delivery cycle, the
+    /// cycle of the injection's last symbol.
+    ///
     /// This is the event-driven fast path's contract: the simulator may skip
     /// every cycle in `(now, next_event)` without ticking the chip, provided
     /// all external inputs are also quiet, and the chip's observable state
@@ -182,7 +190,9 @@ pub trait Chip {
     /// no input reached. An answer of `now + 1` or earlier ticks the chip at
     /// `now`; a later one skips `now` too, up to the answer, and `None`
     /// skips it until an input arrives. So a chip with work due at `now`
-    /// must not answer beyond `now + 1` — the default never does.
+    /// must not answer beyond `now + 1` — the default never does — and a chip
+    /// that counts a wake from its own pacing counts it from the last cycle
+    /// it accounted, not from `now`.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }
@@ -193,7 +203,13 @@ pub trait Chip {
     /// and implementations with internal state that normally relaxes over
     /// quiet cycles (e.g. a grant pipeline draining) settle it to what a
     /// dense run would have computed by `to`, so sparse runs report
-    /// identical statistics and behaviour to stepped runs.
+    /// identical statistics and behaviour to stepped runs. "Quiet" includes
+    /// cycles a port spent carrying a packet's continuation symbols: the
+    /// span advances that transmission (and counts its bytes) as the ticks
+    /// would have, and a port busy through the span is not settled — a
+    /// dense tick of a busy port never reads its scheduler. Its
+    /// `next_event` answer keeps every span short of a cycle that must tick
+    /// (a delivery, an injection's last symbol, a port freeing).
     ///
     /// Under *sparse ticking* this is called per chip — possibly with a
     /// different `from` for every chip — each time an idle chip is about to
@@ -254,7 +270,10 @@ pub trait Chip {
     /// simulator calls this when the node restores from a crash, because
     /// the reassembly registers of a crashed node are undefined and the
     /// wire has lost arbitrary symbols in between. Completed packets and
-    /// queued flits survive; only mid-arrival state is cleared.
+    /// queued flits survive; only mid-arrival state is cleared. Beside it
+    /// the simulator stops the feeding links absorbing the aborted
+    /// packets, so their remaining continuation symbols arrive as orphans,
+    /// one per cycle, for the chip to shed.
     ///
     /// Returns, per input port ([`crate::ids::Port::index`] convention),
     /// the number of best-effort bytes dropped whose upstream flow-control

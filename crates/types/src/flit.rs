@@ -14,6 +14,12 @@
 //! packet on the start symbol (the remaining symbols are pure timing); the
 //! byte-exact wire encodings of [`crate::packet`] exist so tests can confirm
 //! the structured form is losslessly representable.
+//!
+//! Since a packet holds its link from head to tail, its continuations are
+//! fixed by its head: a chip drives only the `TcStart`, and the link puts
+//! the `TcCont`s on the wire itself, one per cycle. At the receiving end the
+//! link hands the chip only the last of them, which completes the packet
+//! (see `rtr_mesh::link`).
 
 use crate::packet::{PacketTrace, TcPacket};
 

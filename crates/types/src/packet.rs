@@ -130,6 +130,19 @@ impl TcPacket {
         2 + self.payload.len()
     }
 
+    /// The index of the packet's last symbol — the continuation a link
+    /// hands on and a reception completes on. One byte, like
+    /// [`LinkSymbol::TcCont`](crate::flit::LinkSymbol::TcCont)'s index:
+    /// `RouterConfig::validate` caps `slot_bytes` at 256, so it is at most 255.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a packet longer than 256 bytes on the wire.
+    #[must_use]
+    pub fn last_index(&self) -> u8 {
+        u8::try_from(self.wire_len() - 1).expect("a packet's last index fits its symbol's byte")
+    }
+
     /// Encodes the packet in the paper's exact wire format: one byte of
     /// connection identifier, one byte of timestamp, then the payload.
     ///

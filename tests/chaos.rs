@@ -388,11 +388,13 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
 /// chip is not ticked, its wake is cleared rather than carried again — so
 /// the dark span is leapt, not stepped — and the restore's mark ticks it
 /// again. Only node 0 is ever active (it injects a packet it delivers to
-/// itself), so every tick counted below is its own.
+/// itself), so every tick counted below is its own. The packet is due the
+/// slot it is injected in, so once stored (cycle 125) it waits out the
+/// grant pipeline with the chip ticking every cycle.
 #[test]
 fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
     const INJECT: u64 = 100;
-    const CRASH: u64 = 110; // mid-injection: the chip ticks every cycle
+    const CRASH: u64 = 127; // mid grant pipeline: the chip ticks every cycle
     const RESTORE: u64 = 5_000;
     const END: u64 = 9_000;
     let run = |mode: DriveMode, crash: bool| {
@@ -420,7 +422,7 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
             NodeId(0),
             TcPacket {
                 conn,
-                arrival: sim.chip(NodeId(0)).clock().wrap(slot + 2),
+                arrival: sim.chip(NodeId(0)).clock().wrap(slot),
                 payload: vec![0x7C; config.tc_data_bytes()].into(),
                 trace: PacketTrace::default(),
             },
@@ -439,7 +441,7 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
     // Undisturbed, the chip ticks on the cycle before CRASH, files nothing,
     // and ticks on CRASH: it was carried there.
     let (spans, _) = run(DriveMode::Event, false);
-    assert_eq!(spans[1..3], [(1, 0), (1, 0)], "not mid-injection at {CRASH}");
+    assert_eq!(spans[1..3], [(1, 0), (1, 0)], "not waiting for a grant at {CRASH}");
     let ([_, before, crash, dark, restore, tail], outcome) = run(DriveMode::Event, true);
     assert_eq!(before, (1, 0), "the chip ticked and was carried into its crash");
     assert_eq!(crash, (0, 0), "a chip crashed on the cycle it was carried to ticked");
@@ -447,4 +449,108 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
     assert_eq!(restore.0, 1, "the restore marks the chip");
     assert!(tail.0 < 100, "the tail must be leapt, not stepped: {} ticks", tail.0);
     assert_eq!(outcome, reference, "leaping diverged from dense stepping");
+}
+
+/// When the one packet of [`one_packet_hop`] puts its head on the wire.
+const HEAD: u64 = 140;
+
+/// Connection 30 on a 2×1 mesh under `faults`: node 0 forwards it east,
+/// node 1 delivers it. One packet is injected at node 0 on cycle 100 with
+/// its logical arrival two slots ahead, so its head leaves node 0 on cycle
+/// [`HEAD`] and its 19 continuation symbols follow one per cycle.
+fn one_packet_hop(faults: FaultSchedule, mode: DriveMode) -> Simulator<RealTimeRouter> {
+    let config = RouterConfig::default();
+    let mut sim =
+        Simulator::build(Topology::mesh(2, 1), |_| RealTimeRouter::new(config.clone())).unwrap();
+    let conn = ConnectionId(30);
+    for (node, port) in [(NodeId(0), Port::Dir(Direction::XPlus)), (NodeId(1), Port::Local)] {
+        let write = ControlCommand::SetConnection {
+            incoming: conn,
+            outgoing: conn,
+            delay: ONE_HOP_DELAY,
+            out_mask: port.mask(),
+        };
+        sim.chip_mut(node).apply_control(write).unwrap();
+    }
+    sim.set_fault_schedule(faults);
+    mode.advance(&mut sim, 100);
+    let slot = realtime_router::types::time::cycle_to_slot(sim.now(), config.slot_bytes);
+    sim.inject_tc(
+        NodeId(0),
+        TcPacket {
+            conn,
+            arrival: sim.chip(NodeId(0)).clock().wrap(slot + 2),
+            payload: vec![0x3C; config.tc_data_bytes()].into(),
+            trace: PacketTrace::default(),
+        },
+    );
+    sim
+}
+
+/// A sender that crashes five cycles into a packet stops putting its
+/// symbols on the wire and, restored, sends the other fifteen: the
+/// receiver, which kept waiting for them, completes the packet late but
+/// whole. Literal values, so a drift both drive modes share is caught too.
+#[test]
+fn a_sender_crashed_mid_packet_finishes_it_after_its_restore() {
+    for mode in DriveMode::ALL {
+        let faults = FaultSchedule::new()
+            .node_crash(HEAD + 5, NodeId(0))
+            .node_restore(HEAD + 160, NodeId(0));
+        let mut sim = one_packet_hop(faults, mode);
+        mode.advance(&mut sim, 900);
+        sim.check_conservation().unwrap();
+        let delivered: Vec<u64> = sim.log(NodeId(1)).tc.iter().map(|(at, _)| *at).collect();
+        assert_eq!(delivered, [344], "{mode:?}");
+        let ledger = sim.link_ledger(NodeId(0), Direction::XPlus);
+        assert_eq!((ledger.symbols_sent, ledger.symbols_delivered), (20, 20), "{mode:?}");
+        let rx = sim.chip(NodeId(1)).stats();
+        assert_eq!((rx.tc_truncated, rx.tc_orphan_symbols), (0, 0), "{mode:?}");
+    }
+}
+
+/// A receiver dark for five cycles in the middle of a packet loses it: the
+/// restore drops the five symbols that arrived while it was dark, aborts
+/// the half-received packet, and sheds the eleven symbols still to come as
+/// orphans, one per cycle.
+#[test]
+fn a_receiver_crashed_mid_packet_sheds_the_rest_as_orphans() {
+    for mode in DriveMode::ALL {
+        let faults =
+            FaultSchedule::new().node_crash(HEAD + 5, NodeId(1)).node_restore(HEAD + 10, NodeId(1));
+        let mut sim = one_packet_hop(faults, mode);
+        mode.advance(&mut sim, 900);
+        sim.check_conservation().unwrap();
+        assert!(sim.log(NodeId(1)).tc.is_empty(), "{mode:?}");
+        let ledger = sim.link_ledger(NodeId(0), Direction::XPlus);
+        assert_eq!(
+            (ledger.symbols_sent, ledger.symbols_delivered, ledger.late_arrivals_dropped),
+            (20, 15, 5),
+            "{mode:?}"
+        );
+        let rx = sim.chip(NodeId(1)).stats();
+        assert_eq!((rx.tc_truncated, rx.tc_orphan_symbols), (1, 11), "{mode:?}");
+    }
+}
+
+/// A drive call that ends seven cycles after a head leaves the sender's
+/// counters as seven transmitting and 140 idle cycles on the port, and the
+/// wire with seven symbols sent and six delivered; the next call finishes
+/// the packet on the cycle an uninterrupted run delivers it.
+#[test]
+fn a_drive_call_ending_mid_packet_leaves_the_sender_counted_per_cycle() {
+    let east = Port::Dir(Direction::XPlus).index();
+    for mode in DriveMode::ALL {
+        let mut sim = one_packet_hop(FaultSchedule::new(), mode);
+        mode.advance(&mut sim, HEAD + 7 - 100);
+        let tx = sim.chip(NodeId(0)).stats();
+        assert_eq!((tx.tc_bytes[east], tx.idle_cycles[east]), (7, 140), "{mode:?}");
+        let ledger = sim.link_ledger(NodeId(0), Direction::XPlus);
+        assert_eq!((ledger.symbols_sent, ledger.symbols_delivered), (7, 6), "{mode:?}");
+        mode.advance(&mut sim, 900 - (HEAD + 7));
+        let delivered: Vec<u64> = sim.log(NodeId(1)).tc.iter().map(|(at, _)| *at).collect();
+        assert_eq!(delivered, [279], "{mode:?}");
+        let tx = sim.chip(NodeId(0)).stats();
+        assert_eq!((tx.tc_bytes[east], tx.idle_cycles[east]), (20, 880), "{mode:?}");
+    }
 }

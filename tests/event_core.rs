@@ -251,6 +251,70 @@ fn conservation_holds_across_all_drive_modes() {
     }
 }
 
+/// A time-constrained packet costs each router it crosses a few ticks, not
+/// one per byte: one packet over a 4-hop route (five routers) under
+/// `run_leaping` ticks each router at most six times — its head, its tail,
+/// the end of the store latency, its start, the cycle its output frees
+/// (injection and delivery alike) — where ticking through its 20 bytes on
+/// both ends of every hop would take at least 40 per router. Its links
+/// emit and absorb the continuation symbols, so the delivery matches dense
+/// stepping to the cycle and every link ledger counts all 20 symbols.
+#[test]
+fn a_packet_costs_its_routers_a_few_ticks_not_one_per_byte() {
+    const HOPS: u16 = 4;
+    let mut build = || {
+        let config = RouterConfig::default();
+        let mut sim =
+            Simulator::build(Topology::mesh(HOPS + 1, 1), |_| RealTimeRouter::new(config.clone()))
+                .unwrap();
+        let conn = ConnectionId(40);
+        for x in 0..=HOPS {
+            let port = if x == HOPS { Port::Local } else { Port::Dir(Direction::XPlus) };
+            let write = ControlCommand::SetConnection {
+                incoming: conn,
+                outgoing: conn,
+                delay: ONE_HOP_DELAY,
+                out_mask: port.mask(),
+            };
+            sim.chip_mut(NodeId(x)).apply_control(write).unwrap();
+        }
+        sim.inject_tc(
+            NodeId(0),
+            TcPacket {
+                conn,
+                arrival: sim.chip(NodeId(0)).clock().wrap(2),
+                payload: vec![0x4E; config.tc_data_bytes()].into(),
+                trace: PacketTrace::default(),
+            },
+        );
+        sim
+    };
+    let dst = NodeId(HOPS);
+    let mut stepped = drive(&mut build, DriveMode::Dense, 2_000);
+    let mut leaping = drive(&mut build, DriveMode::Event, 2_000);
+    assert_eq!(stepped.log(dst).tc.len(), 1);
+    assert_eq!(fingerprint(&stepped), fingerprint(&leaping));
+    for x in 0..HOPS {
+        let ledger = leaping.link_ledger(NodeId(x), Direction::XPlus);
+        assert_eq!((ledger.symbols_sent, ledger.symbols_delivered), (20, 20), "hop {x}");
+    }
+    let routers = u64::from(HOPS) + 1;
+    assert!(
+        leaping.ticks_executed() <= 6 * routers,
+        "{} ticks for one packet over {HOPS} hops",
+        leaping.ticks_executed()
+    );
+    for x in 0..=HOPS {
+        // One poll after each tick, and one in the prime for the four
+        // routers no injection reached.
+        let polls = leaping.chip(NodeId(x)).wake_stats().unwrap().polls;
+        assert!(polls <= 7, "router {x} was polled {polls} times");
+    }
+    for sim in [&mut stepped, &mut leaping] {
+        sim.check_conservation().unwrap();
+    }
+}
+
 /// Interleaving plain `run` between leaping runs must keep the event queue
 /// warm (no teardown, no re-poll storm) and stay byte-identical to a pure
 /// stepped run: plain `step` drives the live queue. Nothing else stales it
