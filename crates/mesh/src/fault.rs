@@ -201,7 +201,7 @@ impl FaultSchedule {
     /// ```
     ///
     /// Directions are `x+`, `x-`, `y+`, `y-`; flaky fractions are per
-    /// 1024.
+    /// 1024 (a larger one is malformed).
     ///
     /// # Errors
     ///
@@ -255,8 +255,11 @@ impl FaultSchedule {
                                     .parse::<u16>()
                                     .map_err(|e| format!("line {n}: bad {key}: {e}"))?;
                                 match key {
-                                    "drop" => drop_per_1024 = value.min(1024),
-                                    "corrupt" => corrupt_per_1024 = value.min(1024),
+                                    "drop" | "corrupt" if value > 1024 => {
+                                        return Err(format!("line {n}: {key}={value} over 1024"))
+                                    }
+                                    "drop" => drop_per_1024 = value,
+                                    "corrupt" => corrupt_per_1024 = value,
                                     _ => return Err(format!("line {n}: unknown key {key}")),
                                 }
                             }
@@ -419,5 +422,11 @@ mod tests {
         assert!(err.contains("bad direction"), "{err}");
         let err = FaultSchedule::parse("10 meteor_strike 0,0", &topo).unwrap_err();
         assert!(err.contains("unknown fault kind"), "{err}");
+        // A rate per 1024 above 1024 is malformed, not clamped.
+        let text = "# flaky\n10 link_flaky 0,0 x+ drop=1024\n20 link_flaky 0,0 x+ corrupt=1025";
+        assert_eq!(
+            FaultSchedule::parse(text, &topo).unwrap_err(),
+            "line 3: corrupt=1025 over 1024"
+        );
     }
 }

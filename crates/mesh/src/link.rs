@@ -501,21 +501,29 @@ impl Link {
             + self.credits.capacity() * std::mem::size_of::<(Cycle, u16)>()
     }
 
-    /// The cycle of the next delivery this link owes (front data symbol or
-    /// front credit batch, whichever is earlier); `None` when the wire is
-    /// empty in both directions. [`Link::recv`] insists on being called at
-    /// the exact arrival cycle, so the simulator's leaping mode must never
-    /// jump past this — and until it comes, `recv` and `recv_credit` are
-    /// both no-ops, so a receiver may pass over the link.
+    /// `Some(0)` ("now") while the link owes a continuation, else the cycle
+    /// of the next delivery it owes (front data symbol or front credit
+    /// batch, whichever is earlier); `None` when it owes nothing.
+    /// [`Link::recv`] insists on being called at the exact arrival cycle,
+    /// so the simulator's leaping mode must never jump past this — and
+    /// until it comes, `recv` and `recv_credit` are both no-ops.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
+        if self.owes_continuation() {
+            return Some(0);
+        }
+        self.next_arrival()
+    }
+
+    /// [`Link::next_event`] without the continuations owed.
+    pub(crate) fn next_arrival(&self) -> Option<Cycle> {
         (self.next_at != Cycle::MAX).then_some(self.next_at)
     }
 
-    /// [`Link::next_event`] as the queues themselves say it — the scan it
-    /// used to run, kept as the oracle `next_at` is checked against.
+    /// [`Link::next_arrival`] as the queues themselves say it — the scan
+    /// it used to run, kept as the oracle `next_at` is checked against.
     #[cfg(any(test, debug_assertions))]
-    pub(crate) fn scanned_next_event(&self) -> Option<Cycle> {
+    pub(crate) fn scanned_next_arrival(&self) -> Option<Cycle> {
         Some(self.earliest_front()).filter(|&at| at != Cycle::MAX)
     }
 }
@@ -772,32 +780,42 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Any interleaving of sends, credit returns and (possibly long
-        /// overdue — a crashed receiver) polls, on a link that goes down
-        /// and comes back, keeps `next_at` equal to the earlier queue
-        /// front, `recv`/`recv_credit` inert before it, and the ledger
-        /// balanced, after every call.
+        /// Any interleaving of sends, emissions, credit returns and
+        /// (possibly long overdue — a crashed receiver) polls, on a link
+        /// that goes down and comes back, keeps `next_at` equal to the
+        /// earlier queue front, `next_event` at it or at "now" while a
+        /// continuation is owed, `recv`/`recv_credit` inert before it, and
+        /// the ledger balanced, after every call.
         #[test]
         fn next_at_is_the_earlier_queue_front_after_every_call(
             latency in 0u64..4,
-            ops in proptest::collection::vec((0u8..6, 0u64..7, 1u16..5), 1..120),
+            ops in proptest::collection::vec((0u8..7, 0u64..7, 1u16..5), 1..120),
         ) {
             let mut l = Link::new(latency);
             let (mut now, mut last_send) = (0, None);
             for (op, gap, bytes) in ops {
                 now += gap;
-                match op {
-                    0 | 1 => {
-                        // One symbol per cycle is the wire's own rule.
-                        if last_send == Some(now) {
-                            now += 1;
-                        }
-                        last_send = Some(now);
-                        l.send(now, if op == 0 { be(bytes as u8) } else { tc_start(bytes) });
+                // One symbol per cycle is the wire's own rule.
+                let mut next_send = || {
+                    if last_send == Some(now) {
+                        now += 1;
                     }
+                    last_send = Some(now);
+                    now
+                };
+                match op {
+                    // Nothing is driven over the continuations a head owes.
+                    0 | 1 if !l.owes_continuation() => {
+                        let symbol = if op == 0 { be(bytes as u8) } else { tc_head(bytes, 4) };
+                        l.send(next_send(), symbol);
+                    }
+                    0 | 1 | 5 if l.owes_continuation() => l.emit_continuation(next_send()),
                     2 => l.send_credit(now, bytes),
                     3 => {
-                        let due = l.data.iter().any(|(t, _)| *t == now);
+                        // Due now, unless it is a continuation being absorbed.
+                        let due = l.data.iter().find(|(t, _)| *t == now).is_some_and(|(_, s)| {
+                            l.absorb == 0 || !matches!(s, LinkSymbol::TcCont { .. })
+                        });
                         proptest::prop_assert_eq!(l.recv(now).is_some(), due);
                         proptest::prop_assert!(l.data.front().is_none_or(|(t, _)| *t > now));
                     }
@@ -809,9 +827,10 @@ mod tests {
                     _ if l.is_down() => l.set_up(),
                     _ => l.set_down(),
                 }
-                let scanned = l.scanned_next_event();
+                let scanned = l.scanned_next_arrival();
                 proptest::prop_assert_eq!(l.next_at, scanned.unwrap_or(Cycle::MAX));
-                proptest::prop_assert_eq!(l.next_event(), scanned);
+                let visit = if l.owes_continuation() { Some(0) } else { scanned };
+                proptest::prop_assert_eq!(l.next_event(), visit);
                 l.check_conservation().unwrap();
             }
         }

@@ -13,13 +13,14 @@ use rtr_metrics::{CounterId, MetricsRegistry, PhaseProfiler};
 /// the same shape and call sites never need gates.
 #[derive(Debug)]
 pub(crate) struct SimIds {
-    /// `sim.stale_repolls`: components re-polled by full prime passes.
+    /// `sim.stale_repolls`: what the one prime polls: every chip and busy
+    /// link, no source (its `due` is its only wake).
     pub stale_repolls: CounterId,
     /// `sim.leaps`: number of quiet spans skipped.
     pub leaps: CounterId,
     /// `sim.leaped_cycles`: total cycles skipped by leaping.
     pub leaped_cycles: CounterId,
-    /// `sim.link_visits`: links polled for arrivals by the pre phase.
+    /// `sim.link_visits`: links visited (arrivals, emission) by the pre phase.
     pub link_visits: CounterId,
     /// `sim.io_visits`: `ChipIo`s walked by the post phase.
     pub io_visits: CounterId,

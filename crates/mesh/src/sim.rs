@@ -3,14 +3,15 @@
 //! Every simulated cycle runs through one kernel (`Simulator::cycle`):
 //! apply the timed operations due now (faults, then control-plane table
 //! writes — one agenda), deliver link arrivals (data symbols and
-//! reverse-flowing credits) into per-node [`ChipIo`] bundles, run the
-//! registered traffic sources, tick the chips, move driven symbols onto
-//! the links (and the continuation symbols the links owe for the
-//! time-constrained packets whose heads they carried), route returned
-//! credits back to the upstream transmitter, and drain deliveries into
-//! per-node [`DeliveryLog`]s. The drive calls differ only in *which* chips
-//! the kernel ticks — all of them (dense), or the ones the event core
-//! proves can change state (event); the results are bit-identical.
+//! reverse-flowing credits) into per-node [`ChipIo`] bundles while each
+//! link puts on the wire the next continuation symbol it owes for the
+//! time-constrained packet whose head it carried, run the registered
+//! traffic sources, tick the chips, move driven symbols onto the links,
+//! route returned credits back to the upstream transmitter, and drain
+//! deliveries into per-node [`DeliveryLog`]s. The drive calls differ only
+//! in *which* chips the kernel ticks — all of them (dense), or the ones the
+//! event core proves can change state (event); the results are
+//! bit-identical.
 //!
 //! The simulation is fully deterministic: node order is fixed, all queues
 //! are FIFO, and sources that need randomness own their seeded generators.
@@ -44,18 +45,19 @@ use crate::topology::Topology;
 ///
 /// Handle layout (for `n` nodes and `L` wired links): chips occupy `0..n`
 /// (by node index), links `n..n + L` (`n +` the link's global CSR index —
-/// see [`LinkTable`]), traffic sources `n + L..` (by registration order).
-/// The first leaping call builds the core and it lives as long as the
-/// simulator: external mutation carries what it touched into the next
-/// cycle, and a source registered later gets the next handle.
+/// see [`LinkTable`]). The wake is the one record of what can act next: a
+/// chip's covers its injection queues, a link's the continuations it owes,
+/// and a traffic source's `due` is its only wake. The first leaping call
+/// builds the core and it lives as long as the simulator: external
+/// mutation carries what it touched into the next cycle.
 #[derive(Debug)]
 struct EventCore {
     queue: WakeQueue,
     /// Handles marked dirty during the step in progress, in marking order
-    /// (deduplicated via `stamp`). The step began with the first `began`:
-    /// what the last step carried, then what the queue fired.
+    /// (deduplicated via `stamp`): what the last step carried, what the
+    /// queue fired and what the agenda touched — the link pass visits
+    /// these — then what the step itself marks.
     dirty: Vec<WakeHandle>,
-    began: usize,
     /// Handles polled this step that answered the next cycle, stamped for
     /// it already. A handle is polled at most once a step and nothing marks
     /// it afterwards, so the list holds no duplicate.
@@ -80,7 +82,6 @@ impl EventCore {
             // A cycle marks, carries and pops only what is active, so the
             // lists grow to the busiest cycle's activity, not to `handles`.
             dirty: Vec::new(),
-            began: 0,
             carry: Vec::new(),
             carried: 0,
             stamp: vec![Cycle::MAX; handles],
@@ -100,7 +101,6 @@ impl EventCore {
         for h in &self.dirty[carried..] {
             self.stamp[h.index()] = now;
         }
-        self.began = self.dirty.len();
     }
 
     /// Marks a handle for re-polling at the end of the step simulating
@@ -140,26 +140,10 @@ impl EventCore {
     }
 }
 
-/// The nodes whose injection queues may hold packets — queues no wake
-/// describes. Every non-empty queue's node is listed (never the converse);
-/// the event cycle marks the listed chips and prunes the drained.
-struct Backlog {
-    nodes: Vec<u32>,
-    /// Per-node membership of `nodes`.
-    listed: Vec<bool>,
-}
-
-impl Backlog {
-    fn note(&mut self, node: usize) {
-        if !std::mem::replace(&mut self.listed[node], true) {
-            self.nodes.push(node as u32);
-        }
-    }
-
-    /// Whether a node's injection queues hold anything.
-    fn pending(io: &ChipIo) -> bool {
-        !(io.inject_tc.is_empty() && io.inject_be.is_empty())
-    }
+/// Whether a node's injection queues hold anything — work no chip's
+/// `next_event` describes, so the simulator carries such a chip instead.
+fn injecting(io: &ChipIo) -> bool {
+    !(io.inject_tc.is_empty() && io.inject_be.is_empty())
 }
 
 /// What a timed operation does when its cycle comes.
@@ -216,17 +200,9 @@ pub struct Simulator<C: Chip> {
     /// The registered sources: home node, the source, and the first cycle
     /// its `pre_cycle` must run again — its own `next_event` answer as of
     /// its last run (0 = not run yet), so the per-cycle source pass costs a
-    /// compare for a source that has promised silence.
+    /// compare for a source that has promised silence. It is the source's
+    /// only wake: the leap planner clamps to the earliest.
     sources: Vec<(NodeId, Box<dyn TrafficSource>, Cycle)>,
-    /// Fed by [`Simulator::inject_tc`]/[`Simulator::inject_be`] and the
-    /// event cycle's source pass; the prime cycle scans in what dense
-    /// cycles queued.
-    backlog: Backlog,
-    /// The links that owe the wire a continuation symbol of the
-    /// time-constrained packet whose head they carried, in the order their
-    /// heads went out: each cycle emits one symbol on every listed link
-    /// whose transmitting node is up. Kept by every drive mode alike.
-    emitting: Vec<u32>,
     /// Sample chip gauges every N cycles (None = sampling off).
     gauge_every: Option<Cycle>,
     gauge_samples: OccupancyHistory,
@@ -348,8 +324,6 @@ impl<C: Chip> Simulator<C> {
             logs: (0..n).map(|_| DeliveryLog::default()).collect(),
             adj,
             sources: Vec::new(),
-            backlog: Backlog { nodes: Vec::new(), listed: vec![false; n] },
-            emitting: Vec::new(),
             gauge_every: None,
             gauge_samples: OccupancyHistory::default(),
             tick_list: Vec::with_capacity(n),
@@ -400,10 +374,16 @@ impl<C: Chip> Simulator<C> {
     pub fn chip_mut(&mut self, node: NodeId) -> &mut C {
         let i = node.index();
         self.settle_chip(i);
+        self.carry_chip(i);
+        &mut self.chips[i]
+    }
+
+    /// Carries chip `i` into the next cycle on a warm event core (a stamp
+    /// of `now` means it is carried already).
+    fn carry_chip(&mut self, i: usize) {
         if self.events.warm() && self.events.stamp[i] != self.now {
             self.events.carry_into(i as u32, self.now);
         }
-        &mut self.chips[i]
     }
 
     /// The delivery log of a node.
@@ -413,34 +393,28 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Registers a traffic source at a node (several per node are allowed;
-    /// they run in registration order). On a warm event core the source
-    /// gets the next wake handle and is carried into the next cycle, which
-    /// runs it and files its first wake.
+    /// they run in registration order). It is due at once: the next cycle
+    /// runs it.
     pub fn add_source(&mut self, node: NodeId, source: Box<dyn TrafficSource>) {
-        if self.events.warm() {
-            let handle = self.events.queue.register();
-            self.events.stamp.push(Cycle::MAX);
-            self.events.carry_into(handle.0, self.now);
-        }
         self.sources.push((node, source, 0));
     }
 
     /// Queues a time-constrained packet for injection at a node.
     ///
-    /// Injection does not invalidate a warm event core: the node joins
-    /// the injection-backlog list, the event cycle marks every listed chip
-    /// dirty until its queues drain, and the leap planner never leaps past
-    /// a listed backlog, so no wake can go stale.
+    /// Injection does not invalidate a warm event core: the chip is carried
+    /// into the next cycle, and every cycle that leaves it a queued packet
+    /// carries it again, so the leap planner never leaps past a live
+    /// chip's queued injections and no wake can go stale.
     pub fn inject_tc(&mut self, node: NodeId, packet: TcPacket) {
         self.ios[node.index()].inject_tc.push_back(packet);
-        self.backlog.note(node.index());
+        self.carry_chip(node.index());
     }
 
     /// Queues a best-effort packet for injection at a node (see
     /// [`Simulator::inject_tc`] on why this keeps the event core warm).
     pub fn inject_be(&mut self, node: NodeId, packet: BePacket) {
         self.ios[node.index()].inject_be.push_back(packet);
-        self.backlog.note(node.index());
+        self.carry_chip(node.index());
     }
 
     /// Starts sampling every chip's occupancy gauges once per `every`
@@ -762,17 +736,18 @@ impl<C: Chip> Simulator<C> {
                             }
                         }
                     }
-                }
-                if warm {
-                    // Crash clears the chip's and its sources' wakes;
-                    // restore re-registers them.
-                    self.events.mark(i, now);
-                    let base = n + self.adj.len();
-                    for (s, (home, ..)) in self.sources.iter().enumerate() {
-                        if home.index() == i {
-                            self.events.mark(base + s, now);
+                    // Its links resume emitting this very cycle.
+                    if warm {
+                        let (start, end) = self.adj.out_bounds(i);
+                        for li in start..end {
+                            self.events.mark(n + li, now);
                         }
                     }
+                }
+                if warm {
+                    // Crash clears the chip's wake; restore re-registers
+                    // it. (A source's `due` is its only wake.)
+                    self.events.mark(i, now);
                 }
             }
             FaultKind::LinkDown { node, dir }
@@ -854,11 +829,7 @@ impl<C: Chip> Simulator<C> {
             + (self.events.dirty.capacity() + self.events.carry.capacity())
                 * std::mem::size_of::<WakeHandle>()
             + self.events.stamp.capacity() * std::mem::size_of::<Cycle>()
-            + (self.tick_list.capacity()
-                + self.backlog.nodes.capacity()
-                + self.emitting.capacity())
-                * std::mem::size_of::<u32>()
-            + self.backlog.listed.capacity();
+            + self.tick_list.capacity() * std::mem::size_of::<u32>();
         let total = chips
             + ios
             + logs
@@ -900,19 +871,19 @@ impl<C: Chip> Simulator<C> {
     ///    and the queue's due wakes join it;
     /// 2. agenda ops due now apply — faults, then control writes;
     /// 3. links — all when dense or priming after dense cycles, else those
-    ///    whose wake fired or was carried — deliver arrivals, and sources
-    ///    run (`phase_pre`);
+    ///    whose wake fired or was carried — deliver arrivals and emit the
+    ///    continuation they owe, and sources run (`phase_pre`);
     /// 4. chips tick: every live chip when dense (`EV` unset), otherwise
-    ///    the dirty chips (due wakes, arrivals, credits, pending injections,
-    ///    agenda touches) and, priming, those whose pre-tick poll answers
-    ///    by the next cycle. Every other chip is provably quiet and its
-    ///    idle accounting is reconciled lazily from `unticked`;
-    /// 5. links owing a packet's continuation emit the next one, the
-    ///    ticked chips' driven symbols and credits move onto the links,
+    ///    the dirty chips (due wakes, arrivals, credits, queued injections,
+    ///    agenda touches) and, priming, those with queued injections or
+    ///    whose pre-tick poll answers by the next cycle. Every other chip
+    ///    is provably quiet and its idle accounting is reconciled lazily
+    ///    from `unticked`;
+    /// 5. the ticked chips' driven symbols and credits move onto the links,
     ///    their deliveries drain, the clock advances (`phase_post`);
-    /// 6. (`EV`) the dirty links and sources — priming, every source and
-    ///    busy link — re-register their wakes; a wake for the next cycle is
-    ///    carried there instead of filed.
+    /// 6. (`EV`) the dirty links — priming, every busy link — re-register
+    ///    their wakes; a wake for the next cycle is carried there instead
+    ///    of filed.
     ///
     /// `EV = false` compiles all wake bookkeeping out.
     fn cycle<const EV: bool>(&mut self) {
@@ -925,13 +896,16 @@ impl<C: Chip> Simulator<C> {
         }
         self.apply_due();
         let t = if EV { self.metrics.profiler.lap(Phase::WheelPop, t) } else { t };
-        let prime = EV && std::mem::take(&mut self.events.prime);
-        // Priming after dense cycles: they kept no wakes and no backlog
-        // list, so links and injection queues are swept once. Before any
-        // cycle every link is empty and `inject_*` kept the list exact.
+        let prime = EV && self.events.prime;
+        // Priming after dense cycles: they kept no wakes, so links are
+        // swept once. Before any cycle every link is empty.
         let sweep = prime && now > 0;
         let mut list = std::mem::take(&mut self.tick_list);
         self.phase_pre::<EV>(&list, sweep);
+        // Cleared only now: the link pass's debug check exempts the prime.
+        if prime {
+            self.events.prime = false;
+        }
         let t = self.metrics.profiler.lap(Phase::LinkPre, t);
 
         // A crashed chip is passed over either way: its cycles are
@@ -941,11 +915,16 @@ impl<C: Chip> Simulator<C> {
         if EV {
             let dirty = self.events.dirty.iter().map(|h| h.0);
             list.extend(dirty.filter(|&h| (h as usize) < n && !crashed[h as usize]));
-            // Priming, every other live chip is polled *before* its tick (see
+            // Priming, every other live chip ticks if it has queued
+            // injections, else is polled *before* its tick (see
             // `Chip::next_event`): it ticks if it may act by the next cycle.
             let chips = if prime { &self.chips[..] } else { &[] };
             for (i, chip) in chips.iter().enumerate() {
                 if crashed[i] || self.events.stamp[i] == now {
+                    continue;
+                }
+                if injecting(&self.ios[i]) {
+                    list.push(i as u32);
                     continue;
                 }
                 match chip.next_event(now) {
@@ -966,20 +945,16 @@ impl<C: Chip> Simulator<C> {
         let t = self.metrics.profiler.lap(Phase::LinkPost, t);
         if EV {
             if prime {
-                // A fresh queue knows no wakes: every source, and after
-                // dense cycles every busy link, files its first. Idle links
-                // have nothing to clear, and at mega-mesh scale they vastly
-                // outnumber the busy ones.
-                let (links, sources) = (self.adj.len(), self.sources.len());
-                let mut repolled = (n + sources) as u64;
-                for li in 0..if sweep { links } else { 0 } {
+                // A fresh queue knows no wakes: after dense cycles every
+                // busy link files its first. Idle links have nothing to
+                // clear, and at mega-mesh scale they vastly outnumber the
+                // busy ones.
+                let mut repolled = n as u64;
+                for li in 0..if sweep { self.adj.len() } else { 0 } {
                     if self.adj.link(li).next_event().is_some() {
                         self.events.mark(n + li, now);
                         repolled += 1;
                     }
-                }
-                for h in n + links..n + links + sources {
-                    self.events.mark(h, now);
                 }
                 self.metrics.registry.inc(self.metrics.ids.stale_repolls, repolled);
             }
@@ -1027,9 +1002,12 @@ impl<C: Chip> Simulator<C> {
             self.unticked[i] = now + 1;
             // A chip's state is final for the cycle once it has ticked — the
             // link phases never touch it — so polling here sees what an
-            // end-of-cycle poll would.
+            // end-of-cycle poll would — bar injections still queued, which
+            // carry the chip.
             if EV {
-                self.events.file_wake(h, chip.next_event(now), now);
+                let at = chip.next_event(now);
+                let at = if injecting(&self.ios[i]) { Some(now + 1) } else { at };
+                self.events.file_wake(h, at, now);
             }
         }
         self.metrics.profiler.lap(Phase::SerialTick, t)
@@ -1073,14 +1051,15 @@ impl<C: Chip> Simulator<C> {
 
     /// Debug-build proof of the activity sets (DESIGN.md §3.11) where a
     /// cycle's full sweeps used to start. On an event cycle every `ChipIo`
-    /// is clear and its backlog listed (a dense cycle clears them all and
-    /// keeps no backlog list). On every cycle no link the arrival pass will
-    /// pass over — its wake is not in `fired` (the handles the cycle began
-    /// with, sorted; `None` when all links are swept), or its `next_at` lies
-    /// ahead — owes anything yet by the queues' own account.
+    /// is clear, and past the prime every live chip with queued injections
+    /// was carried. On every cycle no link the link pass will pass over —
+    /// its wake is not in `fired` (the handles it visits, sorted; `None`
+    /// when all links are swept), or its `next_at` lies ahead — owes an
+    /// arrival by the queues' own account, or a live transmitter's
+    /// continuation.
     #[cfg(debug_assertions)]
     fn dbg_check_activity(&self, event: bool, fired: Option<&[WakeHandle]>) {
-        let (now, n) = (self.now, self.chips.len());
+        let (now, n, prime) = (self.now, self.chips.len(), self.events.prime);
         let ios = if event { &self.ios[..] } else { &[] };
         for (node, io) in ios.iter().enumerate() {
             let clear = io.rx.iter().chain(&io.tx).all(Option::is_none)
@@ -1088,14 +1067,15 @@ impl<C: Chip> Simulator<C> {
                 && io.delivered_tc.is_empty()
                 && io.delivered_be.is_empty();
             assert!(clear, "chip {node} carried traffic into cycle {now} without having ticked");
-            let listed = self.backlog.listed[node] || !Backlog::pending(io);
-            assert!(listed, "chip {node} has queued injections but is not on the backlog list");
+            let carried =
+                prime || self.crashed[node] || self.events.stamp[node] == now || !injecting(io);
+            assert!(carried, "chip {node} has queued injections but was not carried into {now}");
         }
         for li in 0..self.adj.len() {
             let link = self.adj.link(li);
-            let listed = !link.owes_continuation() || self.emitting.contains(&(li as u32));
-            assert!(listed, "link {li} owes a continuation but is not on the emitting list");
-            let owes = link.scanned_next_event().is_some_and(|at| at <= now);
+            let tx_up = !self.crashed[self.adj.owner_of(li).index()];
+            let owes = (tx_up && link.owes_continuation())
+                || link.scanned_next_arrival().is_some_and(|at| at <= now);
             let polled = link.next_event().is_some_and(|at| at <= now)
                 && fired.is_none_or(|f| f.binary_search(&WakeHandle((n + li) as u32)).is_ok());
             assert!(polled || !owes, "link {li} owes an arrival at {now} but will not be polled");
@@ -1109,14 +1089,14 @@ impl<C: Chip> Simulator<C> {
         (0..if EV { list.len() } else { n }).map(move |k| if EV { list[k] as usize } else { k })
     }
 
-    /// Pre-tick phases of one cycle: link arrivals and traffic sources.
-    /// `ticked_last` is the previous cycle's tick list; `sweep` (a prime
-    /// after dense cycles) visits every link and rescans the backlog.
+    /// Pre-tick phases of one cycle: link arrivals and emissions, and
+    /// traffic sources. `ticked_last` is the previous cycle's tick list;
+    /// `sweep` (a prime after dense cycles) visits every link.
     ///
     /// With `EV` set, additionally feeds the event core's dirty set:
-    /// chips receiving symbols, credits, or holding pending injections —
-    /// and links whose queues were popped — get their wakes recomputed at
-    /// the end of the step. `EV = false` compiles the bookkeeping out.
+    /// chips receiving symbols, credits, or a source's injection — and
+    /// links whose queues were popped — get their wakes recomputed at the
+    /// end of the step. `EV = false` compiles the bookkeeping out.
     fn phase_pre<const EV: bool>(&mut self, ticked_last: &[u32], sweep: bool) {
         let now = self.now;
         let n = self.chips.len();
@@ -1124,38 +1104,33 @@ impl<C: Chip> Simulator<C> {
         for node in Self::ticked::<EV>(ticked_last, n) {
             self.ios[node].begin_cycle();
         }
-        if sweep {
-            // Dense cycles skipped the backlog bookkeeping with the wakes.
-            for i in (0..n).filter(|&i| Backlog::pending(&self.ios[i])) {
-                self.backlog.note(i);
-            }
-        }
 
-        // 1. Link arrivals (data forward, credits backward). A link's wake
-        // is its earliest owed arrival (carried to the next cycle while a
-        // crashed end leaves one parked), so on a primed core `recv` and
-        // `recv_credit` are no-ops on every link the step did not begin
-        // with. Their order is free: a link writes only its own `rx` and
-        // `credit_in` slots, and the tick list is sorted afterwards.
+        // 1. Link arrivals (data forward, credits backward) and emissions.
+        // A link's wake is its earliest owed arrival, or now while a live
+        // transmitter owes a continuation (carried while a crashed end
+        // leaves one parked; a restore marks its links), so on a primed
+        // core the visit is a no-op on every link not yet dirty. Their
+        // order is free: a link writes only its own `rx` and `credit_in`
+        // slots, and the tick list is sorted afterwards.
         let sweep = !EV || sweep;
-        let began = if sweep { self.adj.len() } else { self.events.began };
+        let visit = if sweep { self.adj.len() } else { self.events.dirty.len() };
         #[cfg(debug_assertions)]
         {
-            let mut fired = if sweep { Vec::new() } else { self.events.dirty[..began].to_vec() };
+            let mut fired = if sweep { Vec::new() } else { self.events.dirty[..visit].to_vec() };
             fired.sort_unstable();
             self.dbg_check_activity(EV, (!sweep).then_some(&fired[..]));
         }
         let mut visits = 0;
-        for k in 0..began {
-            // The step began with chips and sources too: below `n` the
-            // subtraction wraps, so both fall outside the link indices.
+        for k in 0..visit {
+            // The dirty list holds chips too: below `n` the subtraction
+            // wraps, so they fall outside the link indices.
             let li = if sweep { k } else { self.events.dirty[k].index().wrapping_sub(n) };
             if !sweep && li >= self.adj.len() {
                 continue;
             }
             visits += 1;
-            // Nothing due on either wire: `recv` and `recv_credit` would be
-            // no-ops whatever the crash flags say.
+            // Nothing due on either wire and nothing to emit: a no-op
+            // whatever the crash flags say.
             if self.adj.link(li).next_event().is_none_or(|at| at > now) {
                 continue;
             }
@@ -1163,18 +1138,18 @@ impl<C: Chip> Simulator<C> {
             // A crashed receiver drains nothing: its arrivals age on the
             // wire and are dropped (and counted) once stale. A crashed
             // *transmitter* takes no credits either — credits are pure
-            // counters, so its batches simply deliver late after restore.
+            // counters, so its batches simply deliver late after restore —
+            // and emits nothing, as its frozen serialiser sends nothing.
             let recv_data = !self.crashed[self.adj.dst(li).node.index()];
-            let recv_credits = !self.crashed[node];
-            if !recv_data && !recv_credits {
-                continue;
-            }
+            let tx_up = !self.crashed[node];
             let (symbol, credits) = {
                 let link = self.adj.link_mut(li);
-                (
-                    if recv_data { link.recv(now) } else { None },
-                    if recv_credits { link.recv_credit(now) } else { 0 },
-                )
+                let symbol = if recv_data { link.recv(now) } else { None };
+                let credits = if tx_up { link.recv_credit(now) } else { 0 };
+                if tx_up && link.owes_continuation() {
+                    link.emit_continuation(now);
+                }
+                (symbol, credits)
             };
             if EV && (symbol.is_some() || credits > 0) {
                 self.events.mark(n + li, now);
@@ -1197,7 +1172,8 @@ impl<C: Chip> Simulator<C> {
 
         // 2. Traffic sources (silent while their node is crashed). A source
         // runs when its own `next_event` answer comes due — the contract
-        // leaping relies on: until then `pre_cycle` would do nothing.
+        // leaping relies on: until then `pre_cycle` would do nothing. The
+        // chip it queued for ticks: no `next_event` sees injection queues.
         for (node, source, due) in &mut self.sources {
             let i = node.index();
             if now < *due || self.crashed[i] {
@@ -1205,61 +1181,27 @@ impl<C: Chip> Simulator<C> {
             }
             source.pre_cycle(now, *node, &mut self.ios[i]);
             *due = source.next_event(now).unwrap_or(Cycle::MAX);
-            if EV && Backlog::pending(&self.ios[i]) {
-                self.backlog.note(i);
+            if EV && injecting(&self.ios[i]) {
+                self.events.mark(i, now);
             }
-        }
-
-        // 3. Chips with pending injections may start draining them this
-        // tick (the injection queues live outside the chips, so their
-        // `next_event` cannot account for them). A crashed chip drains
-        // nothing; its restore event re-marks it.
-        if EV {
-            let Backlog { nodes, listed } = &mut self.backlog;
-            let (ios, crashed, events) = (&self.ios, &self.crashed, &mut self.events);
-            nodes.retain(|&node| {
-                let i = node as usize;
-                listed[i] = Backlog::pending(&ios[i]);
-                if listed[i] && !crashed[i] {
-                    events.mark(i, now);
-                }
-                listed[i]
-            });
         }
     }
 
-    /// Post-tick phases of one cycle: the links' own continuation symbols,
-    /// symbol/credit collection and delivery draining over the chips in
-    /// `list` that just ticked (only a tick drives, returns credits, or
-    /// delivers), gauge sampling, and the clock advance. With `EV` set,
-    /// links that carried a new symbol or credit batch are marked dirty.
+    /// Post-tick phases of one cycle: symbol/credit collection and
+    /// delivery draining over the chips in `list` that just ticked (only a
+    /// tick drives, returns credits, or delivers), gauge sampling, and the
+    /// clock advance. With `EV` set, links that carried a new symbol or
+    /// credit batch are marked dirty.
     fn phase_post<const EV: bool>(&mut self, now: Cycle, list: &[u32]) {
         let n = self.chips.len();
         let walked = if EV { list.len() } else { n };
         self.metrics.registry.inc(self.metrics.ids.io_visits, walked as u64);
-        // 4. Every link that owes a continuation puts the next one on the
-        // wire. A crashed transmitter's link pauses, as its frozen
-        // serialiser does, and resumes at restore. Heads driven below join
-        // the list after it is walked, so their first continuation goes out
-        // next cycle.
-        let (adj, crashed, events) = (&mut self.adj, &self.crashed, &mut self.events);
-        self.emitting.retain(|&li| {
-            let li = li as usize;
-            if crashed[adj.owner_of(li).index()] {
-                return true;
-            }
-            let link = adj.link_mut(li);
-            link.emit_continuation(now);
-            if EV {
-                events.mark(n + li, now);
-            }
-            link.owes_continuation()
-        });
-        // 5. Collect driven symbols and returned credits — walking only
+        // 3. Collect driven symbols and returned credits — walking only
         // the wired outputs and fed inputs via the CSR tables. A chip can
         // only drive ports its wiring feeds credits through, so scanning
         // the sparse tables covers every live port; the debug asserts
-        // below catch a chip writing to an unwired one.
+        // below catch a chip writing to an unwired one. A head makes its
+        // link owe the continuations, whose first goes out next cycle.
         for node in Self::ticked::<EV>(list, n) {
             debug_assert!(
                 self.ios[node].tx[Port::Local.index()].is_none(),
@@ -1272,9 +1214,6 @@ impl<C: Chip> Simulator<C> {
                     let link = self.adj.link_mut(li);
                     debug_assert!(!link.owes_continuation(), "a chip drove over its own packet");
                     link.send(now, symbol);
-                    if link.owes_continuation() {
-                        self.emitting.push(li as u32);
-                    }
                     if EV {
                         self.events.mark(n + li, now);
                     }
@@ -1305,14 +1244,14 @@ impl<C: Chip> Simulator<C> {
             );
         }
 
-        // 6. Drain deliveries.
+        // 4. Drain deliveries.
         for node in Self::ticked::<EV>(list, n) {
             let (io, log) = (&mut self.ios[node], &mut self.logs[node]);
             log.tc.append(&mut io.delivered_tc);
             log.be.append(&mut io.delivered_be);
         }
 
-        // 7. Periodic occupancy sampling.
+        // 5. Periodic occupancy sampling.
         if self.gauge_every.is_some_and(|every| now.is_multiple_of(every)) {
             self.gauge_samples.record(now, &self.chips);
         }
@@ -1333,25 +1272,25 @@ impl<C: Chip> Simulator<C> {
         self.run(cycles);
     }
 
-    /// Polls a link's, a source's, or a crashed chip's `next_event` and
-    /// files (or clears) its wake; live chips are polled as they tick.
-    /// See [`EventCore`] for the handle layout.
+    /// Polls a link and files (or clears) its wake, or clears a crashed
+    /// chip's; live chips are polled as they tick. See [`EventCore`] for
+    /// the handle layout.
     fn repoll(&mut self, handle: usize, now: Cycle) {
         let n = self.chips.len();
-        let nl = n + self.adj.len();
         let at = if handle < n {
             // A crashed chip has no wake: it is not ticked until restore,
             // which marks it dirty again.
             debug_assert!(self.crashed[handle], "live chips are polled as they tick");
             None
-        } else if handle < nl {
-            self.adj.link(handle - n).next_event()
         } else {
-            let (node, source, _) = &self.sources[handle - nl];
-            if self.crashed[node.index()] {
-                None
+            let li = handle - n;
+            let link = self.adj.link(li);
+            // A crashed transmitter emits nothing until its restore marks
+            // the link again: until then only the wire's arrivals are due.
+            if self.crashed[self.adj.owner_of(li).index()] {
+                link.next_arrival()
             } else {
-                source.next_event(now)
+                link.next_event()
             }
         };
         self.events.file_wake(handle as u32, at, now);
@@ -1360,30 +1299,30 @@ impl<C: Chip> Simulator<C> {
     /// If the network is provably quiescent at `self.now` (an event cycle
     /// just ran), returns the earliest cycle at which anything can happen,
     /// clamped to `end`: the minimum registered wake, read in O(1) instead
-    /// of re-polling every component. Returns `None` when some component
-    /// needs the very next cycle, i.e. no leap is possible.
+    /// of re-polling every component, and the earliest source `due`.
+    /// Returns `None` when some component needs the very next cycle, i.e.
+    /// no leap is possible.
     fn quiet_target(&mut self, end: Cycle) -> Option<Cycle> {
         // Never leap across an agenda op: each must apply at the start of
         // exactly its own cycle in every drive mode.
         let end = self.agenda.next_at().map_or(end, |at| end.min(at));
         // A carried handle wakes at `self.now`, and no queued wake says so.
+        // That covers a live chip with queued injections and a link owing a
+        // continuation, both carried while they last.
         if !self.events.carry.is_empty() {
             return None;
         }
-        // Packets queued for injection live in simulator-owned ChipIo
-        // queues the chips drain over time, so no wake describes them; any
-        // backlog keeps stepping. (A crashed chip drains nothing, so its
-        // backlog cannot block a leap — the agenda clamp stops at restore.)
-        let blocks = |&node: &u32| {
-            !self.crashed[node as usize] && Backlog::pending(&self.ios[node as usize])
-        };
-        if self.backlog.nodes.iter().any(blocks) {
-            return None;
-        }
-        // A link owing a continuation emits on the next cycle, which no
-        // wake describes either (unless its transmitter is dark).
-        if self.emitting.iter().any(|&li| !self.crashed[self.adj.owner_of(li as usize).index()]) {
-            return None;
+        // A source's `due` is its only wake, read only where a leap is
+        // possible. One on a crashed node is silent; the agenda clamp stops
+        // at its restore.
+        let mut end = end;
+        for (node, _, due) in &self.sources {
+            if !self.crashed[node.index()] {
+                end = end.min(*due);
+                if end <= self.now {
+                    return None;
+                }
+            }
         }
         let target = self.events.queue.next_wake().map_or(end, |w| w.min(end));
         (target > self.now).then_some(target)
@@ -1527,7 +1466,7 @@ impl<C: Chip> Simulator<C> {
             // The first leaping call builds the core. The fresh queue is
             // primed — the first event cycle polls everything, later ones
             // the dirty.
-            self.events = EventCore::new(self.chips.len() + self.adj.len() + self.sources.len());
+            self.events = EventCore::new(self.chips.len() + self.adj.len());
         }
         let end = self.now + cycles;
         let mut fired = false;
@@ -1851,9 +1790,18 @@ mod tests {
     #[test]
     fn mutation_keeps_a_warm_core_and_its_counters() {
         // A source registered and a chip written between two leaping calls
-        // are carried into the next cycle; the core is not rebuilt, so its
-        // counters cover the whole run and never go down.
-        let (mut leaping, mut stepped) = (two_node_sim(), two_node_sim());
+        // run on the next cycle; the core is not rebuilt, so its counters
+        // cover the whole run and never go down. A source files no wake
+        // (its `due` is its only one), so the queue's counters come from
+        // the wire: twenty cycles long, it outruns the flit buffer's
+        // credits, and each packet's arrivals wake a link gone quiet.
+        let latent = || {
+            Simulator::build_with_latency(Topology::mesh(2, 1), 20, |_| {
+                RealTimeRouter::new(RouterConfig::default())
+            })
+            .unwrap()
+        };
+        let (mut leaping, mut stepped) = (latent(), latent());
         let dst = leaping.topology().node_at(1, 0);
         for sim in [&mut leaping, &mut stepped] {
             sim.add_source(NodeId(0), Box::new(OneShot(100)));

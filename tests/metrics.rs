@@ -96,6 +96,40 @@ fn warm_queue_adds_no_stale_repolls() {
     );
 }
 
+/// A source's `due` is its only wake, and the leap planner clamps to the
+/// earliest one on a live node: an every-cycle source on a crashed node is
+/// overdue for the whole dark span, yet the span is leapt, not stepped.
+/// (The scenario of `tests/chaos.rs`'
+/// `sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration`.)
+#[test]
+fn an_overdue_source_on_a_crashed_node_does_not_stop_leaps() {
+    use realtime_router::mesh::source::FnSource;
+    use realtime_router::mesh::FaultSchedule;
+    use realtime_router::types::ids::NodeId;
+    const CRASH: u64 = 1_003;
+    const RESTORE: u64 = 2_011;
+    let config = RouterConfig::default();
+    let mut sim =
+        Simulator::build(Topology::mesh(2, 2), |_| RealTimeRouter::new(config.clone())).unwrap();
+    add_one_hop_channel(&mut sim, 0, 0, 8);
+    sim.set_fault_schedule(
+        FaultSchedule::new().node_crash(CRASH, NodeId(0)).node_restore(RESTORE, NodeId(0)),
+    );
+    sim.add_source(NodeId(0), Box::new(FnSource(|_, _, _: &mut _| {})));
+    let leaped = |sim: &Simulator<RealTimeRouter>| {
+        sim.metrics_snapshot().counter("sim.leaped_cycles").unwrap_or(0)
+    };
+    sim.run_leaping(CRASH);
+    let before = leaped(&sim);
+    sim.run_leaping(RESTORE - CRASH);
+    let dark = leaped(&sim) - before;
+    assert!(
+        dark >= (RESTORE - CRASH) * 9 / 10,
+        "only {dark} of the {} dark cycles were leapt",
+        RESTORE - CRASH
+    );
+}
+
 /// Wall-clock attribution must land in the phases a drive mode actually
 /// runs: stepped time in the tick loop, leaping runs in planning as well as
 /// in the tick loop for the cycles they step.
