@@ -11,15 +11,17 @@ use rtr_core::control::ControlCommand;
 use rtr_core::{RealTimeRouter, RouterTemplate};
 use rtr_mesh::source::TrafficSource;
 use rtr_mesh::topology::Topology;
-use rtr_mesh::Simulator;
+use rtr_mesh::{FaultSchedule, Simulator};
 use rtr_types::chip::{Chip, ChipIo};
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
-use rtr_types::packet::{BePacket, PacketTrace};
+use rtr_types::packet::{BePacket, PacketTrace, TcPacket};
 use rtr_types::time::{cycle_to_slot, Cycle};
 use rtr_workloads::be::{RandomBeSource, SizeDist};
 use rtr_workloads::patterns::TrafficPattern;
 use rtr_workloads::tc::PeriodicTcSource;
+
+use crate::churn::DriveMode;
 
 /// Local delay bound, in slots, of both hops of [`add_one_hop_channel`].
 pub const ONE_HOP_DELAY: u32 = 6;
@@ -124,6 +126,56 @@ pub fn periodic_mesh(width: u16, height: u16, period_slots: u64) -> Simulator<Re
     for (index, y) in [0, height / 4, height * 5 / 8, height - 1].into_iter().enumerate() {
         add_one_hop_channel(&mut sim, y, index, period_slots);
     }
+    sim
+}
+
+/// When the one packet of [`one_packet_line`] puts its head on the wire.
+pub const ONE_PACKET_HEAD: Cycle = 140;
+
+/// Connection 30 along a row of `hops + 1` default routers under `faults`:
+/// each forwards it east and the last delivers it. `mode` drives the mesh
+/// to cycle 100, where node 0 is handed one packet with its logical arrival
+/// two slots ahead, so its head leaves node 0 on cycle [`ONE_PACKET_HEAD`]
+/// and its 19 continuation symbols follow one per cycle.
+///
+/// # Panics
+///
+/// Panics if a router refuses the table write.
+#[must_use]
+pub fn one_packet_line(
+    hops: u16,
+    faults: FaultSchedule,
+    mode: DriveMode,
+) -> Simulator<RealTimeRouter> {
+    let config = RouterConfig::default();
+    let mut sim =
+        Simulator::build(Topology::mesh(hops + 1, 1), |_| RealTimeRouter::new(config.clone()))
+            .expect("the default config is valid");
+    let conn = ConnectionId(30);
+    for x in 0..=hops {
+        let port = if x == hops { Port::Local } else { Port::Dir(Direction::XPlus) };
+        let write = ControlCommand::SetConnection {
+            incoming: conn,
+            outgoing: conn,
+            delay: ONE_HOP_DELAY,
+            out_mask: port.mask(),
+        };
+        sim.chip_mut(NodeId(x))
+            .apply_control(write)
+            .expect("a one-hop table write fits the router");
+    }
+    sim.set_fault_schedule(faults);
+    mode.advance(&mut sim, 100);
+    let slot = cycle_to_slot(sim.now(), config.slot_bytes);
+    sim.inject_tc(
+        NodeId(0),
+        TcPacket {
+            conn,
+            arrival: sim.chip(NodeId(0)).clock().wrap(slot + 2),
+            payload: vec![0x3C; config.tc_data_bytes()].into(),
+            trace: PacketTrace::default(),
+        },
+    );
     sim
 }
 

@@ -189,6 +189,12 @@ impl OutputPort {
         (selection, now >= self.grant_ready_at)
     }
 
+    /// The first cycle the port's pipeline grants a selection, once its
+    /// `bit` of `had_candidate` records a candidate.
+    pub fn grant_ready_at(&self) -> Cycle {
+        self.grant_ready_at
+    }
+
     /// Applies, at cycle `at`, the pipeline transition a dense tick would
     /// have recorded on its first selection recompute, copying the port's
     /// `bit` of the scheduler's `backlog` mask into `had_candidate`: an

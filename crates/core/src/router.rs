@@ -937,7 +937,12 @@ impl Chip for RealTimeRouter {
                 // at the cycle beginning slot `now / slot_bytes + delta`.
                 let ready =
                     if delta == 0 { now + 1 } else { (now / slot_bytes + delta) * slot_bytes };
-                let at = free_at(port.index()).map_or(ready, |free| free.max(ready));
+                let mut at = free_at(port.index()).map_or(ready, |free| free.max(ready));
+                // A pipeline that has seen its candidate grants nothing
+                // before it has refilled.
+                if dp.had_candidate & port.mask() != 0 {
+                    at = at.max(dp.outputs[port.index()].grant_ready_at());
+                }
                 if at <= now + 1 {
                     return self.wake.short(now);
                 }

@@ -6,16 +6,18 @@
 //! credits in the reverse direction (the acknowledgement bit of §3.2).
 //!
 //! A time-constrained packet holds its link from head to tail (§3.2), so its
-//! continuation symbols are fixed by its head and the wire is their owner:
-//! a chip drives only the [`LinkSymbol::TcStart`], and the link itself puts
-//! the `wire_len − 1` [`LinkSymbol::TcCont`]s on the wire, one per cycle, as
-//! the simulator asks it to ([`Link::emit_continuation`]). At the far end the
-//! link takes every one of them off the wire at its exact cycle and counts
-//! it, but hands the receiving chip only the last — the one that completes
-//! the packet — so neither chip ticks for the bytes in between. A
-//! continuation that arrives while nothing is being absorbed (an orphan of a
-//! head a fault destroyed, or the tail of a packet a crashed receiver lost)
-//! reaches the chip as before.
+//! continuation symbols are a pure function of its head: a chip drives only
+//! the [`LinkSymbol::TcStart`], and sending it queues the `wire_len − 1`
+//! [`LinkSymbol::TcCont`]s behind it as one wire entry, a *run* — its first
+//! arrival cycle and its first and last index — whose symbols arrive one per
+//! cycle. At the far end the link hands the receiving chip the head at its
+//! cycle and then only the last continuation, the one that completes the
+//! packet; the middle is counted delivered by the clock. So nothing runs on
+//! either chip or on the link between a packet's head and its tail, and
+//! every ledger read works out a run's sent and delivered share from the
+//! cycle it is asked at. A continuation that arrives while nothing is being
+//! absorbed (the rest of a packet a crashed receiver lost) reaches the chip,
+//! one per cycle, like any symbol.
 //!
 //! Links are where the fault plane acts (see [`crate::fault`]): a link can
 //! be **down** (blackholing what is sent while down) or **flaky** (a seeded
@@ -23,12 +25,14 @@
 //! Faults are packet-coherent: the fate of a packet is decided at its head
 //! symbol and its continuation symbols follow, so a packet either crosses
 //! whole or vanishes whole and the downstream reassembly state machines
-//! never see a torn frame from a link fault. (Crashed *receivers* can still
-//! tear packets — arrivals whose exact cycle passes unobserved are dropped
-//! and counted here, and the receiver's input ports tolerate the orphaned
-//! remainder.) Every symbol destroyed lands in the [`LinkLedger`], whose
-//! conservation identity `sent = delivered + lost + in flight` makes
-//! lost-to-fault a ledger column rather than a leak.
+//! never see a torn frame from a link fault. (Crashed nodes can still
+//! tear packets: a crashed transmitter parks the rest of its run until its
+//! restore, and arrivals whose exact cycle passes while the receiver is
+//! crashed are dropped and counted here, and the receiver's input ports
+//! tolerate the orphaned remainder.) Every symbol
+//! destroyed lands in the [`LinkLedger`], whose conservation identity
+//! `sent = delivered + lost + in flight` makes lost-to-fault a ledger column
+//! rather than a leak.
 
 use std::collections::VecDeque;
 
@@ -67,6 +71,12 @@ pub struct LinkLedger {
 }
 
 impl LinkLedger {
+    /// Counts `n` continuations of a run sent, as they leave its wire entry.
+    fn settle_run(&mut self, n: u64) {
+        self.symbols_sent += n;
+        self.tc_symbols_sent += n;
+    }
+
     /// Folds another ledger into this one (mesh-wide totals).
     pub fn merge(&mut self, other: &LinkLedger) {
         self.symbols_sent += other.symbols_sent;
@@ -108,17 +118,45 @@ impl LinkUsage {
     }
 }
 
+/// One entry of a link's data wire, queued with the arrival cycle of its
+/// (first) symbol.
+#[derive(Debug)]
+enum Wire {
+    /// One symbol.
+    Symbol(LinkSymbol),
+    /// Continuations `first..=last` of one time-constrained packet, arriving
+    /// one per cycle. A `lost` run's head was destroyed: its symbols count
+    /// as sent and lost as they would have been emitted, and never arrive.
+    Run { first: u8, last: u8, lost: bool },
+}
+
+/// The arrival cycle of a run its crashed transmitter has not emitted yet.
+const PARKED: Cycle = Cycle::MAX;
+
+/// The number of continuations in the run `first..=last`.
+fn run_len(first: u8, last: u8) -> u64 {
+    u64::from(last - first) + 1
+}
+
+/// The arrival cycle of an entry's last symbol.
+fn last_arrival(&(at, ref wire): &(Cycle, Wire)) -> Cycle {
+    match *wire {
+        Wire::Symbol(_) => at,
+        Wire::Run { first, last, .. } => at.saturating_add(u64::from(last - first)),
+    }
+}
+
 /// One unidirectional link (plus its reverse credit wire).
 #[derive(Debug)]
 pub struct Link {
     /// Wire latency in cycles added on top of the one-cycle transfer.
     latency: Cycle,
-    data: VecDeque<(Cycle, LinkSymbol)>,
+    data: VecDeque<(Cycle, Wire)>,
     credits: VecDeque<(Cycle, u16)>,
-    /// Earliest owed arrival: the front data symbol's or the front credit
-    /// batch's cycle, whichever is sooner; `Cycle::MAX` on an empty wire.
-    /// Kept by every call that pushes or pops either queue, so a receiver
-    /// can pass over the link with one compare.
+    /// The earliest arrival a chip must see ([`Link::next_event`]);
+    /// `Cycle::MAX` when there is none. Kept by every call that changes
+    /// either queue or the absorption, so a receiver can pass over the link
+    /// with one compare.
     next_at: Cycle,
     /// Downed link: new packets and credits are blackholed (packets whose
     /// head already crossed complete, keeping receivers coherent).
@@ -130,10 +168,8 @@ pub struct Link {
     /// Per-link xorshift64 state for the flaky decisions (0 = unseeded;
     /// seeded by the first `set_flaky`).
     rng: u64,
-    /// The time-constrained packet in transit had its head destroyed:
-    /// drop its continuation symbols too.
-    tc_dropping: bool,
-    /// Same for the best-effort packet in transit.
+    /// The best-effort packet in transit had its head destroyed: drop the
+    /// rest of it too.
     be_dropping: bool,
     /// The current best-effort packet was chosen for corruption; the first
     /// payload byte gets flipped.
@@ -143,16 +179,12 @@ pub struct Link {
     /// Corrupt decision stashed by the last flaky roll (both decisions
     /// come from one draw so a packet is never dropped *and* corrupted).
     pending_corrupt: bool,
-    /// Index of the next continuation the link owes the wire (0 = none):
-    /// set by sending a time-constrained head, stepped by
-    /// [`Link::emit_continuation`] up to `emit_last`.
-    emit_next: u8,
-    /// Index of the last continuation of the packet being emitted.
-    emit_last: u8,
-    /// Continuations still to be taken off the wire without being handed
-    /// to the receiver: set by delivering a head, cleared by
-    /// [`Link::stop_absorbing`].
+    /// Index of the continuation that completes the packet being received
+    /// (0 = none): set by delivering its head, cleared by handing that
+    /// continuation on or by [`Link::stop_absorbing`]. The runs at the front
+    /// of the wire absorb every index below it.
     absorb: u8,
+    /// What is settled; [`Link::ledger`] adds the queued runs' shares.
     ledger: LinkLedger,
 }
 
@@ -169,35 +201,53 @@ impl Link {
             drop_per_1024: 0,
             corrupt_per_1024: 0,
             rng: 0,
-            tc_dropping: false,
             be_dropping: false,
             be_corrupt_armed: false,
             be_pos: 0,
             pending_corrupt: false,
-            emit_next: 0,
-            emit_last: 0,
             absorb: 0,
             ledger: LinkLedger::default(),
         }
     }
 
     /// Whether any fault state can touch the next symbol sent: the link is
-    /// down or flaky, or a packet in transit is being dropped or corrupted.
+    /// down or flaky, or a best-effort packet in transit is being dropped
+    /// or corrupted.
     fn fault_live(&self) -> bool {
         self.down
-            || self.tc_dropping
             || self.be_dropping
             || self.be_corrupt_armed
             || self.drop_per_1024 != 0
             || self.corrupt_per_1024 != 0
     }
 
-    /// What `next_at` must read, by the queues themselves: the earlier
-    /// front's arrival cycle. Pops restamp from it; pushes only lower it.
+    /// The next data arrival a chip must see, by the wire itself: a symbol,
+    /// the continuation that completes the packet being absorbed, or an
+    /// orphan continuation.
+    fn data_wake(&self) -> Cycle {
+        if let Some(&(at, Wire::Symbol(_))) = self.data.front() {
+            return at;
+        }
+        for &(at, ref wire) in &self.data {
+            match *wire {
+                Wire::Symbol(_) => return at,
+                Wire::Run { lost: true, .. } => break,
+                Wire::Run { .. } if self.absorb == 0 => return at,
+                Wire::Run { first, last, .. } if last >= self.absorb => {
+                    return at.saturating_add(u64::from(self.absorb - first));
+                }
+                // Absorbed whole: the rest of its packet is behind it.
+                Wire::Run { .. } => {}
+            }
+        }
+        Cycle::MAX
+    }
+
+    /// What `next_at` must read, by the queues themselves. Pops and
+    /// absorption changes restamp from it; pushes only lower it.
     fn earliest_front(&self) -> Cycle {
-        let data = self.data.front().map_or(Cycle::MAX, |(t, _)| *t);
         let credit = self.credits.front().map_or(Cycle::MAX, |(t, _)| *t);
-        data.min(credit)
+        self.data_wake().min(credit)
     }
 
     /// Puts a symbol on the wire at `now`; it arrives at `now + 1 +
@@ -206,57 +256,107 @@ impl Link {
     /// at packet heads and inherited by continuation symbols, so packets
     /// cross (or vanish) whole.
     ///
-    /// A time-constrained head makes the link owe its packet's
-    /// continuations, which only [`Link::emit_continuation`] sends; the
-    /// sender drives nothing else on the link until they are out.
+    /// A time-constrained head queues its packet's continuations behind it
+    /// as one run, on the wire from the next cycle on; the sender drives
+    /// nothing else on the link until they are out.
     pub fn send(&mut self, now: Cycle, symbol: LinkSymbol) {
-        if let LinkSymbol::TcStart(packet) = &symbol {
-            self.emit_last = packet.last_index();
-            self.emit_next = u8::from(self.emit_last > 0);
+        let arrive = now + 1 + self.latency;
+        debug_assert!(
+            self.data.back().is_none_or(|entry| last_arrival(entry) < arrive),
+            "link carries at most one symbol per cycle: a chip drove over its own packet"
+        );
+        // A lost run is all emitted by now: settle it.
+        while let Some(&(_, Wire::Run { first, last, lost: true })) = self.data.back() {
+            let n = run_len(first, last);
+            self.ledger.settle_run(n);
+            self.ledger.symbols_lost += n;
+            self.data.pop_back();
         }
+        let run = match &symbol {
+            LinkSymbol::TcStart(packet) => packet.last_index(),
+            _ => 0,
+        };
         self.ledger.symbols_sent += 1;
         self.ledger.tc_symbols_sent += u64::from(symbol.is_time_constrained());
         // With no fault state live, `through_faults` would pass the symbol
         // on untouched and reset only flags that are already clear (`be_pos`
         // is read only while a corruption is armed, and arming zeroes it).
-        let symbol = if self.fault_live() {
-            let Some(symbol) = self.through_faults(symbol) else { return };
-            symbol
+        let symbol = if self.fault_live() { self.through_faults(symbol) } else { Some(symbol) };
+        let lost = symbol.is_none();
+        if let Some(symbol) = symbol {
+            self.data.push_back((arrive, Wire::Symbol(symbol)));
+            self.next_at = self.next_at.min(arrive);
+        }
+        if run > 0 {
+            self.data.push_back((arrive + 1, Wire::Run { first: 1, last: run, lost }));
+        }
+    }
+
+    /// Parks the rest of the run being emitted: its transmitting node
+    /// crashed at `now`, so the continuations due from `now` on wait for
+    /// [`Link::resume_run`].
+    pub(crate) fn pause_run(&mut self, now: Cycle) {
+        // Emitted before `now`: what arrives by `now + latency`.
+        let reach = now + self.latency + 1;
+        let Some((at, Wire::Run { first, last, lost })) = self.data.back_mut() else { return };
+        let sent = reach.saturating_sub(*at);
+        if sent >= run_len(*first, *last) {
+            return;
+        }
+        if sent == 0 {
+            *at = PARKED;
         } else {
-            symbol
-        };
+            let rest = Wire::Run { first: *first + sent as u8, last: *last, lost: *lost };
+            *last = *first + sent as u8 - 1;
+            self.data.push_back((PARKED, rest));
+        }
+        self.next_at = self.earliest_front();
+    }
+
+    /// Puts a parked run back on the wire from `now`, its transmitting
+    /// node's restore cycle.
+    pub(crate) fn resume_run(&mut self, now: Cycle) {
         let arrive = now + 1 + self.latency;
-        debug_assert!(
-            self.data.back().is_none_or(|(t, _)| *t < arrive),
-            "link carries at most one symbol per cycle"
-        );
-        self.data.push_back((arrive, symbol));
-        self.next_at = self.next_at.min(arrive);
+        if let Some((at, Wire::Run { .. })) = self.data.back_mut() {
+            if *at == PARKED {
+                *at = arrive;
+                self.next_at = self.earliest_front();
+            }
+        }
     }
 
-    /// Whether the link still owes the wire a continuation of the packet
-    /// whose head it sent.
-    #[must_use]
-    pub fn owes_continuation(&self) -> bool {
-        self.emit_next != 0
+    /// Stops absorbing the packet being received: its receiving node
+    /// crashed at `now` and polls nothing until its restore, whose
+    /// reassembly registers no longer hold the packet. What arrived before
+    /// `now` was absorbed; the rest is dropped as missed or reaches the
+    /// receiver as orphans.
+    pub fn stop_absorbing(&mut self, now: Cycle) {
+        if self.absorb != 0 {
+            self.absorb_before(now);
+            self.absorb = 0;
+            self.next_at = self.earliest_front();
+        }
     }
 
-    /// Puts the next owed continuation symbol on the wire at `now`, through
-    /// [`Link::send`] like any symbol. The simulator calls it once per cycle
-    /// while the link owes one and its transmitting node is up.
-    pub fn emit_continuation(&mut self, now: Cycle) {
-        let index = self.emit_next;
-        debug_assert!(index != 0, "no continuation owed");
-        self.emit_next = if index == self.emit_last { 0 } else { index + 1 };
-        self.send(now, LinkSymbol::TcCont { index });
-    }
-
-    /// Stops absorbing the packet being received: its remaining
-    /// continuations reach the receiver as orphans. The simulator calls it
-    /// when the receiving node restores from a crash, whose reassembly
-    /// registers no longer hold the packet.
-    pub fn stop_absorbing(&mut self) {
-        self.absorb = 0;
+    /// Counts delivered, and takes off the wire, the continuations being
+    /// absorbed that arrive before `end`.
+    fn absorb_before(&mut self, end: Cycle) {
+        while let Some((at, Wire::Run { first, last, lost: false })) = self.data.front_mut() {
+            let middle_last = (*last).min(self.absorb - 1);
+            if middle_last < *first {
+                break;
+            }
+            let arrived = end.saturating_sub(*at).min(run_len(*first, middle_last));
+            self.ledger.settle_run(arrived);
+            self.ledger.symbols_delivered += arrived;
+            if arrived == run_len(*first, *last) {
+                self.data.pop_front();
+                continue;
+            }
+            *first += arrived as u8;
+            *at += arrived;
+            break;
+        }
     }
 
     /// The fault plane's verdict on a symbol entering the wire: `None` when
@@ -266,9 +366,7 @@ impl Link {
     fn through_faults(&mut self, symbol: LinkSymbol) -> Option<LinkSymbol> {
         Some(match symbol {
             LinkSymbol::TcStart(mut packet) => {
-                self.tc_dropping = false;
                 if self.down || self.roll_drop() {
-                    self.tc_dropping = true;
                     self.ledger.symbols_lost += 1;
                     return None;
                 }
@@ -280,13 +378,6 @@ impl Link {
                     self.ledger.symbols_corrupted += 1;
                 }
                 LinkSymbol::TcStart(packet)
-            }
-            LinkSymbol::TcCont { index } => {
-                if self.tc_dropping {
-                    self.ledger.symbols_lost += 1;
-                    return None;
-                }
-                LinkSymbol::TcCont { index }
             }
             LinkSymbol::Be(mut byte) => {
                 if byte.head {
@@ -321,51 +412,87 @@ impl Link {
                 }
                 LinkSymbol::Be(byte)
             }
+            // A continuation follows its head's fate, which its run holds.
+            cont @ LinkSymbol::TcCont { .. } => cont,
         })
     }
 
-    /// Takes the symbol arriving exactly at `now`, if any. Arrivals whose
+    /// Takes the symbol a chip must see at `now`, if any. Arrivals whose
     /// exact cycle already passed unobserved — possible only when the
     /// receiver stopped polling (node crash) — are dropped *deliberately*
     /// and counted (`symbols_lost` / `late_arrivals_dropped`), never
     /// delivered late: delivering them after the fact would retroactively
     /// change what the receiver should have seen cycles ago.
     ///
-    /// A delivered time-constrained head starts an absorption: the next
-    /// `wire_len − 2` continuations are taken off the wire and counted
-    /// delivered at their cycles, but `recv` answers `None` for them. The
-    /// last continuation is returned, and so is any that arrives while
-    /// nothing is absorbed.
+    /// A delivered time-constrained head starts an absorption: its
+    /// continuations below the last are counted delivered as their cycles
+    /// come and never handed on, so the receiver must poll the link at every
+    /// [`Link::next_event`] while it is live and call
+    /// [`Link::stop_absorbing`] when it stops. The last continuation is
+    /// returned at its cycle, and so is any that arrives while nothing is
+    /// absorbed.
     pub fn recv(&mut self, now: Cycle) -> Option<LinkSymbol> {
         if self.next_at > now {
             return None;
         }
-        while let Some(&(t, _)) = self.data.front() {
-            if t < now {
-                self.data.pop_front();
-                self.ledger.symbols_lost += 1;
-                self.ledger.late_arrivals_dropped += 1;
-            } else if t == now {
-                self.ledger.symbols_delivered += 1;
-                let symbol = self.data.pop_front().map(|(_, s)| s);
-                self.next_at = self.earliest_front();
-                return match symbol {
-                    Some(LinkSymbol::TcCont { .. }) if self.absorb > 0 => {
-                        self.absorb -= 1;
-                        None
-                    }
-                    Some(LinkSymbol::TcStart(packet)) => {
-                        self.absorb = packet.last_index().saturating_sub(1);
-                        Some(LinkSymbol::TcStart(packet))
-                    }
-                    symbol => symbol,
-                };
-            } else {
-                break;
-            }
+        if self.absorb != 0 {
+            self.absorb_before(now + 1);
         }
+        let symbol = self.take(now);
         self.next_at = self.earliest_front();
-        None
+        symbol
+    }
+
+    /// [`Link::recv`] past the absorbed continuations.
+    fn take(&mut self, now: Cycle) -> Option<LinkSymbol> {
+        loop {
+            let (at, wire) = self.data.front_mut()?;
+            let missed = now.checked_sub(*at)?;
+            let Wire::Run { first, last, lost } = wire else {
+                let Some((_, Wire::Symbol(symbol))) = self.data.pop_front() else {
+                    unreachable!("the front entry is a symbol")
+                };
+                if missed > 0 {
+                    self.ledger.symbols_lost += 1;
+                    self.ledger.late_arrivals_dropped += 1;
+                    continue;
+                }
+                self.ledger.symbols_delivered += 1;
+                if let LinkSymbol::TcStart(packet) = &symbol {
+                    self.absorb = packet.last_index();
+                }
+                return Some(symbol);
+            };
+            if *lost {
+                return None;
+            }
+            // Handed on one per cycle; what arrived unpolled is dropped.
+            debug_assert!(
+                missed == 0 || self.absorb == 0,
+                "a live receiver missed a packet's tail"
+            );
+            let left = run_len(*first, *last);
+            let missed = missed.min(left);
+            self.ledger.settle_run(missed + u64::from(missed < left));
+            self.ledger.symbols_lost += missed;
+            self.ledger.late_arrivals_dropped += missed;
+            if missed == left {
+                self.data.pop_front();
+                continue;
+            }
+            let index = *first + missed as u8;
+            if index == *last {
+                self.data.pop_front();
+            } else {
+                *first = index + 1;
+                *at = now + 1;
+            }
+            if index == self.absorb {
+                self.absorb = 0;
+            }
+            self.ledger.symbols_delivered += 1;
+            return Some(LinkSymbol::TcCont { index });
+        }
     }
 
     /// Puts credits on the reverse wire at `now` (blackholed while the
@@ -429,27 +556,64 @@ impl Link {
         self.rng = seed.max(1);
     }
 
-    /// The link's symbol-accounting ledger.
-    #[must_use]
-    pub fn ledger(&self) -> LinkLedger {
-        self.ledger
+    /// What the queued runs add to the settled ledger by the start of cycle
+    /// `now`, and what is on the wire then: `[in flight, sent, delivered,
+    /// lost]`. A run's continuation is sent once its emission cycle (its
+    /// arrival less the wire) has passed, and absorbed once its arrival has.
+    fn unsettled(&self, now: Cycle) -> [u64; 4] {
+        let [mut flight, mut sent, mut delivered, mut lost] = [0; 4];
+        let mut absorb = self.absorb;
+        for &(at, ref wire) in &self.data {
+            let Wire::Run { first, last, lost: dropped } = *wire else {
+                flight += 1;
+                absorb = 0;
+                continue;
+            };
+            let emitted = (now + self.latency + 1).saturating_sub(at).min(run_len(first, last));
+            sent += emitted;
+            if dropped {
+                lost += emitted;
+                continue;
+            }
+            let absorbed = if absorb > first {
+                now.saturating_sub(at).min(run_len(first, last.min(absorb - 1)))
+            } else {
+                0
+            };
+            if last >= absorb {
+                absorb = 0;
+            }
+            delivered += absorbed;
+            flight += emitted - absorbed;
+        }
+        [flight, sent, delivered, lost]
     }
 
-    /// Checks the ledger identity `sent == delivered + lost + in flight`.
+    /// The link's symbol-accounting ledger at the start of cycle `now` (the
+    /// simulator's clock between cycles).
+    #[must_use]
+    pub fn ledger(&self, now: Cycle) -> LinkLedger {
+        let [_, sent, delivered, lost] = self.unsettled(now);
+        let mut ledger = self.ledger;
+        ledger.settle_run(sent);
+        ledger.symbols_delivered += delivered;
+        ledger.symbols_lost += lost;
+        ledger
+    }
+
+    /// Checks the ledger identity `sent == delivered + lost + in flight` at
+    /// the start of cycle `now`.
     ///
     /// # Errors
     ///
     /// Returns a description of the imbalance.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        let l = &self.ledger;
-        let accounted = l.symbols_delivered + l.symbols_lost + self.data.len() as u64;
-        if l.symbols_sent != accounted {
+    pub fn check_conservation(&self, now: Cycle) -> Result<(), String> {
+        let l = self.ledger(now);
+        let in_flight = self.in_flight(now) as u64;
+        if l.symbols_sent != l.symbols_delivered + l.symbols_lost + in_flight {
             return Err(format!(
                 "link conservation violated: sent {} != delivered {} + lost {} + in-flight {}",
-                l.symbols_sent,
-                l.symbols_delivered,
-                l.symbols_lost,
-                self.data.len()
+                l.symbols_sent, l.symbols_delivered, l.symbols_lost, in_flight
             ));
         }
         Ok(())
@@ -480,10 +644,10 @@ impl Link {
         std::mem::take(&mut self.pending_corrupt)
     }
 
-    /// Symbols currently in flight.
+    /// Symbols in flight at the start of cycle `now`.
     #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.data.len()
+    pub fn in_flight(&self, now: Cycle) -> usize {
+        self.unsettled(now)[0] as usize
     }
 
     /// Credit batches currently on the reverse wire.
@@ -497,34 +661,30 @@ impl Link {
     /// guardrail counts what the allocator actually holds).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<(Cycle, LinkSymbol)>()
+        self.data.capacity() * std::mem::size_of::<(Cycle, Wire)>()
             + self.credits.capacity() * std::mem::size_of::<(Cycle, u16)>()
     }
 
-    /// `Some(0)` ("now") while the link owes a continuation, else the cycle
-    /// of the next delivery it owes (front data symbol or front credit
-    /// batch, whichever is earlier); `None` when it owes nothing.
-    /// [`Link::recv`] insists on being called at the exact arrival cycle,
-    /// so the simulator's leaping mode must never jump past this — and
-    /// until it comes, `recv` and `recv_credit` are both no-ops.
+    /// The cycle of the next arrival a chip must see — a data symbol, the
+    /// continuation that completes the packet being absorbed, an orphan
+    /// continuation, or a credit batch, whichever is earliest; `None` when
+    /// the link owes nothing. A run's middle needs no visit: the clock
+    /// counts it. [`Link::recv`] insists on being called at the exact
+    /// arrival cycle, so the simulator's leaping mode must never jump past
+    /// this — and until it comes, `recv` and `recv_credit` are both no-ops.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
-        if self.owes_continuation() {
-            return Some(0);
-        }
-        self.next_arrival()
-    }
-
-    /// [`Link::next_event`] without the continuations owed.
-    pub(crate) fn next_arrival(&self) -> Option<Cycle> {
         (self.next_at != Cycle::MAX).then_some(self.next_at)
     }
 
-    /// [`Link::next_arrival`] as the queues themselves say it — the scan
-    /// it used to run, kept as the oracle `next_at` is checked against.
-    #[cfg(any(test, debug_assertions))]
-    pub(crate) fn scanned_next_arrival(&self) -> Option<Cycle> {
-        Some(self.earliest_front()).filter(|&at| at != Cycle::MAX)
+    /// The next arrival the link's live ends must see, by the queues
+    /// themselves: data for a live receiver, credits for a live
+    /// transmitter. With both ends live it is what [`Link::next_event`]
+    /// must answer.
+    pub(crate) fn wake(&self, receiver: bool, transmitter: bool) -> Option<Cycle> {
+        let data = if receiver { self.data_wake() } else { Cycle::MAX };
+        let credit = self.credits.front().filter(|_| transmitter).map_or(Cycle::MAX, |(t, _)| *t);
+        Some(data.min(credit)).filter(|&at| at != Cycle::MAX)
     }
 }
 
@@ -597,41 +757,40 @@ mod tests {
         // Receiver crashed through cycles 1–2; polls again at 3: the two
         // stale symbols are destroyed, the on-time one delivered.
         assert_eq!(l.recv(3), Some(be(3)));
-        let ledger = l.ledger();
+        let ledger = l.ledger(4);
         assert_eq!(ledger.late_arrivals_dropped, 2);
         assert_eq!(ledger.symbols_lost, 2);
         assert_eq!(ledger.symbols_delivered, 1);
-        l.check_conservation().unwrap();
+        l.check_conservation(4).unwrap();
     }
 
     #[test]
     fn downed_link_blackholes_new_packets_but_completes_in_flight() {
         let mut l = Link::new(0);
         l.send(0, tc_head(4, 3));
-        l.emit_continuation(1);
         l.set_down();
-        // The started packet's remaining symbol still crosses (coherence)…
-        l.emit_continuation(2);
+        // The started packet's continuations still cross (coherence)…
         assert!(l.recv(1).is_some());
         assert!(l.recv(2).is_none(), "the middle continuation is absorbed");
         assert!(l.recv(3).is_some());
-        assert_eq!(l.ledger().symbols_delivered, 3);
-        // …but a new packet sent while down vanishes whole.
+        assert_eq!(l.ledger(4).symbols_delivered, 3);
+        // …but a new packet sent while down vanishes whole, a symbol a cycle.
         l.send(3, tc_head(5, 3));
-        l.emit_continuation(4);
-        l.emit_continuation(5);
+        assert_eq!(l.ledger(5).symbols_lost, 2, "the head and one continuation so far");
         assert!((4..=6).all(|t| l.recv(t).is_none()));
         // Credits sent while down vanish too.
         l.send_credit(3, 2);
         assert_eq!(l.recv_credit(10), 0);
-        let ledger = l.ledger();
+        let ledger = l.ledger(7);
         assert_eq!(ledger.symbols_lost, 3);
         assert_eq!(ledger.credits_lost, 2);
-        l.check_conservation().unwrap();
+        l.check_conservation(7).unwrap();
         // Repair: packets flow again.
         l.set_up();
         l.send(6, tc_start(6));
         assert!(l.recv(7).is_some());
+        assert_eq!(l.ledger(8).symbols_lost, 3, "the lost run is settled, not lost twice");
+        l.check_conservation(8).unwrap();
     }
 
     #[test]
@@ -642,39 +801,35 @@ mod tests {
         l.set_up();
         // Continuations of the destroyed packet must not leak through
         // after the repair — the receiver never saw the head.
-        l.emit_continuation(1);
-        assert!(l.recv(2).is_none());
-        assert_eq!(l.ledger().symbols_lost, 2);
-        l.check_conservation().unwrap();
+        assert!((1..=20).all(|t| l.recv(t).is_none()));
+        assert_eq!(l.next_event(), None);
+        assert_eq!(l.ledger(2).symbols_lost, 2, "lost as they would have been emitted");
+        assert_eq!(l.ledger(21).symbols_lost, 20);
+        l.check_conservation(21).unwrap();
     }
 
     #[test]
     fn a_head_makes_the_link_emit_and_absorb_its_continuations() {
         let mut l = Link::new(2);
         l.send(10, tc_start(3));
-        for k in 1..20 {
-            assert!(l.owes_continuation(), "continuation {k} owed");
-            l.emit_continuation(10 + k);
+        assert_eq!(l.data.len(), 2, "the head and one run");
+        for t in 11..=30 {
+            let ledger = l.ledger(t);
+            assert_eq!((ledger.symbols_sent, ledger.tc_symbols_sent), (t - 10, t - 10));
         }
-        assert!(!l.owes_continuation(), "all 19 sent");
-        let indices: Vec<u8> = l
-            .data
-            .iter()
-            .filter_map(|(_, s)| match s {
-                LinkSymbol::TcCont { index } => Some(*index),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(indices, (1..20).collect::<Vec<u8>>());
+        assert_eq!(l.next_event(), Some(13));
         assert!(matches!(l.recv(13), Some(LinkSymbol::TcStart(_))));
+        assert_eq!(l.next_event(), Some(32), "the receiver's next arrival is the tail");
         for t in 14..32 {
             assert_eq!(l.recv(t), None, "continuation arriving at {t} is absorbed");
-            assert_eq!(l.next_event(), Some(t + 1), "and the link still owes the next");
+            assert_eq!(l.ledger(t + 1).symbols_delivered, t - 12);
+            l.check_conservation(t + 1).unwrap();
         }
         assert_eq!(l.recv(32), Some(LinkSymbol::TcCont { index: 19 }), "the last is handed on");
-        assert_eq!((l.ledger().symbols_sent, l.ledger().symbols_delivered), (20, 20));
+        assert_eq!((l.ledger(33).symbols_sent, l.ledger(33).symbols_delivered), (20, 20));
         assert_eq!(l.next_event(), None);
-        l.check_conservation().unwrap();
+        assert!(l.data.is_empty());
+        l.check_conservation(33).unwrap();
     }
 
     #[test]
@@ -683,31 +838,44 @@ mod tests {
         // the last continuation's index is the top of its byte.
         let mut l = Link::new(0);
         l.send(0, tc_head(1, 256));
-        for k in 1..256 {
-            l.emit_continuation(k);
-        }
-        assert!(!l.owes_continuation());
         assert!(l.recv(1).is_some());
         assert!((2..256).all(|t| l.recv(t).is_none()), "254 continuations absorbed");
         assert_eq!(l.recv(256), Some(LinkSymbol::TcCont { index: 255 }));
-        assert_eq!((l.ledger().symbols_sent, l.ledger().symbols_delivered), (256, 256));
-        l.check_conservation().unwrap();
+        assert_eq!((l.ledger(257).symbols_sent, l.ledger(257).symbols_delivered), (256, 256));
+        l.check_conservation(257).unwrap();
     }
 
     #[test]
     fn a_link_that_stops_absorbing_hands_on_the_rest_as_orphans() {
         let mut l = Link::new(0);
         l.send(0, tc_start(3));
-        for k in 1..20 {
-            l.emit_continuation(k);
-        }
         assert!(l.recv(1).is_some());
         assert_eq!(l.recv(2), None);
-        l.stop_absorbing();
+        l.stop_absorbing(3);
+        assert_eq!(l.ledger(3).symbols_delivered, 2, "what arrived before the stop was absorbed");
         for t in 3..=20 {
+            assert_eq!(l.next_event(), Some(t));
             assert_eq!(l.recv(t), Some(LinkSymbol::TcCont { index: (t - 1) as u8 }));
         }
-        l.check_conservation().unwrap();
+        l.check_conservation(21).unwrap();
+    }
+
+    #[test]
+    fn a_paused_run_resumes_from_the_restore_cycle() {
+        let mut l = Link::new(1);
+        l.send(0, tc_head(2, 10));
+        assert!(l.recv(2).is_some());
+        l.pause_run(4); // continuations 1–3 went out at 1–3
+        assert_eq!(l.next_event(), None, "the tail waits for the restore");
+        assert_eq!(l.ledger(50).symbols_sent, 4);
+        assert_eq!(l.ledger(50).symbols_delivered, 4, "the three sent were absorbed");
+        l.resume_run(50); // continuations 4–9 go out at 50–55
+        assert_eq!(l.ledger(53).symbols_sent, 7);
+        assert_eq!(l.next_event(), Some(57));
+        assert!((51..57).all(|t| l.recv(t).is_none()));
+        assert_eq!(l.recv(57), Some(LinkSymbol::TcCont { index: 9 }));
+        assert_eq!((l.ledger(58).symbols_sent, l.ledger(58).symbols_delivered), (10, 10));
+        l.check_conservation(58).unwrap();
     }
 
     #[test]
@@ -718,16 +886,14 @@ mod tests {
             let mut now = 0;
             for p in 0..64u16 {
                 l.send(now, tc_head(p, 2));
-                now += 1;
-                l.emit_continuation(now);
-                now += 1;
+                now += 2;
             }
             // Drain.
             for t in 0..=now {
                 l.recv(t);
             }
-            l.check_conservation().unwrap();
-            (l.ledger().symbols_lost, l.ledger().symbols_delivered)
+            l.check_conservation(now + 1).unwrap();
+            (l.ledger(now + 1).symbols_lost, l.ledger(now + 1).symbols_delivered)
         };
         let (lost_a, delivered_a) = run(42);
         let (lost_b, delivered_b) = run(42);
@@ -747,8 +913,8 @@ mod tests {
             }
             other => panic!("expected a delivered TcStart, got {other:?}"),
         }
-        assert_eq!(l.ledger().symbols_corrupted, 1);
-        l.check_conservation().unwrap();
+        assert_eq!(l.ledger(2).symbols_corrupted, 1);
+        l.check_conservation(2).unwrap();
     }
 
     #[test]
@@ -776,62 +942,55 @@ mod tests {
         assert_eq!(&out[..4], &[1, 0, 1, 0], "header untouched");
         assert_eq!(out[4], 0x11 ^ 0xA5, "first payload byte flipped");
         assert_eq!(out[5], 0x22, "only one byte corrupted");
-        assert_eq!(l.ledger().symbols_corrupted, 1);
+        assert_eq!(l.ledger(7).symbols_corrupted, 1);
     }
 
     proptest::proptest! {
-        /// Any interleaving of sends, emissions, credit returns and
-        /// (possibly long overdue — a crashed receiver) polls, on a link
-        /// that goes down and comes back, keeps `next_at` equal to the
-        /// earlier queue front, `next_event` at it or at "now" while a
-        /// continuation is owed, `recv`/`recv_credit` inert before it, and
-        /// the ledger balanced, after every call.
+        /// Any interleaving of sends, credit returns, (possibly long
+        /// overdue — a crashed receiver) polls, absorption stops and
+        /// transmitter pauses, on a link that goes down and comes back,
+        /// keeps `next_at` equal to the wake the queues themselves give,
+        /// `recv`/`recv_credit` inert before it, and the ledger balanced,
+        /// after every call.
         #[test]
         fn next_at_is_the_earlier_queue_front_after_every_call(
             latency in 0u64..4,
-            ops in proptest::collection::vec((0u8..7, 0u64..7, 1u16..5), 1..120),
+            ops in proptest::collection::vec((0u8..8, 0u64..7, 1u16..5), 1..120),
         ) {
             let mut l = Link::new(latency);
-            let (mut now, mut last_send) = (0, None);
+            let (mut now, mut paused) = (0, false);
             for (op, gap, bytes) in ops {
                 now += gap;
-                // One symbol per cycle is the wire's own rule.
-                let mut next_send = || {
-                    if last_send == Some(now) {
-                        now += 1;
-                    }
-                    last_send = Some(now);
-                    now
-                };
+                // One symbol per cycle is the wire's own rule, and nothing
+                // is driven over a run.
+                let free = !paused && l.data.back().is_none_or(|e| last_arrival(e) <= now + latency);
                 match op {
-                    // Nothing is driven over the continuations a head owes.
-                    0 | 1 if !l.owes_continuation() => {
-                        let symbol = if op == 0 { be(bytes as u8) } else { tc_head(bytes, 4) };
-                        l.send(next_send(), symbol);
-                    }
-                    0 | 1 | 5 if l.owes_continuation() => l.emit_continuation(next_send()),
+                    0 if free => l.send(now, be(bytes as u8)),
+                    1 if free => l.send(now, tc_head(bytes, 4)),
                     2 => l.send_credit(now, bytes),
                     3 => {
-                        // Due now, unless it is a continuation being absorbed.
-                        let due = l.data.iter().find(|(t, _)| *t == now).is_some_and(|(_, s)| {
-                            l.absorb == 0 || !matches!(s, LinkSymbol::TcCont { .. })
-                        });
-                        proptest::prop_assert_eq!(l.recv(now).is_some(), due);
-                        proptest::prop_assert!(l.data.front().is_none_or(|(t, _)| *t > now));
+                        // An overdue poll is a receiver back from a crash.
+                        if l.next_event().is_some_and(|at| at < now) {
+                            l.stop_absorbing(now);
+                        }
+                        let due = l.next_event().is_some_and(|at| at <= now);
+                        let got = l.recv(now);
+                        proptest::prop_assert!(due || got.is_none());
                     }
                     4 => {
                         let owed: u16 =
                             l.credits.iter().filter(|(t, _)| *t <= now).map(|(_, b)| b).sum();
                         proptest::prop_assert_eq!(l.recv_credit(now), owed);
                     }
+                    5 => l.stop_absorbing(now),
+                    6 if paused => l.resume_run(now),
+                    6 => l.pause_run(now),
                     _ if l.is_down() => l.set_up(),
                     _ => l.set_down(),
                 }
-                let scanned = l.scanned_next_arrival();
-                proptest::prop_assert_eq!(l.next_at, scanned.unwrap_or(Cycle::MAX));
-                let visit = if l.owes_continuation() { Some(0) } else { scanned };
-                proptest::prop_assert_eq!(l.next_event(), visit);
-                l.check_conservation().unwrap();
+                paused ^= op == 6;
+                proptest::prop_assert_eq!(l.next_event(), l.wake(true, true));
+                l.check_conservation(now + 1).unwrap();
             }
         }
     }
@@ -849,12 +1008,24 @@ mod tests {
     /// [`Link::send`] without its fault-free shortcut: every symbol takes
     /// the fault plane's path.
     fn send_slow(l: &mut Link, now: Cycle, symbol: LinkSymbol) {
+        while let Some(&(_, Wire::Run { first, last, lost: true })) = l.data.back() {
+            let n = run_len(first, last);
+            l.ledger.settle_run(n);
+            l.ledger.symbols_lost += n;
+            l.data.pop_back();
+        }
+        let run = if let LinkSymbol::TcStart(packet) = &symbol { packet.last_index() } else { 0 };
         l.ledger.symbols_sent += 1;
         l.ledger.tc_symbols_sent += u64::from(symbol.is_time_constrained());
-        if let Some(symbol) = l.through_faults(symbol) {
-            let arrive = now + 1 + l.latency;
-            l.data.push_back((arrive, symbol));
+        let arrive = now + 1 + l.latency;
+        let symbol = l.through_faults(symbol);
+        let lost = symbol.is_none();
+        if let Some(symbol) = symbol {
+            l.data.push_back((arrive, Wire::Symbol(symbol)));
             l.next_at = l.next_at.min(arrive);
+        }
+        if run > 0 {
+            l.data.push_back((arrive + 1, Wire::Run { first: 1, last: run, lost }));
         }
     }
 
@@ -863,15 +1034,14 @@ mod tests {
         // Two packets of each class back to back; a fault regime switches
         // on before symbol `on` and off three symbols later, for every
         // `on` — so inside a best-effort packet, inside a time-constrained
-        // one, and on every boundary.
+        // one (whose continuations its run carries), and on every boundary.
         let mut stream = Vec::new();
         for round in 0..2u16 {
             for i in 0..8u8 {
                 let byte = BeByte { byte: i, head: i == 0, tail: i == 7, trace: None };
-                stream.push(LinkSymbol::Be(byte));
+                stream.push((1, LinkSymbol::Be(byte)));
             }
-            stream.push(tc_head(round, 6));
-            stream.extend((1..6).map(|index| LinkSymbol::TcCont { index }));
+            stream.push((6, tc_head(round, 6)));
         }
         type Toggle = fn(&mut Link);
         let regimes: [(Toggle, Toggle); 3] = [
@@ -882,25 +1052,240 @@ mod tests {
         // What a run leaves behind, `be_pos` aside: the shortcut does not
         // count bytes of packets no fault is watching.
         let state = |l: &Link| {
-            let flags = (l.down, l.tc_dropping, l.be_dropping, l.be_corrupt_armed, l.rng);
+            let flags = (l.down, l.be_dropping, l.be_corrupt_armed, l.rng);
             format!("{:?} {:?} {:?} {flags:?}", l.data, l.next_at, l.ledger)
         };
         for (on, off) in regimes {
             for start in 0..stream.len() {
                 let (mut fast, mut slow) = (Link::new(1), Link::new(1));
-                for (now, symbol) in stream.iter().enumerate() {
+                let mut now = 0;
+                for (k, (cycles, symbol)) in stream.iter().enumerate() {
                     for l in [&mut fast, &mut slow] {
-                        if now == start {
+                        if k == start {
                             on(l);
-                        } else if now == start + 3 {
+                        } else if k == start + 3 {
                             off(l);
                         }
                     }
-                    fast.send(now as Cycle, symbol.clone());
-                    send_slow(&mut slow, now as Cycle, symbol.clone());
-                    assert_eq!(state(&fast), state(&slow), "regime on at {start}, symbol {now}");
+                    fast.send(now, symbol.clone());
+                    send_slow(&mut slow, now, symbol.clone());
+                    assert_eq!(state(&fast), state(&slow), "regime on at {start}, symbol {k}");
+                    now += cycles;
                 }
-                fast.check_conservation().unwrap();
+                fast.check_conservation(now).unwrap();
+            }
+        }
+    }
+
+    /// The per-symbol link the run-based one replaced, kept as the oracle
+    /// of [`the_run_link_answers_like_the_per_symbol_link`]: a head makes
+    /// it owe its packet's continuations, [`SymbolLink::emit`] puts one on
+    /// the wire per cycle while the transmitter is up, and the far end
+    /// takes each off at its cycle, absorbing all but the last. Its fault
+    /// plane, credit wire and ledger are a real [`Link`]'s, whose data wire
+    /// it leaves empty.
+    struct SymbolLink {
+        wire: Link,
+        data: VecDeque<(Cycle, LinkSymbol)>,
+        /// Index of the next continuation owed (0 = none), and the last.
+        emit_next: u8,
+        emit_last: u8,
+        /// The packet being emitted had its head destroyed.
+        dropping: bool,
+        /// Continuations still to be taken off the wire unseen.
+        absorb: u8,
+    }
+
+    impl SymbolLink {
+        fn new(latency: Cycle) -> Self {
+            let wire = Link::new(latency);
+            SymbolLink {
+                wire,
+                data: VecDeque::new(),
+                emit_next: 0,
+                emit_last: 0,
+                dropping: false,
+                absorb: 0,
+            }
+        }
+
+        fn send(&mut self, now: Cycle, symbol: LinkSymbol) {
+            let l = &mut self.wire;
+            l.ledger.symbols_sent += 1;
+            l.ledger.tc_symbols_sent += u64::from(symbol.is_time_constrained());
+            let symbol = match symbol {
+                LinkSymbol::TcCont { .. } if self.dropping => {
+                    l.ledger.symbols_lost += 1;
+                    None
+                }
+                LinkSymbol::TcStart(packet) => {
+                    self.emit_last = packet.last_index();
+                    self.emit_next = u8::from(self.emit_last > 0);
+                    let head = l.through_faults(LinkSymbol::TcStart(packet));
+                    self.dropping = head.is_none();
+                    head
+                }
+                symbol => l.through_faults(symbol),
+            };
+            if let Some(symbol) = symbol {
+                self.data.push_back((now + 1 + l.latency, symbol));
+            }
+        }
+
+        fn emit(&mut self, now: Cycle) {
+            let index = self.emit_next;
+            self.emit_next = if index == self.emit_last { 0 } else { index + 1 };
+            self.send(now, LinkSymbol::TcCont { index });
+        }
+
+        fn recv(&mut self, now: Cycle) -> Option<LinkSymbol> {
+            while let Some(&(t, _)) = self.data.front() {
+                if t > now {
+                    break;
+                }
+                let symbol = self.data.pop_front().map(|(_, s)| s);
+                if t < now {
+                    self.wire.ledger.symbols_lost += 1;
+                    self.wire.ledger.late_arrivals_dropped += 1;
+                    continue;
+                }
+                self.wire.ledger.symbols_delivered += 1;
+                return match symbol {
+                    Some(LinkSymbol::TcCont { .. }) if self.absorb > 0 => {
+                        self.absorb -= 1;
+                        None
+                    }
+                    Some(LinkSymbol::TcStart(packet)) => {
+                        self.absorb = packet.last_index().saturating_sub(1);
+                        Some(LinkSymbol::TcStart(packet))
+                    }
+                    symbol => symbol,
+                };
+            }
+            None
+        }
+
+        /// The next arrival a chip must see at the start of cycle `now`,
+        /// the continuations still owed included: a live transmitter emits
+        /// them one per cycle from `now` on.
+        fn next_event(&self, now: Cycle, transmitter: bool) -> Option<Cycle> {
+            let latency = self.wire.latency;
+            let owing = transmitter && !self.dropping && self.emit_next != 0;
+            let owed = owing.then_some(self.emit_next..=self.emit_last);
+            let owed =
+                owed.into_iter().flatten().enumerate().map(|(k, index)| {
+                    (now + k as Cycle + 1 + latency, LinkSymbol::TcCont { index })
+                });
+            let mut absorb = self.absorb;
+            let data = self.data.iter().cloned().chain(owed).find(|(_, symbol)| {
+                let absorbed = matches!(symbol, LinkSymbol::TcCont { .. }) && absorb > 0;
+                absorb -= u8::from(absorbed);
+                !absorbed
+            });
+            let credit = self.wire.credits.front().map(|(t, _)| *t);
+            data.map(|(t, _)| t).into_iter().chain(credit).min()
+        }
+    }
+
+    proptest::proptest! {
+        /// The run-based link against the per-symbol one, driven cycle by
+        /// cycle the way the simulator drives a link — both are offered
+        /// the same heads (2–256 symbols), best-effort bytes and credits
+        /// while the transmitter is up, polled while their end is up, and
+        /// faulted alike — must answer every `recv` and `recv_credit` the
+        /// same and agree on `next_event`, the ledger and `in_flight` at
+        /// every cycle boundary. A receiver crash stops the run link's
+        /// absorption at once and the per-symbol link's at the restore, as
+        /// the simulator used to: nothing polls either in between.
+        #[test]
+        fn the_run_link_answers_like_the_per_symbol_link(
+            latency in 0u64..=20,
+            ops in proptest::collection::vec((0u8..9, 0u64..24, 0u16..1024), 1..60),
+        ) {
+            let mut run = Link::new(latency);
+            let mut oracle = SymbolLink::new(latency);
+            let (mut tx, mut rx) = (true, true);
+            let mut now: Cycle = 0;
+            // One cycle: arrivals, the oracle's emission, then what the
+            // transmitter drives.
+            let cycle = |run: &mut Link, oracle: &mut SymbolLink, now: Cycle,
+                             tx: bool, rx: bool, send: Option<LinkSymbol>, credit: u16| {
+                if rx {
+                    proptest::prop_assert_eq!(run.recv(now), oracle.recv(now), "recv at {}", now);
+                }
+                if tx {
+                    let credits = oracle.wire.recv_credit(now);
+                    proptest::prop_assert_eq!(run.recv_credit(now), credits, "credits at {}", now);
+                    if oracle.emit_next != 0 {
+                        oracle.emit(now);
+                    }
+                }
+                if let Some(symbol) = send {
+                    run.send(now, symbol.clone());
+                    oracle.send(now, symbol);
+                }
+                if credit > 0 {
+                    run.send_credit(now, credit);
+                    oracle.wire.send_credit(now, credit);
+                }
+                let next = now + 1;
+                proptest::prop_assert_eq!(run.ledger(next), oracle.wire.ledger(next), "ledger at {}", next);
+                proptest::prop_assert_eq!(run.in_flight(next), oracle.data.len(), "in flight at {}", next);
+                if rx {
+                    proptest::prop_assert_eq!(run.next_event(), oracle.next_event(next, tx), "wake at {}", next);
+                }
+                proptest::prop_assert_eq!(run.next_event(), run.wake(true, true));
+                run.check_conservation(next).unwrap();
+            };
+            for (op, gap, param) in ops {
+                let (mut send, mut credit) = (None, 0);
+                match op {
+                    // A head, or a best-effort byte, at the first cycle the
+                    // wire is free; every transmission ends with the
+                    // emission of its last continuation.
+                    0..=2 if tx => {
+                        while oracle.emit_next != 0 {
+                            cycle(&mut run, &mut oracle, now, tx, rx, None, 0);
+                            now += 1;
+                        }
+                        send = Some(match op {
+                            0 | 1 => tc_head(param, 2 + usize::from(param % 255)),
+                            _ => {
+                                let (head, tail) = (param & 1 != 0, param & 2 != 0);
+                                LinkSymbol::Be(BeByte { byte: param as u8, head, tail, trace: None })
+                            }
+                        });
+                    }
+                    3 if rx => credit = 1 + param % 5,
+                    4 => {
+                        tx = !tx;
+                        if tx { run.resume_run(now) } else { run.pause_run(now) }
+                    }
+                    5 => {
+                        rx = !rx;
+                        if rx { oracle.absorb = 0 } else { run.stop_absorbing(now) }
+                    }
+                    6 if run.is_down() => {
+                        run.set_up();
+                        oracle.wire.set_up();
+                    }
+                    6 => {
+                        run.set_down();
+                        oracle.wire.set_down();
+                    }
+                    7 => {
+                        let (drop, corrupt) = (param % 700, param / 2 % 500);
+                        run.set_flaky(drop, corrupt, u64::from(param));
+                        oracle.wire.set_flaky(drop, corrupt, u64::from(param));
+                    }
+                    _ => {}
+                }
+                cycle(&mut run, &mut oracle, now, tx, rx, send, credit);
+                now += 1;
+                for _ in 0..gap {
+                    cycle(&mut run, &mut oracle, now, tx, rx, None, 0);
+                    now += 1;
+                }
             }
         }
     }

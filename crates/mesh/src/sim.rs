@@ -3,10 +3,10 @@
 //! Every simulated cycle runs through one kernel (`Simulator::cycle`):
 //! apply the timed operations due now (faults, then control-plane table
 //! writes — one agenda), deliver link arrivals (data symbols and
-//! reverse-flowing credits) into per-node [`ChipIo`] bundles while each
-//! link puts on the wire the next continuation symbol it owes for the
-//! time-constrained packet whose head it carried, run the registered
-//! traffic sources, tick the chips, move driven symbols onto the links,
+//! reverse-flowing credits) into per-node [`ChipIo`] bundles, run the
+//! registered traffic sources, tick the chips, move driven symbols onto the
+//! links (a time-constrained head takes its packet's continuations with it:
+//! the link settles them by the clock, see [`crate::link`]),
 //! route returned credits back to the upstream transmitter, and drain
 //! deliveries into per-node [`DeliveryLog`]s. The drive calls differ only
 //! in *which* chips the kernel ticks — all of them (dense), or the ones the
@@ -46,8 +46,9 @@ use crate::topology::Topology;
 /// Handle layout (for `n` nodes and `L` wired links): chips occupy `0..n`
 /// (by node index), links `n..n + L` (`n +` the link's global CSR index —
 /// see [`LinkTable`]). The wake is the one record of what can act next: a
-/// chip's covers its injection queues, a link's the continuations it owes,
-/// and a traffic source's `due` is its only wake. The first leaping call
+/// chip's covers its injection queues, a link's is the next arrival a chip
+/// must see (a packet's middle is settled by the clock), and a traffic
+/// source's `due` is its only wake. The first leaping call
 /// builds the core and it lives as long as the simulator: external
 /// mutation carries what it touched into the next cycle.
 #[derive(Debug)]
@@ -203,6 +204,9 @@ pub struct Simulator<C: Chip> {
     /// compare for a source that has promised silence. It is the source's
     /// only wake: the leap planner clamps to the earliest.
     sources: Vec<(NodeId, Box<dyn TrafficSource>, Cycle)>,
+    /// Sources whose `next_event` answered `None`, in the order they ran
+    /// out: they never run again, and only their counters are read.
+    retired: Vec<Box<dyn TrafficSource>>,
     /// Sample chip gauges every N cycles (None = sampling off).
     gauge_every: Option<Cycle>,
     gauge_samples: OccupancyHistory,
@@ -324,6 +328,7 @@ impl<C: Chip> Simulator<C> {
             logs: (0..n).map(|_| DeliveryLog::default()).collect(),
             adj,
             sources: Vec::new(),
+            retired: Vec::new(),
             gauge_every: None,
             gauge_samples: OccupancyHistory::default(),
             tick_list: Vec::with_capacity(n),
@@ -503,7 +508,8 @@ impl<C: Chip> Simulator<C> {
                 *totals.entry(name).or_insert(0) += value;
             });
         }
-        for (_, source, _) in &self.sources {
+        let sources = self.sources.iter().map(|(_, source, _)| source);
+        for source in sources.chain(&self.retired) {
             source.counters(&mut |name, value| {
                 *totals.entry(name).or_insert(0) += value;
             });
@@ -514,7 +520,7 @@ impl<C: Chip> Simulator<C> {
         let mut symbols = 0usize;
         let mut credit_batches = 0usize;
         for link in self.adj.links() {
-            symbols += link.in_flight();
+            symbols += link.in_flight(self.now);
             credit_batches += link.credits_in_flight();
         }
         registry.absorb_counter("sim.link_symbols_in_flight", symbols as u64);
@@ -561,7 +567,7 @@ impl<C: Chip> Simulator<C> {
         // Link ledgers: symbols destroyed by faults must land in a loss
         // column, never leak (`sent = delivered + lost + in flight`).
         for li in 0..self.adj.len() {
-            if let Err(violation) = self.adj.link(li).check_conservation() {
+            if let Err(violation) = self.adj.link(li).check_conservation(self.now) {
                 let node = self.adj.owner_of(li);
                 return Err(format!("link {} {:?}: {violation}", node.index(), self.adj.dir(li)));
             }
@@ -597,7 +603,7 @@ impl<C: Chip> Simulator<C> {
     pub fn fault_stats(&self) -> FaultStats {
         let mut stats = self.fault_events;
         for link in self.adj.links() {
-            let ledger = link.ledger();
+            let ledger = link.ledger(self.now);
             stats.symbols_lost += ledger.symbols_lost;
             stats.symbols_corrupted += ledger.symbols_corrupted;
             stats.credits_lost += ledger.credits_lost;
@@ -692,7 +698,7 @@ impl<C: Chip> Simulator<C> {
     pub fn link_ledger(&self, node: NodeId, dir: Direction) -> LinkLedger {
         self.adj
             .out_index(node.index(), dir)
-            .map_or_else(LinkLedger::default, |li| self.adj.link(li).ledger())
+            .map_or_else(LinkLedger::default, |li| self.adj.link(li).ledger(self.now))
     }
 
     fn apply_fault(&mut self, kind: FaultKind) {
@@ -712,42 +718,51 @@ impl<C: Chip> Simulator<C> {
                 // purely crashed cycles.
                 self.settle_chip(i);
                 self.crashed[i] = crash;
+                let (out_start, out_end) = self.adj.out_bounds(i);
+                let (in_start, in_end) = self.adj.in_bounds(i);
                 if crash {
                     self.fault_events.node_crash_events += 1;
+                    // The node's links stop with it: a run it was emitting
+                    // parks until its restore, and one it was receiving is
+                    // absorbed no further — nothing polls its in-links while
+                    // it is dark, and its restored reassembly registers will
+                    // not hold the packet, so the rest arrives as orphans.
+                    for li in out_start..out_end {
+                        self.adj.link_mut(li).pause_run(now);
+                    }
+                    for fi in in_start..in_end {
+                        let li = self.adj.in_link(fi);
+                        self.adj.link_mut(li).stop_absorbing(now);
+                    }
                 } else {
                     self.fault_events.node_restore_events += 1;
                     // A restored chip's reassembly registers are undefined:
                     // abort partial arrivals and refund the flow-control
                     // credits of the dropped best-effort bytes upstream.
-                    // The feeding links stop absorbing the packets those
-                    // registers held, so their tails reach the chip as
-                    // orphans.
                     let dropped = self.chips[i].abort_partial_rx();
-                    let (fs, fe) = self.adj.in_bounds(i);
-                    for fi in fs..fe {
-                        let li = self.adj.in_link(fi);
-                        self.adj.link_mut(li).stop_absorbing();
-                        let idx = Port::Dir(self.adj.in_dir(fi)).index();
-                        let bytes = u16::from(dropped[idx]);
+                    for fi in in_start..in_end {
+                        let bytes = u16::from(dropped[Port::Dir(self.adj.in_dir(fi)).index()]);
                         if bytes > 0 {
+                            let li = self.adj.in_link(fi);
                             self.adj.link_mut(li).send_credit(now, bytes);
-                            if warm {
-                                self.events.mark(n + li, now);
-                            }
                         }
                     }
-                    // Its links resume emitting this very cycle.
-                    if warm {
-                        let (start, end) = self.adj.out_bounds(i);
-                        for li in start..end {
-                            self.events.mark(n + li, now);
-                        }
+                    for li in out_start..out_end {
+                        self.adj.link_mut(li).resume_run(now);
                     }
                 }
                 if warm {
-                    // Crash clears the chip's wake; restore re-registers
-                    // it. (A source's `due` is its only wake.)
+                    // Crash clears the chip's wake and leaves its links
+                    // waking for their live ends alone; restore re-registers
+                    // the chip, and its links deliver what waited for it
+                    // this very cycle. (A source's `due` is its only wake.)
                     self.events.mark(i, now);
+                    for li in out_start..out_end {
+                        self.events.mark(n + li, now);
+                    }
+                    for fi in in_start..in_end {
+                        self.events.mark(n + self.adj.in_link(fi), now);
+                    }
                 }
             }
             FaultKind::LinkDown { node, dir }
@@ -839,7 +854,8 @@ impl<C: Chip> Simulator<C> {
             + self.unticked.capacity() * std::mem::size_of::<Cycle>()
             + self.crashed.capacity()
             + self.sources.capacity()
-                * std::mem::size_of::<(NodeId, Box<dyn TrafficSource>, Cycle)>();
+                * std::mem::size_of::<(NodeId, Box<dyn TrafficSource>, Cycle)>()
+            + self.retired.capacity() * std::mem::size_of::<Box<dyn TrafficSource>>();
         total / n.max(1)
     }
 
@@ -871,8 +887,8 @@ impl<C: Chip> Simulator<C> {
     ///    and the queue's due wakes join it;
     /// 2. agenda ops due now apply — faults, then control writes;
     /// 3. links — all when dense or priming after dense cycles, else those
-    ///    whose wake fired or was carried — deliver arrivals and emit the
-    ///    continuation they owe, and sources run (`phase_pre`);
+    ///    whose wake fired or was carried — deliver arrivals, and sources run
+    ///    (`phase_pre`);
     /// 4. chips tick: every live chip when dense (`EV` unset), otherwise
     ///    the dirty chips (due wakes, arrivals, credits, queued injections,
     ///    agenda touches) and, priming, those with queued injections or
@@ -1054,9 +1070,8 @@ impl<C: Chip> Simulator<C> {
     /// is clear, and past the prime every live chip with queued injections
     /// was carried. On every cycle no link the link pass will pass over —
     /// its wake is not in `fired` (the handles it visits, sorted; `None`
-    /// when all links are swept), or its `next_at` lies ahead — owes an
-    /// arrival by the queues' own account, or a live transmitter's
-    /// continuation.
+    /// when all links are swept), or its `next_at` lies ahead — owes a live
+    /// end an arrival by the queues' own account.
     #[cfg(debug_assertions)]
     fn dbg_check_activity(&self, event: bool, fired: Option<&[WakeHandle]>) {
         let (now, n, prime) = (self.now, self.chips.len(), self.events.prime);
@@ -1073,9 +1088,8 @@ impl<C: Chip> Simulator<C> {
         }
         for li in 0..self.adj.len() {
             let link = self.adj.link(li);
-            let tx_up = !self.crashed[self.adj.owner_of(li).index()];
-            let owes = (tx_up && link.owes_continuation())
-                || link.scanned_next_arrival().is_some_and(|at| at <= now);
+            let (rx, tx) = self.live_ends(li);
+            let owes = link.wake(rx, tx).is_some_and(|at| at <= now);
             let polled = link.next_event().is_some_and(|at| at <= now)
                 && fired.is_none_or(|f| f.binary_search(&WakeHandle((n + li) as u32)).is_ok());
             assert!(polled || !owes, "link {li} owes an arrival at {now} but will not be polled");
@@ -1105,13 +1119,12 @@ impl<C: Chip> Simulator<C> {
             self.ios[node].begin_cycle();
         }
 
-        // 1. Link arrivals (data forward, credits backward) and emissions.
-        // A link's wake is its earliest owed arrival, or now while a live
-        // transmitter owes a continuation (carried while a crashed end
-        // leaves one parked; a restore marks its links), so on a primed
-        // core the visit is a no-op on every link not yet dirty. Their
-        // order is free: a link writes only its own `rx` and `credit_in`
-        // slots, and the tick list is sorted afterwards.
+        // 1. Link arrivals (data forward, credits backward). A link's wake
+        // is the earliest arrival a live end must see (a crash or restore of
+        // either end marks it), so on a primed core the visit is a no-op on
+        // every link not yet dirty. Their order is free: a link writes only
+        // its own `rx` and `credit_in` slots, and the tick list is sorted
+        // afterwards.
         let sweep = !EV || sweep;
         let visit = if sweep { self.adj.len() } else { self.events.dirty.len() };
         #[cfg(debug_assertions)]
@@ -1129,8 +1142,8 @@ impl<C: Chip> Simulator<C> {
                 continue;
             }
             visits += 1;
-            // Nothing due on either wire and nothing to emit: a no-op
-            // whatever the crash flags say.
+            // Nothing due on either wire: a no-op whatever the crash flags
+            // say.
             if self.adj.link(li).next_event().is_none_or(|at| at > now) {
                 continue;
             }
@@ -1138,19 +1151,11 @@ impl<C: Chip> Simulator<C> {
             // A crashed receiver drains nothing: its arrivals age on the
             // wire and are dropped (and counted) once stale. A crashed
             // *transmitter* takes no credits either — credits are pure
-            // counters, so its batches simply deliver late after restore —
-            // and emits nothing, as its frozen serialiser sends nothing.
-            let recv_data = !self.crashed[self.adj.dst(li).node.index()];
-            let tx_up = !self.crashed[node];
-            let (symbol, credits) = {
-                let link = self.adj.link_mut(li);
-                let symbol = if recv_data { link.recv(now) } else { None };
-                let credits = if tx_up { link.recv_credit(now) } else { 0 };
-                if tx_up && link.owes_continuation() {
-                    link.emit_continuation(now);
-                }
-                (symbol, credits)
-            };
+            // counters, so its batches simply deliver late after restore.
+            let (recv_data, tx_up) = self.live_ends(li);
+            let link = self.adj.link_mut(li);
+            let symbol = if recv_data { link.recv(now) } else { None };
+            let credits = if tx_up { link.recv_credit(now) } else { 0 };
             if EV && (symbol.is_some() || credits > 0) {
                 self.events.mark(n + li, now);
             }
@@ -1174,6 +1179,8 @@ impl<C: Chip> Simulator<C> {
         // runs when its own `next_event` answer comes due — the contract
         // leaping relies on: until then `pre_cycle` would do nothing. The
         // chip it queued for ticks: no `next_event` sees injection queues.
+        // One that answers `None` never runs again and is retired.
+        let mut exhausted = false;
         for (node, source, due) in &mut self.sources {
             let i = node.index();
             if now < *due || self.crashed[i] {
@@ -1181,9 +1188,14 @@ impl<C: Chip> Simulator<C> {
             }
             source.pre_cycle(now, *node, &mut self.ios[i]);
             *due = source.next_event(now).unwrap_or(Cycle::MAX);
+            exhausted |= *due == Cycle::MAX;
             if EV && injecting(&self.ios[i]) {
                 self.events.mark(i, now);
             }
+        }
+        if exhausted {
+            let retired = self.sources.extract_if(.., |(_, _, due)| *due == Cycle::MAX);
+            self.retired.extend(retired.map(|(_, source, _)| source));
         }
     }
 
@@ -1200,8 +1212,8 @@ impl<C: Chip> Simulator<C> {
         // the wired outputs and fed inputs via the CSR tables. A chip can
         // only drive ports its wiring feeds credits through, so scanning
         // the sparse tables covers every live port; the debug asserts
-        // below catch a chip writing to an unwired one. A head makes its
-        // link owe the continuations, whose first goes out next cycle.
+        // below catch a chip writing to an unwired one. A head takes its
+        // packet's continuations onto the link with it.
         for node in Self::ticked::<EV>(list, n) {
             debug_assert!(
                 self.ios[node].tx[Port::Local.index()].is_none(),
@@ -1211,9 +1223,7 @@ impl<C: Chip> Simulator<C> {
             for li in start..end {
                 let idx = Port::Dir(self.adj.dir(li)).index();
                 if let Some(symbol) = self.ios[node].tx[idx].take() {
-                    let link = self.adj.link_mut(li);
-                    debug_assert!(!link.owes_continuation(), "a chip drove over its own packet");
-                    link.send(now, symbol);
+                    self.adj.link_mut(li).send(now, symbol);
                     if EV {
                         self.events.mark(n + li, now);
                     }
@@ -1272,6 +1282,12 @@ impl<C: Chip> Simulator<C> {
         self.run(cycles);
     }
 
+    /// Whether link `li`'s receiving and transmitting nodes are up.
+    fn live_ends(&self, li: usize) -> (bool, bool) {
+        let receiver = !self.crashed[self.adj.dst(li).node.index()];
+        (receiver, !self.crashed[self.adj.owner_of(li).index()])
+    }
+
     /// Polls a link and files (or clears) its wake, or clears a crashed
     /// chip's; live chips are polled as they tick. See [`EventCore`] for
     /// the handle layout.
@@ -1283,14 +1299,13 @@ impl<C: Chip> Simulator<C> {
             debug_assert!(self.crashed[handle], "live chips are polled as they tick");
             None
         } else {
+            // A link with a crashed end wakes for its live end alone; the
+            // restore marks it again.
             let li = handle - n;
             let link = self.adj.link(li);
-            // A crashed transmitter emits nothing until its restore marks
-            // the link again: until then only the wire's arrivals are due.
-            if self.crashed[self.adj.owner_of(li).index()] {
-                link.next_arrival()
-            } else {
-                link.next_event()
+            match self.live_ends(li) {
+                (true, true) => link.next_event(),
+                (rx, tx) => link.wake(rx, tx),
             }
         };
         self.events.file_wake(handle as u32, at, now);
@@ -1307,8 +1322,8 @@ impl<C: Chip> Simulator<C> {
         // exactly its own cycle in every drive mode.
         let end = self.agenda.next_at().map_or(end, |at| end.min(at));
         // A carried handle wakes at `self.now`, and no queued wake says so.
-        // That covers a live chip with queued injections and a link owing a
-        // continuation, both carried while they last.
+        // That covers a live chip with queued injections, carried while they
+        // last.
         if !self.events.carry.is_empty() {
             return None;
         }

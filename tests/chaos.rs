@@ -15,7 +15,7 @@ use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
 use rtr_bench::churn::DriveMode;
-use rtr_bench::util::{add_one_hop_channel, ONE_HOP_DELAY};
+use rtr_bench::util::{add_one_hop_channel, one_packet_line, ONE_HOP_DELAY, ONE_PACKET_HEAD};
 
 /// The chaos scenario: a sparse 8×8 mesh (long quiet spans, so leaping
 /// really leaps) with every fault kind landing mid-run, several of them
@@ -382,19 +382,19 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
     assert_eq!(outcome, reference, "leaping diverged");
 }
 
-/// A busy chip answers "next cycle" and is carried onto that cycle's dirty
-/// list without a queued wake. If the agenda crashes the chip on that very
-/// cycle, the carried handle must behave like a fired wake would have: the
-/// chip is not ticked, its wake is cleared rather than carried again — so
-/// the dark span is leapt, not stepped — and the restore's mark ticks it
-/// again. Only node 0 is ever active (it injects a packet it delivers to
-/// itself), so every tick counted below is its own. The packet is due the
-/// slot it is injected in, so once stored (cycle 125) it waits out the
-/// grant pipeline with the chip ticking every cycle.
+/// A busy chip is carried onto the next cycle's dirty list without a queued
+/// wake. If the agenda crashes the chip on that very cycle, the carried
+/// handle must behave like a fired wake would have: the chip is not ticked,
+/// its wake is cleared rather than carried again — so the dark span is
+/// leapt, not stepped — and the restore's mark ticks it again. Only node 0
+/// is ever active (it injects two packets it delivers to itself), so every
+/// tick counted below is its own. The second packet stays queued while the
+/// injection port feeds the first in, one byte a cycle, and a live chip
+/// with a queued injection is carried every cycle.
 #[test]
 fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
     const INJECT: u64 = 100;
-    const CRASH: u64 = 127; // mid grant pipeline: the chip ticks every cycle
+    const CRASH: u64 = 110; // mid injection: the chip ticks every cycle
     const RESTORE: u64 = 5_000;
     const END: u64 = 9_000;
     let run = |mode: DriveMode, crash: bool| {
@@ -418,15 +418,17 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
         }
         mode.advance(&mut sim, INJECT);
         let slot = realtime_router::types::time::cycle_to_slot(sim.now(), config.slot_bytes);
-        sim.inject_tc(
-            NodeId(0),
-            TcPacket {
-                conn,
-                arrival: sim.chip(NodeId(0)).clock().wrap(slot),
-                payload: vec![0x7C; config.tc_data_bytes()].into(),
-                trace: PacketTrace::default(),
-            },
-        );
+        for _ in 0..2 {
+            sim.inject_tc(
+                NodeId(0),
+                TcPacket {
+                    conn,
+                    arrival: sim.chip(NodeId(0)).clock().wrap(slot),
+                    payload: vec![0x7C; config.tc_data_bytes()].into(),
+                    trace: PacketTrace::default(),
+                },
+            );
+        }
         // Ticks executed, and wakes filed in the queue, span by span.
         let spans = [CRASH - 1, CRASH, CRASH + 1, RESTORE, RESTORE + 1, END].map(|stop| {
             let filed = |sim: &Simulator<_>| sim.event_core_stats().map_or(0, |s| s.filed);
@@ -441,7 +443,7 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
     // Undisturbed, the chip ticks on the cycle before CRASH, files nothing,
     // and ticks on CRASH: it was carried there.
     let (spans, _) = run(DriveMode::Event, false);
-    assert_eq!(spans[1..3], [(1, 0), (1, 0)], "not waiting for a grant at {CRASH}");
+    assert_eq!(spans[1..3], [(1, 0), (1, 0)], "not injecting at {CRASH}");
     let ([_, before, crash, dark, restore, tail], outcome) = run(DriveMode::Event, true);
     assert_eq!(before, (1, 0), "the chip ticked and was carried into its crash");
     assert_eq!(crash, (0, 0), "a chip crashed on the cycle it was carried to ticked");
@@ -452,39 +454,13 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
 }
 
 /// When the one packet of [`one_packet_hop`] puts its head on the wire.
-const HEAD: u64 = 140;
+const HEAD: u64 = ONE_PACKET_HEAD;
 
 /// Connection 30 on a 2×1 mesh under `faults`: node 0 forwards it east,
-/// node 1 delivers it. One packet is injected at node 0 on cycle 100 with
-/// its logical arrival two slots ahead, so its head leaves node 0 on cycle
-/// [`HEAD`] and its 19 continuation symbols follow one per cycle.
+/// node 1 delivers it; its one packet's head leaves node 0 on cycle
+/// [`HEAD`] ([`one_packet_line`]).
 fn one_packet_hop(faults: FaultSchedule, mode: DriveMode) -> Simulator<RealTimeRouter> {
-    let config = RouterConfig::default();
-    let mut sim =
-        Simulator::build(Topology::mesh(2, 1), |_| RealTimeRouter::new(config.clone())).unwrap();
-    let conn = ConnectionId(30);
-    for (node, port) in [(NodeId(0), Port::Dir(Direction::XPlus)), (NodeId(1), Port::Local)] {
-        let write = ControlCommand::SetConnection {
-            incoming: conn,
-            outgoing: conn,
-            delay: ONE_HOP_DELAY,
-            out_mask: port.mask(),
-        };
-        sim.chip_mut(node).apply_control(write).unwrap();
-    }
-    sim.set_fault_schedule(faults);
-    mode.advance(&mut sim, 100);
-    let slot = realtime_router::types::time::cycle_to_slot(sim.now(), config.slot_bytes);
-    sim.inject_tc(
-        NodeId(0),
-        TcPacket {
-            conn,
-            arrival: sim.chip(NodeId(0)).clock().wrap(slot + 2),
-            payload: vec![0x3C; config.tc_data_bytes()].into(),
-            trace: PacketTrace::default(),
-        },
-    );
-    sim
+    one_packet_line(1, faults, mode)
 }
 
 /// A sender that crashes five cycles into a packet stops putting its
