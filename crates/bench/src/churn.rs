@@ -34,19 +34,24 @@ use rtr_workloads::tc::PeriodicTcSource;
 
 use crate::util::{add_periodic_sender, sender_for};
 
-/// How the churn driver advances the simulator between control events:
-/// which chips each cycle ticks.
+/// How a drive call advances the simulator: which chips each cycle ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriveMode {
-    /// Dense cycle-by-cycle stepping of every chip — the reference.
-    Dense,
-    /// Event-driven leaping that ticks only the chips that can act.
+    /// Every live chip ticks on every cycle — the reference the others are
+    /// held to: each chip is woken (through [`Simulator::chip_mut`]) before
+    /// each [`Simulator::step`].
+    EveryChip,
+    /// [`Simulator::run`]: every cycle is stepped, and ticks the chips that
+    /// can act in it.
+    Stepped,
+    /// [`Simulator::run_leaping`]: event cycles that tick the chips that
+    /// can act, and leaps over quiet spans.
     Event,
 }
 
 impl DriveMode {
     /// Every drive mode, the reference first.
-    pub const ALL: [DriveMode; 2] = [DriveMode::Dense, DriveMode::Event];
+    pub const ALL: [DriveMode; 3] = [DriveMode::EveryChip, DriveMode::Stepped, DriveMode::Event];
 
     /// Advances the simulator `cycles` cycles the way this mode does.
     pub fn advance<C: Chip>(self, sim: &mut Simulator<C>, cycles: Cycle) {
@@ -54,7 +59,16 @@ impl DriveMode {
             return;
         }
         match self {
-            DriveMode::Dense => sim.run(cycles),
+            DriveMode::EveryChip => {
+                let nodes: Vec<NodeId> = sim.topology().nodes().collect();
+                for _ in 0..cycles {
+                    for &node in &nodes {
+                        sim.chip_mut(node);
+                    }
+                    sim.step();
+                }
+            }
+            DriveMode::Stepped => sim.run(cycles),
             DriveMode::Event => sim.run_leaping(cycles),
         }
     }
@@ -191,7 +205,7 @@ pub fn drive_schedule(
 
 /// Runs the churn scenario under one drive mode.
 ///
-/// Both modes produce byte-identical network state (asserted by
+/// Every mode produces byte-identical network state (asserted by
 /// `tests/churn.rs`); `rtr churn` prints the stepped run.
 #[must_use]
 pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
@@ -306,6 +320,6 @@ mod tests {
             bystander_misses: 0,
             churn_delivered: 4_352,
         };
-        assert_eq!(run_churn(DriveMode::Dense), recorded);
+        assert_eq!(run_churn(DriveMode::Stepped), recorded);
     }
 }

@@ -8,10 +8,15 @@
 //! links (a time-constrained head takes its packet's continuations with it:
 //! the link settles them by the clock, see [`crate::link`]),
 //! route returned credits back to the upstream transmitter, and drain
-//! deliveries into per-node [`DeliveryLog`]s. The drive calls differ only
-//! in *which* chips the kernel ticks — all of them (dense), or the ones the
-//! event core proves can change state (event); the results are
-//! bit-identical.
+//! deliveries into per-node [`DeliveryLog`]s. Every cycle ticks only the
+//! chips that can act — handed an arrival or credits, queued for, touched
+//! from outside or by the agenda, or due by their own [`Chip::next_event`]
+//! — and reconciles the rest lazily. The drive calls differ only in how
+//! they find the due chips: a stepped cycle keeps each chip's last answer
+//! in a per-node stamp and sweeps every link, an event cycle (once a
+//! leaping call has built the event core) keeps wakes in a queue, visits
+//! only the links that can deliver, and leaps over quiet spans. The
+//! results are bit-identical to ticking every chip on every cycle.
 //!
 //! The simulation is fully deterministic: node order is fixed, all queues
 //! are FIFO, and sources that need randomness own their seeded generators.
@@ -213,25 +218,34 @@ pub struct Simulator<C: Chip> {
     /// The chips the last cycle ticked (live node indices, ascending): the
     /// only [`ChipIo`]s left to clear, and the next cycle's list buffer.
     tick_list: Vec<u32>,
-    /// Chip ticks actually executed (sparse event-core steps tick only the
-    /// due chips; leaped cycles execute none).
+    /// Per-chip cycle a stepped cycle must next tick it at: its
+    /// [`Chip::next_event`] answer polled right after its last tick
+    /// (`Cycle::MAX` for `None`; `now + 1` while it has queued injections;
+    /// 0 before any tick), brought forward to the cycle in progress by an
+    /// arrival, a run of its source, an agenda op or external mutation.
+    /// Empty until the first stepped cycle — every chip is due on it — so a
+    /// simulator only ever leapt holds none; event cycles keep wakes in the
+    /// event core instead.
+    awake: Vec<Cycle>,
+    /// Chip ticks actually executed (a cycle ticks only the due chips;
+    /// leaped cycles execute none).
     ticks_executed: u64,
     /// Per-chip lazy idle-accounting stamp: the first cycle not yet
     /// accounted to the chip, either by a tick (which covers the cycle it
-    /// runs) or by a [`Chip::skip_quiet`] reconciliation. Sparse steps and
-    /// leaps leave quiet chips untouched; the span
+    /// runs) or by a [`Chip::skip_quiet`] reconciliation. Cycles and leaps
+    /// leave quiet chips untouched; the span
     /// `unticked[i]..tick_cycle` is reconciled in one `skip_quiet` call
     /// the next time chip `i` ticks, and [`Simulator::settle_idle`]
     /// flushes every outstanding span at the public drive-call boundaries.
     unticked: Vec<Cycle>,
     /// Debug-build checksum: cycles accounted per chip (ticked +
     /// skip-reconciled). Must equal `now` whenever the simulator settles —
-    /// the sparse path's lazy reconciliation proven against dense
-    /// stepping's one-tick-per-chip-per-cycle invariant.
+    /// the lazy reconciliation proven against the one-tick-per-chip-per-cycle
+    /// count of ticking every chip.
     #[cfg(debug_assertions)]
     dbg_accounted: Vec<Cycle>,
     /// The event core behind the leaping paths; cold (no handles, every
-    /// cycle dense) until the first leaping call.
+    /// cycle stepped) until the first leaping call.
     events: EventCore,
     /// Counter registry and phase profiler (both zero-sized no-ops
     /// without the `metrics` feature).
@@ -332,6 +346,7 @@ impl<C: Chip> Simulator<C> {
             gauge_every: None,
             gauge_samples: OccupancyHistory::default(),
             tick_list: Vec::with_capacity(n),
+            awake: Vec::new(),
             ticks_executed: 0,
             unticked: vec![0; n],
             #[cfg(debug_assertions)]
@@ -374,20 +389,36 @@ impl<C: Chip> Simulator<C> {
     /// drive call settles all chips before it returns, and a scan of the
     /// whole mesh per table write is what channel establishment on a
     /// 128×128 mesh used to spend its time on.
-    /// A warm event core stays warm: the next cycle ticks the chip and
-    /// re-polls its wake (a stamp of `now` means it is carried already).
+    /// The next cycle ticks the chip and re-polls its wake, and a warm
+    /// event core stays warm.
     pub fn chip_mut(&mut self, node: NodeId) -> &mut C {
         let i = node.index();
         self.settle_chip(i);
-        self.carry_chip(i);
+        self.wake_chip(i);
         &mut self.chips[i]
     }
 
-    /// Carries chip `i` into the next cycle on a warm event core (a stamp
-    /// of `now` means it is carried already).
-    fn carry_chip(&mut self, i: usize) {
-        if self.events.warm() && self.events.stamp[i] != self.now {
+    /// Makes chip `i` tick on the next cycle: a warm event core carries it
+    /// there (a stamp of `now` means it is carried already), a cold one
+    /// brings its `awake` stamp forward (before the first stepped cycle
+    /// there are none, and every chip is due).
+    fn wake_chip(&mut self, i: usize) {
+        if !self.events.warm() {
+            if let Some(awake) = self.awake.get_mut(i) {
+                *awake = self.now;
+            }
+        } else if self.events.stamp[i] != self.now {
             self.events.carry_into(i as u32, self.now);
+        }
+    }
+
+    /// Makes chip `i` tick in the cycle in progress: a warm event core
+    /// marks it dirty, a cold one brings its `awake` stamp forward.
+    fn touch_chip(&mut self, i: usize) {
+        if self.events.warm() {
+            self.events.mark(i, self.now);
+        } else {
+            self.awake[i] = self.now;
         }
     }
 
@@ -406,20 +437,19 @@ impl<C: Chip> Simulator<C> {
 
     /// Queues a time-constrained packet for injection at a node.
     ///
-    /// Injection does not invalidate a warm event core: the chip is carried
-    /// into the next cycle, and every cycle that leaves it a queued packet
-    /// carries it again, so the leap planner never leaps past a live
-    /// chip's queued injections and no wake can go stale.
+    /// The chip ticks on the next cycle, and every cycle that leaves it a
+    /// queued packet ticks it again, so no drive call sleeps or leaps past
+    /// a live chip's queued injections and a warm event core stays warm.
     pub fn inject_tc(&mut self, node: NodeId, packet: TcPacket) {
         self.ios[node.index()].inject_tc.push_back(packet);
-        self.carry_chip(node.index());
+        self.wake_chip(node.index());
     }
 
     /// Queues a best-effort packet for injection at a node (see
-    /// [`Simulator::inject_tc`] on why this keeps the event core warm).
+    /// [`Simulator::inject_tc`]).
     pub fn inject_be(&mut self, node: NodeId, packet: BePacket) {
         self.ios[node.index()].inject_be.push_back(packet);
-        self.carry_chip(node.index());
+        self.wake_chip(node.index());
     }
 
     /// Starts sampling every chip's occupancy gauges once per `every`
@@ -669,13 +699,9 @@ impl<C: Chip> Simulator<C> {
             }
         }
         // A table delta can change what the chip will do next (e.g. a
-        // buffered packet becomes routable); mark it dirty so a warm
-        // event core ticks and re-polls it this cycle, exactly like a
-        // chip the fault plane touched. Dense stepping ticks every
-        // chip anyway, so the outcomes stay byte-identical.
-        if self.events.warm() {
-            self.events.mark(i, now);
-        }
+        // buffered packet becomes routable), so the chip ticks and
+        // re-polls this cycle, exactly like a chip the fault plane touched.
+        self.touch_chip(i);
     }
 
     /// Whether the node is currently crashed.
@@ -751,12 +777,13 @@ impl<C: Chip> Simulator<C> {
                         self.adj.link_mut(li).resume_run(now);
                     }
                 }
+                // Crash clears the chip's wake and leaves its links waking
+                // for their live ends alone; restore ticks the chip, and its
+                // links deliver what waited for it this very cycle (a
+                // stepped cycle sweeps them anyway). A source's `due` is its
+                // only wake.
+                self.touch_chip(i);
                 if warm {
-                    // Crash clears the chip's wake and leaves its links
-                    // waking for their live ends alone; restore re-registers
-                    // the chip, and its links deliver what waited for it
-                    // this very cycle. (A source's `due` is its only wake.)
-                    self.events.mark(i, now);
                     for li in out_start..out_end {
                         self.events.mark(n + li, now);
                     }
@@ -811,7 +838,8 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Chip ticks executed so far (the tick-loop work actually performed).
-    /// Plain stepping executes `nodes × cycles` ticks; the event-driven
+    /// Every drive call ticks only the chips that can act — an idle mesh
+    /// ticks each chip once, on its first cycle — and
     /// [`Simulator::run_leaping`] executes none for leaped cycles, so this
     /// counter is how tests pin the O(events) claim.
     #[must_use]
@@ -851,7 +879,7 @@ impl<C: Chip> Simulator<C> {
             + events
             + self.adj.heap_bytes()
             + self.topo.heap_bytes()
-            + self.unticked.capacity() * std::mem::size_of::<Cycle>()
+            + (self.unticked.capacity() + self.awake.capacity()) * std::mem::size_of::<Cycle>()
             + self.crashed.capacity()
             + self.sources.capacity()
                 * std::mem::size_of::<(NodeId, Box<dyn TrafficSource>, Cycle)>()
@@ -859,20 +887,22 @@ impl<C: Chip> Simulator<C> {
         total / n.max(1)
     }
 
-    /// Advances the network by one cycle.
+    /// Advances the network by one cycle, ticking only the chips that can
+    /// act in it.
     ///
-    /// Once a leaping call has built the event core, every cycle runs with
-    /// wake bookkeeping and ticks only the chips that can change state —
-    /// the results are bit-identical, and the core stays warm for the next
-    /// leaping call: it is primed once per simulator (counted by the
-    /// `sim.stale_repolls` metric), never again.
+    /// Before the first leaping call the cycle is stepped: it finds those
+    /// chips from their `awake` stamps and sweeps every link. Once a
+    /// leaping call has built the event core, every cycle runs with its
+    /// wake bookkeeping instead — the results are bit-identical, and the
+    /// core stays warm for the next leaping call: it is primed once per
+    /// simulator (counted by the `sim.stale_repolls` metric), never again.
     pub fn step(&mut self) {
         self.step_inner();
         self.settle_idle();
     }
 
     /// One cycle without the idle settle (public drive calls settle once, at
-    /// their end). Before the first leaping call cycles are dense.
+    /// their end): stepped before the first leaping call, event after it.
     fn step_inner(&mut self) {
         if self.events.warm() {
             self.cycle::<true>();
@@ -886,13 +916,17 @@ impl<C: Chip> Simulator<C> {
     /// 1. (`EV`) the dirty set starts as the handles carried into this cycle
     ///    and the queue's due wakes join it;
     /// 2. agenda ops due now apply — faults, then control writes;
-    /// 3. links — all when dense or priming after dense cycles, else those
-    ///    whose wake fired or was carried — deliver arrivals, and sources run
-    ///    (`phase_pre`);
-    /// 4. chips tick: every live chip when dense (`EV` unset), otherwise
-    ///    the dirty chips (due wakes, arrivals, credits, queued injections,
-    ///    agenda touches) and, priming, those with queued injections or
-    ///    whose pre-tick poll answers by the next cycle. Every other chip
+    /// 3. links — all when stepped or priming after stepped cycles, else
+    ///    those whose wake fired or was carried — deliver arrivals, and
+    ///    sources run (`phase_pre`);
+    /// 4. the live chips that can act tick, in ascending node order: those
+    ///    handed an arrival or credits, queued for (stepped: whose source
+    ///    ran), touched by the agenda or from outside, or still injecting,
+    ///    and those due by their own `next_event` — stepped (`EV` unset),
+    ///    the `awake` stamps say which; with `EV`,
+    ///    the dirty list (due and carried wakes, marks) and, priming, every
+    ///    chip with queued injections or whose pre-tick poll answers by the
+    ///    next cycle. Each is polled right after its tick. Every other chip
     ///    is provably quiet and its idle accounting is reconciled lazily
     ///    from `unticked`;
     /// 5. the ticked chips' driven symbols and credits move onto the links,
@@ -901,7 +935,7 @@ impl<C: Chip> Simulator<C> {
     ///    their wakes; a wake for the next cycle is carried there instead
     ///    of filed.
     ///
-    /// `EV = false` compiles all wake bookkeeping out.
+    /// `EV = false` compiles the wake queue out.
     fn cycle<const EV: bool>(&mut self) {
         let now = self.now;
         let n = self.chips.len();
@@ -909,12 +943,14 @@ impl<C: Chip> Simulator<C> {
         if EV {
             debug_assert!(self.events.warm(), "event cycle on a cold core");
             self.events.begin(now);
+        } else if self.awake.is_empty() {
+            self.awake = vec![0; n];
         }
         self.apply_due();
         let t = if EV { self.metrics.profiler.lap(Phase::WheelPop, t) } else { t };
         let prime = EV && self.events.prime;
-        // Priming after dense cycles: they kept no wakes, so links are
-        // swept once. Before any cycle every link is empty.
+        // Priming after stepped cycles: they kept no link wakes, so links
+        // are swept once. Before any cycle every link is empty.
         let sweep = prime && now > 0;
         let mut list = std::mem::take(&mut self.tick_list);
         self.phase_pre::<EV>(&list, sweep);
@@ -953,7 +989,10 @@ impl<C: Chip> Simulator<C> {
             }
             list.sort_unstable();
         } else {
-            list.extend((0..n as u32).filter(|&h| !crashed[h as usize]));
+            let awake = &self.awake;
+            list.extend(
+                (0..n as u32).filter(|&h| awake[h as usize] <= now && !crashed[h as usize]),
+            );
         }
         let t = self.tick_chips::<EV>(now, &list, t);
         self.phase_post::<EV>(now, &list);
@@ -961,7 +1000,7 @@ impl<C: Chip> Simulator<C> {
         let t = self.metrics.profiler.lap(Phase::LinkPost, t);
         if EV {
             if prime {
-                // A fresh queue knows no wakes: after dense cycles every
+                // A fresh queue knows no wakes: after stepped cycles every
                 // busy link files its first. Idle links have nothing to
                 // clear, and at mega-mesh scale they vastly outnumber the
                 // busy ones.
@@ -993,8 +1032,8 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Ticks the chips in `list` (live node indices, ascending) for cycle
-    /// `now` and, with `EV`, registers each one's next wake, in ascending
-    /// node order.
+    /// `now` and records each one's next wake, in ascending node order: in
+    /// the event core with `EV`, else in its `awake` stamp.
     fn tick_chips<const EV: bool>(
         &mut self,
         now: Cycle,
@@ -1019,18 +1058,19 @@ impl<C: Chip> Simulator<C> {
             // A chip's state is final for the cycle once it has ticked — the
             // link phases never touch it — so polling here sees what an
             // end-of-cycle poll would — bar injections still queued, which
-            // carry the chip.
+            // tick the chip again on the next cycle.
+            let at = if injecting(&self.ios[i]) { Some(now + 1) } else { chip.next_event(now) };
             if EV {
-                let at = chip.next_event(now);
-                let at = if injecting(&self.ios[i]) { Some(now + 1) } else { at };
                 self.events.file_wake(h, at, now);
+            } else {
+                self.awake[i] = at.unwrap_or(Cycle::MAX);
             }
         }
         self.metrics.profiler.lap(Phase::SerialTick, t)
     }
 
-    /// Flushes every chip's outstanding lazy idle span. Sparse event-core
-    /// steps and leaps touch only due chips; a quiet chip's
+    /// Flushes every chip's outstanding lazy idle span. Cycles and leaps
+    /// touch only due chips; a quiet chip's
     /// [`Chip::skip_quiet`] accounting is deferred until its next tick.
     /// Public drive calls end by settling, so external observers
     /// ([`Simulator::chip`], stats, reports) always see fully reconciled
@@ -1041,7 +1081,7 @@ impl<C: Chip> Simulator<C> {
             #[cfg(debug_assertions)]
             debug_assert_eq!(
                 self.dbg_accounted[i], self.now,
-                "chip {i}: sparse idle accounting diverged from dense per-chip cycle counts"
+                "chip {i}: lazy idle accounting diverged from the per-chip cycle count"
             );
         }
     }
@@ -1066,24 +1106,23 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Debug-build proof of the activity sets (DESIGN.md §3.11) where a
-    /// cycle's full sweeps used to start. On an event cycle every `ChipIo`
-    /// is clear, and past the prime every live chip with queued injections
-    /// was carried. On every cycle no link the link pass will pass over —
-    /// its wake is not in `fired` (the handles it visits, sorted; `None`
-    /// when all links are swept), or its `next_at` lies ahead — owes a live
-    /// end an arrival by the queues' own account.
+    /// cycle's full sweeps used to start. Every `ChipIo` is clear, and
+    /// (past an event core's prime) every live chip with queued injections
+    /// was carried or is awake. No link the link pass will pass over — its
+    /// wake is not in `fired` (the handles it visits, sorted; `None` when
+    /// all links are swept), or its `next_at` lies ahead — owes a live end
+    /// an arrival by the queues' own account.
     #[cfg(debug_assertions)]
     fn dbg_check_activity(&self, event: bool, fired: Option<&[WakeHandle]>) {
-        let (now, n, prime) = (self.now, self.chips.len(), self.events.prime);
-        let ios = if event { &self.ios[..] } else { &[] };
-        for (node, io) in ios.iter().enumerate() {
+        let (now, n, prime) = (self.now, self.chips.len(), event && self.events.prime);
+        for (node, io) in self.ios.iter().enumerate() {
             let clear = io.rx.iter().chain(&io.tx).all(Option::is_none)
                 && io.credit_in.iter().chain(&io.credit_out).all(|&c| c == 0)
                 && io.delivered_tc.is_empty()
                 && io.delivered_be.is_empty();
             assert!(clear, "chip {node} carried traffic into cycle {now} without having ticked");
-            let carried =
-                prime || self.crashed[node] || self.events.stamp[node] == now || !injecting(io);
+            let due = if event { self.events.stamp[node] == now } else { self.awake[node] <= now };
+            let carried = prime || self.crashed[node] || due || !injecting(io);
             assert!(carried, "chip {node} has queued injections but was not carried into {now}");
         }
         for li in 0..self.adj.len() {
@@ -1096,27 +1135,22 @@ impl<C: Chip> Simulator<C> {
         }
     }
 
-    /// The nodes a per-chip pass of the link phases visits: a cycle's tick
-    /// `list` on an event cycle. A dense cycle ticks every live chip, so its
-    /// domain is plain `0..n` and its loops compile without the indirection.
-    fn ticked<const EV: bool>(list: &[u32], n: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..if EV { list.len() } else { n }).map(move |k| if EV { list[k] as usize } else { k })
-    }
-
     /// Pre-tick phases of one cycle: link arrivals and emissions, and
     /// traffic sources. `ticked_last` is the previous cycle's tick list;
-    /// `sweep` (a prime after dense cycles) visits every link.
+    /// `sweep` (a prime after stepped cycles) visits every link, as a
+    /// stepped cycle does.
     ///
-    /// With `EV` set, additionally feeds the event core's dirty set:
-    /// chips receiving symbols, credits, or a source's injection — and
-    /// links whose queues were popped — get their wakes recomputed at the
-    /// end of the step. `EV = false` compiles the bookkeeping out.
+    /// Chips receiving symbols, credits, or a source's injection (stepped:
+    /// the chip of every source that ran) are made to tick: with `EV` set
+    /// they join the event core's dirty set — with the links whose queues
+    /// were popped — and get their wakes recomputed at the end of the step;
+    /// without, their `awake` stamps are brought forward.
     fn phase_pre<const EV: bool>(&mut self, ticked_last: &[u32], sweep: bool) {
         let now = self.now;
         let n = self.chips.len();
         // Being handed an arrival (`rx`/`credit_in`) makes a chip tick.
-        for node in Self::ticked::<EV>(ticked_last, n) {
-            self.ios[node].begin_cycle();
+        for &node in ticked_last {
+            self.ios[node as usize].begin_cycle();
         }
 
         // 1. Link arrivals (data forward, credits backward). A link's wake
@@ -1161,15 +1195,20 @@ impl<C: Chip> Simulator<C> {
             }
             if let Some(symbol) = symbol {
                 let dst = self.adj.dst(li);
-                self.ios[dst.node.index()].rx[Port::Dir(dst.dir).index()] = Some(symbol);
+                let rx = dst.node.index();
+                self.ios[rx].rx[Port::Dir(dst.dir).index()] = Some(symbol);
                 if EV {
-                    self.events.mark(dst.node.index(), now);
+                    self.events.mark(rx, now);
+                } else {
+                    self.awake[rx] = now;
                 }
             }
             if credits > 0 {
                 self.ios[node].credit_in[Port::Dir(self.adj.dir(li)).index()] += credits;
                 if EV {
                     self.events.mark(node, now);
+                } else {
+                    self.awake[node] = now;
                 }
             }
         }
@@ -1179,7 +1218,11 @@ impl<C: Chip> Simulator<C> {
         // runs when its own `next_event` answer comes due — the contract
         // leaping relies on: until then `pre_cycle` would do nothing. The
         // chip it queued for ticks: no `next_event` sees injection queues.
-        // One that answers `None` never runs again and is retired.
+        // A stepped cycle ticks the chip of every source it ran, so a
+        // source that writes more of the `ChipIo` than its queues (a
+        // misbehaving neighbour returning credits it never freed) is
+        // collected as it was when every chip ticked. One that answers
+        // `None` never runs again and is retired.
         let mut exhausted = false;
         for (node, source, due) in &mut self.sources {
             let i = node.index();
@@ -1189,7 +1232,9 @@ impl<C: Chip> Simulator<C> {
             source.pre_cycle(now, *node, &mut self.ios[i]);
             *due = source.next_event(now).unwrap_or(Cycle::MAX);
             exhausted |= *due == Cycle::MAX;
-            if EV && injecting(&self.ios[i]) {
+            if !EV {
+                self.awake[i] = now;
+            } else if injecting(&self.ios[i]) {
                 self.events.mark(i, now);
             }
         }
@@ -1206,15 +1251,15 @@ impl<C: Chip> Simulator<C> {
     /// credit batch are marked dirty.
     fn phase_post<const EV: bool>(&mut self, now: Cycle, list: &[u32]) {
         let n = self.chips.len();
-        let walked = if EV { list.len() } else { n };
-        self.metrics.registry.inc(self.metrics.ids.io_visits, walked as u64);
+        self.metrics.registry.inc(self.metrics.ids.io_visits, list.len() as u64);
         // 3. Collect driven symbols and returned credits — walking only
         // the wired outputs and fed inputs via the CSR tables. A chip can
         // only drive ports its wiring feeds credits through, so scanning
         // the sparse tables covers every live port; the debug asserts
         // below catch a chip writing to an unwired one. A head takes its
         // packet's continuations onto the link with it.
-        for node in Self::ticked::<EV>(list, n) {
+        for &node in list {
+            let node = node as usize;
             debug_assert!(
                 self.ios[node].tx[Port::Local.index()].is_none(),
                 "chips must deliver locally, not drive the local port"
@@ -1255,8 +1300,8 @@ impl<C: Chip> Simulator<C> {
         }
 
         // 4. Drain deliveries.
-        for node in Self::ticked::<EV>(list, n) {
-            let (io, log) = (&mut self.ios[node], &mut self.logs[node]);
+        for &node in list {
+            let (io, log) = (&mut self.ios[node as usize], &mut self.logs[node as usize]);
             log.tc.append(&mut io.delivered_tc);
             log.be.append(&mut io.delivered_be);
         }
@@ -1269,7 +1314,9 @@ impl<C: Chip> Simulator<C> {
         self.now += 1;
     }
 
-    /// Runs for `cycles` cycles.
+    /// Runs for `cycles` cycles, one [`Simulator::step`] at a time: every
+    /// cycle is simulated, but a chip ticks only on the cycles it can act
+    /// in, so a quiet chip costs one compare a cycle.
     pub fn run(&mut self, cycles: Cycle) {
         self.run_until(cycles, |_| false);
     }
@@ -1312,9 +1359,10 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// If the network is provably quiescent at `self.now` (an event cycle
-    /// just ran), returns the earliest cycle at which anything can happen,
-    /// clamped to `end`: the minimum registered wake, read in O(1) instead
-    /// of re-polling every component, and the earliest source `due`.
+    /// or a leap ran last, on a core past its prime), returns the earliest
+    /// cycle at which anything can happen, clamped to `end`: the minimum
+    /// registered wake, read in O(1) instead of re-polling every
+    /// component, and the earliest source `due`.
     /// Returns `None` when some component needs the very next cycle, i.e.
     /// no leap is possible.
     fn quiet_target(&mut self, end: Cycle) -> Option<Cycle> {
@@ -1394,9 +1442,9 @@ impl<C: Chip> Simulator<C> {
     /// Runs until `predicate` returns true (checked after each cycle) or
     /// `max_cycles` elapse; returns whether the predicate fired.
     ///
-    /// While the event core is warm, cycles run sparsely, so a predicate
-    /// reading chip-internal per-cycle counters mid-run sees them settle
-    /// only at the end of the call — the same caveat as
+    /// Cycles tick only the chips that can act, so a predicate reading
+    /// chip-internal per-cycle counters mid-run sees them settle only at
+    /// the end of the call — the same caveat as
     /// [`Simulator::run_until_leaping`]. Predicates over simulator-owned
     /// state (`now`, delivery logs, reports) are exact at every boundary.
     pub fn run_until(
@@ -1477,6 +1525,10 @@ impl<C: Chip> Simulator<C> {
         cycles: Cycle,
         mut predicate: Option<impl FnMut(&Self) -> bool>,
     ) -> bool {
+        // A core past its prime holds every wake the cycles before filed,
+        // and what touched the mesh since was carried or clamps the plan,
+        // so the call may start with a leap.
+        let mut plan = self.events.warm() && !self.events.prime;
         if !self.events.warm() {
             // The first leaping call builds the core. The fresh queue is
             // primed — the first event cycle polls everything, later ones
@@ -1486,17 +1538,20 @@ impl<C: Chip> Simulator<C> {
         let end = self.now + cycles;
         let mut fired = false;
         while !fired && self.now < end {
+            if plan {
+                let t = self.metrics.profiler.start();
+                let target = self.quiet_target(end);
+                self.metrics.profiler.stop(Phase::LeapPlan, t);
+                if let Some(target) = target {
+                    fired = self.leap_to(target, predicate.as_mut());
+                    if fired || self.now >= end {
+                        break;
+                    }
+                }
+            }
             self.cycle::<true>();
             fired = predicate.as_mut().is_some_and(|p| p(self));
-            if fired || self.now >= end {
-                break;
-            }
-            let t = self.metrics.profiler.start();
-            let target = self.quiet_target(end);
-            self.metrics.profiler.stop(Phase::LeapPlan, t);
-            if let Some(target) = target {
-                fired = self.leap_to(target, predicate.as_mut());
-            }
+            plan = true;
         }
         self.settle_idle();
         fired
@@ -1726,10 +1781,40 @@ mod tests {
             "idle mesh ticked {} times, expected O(events)",
             sim.ticks_executed()
         );
-        // A stepped control pays the full bill.
+        // Stepping pays O(events) too: each chip ticks on its first cycle
+        // and sleeps from then on.
         let mut stepped = two_node_sim();
         stepped.run(1_000);
-        assert_eq!(stepped.ticks_executed(), 2 * 1_000);
+        assert!(stepped.ticks_executed() <= 8, "stepped {}", stepped.ticks_executed());
+        // Only waking every chip before each step pays the full bill.
+        let mut every = two_node_sim();
+        for _ in 0..1_000 {
+            every.chip_mut(NodeId(0));
+            every.chip_mut(NodeId(1));
+            every.step();
+        }
+        assert_eq!(every.ticks_executed(), 2 * 1_000);
+    }
+
+    #[test]
+    fn a_stepped_idle_mesh_ticks_each_chip_once() {
+        // A chip that has never ticked is due on the first stepped cycle;
+        // its poll right after that tick answers `None`, so an idle mesh
+        // sleeps from then on — one tick and one poll per chip.
+        let mut sim: Simulator<RealTimeRouter> =
+            Simulator::build(
+                Topology::mesh(8, 8),
+                |_| RealTimeRouter::new(RouterConfig::default()),
+            )
+            .unwrap();
+        sim.run(10_000);
+        assert_eq!(sim.now(), 10_000);
+        assert_eq!(sim.ticks_executed(), 64);
+        for node in sim.topology().nodes() {
+            assert_eq!(sim.chip(node).wake_stats().map(|w| w.polls), Some(1), "{node}");
+            let idle = sim.chip(node).stats().idle_cycles[Port::Local.index()];
+            assert_eq!(idle, 10_000, "{node}: the skipped cycles are accounted");
+        }
     }
 
     #[test]

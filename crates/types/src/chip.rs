@@ -3,10 +3,10 @@
 //!
 //! Defining this interface here (rather than in the simulator crate) lets the
 //! real-time router, the baseline routers, and the mesh simulator all agree
-//! on one contract without dependency cycles. A [`Chip`] is ticked once per
-//! cycle with a fresh view of arriving symbols and credits and fills in what
-//! it drives onto the links; injection queues and delivery sinks persist
-//! across cycles.
+//! on one contract without dependency cycles. A [`Chip`] is ticked on each
+//! cycle it can act in with a fresh view of arriving symbols and credits and
+//! fills in what it drives onto the links; injection queues and delivery
+//! sinks persist across cycles.
 
 use std::collections::VecDeque;
 
@@ -122,10 +122,13 @@ impl WakeStats {
 
 /// A router chip model that can sit at a node of the mesh simulator.
 ///
-/// The simulator calls [`Chip::tick`] exactly once per cycle, in increasing
+/// The simulator calls [`Chip::tick`] at most once per cycle, in increasing
 /// cycle order, after filling `io.rx`/`io.credit_in` with this cycle's link
 /// arrivals. The chip reads those, updates internal state, fills
 /// `io.tx`/`io.credit_out`, drains injection queues, and appends deliveries.
+/// Every drive call ticks a chip only on the cycles it can act in — an
+/// input reached it, or its own [`Chip::next_event`] came due — and reports
+/// the cycles in between through [`Chip::skip_quiet`].
 ///
 /// Within a cycle each chip touches only its own state and its own
 /// [`ChipIo`]; cross-node effects travel only through the simulator's link
@@ -177,22 +180,26 @@ pub trait Chip {
     /// that pacing ends: the cycle an output frees, the delivery cycle, the
     /// cycle of the injection's last symbol.
     ///
-    /// This is the event-driven fast path's contract: the simulator may skip
-    /// every cycle in `(now, next_event)` without ticking the chip, provided
-    /// all external inputs are also quiet, and the chip's observable state
-    /// (counters patched via [`Chip::skip_quiet`] aside) must be identical
-    /// to having ticked through them. Conservative answers are always safe —
-    /// the default `Some(now + 1)` simply disables leaping for this chip.
+    /// This is the contract every drive call trusts, stepping and leaping
+    /// alike: the simulator skips every cycle in `(now, next_event)` without
+    /// ticking the chip unless an input reaches it, and the chip's
+    /// observable state (counters patched via [`Chip::skip_quiet`] aside)
+    /// must be identical to having ticked through them. Conservative answers
+    /// are always safe — the default `Some(now + 1)` ticks the chip on every
+    /// cycle.
     ///
     /// The simulator may also poll a chip *before* its tick at `now`, in the
-    /// state its last tick (at `now − 1`, or none on a fresh build) left it:
-    /// the prime cycle of a freshly built event core does so for every chip
-    /// no input reached. An answer of `now + 1` or earlier ticks the chip at
-    /// `now`; a later one skips `now` too, up to the answer, and `None`
-    /// skips it until an input arrives. So a chip with work due at `now`
-    /// must not answer beyond `now + 1` — the default never does — and a chip
-    /// that counts a wake from its own pacing counts it from the last cycle
-    /// it accounted, not from `now`.
+    /// state its last tick left it — at `now − 1`, at any earlier cycle the
+    /// chip has slept since (the span not yet reported through
+    /// [`Chip::skip_quiet`]), or none on a fresh build: the prime cycle of a
+    /// freshly built event core does so for every chip no input reached. An
+    /// answer of `now + 1` or earlier ticks the chip at `now`; a later one
+    /// skips `now` too, up to the answer, and `None` skips it until an input
+    /// arrives. So a chip with work due at `now` must not answer beyond
+    /// `now + 1` — the default never does — and a chip that counts a wake
+    /// from its own pacing counts it from the last cycle it accounted, not
+    /// from `now`: polled later, it names the same cycle it named right
+    /// after its last tick, or `now + 1` if that cycle has come.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }
@@ -201,9 +208,9 @@ pub trait Chip {
     /// were skipped rather than ticked. Implementations that keep per-cycle
     /// counters (e.g. idle-cycle statistics) account the skipped span here,
     /// and implementations with internal state that normally relaxes over
-    /// quiet cycles (e.g. a grant pipeline draining) settle it to what a
-    /// dense run would have computed by `to`, so sparse runs report
-    /// identical statistics and behaviour to stepped runs. "Quiet" includes
+    /// quiet cycles (e.g. a grant pipeline draining) settle it to what
+    /// ticking through the span would have computed by `to`, so every run
+    /// reports statistics and behaviour identical to ticking every cycle. "Quiet" includes
     /// cycles a port spent carrying a packet's continuation symbols: the
     /// span advances that transmission (and counts its bytes) as the ticks
     /// would have, and a port busy through the span is not settled — a
@@ -211,9 +218,9 @@ pub trait Chip {
     /// `next_event` answer keeps every span short of a cycle that must tick
     /// (a delivery, an injection's last symbol, a port freeing).
     ///
-    /// Under *sparse ticking* this is called per chip — possibly with a
-    /// different `from` for every chip — each time an idle chip is about to
-    /// be ticked again (or observed), not only on whole-network leaps. The
+    /// This is called per chip — possibly with a different `from` for every
+    /// chip — each time a chip that slept is about to be ticked again (or
+    /// observed), in every drive mode, not only on whole-network leaps. The
     /// default does nothing.
     fn skip_quiet(&mut self, from: Cycle, to: Cycle) {
         let _ = (from, to);

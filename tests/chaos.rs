@@ -1,10 +1,11 @@
-//! Chaos: the scripted fault plane is deterministic across both drive
-//! modes, and conservation still balances with loss columns included.
+//! Chaos: the scripted fault plane is deterministic across every drive
+//! mode, and conservation still balances with loss columns included.
 //!
 //! A seeded [`FaultSchedule`] is part of the simulation's initial state,
 //! so a mid-run link kill, a flaky regime, or a node crash must produce
-//! byte-identical outcomes whether the mesh is stepped densely or leapt
-//! over the event queue — and the leaper must never leap *across* a fault
+//! byte-identical outcomes whether every chip ticks on every cycle, the
+//! mesh is stepped, or it is leapt over the event queue — and neither a
+//! sleeping chip nor the leaper may skip *across* a fault
 //! epoch (the clamp is load-bearing: a fault applied late would tick
 //! routers against a stale topology).
 
@@ -65,31 +66,31 @@ fn fingerprint(sim: &Simulator<RealTimeRouter>) -> String {
 
 #[test]
 fn dense_and_event_agree_under_chaos() {
-    let mut stepped = build_chaos_mesh();
-    stepped.run(SPAN);
-    stepped.check_conservation().unwrap();
-
-    let mut leaping = build_chaos_mesh();
-    leaping.run_leaping(SPAN);
-    leaping.check_conservation().unwrap();
-    assert_eq!(fingerprint(&stepped), fingerprint(&leaping), "leaping diverged");
-    assert!(
-        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
-        "the sparse chaos scenario must still leap: {} vs {} ticks",
-        leaping.ticks_executed(),
-        stepped.ticks_executed()
-    );
-
+    let [every, stepped, leaping] = DriveMode::ALL.map(|mode| {
+        let mut sim = build_chaos_mesh();
+        mode.advance(&mut sim, SPAN);
+        sim.check_conservation().unwrap();
+        sim
+    });
     // Full network reports agree too (the report holds per-router stats
     // and link usage, not drive-mode internals like tick counts).
     let report = |sim: &Simulator<RealTimeRouter>| {
         format!("{:?}", NetworkReport::capture(sim, RouterConfig::default().slot_bytes))
     };
-    assert_eq!(report(&stepped), report(&leaping), "network reports diverged");
+    for sim in [&stepped, &leaping] {
+        assert_eq!(fingerprint(&every), fingerprint(sim), "a drive mode diverged");
+        assert_eq!(report(&every), report(sim), "network reports diverged");
+        assert!(
+            sim.ticks_executed() * 2 < every.ticks_executed(),
+            "the sparse chaos scenario must still skip quiet chips: {} vs {} ticks",
+            sim.ticks_executed(),
+            every.ticks_executed()
+        );
+    }
 
     // The chaos really happened: the outage blackholed symbols, the flaky
     // regime corrupted some, the crash aged arrivals into drops.
-    let stats = stepped.fault_stats();
+    let stats = every.fault_stats();
     assert_eq!(stats.link_down_events, 1);
     assert_eq!(stats.node_crash_events, 1);
     assert!(stats.symbols_lost > 0, "outage must lose symbols: {stats:?}");
@@ -114,27 +115,24 @@ fn faults_inside_quiet_spans_fire_at_their_exact_cycle() {
     let span = 12_000;
     let broken = (NodeId(0), Direction::XPlus);
 
-    let mut stepped = build();
-    stepped.schedule_fault(
-        5_555,
-        realtime_router::mesh::FaultKind::LinkDown { node: broken.0, dir: broken.1 },
-    );
-    stepped.run(span);
-
-    let mut leaping = build();
-    leaping.schedule_fault(
-        5_555,
-        realtime_router::mesh::FaultKind::LinkDown { node: broken.0, dir: broken.1 },
-    );
-    leaping.run_leaping(span);
-
-    assert_eq!(fingerprint(&stepped), fingerprint(&leaping));
-    assert!(
-        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
-        "quiet spans on both sides of the fault must still be leapt: {} vs {}",
-        leaping.ticks_executed(),
-        stepped.ticks_executed()
-    );
+    let [every, stepped, leaping] = DriveMode::ALL.map(|mode| {
+        let mut sim = build();
+        sim.schedule_fault(
+            5_555,
+            realtime_router::mesh::FaultKind::LinkDown { node: broken.0, dir: broken.1 },
+        );
+        mode.advance(&mut sim, span);
+        sim
+    });
+    for sim in [&stepped, &leaping] {
+        assert_eq!(fingerprint(&every), fingerprint(sim));
+        assert!(
+            sim.ticks_executed() * 2 < every.ticks_executed(),
+            "quiet spans on both sides of the fault must still be skipped: {} vs {}",
+            sim.ticks_executed(),
+            every.ticks_executed()
+        );
+    }
     assert_eq!(leaping.downed_links(), vec![broken]);
     // Deliveries stop after the kill: the last arrival predates the fault
     // plus one in-flight packet's worth of slack.
@@ -151,7 +149,7 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
     // A node crash stops the chip dead: arrivals age past their delivery
     // cycle and are dropped-and-counted, credits deliver late, and the
     // restore aborts half-received packets (refunding their flit-buffer
-    // credits). The conservation check must balance in both modes, with
+    // credits). The conservation check must balance in every mode, with
     // the losses showing up in the fault columns rather than vanishing.
     let build = || {
         let config = RouterConfig::default();
@@ -168,27 +166,28 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
     };
     let span = 10_000;
 
-    let mut stepped = build();
-    stepped.run(span);
-    stepped.check_conservation().unwrap();
-    let reference = fingerprint(&stepped);
+    let runs = DriveMode::ALL.map(|mode| {
+        let mut sim = build();
+        mode.advance(&mut sim, span);
+        sim.check_conservation().unwrap();
+        sim
+    });
+    let every = &runs[0];
+    for (mode, sim) in DriveMode::ALL.iter().zip(&runs) {
+        assert_eq!(fingerprint(every), fingerprint(sim), "{mode:?} diverged under crash/restore");
+    }
 
-    let mut leaping = build();
-    leaping.run_leaping(span);
-    leaping.check_conservation().unwrap();
-    assert_eq!(reference, fingerprint(&leaping), "leaping diverged under crash/restore");
-
-    let stats = stepped.fault_stats();
+    let stats = every.fault_stats();
     assert_eq!(stats.node_crash_events, 1);
     assert_eq!(stats.node_restore_events, 1);
     assert!(
         stats.late_arrivals_dropped > 0,
         "arrivals must age out while the node is dark: {stats:?}"
     );
-    assert!(!stepped.is_crashed(NodeId(1)), "restored");
+    assert!(!every.is_crashed(NodeId(1)), "restored");
     // Service resumed after the restore.
-    let dst = stepped.topology().node_at(1, 0);
-    let after = stepped.log(dst).tc.iter().filter(|(cycle, _)| *cycle > 4_007).count();
+    let dst = every.topology().node_at(1, 0);
+    let after = every.log(dst).tc.iter().filter(|(cycle, _)| *cycle > 4_007).count();
     assert!(after > 20, "deliveries resumed after restore: {after}");
 }
 
@@ -196,7 +195,7 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
 /// link's wake keeps firing for them, nothing drains them while the node is
 /// dark, and the restore's first arrival pass drops every one as a counted
 /// late arrival — on an event cycle that visits only the links whose wake
-/// fired, exactly as on a dense one that sweeps them all. The link is also
+/// fired, exactly as on a stepped one that sweeps them all. The link is also
 /// cut while the node is dark, so the restore's flit-buffer refunds for the
 /// half-received best-effort packet land in `credits_lost`.
 #[test]
@@ -228,7 +227,8 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
         sim.check_conservation().unwrap();
         (parked, dropped, fingerprint(&sim), sim.fault_stats())
     };
-    let (parked, dropped, reference, stats) = run(DriveMode::Dense);
+    let [every, stepped, leaping] = DriveMode::ALL.map(run);
+    let (parked, dropped, _, stats) = every.clone();
     assert_eq!(parked.late_arrivals_dropped, 0, "nothing drains a dark node's wire");
     assert!(
         dropped.late_arrivals_dropped > 8,
@@ -236,7 +236,8 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
     );
     assert_eq!(stats.late_arrivals_dropped, dropped.late_arrivals_dropped, "and nothing later");
     assert!(stats.credits_lost > 0, "the refunds went down a dead reverse wire: {stats:?}");
-    assert_eq!((parked, dropped, reference, stats), run(DriveMode::Event), "leaping diverged");
+    assert_eq!(every, stepped, "stepping diverged");
+    assert_eq!(every, leaping, "leaping diverged");
 }
 
 /// Faults and control-plane table writes are entries of one agenda: a
@@ -282,7 +283,7 @@ fn faults_and_table_writes_share_one_agenda() {
         );
         sim
     };
-    // Dense stepping first (the reference), then leaping.
+    // Every chip ticking first (the reference), then stepping and leaping.
     let mut reference: Option<(String, u64)> = None;
     for mode in DriveMode::ALL {
         let mut sim = build();
@@ -297,13 +298,13 @@ fn faults_and_table_writes_share_one_agenda() {
         let outcome = format!("{}controls {:?}\n", fingerprint(&sim), sim.control_stats());
         match &reference {
             None => reference = Some((outcome, sim.ticks_executed())),
-            Some((expected, dense_ticks)) => {
+            Some((expected, every_ticks)) => {
                 assert_eq!(expected, &outcome, "{mode:?} diverged");
                 assert!(
-                    sim.ticks_executed() * 2 < *dense_ticks,
-                    "{mode:?} must still leap the spans around the shared cycle: {} vs {} ticks",
+                    sim.ticks_executed() * 2 < *every_ticks,
+                    "{mode:?} must still skip the spans around the shared cycle: {} vs {} ticks",
                     sim.ticks_executed(),
-                    dense_ticks
+                    every_ticks
                 );
             }
         }
@@ -315,7 +316,7 @@ fn faults_and_table_writes_share_one_agenda() {
 /// cycles must still fire on the cycles it always has — the restore cycle
 /// if slot-aligned, else the next slot boundary, then once per slot until
 /// it has caught up — and a source registered mid-run must be polled on the
-/// very cycle it was added, in both drive modes.
+/// very cycle it was added, in every drive mode.
 #[test]
 fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
     use realtime_router::mesh::source::FnSource;
@@ -357,7 +358,10 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
         let polls = polls.borrow().clone();
         (fired(0), fired(1), polls, fingerprint(&sim))
     };
-    let (row0, row1, polls, reference) = run(DriveMode::Dense);
+    let [every, stepped, leaping] = DriveMode::ALL.map(run);
+    assert_eq!(every, stepped, "stepping diverged");
+    assert_eq!(every, leaping, "leaping diverged");
+    let (row0, row1, polls, _) = every;
     // Row 0: on period until the crash; dark across the fire cycles 1 120 …
     // 1 920; from the first slot boundary after the restore one message per
     // slot until message k is no longer overdue (k · 160 > now); on period
@@ -377,9 +381,6 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
     };
     assert_eq!(polled(0), (0..CRASH).chain(RESTORE..END).collect::<Vec<_>>());
     assert_eq!(polled(3), (ADDED..END).collect::<Vec<_>>());
-    let (r0, r1, p, outcome) = run(DriveMode::Event);
-    assert_eq!((&r0, &r1, &p), (&row0, &row1, &polls), "leaping polled differently");
-    assert_eq!(outcome, reference, "leaping diverged");
 }
 
 /// A busy chip is carried onto the next cycle's dirty list without a queued
@@ -439,7 +440,8 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
         sim.check_conservation().unwrap();
         (spans, fingerprint(&sim))
     };
-    let (_, reference) = run(DriveMode::Dense, true);
+    let (_, reference) = run(DriveMode::EveryChip, true);
+    assert_eq!(run(DriveMode::Stepped, true).1, reference, "stepping diverged");
     // Undisturbed, the chip ticks on the cycle before CRASH, files nothing,
     // and ticks on CRASH: it was carried there.
     let (spans, _) = run(DriveMode::Event, false);
@@ -450,7 +452,7 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
     assert_eq!(dark, (0, 0), "nothing stirs while the only busy chip is dark");
     assert_eq!(restore.0, 1, "the restore marks the chip");
     assert!(tail.0 < 100, "the tail must be leapt, not stepped: {} ticks", tail.0);
-    assert_eq!(outcome, reference, "leaping diverged from dense stepping");
+    assert_eq!(outcome, reference, "leaping diverged from ticking every chip");
 }
 
 /// When the one packet of [`one_packet_hop`] puts its head on the wire.

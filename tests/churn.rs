@@ -1,15 +1,16 @@
-//! Churn: the live control plane is deterministic across both drive
-//! modes, recycled connection ids never collide with their past lives,
+//! Churn: the live control plane is deterministic across every drive
+//! mode, recycled connection ids never collide with their past lives,
 //! and teardown losses are ledgered rather than leaked.
 //!
 //! Establish/teardown requests land through
 //! [`SignalingEngine`](realtime_router::channels::control_plane::SignalingEngine)
 //! while the mesh runs: admission consults the live reservation books and
 //! accepted channels' table writes are timed control ops, so a mid-run
-//! establishment must produce byte-identical outcomes whether the mesh is
-//! stepped densely or leapt over the event queue — and the leaper must never
-//! leap *across* a pending table write (a late write would tick routers
-//! against stale tables).
+//! establishment must produce byte-identical outcomes whether every chip
+//! ticks on every cycle, the mesh is stepped, or it is leapt over the event
+//! queue — and neither a sleeping chip nor the leaper may skip *across* a
+//! pending table write (a late write would tick routers against stale
+//! tables).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -25,7 +26,8 @@ use realtime_router::types::time::{cycle_to_slot, slot_to_cycle, Cycle};
 use realtime_router::workloads::churn::{churn_schedule, ChurnConfig, WindowedSource};
 use realtime_router::workloads::tc::PeriodicTcSource;
 
-/// The drive modes; dense stepping is the reference leaping is held to.
+/// The drive modes; every chip ticking is the reference the others are
+/// held to.
 use rtr_bench::churn::DriveMode as Mode;
 use rtr_bench::util::{add_periodic_sender, sender_for};
 
@@ -158,22 +160,26 @@ proptest! {
 
     /// Random establish/teardown interleavings on a loaded mesh produce
     /// byte-identical delivery logs, control counters, and link ledgers
-    /// in both drive modes.
+    /// in every drive mode.
     #[test]
     fn random_churn_interleavings_are_drive_mode_invariant(
         seed in any::<u64>(),
         arrivals in 6usize..12,
     ) {
-        let (reference, _) = run_interleaving(seed, arrivals, Mode::Dense);
-        let (fp, _) = run_interleaving(seed, arrivals, Mode::Event);
-        prop_assert_eq!(&reference, &fp, "leaping diverged for seed {:#x}", seed);
+        let (reference, _) = run_interleaving(seed, arrivals, Mode::EveryChip);
+        for mode in [Mode::Stepped, Mode::Event] {
+            let (fp, _) = run_interleaving(seed, arrivals, mode);
+            prop_assert_eq!(&reference, &fp, "{:?} diverged for seed {:#x}", mode, seed);
+        }
     }
 }
 
 #[test]
 fn the_bench_churn_scenario_agrees_in_every_drive_mode() {
     use rtr_bench::churn::run_churn;
-    assert_eq!(run_churn(Mode::Dense), run_churn(Mode::Event), "leaping diverged");
+    let [every, stepped, leaping] = Mode::ALL.map(run_churn);
+    assert_eq!(every, stepped, "stepping diverged");
+    assert_eq!(every, leaping, "leaping diverged");
 }
 
 #[test]
@@ -183,7 +189,8 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
     // table writes are spread 1 500 cycles apart by an exaggerated write
     // cost, landing mid-slumber. The leaper must split its quiet span at
     // every write epoch (the debug assert in `leap_to` aborts the test
-    // otherwise) and still leap the spans between them.
+    // otherwise) and still leap the spans between them, and a stepped run
+    // must wake the written chips there while sleeping through the rest.
     let config = RouterConfig::default();
     let build = || {
         let topo = Topology::mesh(4, 1);
@@ -203,29 +210,33 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
     };
     let span = 40_000;
 
-    let (mut stepped, engine, _) = build();
-    stepped.run(span);
-    stepped.check_conservation().unwrap();
-    let reference = fingerprint(&stepped, &engine);
+    let [(every, reference), (stepped, stepped_fp), (leaping, leaping_fp)] =
+        Mode::ALL.map(|mode| {
+            let (mut sim, engine, _) = build();
+            mode.advance(&mut sim, span);
+            sim.check_conservation().unwrap();
+            let fp = fingerprint(&sim, &engine);
+            (sim, fp)
+        });
     // Both writes landed even though the run started with empty tables.
-    assert_eq!(stepped.control_stats().ops_applied, 2);
+    assert_eq!(every.control_stats().ops_applied, 2);
     assert_eq!(
-        stepped.control_stats().ops_rejected,
+        every.control_stats().ops_rejected,
         0,
         "rejected control ops: {:?}",
-        stepped.control_rejections()
+        every.control_rejections()
     );
-
-    let (mut leaping, engine, topo) = build();
-    leaping.run_leaping(span);
-    leaping.check_conservation().unwrap();
-    assert_eq!(reference, fingerprint(&leaping, &engine), "leaping diverged");
-    assert!(
-        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
-        "leaping must still leap the quiet spans between writes: {} vs {} ticks",
-        leaping.ticks_executed(),
-        stepped.ticks_executed()
-    );
+    assert_eq!(reference, stepped_fp, "stepping diverged");
+    assert_eq!(reference, leaping_fp, "leaping diverged");
+    for sim in [&stepped, &leaping] {
+        assert!(
+            sim.ticks_executed() * 2 < every.ticks_executed(),
+            "the quiet spans between writes must still be skipped: {} vs {} ticks",
+            sim.ticks_executed(),
+            every.ticks_executed()
+        );
+    }
+    let topo = leaping.topology();
     // The channel went live: the writes were applied, not skipped.
     assert!(!leaping.log(topo.node_at(1, 0)).tc.is_empty(), "leaping delivered nothing");
 }

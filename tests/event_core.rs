@@ -1,10 +1,11 @@
-//! Integration: the event core is bit-identical to stepping.
+//! Integration: every drive call is bit-identical to ticking every chip.
 //!
-//! The simulator has one step kernel and one drive axis: *which* chips a
-//! cycle ticks (dense: all of them; event: the ones the registered-wake
-//! queue proves can change, leaping across quiet spans). This
-//! suite proves the two bit-identical, with dense stepping as the
-//! reference. Every scenario diffs delivery logs byte-for-byte and the
+//! The simulator has one step kernel and three ways to drive it
+//! ([`DriveMode`]): every live chip woken before each step (the
+//! reference), plain `run` (stepped cycles that tick only the chips that
+//! can act) and `run_leaping` (event cycles, leaping across quiet spans).
+//! This suite proves all three bit-identical. Every scenario diffs delivery
+//! logs byte-for-byte and the
 //! full `Debug` rendering of [`NetworkReport`]: seeded 8×8 meshes at
 //! sparse, mixed and saturating load and on a latent wire, a packet parked
 //! early behind a horizon, §7 cut-through on both schedulers, a 16×16
@@ -13,7 +14,7 @@
 //! the trait's conservative wake leaping from a fresh build. The mid-leap
 //! predicate test locks [`Simulator::run_until_leaping`] to stepped
 //! `run_until` semantics. The conservation test closes the per-node packet
-//! ledger under both drive modes, and the warm-queue tests pin the contract
+//! ledger under every drive mode, and the warm-queue tests pin the contract
 //! that the core is built once: plain `step`, injection and external
 //! mutation all keep it warm.
 
@@ -21,14 +22,16 @@ use realtime_router::baselines::{FifoSfRouter, PriorityVcRouter, WormholeRouter}
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::channels::ChannelManager;
 use realtime_router::core::{ControlCommand, Datapath, RealTimeRouter};
-use realtime_router::mesh::{NetworkReport, Simulator, Topology, TrafficSource};
+use realtime_router::mesh::{FaultSchedule, NetworkReport, Simulator, Topology, TrafficSource};
 use realtime_router::types::chip::{Chip, ChipIo};
 use realtime_router::types::config::{RouterConfig, SchedulerKind};
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
 use realtime_router::workloads::be::SizeDist;
 use rtr_bench::churn::DriveMode;
-use rtr_bench::util::{add_one_hop_channel, add_periodic_sender, add_uniform_be, ONE_HOP_DELAY};
+use rtr_bench::util::{
+    add_one_hop_channel, add_periodic_sender, add_uniform_be, one_packet_line, ONE_HOP_DELAY,
+};
 
 /// Builds an 8×8 mesh with four periodic channels and optional BE load.
 fn build_mesh(tc_period_slots: u64, be_rate: f64) -> Simulator<RealTimeRouter> {
@@ -77,51 +80,57 @@ fn drive<C: Chip>(
     sim
 }
 
-/// Runs one scenario densely and event-driven and asserts byte-identical
-/// observables. Returns `(dense, event)` for follow-up assertions.
+/// Runs one scenario in every drive mode and asserts byte-identical
+/// observables. Returns the runs in [`DriveMode::ALL`] order — the
+/// every-chip reference, `run`, `run_leaping` — for follow-up assertions.
 fn assert_modes_agree<C: Chip>(
     mut build: impl FnMut() -> Simulator<C>,
     cycles: u64,
-) -> (Simulator<C>, Simulator<C>) {
-    let stepped = drive(&mut build, DriveMode::Dense, cycles);
-    let leaping = drive(&mut build, DriveMode::Event, cycles);
-    assert_eq!(stepped.now(), leaping.now(), "event mode covered a different span");
-    assert_eq!(fingerprint(&stepped), fingerprint(&leaping), "dense vs event");
-    (stepped, leaping)
+) -> [Simulator<C>; 3] {
+    let runs = DriveMode::ALL.map(|mode| drive(&mut build, mode, cycles));
+    let reference = fingerprint(&runs[0]);
+    for (mode, sim) in DriveMode::ALL.iter().zip(&runs) {
+        assert_eq!(sim.now(), runs[0].now(), "{mode:?} covered a different span");
+        assert_eq!(fingerprint(sim), reference, "{mode:?} vs every chip");
+    }
+    runs
 }
 
 /// Sparse load: long-period channels, no best-effort traffic. The event
 /// queue must leap most cycles and stay byte-identical to stepping.
 #[test]
 fn event_core_equivalence_sparse_load() {
-    let (stepped, leaping) = assert_modes_agree(|| build_mesh(64, 0.0), 20_000);
-    let tc_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).tc.len()).sum();
+    let [every, stepped, leaping] = assert_modes_agree(|| build_mesh(64, 0.0), 20_000);
+    let tc_total: usize = every.topology().nodes().map(|n| every.log(n).tc.len()).sum();
     assert!(tc_total >= 40, "sparse TC load too light to trust: {tc_total}");
-    assert!(
-        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
-        "sparse load must leap most cycles: {} vs {} ticks",
-        leaping.ticks_executed(),
-        stepped.ticks_executed()
-    );
+    for sim in [&stepped, &leaping] {
+        assert!(
+            sim.ticks_executed() * 2 < every.ticks_executed(),
+            "sparse load must skip most node-cycles: {} vs {} ticks",
+            sim.ticks_executed(),
+            every.ticks_executed()
+        );
+    }
     let stats = leaping.event_core_stats().expect("event core must be live after leaping");
     assert!(stats.fired > 0, "wakes must actually fire: {stats:?}");
 }
 
 /// Mixed load: period-8 channels plus 5% Bernoulli BE background. Random
-/// sources draw every cycle, so the queue never leaps whole cycles — but
-/// sparse ticking still runs only the chips each cycle actually touches,
-/// so the event path must execute strictly fewer ticks while staying
+/// sources draw every cycle, so the queue never leaps whole cycles and a
+/// stepped cycle ticks every chip (it ticks the chip of each source it
+/// runs) — but the event path still runs only the chips each cycle
+/// actually touches, so it must execute strictly fewer ticks while staying
 /// byte-identical.
 #[test]
 fn event_core_equivalence_mixed_load() {
-    let (stepped, leaping) = assert_modes_agree(|| build_mesh(8, 0.05), 4_000);
-    let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+    let [every, _, leaping] = assert_modes_agree(|| build_mesh(8, 0.05), 4_000);
+    let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 500, "mixed BE load too light to trust: {be_total}");
     assert!(
-        leaping.ticks_executed() < stepped.ticks_executed(),
+        leaping.ticks_executed() < every.ticks_executed(),
         "sparse ticking must skip quiet chips even when no cycle leaps: {} vs {} ticks",
         leaping.ticks_executed(),
-        stepped.ticks_executed()
+        every.ticks_executed()
     );
     assert!(leaping.ticks_executed() > 0, "something must still tick under mixed load");
 }
@@ -130,8 +139,8 @@ fn event_core_equivalence_mixed_load() {
 /// heavy contention and credit stalls with the event core armed throughout.
 #[test]
 fn event_core_equivalence_saturating_load() {
-    let (stepped, _) = assert_modes_agree(|| build_mesh(8, 0.35), 3_000);
-    let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+    let [every, ..] = assert_modes_agree(|| build_mesh(8, 0.35), 3_000);
+    let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 1_000, "saturating BE load too light to trust: {be_total}");
 }
 
@@ -145,11 +154,11 @@ fn event_core_equivalence_saturating_load() {
 /// two wires really took different ways.
 #[test]
 fn event_core_equivalence_on_a_latent_wire() {
-    let (stepped, leaping) = assert_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
-    let tc: usize = stepped.topology().nodes().map(|n| stepped.log(n).tc.len()).sum();
-    let be: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+    let [every, _, leaping] = assert_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
+    let tc: usize = every.topology().nodes().map(|n| every.log(n).tc.len()).sum();
+    let be: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(tc >= 40 && be > 300, "latent-wire load too light to trust: {tc} / {be}");
-    assert!(leaping.ticks_executed() < stepped.ticks_executed());
+    assert!(leaping.ticks_executed() < every.ticks_executed());
     let filed = |sim: &Simulator<RealTimeRouter>| sim.event_core_stats().expect("warm core").filed;
     let direct = drive(&mut || build_mesh(8, 0.05), DriveMode::Event, 3_000);
     assert!(
@@ -160,12 +169,12 @@ fn event_core_equivalence_on_a_latent_wire() {
     );
 }
 
-/// A router builds its datapath on its first tick, so dense stepping
-/// builds one at every node and leaping only where traffic goes. Two
-/// channels across a 16×16 mesh and one late best-effort packet leave most
-/// of the mesh without one under leaping; both runs still agree byte for
-/// byte, a router that never ticked reading as an empty one everywhere the
-/// report looks.
+/// A router builds its datapath on its first tick. A stepped cycle ticks a
+/// chip that has never ticked, so stepping builds one at every node, and
+/// leaping only where traffic goes. Two channels across a 16×16 mesh and
+/// one late best-effort packet leave most of the mesh without one under
+/// leaping; every run still agrees byte for byte, a router that never
+/// ticked reading as an empty one everywhere the report looks.
 #[test]
 fn a_mostly_pristine_mesh_leaps_like_it_steps() {
     let build = || {
@@ -186,7 +195,7 @@ fn a_mostly_pristine_mesh_leaps_like_it_steps() {
         sim.add_source(topo.node_at(15, 0), Box::new(Burst { at: 9_000, packets: 1 }));
         sim
     };
-    let (stepped, leaping) = assert_modes_agree(build, 12_000);
+    let [every, stepped, leaping] = assert_modes_agree(build, 12_000);
     let delivered = |sim: &Simulator<RealTimeRouter>| {
         let logs = sim.topology().nodes().map(|n| sim.log(n));
         logs.fold((0, 0), |(tc, be), log| (tc + log.tc.len(), be + log.be.len()))
@@ -197,7 +206,12 @@ fn a_mostly_pristine_mesh_leaps_like_it_steps() {
         let datapath = std::mem::size_of::<Datapath>();
         sim.topology().nodes().filter(|&n| sim.chip(n).heap_bytes_estimate() >= datapath).count()
     };
-    assert_eq!(holders(&stepped), 256, "a dense cycle ticks, and so builds, every router");
+    assert_eq!(holders(&every), 256, "every router ticked, and so built its datapath");
+    assert_eq!(
+        holders(&stepped),
+        256,
+        "the first stepped cycle ticks, and so builds, every router"
+    );
     assert!(holders(&leaping) < 256 / 4, "leaping built {} datapaths", holders(&leaping));
 }
 
@@ -239,8 +253,8 @@ fn run_until_budget_exhaustion_matches_stepped() {
 }
 
 /// The per-node conservation ledger (arrived = buffered + delivered +
-/// dropped + forwarded, memory occupancy consistent) must close under both
-/// drive modes.
+/// dropped + forwarded, memory occupancy consistent) must close under every
+/// drive mode.
 #[test]
 fn conservation_holds_across_all_drive_modes() {
     for mode in DriveMode::ALL {
@@ -251,6 +265,39 @@ fn conservation_holds_across_all_drive_modes() {
     }
 }
 
+/// Hops of [`one_packet_over_four_hops`].
+const HOPS: u16 = 4;
+
+/// A row of `HOPS + 1` routers forwarding connection 40 east, the last
+/// delivering it, with one packet queued at node 0 before cycle 0.
+fn one_packet_over_four_hops() -> Simulator<RealTimeRouter> {
+    let config = RouterConfig::default();
+    let mut sim =
+        Simulator::build(Topology::mesh(HOPS + 1, 1), |_| RealTimeRouter::new(config.clone()))
+            .unwrap();
+    let conn = ConnectionId(40);
+    for x in 0..=HOPS {
+        let port = if x == HOPS { Port::Local } else { Port::Dir(Direction::XPlus) };
+        let write = ControlCommand::SetConnection {
+            incoming: conn,
+            outgoing: conn,
+            delay: ONE_HOP_DELAY,
+            out_mask: port.mask(),
+        };
+        sim.chip_mut(NodeId(x)).apply_control(write).unwrap();
+    }
+    sim.inject_tc(
+        NodeId(0),
+        TcPacket {
+            conn,
+            arrival: sim.chip(NodeId(0)).clock().wrap(2),
+            payload: vec![0x4E; config.tc_data_bytes()].into(),
+            trace: PacketTrace::default(),
+        },
+    );
+    sim
+}
+
 /// A time-constrained packet costs each router it crosses a few ticks, not
 /// one per byte: one packet over a 4-hop route (five routers) under
 /// `run_leaping` ticks the routers at most five times each in all — its
@@ -258,43 +305,13 @@ fn conservation_holds_across_all_drive_modes() {
 /// output frees (injection and delivery alike) — where ticking through its
 /// 20 bytes on both ends of every hop would take at least 40 per router.
 /// Its links settle the continuation symbols by the clock, so the delivery
-/// matches dense stepping to the cycle and every link ledger counts all 20
-/// symbols.
+/// matches every other drive mode to the cycle and every link ledger counts
+/// all 20 symbols.
 #[test]
 fn a_packet_costs_its_routers_a_few_ticks_not_one_per_byte() {
-    const HOPS: u16 = 4;
-    let mut build = || {
-        let config = RouterConfig::default();
-        let mut sim =
-            Simulator::build(Topology::mesh(HOPS + 1, 1), |_| RealTimeRouter::new(config.clone()))
-                .unwrap();
-        let conn = ConnectionId(40);
-        for x in 0..=HOPS {
-            let port = if x == HOPS { Port::Local } else { Port::Dir(Direction::XPlus) };
-            let write = ControlCommand::SetConnection {
-                incoming: conn,
-                outgoing: conn,
-                delay: ONE_HOP_DELAY,
-                out_mask: port.mask(),
-            };
-            sim.chip_mut(NodeId(x)).apply_control(write).unwrap();
-        }
-        sim.inject_tc(
-            NodeId(0),
-            TcPacket {
-                conn,
-                arrival: sim.chip(NodeId(0)).clock().wrap(2),
-                payload: vec![0x4E; config.tc_data_bytes()].into(),
-                trace: PacketTrace::default(),
-            },
-        );
-        sim
-    };
     let dst = NodeId(HOPS);
-    let mut stepped = drive(&mut build, DriveMode::Dense, 2_000);
-    let mut leaping = drive(&mut build, DriveMode::Event, 2_000);
-    assert_eq!(stepped.log(dst).tc.len(), 1);
-    assert_eq!(fingerprint(&stepped), fingerprint(&leaping));
+    let [every, stepped, leaping] = assert_modes_agree(one_packet_over_four_hops, 2_000);
+    assert_eq!(every.log(dst).tc.len(), 1);
     for x in 0..HOPS {
         let ledger = leaping.link_ledger(NodeId(x), Direction::XPlus);
         assert_eq!((ledger.symbols_sent, ledger.symbols_delivered), (20, 20), "hop {x}");
@@ -311,14 +328,42 @@ fn a_packet_costs_its_routers_a_few_ticks_not_one_per_byte() {
         let polls = leaping.chip(NodeId(x)).wake_stats().unwrap().polls;
         assert!(polls <= 6, "router {x} was polled {polls} times");
     }
-    for sim in [&mut stepped, &mut leaping] {
+    for sim in [&every, &stepped, &leaping] {
         sim.check_conservation().unwrap();
+    }
+}
+
+/// Plain `run` pays a packet's routers what leaping does: a stepped cycle
+/// ticks a router only when it can act, so one packet over four hops
+/// ([`one_packet_line`], set up by stepping) costs its five routers at most
+/// the five ticks each that
+/// [`a_packet_costs_its_routers_a_few_ticks_not_one_per_byte`] allows under
+/// leaping, over 2 000 stepped cycles where ticking every chip costs each
+/// router 2 000.
+#[test]
+fn a_packet_costs_its_routers_a_few_ticks_under_plain_run_too() {
+    let mut sim = one_packet_line(HOPS, FaultSchedule::new(), DriveMode::Stepped);
+    let polls =
+        |sim: &Simulator<RealTimeRouter>, x| sim.chip(NodeId(x)).wake_stats().unwrap().polls;
+    let before: Vec<u64> = (0..=HOPS).map(|x| polls(&sim, x)).collect();
+    let ticks = sim.ticks_executed();
+    sim.run(2_000);
+    assert_eq!(sim.log(NodeId(HOPS)).tc.len(), 1);
+    let routers = u64::from(HOPS) + 1;
+    let ticks = sim.ticks_executed() - ticks;
+    assert!(ticks <= 5 * routers, "{ticks} ticks for one packet over {HOPS} hops");
+    for x in 0..=HOPS {
+        // A stepped cycle polls a router right after each tick, bar a tick
+        // that leaves an injection queued, and nowhere else.
+        let polled = polls(&sim, x) - before[usize::from(x)];
+        assert!(polled <= 5, "router {x} was polled {polled} times");
     }
 }
 
 /// Interleaving plain `run` between leaping runs must keep the event queue
 /// warm (no teardown, no re-poll storm) and stay byte-identical to a pure
-/// stepped run: plain `step` drives the live queue. Nothing else stales it
+/// stepped run and to ticking every chip: plain `step` drives the live
+/// queue. Nothing else stales it
 /// either — `chip_mut` and `add_source` carry what they touch into the next
 /// cycle — so the core is primed once per simulator.
 #[test]
@@ -342,14 +387,13 @@ fn plain_stepping_keeps_event_queue_warm() {
 
     let mut stepped = build_mesh(64, 0.0);
     stepped.run(20_000);
+    let every = drive(&mut || build_mesh(64, 0.0), DriveMode::EveryChip, 20_000);
     assert_eq!(stepped.now(), interleaved.now());
-    assert_eq!(
-        fingerprint(&stepped),
-        fingerprint(&interleaved),
-        "stepped vs leap/step/leap interleave"
-    );
+    for sim in [&stepped, &interleaved] {
+        assert_eq!(fingerprint(&every), fingerprint(sim), "every chip vs stepped / interleave");
+    }
     assert!(
-        interleaved.ticks_executed() < stepped.ticks_executed(),
+        interleaved.ticks_executed() * 2 < every.ticks_executed(),
         "the leaping segments must still skip quiet cycles"
     );
 }
@@ -379,9 +423,9 @@ impl TrafficSource for Burst {
 /// list, not by scanning the mesh. Injecting from outside (`inject_tc` /
 /// `inject_be`) between two drive calls must neither stale the warm core nor
 /// go unnoticed by it, and neither may a `chip_mut` write that releases a
-/// parked packet; a backlog a *dense* cycle's source left behind must be
+/// parked packet; a backlog a *stepped* cycle's source left behind must be
 /// picked up when the core is primed, and the result stays byte-identical to
-/// dense stepping.
+/// ticking every chip.
 #[test]
 fn injection_on_a_warm_core_is_seen() {
     let conn = ConnectionId(40);
@@ -402,8 +446,8 @@ fn injection_on_a_warm_core_is_seen() {
                 })
                 .unwrap();
         }
-        // The burst lands in a dense cycle (no core yet, so no backlog
-        // bookkeeping) and is still draining when the core is primed.
+        // The burst lands in a stepped cycle (no core yet) and is still
+        // draining when the core is primed.
         sim.add_source(topo.node_at(6, 1), Box::new(Burst { at: 40, packets: 3 }));
         sim.run(45);
         mode.advance(&mut sim, 2_955);
@@ -452,21 +496,23 @@ fn injection_on_a_warm_core_is_seen() {
         assert_eq!(sim.log(topo.node_at(4, 1)).be.len(), 3, "the dense-queued burst arrived");
         sim
     };
-    let (stepped, leaping) = (drive(DriveMode::Dense), drive(DriveMode::Event));
-    assert_eq!(fingerprint(&stepped), fingerprint(&leaping));
-    assert!(
-        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
-        "both leaping spans must still leap: {} vs {} ticks",
-        leaping.ticks_executed(),
-        stepped.ticks_executed()
-    );
+    let [every, stepped, leaping] = DriveMode::ALL.map(drive);
+    for sim in [&stepped, &leaping] {
+        assert_eq!(fingerprint(&every), fingerprint(sim));
+        assert!(
+            sim.ticks_executed() * 2 < every.ticks_executed(),
+            "both spans must still skip quiet chips: {} vs {} ticks",
+            sim.ticks_executed(),
+            every.ticks_executed()
+        );
+    }
 }
 
 /// Horizon-limited early traffic: a packet whose logical arrival is far in
 /// the future parks in packet memory until its slack enters the horizon.
 /// The event run must wake exactly at the horizon boundary — waking one
 /// slot late would shift the transmit cycle, one slot early would burn
-/// ticks — and still deliver at the dense run's cycle.
+/// ticks — and still deliver at the every-chip run's cycle.
 #[test]
 fn leaping_equivalence_horizon_limited_early_tc() {
     let build = || {
@@ -509,15 +555,17 @@ fn leaping_equivalence_horizon_limited_early_tc() {
         );
         sim
     };
-    let (stepped, leaping) = assert_modes_agree(build, 6_000);
-    let dst = stepped.topology().node_at(1, 0);
-    assert_eq!(stepped.log(dst).tc.len(), 1, "the parked packet must arrive");
-    assert!(
-        leaping.ticks_executed() * 2 < stepped.ticks_executed(),
-        "the early-parked span must be leaped: {} vs {} ticks",
-        leaping.ticks_executed(),
-        stepped.ticks_executed()
-    );
+    let [every, stepped, leaping] = assert_modes_agree(build, 6_000);
+    let dst = every.topology().node_at(1, 0);
+    assert_eq!(every.log(dst).tc.len(), 1, "the parked packet must arrive");
+    for sim in [&stepped, &leaping] {
+        assert!(
+            sim.ticks_executed() * 2 < every.ticks_executed(),
+            "the early-parked span must be slept through: {} vs {} ticks",
+            sim.ticks_executed(),
+            every.ticks_executed()
+        );
+    }
 }
 
 /// The `extensions_compose` mesh — 4×4, three multi-hop channels, §7
@@ -549,18 +597,20 @@ fn cut_through_mesh(scheduler: SchedulerKind, be_rate: f64) -> Simulator<RealTim
 fn cut_through_leaps_like_it_steps() {
     for scheduler in [SchedulerKind::ComparatorTree, SchedulerKind::Banded { band_shift: 1 }] {
         for be_rate in [0.0, 0.05] {
-            let (stepped, leaping) =
+            let [every, stepped, leaping] =
                 assert_modes_agree(|| cut_through_mesh(scheduler, be_rate), 40_000);
-            let topo = stepped.topology();
-            let cut: u64 = topo.nodes().map(|n| stepped.chip(n).stats().tc_cut_through).sum();
+            let topo = every.topology();
+            let cut: u64 = topo.nodes().map(|n| every.chip(n).stats().tc_cut_through).sum();
             assert!(cut > 0, "{scheduler:?} at BE {be_rate}: no packet cut through");
             if be_rate == 0.0 {
-                assert!(
-                    leaping.ticks_executed() * 2 < stepped.ticks_executed(),
-                    "{scheduler:?}: a quiet cut-through mesh must leap: {} vs {} ticks",
-                    leaping.ticks_executed(),
-                    stepped.ticks_executed()
-                );
+                for sim in [&stepped, &leaping] {
+                    assert!(
+                        sim.ticks_executed() * 2 < every.ticks_executed(),
+                        "{scheduler:?}: a quiet cut-through mesh must sleep: {} vs {} ticks",
+                        sim.ticks_executed(),
+                        every.ticks_executed()
+                    );
+                }
             }
         }
     }
@@ -574,7 +624,7 @@ fn cut_through_leaps_like_it_steps() {
 /// to the prime's pre-tick poll.
 #[test]
 fn baselines_leap_like_they_step() {
-    let (stepped, leaping) =
+    let [every, stepped, leaping] =
         assert_modes_agree(|| rtr_bench::baseline_compare::wormhole_sim(0.2), 10_000);
     // Every baseline counter is event-based, so — unlike the real-time
     // router's `sched.key_computations` work counter — all of them match.
@@ -583,16 +633,18 @@ fn baselines_leap_like_they_step() {
         sim.chip(node).counters(&mut |name, value| seen.push((name, value)));
         seen
     };
-    for node in stepped.topology().nodes() {
-        assert_eq!(counters(&stepped, node), counters(&leaping, node), "counters at {node}");
+    for node in every.topology().nodes() {
+        for sim in [&stepped, &leaping] {
+            assert_eq!(counters(&every, node), counters(sim, node), "counters at {node}");
+        }
     }
-    let be_total: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+    let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 500, "the scenario must carry traffic: {be_total} packets");
     assert!(
-        leaping.ticks_executed() < stepped.ticks_executed(),
+        leaping.ticks_executed() < every.ticks_executed(),
         "idle wormhole chips must be skipped: {} vs {} ticks",
         leaping.ticks_executed(),
-        stepped.ticks_executed()
+        every.ticks_executed()
     );
 }
 
@@ -600,9 +652,9 @@ fn baselines_leap_like_they_step() {
 /// an answer by the next cycle ticks it. The store-and-forward and
 /// priority-VC baselines keep the trait's conservative `next_event`
 /// (`now + 1`), so every one of them ticks on every cycle from the first —
-/// the event run is dense in all but name and must match dense stepping
-/// byte for byte, with a packet queued before cycle 0, seeded background
-/// load and a burst that sleeps in the wake queue.
+/// the stepped and event runs tick every chip in all but name and must
+/// match the reference byte for byte, with a packet queued before cycle 0,
+/// seeded background load and a burst that sleeps in the wake queue.
 #[test]
 fn conservative_chips_leap_from_a_fresh_build() {
     fn loaded<C: Chip>(make: impl Fn() -> C) -> Simulator<C> {
@@ -615,14 +667,16 @@ fn conservative_chips_leap_from_a_fresh_build() {
         sim
     }
     fn check<C: Chip>(make: impl Fn() -> C) {
-        let (stepped, leaping) = assert_modes_agree(|| loaded(&make), 3_000);
-        let delivered: usize = stepped.topology().nodes().map(|n| stepped.log(n).be.len()).sum();
+        let [every, stepped, leaping] = assert_modes_agree(|| loaded(&make), 3_000);
+        let delivered: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
         assert!(delivered > 30, "the mesh must carry traffic: {delivered} packets");
-        assert_eq!(
-            leaping.ticks_executed(),
-            stepped.ticks_executed(),
-            "a chip that always answers the next cycle ticks on every cycle"
-        );
+        for sim in [&stepped, &leaping] {
+            assert_eq!(
+                sim.ticks_executed(),
+                every.ticks_executed(),
+                "a chip that always answers the next cycle ticks on every cycle"
+            );
+        }
     }
     let config = RouterConfig::default();
     check(|| FifoSfRouter::new(config.clone()).unwrap());
