@@ -189,7 +189,7 @@ impl FifoSfRouter {
                     byte: inflight.wire[pos],
                     head: pos == 0,
                     tail: last,
-                    trace: (pos == 0).then_some(p.trace),
+                    trace: (pos == 0).then(|| Box::new(p.trace)),
                 })),
             };
         }

@@ -76,4 +76,4 @@ pub use control::{ControlCommand, ControlError, ControlPort, ControlReg};
 pub use memory::{PacketMemory, SlotAddr};
 pub use router::{Datapath, RealTimeRouter, RouterTemplate};
 pub use sched::{ComparatorTree, Leaf, ReferenceScheduler, Selection};
-pub use stats::RouterStats;
+pub use stats::{RouterLedger, RouterStats};

@@ -36,7 +36,7 @@ impl BeReassembler {
     pub fn push(&mut self, byte: BeByte) -> Option<Result<BePacket, PacketDecodeError>> {
         if byte.head {
             self.buf.clear();
-            self.trace = byte.trace;
+            self.trace = byte.trace.map(|trace| *trace);
         }
         self.buf.push(byte.byte);
         if !byte.tail {
@@ -175,7 +175,9 @@ impl WormholeChannel {
                 let wire = &self.inject_buf;
                 let head = *pos == 0;
                 let tail = *pos == wire.len() - 1;
-                let byte = BeByte { byte: wire[*pos], head, tail, trace: head.then_some(*trace) };
+                // Boxed once here; every later hop moves the box on.
+                let trace = head.then(|| Box::new(*trace));
+                let byte = BeByte { byte: wire[*pos], head, tail, trace };
                 let outcome = local.push_be(now, byte, timing);
                 debug_assert_eq!(outcome, Default::default(), "injection is free-space gated");
                 *pos += 1;
@@ -267,6 +269,7 @@ impl WormholeChannel {
         }
         let in_idx = self.be_pick(inputs, out_idx, now)?;
         let byte = inputs[in_idx].pop_be().byte;
+        let head = byte.head;
         // The pop may expose a byte a later output of this tick must see.
         self.requests[in_idx] = request_of(&inputs[in_idx], now);
         let out = &mut self.outs[out_idx];
@@ -289,7 +292,7 @@ impl WormholeChannel {
             io.tx[out_idx] = Some(LinkSymbol::Be(byte));
             None
         };
-        Some(BeSent { input: in_idx, head: byte.head, delivered })
+        Some(BeSent { input: in_idx, head, delivered })
     }
 
     /// The channel's share of `Chip::next_event`: the earliest cycle it has

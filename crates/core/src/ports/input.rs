@@ -25,7 +25,7 @@ use rtr_types::time::Cycle;
 
 /// A best-effort byte that has been routed and is waiting in the flit
 /// buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct RoutedByte {
     /// Earliest cycle the byte may leave on an output link.
     pub ready_at: Cycle,
@@ -63,13 +63,13 @@ pub struct AbortedRx {
 }
 
 /// Routing progress of the best-effort stream currently crossing this port.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 enum BeRoute {
     /// Waiting for a head byte.
     #[default]
     Idle,
     /// Got the x-offset byte; waiting for the y-offset to decide the route.
-    GotX { x: u8, trace: Option<PacketTrace>, arrived: Cycle },
+    GotX { x: u8, trace: Option<Box<PacketTrace>>, arrived: Cycle },
     /// Routing decision made; body bytes stream through.
     Streaming { out: Port },
 }
@@ -249,7 +249,9 @@ impl InputPort {
             }
             return outcome;
         }
-        match self.be_route {
+        // Taken, not copied: a held header byte owns its packet's trace.
+        // Every arm leaves the state the byte moves the framer to.
+        match std::mem::take(&mut self.be_route) {
             BeRoute::Idle => {
                 if !byte.head || byte.tail {
                     // Orphan fragment of a torn packet (or a runt shorter
@@ -264,7 +266,6 @@ impl InputPort {
                     // The held x-offset belongs to a torn packet: shed it,
                     // then refeed the byte to the idle framer.
                     outcome.dropped = 1;
-                    self.be_route = BeRoute::Idle;
                     let refeed = self.push_be(now, byte, timing);
                     outcome.dropped += refeed.dropped;
                     return outcome;
@@ -289,19 +290,18 @@ impl InputPort {
                     // it is truncated (the sink's length check will flag
                     // it) and this byte starts the next packet.
                     outcome.truncated = true;
-                    self.be_route = BeRoute::Idle;
                     let refeed = self.push_be(now, byte, timing);
                     outcome.dropped += refeed.dropped;
                     return outcome;
+                }
+                if !byte.tail {
+                    self.be_route = BeRoute::Streaming { out };
                 }
                 self.be_fifo.push_back(RoutedByte {
                     ready_at: now + Cycle::from(timing.pipeline_latency),
                     byte,
                     out,
                 });
-                if byte.tail {
-                    self.be_route = BeRoute::Idle;
-                }
             }
         }
         outcome

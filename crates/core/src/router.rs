@@ -18,7 +18,7 @@
 //! goes; otherwise the link idles.
 
 use std::mem::size_of;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
 use rtr_types::clock::{LogicalTime, SlotClock};
@@ -36,7 +36,7 @@ use crate::ports::{output::PendingCut, PortTiming};
 use crate::ports::{BeSent, InputPort, OutputPort, Serialiser, WakePolls, WormholeChannel};
 use crate::sched::dispatch::Scheduler;
 use crate::sched::leaf::Leaf;
-use crate::stats::RouterStats;
+use crate::stats::{RouterLedger, RouterStats};
 
 #[cfg(feature = "metrics")]
 use rtr_types::trace::{DropReason, QueueClass, SharedTraceSink, TraceEvent, TraceRecord};
@@ -66,11 +66,12 @@ macro_rules! trace_event {
 /// Inline is what a router needs before it ever carries a packet: its
 /// configuration and clock, the control port with the connection table and
 /// the horizon registers it writes, the initial best-effort credits, the
-/// statistics ledger and the wake-poll counters — about half a kilobyte.
-/// Everything a packet moves through is one boxed [`Datapath`] that the
-/// router's first [`Chip::tick`] builds, so a router no traffic reaches
-/// never holds one (DESIGN.md §3.16). Everywhere but `tick` a router
-/// without a datapath reads as empty.
+/// count of cycles it was alive and the wake-poll counters — 144 bytes.
+/// Everything a packet moves through, and the statistics ledger that
+/// counts it, is one boxed [`Datapath`] that the router's first
+/// [`Chip::tick`] builds, so a router no traffic reaches never holds one
+/// (DESIGN.md §3.16). Everywhere but `tick` a router without a datapath
+/// reads as empty: its ledger all zero, every alive cycle idle.
 #[derive(Debug)]
 pub struct RealTimeRouter {
     regs: Registers,
@@ -85,8 +86,8 @@ pub struct RealTimeRouter {
 
 /// What a tick reads and writes beside the datapath: the configuration and
 /// clock, the connection table and horizon registers the control port
-/// writes, and the statistics ledger. The tick's helpers are its methods,
-/// handed the datapath they borrow beside it.
+/// writes, and the count of cycles accounted alive. The tick's helpers are
+/// its methods, handed the datapath they borrow beside it.
 #[derive(Debug)]
 struct Registers {
     /// The architectural parameters, shared (read-only) with the template
@@ -103,7 +104,11 @@ struct Registers {
     table: ConnectionTable,
     /// Horizon register `h` of each output port, in slots (Table 3).
     horizons: [u32; PORT_COUNT],
-    stats: RouterStats,
+    /// Cycles the router has accounted alive: one per tick, a span's length
+    /// per `skip_quiet`, none while crashed. Each such cycle adds one to
+    /// exactly one of an output's `tc_bytes`, `be_bytes` or idle count, so
+    /// the idle counts are derived from it rather than stored.
+    alive: Cycle,
     /// Event sink for cycle-accurate tracing (None = tracing off).
     #[cfg(feature = "metrics")]
     trace_sink: Option<SharedTraceSink>,
@@ -114,11 +119,12 @@ struct Registers {
 
 /// What a packet moves through (paper Figure 2): the five input and output
 /// ports, the best-effort wormhole channel, the comparator tree, the shared
-/// packet memory and the injection serialiser. A [`RealTimeRouter`] builds
-/// its datapath on its first tick; a fresh one is the state of a router
-/// that has never ticked.
+/// packet memory and the injection serialiser — and the statistics ledger
+/// that counts what moved. A [`RealTimeRouter`] builds its datapath on its
+/// first tick; a fresh one is the state of a router that has never ticked.
 #[derive(Debug)]
 pub struct Datapath {
+    stats: RouterStats,
     memory: PacketMemory,
     sched: Scheduler,
     /// The input ports' shared latencies and flit buffer.
@@ -154,6 +160,7 @@ impl Datapath {
             be.set_credits(port, credits[port.index()]);
         }
         Box::new(Datapath {
+            stats: RouterStats::default(),
             memory: PacketMemory::new(config.packet_slots),
             sched: Scheduler::new(config.scheduler, config.packet_slots, clock, config.late_policy),
             timing,
@@ -178,10 +185,12 @@ impl Datapath {
         );
     }
 
-    /// Heap bytes behind the datapath: the packet memory, the scheduler's
-    /// leaves and the per-port queues and staging buffers.
+    /// Heap bytes behind the datapath: the ledger's per-connection counters,
+    /// the packet memory, the scheduler's leaves and the per-port queues and
+    /// staging buffers.
     fn heap_bytes(&self) -> usize {
-        self.memory.heap_bytes()
+        self.stats.heap_bytes()
+            + self.memory.heap_bytes()
             + self.sched.heap_bytes()
             + self.inputs.iter().map(InputPort::heap_bytes).sum::<usize>()
             + self.be.heap_bytes()
@@ -193,8 +202,8 @@ impl Datapath {
 /// Building a mesh means constructing thousands of routers from one
 /// [`RouterConfig`]. The template validates the configuration once and
 /// pre-builds the shared read-only state — the configuration and the slot
-/// clock — so [`RouterTemplate::build`] writes only the registers and the
-/// ledger of each router. Its datapath, the connection table's rows, the
+/// clock — so [`RouterTemplate::build`] writes only the registers of each
+/// router. Its datapath with its ledger, the connection table's rows, the
 /// packet memory and the scheduler all allocate by use, which is what makes
 /// 128×128 builds cheap.
 #[derive(Debug, Clone)]
@@ -221,9 +230,9 @@ impl RouterTemplate {
         &self.config
     }
 
-    /// Stamps out one router: its registers and ledger, with an empty
-    /// connection table and no datapath, so it holds no heap until it
-    /// installs its first connection or ticks for the first time.
+    /// Stamps out one router: its registers, with an empty connection table
+    /// and no datapath, so it holds no heap until it installs its first
+    /// connection or ticks for the first time.
     #[must_use]
     pub fn build(&self) -> RealTimeRouter {
         let config = Arc::clone(&self.config);
@@ -235,7 +244,7 @@ impl RouterTemplate {
                 skew_slots: 0,
                 table: ConnectionTable::new(config.connections),
                 horizons: [0; PORT_COUNT],
-                stats: RouterStats::default(),
+                alive: 0,
                 #[cfg(feature = "metrics")]
                 trace_sink: None,
                 #[cfg(feature = "metrics")]
@@ -274,18 +283,33 @@ impl RealTimeRouter {
         self.regs.clock
     }
 
-    /// Statistics counters.
+    /// Statistics counters. A router that never ticked has counted
+    /// nothing: its counters are one shared all-zero ledger, and every
+    /// cycle it was alive was idle.
     #[must_use]
-    pub fn stats(&self) -> &RouterStats {
-        &self.regs.stats
+    pub fn stats(&self) -> RouterLedger<'_> {
+        static EMPTY: LazyLock<RouterStats> = LazyLock::new(RouterStats::default);
+        RouterLedger::new(self.datapath.as_ref().map_or(&EMPTY, |dp| &dp.stats), self.regs.alive)
+    }
+
+    /// Idle cycles per output port: the cycles the router was alive (ticked
+    /// or skipped as quiet, never crashed) and the port carried neither
+    /// class. Derived, not stored: `alive − tc_bytes − be_bytes`.
+    #[must_use]
+    pub fn idle_cycles(&self) -> [u64; PORT_COUNT] {
+        self.stats().idle_cycles()
     }
 
     /// Mutable statistics counters, for fault injection: tests corrupt a
     /// counter to force a conservation violation. Not for datapath use —
     /// the router maintains its own ledger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router never ticked: it holds no ledger to corrupt.
     #[doc(hidden)]
     pub fn stats_mut(&mut self) -> &mut RouterStats {
-        &mut self.regs.stats
+        &mut self.datapath.as_mut().expect("a router that never ticked holds no ledger").stats
     }
 
     /// Checks the packet-conservation invariants (see
@@ -296,7 +320,7 @@ impl RealTimeRouter {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_conservation(&self) -> Result<(), String> {
-        self.regs.stats.check_conservation(self.memory_occupied())
+        self.stats().check_conservation(self.memory_occupied())
     }
 
     /// Attaches a trace sink and sets the node identity stamped on emitted
@@ -371,15 +395,15 @@ impl Registers {
                     LinkSymbol::TcCont { index } => {
                         if !dp.inputs[idx].push_tc_cont(now, index, dp.timing) {
                             // Orphan of a packet whose head a fault destroyed.
-                            self.stats.tc_orphan_symbols += 1;
+                            dp.stats.tc_orphan_symbols += 1;
                         }
                     }
                     LinkSymbol::Be(byte) => {
                         let (input, timing) = (&mut dp.inputs[idx], dp.timing);
                         let outcome = input.accept_be(now, byte, &mut io.credit_out[idx], timing);
-                        self.stats.be_dropped_faulty += u64::from(outcome.dropped);
+                        dp.stats.be_dropped_faulty += u64::from(outcome.dropped);
                         if outcome.truncated {
-                            self.stats.be_truncated += 1;
+                            dp.stats.be_truncated += 1;
                         }
                     }
                 }
@@ -466,12 +490,12 @@ impl Registers {
                                 early: !on_time,
                             }));
                             if dp.inputs[in_idx].push_tc_start_cut(last) {
-                                self.stats.tc_truncated += 1;
+                                dp.stats.tc_truncated += 1;
                             }
-                            self.stats.tc_arrived += 1;
-                            self.stats.tc_cut_through += 1;
+                            dp.stats.tc_arrived += 1;
+                            dp.stats.tc_cut_through += 1;
                             if !on_time {
-                                self.stats.tc_early_transmitted[out_idx] += 1;
+                                dp.stats.tc_early_transmitted[out_idx] += 1;
                             }
                             return;
                         }
@@ -480,7 +504,7 @@ impl Registers {
             }
         }
         if dp.inputs[in_idx].push_tc_start(now, packet, dp.timing) {
-            self.stats.tc_truncated += 1;
+            dp.stats.tc_truncated += 1;
         }
     }
 
@@ -491,7 +515,7 @@ impl Registers {
             debug_assert!(fed, "injection continuations always follow their start");
         } else if let Some(packet) = io.inject_tc.pop_front() {
             if packet.payload.len() != self.config.tc_data_bytes() {
-                self.stats.tc_malformed += 1;
+                dp.stats.tc_malformed += 1;
                 trace_event!(
                     self,
                     now,
@@ -503,7 +527,7 @@ impl Registers {
                     }
                 );
             } else {
-                self.stats.tc_injected += 1;
+                dp.stats.tc_injected += 1;
                 trace_event!(
                     self,
                     now,
@@ -527,7 +551,7 @@ impl Registers {
             let Some(packet) = dp.inputs[idx].take_ready_tc(now) else {
                 continue;
             };
-            self.stats.tc_arrived += 1;
+            dp.stats.tc_arrived += 1;
             trace_event!(
                 self,
                 now,
@@ -542,7 +566,7 @@ impl Registers {
                 if self.table.is_torn_down(packet.conn) {
                     // The connection was torn down while this packet was
                     // in flight: an accounted abort, not a routing error.
-                    self.stats.tc_aborted_teardown += 1;
+                    dp.stats.tc_aborted_teardown += 1;
                     trace_event!(
                         self,
                         now,
@@ -554,7 +578,7 @@ impl Registers {
                         }
                     );
                 } else {
-                    self.stats.tc_dropped_no_conn += 1;
+                    dp.stats.tc_dropped_no_conn += 1;
                     trace_event!(
                         self,
                         now,
@@ -577,7 +601,7 @@ impl Registers {
             let addr = match dp.memory.store(rewritten) {
                 Ok(addr) => addr,
                 Err(_dropped) => {
-                    self.stats.tc_dropped_no_buffer += 1;
+                    dp.stats.tc_dropped_no_buffer += 1;
                     trace_event!(
                         self,
                         now,
@@ -605,7 +629,7 @@ impl Registers {
             if dp.sched.insert(leaf).is_err() {
                 // Unreachable: leaves and memory slots are allocated 1:1.
                 dp.memory.free(addr);
-                self.stats.tc_dropped_no_buffer += 1;
+                dp.stats.tc_dropped_no_buffer += 1;
                 trace_event!(self, now, TraceEvent::SlotFree { slot: addr.0 });
                 trace_event!(
                     self,
@@ -618,7 +642,7 @@ impl Registers {
                     }
                 );
             } else {
-                self.stats.tc_buffered += 1;
+                dp.stats.tc_buffered += 1;
             }
         }
     }
@@ -638,9 +662,9 @@ impl Registers {
         // 1. An in-flight time-constrained packet finishes its bytes (on a
         //    network output the link emits them).
         if dp.outputs[out_idx].tc_tx.busy() {
-            self.stats.tc_bytes[out_idx] += 1;
+            dp.stats.tc_bytes[out_idx] += 1;
             if dp.outputs[out_idx].tc_tx.advance(now, io) {
-                self.note_tc_delivered(now, io);
+                self.note_tc_delivered(dp, now, io);
             }
             return;
         }
@@ -652,8 +676,8 @@ impl Registers {
             if pending.start_at <= now {
                 let pending = dp.outputs[out_idx].pending_cut.take().expect("checked");
                 self.transmit_tc(dp, now, out_idx, pending.packet, pending.early, io);
-            } else if !self.send_be(dp, now, out_idx, io) {
-                self.stats.idle_cycles[out_idx] += 1;
+            } else {
+                self.send_be(dp, now, out_idx, io);
             }
             return;
         }
@@ -692,11 +716,9 @@ impl Registers {
                 && sel.key.time_field(&self.clock) <= self.horizons[out_idx]
             {
                 self.start_tc(dp, now, out_idx, sel, true, io);
-                return;
             }
         }
-
-        self.stats.idle_cycles[out_idx] += 1;
+        // Otherwise the output idles: counted by `alive`, not stored.
     }
 
     /// Gives this cycle on `out_idx` to the best-effort channel and accounts
@@ -715,17 +737,17 @@ impl Registers {
                 TraceEvent::BeSelect { port: out_idx as u8, input: _input as u8 }
             );
         }
-        self.stats.be_bytes[out_idx] += 1;
+        dp.stats.be_bytes[out_idx] += 1;
         match delivered {
             Some(Ok(_trace)) => {
-                self.stats.be_delivered += 1;
+                dp.stats.be_delivered += 1;
                 trace_event!(
                     self,
                     now,
                     TraceEvent::BeDeliver { src: _trace.source, seq: _trace.sequence }
                 );
             }
-            Some(Err(_)) => self.stats.be_malformed += 1,
+            Some(Err(_)) => dp.stats.be_malformed += 1,
             None => {}
         }
         true
@@ -758,14 +780,14 @@ impl Registers {
         );
         if let Some(freed) = dp.sched.commit(sel.leaf, port) {
             dp.memory.free(freed);
-            self.stats.tc_retired += 1;
+            dp.stats.tc_retired += 1;
             trace_event!(self, now, TraceEvent::SlotFree { slot: freed.0 });
         }
         if early {
-            self.stats.tc_early_transmitted[out_idx] += 1;
+            dp.stats.tc_early_transmitted[out_idx] += 1;
         }
         if sel.key.is_aliased() {
-            self.stats.aliased_keys += 1;
+            dp.stats.aliased_keys += 1;
         }
         self.transmit_tc(dp, now, out_idx, packet, early, io);
     }
@@ -781,9 +803,9 @@ impl Registers {
         _early: bool,
         io: &mut ChipIo,
     ) {
-        self.stats.tc_transmitted[out_idx] += 1;
-        self.stats.tc_bytes[out_idx] += 1;
-        *self.stats.tc_bytes_by_conn.entry((out_idx, packet.conn)).or_insert(0) +=
+        dp.stats.tc_transmitted[out_idx] += 1;
+        dp.stats.tc_bytes[out_idx] += 1;
+        *dp.stats.tc_bytes_by_conn.entry((out_idx, packet.conn)).or_insert(0) +=
             packet.wire_len() as u64;
         trace_event!(
             self,
@@ -798,13 +820,13 @@ impl Registers {
             }
         );
         if dp.outputs[out_idx].tc_tx.start(now, out_idx, packet, io) {
-            self.note_tc_delivered(now, io);
+            self.note_tc_delivered(dp, now, io);
         }
     }
 
     /// Accounts the packet the serialiser just pushed onto `io.delivered_tc`.
-    fn note_tc_delivered(&mut self, _now: Cycle, _io: &ChipIo) {
-        self.stats.tc_delivered += 1;
+    fn note_tc_delivered(&mut self, dp: &mut Datapath, _now: Cycle, _io: &ChipIo) {
+        dp.stats.tc_delivered += 1;
         trace_event!(self, _now, {
             let (_, packet) = _io.delivered_tc.last().expect("just delivered");
             TraceEvent::TcDeliver {
@@ -825,6 +847,7 @@ impl Chip for RealTimeRouter {
         let dp = self
             .datapath
             .get_or_insert_with(|| Datapath::boxed(&regs.config, regs.clock, self.initial_credits));
+        regs.alive += 1;
         // Credits freed downstream arrive first so this cycle can use them.
         dp.be.ingest_credits(&io.credit_in);
         regs.ingest_network_symbols(dp, now, io);
@@ -956,21 +979,19 @@ impl Chip for RealTimeRouter {
     fn skip_quiet(&mut self, from: Cycle, to: Cycle) {
         // A quiescent cycle ends with each output either carrying its
         // packet's next symbol or taking an idle path in `drive_output`.
+        // The idle ones are counted by `alive`; a router that never ticked
+        // has nothing else to account.
         let skipped = to - from;
+        self.regs.alive += skipped;
         let Some(dp) = self.datapath.as_deref_mut() else {
-            for idle in &mut self.regs.stats.idle_cycles {
-                *idle += skipped;
-            }
             return;
         };
         debug_assert_eq!(from, dp.next_cycle, "a skipped span must start where the last ended");
         dp.next_cycle = to;
-        let stats = &mut self.regs.stats;
         let mut busy_ports = 0;
         for (idx, out) in dp.outputs.iter_mut().enumerate() {
             let busy = out.tc_tx.skip(skipped);
-            stats.tc_bytes[idx] += busy;
-            stats.idle_cycles[idx] += skipped - busy;
+            dp.stats.tc_bytes[idx] += busy;
             if busy > 0 {
                 busy_ports |= Port::from_index(idx).mask();
                 // `next_event` wakes a network output as it frees and the
@@ -1012,18 +1033,17 @@ impl Chip for RealTimeRouter {
     }
 
     fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
-        self.regs.stats.emit_counters(emit);
+        self.stats().emit_counters(emit);
         let keys = self.datapath.as_ref().map_or(0, |dp| dp.sched.key_computations());
         emit("sched.key_computations", keys);
     }
 
     fn heap_bytes_estimate(&self) -> usize {
-        // The connection table's rows, the ledger's per-connection byte
-        // counters, and the datapath's box with what it holds. The shared
-        // `Arc<RouterConfig>` is charged to the template, not to every
-        // router.
+        // The connection table's rows and the datapath's box with what it
+        // holds, the ledger's per-connection byte counters included. The
+        // shared `Arc<RouterConfig>` is charged to the template, not to
+        // every router.
         self.regs.table.heap_bytes()
-            + self.regs.stats.heap_bytes()
             + self.datapath.as_ref().map_or(0, |dp| size_of::<Datapath>() + dp.heap_bytes())
     }
 
@@ -1039,12 +1059,12 @@ impl Chip for RealTimeRouter {
         for (idx, input) in dp.inputs.iter_mut().enumerate() {
             let aborted = input.abort_partial();
             if aborted.tc_aborted {
-                self.regs.stats.tc_truncated += 1;
+                dp.stats.tc_truncated += 1;
             }
             if aborted.be_truncated {
-                self.regs.stats.be_truncated += 1;
+                dp.stats.be_truncated += 1;
             }
-            self.regs.stats.be_dropped_faulty += u64::from(aborted.be_dropped);
+            dp.stats.be_dropped_faulty += u64::from(aborted.be_dropped);
             dropped[idx] = aborted.be_dropped;
         }
         // The injection machinery feeds port 0 from inside the node; its
@@ -1139,7 +1159,7 @@ mod tests {
         assert_eq!((dp.memory.occupied(), dp.sched.len()), (0, 0), "stored, sent and freed");
         let port_queues =
             dp.inputs.iter().map(InputPort::heap_bytes).sum::<usize>() + dp.be.heap_bytes();
-        let ledger = r.regs.table.heap_bytes() + r.regs.stats.heap_bytes() + size_of::<Datapath>();
+        let ledger = r.regs.table.heap_bytes() + dp.stats.heap_bytes() + size_of::<Datapath>();
         let held = r.heap_bytes_estimate() - port_queues - ledger;
         assert_eq!(held, dp.memory.heap_bytes() + dp.sched.heap_bytes());
         assert!(held > 0, "capacity actually held is reported");
@@ -1148,7 +1168,7 @@ mod tests {
 
     /// A forwarding router's estimate covers its ledger too: the first
     /// transmission per (port, connection) adds an entry to
-    /// `tc_bytes_by_conn`, and the datapath is a box of its own.
+    /// `tc_bytes_by_conn`, in the ledger its datapath box holds.
     #[test]
     fn the_estimate_counts_the_per_connection_byte_counters() {
         let mut r = router();
@@ -1163,7 +1183,11 @@ mod tests {
         let map = entries * size_of::<((usize, ConnectionId), u64)>();
         assert!(map > 0, "the first transmission added an entry");
         let dp = datapath(&r);
-        let counted = r.regs.table.heap_bytes() + size_of::<Datapath>() + dp.heap_bytes();
+        let others = dp.memory.heap_bytes()
+            + dp.sched.heap_bytes()
+            + dp.inputs.iter().map(InputPort::heap_bytes).sum::<usize>()
+            + dp.be.heap_bytes();
+        let counted = r.regs.table.heap_bytes() + size_of::<Datapath>() + others;
         let estimate = r.heap_bytes_estimate();
         assert!(estimate >= counted + map, "estimate {estimate} B < {counted} B + {map} B of map");
     }

@@ -5,6 +5,7 @@
 //! time series (e.g. the per-connection cumulative service of Figure 7).
 
 use std::collections::HashMap;
+use std::ops::Deref;
 
 use rtr_types::ids::{ConnectionId, PORT_COUNT};
 
@@ -52,8 +53,6 @@ pub struct RouterStats {
     pub be_delivered: u64,
     /// Malformed best-effort packets dropped at reassembly.
     pub be_malformed: u64,
-    /// Idle cycles per output port (nothing eligible to send).
-    pub idle_cycles: [u64; PORT_COUNT],
     /// Transmissions whose sorting key was aliased by clock rollover (late
     /// packets; zero for admitted traffic).
     pub aliased_keys: u64,
@@ -141,11 +140,38 @@ impl RouterStats {
     pub fn tc_conn_bytes(&self, port_index: usize, conn: ConnectionId) -> u64 {
         self.tc_bytes_by_conn.get(&(port_index, conn)).copied().unwrap_or(0)
     }
+}
+
+/// A router's ledger as read from outside: the counters its datapath keeps
+/// (all zero for a router that never ticked) and the cycles it was alive,
+/// from which its idle cycles derive. Dereferences to the counters.
+#[derive(Debug, Clone, Copy)]
+pub struct RouterLedger<'a> {
+    stats: &'a RouterStats,
+    alive: u64,
+}
+
+impl<'a> RouterLedger<'a> {
+    /// The ledger of a router with counters `stats`, alive for `alive`
+    /// cycles.
+    #[must_use]
+    pub(crate) fn new(stats: &'a RouterStats, alive: u64) -> Self {
+        RouterLedger { stats, alive }
+    }
+
+    /// Idle cycles per output port (nothing eligible to send): every alive
+    /// cycle of an output carries a time-constrained byte, a best-effort
+    /// byte, or nothing.
+    #[must_use]
+    pub(crate) fn idle_cycles(&self) -> [u64; PORT_COUNT] {
+        let s = self.stats;
+        std::array::from_fn(|i| self.alive - s.tc_bytes[i] - s.be_bytes[i])
+    }
 
     /// Emits every scalar counter under the `router.` namespace, port
     /// arrays summed — the [`rtr_types::chip::Chip::counters`] contribution
-    /// of a router carrying these stats. Every value here is drive-mode
-    /// independent, so stepped and leaping runs emit identical totals.
+    /// of the router. Every value here is drive-mode independent, so
+    /// stepped and leaping runs emit identical totals.
     pub fn emit_counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
         emit("router.tc_injected", self.tc_injected);
         emit("router.tc_arrived", self.tc_arrived);
@@ -163,12 +189,20 @@ impl RouterStats {
         emit("router.be_bytes", self.be_bytes.iter().sum());
         emit("router.be_delivered", self.be_delivered);
         emit("router.be_malformed", self.be_malformed);
-        emit("router.idle_cycles", self.idle_cycles.iter().sum());
+        emit("router.idle_cycles", self.idle_cycles().iter().sum());
         emit("router.aliased_keys", self.aliased_keys);
         emit("router.tc_truncated", self.tc_truncated);
         emit("router.tc_orphan_symbols", self.tc_orphan_symbols);
         emit("router.be_dropped_faulty", self.be_dropped_faulty);
         emit("router.be_truncated", self.be_truncated);
+    }
+}
+
+impl Deref for RouterLedger<'_> {
+    type Target = RouterStats;
+
+    fn deref(&self) -> &RouterStats {
+        self.stats
     }
 }
 
@@ -285,5 +319,22 @@ mod tests {
         assert_eq!(stats.tc_conn_bytes(1, ConnectionId(4)), 0);
         *stats.tc_bytes_by_conn.entry((1, ConnectionId(4))).or_insert(0) += 20;
         assert_eq!(stats.tc_conn_bytes(1, ConnectionId(4)), 20);
+    }
+
+    #[test]
+    fn a_ledger_derives_idle_cycles_from_its_alive_cycles() {
+        let mut stats = RouterStats::default();
+        stats.tc_bytes[1] = 3;
+        stats.be_bytes[1] = 2;
+        stats.be_bytes[4] = 10;
+        let ledger = RouterLedger::new(&stats, 10);
+        assert_eq!(ledger.idle_cycles(), [10, 5, 10, 10, 0]);
+        let mut idle = None;
+        ledger.emit_counters(&mut |name, value| {
+            if name == "router.idle_cycles" {
+                idle = Some(value);
+            }
+        });
+        assert_eq!(idle, Some(35), "the counter sums the derived ports");
     }
 }

@@ -1812,7 +1812,7 @@ mod tests {
         assert_eq!(sim.ticks_executed(), 64);
         for node in sim.topology().nodes() {
             assert_eq!(sim.chip(node).wake_stats().map(|w| w.polls), Some(1), "{node}");
-            let idle = sim.chip(node).stats().idle_cycles[Port::Local.index()];
+            let idle = sim.chip(node).idle_cycles()[Port::Local.index()];
             assert_eq!(idle, 10_000, "{node}: the skipped cycles are accounted");
         }
     }
@@ -1835,10 +1835,13 @@ mod tests {
             leaping.ticks_executed() < stepped.ticks_executed(),
             "the quiet tail after delivery must be leaped"
         );
-        assert_eq!(
-            format!("{:?}", stepped.chip(dst).stats()),
-            format!("{:?}", leaping.chip(dst).stats())
-        );
+        for node in [NodeId(0), dst] {
+            assert_eq!(
+                format!("{:?}", stepped.chip(node).stats()),
+                format!("{:?}", leaping.chip(node).stats())
+            );
+            assert_eq!(stepped.chip(node).idle_cycles(), leaping.chip(node).idle_cycles());
+        }
     }
 
     #[test]

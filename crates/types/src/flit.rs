@@ -24,7 +24,10 @@
 use crate::packet::{PacketTrace, TcPacket};
 
 /// A single best-effort byte (flit) on the wormhole virtual channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Not `Copy`: a head byte owns its packet's boxed trace, which moves hop to
+/// hop with it and is never cloned.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BeByte {
     /// The data byte.
     pub byte: u8,
@@ -33,8 +36,9 @@ pub struct BeByte {
     /// Set on the last byte of a packet.
     pub tail: bool,
     /// Simulation-only provenance, present on head bytes only; routers pass
-    /// it through untouched and never consult it.
-    pub trace: Option<PacketTrace>,
+    /// it through untouched and never consult it. Boxed once at injection,
+    /// so a byte on the wire is a byte plus one pointer.
+    pub trace: Option<Box<PacketTrace>>,
 }
 
 impl BeByte {

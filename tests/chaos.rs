@@ -15,8 +15,11 @@ use realtime_router::types::chip::Chip;
 use realtime_router::types::config::RouterConfig;
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
+use realtime_router::workloads::be::SizeDist;
 use rtr_bench::churn::DriveMode;
-use rtr_bench::util::{add_one_hop_channel, one_packet_line, ONE_HOP_DELAY, ONE_PACKET_HEAD};
+use rtr_bench::util::{
+    add_one_hop_channel, add_uniform_be, one_packet_line, ONE_HOP_DELAY, ONE_PACKET_HEAD,
+};
 
 /// The chaos scenario: a sparse 8×8 mesh (long quiet spans, so leaping
 /// really leaps) with every fault kind landing mid-run, several of them
@@ -189,6 +192,59 @@ fn crash_and_restore_balance_the_ledger_in_every_mode() {
     let dst = every.topology().node_at(1, 0);
     let after = every.log(dst).tc.iter().filter(|(cycle, _)| *cycle > 4_007).count();
     assert!(after > 20, "deliveries resumed after restore: {after}");
+}
+
+/// A router stores no idle count: every cycle it is alive adds one to each
+/// output's time-constrained bytes, best-effort bytes or idle cycles, so
+/// the idle cycles are what its alive cycles leave over. Under mixed load
+/// and a crash, in every drive mode, each port's three counts sum to the
+/// cycles the node was not dark, and the idle counts are the every-chip
+/// run's.
+#[test]
+fn idle_cycles_are_the_alive_cycles_no_byte_used_in_every_mode() {
+    const SPAN: u64 = 10_000;
+    const CRASH: (u64, u64) = (2_003, 4_007);
+    let crashed = NodeId(1);
+    let build = || {
+        let config = RouterConfig::default();
+        let mut sim =
+            Simulator::build(Topology::mesh(4, 4), |_| RealTimeRouter::new(config.clone()))
+                .unwrap();
+        add_one_hop_channel(&mut sim, 0, 0, 8);
+        add_one_hop_channel(&mut sim, 2, 1, 64);
+        add_uniform_be(&mut sim, 0.05, SizeDist::Fixed(16), 0x1D1E, 8);
+        sim.set_fault_schedule(
+            FaultSchedule::new().node_crash(CRASH.0, crashed).node_restore(CRASH.1, crashed),
+        );
+        sim
+    };
+    let runs = DriveMode::ALL.map(|mode| {
+        let mut sim = build();
+        mode.advance(&mut sim, SPAN);
+        sim.check_conservation().unwrap();
+        sim
+    });
+    let every = &runs[0];
+    let (mut tc, mut be) = (0, 0);
+    for (mode, sim) in DriveMode::ALL.iter().zip(&runs) {
+        for node in sim.topology().nodes() {
+            let alive = if node == crashed { SPAN - (CRASH.1 - CRASH.0) } else { SPAN };
+            let router = sim.chip(node);
+            let (stats, idle) = (router.stats(), router.idle_cycles());
+            for port in Port::ALL {
+                let i = port.index();
+                assert_eq!(
+                    idle[i] + stats.tc_bytes[i] + stats.be_bytes[i],
+                    alive,
+                    "{mode:?} {node} {port:?}"
+                );
+            }
+            assert_eq!(idle, every.chip(node).idle_cycles(), "{mode:?} {node}");
+            tc += stats.tc_bytes.iter().sum::<u64>();
+            be += stats.be_bytes.iter().sum::<u64>();
+        }
+    }
+    assert!(tc > 0 && be > 0, "both classes carried bytes: tc {tc}, be {be}");
 }
 
 /// Symbols already on the wire when their receiver crashes park there: the
@@ -521,14 +577,14 @@ fn a_drive_call_ending_mid_packet_leaves_the_sender_counted_per_cycle() {
     for mode in DriveMode::ALL {
         let mut sim = one_packet_hop(FaultSchedule::new(), mode);
         mode.advance(&mut sim, HEAD + 7 - 100);
-        let tx = sim.chip(NodeId(0)).stats();
-        assert_eq!((tx.tc_bytes[east], tx.idle_cycles[east]), (7, 140), "{mode:?}");
+        let tx = sim.chip(NodeId(0));
+        assert_eq!((tx.stats().tc_bytes[east], tx.idle_cycles()[east]), (7, 140), "{mode:?}");
         let ledger = sim.link_ledger(NodeId(0), Direction::XPlus);
         assert_eq!((ledger.symbols_sent, ledger.symbols_delivered), (7, 6), "{mode:?}");
         mode.advance(&mut sim, 900 - (HEAD + 7));
         let delivered: Vec<u64> = sim.log(NodeId(1)).tc.iter().map(|(at, _)| *at).collect();
         assert_eq!(delivered, [279], "{mode:?}");
-        let tx = sim.chip(NodeId(0)).stats();
-        assert_eq!((tx.tc_bytes[east], tx.idle_cycles[east]), (20, 880), "{mode:?}");
+        let tx = sim.chip(NodeId(0));
+        assert_eq!((tx.stats().tc_bytes[east], tx.idle_cycles()[east]), (20, 880), "{mode:?}");
     }
 }

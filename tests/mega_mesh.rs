@@ -10,11 +10,11 @@
 
 use proptest::prelude::*;
 use realtime_router::channels::{ChannelManager, ChannelRequest, DeferredPlane, TrafficSpec};
-use realtime_router::core::{Datapath, RealTimeRouter, RouterTemplate};
+use realtime_router::core::{Datapath, RealTimeRouter, RouterStats, RouterTemplate};
 use realtime_router::mesh::{LinkTable, Simulator, Topology};
 use realtime_router::types::chip::Chip;
 use realtime_router::types::config::RouterConfig;
-use realtime_router::types::ids::{Direction, NodeId};
+use realtime_router::types::ids::{Direction, NodeId, PORT_COUNT};
 use rtr_bench::util::{add_periodic_sender, periodic_mesh, sender_for};
 use std::mem::size_of;
 
@@ -125,64 +125,73 @@ fn mega_mesh_builds_and_ticks() {
     );
 }
 
-/// The footprint guardrail: an idle router costs ~1.9 KiB all in — the
-/// 0.5 KiB router struct (control registers, connection table, statistics)
-/// plus I/O staging, CSR link share, and event-core share, with *no* heap
-/// behind it (the datapath is built by a router's first tick; packet
-/// memory, scheduler leaves, port queues and connection-table rows
-/// materialise on first use, and the config is Arc-shared). The ceilings
-/// are the measured footprint plus 5 %: the seed's eager layout sat several
-/// KiB of heap higher per node, an earlier router carried 1.2 KiB of empty
-/// packet slots, and one that held its 1.6 KiB datapath inline cost
-/// 3.6 KiB per node. The bench reports the live number as a
-/// `bytes_per_node` column.
+/// The footprint guardrail: an idle router costs ~1.2 KiB all in — the
+/// 144 B router struct (control registers and connection table) plus I/O
+/// staging, CSR link share, and event-core share, with *no* heap behind it
+/// (the datapath and its statistics ledger are built by a router's first
+/// tick; packet memory, scheduler leaves, port queues and connection-table
+/// rows materialise on first use, and the config is Arc-shared). The
+/// ceilings are the measured footprint plus 5 %: the seed's eager layout
+/// sat several KiB of heap higher per node, an earlier router carried
+/// 1.2 KiB of empty packet slots, one that held its 1.6 KiB datapath inline
+/// cost 3.6 KiB per node, and one whose best-effort bytes carried their
+/// packet's trace inline and whose ledger sat beside its registers cost
+/// 2.0 KiB. The bench reports the live number as a `bytes_per_node`
+/// column.
 #[test]
 fn bytes_per_node_stays_under_the_ceiling() {
     let sim = idle_mesh(64, 64);
     let idle = sim.bytes_per_node();
     assert!(idle > 0, "estimate must count the fixed arenas");
-    // 2 015 bytes/node measured.
-    assert!(idle <= 2_115, "idle mesh costs {idle} bytes/node, ceiling 2 115");
+    // 1 202 bytes/node measured.
+    assert!(idle <= 1_262, "idle mesh costs {idle} bytes/node, ceiling 1 262");
 
     // Driving the mesh builds a datapath behind the routers that carry
     // traffic and allocates behind them by what they buffered and the
-    // table rows they were written: 2 139 bytes/node measured.
+    // table rows they were written: 1 327 bytes/node measured.
     let mut sim = periodic_mesh(64, 64, 512);
     sim.run_leaping(20_000);
     let driven = sim.bytes_per_node();
-    assert!(driven <= 2_245, "driven mesh costs {driven} bytes/node, ceiling 2 245");
+    assert!(driven <= 1_393, "driven mesh costs {driven} bytes/node, ceiling 1 393");
 }
 
 /// The fixed part of the same budget: a mesh is a `Vec` of router structs,
 /// so every byte here is paid per node by building, priming and settling
-/// it. A router holds its control registers and ledger inline and its
-/// datapath in a box its first tick builds, a packet only in the box it
-/// travels in, and its teardown tombstones in its connection table's rows
-/// (DESIGN.md §3.16). Each ceiling is what that layout measures plus 5 %
-/// for the router and the datapath, the measured size for each port part,
-/// so a failure names the part that grew. A mesh also holds about two
-/// links per node (65 024 on 128×128), so the link is pinned at its
-/// measured size too: its continuation-emission and absorption counters
-/// live in what was padding.
+/// it. A router holds its control registers inline and its datapath — the
+/// statistics ledger included — in a box its first tick builds, a packet
+/// only in the box it travels in, and its teardown tombstones in its
+/// connection table's rows (DESIGN.md §3.16). Each ceiling is what that
+/// layout measures plus 5 % for the router and the datapath, the measured
+/// size for each part, so a failure names the part that grew. A mesh also
+/// holds about two links per node (65 024 on 128×128) and one `ChipIo` of
+/// ten symbol slots per node, so the link, the symbol and the best-effort
+/// byte are pinned at their measured sizes too: a byte carries its
+/// packet's trace boxed, and a trace back inline breaks three pins.
 #[test]
 fn router_struct_does_not_grow() {
     use realtime_router::core::ports::{InputPort, OutputPort, Serialiser, WormholeChannel};
     use realtime_router::core::ConnectionTable;
     use realtime_router::mesh::link::Link;
+    use realtime_router::types::chip::ChipIo;
+    use realtime_router::types::flit::{BeByte, LinkSymbol};
 
-    // 520 B measured (536 B with the `metrics` feature's trace sink fields).
-    let ceiling = if cfg!(feature = "metrics") { 562 } else { 546 };
+    // 144 B measured (168 B with the `metrics` feature's trace sink fields).
+    let ceiling = if cfg!(feature = "metrics") { 176 } else { 151 };
     let size = size_of::<RealTimeRouter>();
     assert!(size <= ceiling, "RealTimeRouter grew to {size} bytes (ceiling {ceiling})");
     for (part, size, ceiling) in [
-        // 1 584 B measured.
-        ("Datapath", size_of::<Datapath>(), 1654),
-        ("InputPort", size_of::<InputPort>(), 152),
+        // 1 728 B measured, the 344 B ledger included.
+        ("Datapath", size_of::<Datapath>(), 1814),
+        ("RouterStats", size_of::<RouterStats>(), 344),
+        ("InputPort", size_of::<InputPort>(), 112),
         ("OutputPort", size_of::<OutputPort>(), 72),
         ("Serialiser", size_of::<Serialiser>(), 16),
         ("WormholeChannel", size_of::<WormholeChannel>(), 200),
         ("ConnectionTable", size_of::<ConnectionTable>(), 32),
         ("Link", size_of::<Link>(), 160),
+        ("ChipIo", size_of::<ChipIo>(), 296),
+        ("LinkSymbol", size_of::<LinkSymbol>(), 16),
+        ("BeByte", size_of::<BeByte>(), 16),
     ] {
         assert!(size <= ceiling, "{part} grew to {size} bytes (ceiling {ceiling})");
     }
@@ -233,6 +242,16 @@ fn only_routers_that_ticked_hold_a_datapath() {
     assert!(!holders.is_empty(), "the routes' routers ticked");
     let strays: Vec<&NodeId> = holders.iter().filter(|node| !carried.contains(node)).collect();
     assert!(strays.is_empty(), "off-route routers built a datapath: {strays:?}");
+
+    // A router that never ticked counted nothing and idled every cycle,
+    // and reading its ledger builds no datapath either.
+    let empty = format!("{:?}", RouterStats::default());
+    for node in topo.nodes().filter(|node| !holders.contains(node)) {
+        let router = sim.chip(node);
+        assert_eq!(format!("{:?}", *router.stats()), empty, "{node}: a ledger it never kept");
+        assert_eq!(router.idle_cycles(), [sim.now(); PORT_COUNT], "{node}: idle throughout");
+        assert!(!holds_datapath(&sim, node), "{node}: reading its ledger built a datapath");
+    }
 }
 
 /// What `mega_cold` pays per request, without the stopwatch: the
