@@ -439,15 +439,15 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
     assert_eq!(polled(3), (ADDED..END).collect::<Vec<_>>());
 }
 
-/// A busy chip is carried onto the next cycle's dirty list without a queued
-/// wake. If the agenda crashes the chip on that very cycle, the carried
-/// handle must behave like a fired wake would have: the chip is not ticked,
-/// its wake is cleared rather than carried again — so the dark span is
-/// leapt, not stepped — and the restore's mark ticks it again. Only node 0
-/// is ever active (it injects two packets it delivers to itself), so every
-/// tick counted below is its own. The second packet stays queued while the
-/// injection port feeds the first in, one byte a cycle, and a live chip
-/// with a queued injection is carried every cycle.
+/// A busy chip's poll leaves its wake at the next cycle. If the agenda
+/// crashes the chip on that very cycle, the due chip is not ticked and its
+/// wake is cleared, not left due — so the dark span is leapt, not stepped —
+/// and the restore's mark ticks it again. Only node 0 is ever active (it
+/// injects two packets it delivers to itself), so every tick counted below
+/// is its own, and every wake written is its own or one of its two links'.
+/// The second packet stays queued while the injection port feeds the first
+/// in, one byte a cycle, and a live chip with a queued injection is due
+/// every cycle.
 #[test]
 fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
     const INJECT: u64 = 100;
@@ -486,7 +486,7 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
                 },
             );
         }
-        // Ticks executed, and wakes filed in the queue, span by span.
+        // Ticks executed, and wakes written to the record, span by span.
         let spans = [CRASH - 1, CRASH, CRASH + 1, RESTORE, RESTORE + 1, END].map(|stop| {
             let filed = |sim: &Simulator<_>| sim.event_core_stats().map_or(0, |s| s.filed);
             let before = (sim.ticks_executed(), filed(&sim), sim.now());
@@ -498,15 +498,17 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
     };
     let (_, reference) = run(DriveMode::EveryChip, true);
     assert_eq!(run(DriveMode::Stepped, true).1, reference, "stepping diverged");
-    // Undisturbed, the chip ticks on the cycle before CRASH, files nothing,
-    // and ticks on CRASH: it was carried there.
+    // Undisturbed, the chip ticks on the cycle before CRASH and on CRASH,
+    // each tick's poll writing its wake: the next cycle.
     let (spans, _) = run(DriveMode::Event, false);
-    assert_eq!(spans[1..3], [(1, 0), (1, 0)], "not injecting at {CRASH}");
+    assert_eq!(spans[1..3], [(1, 1), (1, 1)], "not injecting at {CRASH}");
     let ([_, before, crash, dark, restore, tail], outcome) = run(DriveMode::Event, true);
-    assert_eq!(before, (1, 0), "the chip ticked and was carried into its crash");
-    assert_eq!(crash, (0, 0), "a chip crashed on the cycle it was carried to ticked");
+    assert_eq!(before, (1, 1), "the chip ticked, and its poll left it due on its crash");
+    // The crash clears the chip's wake and marks its two links, polled for
+    // their live ends: three writes, no tick.
+    assert_eq!(crash, (0, 3), "a chip crashed on the cycle it was due on ticked");
     assert_eq!(dark, (0, 0), "nothing stirs while the only busy chip is dark");
-    assert_eq!(restore.0, 1, "the restore marks the chip");
+    assert_eq!(restore, (1, 3), "the restore marks the chip and its links");
     assert!(tail.0 < 100, "the tail must be leapt, not stepped: {} ticks", tail.0);
     assert_eq!(outcome, reference, "leaping diverged from ticking every chip");
 }

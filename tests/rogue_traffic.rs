@@ -16,6 +16,7 @@ use realtime_router::mesh::source::FnSource;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
 use realtime_router::workloads::tc::PeriodicTcSource;
+use rtr_bench::churn::DriveMode;
 use rtr_bench::util::{add_periodic_sender, sender_for};
 
 #[test]
@@ -172,70 +173,79 @@ fn byzantine_neighbor_credits_cannot_corrupt_or_starve_the_tc_class() {
     // neighbour to overrun its input buffer. The overflow must be absorbed
     // (dropped and counted) by the fault-tolerant ingest path, and the
     // time-constrained class — whose bandwidth is reserved, not
-    // credit-governed — must keep every guarantee.
+    // credit-governed — must keep every guarantee. The liar's source writes
+    // no injection queue, only `credit_out`, so this holds in every drive
+    // mode only if every mode ticks the chip of each source that ran: each
+    // router's statistics must match the every-chip run's.
     let config = RouterConfig::default();
     let topo = Topology::mesh(3, 1);
-    let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-    let mut manager = ChannelManager::new(&config);
-
     let src = topo.node_at(0, 0);
     let liar = topo.node_at(1, 0);
     let dst = topo.node_at(2, 0);
-    let channel = manager
-        .establish(
-            &topo,
-            ChannelRequest::unicast(src, dst, TrafficSpec::periodic(16, 18), 60),
-            &mut sim,
-        )
-        .unwrap();
-    add_periodic_sender(&mut sim, &channel, 16, 0, 0x42);
+    let run = |mode: DriveMode| {
+        let mut sim =
+            Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
+        let mut manager = ChannelManager::new(&config);
+        let channel = manager
+            .establish(
+                &topo,
+                ChannelRequest::unicast(src, dst, TrafficSpec::periodic(16, 18), 60),
+                &mut sim,
+            )
+            .unwrap();
+        add_periodic_sender(&mut sim, &channel, 16, 0, 0x42);
 
-    // A best-effort flood keeps the upstream transmitter busy enough for
-    // the bogus credits to matter.
-    let (bx, by) = topo.be_offsets(src, dst);
-    sim.add_source(
-        src,
-        Box::new(FnSource(move |_now: u64, node, io: &mut rtr_types::chip::ChipIo| {
-            if io.inject_be.len() < 4 {
-                io.inject_be.push_back(BePacket::new(
-                    bx,
-                    by,
-                    vec![0xBE; 48],
-                    PacketTrace { source: node, injected_at: 0, ..PacketTrace::default() },
-                ));
-            }
-        })),
-    );
+        // A best-effort flood keeps the upstream transmitter busy enough for
+        // the bogus credits to matter.
+        let (bx, by) = topo.be_offsets(src, dst);
+        sim.add_source(
+            src,
+            Box::new(FnSource(move |_now: u64, node, io: &mut rtr_types::chip::ChipIo| {
+                if io.inject_be.len() < 4 {
+                    io.inject_be.push_back(BePacket::new(
+                        bx,
+                        by,
+                        vec![0xBE; 48],
+                        PacketTrace { source: node, injected_at: 0, ..PacketTrace::default() },
+                    ));
+                }
+            })),
+        );
 
-    // The liar duplicates credits on its upstream-facing input port every
-    // cycle, far beyond anything it actually freed.
-    let upstream_port = Port::Dir(Direction::XMinus).index();
-    sim.add_source(
-        liar,
-        Box::new(FnSource(move |_now: u64, _node, io: &mut rtr_types::chip::ChipIo| {
-            io.credit_out[upstream_port] += 2;
-        })),
-    );
+        // The liar duplicates credits on its upstream-facing input port
+        // every cycle, far beyond anything it actually freed.
+        let upstream_port = Port::Dir(Direction::XMinus).index();
+        sim.add_source(
+            liar,
+            Box::new(FnSource(move |_now: u64, _node, io: &mut rtr_types::chip::ChipIo| {
+                io.credit_out[upstream_port] += 2;
+            })),
+        );
 
-    sim.run(40_000);
+        mode.advance(&mut sim, 40_000);
 
-    // The reserved class never misses, byzantine credits or not.
-    let log = sim.log(dst);
-    assert!(log.tc.len() > 100, "tc delivered {}", log.tc.len());
-    assert_eq!(log.tc_deadline_misses(config.slot_bytes), 0);
+        // The reserved class never misses, byzantine credits or not.
+        let log = sim.log(dst);
+        assert!(log.tc.len() > 100, "{mode:?}: tc delivered {}", log.tc.len());
+        assert_eq!(log.tc_deadline_misses(config.slot_bytes), 0, "{mode:?}");
 
-    // The invited overrun really happened and was absorbed as counted
-    // drops at the liar's ingest, not a crash and not corruption.
-    let liar_stats = sim.chip(liar).stats();
-    assert!(
-        liar_stats.be_dropped_faulty > 0 || liar_stats.be_truncated > 0,
-        "the overrun must surface in the tolerant-ingest counters"
-    );
-    // Best-effort service degrades but the mesh keeps forwarding; nothing
-    // leaks router memory.
-    assert!(sim.log(dst).be.len() > 10, "be still flows: {}", sim.log(dst).be.len());
-    for node in topo.nodes() {
-        let chip = sim.chip(node);
-        assert!(chip.memory_occupied() <= chip.config().packet_slots);
-    }
+        // The invited overrun really happened and was absorbed as counted
+        // drops at the liar's ingest, not a crash and not corruption.
+        let liar_stats = sim.chip(liar).stats();
+        assert!(
+            liar_stats.be_dropped_faulty > 0 || liar_stats.be_truncated > 0,
+            "{mode:?}: the overrun must surface in the tolerant-ingest counters"
+        );
+        // Best-effort service degrades but the mesh keeps forwarding;
+        // nothing leaks router memory.
+        assert!(sim.log(dst).be.len() > 10, "{mode:?}: be still flows: {}", sim.log(dst).be.len());
+        for node in topo.nodes() {
+            let chip = sim.chip(node);
+            assert!(chip.memory_occupied() <= chip.config().packet_slots, "{mode:?}");
+        }
+        topo.nodes().map(|node| format!("{:?}", sim.chip(node).stats())).collect::<Vec<_>>()
+    };
+    let [every, stepped, event] = DriveMode::ALL.map(run);
+    assert_eq!(stepped, every, "stepped vs every chip");
+    assert_eq!(event, every, "event vs every chip");
 }
