@@ -37,9 +37,9 @@ use crate::util::{add_periodic_sender, sender_for};
 /// How a drive call advances the simulator: which chips each cycle ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriveMode {
-    /// Every live chip ticks on every cycle — the reference the others are
-    /// held to: each chip is woken (through [`Simulator::chip_mut`]) before
-    /// each [`Simulator::step`].
+    /// Every live chip ticks on every cycle, the first included — the
+    /// reference the others are held to: every chip is woken before each
+    /// [`Simulator::step`], whatever its wake says.
     EveryChip,
     /// [`Simulator::run`]: every cycle is stepped, and ticks the chips that
     /// can act in it.
@@ -60,11 +60,8 @@ impl DriveMode {
         }
         match self {
             DriveMode::EveryChip => {
-                let nodes: Vec<NodeId> = sim.topology().nodes().collect();
                 for _ in 0..cycles {
-                    for &node in &nodes {
-                        sim.chip_mut(node);
-                    }
+                    sim.wake_every_chip();
                     sim.step();
                 }
             }
