@@ -425,7 +425,7 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
 /// by `churn::tests::churn_row_matches_the_recorded_run`.
 pub fn churn(args: &[String]) -> Result<(), String> {
     no_args(args)?;
-    let o = rtr_bench::churn::run_churn(rtr_bench::churn::DriveMode::Stepped);
+    let o = rtr_bench::churn::run_churn(rtr_bench::churn::DriveMode::Run);
     println!("Connection churn — 8×8 mesh, 2 bystanders, live establish/teardown");
     println!();
     println!(

@@ -37,21 +37,19 @@ use crate::util::{add_periodic_sender, sender_for};
 /// How a drive call advances the simulator: which chips each cycle ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriveMode {
-    /// Every live chip ticks on every cycle, the first included — the
-    /// reference the others are held to: every chip is woken before each
-    /// [`Simulator::step`], whatever its wake says.
+    /// Every live chip ticks and every link is visited on every cycle, the
+    /// first included — the reference [`DriveMode::Run`] is held to: every
+    /// chip and link is woken before each [`Simulator::step`], whatever its
+    /// wake says.
     EveryChip,
-    /// [`Simulator::run`]: every cycle is stepped, and ticks the chips that
-    /// can act in it.
-    Stepped,
-    /// [`Simulator::run_leaping`]: event cycles that tick the chips that
-    /// can act, and leaps over quiet spans.
-    Event,
+    /// [`Simulator::run`]: cycles that tick the chips that can act and
+    /// visit the links that are due, and leaps over quiet spans.
+    Run,
 }
 
 impl DriveMode {
     /// Every drive mode, the reference first.
-    pub const ALL: [DriveMode; 3] = [DriveMode::EveryChip, DriveMode::Stepped, DriveMode::Event];
+    pub const ALL: [DriveMode; 2] = [DriveMode::EveryChip, DriveMode::Run];
 
     /// Advances the simulator `cycles` cycles the way this mode does.
     pub fn advance<C: Chip>(self, sim: &mut Simulator<C>, cycles: Cycle) {
@@ -65,8 +63,7 @@ impl DriveMode {
                     sim.step();
                 }
             }
-            DriveMode::Stepped => sim.run(cycles),
-            DriveMode::Event => sim.run_leaping(cycles),
+            DriveMode::Run => sim.run(cycles),
         }
     }
 }
@@ -203,7 +200,7 @@ pub fn drive_schedule(
 /// Runs the churn scenario under one drive mode.
 ///
 /// Every mode produces byte-identical network state (asserted by
-/// `tests/churn.rs`); `rtr churn` prints the stepped run.
+/// `tests/churn.rs`); `rtr churn` prints the [`DriveMode::Run`] run.
 #[must_use]
 pub fn run_churn(mode: DriveMode) -> ChurnOutcome {
     let config = RouterConfig::default();
@@ -317,6 +314,6 @@ mod tests {
             bystander_misses: 0,
             churn_delivered: 4_352,
         };
-        assert_eq!(run_churn(DriveMode::Stepped), recorded);
+        assert_eq!(run_churn(DriveMode::Run), recorded);
     }
 }

@@ -23,7 +23,7 @@ pub use output::{OutputPort, Serialiser};
 
 /// Wake-precision counters of a chip's `next_event` answers (see
 /// [`WakeStats`]). A `Cell` because polling takes `&self`; kept out of the
-/// chip's statistics because stepped and leaping runs poll at different rates.
+/// chip's statistics because drive modes poll at different rates.
 #[derive(Debug, Default)]
 pub struct WakePolls(Cell<WakeStats>);
 

@@ -170,8 +170,8 @@ impl<'a> RouterLedger<'a> {
 
     /// Emits every scalar counter under the `router.` namespace, port
     /// arrays summed — the [`rtr_types::chip::Chip::counters`] contribution
-    /// of the router. Every value here is drive-mode independent, so
-    /// stepped and leaping runs emit identical totals.
+    /// of the router. Every value here is drive-mode independent, so a run
+    /// ticking every chip and a leaping run emit identical totals.
     pub fn emit_counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
         emit("router.tc_injected", self.tc_injected);
         emit("router.tc_arrived", self.tc_arrived);

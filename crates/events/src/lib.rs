@@ -72,8 +72,9 @@ pub struct WakeQueue {
     /// down are kept. `width` is half the length, a power of two.
     tree: Vec<Cycle>,
     /// The blocks written since the last refresh, each once, whose paths it
-    /// walks. Once it holds `width / 8` of them it takes no more, and the
-    /// refresh rebuilds every node instead.
+    /// walks. Once it holds `width / 8` of them it takes no more: the
+    /// refresh rebuilds every node instead, and a due read scans every
+    /// block without one.
     written: Vec<u32>,
     /// One bit per block: whether `written` holds it.
     listed: Vec<u64>,
@@ -236,9 +237,18 @@ impl WakeQueue {
     /// Appends every handle due by `now` to `due`, sorted by index, and
     /// leaves their wakes as they are.
     pub fn due(&mut self, now: Cycle, due: &mut Vec<WakeHandle>) {
-        self.refresh();
         // A handle without a wake is never due, not even at the end of time.
         let now = now.min(NONE - 1);
+        if self.written.len() >= self.width() / 8 {
+            // Too many blocks written to walk their paths: scanning every
+            // block costs what a rebuild would, so scan, and leave the
+            // rebuild to the next read that needs the tree.
+            for block in 0..self.handles.div_ceil(BLOCK) {
+                self.push_due(block, now, due);
+            }
+            return;
+        }
+        self.refresh();
         // Level by level from the top row: `level` holds the due nodes of
         // one level in order, and each keeps its due children for the next.
         let (width, top) = (self.width(), self.top());
@@ -265,18 +275,23 @@ impl WakeQueue {
             std::mem::swap(&mut nodes, &mut next);
         }
         for &node in &nodes {
-            let first = (node as usize - width) * BLOCK;
-            let mut bits = 0_u32;
-            for (j, &wake) in self.wakes[first..first + BLOCK].iter().enumerate() {
-                bits |= u32::from(wake <= now) << j;
-            }
-            while bits != 0 {
-                due.push(WakeHandle((first + bits.trailing_zeros() as usize) as u32));
-                bits &= bits - 1;
-                self.stats.fired += 1;
-            }
+            self.push_due(node as usize - width, now, due);
         }
         self.level = [nodes, next];
+    }
+
+    /// Appends the handles of block `block` due by `now` to `due`, in order.
+    fn push_due(&mut self, block: usize, now: Cycle, due: &mut Vec<WakeHandle>) {
+        let first = block * BLOCK;
+        let mut bits = 0_u32;
+        for (j, &wake) in self.wakes[first..first + BLOCK].iter().enumerate() {
+            bits |= u32::from(wake <= now) << j;
+        }
+        while bits != 0 {
+            due.push(WakeHandle((first + bits.trailing_zeros() as usize) as u32));
+            bits &= bits - 1;
+            self.stats.fired += 1;
+        }
     }
 
     /// Appends every handle due by `now` to `due`, sorted by index,

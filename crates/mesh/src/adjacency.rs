@@ -31,7 +31,7 @@ pub struct LinkTable {
     /// .. out_start[i + 1] as usize` (length `nodes + 1`).
     out_start: Vec<u32>,
     /// The node driving each link, indexed by global link index (the CSR
-    /// offsets inverted, so the event cycle's arrival pass can start from
+    /// offsets inverted, so a cycle's arrival pass can start from
     /// a link handle instead of from its node).
     out_src: Vec<NodeId>,
     /// Output direction of each link, indexed by global link index.

@@ -4,8 +4,8 @@
 //! link and node failures"; this module is the half of that story the chip
 //! cannot provide: a seeded, *scripted* schedule of faults the simulator
 //! applies mid-run. Every fault fires at an exact cycle, before that
-//! cycle's link phase, so every drive mode (stepped and event-driven)
-//! observes it identically — the leap planner clamps its
+//! cycle's link phase, so every drive mode (every chip ticked, or a
+//! leaping `run`) observes it identically — the leap planner clamps its
 //! quiet-span targets to the next agenda op and can therefore never jump
 //! across one.
 //!

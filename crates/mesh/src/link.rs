@@ -670,8 +670,8 @@ impl Link {
     /// continuation, or a credit batch, whichever is earliest; `None` when
     /// the link owes nothing. A run's middle needs no visit: the clock
     /// counts it. [`Link::recv`] insists on being called at the exact
-    /// arrival cycle, so the simulator's leaping mode must never jump past
-    /// this — and until it comes, `recv` and `recv_credit` are both no-ops.
+    /// arrival cycle, so the simulator must never leap past this — and
+    /// until it comes, `recv` and `recv_credit` are both no-ops.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
         (self.next_at != Cycle::MAX).then_some(self.next_at)

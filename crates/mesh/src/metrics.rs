@@ -13,9 +13,10 @@ use rtr_metrics::{CounterId, MetricsRegistry, PhaseProfiler};
 /// the same shape and call sites never need gates.
 #[derive(Debug)]
 pub(crate) struct SimIds {
-    /// `sim.stale_repolls`: what a leaping call's first cycle polls that the
-    /// wake record could not hold: every chip on a fresh build, the busy
-    /// links after stepped cycles, no source (its `due` is its only wake).
+    /// `sim.stale_repolls`: the chips the first cycle polls before their
+    /// tick, because the fresh wake record holds no wake for them: every
+    /// chip, once per simulator (no link, and no source: its `due` is its
+    /// only wake).
     pub stale_repolls: CounterId,
     /// `sim.leaps`: number of quiet spans skipped.
     pub leaps: CounterId,

@@ -1,4 +1,4 @@
-//! The cycle-stepped network simulator.
+//! The network simulator.
 //!
 //! Every simulated cycle runs through one kernel (`Simulator::cycle`):
 //! apply the timed operations due now (faults, then control-plane table
@@ -16,14 +16,12 @@
 //! Every chip's and link's next wake lives in one record, a min-tournament
 //! ([`WakeQueue`]): a handle is due iff its wake is at or before the cycle,
 //! a mark brings a wake forward to the cycle in progress, and a poll sets
-//! it to the answer, so nothing in it is stale and nothing is carried.
-//! Both kinds of cycle pick their chips from it by that one rule. They
-//! differ in how they find links: a stepped cycle (before any leaping call)
-//! sweeps every link and keeps no link wake; an event cycle visits only the
-//! due links, polls each it visited or a chip drove once at its end, and
-//! lets the drive call leap over quiet spans to the record's earliest
-//! wake. The results are bit-identical to ticking every chip on every
-//! cycle.
+//! it to the answer, so nothing in it is stale and nothing is carried. A
+//! cycle reads the due chips and links from it, visits only those links,
+//! and polls each link it visited or a chip drove once at its end; the
+//! drive calls leap over quiet spans to the record's earliest wake. The
+//! results are bit-identical to ticking every chip and visiting every link
+//! on every cycle.
 //!
 //! The simulation is fully deterministic: node order is fixed, all queues
 //! are FIFO, and sources that need randomness own their seeded generators.
@@ -31,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use rtr_events::{QueueStats, WakeHandle, WakeQueue};
-use rtr_metrics::{MetricsRegistry, MetricsSnapshot, Phase, PhaseProfiler, PhaseToken};
+use rtr_metrics::{MetricsRegistry, MetricsSnapshot, Phase, PhaseProfiler};
 use rtr_types::chip::{Chip, ChipIo, WakeStats};
 use rtr_types::control::{ControlCommand, ControlError};
 use rtr_types::ids::{Direction, NodeId, Port};
@@ -45,20 +43,6 @@ use crate::metrics::SimMetrics;
 use crate::source::TrafficSource;
 use crate::stats::{DeliveryLog, OccupancyHistory};
 use crate::topology::Topology;
-
-/// What the wake record knows of the links, which decides the kind of
-/// cycle [`Simulator::step`] runs (DESIGN.md §3.9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LinkWakes {
-    /// No leaping call yet: cycles are stepped, sweep every link and keep
-    /// no link wake.
-    Swept,
-    /// A leaping call came after stepped cycles: the next cycle sweeps
-    /// every link once and files the busy ones' wakes.
-    Unknown,
-    /// Cycles are event cycles, and the record holds every link's wake.
-    Kept,
-}
 
 /// Whether a node's injection queues hold anything — work no chip's
 /// `next_event` describes, so the simulator keeps such a chip due instead.
@@ -153,16 +137,12 @@ pub struct Simulator<C: Chip> {
     /// its last tick (`now + 1` while it has queued injections), brought
     /// forward to the cycle in progress by an arrival, a run of its source,
     /// an agenda op or external mutation; a link's is the next arrival a
-    /// live end must see, kept by event cycles only. A traffic source's
-    /// `due` is its only wake. Empty until the first cycle, or an
-    /// injection before it, allocates it.
+    /// live end must see. A traffic source's `due` is its only wake. Empty
+    /// until the first cycle, or an injection before it, allocates it.
     wakes: WakeQueue,
-    /// What `wakes` knows of the links.
-    links: LinkWakes,
-    /// The handles an event cycle read due as it began, sorted (chips, then
+    /// The handles a cycle read due as it began, sorted (chips, then
     /// links), followed by the links its sends made due: the links it
-    /// visits (unless it sweeps them, after stepped cycles) and polls at
-    /// its end. Empty in a stepped cycle; the next cycle's buffer.
+    /// visits and polls at its end. The next cycle's buffer.
     due: Vec<WakeHandle>,
     /// Chip ticks actually executed (a cycle ticks only the due chips;
     /// leaped cycles execute none).
@@ -281,7 +261,6 @@ impl<C: Chip> Simulator<C> {
             gauge_samples: OccupancyHistory::default(),
             tick_list: Vec::with_capacity(n),
             wakes: WakeQueue::default(),
-            links: LinkWakes::Swept,
             due: Vec::new(),
             ticks_executed: 0,
             unticked: vec![0; n],
@@ -337,22 +316,23 @@ impl<C: Chip> Simulator<C> {
         &mut self.chips[i]
     }
 
-    /// Makes every live chip tick on the next cycle, the first included,
-    /// whatever its wake says: the every-chip reference drive
-    /// (`rtr_bench::churn::DriveMode::EveryChip`) calls it before each
-    /// [`Simulator::step`], so the reference does not lean on the wakes
-    /// or the first cycle's poll it is held against.
+    /// Makes every live chip tick and every link be visited on the next
+    /// cycle, the first included, whatever their wakes say: the every-chip
+    /// reference drive (`rtr_bench::churn::DriveMode::EveryChip`) calls it
+    /// before each [`Simulator::step`], so the reference does not lean on
+    /// the wakes or the first cycle's poll it is held against.
     #[doc(hidden)]
     pub fn wake_every_chip(&mut self) {
         self.allocate_wakes();
-        for i in 0..self.chips.len() {
-            self.mark(i);
+        for handle in 0..self.chips.len() + self.adj.len() {
+            self.mark(handle);
         }
     }
 
     /// Whether the first cycle has run. Before it no chip has been polled
     /// and none needs a mark: the first cycle polls every live chip that
-    /// nothing marked before its tick (`prime`), and reads no link wake.
+    /// nothing marked before its tick (`prime`); no link has a wake yet
+    /// but what a mark gave it.
     fn polled(&self) -> bool {
         self.now > 0
     }
@@ -374,17 +354,16 @@ impl<C: Chip> Simulator<C> {
         self.wakes.mark(WakeHandle(handle as u32), self.now);
     }
 
-    /// Marks chip `i` in the cycle in progress, adding it to an event
-    /// cycle's tick list `list` if the mark made it due (a stepped cycle
-    /// finds it by its scan).
-    fn mark_chip<const EV: bool>(&mut self, i: usize, list: &mut Vec<u32>) {
-        if self.wakes.mark(WakeHandle(i as u32), self.now) && EV {
+    /// Marks chip `i` in the cycle in progress, adding it to the cycle's
+    /// tick list `list` if the mark made it due.
+    fn mark_chip(&mut self, i: usize, list: &mut Vec<u32>) {
+        if self.wakes.mark(WakeHandle(i as u32), self.now) {
             list.push(i as u32);
         }
     }
 
     /// Marks link `li`, which a send changed, adding it to the links the
-    /// event cycle polls at its end (`due`) if the mark made it due.
+    /// cycle polls at its end (`due`) if the mark made it due.
     fn mark_link(&mut self, li: usize) {
         let h = WakeHandle((self.chips.len() + li) as u32);
         if self.wakes.mark(h, self.now) {
@@ -392,10 +371,11 @@ impl<C: Chip> Simulator<C> {
         }
     }
 
-    /// Sets link `li`'s wake to what a poll of it answers.
-    fn poll_link(&mut self, li: usize) {
+    /// Sets link `li`'s wake to what a poll of it answers, and returns it.
+    fn poll_link(&mut self, li: usize) -> Cycle {
         let at = link_wake(&self.adj, &self.crashed, li).unwrap_or(Cycle::MAX);
         self.wakes.set_wake(WakeHandle((self.chips.len() + li) as u32), at);
+        at
     }
 
     /// The delivery log of a node.
@@ -456,12 +436,12 @@ impl<C: Chip> Simulator<C> {
     #[doc(hidden)]
     pub fn set_parallelism(&mut self, _workers: usize) {}
 
-    /// Operation counters of the wake record, or `None` before the first
-    /// leaping call. The record lives as long as the simulator, so the
-    /// counters cover the whole run, stepped cycles before that call too.
+    /// Operation counters of the wake record. The record lives as long as
+    /// the simulator, so the counters cover the whole run (all zero before
+    /// its first cycle).
     #[must_use]
-    pub fn event_core_stats(&self) -> Option<QueueStats> {
-        (self.links != LinkWakes::Swept).then(|| self.wakes.stats())
+    pub fn event_core_stats(&self) -> QueueStats {
+        self.wakes.stats()
     }
 
     /// The merged wake-precision telemetry of every chip that keeps any
@@ -538,9 +518,8 @@ impl<C: Chip> Simulator<C> {
             registry.absorb_counter("wake.polls", wake.polls);
             registry.absorb_counter("wake.short_polls", wake.short_polls);
         }
-        if let Some(queue) = self.event_core_stats() {
-            queue.emit_counters(&mut |name, value| registry.absorb_counter(name, value));
-        }
+        self.event_core_stats()
+            .emit_counters(&mut |name, value| registry.absorb_counter(name, value));
         registry.absorb_counter("sim.ticks_executed", self.ticks_executed);
         registry.absorb_counter("sim.cycles", self.now);
         let faults = self.fault_stats();
@@ -756,9 +735,8 @@ impl<C: Chip> Simulator<C> {
                 }
                 // Crash clears the chip's wake and leaves its links waking
                 // for their live ends alone; restore ticks the chip, and its
-                // links deliver what waited for it this very cycle (a
-                // stepped cycle sweeps them anyway). A source's `due` is its
-                // only wake.
+                // links deliver what waited for it this very cycle. A
+                // source's `due` is its only wake.
                 self.mark(i);
                 for li in out_start..out_end {
                     self.mark(n + li);
@@ -811,10 +789,9 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Chip ticks executed so far (the tick-loop work actually performed).
-    /// Every drive call ticks only the chips that can act — an idle mesh
-    /// ticks each chip once, on its first cycle — and
-    /// [`Simulator::run_leaping`] executes none for leaped cycles, so this
-    /// counter is how tests pin the O(events) claim.
+    /// Every cycle ticks only the chips that can act — an idle mesh ticks
+    /// none — and a leaped cycle executes none, so this counter is how
+    /// tests pin the O(events) claim.
     #[must_use]
     pub fn ticks_executed(&self) -> u64 {
         self.ticks_executed
@@ -859,26 +836,10 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Advances the network by one cycle, ticking only the chips that can
-    /// act in it.
-    ///
-    /// Before the first leaping call the cycle is stepped: it sweeps every
-    /// link. From then on every cycle is an event cycle: it visits only the
-    /// links whose wake is due — the results are bit-identical, and the
-    /// record stays complete for the next leaping call. Both pick the chips
-    /// from the one wake record.
+    /// act in it and visiting only the links whose wake is due.
     pub fn step(&mut self) {
-        self.step_inner();
+        self.cycle();
         self.settle_idle();
-    }
-
-    /// One cycle without the idle settle (public drive calls settle once, at
-    /// their end): stepped before the first leaping call, event after it.
-    fn step_inner(&mut self) {
-        if self.links == LinkWakes::Swept {
-            self.cycle::<false>();
-        } else {
-            self.cycle::<true>();
-        }
     }
 
     /// The step kernel — the one definition of what happens in a cycle:
@@ -888,41 +849,38 @@ impl<C: Chip> Simulator<C> {
     ///    polled;
     /// 2. agenda ops due now apply — faults, then control writes — marking
     ///    what they touch;
-    /// 3. (`EV`) the handles due now are read from the record: the chips,
-    ///    and the links (swept instead if this cycle follows stepped ones);
-    /// 4. links — those read due, else all — deliver arrivals, marking the
-    ///    chips they reach, and sources run, marking their chips
-    ///    (`phase_pre`);
+    /// 3. the handles due now are read from the record: the chips, then
+    ///    the links;
+    /// 4. the links read due deliver arrivals, marking the chips they
+    ///    reach, and sources run, marking their chips (`phase_pre`);
     /// 5. (the first cycle) every live chip nothing marked is polled before
     ///    its tick;
     /// 6. the due live chips tick, in ascending node order, each polled
-    ///    right after its tick; a crashed one's wake is cleared. With `EV`
-    ///    (bar the first cycle) they are the chips read due and those the
-    ///    cycle's marks made due, else a scan of the chips' wakes finds
-    ///    them. Every other chip is provably quiet and its idle accounting
-    ///    is reconciled lazily from `unticked`;
-    /// 7. the ticked chips' driven symbols and credits move onto the links
-    ///    (with `EV`, marking each), their deliveries drain, the clock
-    ///    advances (`phase_post`);
-    /// 8. (`EV`) every link read due or marked is polled, once — or, after
-    ///    stepped cycles, every busy link. No handle is due any more.
+    ///    right after its tick; a crashed one's wake is cleared. They are
+    ///    the chips read due and those the cycle's marks made due (on the
+    ///    first cycle, or with more than an eighth of the chips due, a scan
+    ///    of the chips' wakes finds them). Every other chip is provably
+    ///    quiet and its idle accounting is reconciled lazily from
+    ///    `unticked`;
+    /// 7. the ticked chips' driven symbols and credits move onto the links,
+    ///    marking each, their deliveries drain, the clock advances
+    ///    (`phase_post`);
+    /// 8. every link read due or marked is polled, once. No handle is due
+    ///    any more.
     ///
-    /// `EV = false` compiles the link wakes out.
-    fn cycle<const EV: bool>(&mut self) {
+    /// Returns whether a source run or a poll of the cycle made something
+    /// due on the next one, where no leap can start, so the drive loop
+    /// need not plan one.
+    fn cycle(&mut self) -> bool {
         let now = self.now;
         let n = self.chips.len();
         let t = self.metrics.profiler.start();
         let first = !self.polled();
         self.allocate_wakes();
         self.apply_due();
-        // After stepped cycles the record knows no link wakes, so links are
-        // swept once.
-        let sweep = !EV || self.links == LinkWakes::Unknown;
         self.due.clear();
-        if EV {
-            self.wakes.due(now, &mut self.due);
-        }
-        let t = if EV { self.metrics.profiler.lap(Phase::WheelPop, t) } else { t };
+        self.wakes.due(now, &mut self.due);
+        let t = self.metrics.profiler.lap(Phase::WheelPop, t);
         let mut list = std::mem::take(&mut self.tick_list);
         // Being handed an arrival (`rx`/`credit_in`) makes a chip tick: the
         // last cycle's tick list holds every `ChipIo` left to clear.
@@ -930,70 +888,50 @@ impl<C: Chip> Simulator<C> {
             self.ios[node as usize].begin_cycle();
         }
         list.clear();
-        // An event cycle's tick list: the chips due as the cycle began, and
-        // every chip the cycle makes due before the ticks.
+        // The tick list: the chips due as the cycle began, and every chip
+        // the cycle makes due before the ticks.
         let chips = self.due.partition_point(|h| h.index() < n);
         list.extend(self.due[..chips].iter().map(|h| h.0));
-        self.phase_pre::<EV>(&mut list, (!sweep).then_some(chips));
+        let mut busy = self.phase_pre(&mut list, chips);
         let t = self.metrics.profiler.lap(Phase::LinkPre, t);
         if first {
             self.prime();
-            if EV {
-                self.metrics.registry.inc(self.metrics.ids.stale_repolls, n as u64);
-            }
+            self.metrics.registry.inc(self.metrics.ids.stale_repolls, n as u64);
         }
-        if EV && !first {
-            list.sort_unstable();
-            debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "a chip made due twice");
-        } else {
-            // A stepped cycle, and the first (whose poll made chips due),
-            // scan the chips' wakes after their marks: on a mesh where most
-            // chips act, a scan costs less than sorting what the marks
-            // found.
+        // The first cycle's poll made chips due that no mark listed, and on
+        // a mesh where most chips act a scan of the chips' wakes costs less
+        // than sorting what the marks found: either way the scan finds every
+        // due chip in order.
+        if first || list.len() > n / 8 {
             let wakes = &self.wakes;
             let due = |&h: &u32| wakes.wake_of(WakeHandle(h)).is_some_and(|at| at <= now);
             list.clear();
             list.extend((0..n as u32).filter(due));
+        } else {
+            list.sort_unstable();
+            debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "a chip made due twice");
         }
-        let t = self.tick_chips(now, &mut list, t);
-        self.phase_post::<EV>(now, &list);
+        busy |= self.tick_chips(now, &mut list);
+        let t = self.metrics.profiler.lap(Phase::SerialTick, t);
+        self.phase_post(now, &list);
         self.tick_list = list;
         let t = self.metrics.profiler.lap(Phase::LinkPost, t);
-        if EV {
-            if sweep {
-                // After stepped cycles a link's wake is none, or due if the
-                // agenda marked it: the busy ones file their wakes, and the
-                // due idle ones lose theirs. At mega-mesh scale idle links
-                // vastly outnumber busy ones.
-                let mut busy = 0;
-                for li in 0..self.adj.len() {
-                    let h = WakeHandle((n + li) as u32);
-                    let link_busy = self.adj.link(li).next_event().is_some();
-                    if link_busy || self.wakes.wake_of(h).is_some() {
-                        self.poll_link(li);
-                    }
-                    busy += u64::from(link_busy);
-                }
-                self.metrics.registry.inc(self.metrics.ids.stale_repolls, busy);
-                self.links = LinkWakes::Kept;
-            } else {
-                // Every link the cycle visited or sent on, once.
-                for k in chips..self.due.len() {
-                    self.poll_link(self.due[k].index() - n);
-                }
-            }
-            #[cfg(debug_assertions)]
-            {
-                let next = self.wakes.next_wake();
-                assert!(next.is_none_or(|at| at > now), "a handle is still due after cycle {now}");
-                for li in 0..self.adj.len() {
-                    let wake = self.wakes.wake_of(WakeHandle((n + li) as u32));
-                    let stale = wake != link_wake(&self.adj, &self.crashed, li);
-                    assert!(!stale, "link {li} changed in cycle {now} but was not polled");
-                }
-            }
-            self.metrics.profiler.stop(Phase::Repoll, t);
+        // Every link the cycle visited or sent on, once.
+        for k in chips..self.due.len() {
+            busy |= self.poll_link(self.due[k].index() - n) <= now + 1;
         }
+        #[cfg(debug_assertions)]
+        {
+            let next = self.wakes.next_wake();
+            assert!(next.is_none_or(|at| at > now), "a handle is still due after cycle {now}");
+            for li in 0..self.adj.len() {
+                let wake = self.wakes.wake_of(WakeHandle((n + li) as u32));
+                let stale = wake != link_wake(&self.adj, &self.crashed, li);
+                assert!(!stale, "link {li} changed in cycle {now} but was not polled");
+            }
+        }
+        self.metrics.profiler.stop(Phase::Repoll, t);
+        busy
     }
 
     /// The first cycle polls every live chip nothing marked *before* its
@@ -1021,10 +959,12 @@ impl<C: Chip> Simulator<C> {
 
     /// Ticks the due live chips in `list` (ascending) for cycle `now`, each
     /// polled for its next wake right after its tick; a due crashed chip
-    /// loses its wake (its restore marks it) and leaves the list.
-    fn tick_chips(&mut self, now: Cycle, list: &mut Vec<u32>, t: PhaseToken) -> PhaseToken {
+    /// loses its wake (its restore marks it) and leaves the list. Returns
+    /// whether a poll answered the next cycle.
+    fn tick_chips(&mut self, now: Cycle, list: &mut Vec<u32>) -> bool {
         let (chips, ios, unticked, wakes) =
             (&mut self.chips, &mut self.ios, &mut self.unticked, &mut self.wakes);
+        let mut busy = false;
         #[cfg(debug_assertions)]
         let accounted = &mut self.dbg_accounted;
         list.retain(|&h| {
@@ -1050,11 +990,13 @@ impl<C: Chip> Simulator<C> {
             // end-of-cycle poll would — bar injections still queued, which
             // tick the chip again on the next cycle.
             let at = if injecting(&ios[i]) { Some(now + 1) } else { chip.next_event(now) };
-            wakes.set_wake(WakeHandle(h), at.unwrap_or(Cycle::MAX));
+            let at = at.unwrap_or(Cycle::MAX);
+            wakes.set_wake(WakeHandle(h), at);
+            busy |= at <= now + 1;
             true
         });
         self.ticks_executed += list.len() as u64;
-        self.metrics.profiler.lap(Phase::SerialTick, t)
+        busy
     }
 
     /// Flushes every chip's outstanding lazy idle span. Cycles and leaps
@@ -1095,12 +1037,12 @@ impl<C: Chip> Simulator<C> {
 
     /// Debug-build proof of the activity sets (DESIGN.md §3.11) where a
     /// cycle's full sweeps used to start. Every `ChipIo` is clear, and
-    /// every live chip with queued injections is due. No link the link pass will pass over — its handle is not in
-    /// `due_links` (the handles it visits, sorted; `None` when all links
-    /// are swept), or its `next_at` lies ahead — owes a live end an arrival
-    /// by the queues' own account.
+    /// every live chip with queued injections is due. No link the link pass
+    /// will pass over — its handle is not in `due_links` (the handles it
+    /// visits, sorted), or its `next_at` lies ahead — owes a live end an
+    /// arrival by the queues' own account.
     #[cfg(debug_assertions)]
-    fn dbg_check_activity(&self, due_links: Option<&[WakeHandle]>) {
+    fn dbg_check_activity(&self, due_links: &[WakeHandle]) {
         let (now, n) = (self.now, self.chips.len());
         for (node, io) in self.ios.iter().enumerate() {
             let clear = io.rx.iter().chain(&io.tx).all(Option::is_none)
@@ -1117,35 +1059,31 @@ impl<C: Chip> Simulator<C> {
             let (rx, tx) = live_ends(&self.adj, &self.crashed, li);
             let owes = link.wake(rx, tx).is_some_and(|at| at <= now);
             let polled = link.next_event().is_some_and(|at| at <= now)
-                && due_links.is_none_or(|d| d.binary_search(&WakeHandle((n + li) as u32)).is_ok());
+                && due_links.binary_search(&WakeHandle((n + li) as u32)).is_ok();
             assert!(polled || !owes, "link {li} owes an arrival at {now} but will not be polled");
         }
     }
 
     /// Pre-tick phases of one cycle: link arrivals, and traffic sources.
-    /// With `due_from` the cycle visits the links of `due` from that index
-    /// on; without (a stepped cycle, or the first event cycle after stepped
-    /// ones) it sweeps every link.
+    /// The cycle visits the links of `due` from index `links` on.
     ///
     /// A chip handed symbols or credits, and the chip of every source that
     /// ran, is marked: it ticks in this cycle, and joins `list` if the
-    /// mark made it due.
-    fn phase_pre<const EV: bool>(&mut self, list: &mut Vec<u32>, due_from: Option<usize>) {
+    /// mark made it due. Returns whether a source that ran is due on the
+    /// next cycle.
+    fn phase_pre(&mut self, list: &mut Vec<u32>, links: usize) -> bool {
         let now = self.now;
         let n = self.chips.len();
-        let sweep = due_from.is_none();
-        let first = due_from.unwrap_or(0);
 
         // 1. Link arrivals (data forward, credits backward). A link's wake
         // is the earliest arrival a live end must see (a crash or restore of
-        // either end marks it), so in an event cycle the visit is a no-op on
-        // every link not due. A link writes only its own `rx` and
-        // `credit_in` slots, so the order of the visits is free.
-        let visit = if sweep { self.adj.len() } else { self.due.len() - first };
+        // either end marks it), so the visit would be a no-op on every link
+        // not due. A link writes only its own `rx` and `credit_in` slots, so
+        // the order of the visits is free.
         #[cfg(debug_assertions)]
-        self.dbg_check_activity(due_from.map(|first| &self.due[first..]));
-        for k in 0..visit {
-            let li = if sweep { k } else { self.due[first + k].index() - n };
+        self.dbg_check_activity(&self.due[links..]);
+        for k in links..self.due.len() {
+            let li = self.due[k].index() - n;
             // Nothing due on either wire: a no-op whatever the crash flags
             // say.
             if self.adj.link(li).next_event().is_some_and(|at| at <= now) {
@@ -1162,15 +1100,16 @@ impl<C: Chip> Simulator<C> {
                     let dst = self.adj.dst(li);
                     let rx = dst.node.index();
                     self.ios[rx].rx[Port::Dir(dst.dir).index()] = Some(symbol);
-                    self.mark_chip::<EV>(rx, list);
+                    self.mark_chip(rx, list);
                 }
                 if credits > 0 {
                     self.ios[node].credit_in[Port::Dir(self.adj.dir(li)).index()] += credits;
-                    self.mark_chip::<EV>(node, list);
+                    self.mark_chip(node, list);
                 }
             }
         }
-        self.metrics.registry.inc(self.metrics.ids.link_visits, visit as u64);
+        let visits = self.due.len() - links;
+        self.metrics.registry.inc(self.metrics.ids.link_visits, visits as u64);
 
         // 2. Traffic sources (silent while their node is crashed). A source
         // runs when its own `next_event` answer comes due — the contract
@@ -1180,7 +1119,7 @@ impl<C: Chip> Simulator<C> {
         // than its queues (a misbehaving neighbour returning credits it
         // never freed) is collected as it was when every chip ticked. One
         // that answers `None` never runs again and is retired.
-        let mut exhausted = false;
+        let (mut exhausted, mut busy) = (false, false);
         for (node, source, due) in &mut self.sources {
             let i = node.index();
             if now < *due || self.crashed[i] {
@@ -1189,7 +1128,8 @@ impl<C: Chip> Simulator<C> {
             source.pre_cycle(now, *node, &mut self.ios[i]);
             *due = source.next_event(now).unwrap_or(Cycle::MAX);
             exhausted |= *due == Cycle::MAX;
-            if self.wakes.mark(WakeHandle(i as u32), now) && EV {
+            busy |= *due <= now + 1;
+            if self.wakes.mark(WakeHandle(i as u32), now) {
                 list.push(i as u32);
             }
         }
@@ -1197,14 +1137,15 @@ impl<C: Chip> Simulator<C> {
             let retired = self.sources.extract_if(.., |(_, _, due)| *due == Cycle::MAX);
             self.retired.extend(retired.map(|(_, source, _)| source));
         }
+        busy
     }
 
     /// Post-tick phases of one cycle: symbol/credit collection and
     /// delivery draining over the chips in `list` that just ticked (only a
     /// tick drives, returns credits, or delivers), gauge sampling, and the
-    /// clock advance. With `EV` set, a link that carried a new symbol or
-    /// credit batch is polled for its wake.
-    fn phase_post<const EV: bool>(&mut self, now: Cycle, list: &[u32]) {
+    /// clock advance. A link that carried a new symbol or credit batch is
+    /// marked, so the cycle polls it at its end.
+    fn phase_post(&mut self, now: Cycle, list: &[u32]) {
         self.metrics.registry.inc(self.metrics.ids.io_visits, list.len() as u64);
         // 3. Collect driven symbols and returned credits — walking only
         // the wired outputs and fed inputs via the CSR tables. A chip can
@@ -1223,9 +1164,7 @@ impl<C: Chip> Simulator<C> {
                 let idx = Port::Dir(self.adj.dir(li)).index();
                 if let Some(symbol) = self.ios[node].tx[idx].take() {
                     self.adj.link_mut(li).send(now, symbol);
-                    if EV {
-                        self.mark_link(li);
-                    }
+                    self.mark_link(li);
                 }
             }
             let (fs, fe) = self.adj.in_bounds(node);
@@ -1236,9 +1175,7 @@ impl<C: Chip> Simulator<C> {
                     self.ios[node].credit_out[idx] = 0;
                     let li = self.adj.in_link(fi);
                     self.adj.link_mut(li).send_credit(now, credits);
-                    if EV {
-                        self.mark_link(li);
-                    }
+                    self.mark_link(li);
                 }
             }
             debug_assert!(
@@ -1268,11 +1205,30 @@ impl<C: Chip> Simulator<C> {
         self.now += 1;
     }
 
-    /// Runs for `cycles` cycles, one [`Simulator::step`] at a time: every
-    /// cycle is simulated, but a chip ticks only on the cycles it can act
-    /// in, so a quiet chip costs one compare a cycle.
+    /// Runs for `cycles` cycles. Each cycle ticks only the chips that can
+    /// act in it, and whenever a cycle ends with every component provably
+    /// quiescent, simulated time leaps directly to the earliest next event
+    /// instead of stepping through the silent span one cycle at a time.
+    ///
+    /// The result is **bit-identical** to waking every chip and link before
+    /// each [`Simulator::step`] — delivery logs, statistics, link-usage
+    /// counters, gauge samples (synthesized for leaped cycles), and trace
+    /// timestamps all match — because a chip, link, or traffic source is
+    /// passed over only while it reports (via [`Chip::next_event`],
+    /// [`Link::next_event`], and [`TrafficSource::next_event`]) that nothing
+    /// can change before its wake. See the `event_core` integration tests.
+    ///
+    /// Every chip and link keeps its next-event cycle in one wake record
+    /// and is polled again only when it came due or something marked it,
+    /// so an executed cycle costs wake bookkeeping for the components that
+    /// acted, and a leap decision reads the record's minimum in O(1). An
+    /// idle span of any length costs O(1) bookkeeping instead of
+    /// O(nodes × cycles) chip ticks (see [`Simulator::ticks_executed`]).
+    ///
+    /// [`TrafficSource::next_event`]: crate::source::TrafficSource::next_event
+    /// [`Link::next_event`]: crate::link::Link::next_event
     pub fn run(&mut self, cycles: Cycle) {
-        self.run_until(cycles, |_| false);
+        self.drive(cycles, None::<fn(&Self) -> bool>);
     }
 
     /// Same as [`Simulator::run`]. Kept only for its one caller, the
@@ -1283,8 +1239,16 @@ impl<C: Chip> Simulator<C> {
         self.run(cycles);
     }
 
-    /// If the network is provably quiescent at `self.now` (an event cycle
-    /// or a leap ran last), returns the earliest cycle at which anything
+    /// Same as [`Simulator::run`]. Kept only for its callers in
+    /// `benchmark/src/{workloads,probes}.rs`; ROADMAP 1(d) moves them to
+    /// `run` and deletes it.
+    #[doc(hidden)]
+    pub fn run_leaping(&mut self, cycles: Cycle) {
+        self.run(cycles);
+    }
+
+    /// If the network is provably quiescent at `self.now` (a cycle or a
+    /// leap ran last), returns the earliest cycle at which anything
     /// can happen, clamped to `end`: the earliest wake in the record, read
     /// from its top instead of re-polling every component, and the
     /// earliest source `due`. Returns `None` when something is due now (a
@@ -1313,7 +1277,7 @@ impl<C: Chip> Simulator<C> {
     /// have: gauge samples (every gauge is constant while the network is
     /// quiescent). Without a predicate the span is jumped in one block;
     /// with one it is walked boundary by boundary — every cycle boundary
-    /// gets its predicate evaluation, exactly as stepped execution would —
+    /// gets its predicate evaluation, exactly as a cycle-by-cycle run would —
     /// stopping early (and returning true) where the predicate fires.
     /// Chips are *not* touched either way: their skipped-span accounting
     /// is reconciled lazily from the per-chip `unticked` stamp at their
@@ -1356,99 +1320,34 @@ impl<C: Chip> Simulator<C> {
         fired
     }
 
-    /// Runs until `predicate` returns true (checked after each cycle) or
-    /// `max_cycles` elapse; returns whether the predicate fired.
+    /// Runs until `predicate` returns true or `max_cycles` elapse; returns
+    /// whether the predicate fired. A budget running past [`Cycle::MAX`]
+    /// ends there.
     ///
-    /// Cycles tick only the chips that can act, so a predicate reading
-    /// chip-internal per-cycle counters mid-run sees them settle only at
-    /// the end of the call — the same caveat as
-    /// [`Simulator::run_until_leaping`]. Predicates over simulator-owned
-    /// state (`now`, delivery logs, reports) are exact at every boundary.
-    pub fn run_until(
-        &mut self,
-        max_cycles: Cycle,
-        mut predicate: impl FnMut(&Self) -> bool,
-    ) -> bool {
-        let fired = (0..max_cycles).any(|_| {
-            self.step_inner();
-            predicate(self)
-        });
-        self.settle_idle();
-        fired
-    }
-
-    /// Runs for `cycles` cycles on the event-driven fast path: whenever a
-    /// cycle ends with every component provably quiescent, simulated time
-    /// leaps directly to the earliest next event instead of stepping
-    /// through the silent span one cycle at a time.
-    ///
-    /// The result is **bit-identical** to [`Simulator::run`] over the same
-    /// span — delivery logs, statistics, link-usage counters, gauge samples
-    /// (synthesized for leaped cycles), and trace timestamps all match —
-    /// because a leap is only taken when every chip, link, and traffic
-    /// source reports (via [`Chip::next_event`], [`Link::next_event`], and
-    /// [`TrafficSource::next_event`]) that nothing can change before the
-    /// target cycle. See the `event_core` integration tests.
-    ///
-    /// Every chip and link keeps its next-event cycle in one wake record
-    /// and is polled again only when it came due or something marked it,
-    /// so an executed cycle costs wake bookkeeping for the components that
-    /// acted, and a leap decision reads the record's minimum in O(1).
-    ///
-    /// The payoff is on sparse loads: an idle span of any length costs
-    /// O(1) bookkeeping instead of O(nodes × cycles) chip ticks (see
-    /// [`Simulator::ticks_executed`]).
-    ///
-    /// [`TrafficSource::next_event`]: crate::source::TrafficSource::next_event
-    /// [`Link::next_event`]: crate::link::Link::next_event
-    pub fn run_leaping(&mut self, cycles: Cycle) {
-        self.drive_leaping(cycles, None::<fn(&Self) -> bool>);
-    }
-
-    /// Runs until `predicate` returns true or `max_cycles` elapse, on the
-    /// leaping fast path; returns whether the predicate fired.
-    ///
-    /// The budget and predicate semantics are **identical** to
-    /// [`Simulator::run_until`]: the predicate is evaluated at every cycle
-    /// boundary — including each boundary inside a quiet span — and the
-    /// run stops at the exact same cycle with the same return value. A
-    /// quiet span is walked boundary-by-boundary without ticking chips
-    /// (recording gauge samples where due), so a predicate that becomes
-    /// true mid-leap fires at its true cycle rather than at the span's
-    /// end.
+    /// The predicate is evaluated at every cycle boundary — including each
+    /// boundary inside a quiet span, walked one by one without ticking chips
+    /// (recording gauge samples where due) — so the run stops at the first
+    /// boundary it holds at, the same one a cycle-by-cycle run stops at.
     ///
     /// One caveat, inherent to leaping and sparse ticking: chip-internal
     /// per-cycle counters (e.g. idle-cycle tallies via
     /// [`Chip::skip_quiet`]) settle at the end of the call, *after* the
     /// firing boundary's predicate evaluation. Predicates over
-    /// simulator-owned state (`now`, delivery logs, reports) see exactly
-    /// what stepped execution shows them.
-    pub fn run_until_leaping(
-        &mut self,
-        max_cycles: Cycle,
-        predicate: impl FnMut(&Self) -> bool,
-    ) -> bool {
-        self.drive_leaping(max_cycles, Some(predicate))
+    /// simulator-owned state (`now`, delivery logs, reports) are exact at
+    /// every boundary.
+    pub fn run_until(&mut self, max_cycles: Cycle, predicate: impl FnMut(&Self) -> bool) -> bool {
+        self.drive(max_cycles, Some(predicate))
     }
 
-    /// The leaping drive loop: event cycles while anything is active, a
-    /// leap across every provably quiet span, the idle settle at the end.
-    /// Returns whether `predicate` (checked at every cycle boundary) fired.
-    fn drive_leaping(
-        &mut self,
-        cycles: Cycle,
-        mut predicate: Option<impl FnMut(&Self) -> bool>,
-    ) -> bool {
-        if self.links == LinkWakes::Swept {
-            // From the first leaping call on every cycle is an event cycle.
-            // Stepped cycles before it kept no link wake: the first sweeps.
-            self.links = if self.polled() { LinkWakes::Unknown } else { LinkWakes::Kept };
-        }
-        // Once a cycle has run and the link wakes are kept, the record holds
-        // every wake, and what touched the mesh since marked it or clamps
-        // the plan, so the call may start with a leap.
-        let mut plan = self.links == LinkWakes::Kept && self.polled();
-        let end = self.now + cycles;
+    /// The drive loop: cycles while anything is active, a leap across every
+    /// provably quiet span, the idle settle at the end. Returns whether
+    /// `predicate` (checked at every cycle boundary) fired.
+    fn drive(&mut self, cycles: Cycle, mut predicate: Option<impl FnMut(&Self) -> bool>) -> bool {
+        // Once a cycle has run, the record holds every wake, and what
+        // touched the mesh since marked it or clamps the plan, so the call
+        // may start with a leap.
+        let mut plan = self.polled();
+        let end = self.now.saturating_add(cycles);
         let mut fired = false;
         while !fired && self.now < end {
             if plan {
@@ -1462,9 +1361,10 @@ impl<C: Chip> Simulator<C> {
                     }
                 }
             }
-            self.cycle::<true>();
+            // A cycle that made something due on the next one leaves no
+            // quiet span to plan.
+            plan = !self.cycle();
             fired = predicate.as_mut().is_some_and(|p| p(self));
-            plan = true;
         }
         self.settle_idle();
         fired
@@ -1680,6 +1580,15 @@ mod tests {
         two_node_sim().enable_gauge_sampling(0);
     }
 
+    /// Drives `sim` `cycles` cycles the reference way: every chip ticked and
+    /// every link visited on every cycle.
+    fn run_every_chip(sim: &mut Simulator<RealTimeRouter>, cycles: Cycle) {
+        for _ in 0..cycles {
+            sim.wake_every_chip();
+            sim.step();
+        }
+    }
+
     #[test]
     fn leaping_over_an_idle_mesh_costs_o_events_ticks() {
         // A fully idle network simulated for a million cycles must leap the
@@ -1687,19 +1596,12 @@ mod tests {
         // ticks actually execute — here none: the first cycle polls each
         // chip before its tick, and an idle router answers `None`.
         let mut sim = two_node_sim();
-        sim.run_leaping(1_000_000);
+        sim.run(1_000_000);
         assert_eq!(sim.now(), 1_000_000);
         assert_eq!(sim.ticks_executed(), 0, "an idle mesh ticks nothing");
-        // Stepping pays O(events) too, by the same first-cycle poll.
-        let mut stepped = two_node_sim();
-        stepped.run(1_000);
-        assert_eq!(stepped.ticks_executed(), 0, "an idle stepped mesh ticks nothing");
         // Only waking every chip before each step pays the full bill.
         let mut every = two_node_sim();
-        for _ in 0..1_000 {
-            every.wake_every_chip();
-            every.step();
-        }
+        run_every_chip(&mut every, 1_000);
         assert_eq!(every.ticks_executed(), 2 * 1_000);
         // A table write marks its chip once a cycle has run; before the
         // first, the first cycle's poll stands in for the mark.
@@ -1713,10 +1615,10 @@ mod tests {
     }
 
     #[test]
-    fn a_stepped_idle_mesh_polls_each_chip_once() {
-        // The first stepped cycle polls every chip before its tick, and an
-        // idle router answers `None`, so an idle mesh never ticks — one
-        // poll per chip.
+    fn an_idle_mesh_polls_each_chip_once() {
+        // The first cycle polls every chip before its tick, and an idle
+        // router answers `None`, so an idle mesh never ticks — one poll per
+        // chip, whether the span is leapt or stepped one cycle at a time.
         let mut sim: Simulator<RealTimeRouter> =
             Simulator::build(
                 Topology::mesh(8, 8),
@@ -1724,45 +1626,47 @@ mod tests {
             )
             .unwrap();
         sim.run(10_000);
-        assert_eq!(sim.now(), 10_000);
+        for _ in 0..100 {
+            sim.step();
+        }
+        assert_eq!(sim.now(), 10_100);
         assert_eq!(sim.ticks_executed(), 0);
         for node in sim.topology().nodes() {
             assert_eq!(sim.chip(node).wake_stats().map(|w| w.polls), Some(1), "{node}");
             let idle = sim.chip(node).idle_cycles()[Port::Local.index()];
-            assert_eq!(idle, 10_000, "{node}: the skipped cycles are accounted");
+            assert_eq!(idle, 10_100, "{node}: the skipped cycles are accounted");
         }
     }
 
     #[test]
-    fn leaping_matches_stepping_on_a_one_hop_transfer() {
-        let mut stepped = two_node_sim();
-        let mut leaping = two_node_sim();
-        let dst = stepped.topology().node_at(1, 0);
-        for sim in [&mut stepped, &mut leaping] {
+    fn a_run_matches_the_every_chip_reference_on_a_one_hop_transfer() {
+        let mut every = two_node_sim();
+        let mut sim = two_node_sim();
+        let dst = every.topology().node_at(1, 0);
+        for sim in [&mut every, &mut sim] {
             sim.enable_gauge_sampling(25);
             sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![0x5A; 40], PacketTrace::default()));
         }
-        stepped.run(2000);
-        leaping.run_leaping(2000);
-        assert_eq!(stepped.now(), leaping.now());
-        assert_eq!(stepped.log(dst).be, leaping.log(dst).be);
-        assert_eq!(stepped.gauge_samples().cycles(), leaping.gauge_samples().cycles());
-        // Both kinds of cycle pick the chips by one rule from one record,
-        // so they tick alike; what leaping skips is the quiet tail's cycles,
-        // where the record holds no wake.
-        assert_eq!(leaping.ticks_executed(), stepped.ticks_executed());
-        assert_eq!(leaping.wakes.next_wake(), None, "the quiet tail holds no wake");
+        run_every_chip(&mut every, 2000);
+        sim.run(2000);
+        assert_eq!(every.now(), sim.now());
+        assert_eq!(every.log(dst).be, sim.log(dst).be);
+        assert_eq!(every.gauge_samples().cycles(), sim.gauge_samples().cycles());
+        // The run ticks the chips only where they act, and leaps the quiet
+        // tail, where the record holds no wake.
+        assert!(sim.ticks_executed() * 2 < every.ticks_executed());
+        assert_eq!(sim.wakes.next_wake(), None, "the quiet tail holds no wake");
         #[cfg(feature = "metrics")]
         {
-            let leaped = leaping.metrics_snapshot().counter("sim.leaped_cycles").unwrap_or(0);
+            let leaped = sim.metrics_snapshot().counter("sim.leaped_cycles").unwrap_or(0);
             assert!(leaped > 0, "the quiet tail must be leaped");
         }
         for node in [NodeId(0), dst] {
             assert_eq!(
-                format!("{:?}", stepped.chip(node).stats()),
-                format!("{:?}", leaping.chip(node).stats())
+                format!("{:?}", every.chip(node).stats()),
+                format!("{:?}", sim.chip(node).stats())
             );
-            assert_eq!(stepped.chip(node).idle_cycles(), leaping.chip(node).idle_cycles());
+            assert_eq!(every.chip(node).idle_cycles(), sim.chip(node).idle_cycles());
         }
     }
 
@@ -1775,51 +1679,50 @@ mod tests {
         // mid-stream every link's wake is what a poll of it answers, and
         // once the hop drains no handle has a wake.
         const PACKETS: u64 = 4;
-        let mut stepped = two_node_sim();
-        let mut leaping = two_node_sim();
-        let dst = stepped.topology().node_at(1, 0);
-        leaping.run_leaping(10); // the first cycle is behind us
-        stepped.run(10);
-        let warm = leaping.event_core_stats().expect("leaping keeps the record's counters");
-        let bytes = leaping.wakes.bytes_estimate();
-        for sim in [&mut stepped, &mut leaping] {
+        let mut every = two_node_sim();
+        let mut sim = two_node_sim();
+        let dst = every.topology().node_at(1, 0);
+        sim.run(10); // the first cycle is behind us
+        run_every_chip(&mut every, 10);
+        let warm = sim.event_core_stats();
+        let bytes = sim.wakes.bytes_estimate();
+        for sim in [&mut every, &mut sim] {
             for k in 0..PACKETS {
                 let payload = vec![k as u8; 120];
                 sim.inject_be(NodeId(0), BePacket::new(1, 0, payload, PacketTrace::default()));
             }
         }
-        let ticks = leaping.ticks_executed();
-        leaping.run_leaping(150);
-        let n = leaping.chips.len();
-        assert_eq!(leaping.wakes.next_wake(), Some(leaping.now()), "mid-stream");
-        for li in 0..leaping.adj.len() {
-            let wake = leaping.wakes.wake_of(WakeHandle((n + li) as u32));
-            assert_eq!(wake, link_wake(&leaping.adj, &leaping.crashed, li), "link {li}");
+        let ticks = sim.ticks_executed();
+        sim.run(150);
+        let n = sim.chips.len();
+        assert_eq!(sim.wakes.next_wake(), Some(sim.now()), "mid-stream");
+        for li in 0..sim.adj.len() {
+            let wake = sim.wakes.wake_of(WakeHandle((n + li) as u32));
+            assert_eq!(wake, link_wake(&sim.adj, &sim.crashed, li), "link {li}");
         }
-        stepped.run(2_000);
-        leaping.run_leaping(1_850);
-        assert_eq!(stepped.log(dst).be, leaping.log(dst).be);
-        assert_eq!(leaping.log(dst).be.len(), PACKETS as usize);
-        let ticked = leaping.ticks_executed() - ticks;
+        run_every_chip(&mut every, 2_000);
+        sim.run(1_850);
+        assert_eq!(every.log(dst).be, sim.log(dst).be);
+        assert_eq!(sim.log(dst).be.len(), PACKETS as usize);
+        let ticked = sim.ticks_executed() - ticks;
         assert!(ticked >= 400, "only {ticked} ticks");
         // Each tick was read due and its poll writes its chip's wake; the
         // links' reads and polls add theirs.
-        let after = leaping.event_core_stats().unwrap();
+        let after = sim.event_core_stats();
         let (filed, fired) = (after.filed - warm.filed, after.fired - warm.fired);
         assert!(filed > ticked && fired > ticked, "{filed} filed, {fired} fired, {ticked} ticks");
-        assert_eq!(leaping.wakes.bytes_estimate(), bytes, "the record grew");
-        assert_eq!(leaping.wakes.next_wake(), None, "a drained hop keeps a wake");
+        assert_eq!(sim.wakes.bytes_estimate(), bytes, "the record grew");
+        assert_eq!(sim.wakes.next_wake(), None, "a drained hop keeps a wake");
     }
 
-    /// The first cycle of either kind polls every chip, so the record holds
-    /// every chip's wake when a leaping call follows stepped cycles: its
-    /// one sweep of the links files the busy links' wakes and polls no
-    /// chip that does not tick. Every node of an 8×8 mesh sends a long
-    /// best-effort packet across it; 200 stepped cycles later they are in
-    /// flight.
+    /// The first cycle polls every chip before its tick and counts the
+    /// polls in `sim.stale_repolls`; from then on a chip is polled right
+    /// after each of its ticks and nowhere else, and nothing polls every
+    /// chip again. Every node of an 8×8 mesh sends a long best-effort
+    /// packet across it; 200 cycles later they are in flight.
     #[cfg(feature = "metrics")]
     #[test]
-    fn a_prime_after_stepped_cycles_polls_no_chip() {
+    fn after_the_first_cycle_every_poll_follows_a_tick() {
         let mut sim: Simulator<RealTimeRouter> =
             Simulator::build(
                 Topology::mesh(8, 8),
@@ -1834,17 +1737,32 @@ mod tests {
         }
         sim.run(200);
         let stale = |sim: &Simulator<_>| sim.metrics_snapshot().counter("sim.stale_repolls");
-        assert_eq!(stale(&sim), Some(0), "stepped cycles prime nothing");
+        assert_eq!(stale(&sim), Some(64), "the first cycle polls every chip, once");
         let busy = (0..sim.adj.len()).filter(|&li| sim.adj.link(li).next_event().is_some());
-        let busy = busy.count() as u64;
-        assert!(busy > 0, "nothing in flight");
+        assert!(busy.count() > 0, "nothing in flight");
         let polls = |sim: &Simulator<RealTimeRouter>| -> u64 {
             sim.chips.iter().map(|chip| chip.wake_stats().unwrap().polls).sum()
         };
         let (polled, ticks) = (polls(&sim), sim.ticks_executed());
-        sim.run_leaping(1);
-        assert_eq!(stale(&sim), Some(busy), "the prime files the busy links alone");
+        sim.run(2_000);
+        assert_eq!(stale(&sim), Some(64), "no later cycle polls every chip");
         assert_eq!(polls(&sim) - polled, sim.ticks_executed() - ticks, "one poll per tick");
+    }
+
+    #[test]
+    fn run_until_saturates_the_end_of_its_budget() {
+        // `Cycle::MAX` cycles from cycle 10 run past the clock's range: the
+        // budget ends at `Cycle::MAX`, and the predicate ends the run at
+        // cycle 20, across a quiet span that is leapt boundary by boundary.
+        let mut sim = two_node_sim();
+        sim.run(10);
+        assert!(sim.run_until(Cycle::MAX, |s| s.now() >= 20));
+        assert_eq!(sim.now(), 20);
+        #[cfg(feature = "metrics")]
+        {
+            let leaped = sim.metrics_snapshot().counter("sim.leaped_cycles").unwrap_or(0);
+            assert_eq!(leaped, 20 - 1, "all but the first cycle are leapt");
+        }
     }
 
     /// Queues one best-effort packet for the node at `x + 1` at cycle `.0`.
@@ -1864,7 +1782,7 @@ mod tests {
 
     #[test]
     fn mutation_keeps_a_warm_core_and_its_counters() {
-        // A source registered and a chip written between two leaping calls
+        // A source registered and a chip written between two drive calls
         // run on the next cycle; the wake record is not rebuilt, so its
         // counters cover the whole run and never go down. A source files no
         // wake (its `due` is its only one); the wire is twenty cycles long,
@@ -1876,30 +1794,30 @@ mod tests {
             })
             .unwrap()
         };
-        let (mut leaping, mut stepped) = (latent(), latent());
-        let dst = leaping.topology().node_at(1, 0);
-        for sim in [&mut leaping, &mut stepped] {
+        let (mut sim, mut every) = (latent(), latent());
+        let dst = sim.topology().node_at(1, 0);
+        for sim in [&mut sim, &mut every] {
             sim.add_source(NodeId(0), Box::new(OneShot(100)));
         }
-        leaping.run_leaping(500);
-        stepped.run(500);
-        let warm = leaping.event_core_stats().expect("leaping keeps the record's counters");
-        let bytes = leaping.wakes.bytes_estimate();
+        sim.run(500);
+        run_every_chip(&mut every, 500);
+        let warm = sim.event_core_stats();
+        let bytes = sim.wakes.bytes_estimate();
         assert!(warm.filed > 0 && warm.fired > 0, "{warm:?}");
-        for sim in [&mut leaping, &mut stepped] {
+        for sim in [&mut sim, &mut every] {
             sim.add_source(NodeId(0), Box::new(OneShot(700)));
             sim.chip_mut(dst).set_clock_skew(0);
         }
-        assert_eq!(leaping.event_core_stats(), Some(warm), "mutation kept the core");
-        let ticks = leaping.ticks_executed();
-        leaping.run_leaping(1_500);
-        stepped.run(1_500);
-        let after = leaping.event_core_stats().unwrap();
+        assert_eq!(sim.event_core_stats(), warm, "mutation kept the core");
+        let ticks = sim.ticks_executed();
+        sim.run(1_500);
+        run_every_chip(&mut every, 1_500);
+        let after = sim.event_core_stats();
         assert!(after.filed > warm.filed && after.fired > warm.fired, "{warm:?} → {after:?}");
-        assert_eq!(leaping.wakes.bytes_estimate(), bytes, "the record was not rebuilt");
-        assert!(leaping.ticks_executed() - ticks < 400, "the second call still leaps");
-        assert_eq!(leaping.log(dst).be.len(), 2, "both one-shot packets arrived");
-        assert_eq!(stepped.log(dst).be, leaping.log(dst).be);
+        assert_eq!(sim.wakes.bytes_estimate(), bytes, "the record was not rebuilt");
+        assert!(sim.ticks_executed() - ticks < 400, "the second call still leaps");
+        assert_eq!(sim.log(dst).be.len(), 2, "both one-shot packets arrived");
+        assert_eq!(every.log(dst).be, sim.log(dst).be);
     }
 
     #[test]
@@ -1972,7 +1890,7 @@ mod tests {
                 out_mask: Port::Local.mask(),
             },
         );
-        sim.run_leaping(10_000);
+        sim.run(10_000);
         assert_eq!(sim.now(), 10_000);
         assert_eq!(sim.control_stats().ops_applied, 1);
         assert!(sim.ticks_executed() <= 16, "still leaps: {}", sim.ticks_executed());

@@ -21,8 +21,8 @@ pub trait TrafficSource {
     /// `None` means the source is exhausted and will never inject again.
     ///
     /// The answer is a promise: the simulator does not call `pre_cycle`
-    /// again before that cycle, stepping or leaping (the leaping mode skips
-    /// cycles only when every source's next event is in the future). Sources
+    /// again before that cycle (and leaps over cycles only when every
+    /// source's next event is in the future). Sources
     /// that consult a random-number generator or their injection queue every
     /// cycle must keep the conservative default `Some(now + 1)`, which runs
     /// them cycle by cycle.

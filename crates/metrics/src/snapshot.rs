@@ -15,8 +15,8 @@ use std::fmt::Write as _;
 /// An ordered set of named counter values, frozen at one instant.
 ///
 /// Entries are sorted by name, so two snapshots of equivalent state render
-/// byte-identically — the property the stepped-vs-leaping equivalence test
-/// leans on.
+/// byte-identically — the property the drive-mode equivalence test leans
+/// on.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, ascending by name.

@@ -180,8 +180,8 @@ pub trait Chip {
     /// that pacing ends: the cycle an output frees, the delivery cycle, the
     /// cycle of the injection's last symbol.
     ///
-    /// This is the contract every drive call trusts, stepping and leaping
-    /// alike: the simulator skips every cycle in `(now, next_event)` without
+    /// This is the contract every drive call trusts: the simulator skips
+    /// every cycle in `(now, next_event)` without
     /// ticking the chip unless an input reaches it, and the chip's
     /// observable state (counters patched via [`Chip::skip_quiet`] aside)
     /// must be identical to having ticked through them. Conservative answers
@@ -240,9 +240,9 @@ pub trait Chip {
     /// unified [`MetricsRegistry`] snapshot. The default contributes
     /// nothing.
     ///
-    /// Counters emitted here must be *drive-mode independent*: a stepped
-    /// run and an event-leaping run of the same scenario must report
-    /// byte-identical totals (the metrics-equivalence suite enforces this),
+    /// Counters emitted here must be *drive-mode independent*: a run that
+    /// ticks every chip on every cycle and a leaping run of the same
+    /// scenario must report byte-identical totals (the metrics-equivalence suite enforces this),
     /// so per-poll or per-wake bookkeeping belongs in
     /// [`Chip::wake_stats`], not here.
     ///

@@ -121,7 +121,7 @@ pub fn churn_schedule(config: &ChurnConfig, topo: &Topology) -> Vec<ChurnEvent> 
 /// Confines an inner source to a `[start, stop)` cycle window.
 ///
 /// Outside the window the source is silent and (after `stop`) exhausted,
-/// so the simulator's leaping modes can skip it entirely; before `start`
+/// so the simulator can leap over it entirely; before `start`
 /// its next event is the window opening. The driver uses this to register
 /// a churned channel's sender at build time while the channel itself is
 /// only established mid-run.

@@ -3,9 +3,9 @@
 //!
 //! A seeded [`FaultSchedule`] is part of the simulation's initial state,
 //! so a mid-run link kill, a flaky regime, or a node crash must produce
-//! byte-identical outcomes whether every chip ticks on every cycle, the
-//! mesh is stepped, or it is leapt over the event queue — and neither a
-//! sleeping chip nor the leaper may skip *across* a fault
+//! byte-identical outcomes whether every chip ticks on every cycle or the
+//! mesh is run over the wake record, leaping its quiet spans — and neither
+//! a sleeping chip nor the leaper may skip *across* a fault
 //! epoch (the clamp is load-bearing: a fault applied late would tick
 //! routers against a stale topology).
 
@@ -69,7 +69,7 @@ fn fingerprint(sim: &Simulator<RealTimeRouter>) -> String {
 
 #[test]
 fn dense_and_event_agree_under_chaos() {
-    let [every, stepped, leaping] = DriveMode::ALL.map(|mode| {
+    let [every, run] = DriveMode::ALL.map(|mode| {
         let mut sim = build_chaos_mesh();
         mode.advance(&mut sim, SPAN);
         sim.check_conservation().unwrap();
@@ -80,16 +80,14 @@ fn dense_and_event_agree_under_chaos() {
     let report = |sim: &Simulator<RealTimeRouter>| {
         format!("{:?}", NetworkReport::capture(sim, RouterConfig::default().slot_bytes))
     };
-    for sim in [&stepped, &leaping] {
-        assert_eq!(fingerprint(&every), fingerprint(sim), "a drive mode diverged");
-        assert_eq!(report(&every), report(sim), "network reports diverged");
-        assert!(
-            sim.ticks_executed() * 2 < every.ticks_executed(),
-            "the sparse chaos scenario must still skip quiet chips: {} vs {} ticks",
-            sim.ticks_executed(),
-            every.ticks_executed()
-        );
-    }
+    assert_eq!(fingerprint(&every), fingerprint(&run), "a drive mode diverged");
+    assert_eq!(report(&every), report(&run), "network reports diverged");
+    assert!(
+        run.ticks_executed() * 2 < every.ticks_executed(),
+        "the sparse chaos scenario must still skip quiet chips: {} vs {} ticks",
+        run.ticks_executed(),
+        every.ticks_executed()
+    );
 
     // The chaos really happened: the outage blackholed symbols, the flaky
     // regime corrupted some, the crash aged arrivals into drops.
@@ -118,7 +116,7 @@ fn faults_inside_quiet_spans_fire_at_their_exact_cycle() {
     let span = 12_000;
     let broken = (NodeId(0), Direction::XPlus);
 
-    let [every, stepped, leaping] = DriveMode::ALL.map(|mode| {
+    let [every, leaping] = DriveMode::ALL.map(|mode| {
         let mut sim = build();
         sim.schedule_fault(
             5_555,
@@ -127,15 +125,13 @@ fn faults_inside_quiet_spans_fire_at_their_exact_cycle() {
         mode.advance(&mut sim, span);
         sim
     });
-    for sim in [&stepped, &leaping] {
-        assert_eq!(fingerprint(&every), fingerprint(sim));
-        assert!(
-            sim.ticks_executed() * 2 < every.ticks_executed(),
-            "quiet spans on both sides of the fault must still be skipped: {} vs {}",
-            sim.ticks_executed(),
-            every.ticks_executed()
-        );
-    }
+    assert_eq!(fingerprint(&every), fingerprint(&leaping));
+    assert!(
+        leaping.ticks_executed() * 2 < every.ticks_executed(),
+        "quiet spans on both sides of the fault must still be skipped: {} vs {}",
+        leaping.ticks_executed(),
+        every.ticks_executed()
+    );
     assert_eq!(leaping.downed_links(), vec![broken]);
     // Deliveries stop after the kill: the last arrival predates the fault
     // plus one in-flight packet's worth of slack.
@@ -250,8 +246,8 @@ fn idle_cycles_are_the_alive_cycles_no_byte_used_in_every_mode() {
 /// Symbols already on the wire when their receiver crashes park there: the
 /// link's wake keeps firing for them, nothing drains them while the node is
 /// dark, and the restore's first arrival pass drops every one as a counted
-/// late arrival — on an event cycle that visits only the links whose wake
-/// fired, exactly as on a stepped one that sweeps them all. The link is also
+/// late arrival — on a cycle that visits only the links whose wake fired,
+/// exactly as on the reference's, which visits them all. The link is also
 /// cut while the node is dark, so the restore's flit-buffer refunds for the
 /// half-received best-effort packet land in `credits_lost`.
 #[test]
@@ -283,7 +279,7 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
         sim.check_conservation().unwrap();
         (parked, dropped, fingerprint(&sim), sim.fault_stats())
     };
-    let [every, stepped, leaping] = DriveMode::ALL.map(run);
+    let [every, leaping] = DriveMode::ALL.map(run);
     let (parked, dropped, _, stats) = every.clone();
     assert_eq!(parked.late_arrivals_dropped, 0, "nothing drains a dark node's wire");
     assert!(
@@ -292,7 +288,6 @@ fn stale_arrivals_at_a_crashed_receiver_are_dropped_at_restore_in_every_mode() {
     );
     assert_eq!(stats.late_arrivals_dropped, dropped.late_arrivals_dropped, "and nothing later");
     assert!(stats.credits_lost > 0, "the refunds went down a dead reverse wire: {stats:?}");
-    assert_eq!(every, stepped, "stepping diverged");
     assert_eq!(every, leaping, "leaping diverged");
 }
 
@@ -339,7 +334,7 @@ fn faults_and_table_writes_share_one_agenda() {
         );
         sim
     };
-    // Every chip ticking first (the reference), then stepping and leaping.
+    // Every chip ticking first (the reference), then the leaping run.
     let mut reference: Option<(String, u64)> = None;
     for mode in DriveMode::ALL {
         let mut sim = build();
@@ -414,8 +409,7 @@ fn sources_keep_their_fire_cycles_across_a_crash_and_a_mid_run_registration() {
         let polls = polls.borrow().clone();
         (fired(0), fired(1), polls, fingerprint(&sim))
     };
-    let [every, stepped, leaping] = DriveMode::ALL.map(run);
-    assert_eq!(every, stepped, "stepping diverged");
+    let [every, leaping] = DriveMode::ALL.map(run);
     assert_eq!(every, leaping, "leaping diverged");
     let (row0, row1, polls, _) = every;
     // Row 0: on period until the crash; dark across the fire cycles 1 120 …
@@ -488,7 +482,7 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
         }
         // Ticks executed, and wakes written to the record, span by span.
         let spans = [CRASH - 1, CRASH, CRASH + 1, RESTORE, RESTORE + 1, END].map(|stop| {
-            let filed = |sim: &Simulator<_>| sim.event_core_stats().map_or(0, |s| s.filed);
+            let filed = |sim: &Simulator<_>| sim.event_core_stats().filed;
             let before = (sim.ticks_executed(), filed(&sim), sim.now());
             mode.advance(&mut sim, stop - before.2);
             (sim.ticks_executed() - before.0, filed(&sim) - before.1)
@@ -497,12 +491,11 @@ fn a_chip_carried_into_its_crash_cycle_neither_ticks_nor_blocks_leaps() {
         (spans, fingerprint(&sim))
     };
     let (_, reference) = run(DriveMode::EveryChip, true);
-    assert_eq!(run(DriveMode::Stepped, true).1, reference, "stepping diverged");
     // Undisturbed, the chip ticks on the cycle before CRASH and on CRASH,
     // each tick's poll writing its wake: the next cycle.
-    let (spans, _) = run(DriveMode::Event, false);
+    let (spans, _) = run(DriveMode::Run, false);
     assert_eq!(spans[1..3], [(1, 1), (1, 1)], "not injecting at {CRASH}");
-    let ([_, before, crash, dark, restore, tail], outcome) = run(DriveMode::Event, true);
+    let ([_, before, crash, dark, restore, tail], outcome) = run(DriveMode::Run, true);
     assert_eq!(before, (1, 1), "the chip ticked, and its poll left it due on its crash");
     // The crash clears the chip's wake and marks its two links, polled for
     // their live ends: three writes, no tick.

@@ -7,8 +7,8 @@
 //! while the mesh runs: admission consults the live reservation books and
 //! accepted channels' table writes are timed control ops, so a mid-run
 //! establishment must produce byte-identical outcomes whether every chip
-//! ticks on every cycle, the mesh is stepped, or it is leapt over the event
-//! queue — and neither a sleeping chip nor the leaper may skip *across* a
+//! ticks on every cycle or the mesh is run over the wake record, leaping
+//! its quiet spans — and neither a sleeping chip nor the leaper may skip *across* a
 //! pending table write (a late write would tick routers against stale
 //! tables).
 
@@ -167,19 +167,16 @@ proptest! {
         arrivals in 6usize..12,
     ) {
         let (reference, _) = run_interleaving(seed, arrivals, Mode::EveryChip);
-        for mode in [Mode::Stepped, Mode::Event] {
-            let (fp, _) = run_interleaving(seed, arrivals, mode);
-            prop_assert_eq!(&reference, &fp, "{:?} diverged for seed {:#x}", mode, seed);
-        }
+        let (fp, _) = run_interleaving(seed, arrivals, Mode::Run);
+        prop_assert_eq!(&reference, &fp, "the run diverged for seed {:#x}", seed);
     }
 }
 
 #[test]
 fn the_bench_churn_scenario_agrees_in_every_drive_mode() {
     use rtr_bench::churn::run_churn;
-    let [every, stepped, leaping] = Mode::ALL.map(run_churn);
-    assert_eq!(every, stepped, "stepping diverged");
-    assert_eq!(every, leaping, "leaping diverged");
+    let [every, run] = Mode::ALL.map(run_churn);
+    assert_eq!(every, run, "the run diverged");
 }
 
 #[test]
@@ -189,8 +186,8 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
     // table writes are spread 1 500 cycles apart by an exaggerated write
     // cost, landing mid-slumber. The leaper must split its quiet span at
     // every write epoch (the debug assert in `leap_to` aborts the test
-    // otherwise) and still leap the spans between them, and a stepped run
-    // must wake the written chips there while sleeping through the rest.
+    // otherwise), wake the written chips there, and still leap the spans
+    // between them.
     let config = RouterConfig::default();
     let build = || {
         let topo = Topology::mesh(4, 1);
@@ -210,14 +207,13 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
     };
     let span = 40_000;
 
-    let [(every, reference), (stepped, stepped_fp), (leaping, leaping_fp)] =
-        Mode::ALL.map(|mode| {
-            let (mut sim, engine, _) = build();
-            mode.advance(&mut sim, span);
-            sim.check_conservation().unwrap();
-            let fp = fingerprint(&sim, &engine);
-            (sim, fp)
-        });
+    let [(every, reference), (leaping, leaping_fp)] = Mode::ALL.map(|mode| {
+        let (mut sim, engine, _) = build();
+        mode.advance(&mut sim, span);
+        sim.check_conservation().unwrap();
+        let fp = fingerprint(&sim, &engine);
+        (sim, fp)
+    });
     // Both writes landed even though the run started with empty tables.
     assert_eq!(every.control_stats().ops_applied, 2);
     assert_eq!(
@@ -226,16 +222,13 @@ fn table_writes_inside_quiet_spans_land_at_their_exact_cycle() {
         "rejected control ops: {:?}",
         every.control_rejections()
     );
-    assert_eq!(reference, stepped_fp, "stepping diverged");
     assert_eq!(reference, leaping_fp, "leaping diverged");
-    for sim in [&stepped, &leaping] {
-        assert!(
-            sim.ticks_executed() * 2 < every.ticks_executed(),
-            "the quiet spans between writes must still be skipped: {} vs {} ticks",
-            sim.ticks_executed(),
-            every.ticks_executed()
-        );
-    }
+    assert!(
+        leaping.ticks_executed() * 2 < every.ticks_executed(),
+        "the quiet spans between writes must still be skipped: {} vs {} ticks",
+        leaping.ticks_executed(),
+        every.ticks_executed()
+    );
     let topo = leaping.topology();
     // The channel went live: the writes were applied, not skipped.
     assert!(!leaping.log(topo.node_at(1, 0)).tc.is_empty(), "leaping delivered nothing");

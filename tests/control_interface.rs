@@ -208,7 +208,7 @@ fn rejected_control_ops_are_kept_with_their_reason() {
     let half_range = 1 << (config.clock_bits - 1);
     let horizon = ControlCommand::SetHorizon { port_mask: Port::Local.mask(), horizon: half_range };
     sim.schedule_control(5_000, NodeId(1), horizon);
-    sim.run_leaping(10_000);
+    sim.run(10_000);
     assert_eq!(sim.control_stats().ops_rejected, 21);
     assert_eq!(sim.control_stats().ops_applied, 0);
     let kept = sim.control_rejections();
@@ -221,28 +221,20 @@ fn rejected_control_ops_are_kept_with_their_reason() {
 
 /// A chip with no connection table takes no Table 3 write: the trait's
 /// default refuses it, and a scheduled write on a wormhole mesh is counted
-/// and kept like any other refusal, in both drive modes.
+/// and kept like any other refusal, on the cycle it was scheduled for
+/// inside a span the run would otherwise leap.
 #[test]
 fn a_chip_without_control_registers_refuses_scheduled_writes() {
     use realtime_router::baselines::WormholeRouter;
-    for leaping in [false, true] {
-        let mut sim =
-            Simulator::build(
-                Topology::mesh(2, 1),
-                |_| WormholeRouter::new(RouterConfig::default()),
-            )
+    let mut sim =
+        Simulator::build(Topology::mesh(2, 1), |_| WormholeRouter::new(RouterConfig::default()))
             .unwrap();
-        let clear = ControlCommand::ClearConnection { incoming: ConnectionId(1) };
-        sim.schedule_control(300, NodeId(1), clear);
-        if leaping {
-            sim.run_leaping(1_000);
-        } else {
-            sim.run(1_000);
-        }
-        let stats = sim.control_stats();
-        assert_eq!((stats.ops_applied, stats.ops_rejected), (0, 1), "leaping: {leaping}");
-        assert_eq!(sim.control_rejections(), [(300, NodeId(1), ControlError::Unsupported)]);
-    }
+    let clear = ControlCommand::ClearConnection { incoming: ConnectionId(1) };
+    sim.schedule_control(300, NodeId(1), clear);
+    sim.run(1_000);
+    let stats = sim.control_stats();
+    assert_eq!((stats.ops_applied, stats.ops_rejected), (0, 1));
+    assert_eq!(sim.control_rejections(), [(300, NodeId(1), ControlError::Unsupported)]);
 }
 
 /// The table-routed baselines take teardown through the same control

@@ -1,39 +1,35 @@
 //! Integration: every drive call is bit-identical to ticking every chip.
 //!
-//! The simulator has one step kernel and three ways to drive it
-//! ([`DriveMode`]): every live chip woken before each step (the
-//! reference), plain `run` (stepped cycles that tick only the chips that
-//! can act) and `run_leaping` (event cycles, leaping across quiet spans).
-//! This suite proves all three bit-identical, and `run` and `run_leaping`
-//! tick for tick alike (one rule picks the chips of both kinds of cycle
-//! from one wake record). Every scenario diffs delivery
-//! logs byte-for-byte and the
-//! full `Debug` rendering of [`NetworkReport`]: seeded 8×8 meshes at
-//! sparse, mixed and saturating load and on a latent wire, a packet parked
-//! early behind a horizon, §7 cut-through on both schedulers, a 16×16
-//! mesh whose routers mostly never tick under leaping (and so never build
-//! a datapath), and the wormhole baseline, and the two baselines that keep
-//! the trait's conservative wake leaping from a fresh build. The mid-leap
-//! predicate test locks [`Simulator::run_until_leaping`] to stepped
-//! `run_until` semantics. The conservation test closes the per-node packet
-//! ledger under every drive mode, and the warm-queue tests pin the contract
-//! that the wake record is built once: plain `step`, injection and external
-//! mutation all keep it complete.
+//! The simulator has one step kernel and two ways to drive it
+//! ([`DriveMode`]): every live chip and link woken before each step (the
+//! reference), and `run` (cycles that tick only the chips that can act and
+//! visit only the links that are due, leaping across quiet spans). This
+//! suite proves the two bit-identical. Every scenario diffs delivery logs
+//! byte-for-byte and the full `Debug` rendering of [`NetworkReport`]:
+//! seeded 8×8 meshes at sparse, mixed and saturating load and on a latent
+//! wire, a packet parked early behind a horizon, §7 cut-through on both
+//! schedulers, a 16×16 mesh whose routers mostly never tick under `run`
+//! (and so never build a datapath), and the wormhole baseline, and the two
+//! baselines that keep the trait's conservative wake leaping from a fresh
+//! build. The predicate tests lock [`Simulator::run_until`] to
+//! cycle-by-cycle semantics, mid-leap and at the end of its budget. The
+//! conservation test closes the per-node packet ledger under every drive
+//! mode, and the warm-queue tests pin the contract that the wake record is
+//! built once: plain `step`, injection and external mutation all keep it
+//! complete.
 
 use realtime_router::baselines::{FifoSfRouter, PriorityVcRouter, WormholeRouter};
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::channels::ChannelManager;
 use realtime_router::core::{ControlCommand, Datapath, RealTimeRouter};
-use realtime_router::mesh::{FaultSchedule, NetworkReport, Simulator, Topology, TrafficSource};
+use realtime_router::mesh::{NetworkReport, Simulator, Topology, TrafficSource};
 use realtime_router::types::chip::{Chip, ChipIo};
 use realtime_router::types::config::{RouterConfig, SchedulerKind};
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
 use realtime_router::workloads::be::SizeDist;
 use rtr_bench::churn::DriveMode;
-use rtr_bench::util::{
-    add_one_hop_channel, add_periodic_sender, add_uniform_be, one_packet_line, ONE_HOP_DELAY,
-};
+use rtr_bench::util::{add_one_hop_channel, add_periodic_sender, add_uniform_be, ONE_HOP_DELAY};
 
 /// Builds an 8×8 mesh with four periodic channels and optional BE load.
 fn build_mesh(tc_period_slots: u64, be_rate: f64) -> Simulator<RealTimeRouter> {
@@ -82,55 +78,59 @@ fn drive<C: Chip>(
     sim
 }
 
-/// Runs one scenario in every drive mode and asserts byte-identical
-/// observables. Stepped and event cycles pick their chips by one rule from
-/// one wake record, so `run` and `run_leaping` also tick exactly the same
-/// chips: a leap skips only cycles in which no chip is due. Returns the
-/// runs in [`DriveMode::ALL`] order — the every-chip reference, `run`,
-/// `run_leaping` — for follow-up assertions.
+/// Runs one scenario in both drive modes and asserts byte-identical
+/// observables. Returns the runs in [`DriveMode::ALL`] order — the
+/// every-chip reference, then `run` — for follow-up assertions.
 fn assert_modes_agree<C: Chip>(
     mut build: impl FnMut() -> Simulator<C>,
     cycles: u64,
-) -> [Simulator<C>; 3] {
+) -> [Simulator<C>; 2] {
     let runs = DriveMode::ALL.map(|mode| drive(&mut build, mode, cycles));
     let reference = fingerprint(&runs[0]);
     for (mode, sim) in DriveMode::ALL.iter().zip(&runs) {
         assert_eq!(sim.now(), runs[0].now(), "{mode:?} covered a different span");
         assert_eq!(fingerprint(sim), reference, "{mode:?} vs every chip");
     }
-    assert_eq!(runs[1].ticks_executed(), runs[2].ticks_executed(), "stepped vs event ticks");
     runs
 }
 
 /// Sparse load: long-period channels, no best-effort traffic. The event
-/// queue must leap most cycles and stay byte-identical to stepping.
+/// queue must leap most cycles and stay byte-identical to the reference,
+/// which visits every link on every cycle, whatever the link wakes say.
 #[test]
 fn event_core_equivalence_sparse_load() {
-    let [every, stepped, leaping] = assert_modes_agree(|| build_mesh(64, 0.0), 20_000);
+    let [every, run] = assert_modes_agree(|| build_mesh(64, 0.0), 20_000);
     let tc_total: usize = every.topology().nodes().map(|n| every.log(n).tc.len()).sum();
     assert!(tc_total >= 40, "sparse TC load too light to trust: {tc_total}");
-    for sim in [&stepped, &leaping] {
-        assert!(
-            sim.ticks_executed() * 2 < every.ticks_executed(),
-            "sparse load must skip most node-cycles: {} vs {} ticks",
-            sim.ticks_executed(),
-            every.ticks_executed()
-        );
-    }
-    let stats = leaping.event_core_stats().expect("event core must be live after leaping");
+    assert!(
+        run.ticks_executed() * 2 < every.ticks_executed(),
+        "sparse load must skip most node-cycles: {} vs {} ticks",
+        run.ticks_executed(),
+        every.ticks_executed()
+    );
+    let stats = run.event_core_stats();
     assert!(stats.fired > 0, "wakes must actually fire: {stats:?}");
+    #[cfg(feature = "metrics")]
+    {
+        let topo = every.topology();
+        let wired =
+            |node| Direction::ALL.into_iter().filter(move |&d| topo.link_end(node, d).is_some());
+        let links = topo.nodes().flat_map(wired).count() as u64;
+        let visits = every.metrics_snapshot().counter("sim.link_visits");
+        assert_eq!(visits, Some(links * 20_000), "the reference visits every link every cycle");
+    }
 }
 
 /// Mixed load: period-8 channels plus 5% Bernoulli BE background. Random
-/// sources draw every cycle, so no cycle is leapt, and every cycle of
-/// either kind ticks the chip of each source it ran — every chip, exactly
-/// the every-chip run's ticks — while staying byte-identical.
+/// sources draw every cycle, so no cycle is leapt, and every cycle ticks
+/// the chip of each source it ran — every chip, exactly the every-chip
+/// run's ticks — while staying byte-identical.
 #[test]
 fn event_core_equivalence_mixed_load() {
-    let [every, _, leaping] = assert_modes_agree(|| build_mesh(8, 0.05), 4_000);
+    let [every, run] = assert_modes_agree(|| build_mesh(8, 0.05), 4_000);
     let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 500, "mixed BE load too light to trust: {be_total}");
-    assert_eq!(leaping.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
+    assert_eq!(run.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
     assert_eq!(every.ticks_executed(), 64 * 4_000);
 }
 
@@ -146,23 +146,23 @@ fn event_core_equivalence_saturating_load() {
 /// A zero-latency link's wake is always the next cycle — the three
 /// scenarios above. Three cycles of wire put a fresh arrival further out,
 /// and the link's one wake says so: the record holds a link's next arrival
-/// wherever it lies. All drive modes agree on the latent wire too, and, as
-/// on the direct wire, a random source at every chip ticks every chip on
-/// every cycle of either kind.
+/// wherever it lies. Both drive modes agree on the latent wire too, and,
+/// as on the direct wire, a random source at every chip ticks every chip
+/// on every cycle.
 #[test]
 fn event_core_equivalence_on_a_latent_wire() {
-    let [every, _, leaping] = assert_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
+    let [every, run] = assert_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
     let tc: usize = every.topology().nodes().map(|n| every.log(n).tc.len()).sum();
     let be: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(tc >= 40 && be > 300, "latent-wire load too light to trust: {tc} / {be}");
-    assert_eq!(leaping.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
+    assert_eq!(run.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
     assert_eq!(every.ticks_executed(), 64 * 3_000);
 }
 
-/// A router builds its datapath on its first tick. The first cycle of
-/// either kind polls every chip before its tick and ticks only those that
-/// can act, so stepping and leaping build one only where traffic goes,
-/// while waking every chip builds one at every node. Two channels across a
+/// A router builds its datapath on its first tick. The first cycle polls
+/// every chip before its tick and ticks only those that can act, so `run`
+/// builds one only where traffic goes, while waking every chip builds one
+/// at every node. Two channels across a
 /// 16×16 mesh and one late best-effort packet leave most of the mesh
 /// without one; every run still agrees byte for byte, a router that never
 /// ticked reading as an empty one everywhere the report looks.
@@ -186,61 +186,61 @@ fn a_mostly_pristine_mesh_leaps_like_it_steps() {
         sim.add_source(topo.node_at(15, 0), Box::new(Burst { at: 9_000, packets: 1 }));
         sim
     };
-    let [every, stepped, leaping] = assert_modes_agree(build, 12_000);
+    let [every, run] = assert_modes_agree(build, 12_000);
     let delivered = |sim: &Simulator<RealTimeRouter>| {
         let logs = sim.topology().nodes().map(|n| sim.log(n));
         logs.fold((0, 0), |(tc, be), log| (tc + log.tc.len(), be + log.be.len()))
     };
-    let (tc, be) = delivered(&leaping);
+    let (tc, be) = delivered(&run);
     assert!(tc >= 8 && be == 1, "both channels and the late packet delivered: {tc} / {be}");
     let holders = |sim: &Simulator<RealTimeRouter>| {
         let datapath = std::mem::size_of::<Datapath>();
         sim.topology().nodes().filter(|&n| sim.chip(n).heap_bytes_estimate() >= datapath).count()
     };
     assert_eq!(holders(&every), 256, "every router ticked, and so built its datapath");
-    assert_eq!(holders(&stepped), holders(&leaping), "stepping builds what leaping builds");
-    assert!(holders(&leaping) < 256 / 4, "leaping built {} datapaths", holders(&leaping));
+    assert!(holders(&run) < 256 / 4, "the run built {} datapaths", holders(&run));
 }
 
 /// A predicate that becomes true in the middle of a leapable quiet span
-/// must stop `run_until_leaping` at exactly the cycle stepped `run_until`
-/// stops at — not at the span's end — with identical logs either way.
+/// must stop `run_until` at exactly the cycle a cycle-by-cycle run stops
+/// at — not at the span's end — with the reference's logs, after the ticks
+/// a plain `run` to that cycle executes.
 #[test]
 fn run_until_predicate_fires_mid_leap() {
     // In the sparse mesh, cycle 1_000 sits inside a long quiet span
     // (period-64 channels fire every 1_280 cycles).
     let target = 1_000;
     let budget = 20_000;
-    let mut stepped = build_mesh(64, 0.0);
-    let hit_stepped = stepped.run_until(budget, |s| s.now() >= target);
-    let mut leaping = build_mesh(64, 0.0);
-    let hit_leaping = leaping.run_until_leaping(budget, |s| s.now() >= target);
-    assert_eq!(hit_stepped, hit_leaping, "predicate outcome diverged");
-    assert!(hit_leaping, "the predicate must fire within the budget");
-    assert_eq!(stepped.now(), leaping.now(), "mid-leap predicate must stop at its true cycle");
-    assert_eq!(leaping.now(), target, "s.now() >= {target} first holds at cycle {target}");
-    assert_eq!(fingerprint(&stepped), fingerprint(&leaping));
-    // Both kinds of cycle tick the same chips; what leaping skips is the
-    // quiet prefix's cycles, in which no chip ticks either way.
-    assert_eq!(leaping.ticks_executed(), stepped.ticks_executed());
+    let every = drive(&mut || build_mesh(64, 0.0), DriveMode::EveryChip, target);
+    let mut planned = build_mesh(64, 0.0);
+    planned.run(target);
+    let mut walked = build_mesh(64, 0.0);
+    let hit = walked.run_until(budget, |s| s.now() >= target);
+    assert!(hit, "the predicate must fire within the budget");
+    assert_eq!(walked.now(), every.now(), "mid-leap predicate must stop at its true cycle");
+    assert_eq!(walked.now(), target, "s.now() >= {target} first holds at cycle {target}");
+    assert_eq!(fingerprint(&every), fingerprint(&walked));
+    // Walking the quiet prefix boundary by boundary ticks no chip a leap
+    // across it in one block would not.
+    assert_eq!(walked.ticks_executed(), planned.ticks_executed());
     #[cfg(feature = "metrics")]
     {
-        let leaped = leaping.metrics_snapshot().counter("sim.leaped_cycles").unwrap_or(0);
+        let leaped = walked.metrics_snapshot().counter("sim.leaped_cycles").unwrap_or(0);
         assert!(leaped > 0, "the quiet prefix must still be leaped");
     }
 }
 
-/// Budget semantics must match stepped `run_until` exactly when the
-/// predicate never fires: same `false` result, same final cycle.
+/// Budget semantics must match stepping every chip one cycle at a time
+/// exactly when the predicate never fires: a `false` result, the same
+/// final cycle, the same logs.
 #[test]
 fn run_until_budget_exhaustion_matches_stepped() {
     let budget = 5_000;
-    let mut stepped = build_mesh(64, 0.0);
-    assert!(!stepped.run_until(budget, |_| false));
-    let mut leaping = build_mesh(64, 0.0);
-    assert!(!leaping.run_until_leaping(budget, |_| false));
-    assert_eq!(stepped.now(), leaping.now(), "budget must bound both runs identically");
-    assert_eq!(fingerprint(&stepped), fingerprint(&leaping));
+    let stepped = drive(&mut || build_mesh(64, 0.0), DriveMode::EveryChip, budget);
+    let mut run = build_mesh(64, 0.0);
+    assert!(!run.run_until(budget, |_| false));
+    assert_eq!(stepped.now(), run.now(), "budget must bound both runs identically");
+    assert_eq!(fingerprint(&stepped), fingerprint(&run));
 }
 
 /// The per-node conservation ledger (arrived = buffered + delivered +
@@ -291,7 +291,7 @@ fn one_packet_over_four_hops() -> Simulator<RealTimeRouter> {
 
 /// A time-constrained packet costs each router it crosses a few ticks, not
 /// one per byte: one packet over a 4-hop route (five routers) under
-/// `run_leaping` ticks the routers at most five times each in all — its
+/// `run` ticks the routers at most five times each in all — its
 /// head, its tail, the end of the store latency, its start, the cycle its
 /// output frees (injection and delivery alike) — where ticking through its
 /// 20 bytes on both ends of every hop would take at least 40 per router.
@@ -301,92 +301,60 @@ fn one_packet_over_four_hops() -> Simulator<RealTimeRouter> {
 #[test]
 fn a_packet_costs_its_routers_a_few_ticks_not_one_per_byte() {
     let dst = NodeId(HOPS);
-    let [every, stepped, leaping] = assert_modes_agree(one_packet_over_four_hops, 2_000);
+    let [every, run] = assert_modes_agree(one_packet_over_four_hops, 2_000);
     assert_eq!(every.log(dst).tc.len(), 1);
     for x in 0..HOPS {
-        let ledger = leaping.link_ledger(NodeId(x), Direction::XPlus);
+        let ledger = run.link_ledger(NodeId(x), Direction::XPlus);
         assert_eq!((ledger.symbols_sent, ledger.symbols_delivered), (20, 20), "hop {x}");
     }
     let routers = u64::from(HOPS) + 1;
     assert!(
-        leaping.ticks_executed() <= 5 * routers,
+        run.ticks_executed() <= 5 * routers,
         "{} ticks for one packet over {HOPS} hops",
-        leaping.ticks_executed()
+        run.ticks_executed()
     );
     for x in 0..=HOPS {
         // One poll after each tick, and one in the prime for the four
         // routers no injection reached.
-        let polls = leaping.chip(NodeId(x)).wake_stats().unwrap().polls;
+        let polls = run.chip(NodeId(x)).wake_stats().unwrap().polls;
         assert!(polls <= 6, "router {x} was polled {polls} times");
     }
-    for sim in [&every, &stepped, &leaping] {
+    for sim in [&every, &run] {
         sim.check_conservation().unwrap();
     }
 }
 
-/// Plain `run` pays a packet's routers what leaping does: a stepped cycle
-/// ticks a router only when it can act, so one packet over four hops
-/// ([`one_packet_line`], set up by stepping) costs its five routers at most
-/// the five ticks each that
-/// [`a_packet_costs_its_routers_a_few_ticks_not_one_per_byte`] allows under
-/// leaping, over 2 000 stepped cycles where ticking every chip costs each
-/// router 2 000.
-#[test]
-fn a_packet_costs_its_routers_a_few_ticks_under_plain_run_too() {
-    let mut sim = one_packet_line(HOPS, FaultSchedule::new(), DriveMode::Stepped);
-    let polls =
-        |sim: &Simulator<RealTimeRouter>, x| sim.chip(NodeId(x)).wake_stats().unwrap().polls;
-    let before: Vec<u64> = (0..=HOPS).map(|x| polls(&sim, x)).collect();
-    let ticks = sim.ticks_executed();
-    sim.run(2_000);
-    assert_eq!(sim.log(NodeId(HOPS)).tc.len(), 1);
-    let routers = u64::from(HOPS) + 1;
-    let ticks = sim.ticks_executed() - ticks;
-    assert!(ticks <= 5 * routers, "{ticks} ticks for one packet over {HOPS} hops");
-    for x in 0..=HOPS {
-        // A stepped cycle polls a router right after each tick, bar a tick
-        // that leaves an injection queued, and nowhere else.
-        let polled = polls(&sim, x) - before[usize::from(x)];
-        assert!(polled <= 5, "router {x} was polled {polled} times");
-    }
-}
-
-/// Interleaving plain `run` between leaping runs must keep the event queue
-/// warm (no teardown, no re-poll storm) and stay byte-identical to a pure
-/// stepped run and to ticking every chip: plain `step` drives the live
-/// queue. Nothing else stales it
-/// either — `chip_mut` and `add_source` make what they touch due on the
-/// next cycle — so the links are swept at most once per simulator.
+/// Plain `step` calls between two runs keep the wake record warm (no
+/// rebuild, no re-poll storm): each is one cycle of the one kernel, which
+/// reads and writes the live record. Nothing else stales it either —
+/// `chip_mut` and `add_source` make what they touch due on the next
+/// cycle — so the result stays byte-identical to ticking every chip, and
+/// the runs on either side still leap their quiet spans.
 #[test]
 fn plain_stepping_keeps_event_queue_warm() {
-    let mut cold = build_mesh(64, 0.0);
-    cold.run(2_000);
-    assert!(
-        cold.event_core_stats().is_none(),
-        "a never-leaped sim must not have built the event core"
-    );
-
     let mut interleaved = build_mesh(64, 0.0);
-    interleaved.run_leaping(6_000);
-    assert!(interleaved.event_core_stats().is_some(), "leaping must build the queue");
-    interleaved.run(6_000); // plain stepped segment in the middle
-    assert!(
-        interleaved.event_core_stats().is_some(),
-        "plain stepping must keep the primed queue warm, not tear it down"
-    );
-    interleaved.run_leaping(8_000);
-
-    let mut stepped = build_mesh(64, 0.0);
-    stepped.run(20_000);
-    let every = drive(&mut || build_mesh(64, 0.0), DriveMode::EveryChip, 20_000);
-    assert_eq!(stepped.now(), interleaved.now());
-    for sim in [&stepped, &interleaved] {
-        assert_eq!(fingerprint(&every), fingerprint(sim), "every chip vs stepped / interleave");
+    interleaved.run(6_000);
+    let warm = interleaved.event_core_stats();
+    assert!(warm.fired > 0, "the run filled the record: {warm:?}");
+    for _ in 0..6_000 {
+        interleaved.step(); // a plain stepped segment in the middle
     }
+    let stepped = interleaved.event_core_stats();
+    assert!(stepped.filed > warm.filed, "plain stepping wrote to the same record");
+    interleaved.run(8_000);
+
+    let every = drive(&mut || build_mesh(64, 0.0), DriveMode::EveryChip, 20_000);
+    assert_eq!(every.now(), interleaved.now());
+    assert_eq!(fingerprint(&every), fingerprint(&interleaved), "every chip vs interleave");
     assert!(
         interleaved.ticks_executed() * 2 < every.ticks_executed(),
-        "the leaping segments must still skip quiet cycles"
+        "stepping and leaping must still skip quiet chips"
     );
+    #[cfg(feature = "metrics")]
+    {
+        let stale = interleaved.metrics_snapshot().counter("sim.stale_repolls");
+        assert_eq!(stale, Some(64), "only the first cycle polls every chip");
+    }
 }
 
 /// Queues `packets` best-effort packets two hops west at cycle `at`;
@@ -411,17 +379,16 @@ impl TrafficSource for Burst {
 
 /// Packets queued for injection live in simulator-owned queues no chip's
 /// `next_event` describes, so a live chip with a queued packet stays due,
-/// and the event cycle finds it in the wake record, not by scanning the
+/// and the cycle finds it in the wake record, not by scanning the
 /// mesh. Injecting from outside (`inject_tc` / `inject_be`) between two
 /// drive calls must neither stale the record nor go unnoticed by it, and
 /// neither may a `chip_mut` write that releases a parked packet; a backlog
-/// a *stepped* cycle's source left behind must be picked up by the first
-/// event cycle, and the result stays byte-identical to ticking every chip.
+/// a source left behind at the end of one drive call must be picked up by
+/// the next, and the result stays byte-identical to ticking every chip.
 #[test]
 fn injection_on_a_warm_core_is_seen() {
     let conn = ConnectionId(40);
     let drive = |mode: DriveMode| {
-        let leaping = mode == DriveMode::Event;
         let mut sim = build_mesh(64, 0.0);
         let topo = sim.topology().clone();
         // A routed one-hop connection without a source of its own, on a row
@@ -437,10 +404,10 @@ fn injection_on_a_warm_core_is_seen() {
                 })
                 .unwrap();
         }
-        // The burst lands in a stepped cycle (no core yet) and is still
-        // draining when the core is primed.
+        // The burst lands in one drive call and is still draining when the
+        // next begins.
         sim.add_source(topo.node_at(6, 1), Box::new(Burst { at: 40, packets: 3 }));
-        sim.run(45);
+        mode.advance(&mut sim, 45);
         mode.advance(&mut sim, 2_955);
         let warm = sim.event_core_stats();
 
@@ -458,11 +425,7 @@ fn injection_on_a_warm_core_is_seen() {
         );
         let be_src = topo.node_at(4, 4);
         sim.inject_be(be_src, BePacket::new(2, 1, vec![0xBE; 24], PacketTrace::default()));
-        if leaping {
-            let warm = warm.expect("leaping built the core");
-            let now = sim.event_core_stats().expect("injection must not stale the core");
-            assert_eq!(warm, now);
-        }
+        assert_eq!(sim.event_core_stats(), warm, "injection must not stale the core");
         mode.advance(&mut sim, 200);
         // Widening the horizon releases the parked packet at once: the chip
         // must tick on the next cycle, not at the wake it filed before.
@@ -473,13 +436,10 @@ fn injection_on_a_warm_core_is_seen() {
             .unwrap();
         assert_eq!(sim.event_core_stats(), before, "a chip_mut write keeps the core");
         mode.advance(&mut sim, 2_800);
-        if leaping {
-            // Still the same queue: a re-prime would have started its
-            // counters from zero.
-            let after = sim.event_core_stats().unwrap();
-            let warm = warm.unwrap();
-            assert!(after.filed > warm.filed && after.fired > warm.fired, "{warm:?} → {after:?}");
-        }
+        // Still the same queue: a re-prime would have started its counters
+        // from zero.
+        let after = sim.event_core_stats();
+        assert!(after.filed > warm.filed && after.fired > warm.fired, "{warm:?} → {after:?}");
         assert_eq!(sim.log(dst).tc.len(), 1, "the injected TC packet arrived");
         let early = sim.chip(src).stats().tc_early_transmitted[Port::Dir(Direction::XPlus).index()];
         assert_eq!(early, 1, "the widened horizon sent the parked packet early");
@@ -487,16 +447,14 @@ fn injection_on_a_warm_core_is_seen() {
         assert_eq!(sim.log(topo.node_at(4, 1)).be.len(), 3, "the dense-queued burst arrived");
         sim
     };
-    let [every, stepped, leaping] = DriveMode::ALL.map(drive);
-    for sim in [&stepped, &leaping] {
-        assert_eq!(fingerprint(&every), fingerprint(sim));
-        assert!(
-            sim.ticks_executed() * 2 < every.ticks_executed(),
-            "both spans must still skip quiet chips: {} vs {} ticks",
-            sim.ticks_executed(),
-            every.ticks_executed()
-        );
-    }
+    let [every, run] = DriveMode::ALL.map(drive);
+    assert_eq!(fingerprint(&every), fingerprint(&run));
+    assert!(
+        run.ticks_executed() * 2 < every.ticks_executed(),
+        "the run must still skip quiet chips: {} vs {} ticks",
+        run.ticks_executed(),
+        every.ticks_executed()
+    );
 }
 
 /// Horizon-limited early traffic: a packet whose logical arrival is far in
@@ -546,17 +504,15 @@ fn leaping_equivalence_horizon_limited_early_tc() {
         );
         sim
     };
-    let [every, stepped, leaping] = assert_modes_agree(build, 6_000);
+    let [every, run] = assert_modes_agree(build, 6_000);
     let dst = every.topology().node_at(1, 0);
     assert_eq!(every.log(dst).tc.len(), 1, "the parked packet must arrive");
-    for sim in [&stepped, &leaping] {
-        assert!(
-            sim.ticks_executed() * 2 < every.ticks_executed(),
-            "the early-parked span must be slept through: {} vs {} ticks",
-            sim.ticks_executed(),
-            every.ticks_executed()
-        );
-    }
+    assert!(
+        run.ticks_executed() * 2 < every.ticks_executed(),
+        "the early-parked span must be slept through: {} vs {} ticks",
+        run.ticks_executed(),
+        every.ticks_executed()
+    );
 }
 
 /// The `extensions_compose` mesh — 4×4, three multi-hop channels, §7
@@ -588,20 +544,17 @@ fn cut_through_mesh(scheduler: SchedulerKind, be_rate: f64) -> Simulator<RealTim
 fn cut_through_leaps_like_it_steps() {
     for scheduler in [SchedulerKind::ComparatorTree, SchedulerKind::Banded { band_shift: 1 }] {
         for be_rate in [0.0, 0.05] {
-            let [every, stepped, leaping] =
-                assert_modes_agree(|| cut_through_mesh(scheduler, be_rate), 40_000);
+            let [every, run] = assert_modes_agree(|| cut_through_mesh(scheduler, be_rate), 40_000);
             let topo = every.topology();
             let cut: u64 = topo.nodes().map(|n| every.chip(n).stats().tc_cut_through).sum();
             assert!(cut > 0, "{scheduler:?} at BE {be_rate}: no packet cut through");
             if be_rate == 0.0 {
-                for sim in [&stepped, &leaping] {
-                    assert!(
-                        sim.ticks_executed() * 2 < every.ticks_executed(),
-                        "{scheduler:?}: a quiet cut-through mesh must sleep: {} vs {} ticks",
-                        sim.ticks_executed(),
-                        every.ticks_executed()
-                    );
-                }
+                assert!(
+                    run.ticks_executed() * 2 < every.ticks_executed(),
+                    "{scheduler:?}: a quiet cut-through mesh must sleep: {} vs {} ticks",
+                    run.ticks_executed(),
+                    every.ticks_executed()
+                );
             }
         }
     }
@@ -615,7 +568,7 @@ fn cut_through_leaps_like_it_steps() {
 /// to the prime's pre-tick poll.
 #[test]
 fn baselines_leap_like_they_step() {
-    let [every, stepped, leaping] =
+    let [every, run] =
         assert_modes_agree(|| rtr_bench::baseline_compare::wormhole_sim(0.2), 10_000);
     // Every baseline counter is event-based, so — unlike the real-time
     // router's `sched.key_computations` work counter — all of them match.
@@ -625,23 +578,21 @@ fn baselines_leap_like_they_step() {
         seen
     };
     for node in every.topology().nodes() {
-        for sim in [&stepped, &leaping] {
-            assert_eq!(counters(&every, node), counters(sim, node), "counters at {node}");
-        }
+        assert_eq!(counters(&every, node), counters(&run, node), "counters at {node}");
     }
     let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 500, "the scenario must carry traffic: {be_total} packets");
     // Its background sources draw at every chip on every cycle, and a
-    // cycle of either kind ticks the chip of each source it ran.
-    assert_eq!(leaping.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
+    // cycle ticks the chip of each source it ran.
+    assert_eq!(run.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
 }
 
 /// The first cycle polls each chip *before* its first tick, and an answer
 /// by the next cycle ticks it. The store-and-forward and
 /// priority-VC baselines keep the trait's conservative `next_event`
 /// (`now + 1`), so every one of them ticks on every cycle from the first —
-/// the stepped and event runs tick every chip in all but name and must
-/// match the reference byte for byte, with a packet queued before cycle 0,
+/// `run` ticks every chip in all but name and must match the reference
+/// byte for byte, with a packet queued before cycle 0,
 /// seeded background load and a burst that sleeps in the wake queue.
 #[test]
 fn conservative_chips_leap_from_a_fresh_build() {
@@ -655,16 +606,14 @@ fn conservative_chips_leap_from_a_fresh_build() {
         sim
     }
     fn check<C: Chip>(make: impl Fn() -> C) {
-        let [every, stepped, leaping] = assert_modes_agree(|| loaded(&make), 3_000);
+        let [every, run] = assert_modes_agree(|| loaded(&make), 3_000);
         let delivered: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
         assert!(delivered > 30, "the mesh must carry traffic: {delivered} packets");
-        for sim in [&stepped, &leaping] {
-            assert_eq!(
-                sim.ticks_executed(),
-                every.ticks_executed(),
-                "a chip that always answers the next cycle ticks on every cycle"
-            );
-        }
+        assert_eq!(
+            run.ticks_executed(),
+            every.ticks_executed(),
+            "a chip that always answers the next cycle ticks on every cycle"
+        );
     }
     let config = RouterConfig::default();
     check(|| FifoSfRouter::new(config.clone()).unwrap());

@@ -102,7 +102,7 @@ fn a_tc_route_may_be_longer_than_the_be_header_allows() {
     for packet in sender.make_message(0, &vec![7; config.tc_data_bytes()]) {
         sim.inject_tc(src, packet);
     }
-    sim.run_leaping(200 * 8 * config.slot_bytes as u64);
+    sim.run(200 * 8 * config.slot_bytes as u64);
     assert_eq!(sim.log(dst).tc.len(), 1);
     assert_eq!(sim.log(dst).tc_deadline_misses(config.slot_bytes), 0);
 }
@@ -116,7 +116,7 @@ fn mega_mesh_builds_and_ticks() {
     let table = LinkTable::build(sim.topology(), 0);
     assert_eq!(table.len(), expected_links);
     // An idle mega-mesh leaps through time without executing node ticks.
-    sim.run_leaping(1_000);
+    sim.run(1_000);
     assert_eq!(sim.now(), 1_000);
     assert!(
         sim.ticks_executed() <= 65_536,
@@ -150,7 +150,7 @@ fn bytes_per_node_stays_under_the_ceiling() {
     // traffic and allocates behind them by what they buffered and the
     // table rows they were written: 1 327 bytes/node measured.
     let mut sim = periodic_mesh(64, 64, 512);
-    sim.run_leaping(20_000);
+    sim.run(20_000);
     let driven = sim.bytes_per_node();
     assert!(driven <= 1_393, "driven mesh costs {driven} bytes/node, ceiling 1 393");
 }
@@ -230,7 +230,7 @@ fn only_routers_that_ticked_hold_a_datapath() {
     for (i, channel) in channels.iter().enumerate() {
         add_periodic_sender(&mut sim, channel, 256, i as u64, i as u8);
     }
-    sim.run_leaping(8_000);
+    sim.run(8_000);
     let mut carried = std::collections::HashSet::new();
     for channel in &channels {
         let dst = channel.request.destinations[0];
@@ -294,7 +294,7 @@ fn manager_books_cost_only_the_nodes_channels_cross() {
     println!("{} booked nodes: {live} B live, {drained} B after teardown", crossed.len());
 }
 
-/// An event cycle costs what happened in it, not the mesh around it: the
+/// A cycle costs what happened in it, not the mesh around it: the
 /// same eight three-hop periodic channels poll the same number of links for
 /// arrivals and walk the same number of `ChipIo`s on 16×16 as on 64×64 —
 /// the prime cycle of a fresh build included, which polls every chip but
@@ -317,27 +317,18 @@ fn event_cycle_work_is_flat_in_mesh_size() {
             let snapshot = sim.metrics_snapshot();
             ["sim.link_visits", "sim.io_visits"].map(|name| snapshot.counter(name).unwrap())
         };
-        sim.run_leaping(1);
+        sim.run(1);
         let prime = visits(&sim);
-        sim.run_leaping(20_000);
+        sim.run(20_000);
         let delivered: usize = topo.nodes().map(|n| sim.log(n).tc.len()).sum();
         assert!(delivered >= 8 * 14, "the channels carried traffic: {delivered}");
         // The prime polls every chip once and no source (a source's `due`
-        // is its only wake) or idle link, and nothing re-primes mid-run:
-        // the whole run's stale-repoll bill is one prime, not a per-leap
-        // sweep of the mesh.
-        let active = topo
-            .nodes()
-            .flat_map(|node| Direction::ALL.map(|dir| sim.link_usage(node, dir)))
-            .filter(|usage| usage.tc_symbols + usage.be_symbols > 0)
-            .count() as u64;
+        // is its only wake) or link, and nothing re-primes mid-run: the
+        // whole run's stale-repoll bill is one prime, not a per-leap sweep
+        // of the mesh.
         let nodes = u64::from(side) * u64::from(side);
         let stale = sim.metrics_snapshot().counter("sim.stale_repolls").unwrap();
-        assert!(
-            stale <= nodes + active,
-            "{side}×{side}: {stale} stale re-polls, one prime of {nodes} chips \
-             and {active} active links allowed"
-        );
+        assert_eq!(stale, nodes, "{side}×{side}: one prime of {nodes} chips allowed");
         let [links, ios] = visits(&sim);
         [prime, [links - prime[0], ios - prime[1]]]
     };

@@ -6,8 +6,8 @@
 //! byte-identically whichever drive mode ran a scenario — observability
 //! must not see drive-mode artifacts — while work counters (scheduler key
 //! computations) shrink when quiet chips are skipped, never grow. The
-//! profiler test checks wall-clock attribution lands in the phases each
-//! drive mode actually executes.
+//! profiler test checks wall-clock attribution lands in the phases a run
+//! actually executes.
 #![cfg(feature = "metrics")]
 
 use realtime_router::core::RealTimeRouter;
@@ -37,7 +37,7 @@ fn build_mesh(tc_period_slots: u64, be_rate: f64) -> Simulator<RealTimeRouter> {
 #[test]
 fn datapath_counters_are_drive_mode_independent() {
     for (period, be_rate, cycles) in [(64, 0.0, 10_000), (8, 0.05, 3_000)] {
-        let [every, stepped, leaping] = DriveMode::ALL.map(|mode| {
+        let [every, leaping] = DriveMode::ALL.map(|mode| {
             let mut sim = build_mesh(period, be_rate);
             mode.advance(&mut sim, cycles);
             sim.metrics_snapshot()
@@ -49,16 +49,14 @@ fn datapath_counters_are_drive_mode_independent() {
         // every-chip run's — while delivering the identical ledger.
         let keys = every.counter("sched.key_computations").unwrap_or(0);
         assert!(keys > 0, "the tree scheduler must have computed keys");
-        for (mode, snap) in [("stepped", &stepped), ("leaping", &leaping)] {
-            assert_eq!(
-                reference,
-                snap.filter_prefix("router.").to_jsonl(cycles),
-                "router. counters diverged between every chip and {mode} \
-                 (period {period}, be {be_rate})"
-            );
-            let skipped = snap.counter("sched.key_computations").unwrap_or(0);
-            assert!(keys >= skipped, "{mode} did more scheduler work: {skipped} vs {keys}");
-        }
+        assert_eq!(
+            reference,
+            leaping.filter_prefix("router.").to_jsonl(cycles),
+            "router. counters diverged between every chip and the run \
+             (period {period}, be {be_rate})"
+        );
+        let skipped = leaping.counter("sched.key_computations").unwrap_or(0);
+        assert!(keys >= skipped, "the run did more scheduler work: {skipped} vs {keys}");
         // Wake accounting: every answer is written to the one record, next
         // cycle or not. A tick's poll always changes its chip's wake (it was
         // due), so the filed wakes cover every chip poll but the first
@@ -80,21 +78,23 @@ fn datapath_counters_are_drive_mode_independent() {
     }
 }
 
-/// Interleaving plain stepping between leaping runs must not re-prime the
-/// event queue: `sim.stale_repolls` counts the priming passes, and a warm
-/// queue adds none.
+/// Interleaving plain steps between runs must not re-prime the wake
+/// record: `sim.stale_repolls` counts the first cycle's poll of every chip,
+/// and a warm record adds none.
 #[test]
 fn warm_queue_adds_no_stale_repolls() {
     let mut sim = build_mesh(64, 0.0);
-    sim.run_leaping(2_000);
-    let after_prime = sim.metrics_snapshot().counter("sim.stale_repolls").unwrap_or(0);
-    assert!(after_prime > 0, "the first leaping call must prime (and count) the queue");
     sim.run(2_000);
-    sim.run_leaping(2_000);
+    let after_prime = sim.metrics_snapshot().counter("sim.stale_repolls").unwrap_or(0);
+    assert_eq!(after_prime, 4 * 4, "the first cycle must prime (and count) every chip");
+    for _ in 0..2_000 {
+        sim.step();
+    }
+    sim.run(2_000);
     let after_interleave = sim.metrics_snapshot().counter("sim.stale_repolls").unwrap_or(0);
     assert_eq!(
         after_prime, after_interleave,
-        "plain stepping kept the queue warm, so no re-prime may happen"
+        "plain stepping kept the record warm, so no re-prime may happen"
     );
 }
 
@@ -121,9 +121,9 @@ fn an_overdue_source_on_a_crashed_node_does_not_stop_leaps() {
     let leaped = |sim: &Simulator<RealTimeRouter>| {
         sim.metrics_snapshot().counter("sim.leaped_cycles").unwrap_or(0)
     };
-    sim.run_leaping(CRASH);
+    sim.run(CRASH);
     let before = leaped(&sim);
-    sim.run_leaping(RESTORE - CRASH);
+    sim.run(RESTORE - CRASH);
     let dark = leaped(&sim) - before;
     assert!(
         dark >= (RESTORE - CRASH) * 9 / 10,
@@ -137,20 +137,20 @@ fn leaped(sim: &Simulator<RealTimeRouter>) -> u64 {
     sim.metrics_snapshot().counter("sim.leaped_cycles").unwrap_or(0)
 }
 
-/// A leaping call on a warm core past its prime plans before it steps: on
-/// a mesh with nothing to do, a second `run_leaping` call leaps all of its
-/// cycles, where running one event cycle first would leap one fewer.
+/// A drive call on a warm core past its prime plans before it steps: on a
+/// mesh with nothing to do, a second `run` call leaps all of its cycles,
+/// where running one cycle first would leap one fewer.
 #[test]
 fn a_leaping_call_on_a_quiet_mesh_starts_with_a_leap() {
     let config = RouterConfig::default();
     let mut quiet =
         Simulator::build(Topology::mesh(4, 4), |_| RealTimeRouter::new(config.clone())).unwrap();
-    quiet.run_leaping(1_000);
+    quiet.run(1_000);
     let before = leaped(&quiet);
-    quiet.run_leaping(1_000);
+    quiet.run(1_000);
     assert_eq!(leaped(&quiet) - before, 1_000, "the second call ran a cycle before leaping");
     let ticks = quiet.ticks_executed();
-    quiet.run_leaping(1_000);
+    quiet.run(1_000);
     assert_eq!(quiet.ticks_executed(), ticks, "a quiet mesh ticks nothing");
 }
 
@@ -169,10 +169,10 @@ fn a_link_into_a_crashed_node_does_not_stop_leaps() {
     const CRASH: u64 = ONE_PACKET_HEAD + 5;
     const RESTORE: u64 = CRASH + 2_000;
     let faults = FaultSchedule::new().node_crash(CRASH, NodeId(1)).node_restore(RESTORE, NodeId(1));
-    let mut sim = one_packet_line(1, faults, DriveMode::Event);
-    sim.run_leaping(CRASH - sim.now());
+    let mut sim = one_packet_line(1, faults, DriveMode::Run);
+    sim.run(CRASH - sim.now());
     let before = leaped(&sim);
-    sim.run_leaping(RESTORE - CRASH);
+    sim.run(RESTORE - CRASH);
     let dark = leaped(&sim) - before;
     assert!(dark >= 1_998, "only {dark} of the 2 000 dark cycles were leapt");
 }
@@ -189,9 +189,9 @@ fn a_packet_in_transit_is_leapt_not_stepped() {
     use rtr_bench::util::one_packet_line;
     const HOPS: u16 = 4;
     const SPAN: u64 = 2_000;
-    let mut sim = one_packet_line(HOPS, FaultSchedule::new(), DriveMode::Event);
+    let mut sim = one_packet_line(HOPS, FaultSchedule::new(), DriveMode::Run);
     let before = leaped(&sim);
-    sim.run_leaping(SPAN);
+    sim.run(SPAN);
     assert_eq!(sim.log(NodeId(HOPS)).tc.len(), 1, "the packet arrived");
     let stepped = SPAN - (leaped(&sim) - before);
     assert!(
@@ -200,28 +200,29 @@ fn a_packet_in_transit_is_leapt_not_stepped() {
     );
 }
 
-/// Wall-clock attribution must land in the phases a drive mode actually
-/// runs: stepped time in the tick loop, leaping runs in planning as well as
-/// in the tick loop for the cycles they step.
+/// Wall-clock attribution must land in the phases a run actually
+/// executes: a busy mesh, whose random sources run every cycle, in the tick
+/// loop of every cycle, and a quiet one in planning as well as in the tick
+/// loop for the cycles it runs.
 #[test]
 fn profiler_attributes_time_to_live_phases() {
-    let mut stepped = build_mesh(8, 0.05);
-    stepped.phase_profiler().set_enabled(true);
-    stepped.run(1_000);
-    let report = stepped.phase_profiler().report();
+    let mut busy = build_mesh(8, 0.05);
+    busy.phase_profiler().set_enabled(true);
+    busy.run(1_000);
+    let report = busy.phase_profiler().report();
     let line = |p: Phase| report.iter().find(|l| l.phase == p).copied().unwrap();
     assert_eq!(line(Phase::SerialTick).calls, 1_000);
     assert!(line(Phase::SerialTick).ns > 0);
-    let (dominant, share) = stepped.phase_profiler().dominant().unwrap();
+    let (dominant, share) = busy.phase_profiler().dominant().unwrap();
     assert!(share > 0.0 && share <= 1.0, "dominant {dominant:?} share {share}");
 
-    let mut leaping = build_mesh(8, 0.05);
+    let mut leaping = build_mesh(64, 0.0);
     leaping.phase_profiler().set_enabled(true);
-    leaping.run_leaping(1_000);
+    leaping.run(1_000);
     let report = leaping.phase_profiler().report();
     let line = |p: Phase| report.iter().find(|l| l.phase == p).copied().unwrap();
-    assert!(line(Phase::LeapPlan).calls > 0, "leaping run must plan leaps");
-    assert!(line(Phase::SerialTick).calls > 0, "stepped cycles must attribute their chip ticks");
+    assert!(line(Phase::LeapPlan).calls > 0, "a quiet run must plan leaps");
+    assert!(line(Phase::SerialTick).calls > 0, "the cycles run must attribute their chip ticks");
 
     // The profile also exports through the registry as profile.* counters.
     let snap = leaping.metrics_snapshot();
