@@ -12,7 +12,7 @@ use rtr_core::{RealTimeRouter, RouterTemplate};
 use rtr_mesh::source::TrafficSource;
 use rtr_mesh::topology::Topology;
 use rtr_mesh::{FaultSchedule, Simulator};
-use rtr_types::chip::{Chip, ChipIo};
+use rtr_types::chip::{Chip, InjectQueues};
 use rtr_types::config::RouterConfig;
 use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
 use rtr_types::packet::{BePacket, PacketTrace, TcPacket};
@@ -243,7 +243,7 @@ impl PeriodicDeadlineBeSource {
 }
 
 impl TrafficSource for PeriodicDeadlineBeSource {
-    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut ChipIo) {
+    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut InjectQueues) {
         let t = cycle_to_slot(now, self.slot_bytes);
         if t >= self.sent * self.period_slots && now.is_multiple_of(self.slot_bytes as u64) {
             let l0 = self.tracker.next(t);
@@ -283,7 +283,7 @@ mod tests {
     fn deadline_be_source_stamps_traces() {
         let topo = Topology::mesh(2, 1);
         let mut src = PeriodicDeadlineBeSource::new(&topo, NodeId(0), NodeId(1), 8, 20, 16, 20);
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         for now in 0..(8 * 20 * 3) {
             src.pre_cycle(now, NodeId(0), &mut io);
         }

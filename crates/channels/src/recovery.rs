@@ -180,9 +180,11 @@ pub fn suspect_dead_links<C: rtr_types::chip::Chip>(
 /// # Errors
 ///
 /// See [`RecoveryError`]. On [`RecoveryError::Reroute`] with
-/// [`EstablishError::NoRoute`] the original channel is left installed;
-/// other establishment failures tear it down first (the manager's
-/// documented re-route semantics).
+/// `EstablishError::Admission(`[`AdmissionError::NoRoute`]`)` the original
+/// channel is left installed; other establishment failures tear it down
+/// first (the manager's documented re-route semantics).
+///
+/// [`AdmissionError::NoRoute`]: crate::admission::AdmissionError::NoRoute
 pub fn watch_and_recover(
     sim: &mut Simulator<RealTimeRouter>,
     manager: &mut ChannelManager,

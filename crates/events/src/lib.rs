@@ -58,7 +58,7 @@ const BLOCK: usize = 8;
 const TOP: usize = 32;
 
 /// A min-tournament of wakes. The handles' wakes are grouped in blocks of
-/// [`BLOCK`], one cache line each, and each block is one leaf of the
+/// eight, one cache line each, and each block is one leaf of the
 /// tournament; after a refresh every kept node holds the minimum of its two
 /// children, so the top row's minimum is the earliest wake. A wake at
 /// `Cycle::MAX` is no wake.

@@ -9,8 +9,8 @@
 //! the link settles them by the clock, see [`crate::link`]),
 //! route returned credits back to the upstream transmitter, and drain
 //! deliveries into per-node [`DeliveryLog`]s. Every cycle ticks only the
-//! chips that can act — handed an arrival or credits, whose source ran,
-//! touched from outside or by the agenda, or due by their own
+//! chips that can act — handed an arrival or credits, with a queued
+//! injection, touched from outside or by the agenda, or due by their own
 //! [`Chip::next_event`] — and reconciles the rest lazily.
 //!
 //! Every chip's and link's next wake lives in one record, a min-tournament
@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 use rtr_events::{QueueStats, WakeHandle, WakeQueue};
 use rtr_metrics::{MetricsRegistry, MetricsSnapshot, Phase, PhaseProfiler};
-use rtr_types::chip::{Chip, ChipIo, WakeStats};
+use rtr_types::chip::{Chip, ChipIo, InjectQueues, WakeStats};
 use rtr_types::control::{ControlCommand, ControlError};
 use rtr_types::ids::{Direction, NodeId, Port};
 use rtr_types::packet::{BePacket, TcPacket};
@@ -46,7 +46,7 @@ use crate::topology::Topology;
 
 /// Whether a node's injection queues hold anything — work no chip's
 /// `next_event` describes, so the simulator keeps such a chip due instead.
-fn injecting(io: &ChipIo) -> bool {
+fn injecting(io: &InjectQueues) -> bool {
     !(io.inject_tc.is_empty() && io.inject_be.is_empty())
 }
 
@@ -122,9 +122,6 @@ pub struct Simulator<C: Chip> {
     /// compare for a source that has promised silence. It is the source's
     /// only wake: the leap planner clamps to the earliest.
     sources: Vec<(NodeId, Box<dyn TrafficSource>, Cycle)>,
-    /// Sources whose `next_event` answered `None`, in the order they ran
-    /// out: they never run again, and only their counters are read.
-    retired: Vec<Box<dyn TrafficSource>>,
     /// Sample chip gauges every N cycles (None = sampling off).
     gauge_every: Option<Cycle>,
     gauge_samples: OccupancyHistory,
@@ -135,10 +132,11 @@ pub struct Simulator<C: Chip> {
     /// `n + li` the link at global CSR index `li` (see [`LinkTable`]). A
     /// chip's wake is its [`Chip::next_event`] answer polled right after
     /// its last tick (`now + 1` while it has queued injections), brought
-    /// forward to the cycle in progress by an arrival, a run of its source,
-    /// an agenda op or external mutation; a link's is the next arrival a
-    /// live end must see. A traffic source's `due` is its only wake. Empty
-    /// until the first cycle, or an injection before it, allocates it.
+    /// forward to the cycle in progress by an arrival, a source run that
+    /// left an injection queued, an agenda op or external mutation; a
+    /// link's is the next arrival a live end must see. A traffic source's
+    /// `due` is its only wake. Empty until the first cycle, or an injection
+    /// before it, allocates it.
     wakes: WakeQueue,
     /// The handles a cycle read due as it began, sorted (chips, then
     /// links), followed by the links its sends made due: the links it
@@ -256,7 +254,6 @@ impl<C: Chip> Simulator<C> {
             logs: (0..n).map(|_| DeliveryLog::default()).collect(),
             adj,
             sources: Vec::new(),
-            retired: Vec::new(),
             gauge_every: None,
             gauge_samples: OccupancyHistory::default(),
             tick_list: Vec::with_capacity(n),
@@ -494,12 +491,6 @@ impl<C: Chip> Simulator<C> {
             std::collections::BTreeMap::new();
         for chip in &self.chips {
             chip.counters(&mut |name, value| {
-                *totals.entry(name).or_insert(0) += value;
-            });
-        }
-        let sources = self.sources.iter().map(|(_, source, _)| source);
-        for source in sources.chain(&self.retired) {
-            source.counters(&mut |name, value| {
                 *totals.entry(name).or_insert(0) += value;
             });
         }
@@ -830,8 +821,7 @@ impl<C: Chip> Simulator<C> {
             + self.unticked.capacity() * std::mem::size_of::<Cycle>()
             + self.crashed.capacity()
             + self.sources.capacity()
-                * std::mem::size_of::<(NodeId, Box<dyn TrafficSource>, Cycle)>()
-            + self.retired.capacity() * std::mem::size_of::<Box<dyn TrafficSource>>();
+                * std::mem::size_of::<(NodeId, Box<dyn TrafficSource>, Cycle)>();
         total / n.max(1)
     }
 
@@ -852,7 +842,7 @@ impl<C: Chip> Simulator<C> {
     /// 3. the handles due now are read from the record: the chips, then
     ///    the links;
     /// 4. the links read due deliver arrivals, marking the chips they
-    ///    reach, and sources run, marking their chips (`phase_pre`);
+    ///    reach, and sources run, marking each chip they queued at (`phase_pre`);
     /// 5. (the first cycle) every live chip nothing marked is polled before
     ///    its tick;
     /// 6. the due live chips tick, in ascending node order, each polled
@@ -939,7 +929,7 @@ impl<C: Chip> Simulator<C> {
     /// it due now, a later one is its wake, and `None` leaves it to its
     /// `unticked` stamp. So a fresh 128×128 build ticks only the chips that
     /// can act. A chip with a queued injection was marked by `inject_*` or
-    /// by its source's run, so no `ChipIo` is read here.
+    /// by the source run that queued it, so no queue is read here.
     fn prime(&mut self) {
         let now = self.now;
         for (i, chip) in self.chips.iter().enumerate() {
@@ -1067,10 +1057,10 @@ impl<C: Chip> Simulator<C> {
     /// Pre-tick phases of one cycle: link arrivals, and traffic sources.
     /// The cycle visits the links of `due` from index `links` on.
     ///
-    /// A chip handed symbols or credits, and the chip of every source that
-    /// ran, is marked: it ticks in this cycle, and joins `list` if the
-    /// mark made it due. Returns whether a source that ran is due on the
-    /// next cycle.
+    /// A chip handed symbols or credits, and one whose injection queues
+    /// hold a packet after its sources ran, is marked: it ticks in this
+    /// cycle, and joins `list` if the mark made it due. Returns whether a
+    /// source that ran is due on the next cycle.
     fn phase_pre(&mut self, list: &mut Vec<u32>, links: usize) -> bool {
         let now = self.now;
         let n = self.chips.len();
@@ -1113,29 +1103,27 @@ impl<C: Chip> Simulator<C> {
 
         // 2. Traffic sources (silent while their node is crashed). A source
         // runs when its own `next_event` answer comes due — the contract
-        // leaping relies on: until then `pre_cycle` would do nothing. The
-        // chip of every source that ran ticks: no `next_event` sees
-        // injection queues, and a source that writes more of the `ChipIo`
-        // than its queues (a misbehaving neighbour returning credits it
-        // never freed) is collected as it was when every chip ticked. One
-        // that answers `None` never runs again and is retired.
+        // leaping relies on: until then `pre_cycle` would do nothing. It
+        // writes only its node's injection queues, which no `next_event`
+        // sees, so a chip whose queues hold a packet after the run ticks.
+        // A source that answers `None` never runs again and is dropped.
         let (mut exhausted, mut busy) = (false, false);
         for (node, source, due) in &mut self.sources {
             let i = node.index();
             if now < *due || self.crashed[i] {
                 continue;
             }
-            source.pre_cycle(now, *node, &mut self.ios[i]);
+            let queues = &mut self.ios[i].inject;
+            source.pre_cycle(now, *node, queues);
             *due = source.next_event(now).unwrap_or(Cycle::MAX);
             exhausted |= *due == Cycle::MAX;
             busy |= *due <= now + 1;
-            if self.wakes.mark(WakeHandle(i as u32), now) {
+            if injecting(queues) && self.wakes.mark(WakeHandle(i as u32), now) {
                 list.push(i as u32);
             }
         }
         if exhausted {
-            let retired = self.sources.extract_if(.., |(_, _, due)| *due == Cycle::MAX);
-            self.retired.extend(retired.map(|(_, source, _)| source));
+            self.sources.retain(|(_, _, due)| *due != Cycle::MAX);
         }
         busy
     }
@@ -1476,7 +1464,7 @@ mod tests {
         let dst = sim.topology().node_at(1, 0);
         sim.add_source(
             NodeId(0),
-            Box::new(crate::source::FnSource(move |now, _node, io: &mut ChipIo| {
+            Box::new(crate::source::FnSource(move |now, _node, io: &mut InjectQueues| {
                 if now == 0 {
                     io.inject_be.push_back(BePacket::new(
                         1,
@@ -1488,6 +1476,30 @@ mod tests {
             })),
         );
         assert!(sim.run_until(1000, |s| !s.log(dst).be.is_empty()));
+    }
+
+    #[test]
+    fn a_source_that_queues_nothing_leaves_its_chip_asleep() {
+        // A source that runs every cycle (the default `next_event`) but
+        // never queues reaches its chip through nothing: the mesh ticks
+        // exactly the chips it ticks without the source.
+        let runs = std::rc::Rc::new(std::cell::Cell::new(0u64));
+        let ticks = |with_source: bool| {
+            let mut sim = two_node_sim();
+            sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![5; 30], PacketTrace::default()));
+            if with_source {
+                let runs = runs.clone();
+                let idle =
+                    move |_: Cycle, _: NodeId, _: &mut InjectQueues| runs.set(runs.get() + 1);
+                sim.add_source(NodeId(0), Box::new(crate::source::FnSource(idle)));
+            }
+            sim.run(1_000);
+            sim.ticks_executed()
+        };
+        let quiet = ticks(false);
+        assert!(quiet > 0 && quiet < 1_000, "one packet's hop: {quiet} ticks");
+        assert_eq!(ticks(true), quiet, "the idle source woke its chip");
+        assert_eq!(runs.get(), 1_000, "the source ran every cycle");
     }
 
     #[test]
@@ -1769,7 +1781,7 @@ mod tests {
     struct OneShot(Cycle);
 
     impl TrafficSource for OneShot {
-        fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut ChipIo) {
+        fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut InjectQueues) {
             if now == self.0 {
                 io.inject_be.push_back(BePacket::new(1, 0, vec![7; 8], PacketTrace::default()));
             }

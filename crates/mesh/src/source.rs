@@ -1,12 +1,12 @@
 //! The traffic-source interface.
 //!
-//! A [`TrafficSource`] is attached to a node and runs before the chip
-//! ticks, on every cycle it has not promised to sit out (see
-//! [`TrafficSource::next_event`]); it injects packets by pushing onto the
-//! node's [`ChipIo`] queues. Implementations live in `rtr_workloads`; tests
+//! A [`TrafficSource`] is a node's host: it runs before the chip ticks, on
+//! every cycle it has not promised to sit out (see
+//! [`TrafficSource::next_event`]), and reaches the chip only through the
+//! node's [`InjectQueues`]. Implementations live in `rtr_workloads`; tests
 //! and examples can use closures via [`FnSource`].
 
-use rtr_types::chip::ChipIo;
+use rtr_types::chip::InjectQueues;
 use rtr_types::ids::NodeId;
 use rtr_types::time::Cycle;
 
@@ -14,7 +14,7 @@ use rtr_types::time::Cycle;
 pub trait TrafficSource {
     /// Runs before the node's chip ticks at `now`; may inspect the queues
     /// and push injections.
-    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut ChipIo);
+    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut InjectQueues);
 
     /// The earliest cycle strictly after `now` at which this source may
     /// inject (or otherwise change state), assuming it last ran at `now`.
@@ -29,22 +29,13 @@ pub trait TrafficSource {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }
-
-    /// Emits this source's counters into the simulator's metrics registry
-    /// (same contract as [`rtr_types::chip::Chip::counters`]: call `emit`
-    /// once per counter with a stable name; values from sources at
-    /// different nodes are summed under the same name). The default emits
-    /// nothing.
-    fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
-        let _ = emit;
-    }
 }
 
 /// Wraps a closure as a traffic source.
 pub struct FnSource<F>(pub F);
 
-impl<F: FnMut(Cycle, NodeId, &mut ChipIo)> TrafficSource for FnSource<F> {
-    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut ChipIo) {
+impl<F: FnMut(Cycle, NodeId, &mut InjectQueues)> TrafficSource for FnSource<F> {
+    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut InjectQueues) {
         (self.0)(now, node, io);
     }
 }
@@ -62,12 +53,12 @@ mod tests {
 
     #[test]
     fn fn_source_injects() {
-        let mut source = FnSource(|now: Cycle, _node: NodeId, io: &mut ChipIo| {
+        let mut source = FnSource(|now: Cycle, _node: NodeId, io: &mut InjectQueues| {
             if now == 3 {
                 io.inject_be.push_back(BePacket::new(0, 0, vec![], PacketTrace::default()));
             }
         });
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         for now in 0..5 {
             source.pre_cycle(now, NodeId(0), &mut io);
         }

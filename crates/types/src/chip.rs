@@ -35,17 +35,38 @@ pub struct ChipIo {
     /// Best-effort credit bytes the chip returns upstream on each *input*
     /// port this cycle.
     pub credit_out: [u16; PORT_COUNT],
-    /// Time-constrained injection queue, written by the node's traffic
-    /// source; the chip drains it at injection-port bandwidth.
-    pub inject_tc: VecDeque<TcPacket>,
-    /// Best-effort injection queue, written by the node's traffic source.
-    pub inject_be: VecDeque<BePacket>,
+    /// The node's injection queues, also `io.inject_tc`/`io.inject_be` by `Deref`.
+    pub inject: InjectQueues,
     /// Time-constrained packets delivered through the reception port, with
     /// the delivery cycle (appended by the chip; drained by the node).
     pub delivered_tc: Vec<(Cycle, TcPacket)>,
     /// Best-effort packets delivered through the reception port (appended by
     /// the chip; drained by the node).
     pub delivered_be: Vec<(Cycle, BePacket)>,
+}
+
+/// A node's injection queues: the only part of the chip its host (a traffic
+/// source) writes. The chip drains them at injection-port bandwidth.
+#[derive(Debug, Default)]
+pub struct InjectQueues {
+    /// Time-constrained injection queue.
+    pub inject_tc: VecDeque<TcPacket>,
+    /// Best-effort injection queue.
+    pub inject_be: VecDeque<BePacket>,
+}
+
+impl std::ops::Deref for ChipIo {
+    type Target = InjectQueues;
+
+    fn deref(&self) -> &InjectQueues {
+        &self.inject
+    }
+}
+
+impl std::ops::DerefMut for ChipIo {
+    fn deref_mut(&mut self) -> &mut InjectQueues {
+        &mut self.inject
+    }
 }
 
 impl ChipIo {

@@ -51,7 +51,7 @@ pub mod time;
 pub mod trace;
 
 pub use chip::ChipGauges;
-pub use chip::{Chip, ChipIo};
+pub use chip::{Chip, ChipIo, InjectQueues};
 pub use clock::{LogicalTime, SlotClock};
 pub use config::{RouterConfig, TimingConfig};
 pub use error::{ConfigError, PacketDecodeError};

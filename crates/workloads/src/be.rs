@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtr_mesh::source::TrafficSource;
 use rtr_mesh::topology::Topology;
-use rtr_types::chip::ChipIo;
+use rtr_types::chip::InjectQueues;
 use rtr_types::ids::NodeId;
 use rtr_types::packet::{BePacket, PacketTrace, Payload};
 use rtr_types::time::Cycle;
@@ -53,7 +53,7 @@ impl BackloggedBeSource {
 }
 
 impl TrafficSource for BackloggedBeSource {
-    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut ChipIo) {
+    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut InjectQueues) {
         while io.inject_be.len() < self.queue_depth {
             let trace = PacketTrace {
                 source: node,
@@ -150,7 +150,7 @@ impl RandomBeSource {
 }
 
 impl TrafficSource for RandomBeSource {
-    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut ChipIo) {
+    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut InjectQueues) {
         if io.inject_be.len() >= self.max_queue || !self.rng.gen_bool(self.rate) {
             return;
         }
@@ -188,7 +188,7 @@ mod tests {
     fn backlogged_source_tops_up_queue() {
         let topo = Topology::mesh(2, 1);
         let mut src = BackloggedBeSource::new(&topo, NodeId(0), NodeId(1), 32, 2);
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         src.pre_cycle(0, NodeId(0), &mut io);
         assert_eq!(io.inject_be.len(), 2);
         io.inject_be.pop_front();
@@ -204,7 +204,7 @@ mod tests {
         let mut src =
             RandomBeSource::new(topo, TrafficPattern::Uniform, 0.25, SizeDist::Fixed(16), 42)
                 .with_max_queue(100_000);
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         for now in 0..10_000 {
             src.pre_cycle(now, NodeId(5), &mut io);
         }
@@ -218,7 +218,7 @@ mod tests {
         let mut src =
             RandomBeSource::new(topo, TrafficPattern::Uniform, 1.0, SizeDist::Uniform(1, 8), 1)
                 .with_max_queue(5);
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         for now in 0..100 {
             src.pre_cycle(now, NodeId(0), &mut io);
         }
@@ -236,7 +236,7 @@ mod tests {
                 SizeDist::Uniform(4, 64),
                 seed,
             );
-            let mut io = ChipIo::new();
+            let mut io = InjectQueues::default();
             for now in 0..200 {
                 src.pre_cycle(now, NodeId(0), &mut io);
             }

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rtr_mesh::source::TrafficSource;
 use rtr_mesh::topology::Topology;
-use rtr_types::chip::ChipIo;
+use rtr_types::chip::InjectQueues;
 use rtr_types::ids::NodeId;
 use rtr_types::time::Cycle;
 
@@ -147,7 +147,7 @@ impl<S> WindowedSource<S> {
 }
 
 impl<S: TrafficSource> TrafficSource for WindowedSource<S> {
-    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut ChipIo) {
+    fn pre_cycle(&mut self, now: Cycle, node: NodeId, io: &mut InjectQueues) {
         if now >= self.start && now < self.stop {
             self.inner.pre_cycle(now, node, io);
         }
@@ -164,10 +164,6 @@ impl<S: TrafficSource> TrafficSource for WindowedSource<S> {
         // window close (an exhausted inner source stays silent until then).
         let close = self.stop.saturating_sub(1).max(now + 1);
         Some(self.inner.next_event(now).map_or(close, |e| e.min(close)))
-    }
-
-    fn counters(&self, emit: &mut dyn FnMut(&'static str, u64)) {
-        self.inner.counters(emit);
     }
 }
 
@@ -217,12 +213,12 @@ mod tests {
     #[test]
     fn windowed_source_fires_only_inside_its_window() {
         let mut fired = Vec::new();
-        let probe = FnSource(|now: Cycle, _n: NodeId, _io: &mut ChipIo| {
+        let probe = FnSource(|now: Cycle, _n: NodeId, _io: &mut InjectQueues| {
             fired.push(now);
         });
         {
             let mut src = WindowedSource::new(probe, 10, 20);
-            let mut io = ChipIo::new();
+            let mut io = InjectQueues::default();
             for now in 0..30 {
                 src.pre_cycle(now, NodeId(0), &mut io);
             }
@@ -232,7 +228,7 @@ mod tests {
 
     #[test]
     fn windowed_next_event_respects_the_window() {
-        let probe = FnSource(|_: Cycle, _: NodeId, _: &mut ChipIo| {});
+        let probe = FnSource(|_: Cycle, _: NodeId, _: &mut InjectQueues| {});
         let src = WindowedSource::new(probe, 100, 200);
         // Before the window: wake exactly at the opening.
         assert_eq!(src.next_event(0), Some(100));

@@ -2,7 +2,7 @@
 
 use rtr_channels::sender::ChannelSender;
 use rtr_mesh::source::TrafficSource;
-use rtr_types::chip::ChipIo;
+use rtr_types::chip::InjectQueues;
 use rtr_types::ids::NodeId;
 use rtr_types::packet::Payload;
 use rtr_types::time::{cycle_to_slot, slot_to_cycle, Cycle};
@@ -59,7 +59,7 @@ impl BackloggedTcSource {
 }
 
 impl TrafficSource for BackloggedTcSource {
-    fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut ChipIo) {
+    fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut InjectQueues) {
         let t = cycle_to_slot(now, self.slot_bytes);
         let lead = u64::from(self.lead_messages) * u64::from(self.i_min);
         loop {
@@ -142,7 +142,7 @@ impl PeriodicTcSource {
 }
 
 impl TrafficSource for PeriodicTcSource {
-    fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut ChipIo) {
+    fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut InjectQueues) {
         if self.limit.is_some_and(|l| self.sent >= l) {
             return;
         }
@@ -211,7 +211,7 @@ impl BurstyTcSource {
 }
 
 impl TrafficSource for BurstyTcSource {
-    fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut ChipIo) {
+    fn pre_cycle(&mut self, now: Cycle, _node: NodeId, io: &mut InjectQueues) {
         let t = cycle_to_slot(now, self.slot_bytes);
         if t >= self.bursts * self.burst_period_slots && now.is_multiple_of(self.slot_bytes as u64)
         {
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn backlogged_source_keeps_bounded_lead() {
         let mut src = BackloggedTcSource::new(sender(8), 8, 2, 20, vec![0; 18]);
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         src.pre_cycle(0, NodeId(0), &mut io);
         // Lead = 16 slots → ℓ0 ∈ {0, 8, 16}: three messages immediately.
         assert_eq!(io.inject_tc.len(), 3);
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn backlogged_arrivals_are_spaced_i_min() {
         let mut src = BackloggedTcSource::new(sender(16), 16, 3, 20, vec![0; 18]);
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         for now in 0..2000 {
             src.pre_cycle(now, NodeId(0), &mut io);
         }
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn periodic_source_fires_on_schedule() {
         let mut src = PeriodicTcSource::new(sender(4), 5, 2, 20, vec![0; 18]).with_limit(3);
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         let mut fire_cycles = Vec::new();
         for now in 0..1000 {
             let before = io.inject_tc.len();
@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn bursty_source_dumps_batches_with_spaced_logical_arrivals() {
         let mut src = BurstyTcSource::new(sender(8), 4, 48, 20, vec![0; 18]);
-        let mut io = ChipIo::new();
+        let mut io = InjectQueues::default();
         src.pre_cycle(0, NodeId(0), &mut io);
         assert_eq!(io.inject_tc.len(), 4, "whole burst at once");
         let ls: Vec<u64> = io.inject_tc.iter().map(|p| p.trace.logical_arrival).collect();

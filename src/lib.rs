@@ -48,7 +48,7 @@ pub mod prelude {
     };
     pub use rtr_core::{ControlCommand, RealTimeRouter};
     pub use rtr_mesh::{Simulator, Topology, TrafficSource};
-    pub use rtr_types::chip::{Chip, ChipIo};
+    pub use rtr_types::chip::{Chip, ChipIo, InjectQueues};
     pub use rtr_types::config::RouterConfig;
     pub use rtr_types::ids::{ConnectionId, Direction, NodeId, Port};
     pub use rtr_types::packet::{BePacket, PacketTrace, TcPacket};

@@ -23,7 +23,7 @@ use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::channels::ChannelManager;
 use realtime_router::core::{ControlCommand, Datapath, RealTimeRouter};
 use realtime_router::mesh::{NetworkReport, Simulator, Topology, TrafficSource};
-use realtime_router::types::chip::{Chip, ChipIo};
+use realtime_router::types::chip::{Chip, InjectQueues};
 use realtime_router::types::config::{RouterConfig, SchedulerKind};
 use realtime_router::types::ids::{ConnectionId, Direction, NodeId, Port};
 use realtime_router::types::packet::{BePacket, PacketTrace, TcPacket};
@@ -122,15 +122,20 @@ fn event_core_equivalence_sparse_load() {
 }
 
 /// Mixed load: period-8 channels plus 5% Bernoulli BE background. Random
-/// sources draw every cycle, so no cycle is leapt, and every cycle ticks
-/// the chip of each source it ran — every chip, exactly the every-chip
-/// run's ticks — while staying byte-identical.
+/// sources draw every cycle, so no cycle is leapt; a source's run ticks its
+/// chip only when it leaves a packet queued, so `run` ticks fewer chips
+/// than the every-chip run while staying byte-identical.
 #[test]
 fn event_core_equivalence_mixed_load() {
     let [every, run] = assert_modes_agree(|| build_mesh(8, 0.05), 4_000);
     let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 500, "mixed BE load too light to trust: {be_total}");
-    assert_eq!(run.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
+    assert!(
+        run.ticks_executed() < every.ticks_executed(),
+        "a source that queued nothing woke no chip: {} vs {} ticks",
+        run.ticks_executed(),
+        every.ticks_executed()
+    );
     assert_eq!(every.ticks_executed(), 64 * 4_000);
 }
 
@@ -147,15 +152,20 @@ fn event_core_equivalence_saturating_load() {
 /// scenarios above. Three cycles of wire put a fresh arrival further out,
 /// and the link's one wake says so: the record holds a link's next arrival
 /// wherever it lies. Both drive modes agree on the latent wire too, and,
-/// as on the direct wire, a random source at every chip ticks every chip
-/// on every cycle.
+/// as on the direct wire, `run` ticks fewer chips than the every-chip run
+/// though a random source draws at every chip on every cycle.
 #[test]
 fn event_core_equivalence_on_a_latent_wire() {
     let [every, run] = assert_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
     let tc: usize = every.topology().nodes().map(|n| every.log(n).tc.len()).sum();
     let be: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(tc >= 40 && be > 300, "latent-wire load too light to trust: {tc} / {be}");
-    assert_eq!(run.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
+    assert!(
+        run.ticks_executed() < every.ticks_executed(),
+        "a source that queued nothing woke no chip: {} vs {} ticks",
+        run.ticks_executed(),
+        every.ticks_executed()
+    );
     assert_eq!(every.ticks_executed(), 64 * 3_000);
 }
 
@@ -365,7 +375,7 @@ struct Burst {
 }
 
 impl TrafficSource for Burst {
-    fn pre_cycle(&mut self, now: u64, _node: NodeId, io: &mut ChipIo) {
+    fn pre_cycle(&mut self, now: u64, _node: NodeId, io: &mut InjectQueues) {
         if now == self.at {
             let packet = BePacket::new(-2, 0, vec![0xB5; 24], PacketTrace::default());
             io.inject_be.extend(std::iter::repeat_n(packet, self.packets));
@@ -582,9 +592,15 @@ fn baselines_leap_like_they_step() {
     }
     let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 500, "the scenario must carry traffic: {be_total} packets");
-    // Its background sources draw at every chip on every cycle, and a
-    // cycle ticks the chip of each source it ran.
-    assert_eq!(run.ticks_executed(), every.ticks_executed(), "a source ran at every chip");
+    // Its background sources draw at every chip on every cycle, but a
+    // draw that queued nothing wakes no chip.
+    assert!(
+        run.ticks_executed() < every.ticks_executed(),
+        "a source that queued nothing woke no chip: {} vs {} ticks",
+        run.ticks_executed(),
+        every.ticks_executed()
+    );
+    assert_eq!(every.ticks_executed(), every.topology().len() as u64 * 10_000);
 }
 
 /// The first cycle polls each chip *before* its first tick, and an answer

@@ -15,6 +15,9 @@ use realtime_router::core::RealTimeRouter;
 use realtime_router::mesh::source::FnSource;
 use realtime_router::mesh::{Simulator, Topology};
 use realtime_router::prelude::*;
+use realtime_router::types::control::ControlError;
+use realtime_router::types::error::ConfigError;
+use realtime_router::types::ids::PORT_COUNT;
 use realtime_router::workloads::tc::PeriodicTcSource;
 use rtr_bench::churn::DriveMode;
 use rtr_bench::util::{add_periodic_sender, sender_for};
@@ -45,7 +48,7 @@ fn rogue_injections_are_contained() {
     let mut rng = StdRng::seed_from_u64(0xBAD);
     sim.add_source(
         rogue,
-        Box::new(FnSource(move |now: u64, _node, io: &mut rtr_types::chip::ChipIo| {
+        Box::new(FnSource(move |now: u64, _node, io: &mut InjectQueues| {
             if now.is_multiple_of(7) && io.inject_tc.len() < 8 {
                 let payload_len = *[0usize, 3, 18, 18, 18].get(rng.gen_range(0..5usize)).unwrap();
                 io.inject_tc.push_back(TcPacket {
@@ -166,6 +169,56 @@ fn over_rate_source_is_regulated_and_cannot_starve_a_well_behaved_channel() {
     }
 }
 
+/// A compromised router: a `RealTimeRouter` that, at the liar node, returns
+/// two best-effort credits it never freed on one input port after every
+/// tick, so there it answers `next_event` with `now + 1`.
+struct RogueChip {
+    router: RealTimeRouter,
+    /// The input port it forges credits on (`None` at an honest node).
+    lie_on: Option<usize>,
+}
+
+impl Chip for RogueChip {
+    fn tick(&mut self, now: u64, io: &mut ChipIo) {
+        self.router.tick(now, io);
+        if let Some(port) = self.lie_on {
+            io.credit_out[port] += 2;
+        }
+    }
+
+    fn flit_buffer_bytes(&self) -> usize {
+        self.router.flit_buffer_bytes()
+    }
+
+    fn set_output_credits(&mut self, port: Port, bytes: u32) {
+        self.router.set_output_credits(port, bytes);
+    }
+
+    fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
+        self.router.apply_control(cmd)
+    }
+
+    fn next_event(&self, now: u64) -> Option<u64> {
+        if self.lie_on.is_some() {
+            Some(now + 1)
+        } else {
+            self.router.next_event(now)
+        }
+    }
+
+    fn skip_quiet(&mut self, from: u64, to: u64) {
+        self.router.skip_quiet(from, to);
+    }
+
+    fn check_conservation(&self) -> Result<(), String> {
+        self.router.check_conservation()
+    }
+
+    fn abort_partial_rx(&mut self) -> [u8; PORT_COUNT] {
+        self.router.abort_partial_rx()
+    }
+}
+
 #[test]
 fn byzantine_neighbor_credits_cannot_corrupt_or_starve_the_tc_class() {
     // A compromised router lies to its upstream neighbour: it manufactures
@@ -173,18 +226,26 @@ fn byzantine_neighbor_credits_cannot_corrupt_or_starve_the_tc_class() {
     // neighbour to overrun its input buffer. The overflow must be absorbed
     // (dropped and counted) by the fault-tolerant ingest path, and the
     // time-constrained class — whose bandwidth is reserved, not
-    // credit-governed — must keep every guarantee. The liar's source writes
-    // no injection queue, only `credit_out`, so this holds under `run` only
-    // if a cycle ticks the chip of each source that ran: each router's
-    // statistics must match the every-chip run's.
+    // credit-governed — must keep every guarantee. The liar is a chip, not
+    // traffic (a source reaches only its injection queues), and each
+    // router's statistics must match the every-chip run's.
     let config = RouterConfig::default();
     let topo = Topology::mesh(3, 1);
     let src = topo.node_at(0, 0);
     let liar = topo.node_at(1, 0);
     let dst = topo.node_at(2, 0);
+    // The liar duplicates credits on its upstream-facing input port every
+    // cycle, far beyond anything it actually freed.
+    let upstream_port = Port::Dir(Direction::XMinus).index();
     let run = |mode: DriveMode| {
-        let mut sim =
-            Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
+        let mut sim = Simulator::build(topo.clone(), |node| {
+            let router = RealTimeRouter::new(config.clone())?;
+            Ok::<_, ConfigError>(RogueChip {
+                router,
+                lie_on: (node == liar).then_some(upstream_port),
+            })
+        })
+        .unwrap();
         let mut manager = ChannelManager::new(&config);
         let channel = manager
             .establish(
@@ -193,14 +254,22 @@ fn byzantine_neighbor_credits_cannot_corrupt_or_starve_the_tc_class() {
                 &mut sim,
             )
             .unwrap();
-        add_periodic_sender(&mut sim, &channel, 16, 0, 0x42);
+        let sender = ChannelSender::new(
+            &channel,
+            sim.chip(src).router.clock(),
+            config.slot_bytes,
+            config.tc_data_bytes(),
+        );
+        let payload = vec![0x42; config.tc_data_bytes()];
+        let periodic = PeriodicTcSource::new(sender, 16, 0, config.slot_bytes, payload);
+        sim.add_source(src, Box::new(periodic));
 
         // A best-effort flood keeps the upstream transmitter busy enough for
         // the bogus credits to matter.
         let (bx, by) = topo.be_offsets(src, dst);
         sim.add_source(
             src,
-            Box::new(FnSource(move |_now: u64, node, io: &mut rtr_types::chip::ChipIo| {
+            Box::new(FnSource(move |_now: u64, node, io: &mut InjectQueues| {
                 if io.inject_be.len() < 4 {
                     io.inject_be.push_back(BePacket::new(
                         bx,
@@ -209,16 +278,6 @@ fn byzantine_neighbor_credits_cannot_corrupt_or_starve_the_tc_class() {
                         PacketTrace { source: node, injected_at: 0, ..PacketTrace::default() },
                     ));
                 }
-            })),
-        );
-
-        // The liar duplicates credits on its upstream-facing input port
-        // every cycle, far beyond anything it actually freed.
-        let upstream_port = Port::Dir(Direction::XMinus).index();
-        sim.add_source(
-            liar,
-            Box::new(FnSource(move |_now: u64, _node, io: &mut rtr_types::chip::ChipIo| {
-                io.credit_out[upstream_port] += 2;
             })),
         );
 
@@ -231,7 +290,7 @@ fn byzantine_neighbor_credits_cannot_corrupt_or_starve_the_tc_class() {
 
         // The invited overrun really happened and was absorbed as counted
         // drops at the liar's ingest, not a crash and not corruption.
-        let liar_stats = sim.chip(liar).stats();
+        let liar_stats = sim.chip(liar).router.stats();
         assert!(
             liar_stats.be_dropped_faulty > 0 || liar_stats.be_truncated > 0,
             "{mode:?}: the overrun must surface in the tolerant-ingest counters"
@@ -240,10 +299,10 @@ fn byzantine_neighbor_credits_cannot_corrupt_or_starve_the_tc_class() {
         // nothing leaks router memory.
         assert!(sim.log(dst).be.len() > 10, "{mode:?}: be still flows: {}", sim.log(dst).be.len());
         for node in topo.nodes() {
-            let chip = sim.chip(node);
+            let chip = &sim.chip(node).router;
             assert!(chip.memory_occupied() <= chip.config().packet_slots, "{mode:?}");
         }
-        topo.nodes().map(|node| format!("{:?}", sim.chip(node).stats())).collect::<Vec<_>>()
+        topo.nodes().map(|node| format!("{:?}", sim.chip(node).router.stats())).collect::<Vec<_>>()
     };
     let [every, run] = DriveMode::ALL.map(run);
     assert_eq!(run, every, "run vs every chip");
