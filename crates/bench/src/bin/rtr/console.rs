@@ -4,13 +4,15 @@
 //! links). [`KEYS`] lists the arguments; the first seven may be given as
 //! bare values in that order.
 //!
-//! `sample=N` snapshots packet-memory/scheduler/queue gauges every N cycles
-//! and prints an occupancy summary. `trace=<path>` streams the cycle-level
-//! packet lifecycle as JSONL (requires building with `--features metrics`;
-//! replay it with `rtr trace-dump`). `metrics=<path>` writes the counter
-//! registry as JSONL — one line per counter at the end of the run, or
-//! every `metrics_every=N` cycles when given (requires `--features
-//! metrics` for non-empty output; `rtr trace-dump` summarises the file). `faults=<path>` loads a scripted fault schedule
+//! `sample=N` reads every router's packet-memory/scheduler/queue gauges
+//! after each cycle `c ≡ 0 (mod N)`, between drive calls, and prints an
+//! occupancy summary folded from them as they come. `trace=<path>` streams
+//! the cycle-level packet lifecycle as JSONL (requires building with
+//! `--features metrics`; replay it with `rtr trace-dump`). `metrics=<path>`
+//! writes the counter registry as JSONL — one line per counter at the end
+//! of the run, or every `metrics_every=N` cycles when given (requires
+//! `--features metrics` for non-empty output; `rtr trace-dump` summarises
+//! the file). `faults=<path>` loads a scripted fault schedule
 //! (`<cycle> link_down|link_up|node_crash|node_restore|link_flaky|\
 //! link_stable <x>,<y> [dir] [drop=N corrupt=N]`, plus `seed <n>` lines
 //! and `#` comments) and applies it mid-run; the run then reports the
@@ -24,6 +26,7 @@ use rtr_channels::establish::ChannelManager;
 use rtr_core::RealTimeRouter;
 use rtr_mesh::{FaultSchedule, NetworkReport, Simulator, Topology};
 use rtr_types::config::{RouterConfig, SchedulerKind};
+use rtr_types::ids::NodeId;
 use rtr_workloads::be::SizeDist;
 use rtr_workloads::churn::{churn_schedule, ChurnConfig};
 
@@ -114,6 +117,76 @@ fn attach_trace(
     Ok(sink)
 }
 
+/// Occupancy gauges folded over every `(sample, node)` pair as they are
+/// read, so a run of any length holds a constant-size summary.
+#[derive(Debug, Default)]
+struct Occupancy {
+    /// Sampling period in cycles (0 = off).
+    every: u64,
+    samples: usize,
+    points: u64,
+    memory_sum: u64,
+    backlog_sum: u64,
+    peak_memory: usize,
+    peak_memory_node: NodeId,
+    peak_queue_depth: usize,
+}
+
+impl Occupancy {
+    /// Runs `cycles` cycles, stopping after each cycle `c ≡ 0 (mod every)`
+    /// to read every router's gauges. Drive-call boundaries do not change
+    /// the simulation, so only the number of `run` calls differs from one
+    /// unsampled `run(cycles)`.
+    fn run(&mut self, sim: &mut Simulator<RealTimeRouter>, cycles: u64) {
+        let end = sim.now().saturating_add(cycles);
+        while self.every > 0 {
+            let at = sim.now().next_multiple_of(self.every);
+            if at >= end {
+                break;
+            }
+            sim.run(at + 1 - sim.now());
+            self.sample(sim);
+        }
+        sim.run(end - sim.now());
+    }
+
+    fn sample(&mut self, sim: &Simulator<RealTimeRouter>) {
+        self.samples += 1;
+        for node in sim.topology().nodes() {
+            let g = sim.chip(node).gauges();
+            self.points += 1;
+            self.memory_sum += g.memory_occupied as u64;
+            self.backlog_sum += g.sched_backlog as u64;
+            if g.memory_occupied > self.peak_memory {
+                self.peak_memory = g.memory_occupied;
+                self.peak_memory_node = node;
+            }
+            self.peak_queue_depth = self.peak_queue_depth.max(*g.queue_depth.iter().max().unwrap());
+        }
+    }
+
+    /// Prints the summary (nothing when no sample was taken).
+    fn print(&self) {
+        if self.samples == 0 {
+            return;
+        }
+        let points = self.points as f64;
+        println!();
+        println!("occupancy ({} samples every {} cycles):", self.samples, self.every);
+        println!(
+            "  packet memory: mean {:.2} slots/node, peak {} (node {})",
+            self.memory_sum as f64 / points,
+            self.peak_memory,
+            self.peak_memory_node
+        );
+        println!(
+            "  scheduler backlog: mean {:.2} packets/node;  peak link queue depth: {}",
+            self.backlog_sum as f64 / points,
+            self.peak_queue_depth
+        );
+    }
+}
+
 /// Drives `arrivals` live establish/teardown events through the signaling
 /// engine while the run progresses, then runs out the remaining cycles.
 /// The schedule is a pure function of the seed and fits inside the run
@@ -121,11 +194,11 @@ fn attach_trace(
 fn drive_churn(
     sim: &mut Simulator<RealTimeRouter>,
     engine: &mut SignalingEngine,
-    topo: &Topology,
     config: &RouterConfig,
     seed: u64,
     arrivals: usize,
     cycles: u64,
+    occupancy: &mut Occupancy,
 ) {
     let slots_total = cycles / config.slot_bytes as u64;
     let churn_cfg = ChurnConfig {
@@ -135,11 +208,13 @@ fn drive_churn(
         mean_lifetime_slots: (slots_total as f64 / 4.0).max(32.0),
         min_lifetime_slots: 32,
     };
-    let events = churn_schedule(&churn_cfg, topo);
+    let events = churn_schedule(&churn_cfg, sim.topology());
     // The Poisson tail can overshoot the run window; `cycles` cuts it off.
-    drive_schedule(sim, engine, config, &events, (8, 6), cycles, |sim, gap| sim.run(gap));
+    drive_schedule(sim, engine, config, &events, (8, 6), cycles, |sim, gap| {
+        occupancy.run(sim, gap);
+    });
     let tail = cycles.saturating_sub(sim.now());
-    sim.run(tail);
+    occupancy.run(sim, tail);
 }
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -167,9 +242,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     let topo = Topology::mesh(side, side);
     let mut sim = Simulator::build(topo.clone(), |_| RealTimeRouter::new(config.clone())).unwrap();
-    if opts.sample > 0 {
-        sim.enable_gauge_sampling(opts.sample);
-    }
+    let mut occupancy = Occupancy { every: opts.sample, ..Occupancy::default() };
     #[cfg(feature = "metrics")]
     let trace_sink = opts.trace.as_deref().map(|p| attach_trace(&mut sim, &topo, p)).transpose()?;
     if let Some(path) = &opts.faults {
@@ -212,7 +285,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         if opts.metrics_every > 0 {
             eprintln!("note: metrics_every is ignored with churn= (one end-of-run snapshot)");
         }
-        drive_churn(&mut sim, &mut engine, &topo, &config, seed, opts.churn, cycles);
+        drive_churn(&mut sim, &mut engine, &config, seed, opts.churn, cycles, &mut occupancy);
         snapshot(&sim)?;
     } else {
         // Run in snapshot-sized chunks: one snapshot per boundary.
@@ -220,7 +293,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let mut done = 0;
         while done < cycles {
             let span = every.min(cycles - done);
-            sim.run(span);
+            occupancy.run(&mut sim, span);
             done += span;
             snapshot(&sim)?;
         }
@@ -301,18 +374,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             println!("  network-wide minimum slack: {min} slots");
         }
     }
-    if let Some(occ) = &report.occupancy {
-        println!();
-        println!("occupancy ({} samples every {} cycles):", occ.samples, opts.sample);
-        println!(
-            "  packet memory: mean {:.2} slots/node, peak {} (node {})",
-            occ.mean_memory_occupied, occ.peak_memory_occupied, occ.peak_memory_node
-        );
-        println!(
-            "  scheduler backlog: mean {:.2} packets/node;  peak link queue depth: {}",
-            occ.mean_sched_backlog, occ.peak_queue_depth
-        );
-    }
+    occupancy.print();
     println!();
     println!("hottest links (symbols carried):");
     for (node, dir, usage) in report.hottest_links(6) {
@@ -399,5 +461,25 @@ mod tests {
         );
         assert_eq!(keyed.scheduler, SchedulerKind::Banded { band_shift: 3 });
         assert_eq!(parse(&["4", "12", "0.1", "100000", "tree", "0", "42"]), parse(&[]));
+    }
+
+    /// A sample follows each cycle `c ≡ 0 (mod every)` of the span, however
+    /// the span is split into drive calls; `every = 0` takes none.
+    #[test]
+    fn occupancy_samples_after_each_cycle_at_a_multiple_of_the_period() {
+        let config = RouterConfig::default();
+        for (every, spans, samples) in
+            [(10, &[400][..], 40), (10, &[5, 395], 40), (7, &[3, 4, 1, 92], 15), (0, &[100], 0)]
+        {
+            let mut sim =
+                Simulator::build(Topology::mesh(2, 2), |_| RealTimeRouter::new(config.clone()))
+                    .unwrap();
+            let mut occupancy = Occupancy { every, ..Occupancy::default() };
+            for &span in spans {
+                occupancy.run(&mut sim, span);
+            }
+            assert_eq!(sim.now(), spans.iter().sum::<u64>());
+            assert_eq!((occupancy.samples, occupancy.points), (samples, 4 * samples as u64));
+        }
     }
 }

@@ -84,6 +84,28 @@ pub struct RealTimeRouter {
     datapath: Option<Box<Datapath>>,
 }
 
+/// A point-in-time occupancy snapshot of a router (Table 4a's packet
+/// memory, scheduler and flit buffers), read between drive calls.
+///
+/// All values are instantaneous gauges, not counters: a reader that wants
+/// a time series samples them itself. Array fields follow the
+/// [`Port::index`] convention.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChipGauges {
+    /// Shared packet-memory slots currently holding a packet.
+    pub memory_occupied: usize,
+    /// Total shared packet-memory slots.
+    pub memory_capacity: usize,
+    /// Packets currently queued in the link scheduler (all outputs).
+    pub sched_backlog: usize,
+    /// Scheduled packets waiting for each output port (per-link queue depth).
+    pub queue_depth: [usize; PORT_COUNT],
+    /// Horizon register of each output port, in slots.
+    pub horizon: [u32; PORT_COUNT],
+    /// Best-effort flit-buffer bytes occupied on each input port.
+    pub be_buffered: [usize; PORT_COUNT],
+}
+
 /// What a tick reads and writes beside the datapath: the configuration and
 /// clock, the connection table and horizon registers the control port
 /// writes, and the count of cycles accounted alive. The tick's helpers are
@@ -341,6 +363,26 @@ impl RealTimeRouter {
     #[must_use]
     pub fn memory_high_water(&self) -> usize {
         self.datapath.as_ref().map_or(0, |dp| dp.memory.high_water())
+    }
+
+    /// What the packet memory, the scheduler and the best-effort flit
+    /// buffers hold now (a router that never ticked holds nothing).
+    #[must_use]
+    pub fn gauges(&self) -> ChipGauges {
+        let mut g = ChipGauges {
+            memory_capacity: self.regs.config.packet_slots,
+            horizon: self.regs.horizons,
+            ..Default::default()
+        };
+        if let Some(dp) = &self.datapath {
+            g.memory_occupied = dp.memory.occupied();
+            g.sched_backlog = dp.sched.len();
+            for i in 0..PORT_COUNT {
+                g.queue_depth[i] = dp.sched.backlog_for(Port::from_index(i));
+                g.be_buffered[i] = dp.inputs[i].be_occupancy();
+            }
+        }
+        g
     }
 
     /// Sets this router's bounded clock skew in slots (must stay well below
@@ -876,23 +918,6 @@ impl Chip for RealTimeRouter {
     /// datapath.
     fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
         self.control.apply(cmd, &mut self.regs.table, &mut self.regs.horizons)
-    }
-
-    fn gauges(&self) -> Option<rtr_types::chip::ChipGauges> {
-        let mut g = rtr_types::chip::ChipGauges {
-            memory_capacity: self.regs.config.packet_slots,
-            horizon: self.regs.horizons,
-            ..Default::default()
-        };
-        if let Some(dp) = &self.datapath {
-            g.memory_occupied = dp.memory.occupied();
-            g.sched_backlog = dp.sched.len();
-            for i in 0..PORT_COUNT {
-                g.queue_depth[i] = dp.sched.backlog_for(Port::from_index(i));
-                g.be_buffered[i] = dp.inputs[i].be_occupancy();
-            }
-        }
-        Some(g)
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
@@ -1570,6 +1595,35 @@ mod tests {
         let (next, _) = symbols[tc_start + 1];
         assert_eq!(next, start + 20, "the packet holds the link for its 20 byte times");
         assert_eq!(r.stats().tc_bytes[out.index()], 20);
+    }
+
+    #[test]
+    fn gauges_show_a_parked_packet_until_it_leaves() {
+        let mut r = router();
+        let out = Port::Dir(Direction::XPlus);
+        let idle = r.gauges();
+        assert_eq!((idle.memory_occupied, idle.sched_backlog), (0, 0), "never ticked");
+        assert_eq!(idle.memory_capacity, r.config().packet_slots);
+        // A logical arrival far in the future with h = 0: the packet parks
+        // in packet memory, queued for its one output.
+        connect(&mut r, 5, 5, 100, out.mask());
+        let mut io = io();
+        io.inject_tc.push_back(tc_packet(5, 120, &r));
+        let mut now = 0;
+        run(&mut r, &mut io, &mut now, 400);
+        let parked = r.gauges();
+        assert_eq!(parked.memory_occupied, 1, "the parked packet shows in packet memory");
+        assert_eq!(parked.sched_backlog, 1);
+        let mut depth = [0; PORT_COUNT];
+        depth[out.index()] = 1;
+        assert_eq!(parked.queue_depth, depth, "and in its port's queue only");
+        // Slot 120 starts at cycle 2400; by 3000 the packet has left.
+        run(&mut r, &mut io, &mut now, 2600);
+        let sent = r.gauges();
+        assert_eq!(
+            (sent.memory_occupied, sent.sched_backlog, sent.queue_depth),
+            (0, 0, [0; PORT_COUNT])
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`fault`] — the scripted, seeded mid-run fault-injection plane,
 //! * [`source`] — the traffic-source trait workloads implement,
 //! * [`sim`] — the simulator main loop,
-//! * [`stats`] — delivery logs, occupancy samples, and derived metrics.
+//! * [`stats`] — delivery logs and derived metrics.
 //!
 //! # Example
 //!
@@ -49,8 +49,8 @@ pub mod topology;
 pub use adjacency::LinkTable;
 pub use fault::{FaultEvent, FaultKind, FaultSchedule, FaultStats};
 pub use link::{LinkLedger, LinkUsage};
-pub use netstats::{ConnSlackReport, Histogram, NetworkReport, OccupancySummary};
+pub use netstats::{ConnSlackReport, Histogram, NetworkReport};
 pub use sim::{ControlStats, Simulator};
 pub use source::TrafficSource;
-pub use stats::{DeliveryLog, OccupancyHistory, OccupancySample};
+pub use stats::DeliveryLog;
 pub use topology::Topology;

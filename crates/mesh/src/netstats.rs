@@ -147,24 +147,6 @@ pub struct ConnSlackReport {
     pub slack: Histogram,
 }
 
-/// Occupancy statistics aggregated over every `(sample, node)` pair of a
-/// gauge-sampled run (see [`Simulator::enable_gauge_sampling`]).
-#[derive(Debug, Clone)]
-pub struct OccupancySummary {
-    /// Samples taken (time points).
-    pub samples: usize,
-    /// Mean packet-memory occupancy per node (slots).
-    pub mean_memory_occupied: f64,
-    /// Peak sampled packet-memory occupancy of any node.
-    pub peak_memory_occupied: usize,
-    /// Node where that peak was sampled.
-    pub peak_memory_node: NodeId,
-    /// Mean scheduler backlog per node (packets).
-    pub mean_sched_backlog: f64,
-    /// Peak sampled per-link queue depth of any output port.
-    pub peak_queue_depth: usize,
-}
-
 /// A snapshot of the whole network's delivery behaviour.
 #[derive(Debug, Clone)]
 pub struct NetworkReport {
@@ -183,8 +165,6 @@ pub struct NetworkReport {
     /// Per-connection deadline-slack statistics, ordered by connection id
     /// (deadline-bearing deliveries only).
     pub slack: Vec<ConnSlackReport>,
-    /// Occupancy time-series summary (None unless gauge sampling was on).
-    pub occupancy: Option<OccupancySummary>,
     /// Per-link usage, densest first.
     pub links: Vec<(NodeId, Direction, LinkUsage)>,
 }
@@ -229,7 +209,6 @@ impl NetworkReport {
                 }
             })
             .collect();
-        let occupancy = Self::summarise_occupancy(sim);
         let mut links = Vec::new();
         for node in sim.topology().nodes() {
             for dir in Direction::ALL {
@@ -247,42 +226,8 @@ impl NetworkReport {
             be_delivered,
             deadline_misses,
             slack,
-            occupancy,
             links,
         }
-    }
-
-    fn summarise_occupancy<C: Chip>(sim: &Simulator<C>) -> Option<OccupancySummary> {
-        let samples = sim.gauge_samples();
-        if samples.is_empty() {
-            return None;
-        }
-        let mut memory_sum = 0u64;
-        let mut backlog_sum = 0u64;
-        let mut point_count = 0u64;
-        let mut peak_memory_occupied = 0usize;
-        let mut peak_memory_node = NodeId(0);
-        let mut peak_queue_depth = 0usize;
-        for sample in samples {
-            for (idx, g) in sample.nodes.iter().enumerate() {
-                memory_sum += g.memory_occupied as u64;
-                backlog_sum += g.sched_backlog as u64;
-                point_count += 1;
-                if g.memory_occupied > peak_memory_occupied {
-                    peak_memory_occupied = g.memory_occupied;
-                    peak_memory_node = NodeId(idx as u16);
-                }
-                peak_queue_depth = peak_queue_depth.max(*g.queue_depth.iter().max().unwrap());
-            }
-        }
-        Some(OccupancySummary {
-            samples: samples.len(),
-            mean_memory_occupied: memory_sum as f64 / point_count as f64,
-            peak_memory_occupied,
-            peak_memory_node,
-            mean_sched_backlog: backlog_sum as f64 / point_count as f64,
-            peak_queue_depth,
-        })
     }
 
     /// The smallest per-connection slack across the whole network (None

@@ -41,7 +41,7 @@ use crate::fault::{FaultKind, FaultSchedule, FaultStats};
 use crate::link::{LinkLedger, LinkUsage};
 use crate::metrics::SimMetrics;
 use crate::source::TrafficSource;
-use crate::stats::{DeliveryLog, OccupancyHistory};
+use crate::stats::DeliveryLog;
 use crate::topology::Topology;
 
 /// Whether a node's injection queues hold anything — work no chip's
@@ -122,9 +122,6 @@ pub struct Simulator<C: Chip> {
     /// compare for a source that has promised silence. It is the source's
     /// only wake: the leap planner clamps to the earliest.
     sources: Vec<(NodeId, Box<dyn TrafficSource>, Cycle)>,
-    /// Sample chip gauges every N cycles (None = sampling off).
-    gauge_every: Option<Cycle>,
-    gauge_samples: OccupancyHistory,
     /// The chips the last cycle ticked (live node indices, ascending): the
     /// only [`ChipIo`]s left to clear, and the next cycle's list buffer.
     tick_list: Vec<u32>,
@@ -254,8 +251,6 @@ impl<C: Chip> Simulator<C> {
             logs: (0..n).map(|_| DeliveryLog::default()).collect(),
             adj,
             sources: Vec::new(),
-            gauge_every: None,
-            gauge_samples: OccupancyHistory::default(),
             tick_list: Vec::with_capacity(n),
             wakes: WakeQueue::default(),
             due: Vec::new(),
@@ -406,25 +401,6 @@ impl<C: Chip> Simulator<C> {
         self.ios[node.index()].inject_be.push_back(packet);
         self.allocate_wakes();
         self.mark(node.index());
-    }
-
-    /// Starts sampling every chip's occupancy gauges once per `every`
-    /// cycles (after that cycle's tick). Chips whose [`Chip::gauges`]
-    /// returns `None` contribute zeroed gauges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn enable_gauge_sampling(&mut self, every: Cycle) {
-        assert!(every > 0, "sampling period must be positive");
-        self.gauge_every = Some(every);
-    }
-
-    /// The occupancy samples collected so far (empty unless
-    /// [`Simulator::enable_gauge_sampling`] was called).
-    #[must_use]
-    pub fn gauge_samples(&self) -> &OccupancyHistory {
-        &self.gauge_samples
     }
 
     /// Does nothing: chips always tick on the calling thread. Kept only for
@@ -1130,9 +1106,9 @@ impl<C: Chip> Simulator<C> {
 
     /// Post-tick phases of one cycle: symbol/credit collection and
     /// delivery draining over the chips in `list` that just ticked (only a
-    /// tick drives, returns credits, or delivers), gauge sampling, and the
-    /// clock advance. A link that carried a new symbol or credit batch is
-    /// marked, so the cycle polls it at its end.
+    /// tick drives, returns credits, or delivers) and the clock advance. A
+    /// link that carried a new symbol or credit batch is marked, so the
+    /// cycle polls it at its end.
     fn phase_post(&mut self, now: Cycle, list: &[u32]) {
         self.metrics.registry.inc(self.metrics.ids.io_visits, list.len() as u64);
         // 3. Collect driven symbols and returned credits — walking only
@@ -1185,11 +1161,6 @@ impl<C: Chip> Simulator<C> {
             log.be.append(&mut io.delivered_be);
         }
 
-        // 5. Periodic occupancy sampling.
-        if self.gauge_every.is_some_and(|every| now.is_multiple_of(every)) {
-            self.gauge_samples.record(now, &self.chips);
-        }
-
         self.now += 1;
     }
 
@@ -1200,9 +1171,8 @@ impl<C: Chip> Simulator<C> {
     ///
     /// The result is **bit-identical** to waking every chip and link before
     /// each [`Simulator::step`] — delivery logs, statistics, link-usage
-    /// counters, gauge samples (synthesized for leaped cycles), and trace
-    /// timestamps all match — because a chip, link, or traffic source is
-    /// passed over only while it reports (via [`Chip::next_event`],
+    /// counters, and trace timestamps all match — because a chip, link, or
+    /// traffic source is passed over only while it reports (via [`Chip::next_event`],
     /// [`Link::next_event`], and [`TrafficSource::next_event`]) that nothing
     /// can change before its wake. See the `event_core` integration tests.
     ///
@@ -1261,9 +1231,7 @@ impl<C: Chip> Simulator<C> {
     }
 
     /// Moves simulated time from `self.now` towards `target` across a
-    /// quiet span, performing the bookkeeping the skipped cycles would
-    /// have: gauge samples (every gauge is constant while the network is
-    /// quiescent). Without a predicate the span is jumped in one block;
+    /// quiet span. Without a predicate the span is jumped in one block;
     /// with one it is walked boundary by boundary — every cycle boundary
     /// gets its predicate evaluation, exactly as a cycle-by-cycle run would —
     /// stopping early (and returning true) where the predicate fires.
@@ -1285,20 +1253,10 @@ impl<C: Chip> Simulator<C> {
         let mut fired = false;
         if let Some(predicate) = predicate {
             while !fired && self.now < target {
-                if self.gauge_every.is_some_and(|every| self.now.is_multiple_of(every)) {
-                    self.gauge_samples.record(self.now, &self.chips);
-                }
                 self.now += 1;
                 fired = predicate(self);
             }
         } else {
-            if let Some(every) = self.gauge_every {
-                let mut at = from.next_multiple_of(every);
-                while at < target {
-                    self.gauge_samples.record(at, &self.chips);
-                    at += every;
-                }
-            }
             self.now = target;
         }
         let to = self.now;
@@ -1314,8 +1272,8 @@ impl<C: Chip> Simulator<C> {
     ///
     /// The predicate is evaluated at every cycle boundary — including each
     /// boundary inside a quiet span, walked one by one without ticking chips
-    /// (recording gauge samples where due) — so the run stops at the first
-    /// boundary it holds at, the same one a cycle-by-cycle run stops at.
+    /// — so the run stops at the first boundary it holds at, the same one a
+    /// cycle-by-cycle run stops at.
     ///
     /// One caveat, inherent to leaping and sparse ticking: chip-internal
     /// per-cycle counters (e.g. idle-cycle tallies via
@@ -1545,53 +1503,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gauge_sampling_tracks_memory_occupancy() {
-        let mut sim = two_node_sim();
-        let src = NodeId(0);
-        // A connection whose logical arrival is far in the future: the
-        // packet parks in the source's packet memory (h = 0, nothing
-        // transmits), so occupancy gauges must show it.
-        sim.chip_mut(src)
-            .apply_control(ControlCommand::SetConnection {
-                incoming: ConnectionId(5),
-                outgoing: ConnectionId(5),
-                delay: 100,
-                out_mask: Port::Dir(Direction::XPlus).mask(),
-            })
-            .unwrap();
-        let clock = sim.chip(src).clock();
-        let payload = vec![0; sim.chip(src).config().tc_data_bytes()];
-        sim.inject_tc(
-            src,
-            TcPacket {
-                conn: ConnectionId(5),
-                arrival: clock.wrap(120),
-                payload: payload.into(),
-                trace: PacketTrace::default(),
-            },
-        );
-        sim.enable_gauge_sampling(10);
-        sim.run(400);
-        let samples = sim.gauge_samples();
-        assert_eq!(samples.len(), 40, "one sample per 10 cycles");
-        assert!(samples.cycles().windows(2).all(|w| w[0] < w[1]));
-        let peak = samples.iter().map(|s| s.nodes[src.index()].memory_occupied).max().unwrap();
-        assert_eq!(peak, 1, "the parked packet shows up in the gauges");
-        assert!(samples
-            .iter()
-            .any(|s| s.nodes[src.index()].queue_depth[Port::Dir(Direction::XPlus).index()] == 1));
-        assert!(samples.iter().all(|s| s.nodes[0].memory_capacity > 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling period must be positive")]
-    fn gauge_sampling_rejects_a_zero_period() {
-        // A zero period would divide by zero on every cycle's
-        // `is_multiple_of` check; the knob must refuse it up front.
-        two_node_sim().enable_gauge_sampling(0);
-    }
-
     /// Drives `sim` `cycles` cycles the reference way: every chip ticked and
     /// every link visited on every cycle.
     fn run_every_chip(sim: &mut Simulator<RealTimeRouter>, cycles: Cycle) {
@@ -1656,14 +1567,12 @@ mod tests {
         let mut sim = two_node_sim();
         let dst = every.topology().node_at(1, 0);
         for sim in [&mut every, &mut sim] {
-            sim.enable_gauge_sampling(25);
             sim.inject_be(NodeId(0), BePacket::new(1, 0, vec![0x5A; 40], PacketTrace::default()));
         }
         run_every_chip(&mut every, 2000);
         sim.run(2000);
         assert_eq!(every.now(), sim.now());
         assert_eq!(every.log(dst).be, sim.log(dst).be);
-        assert_eq!(every.gauge_samples().cycles(), sim.gauge_samples().cycles());
         // The run ticks the chips only where they act, and leaps the quiet
         // tail, where the record holds no wake.
         assert!(sim.ticks_executed() * 2 < every.ticks_executed());
@@ -1679,6 +1588,8 @@ mod tests {
                 format!("{:?}", sim.chip(node).stats())
             );
             assert_eq!(every.chip(node).idle_cycles(), sim.chip(node).idle_cycles());
+            let memory = |r: &RealTimeRouter| (r.memory_occupied(), r.memory_high_water());
+            assert_eq!(memory(every.chip(node)), memory(sim.chip(node)));
         }
     }
 

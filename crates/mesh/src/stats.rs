@@ -1,6 +1,5 @@
-//! Delivery logs, occupancy samples, and derived network metrics.
+//! Delivery logs and derived network metrics.
 
-use rtr_types::chip::{Chip, ChipGauges};
 use rtr_types::packet::{BePacket, TcPacket};
 use rtr_types::time::{cycle_to_slot, Cycle};
 
@@ -85,95 +84,6 @@ impl LatencySummary {
             max: *sorted.last().unwrap(),
             p99: sorted[p99_idx],
         }
-    }
-}
-
-/// One occupancy snapshot of every chip in the network, borrowed from the
-/// flat storage of an [`OccupancyHistory`].
-#[derive(Debug, Clone, Copy)]
-pub struct OccupancySample<'a> {
-    /// Cycle the sample was taken (after that cycle's tick).
-    pub cycle: Cycle,
-    /// Per-node gauges, indexed by [`rtr_types::ids::NodeId::index`].
-    pub nodes: &'a [ChipGauges],
-}
-
-/// The collected occupancy samples, stored flat: one `cycle` entry and one
-/// contiguous run of per-node gauges per sample. Recording a sample appends
-/// to the same two vectors, so steady-state sampling never allocates once
-/// the vectors have grown to capacity.
-#[derive(Debug, Clone, Default)]
-pub struct OccupancyHistory {
-    cycles: Vec<Cycle>,
-    gauges: Vec<ChipGauges>,
-    nodes_per_sample: usize,
-}
-
-impl OccupancyHistory {
-    /// Number of samples recorded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cycles.len()
-    }
-
-    /// Whether any samples have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cycles.is_empty()
-    }
-
-    /// The cycle of every sample, in recording order.
-    #[must_use]
-    pub fn cycles(&self) -> &[Cycle] {
-        &self.cycles
-    }
-
-    /// The `index`-th sample, if recorded.
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<OccupancySample<'_>> {
-        let cycle = *self.cycles.get(index)?;
-        let start = index * self.nodes_per_sample;
-        Some(OccupancySample { cycle, nodes: &self.gauges[start..start + self.nodes_per_sample] })
-    }
-
-    /// Iterates over the samples in recording order.
-    pub fn iter(&self) -> OccupancyIter<'_> {
-        OccupancyIter { history: self, next: 0 }
-    }
-
-    pub(crate) fn record<C: Chip>(&mut self, cycle: Cycle, chips: &[C]) {
-        self.nodes_per_sample = chips.len();
-        self.cycles.push(cycle);
-        self.gauges.extend(chips.iter().map(|c| c.gauges().unwrap_or_default()));
-    }
-}
-
-impl<'a> IntoIterator for &'a OccupancyHistory {
-    type Item = OccupancySample<'a>;
-    type IntoIter = OccupancyIter<'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Iterator over the samples of an [`OccupancyHistory`].
-#[derive(Debug)]
-pub struct OccupancyIter<'a> {
-    history: &'a OccupancyHistory,
-    next: usize,
-}
-
-impl<'a> Iterator for OccupancyIter<'a> {
-    type Item = OccupancySample<'a>;
-    fn next(&mut self) -> Option<Self::Item> {
-        let sample = self.history.get(self.next)?;
-        self.next += 1;
-        Some(sample)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.history.len().saturating_sub(self.next);
-        (left, Some(left))
     }
 }
 

@@ -27,7 +27,7 @@ pub enum Phase {
     Repoll,
     /// Leap planning: the agenda clamp and `next_wake` horizon checks.
     LeapPlan,
-    /// Applying a leap: synthesising gauge samples, `skip_quiet` patching.
+    /// Applying a leap: moving the clock across the quiet span.
     LeapApply,
 }
 

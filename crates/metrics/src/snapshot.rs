@@ -80,7 +80,8 @@ pub struct MetricLine {
 
 impl MetricLine {
     /// Parses one JSONL counter line; `None` if the line is not one
-    /// (callers interleave these with trace records).
+    /// (callers interleave these with trace records). A negative `cycle` or
+    /// `value` is not a counter's, so such a line is not one either.
     #[must_use]
     pub fn parse(line: &str) -> Option<MetricLine> {
         let fields = parse_flat(line)?;
@@ -90,17 +91,22 @@ impl MetricLine {
         else {
             return None;
         };
-        (kind == "counter").then(|| MetricLine {
-            cycle: *cycle as u64,
+        if kind != "counter" {
+            return None;
+        }
+        Some(MetricLine {
+            cycle: u64::try_from(*cycle).ok()?,
             name: name.clone(),
-            value: *value as u64,
+            value: u64::try_from(*value).ok()?,
         })
     }
 }
 
 #[derive(Debug)]
 enum Flat {
-    Int(i64),
+    /// Wide enough for every `u64` counter and for the negative numbers a
+    /// foreign line may carry.
+    Int(i128),
     Str(String),
 }
 
@@ -185,5 +191,29 @@ mod tests {
              \"count\": 1, \"sum\": 4, \"min\": 4, \"max\": 4, \"buckets\": \"2:1\"}"
         )
         .is_none());
+    }
+
+    /// A counter never goes below zero: a negative cycle or value marks a
+    /// foreign line, not one to wrap into a huge counter.
+    #[test]
+    fn negative_numbers_are_not_counter_lines() {
+        for line in [
+            "{\"cycle\": -1, \"metric\": \"x\", \"type\": \"counter\", \"value\": 5}",
+            "{\"cycle\": 1, \"metric\": \"x\", \"type\": \"counter\", \"value\": -5}",
+            "{\"cycle\": -1, \"metric\": \"x\", \"type\": \"counter\", \"value\": -5}",
+        ] {
+            assert_eq!(MetricLine::parse(line), None, "{line}");
+        }
+        let zero = "{\"cycle\": 0, \"metric\": \"x\", \"type\": \"counter\", \"value\": 0}";
+        let line = MetricLine { cycle: 0, name: "x".into(), value: 0 };
+        assert_eq!(MetricLine::parse(zero), Some(line));
+    }
+
+    /// Every `u64` a counter can hold survives the round trip.
+    #[test]
+    fn the_largest_counter_round_trips() {
+        let snap = MetricsSnapshot { entries: vec![("big".into(), u64::MAX)] };
+        let line = MetricLine { cycle: u64::MAX, name: "big".into(), value: u64::MAX };
+        assert_eq!(MetricLine::parse(snap.to_jsonl(u64::MAX).trim_end()), Some(line));
     }
 }

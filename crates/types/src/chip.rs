@@ -96,28 +96,6 @@ impl ChipIo {
     }
 }
 
-/// A point-in-time occupancy snapshot of a router chip, for telemetry
-/// sampling.
-///
-/// All values are instantaneous gauges (not counters): the simulator samples
-/// them every N cycles to build occupancy time series. Array fields follow
-/// the [`crate::ids::Port::index`] convention.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChipGauges {
-    /// Shared packet-memory slots currently holding a packet.
-    pub memory_occupied: usize,
-    /// Total shared packet-memory slots.
-    pub memory_capacity: usize,
-    /// Packets currently queued in the link scheduler (all outputs).
-    pub sched_backlog: usize,
-    /// Scheduled packets waiting for each output port (per-link queue depth).
-    pub queue_depth: [usize; PORT_COUNT],
-    /// Horizon register of each output port, in slots.
-    pub horizon: [u32; PORT_COUNT],
-    /// Best-effort flit-buffer bytes occupied on each input port.
-    pub be_buffered: [usize; PORT_COUNT],
-}
-
 /// Wake-precision counters of a chip's [`Chip::next_event`] predictions.
 ///
 /// `next_event` is allowed to be conservative — answering `now + 1` always
@@ -179,13 +157,6 @@ pub trait Chip {
     fn apply_control(&mut self, cmd: ControlCommand) -> Result<(), ControlError> {
         let _ = cmd;
         Err(ControlError::Unsupported)
-    }
-
-    /// Instantaneous occupancy gauges for telemetry sampling, if the chip
-    /// exposes them. The default (`None`) opts the chip out of occupancy
-    /// time series.
-    fn gauges(&self) -> Option<ChipGauges> {
-        None
     }
 
     /// The earliest cycle strictly after `now` at which this chip must be

@@ -50,7 +50,6 @@ pub mod packet;
 pub mod time;
 pub mod trace;
 
-pub use chip::ChipGauges;
 pub use chip::{Chip, ChipIo, InjectQueues};
 pub use clock::{LogicalTime, SlotClock};
 pub use config::{RouterConfig, TimingConfig};

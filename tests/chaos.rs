@@ -28,7 +28,6 @@ fn build_chaos_mesh() -> Simulator<RealTimeRouter> {
     let config = RouterConfig::default();
     let mut sim =
         Simulator::build(Topology::mesh(8, 8), |_| RealTimeRouter::new(config.clone())).unwrap();
-    sim.enable_gauge_sampling(50);
     // Row 5 runs dense (period 8) so the flaky regime sees enough packet
     // heads to both drop and corrupt; the rest stay sparse so the mesh
     // still has long quiet spans to leap.
@@ -82,6 +81,20 @@ fn dense_and_event_agree_under_chaos() {
     };
     assert_eq!(fingerprint(&every), fingerprint(&run), "a drive mode diverged");
     assert_eq!(report(&every), report(&run), "network reports diverged");
+    // What the routers hold between deliveries agrees too: a second drive
+    // in 50-cycle calls reads every router's gauges after each.
+    let [every_gauges, run_gauges] = DriveMode::ALL.map(|mode| {
+        let mut sim = build_chaos_mesh();
+        let mut series = Vec::new();
+        for _ in 0..SPAN / 50 {
+            mode.advance(&mut sim, 50);
+            series.extend(sim.topology().nodes().map(|n| (sim.now(), n, sim.chip(n).gauges())));
+        }
+        series
+    });
+    if let Some(i) = every_gauges.iter().zip(&run_gauges).position(|(a, b)| a != b) {
+        panic!("gauges diverged: {:?} vs {:?}", every_gauges[i], run_gauges[i]);
+    }
     assert!(
         run.ticks_executed() * 2 < every.ticks_executed(),
         "the sparse chaos scenario must still skip quiet chips: {} vs {} ticks",

@@ -5,9 +5,10 @@
 //! reference), and `run` (cycles that tick only the chips that can act and
 //! visit only the links that are due, leaping across quiet spans). This
 //! suite proves the two bit-identical. Every scenario diffs delivery logs
-//! byte-for-byte and the full `Debug` rendering of [`NetworkReport`]:
-//! seeded 8×8 meshes at sparse, mixed and saturating load and on a latent
-//! wire, a packet parked early behind a horizon, §7 cut-through on both
+//! byte-for-byte and the full `Debug` rendering of [`NetworkReport`] (the
+//! loaded meshes and the parked packet also every router's gauges every 50
+//! cycles): seeded 8×8 meshes at sparse, mixed and saturating load and on a
+//! latent wire, a packet parked early behind a horizon, §7 cut-through on both
 //! schedulers, a 16×16 mesh whose routers mostly never tick under `run`
 //! (and so never build a datapath), and the wormhole baseline, and the two
 //! baselines that keep the trait's conservative wake leaping from a fresh
@@ -16,12 +17,14 @@
 //! conservation test closes the per-node packet ledger under every drive
 //! mode, and the warm-queue tests pin the contract that the wake record is
 //! built once: plain `step`, injection and external mutation all keep it
-//! complete.
+//! complete. Where one `run` ends and the next begins is invisible: one
+//! call and the same span in 50- and 7-cycle calls agree on logs, router
+//! statistics and gauges, link ledgers and the clock.
 
 use realtime_router::baselines::{FifoSfRouter, PriorityVcRouter, WormholeRouter};
 use realtime_router::channels::spec::{ChannelRequest, TrafficSpec};
 use realtime_router::channels::ChannelManager;
-use realtime_router::core::{ControlCommand, Datapath, RealTimeRouter};
+use realtime_router::core::{ChipGauges, ControlCommand, Datapath, RealTimeRouter};
 use realtime_router::mesh::{NetworkReport, Simulator, Topology, TrafficSource};
 use realtime_router::types::chip::{Chip, InjectQueues};
 use realtime_router::types::config::{RouterConfig, SchedulerKind};
@@ -47,7 +50,6 @@ fn build_mesh_on_wire(
         RealTimeRouter::new(config.clone())
     })
     .unwrap();
-    sim.enable_gauge_sampling(50);
     for (i, y) in [0u16, 2, 5, 7].into_iter().enumerate() {
         add_one_hop_channel(&mut sim, y, i, tc_period_slots);
     }
@@ -94,12 +96,44 @@ fn assert_modes_agree<C: Chip>(
     runs
 }
 
+/// The period, in cycles, at which [`assert_gauges_agree`] reads gauges.
+const GAUGE_EVERY: u64 = 50;
+
+/// Every router's gauges after each [`GAUGE_EVERY`]-cycle drive call of a
+/// `cycles`-cycle drive in one mode, with the cycle and node read at.
+fn gauge_series(
+    mut sim: Simulator<RealTimeRouter>,
+    mode: DriveMode,
+    cycles: u64,
+) -> Vec<(u64, NodeId, ChipGauges)> {
+    let mut series = Vec::new();
+    for _ in 0..cycles / GAUGE_EVERY {
+        mode.advance(&mut sim, GAUGE_EVERY);
+        series.extend(sim.topology().nodes().map(|n| (sim.now(), n, sim.chip(n).gauges())));
+    }
+    series
+}
+
+/// Drives the scenario once more in both drive modes, in
+/// [`GAUGE_EVERY`]-cycle calls, and asserts that every router's gauges
+/// agree after each call: what a router holds between deliveries, which
+/// the fingerprint does not see.
+fn assert_gauges_agree(build: impl Fn() -> Simulator<RealTimeRouter>, cycles: u64) {
+    let [every, run] = DriveMode::ALL.map(|mode| gauge_series(build(), mode, cycles));
+    let held = every.iter().any(|(_, _, g)| g.memory_occupied > 0);
+    assert!(held, "no router ever held a packet at a read");
+    if let Some(i) = every.iter().zip(&run).position(|(a, b)| a != b) {
+        panic!("gauges diverged: {:?} vs {:?}", every[i], run[i]);
+    }
+}
+
 /// Sparse load: long-period channels, no best-effort traffic. The event
 /// queue must leap most cycles and stay byte-identical to the reference,
 /// which visits every link on every cycle, whatever the link wakes say.
 #[test]
 fn event_core_equivalence_sparse_load() {
     let [every, run] = assert_modes_agree(|| build_mesh(64, 0.0), 20_000);
+    assert_gauges_agree(|| build_mesh(64, 0.0), 20_000);
     let tc_total: usize = every.topology().nodes().map(|n| every.log(n).tc.len()).sum();
     assert!(tc_total >= 40, "sparse TC load too light to trust: {tc_total}");
     assert!(
@@ -128,6 +162,7 @@ fn event_core_equivalence_sparse_load() {
 #[test]
 fn event_core_equivalence_mixed_load() {
     let [every, run] = assert_modes_agree(|| build_mesh(8, 0.05), 4_000);
+    assert_gauges_agree(|| build_mesh(8, 0.05), 4_000);
     let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 500, "mixed BE load too light to trust: {be_total}");
     assert!(
@@ -144,6 +179,7 @@ fn event_core_equivalence_mixed_load() {
 #[test]
 fn event_core_equivalence_saturating_load() {
     let [every, ..] = assert_modes_agree(|| build_mesh(8, 0.35), 3_000);
+    assert_gauges_agree(|| build_mesh(8, 0.35), 3_000);
     let be_total: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(be_total > 1_000, "saturating BE load too light to trust: {be_total}");
 }
@@ -157,6 +193,7 @@ fn event_core_equivalence_saturating_load() {
 #[test]
 fn event_core_equivalence_on_a_latent_wire() {
     let [every, run] = assert_modes_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
+    assert_gauges_agree(|| build_mesh_on_wire(3, 8, 0.05), 3_000);
     let tc: usize = every.topology().nodes().map(|n| every.log(n).tc.len()).sum();
     let be: usize = every.topology().nodes().map(|n| every.log(n).be.len()).sum();
     assert!(tc >= 40 && be > 300, "latent-wire load too light to trust: {tc} / {be}");
@@ -264,6 +301,38 @@ fn conservation_holds_across_all_drive_modes() {
             panic!("{mode:?} run must conserve packets: {violation}");
         }
     }
+}
+
+/// Where one drive call ends and the next begins is invisible: one
+/// `run(20_000)` over a mixed-load mesh, the same span as 50-cycle calls,
+/// and again as 7-cycle calls agree on delivery logs, every router's
+/// statistics and gauges, every link's ledger, and the clock.
+#[test]
+fn drive_call_boundaries_are_invisible() {
+    const SPAN: u64 = 20_000;
+    let observe = |sim: &Simulator<RealTimeRouter>| {
+        let topo = sim.topology();
+        let mut out = format!("now {}\n", sim.now());
+        for node in topo.nodes() {
+            let (log, chip) = (sim.log(node), sim.chip(node));
+            out.push_str(&format!("{node}: tc={:?} be={:?}\n", log.tc, log.be));
+            out.push_str(&format!("{node}: {:?} {:?}\n", chip.stats(), chip.gauges()));
+            for dir in Direction::ALL.into_iter().filter(|&d| topo.link_end(node, d).is_some()) {
+                out.push_str(&format!("{node}/{dir:?}: {:?}\n", sim.link_ledger(node, dir)));
+            }
+        }
+        out
+    };
+    let [whole, fifty, seven] = [SPAN, 50, 7].map(|chunk| {
+        let mut sim = build_mesh(8, 0.2);
+        while sim.now() < SPAN {
+            sim.run(chunk.min(SPAN - sim.now()));
+        }
+        observe(&sim)
+    });
+    assert!(whole.starts_with(&format!("now {SPAN}\n")));
+    assert_eq!(fifty, whole, "50-cycle drive calls diverged from one call");
+    assert_eq!(seven, whole, "7-cycle drive calls diverged from one call");
 }
 
 /// Hops of [`one_packet_over_four_hops`].
@@ -479,7 +548,6 @@ fn leaping_equivalence_horizon_limited_early_tc() {
         let mut sim =
             Simulator::build(Topology::mesh(2, 1), |_| RealTimeRouter::new(config.clone()))
                 .unwrap();
-        sim.enable_gauge_sampling(50);
         let src = NodeId(0);
         let dst = sim.topology().node_at(1, 0);
         let (conn, xplus) = (ConnectionId(5), Port::Dir(Direction::XPlus).mask());
@@ -515,6 +583,7 @@ fn leaping_equivalence_horizon_limited_early_tc() {
         sim
     };
     let [every, run] = assert_modes_agree(build, 6_000);
+    assert_gauges_agree(build, 6_000);
     let dst = every.topology().node_at(1, 0);
     assert_eq!(every.log(dst).tc.len(), 1, "the parked packet must arrive");
     assert!(
